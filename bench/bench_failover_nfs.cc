@@ -1,7 +1,7 @@
 // Managed-binding failover — time-to-recover across a kill-point sweep.
 //
 // A pipelined NFS read runs through the BinderTransport control plane
-// (src/rpc/binder.h) over three replicas; the primary's wire is killed at
+// (src/rpc/binder.h) over three replicas, each a 1×W call engine; the primary's wire is killed at
 // swept packet offsets (first packet, a quarter in, halfway, the last
 // chunk, and one point past the end of the read). For each kill the bench
 // reports total virtual latency, the slowdown versus the clean run, and
@@ -26,7 +26,6 @@
 #include "src/net/link.h"
 #include "src/net/sunrpc.h"
 #include "src/rpc/binder.h"
-#include "src/rpc/pipeline.h"
 #include "src/support/event_queue.h"
 #include "src/support/recorder.h"
 
@@ -40,9 +39,9 @@ using flexrpc::EncodeSunRpcCall;
 using flexrpc::EventQueue;
 using flexrpc::FaultPlan;
 using flexrpc::LinkModel;
+using flexrpc::MuxPolicy;
 using flexrpc::NfsClient;
 using flexrpc::NfsFileServer;
-using flexrpc::PipelinePolicy;
 using flexrpc::RemoteServerModel;
 using flexrpc::ReplicaGroup;
 using flexrpc::SunRpcCall;
@@ -85,12 +84,11 @@ RunResult RunManaged(uint64_t seed, size_t file_size, uint64_t kill_packet) {
     channels.push_back(std::make_unique<DatagramChannel>(
         LinkModel(), std::move(to_server), std::move(to_client), &clock));
     specs.push_back({channels.back().get(),
-                     NfsFileServer::MakeHandler(replicas[i].get()),
-                     RemoteServerModel()});
+                     NfsFileServer::MakeHandler(replicas[i].get())});
   }
 
-  PipelinePolicy pipeline;
-  pipeline.window = 8;
+  MuxPolicy pipeline;
+  pipeline.per_conn_window = 8;
   pipeline.retry.max_attempts = 12;
   pipeline.retry.deadline_nanos = 8'000'000'000;
   pipeline.retry.jitter_seed = seed + 1;
@@ -119,8 +117,8 @@ RunResult RunManaged(uint64_t seed, size_t file_size, uint64_t kill_packet) {
   };
   BinderTransport binder(&group, std::move(binder_policy));
 
-  auto stats = client.ReadFileManaged(
-      NfsClient::StubKind::kGeneratedUserBuffer, &binder, kChunkBytes);
+  auto stats = client.ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                   &binder, &clock, kChunkBytes);
   if (!stats.ok()) {
     std::fprintf(stderr, "managed NFS read failed: %s\n",
                  stats.status().ToString().c_str());

@@ -3,7 +3,8 @@
 // The paper's Figure 2 measures presentation cost over a perfect 10 Mbit/s
 // Ethernet. This bench reruns the same 8 KB-chunk NFS read through the
 // fault-injection substrate (src/net/fault.h, src/net/datagram.h) and the
-// at-most-once RetryingTransport, under fixed-seed fault scenarios:
+// call engine's serial shape — one connection, window 1, at-most-once
+// retry (src/rpc/dispatch.h) — under fixed-seed fault scenarios:
 // packet drops force retransmissions, dropped replies exercise the server
 // reply cache, duplicates and reorders exercise stale-reply discard, and
 // corruption exercises the frame checksum. Reported times are *virtual*
@@ -18,20 +19,22 @@
 #include "src/apps/nfs.h"
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
-#include "src/rpc/retry.h"
+#include "src/rpc/dispatch.h"
+#include "src/support/event_queue.h"
 #include "src/support/recorder.h"
 
 namespace {
 
 using flexrpc::DatagramChannel;
+using flexrpc::EventQueue;
 using flexrpc::FaultConfig;
 using flexrpc::FaultPlan;
 using flexrpc::LinkModel;
+using flexrpc::MuxPolicy;
 using flexrpc::NfsClient;
 using flexrpc::NfsFileServer;
 using flexrpc::RemoteServerModel;
-using flexrpc::RetryingTransport;
-using flexrpc::RetryPolicy;
+using flexrpc::ServerConnection;
 using flexrpc::VirtualClock;
 
 constexpr size_t kFileSize = 2u << 20;  // 256 chunks at full fidelity
@@ -67,6 +70,8 @@ const Scenario kScenarios[] = {
 
 struct ScenarioResult {
   NfsClient::ReadStats stats;
+  uint64_t retransmits = 0;
+  uint64_t dup_cache_hits = 0;
   double virtual_seconds = 0;
 };
 
@@ -80,11 +85,16 @@ ScenarioResult RunScenario(const FaultConfig& base, size_t file_size) {
   b2a.seed = base.seed * 2 + 2;
   DatagramChannel channel(LinkModel(), FaultPlan{a2b}, FaultPlan{b2a},
                           &clock);
-  RetryingTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                              RemoteServerModel(), RetryPolicy{});
-  auto stats =
-      client.ReadFileLossy(NfsClient::StubKind::kGeneratedUserBuffer,
-                           &transport);
+  EventQueue events(&clock);
+  MuxPolicy policy;
+  policy.per_conn_window = 1;  // serial: stop-and-wait
+  // The read queues every chunk up front and a deadline starts at
+  // submission, so it must cover the whole backlog.
+  policy.retry.deadline_nanos = 60'000'000'000;
+  ServerConnection rpc(&channel, NfsFileServer::MakeHandler(&server),
+                       policy, &events);
+  auto stats = client.ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                   &rpc, &clock);
   if (!stats.ok()) {
     std::fprintf(stderr, "lossy NFS read failed: %s\n",
                  stats.status().ToString().c_str());
@@ -92,6 +102,8 @@ ScenarioResult RunScenario(const FaultConfig& base, size_t file_size) {
   }
   ScenarioResult result;
   result.stats = *stats;
+  result.retransmits = rpc.mux().stats().retransmits;
+  result.dup_cache_hits = rpc.dispatch().stats().dup_replies;
   result.virtual_seconds = static_cast<double>(clock.now_nanos()) * 1e-9;
   return result;
 }
@@ -158,9 +170,8 @@ int main(int argc, char** argv) {
                   row.result.virtual_seconds / 1e6;
     std::printf("%-26s %10.3f %8llu %8llu %7.2f Mb  %s\n",
                 row.scenario->label, row.result.virtual_seconds,
-                static_cast<unsigned long long>(row.result.stats.retransmits),
-                static_cast<unsigned long long>(
-                    row.result.stats.dup_cache_hits),
+                static_cast<unsigned long long>(row.result.retransmits),
+                static_cast<unsigned long long>(row.result.dup_cache_hits),
                 mbit, Bar(row.result.virtual_seconds, max_virtual, 24).c_str());
   }
   PrintRule();
@@ -193,7 +204,7 @@ int main(int argc, char** argv) {
     harness.Report(key + "_virtual_seconds", row.result.virtual_seconds,
                    "s");
     harness.Report(key + "_retransmits",
-                   static_cast<double>(row.result.stats.retransmits), "");
+                   static_cast<double>(row.result.retransmits), "");
     harness.Report(
         key + "_goodput_mbit",
         static_cast<double>(row.result.stats.bytes_read) * 8 /

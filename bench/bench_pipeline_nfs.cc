@@ -1,11 +1,11 @@
 // Sliding-window pipelined NFS read — what call overlap buys in virtual
 // time.
 //
-// The serial lossy transport (bench_fault_nfs) charges every call the full
-// request + server + reply round trip before the next call may start. The
-// pipelined transport (src/rpc/pipeline.h) keeps up to `window` calls in
-// flight over the same datagram channel, so total time collapses toward
-// the busiest single resource. This bench sweeps the window at small
+// The serial shape of the call engine (bench_fault_nfs) charges every call
+// the full request + server + reply round trip before the next call may
+// start. The pipelined shape — one connection, window W (src/rpc/mux.h) —
+// keeps up to W calls in flight over the same datagram channel, so total
+// time collapses toward the busiest single resource. This bench sweeps the window at small
 // (512 B) chunks — where the read is latency/server-bound and the window
 // pays off — and contrasts with full 8 KB chunks, where the reply wire is
 // already saturated and the window can only help a little. A lossy row
@@ -23,7 +23,7 @@
 #include "src/apps/nfs.h"
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
-#include "src/rpc/pipeline.h"
+#include "src/rpc/dispatch.h"
 #include "src/support/event_queue.h"
 #include "src/support/recorder.h"
 
@@ -34,11 +34,11 @@ using flexrpc::EventQueue;
 using flexrpc::FaultConfig;
 using flexrpc::FaultPlan;
 using flexrpc::LinkModel;
+using flexrpc::MuxPolicy;
 using flexrpc::NfsClient;
 using flexrpc::NfsFileServer;
-using flexrpc::PipelinedTransport;
-using flexrpc::PipelinePolicy;
 using flexrpc::RemoteServerModel;
+using flexrpc::ServerConnection;
 using flexrpc::VirtualClock;
 
 constexpr size_t kFileSize = 1u << 20;  // full-fidelity run
@@ -46,7 +46,7 @@ constexpr size_t kSmokeSize = 64u << 10;
 
 struct RunResult {
   NfsClient::ReadStats stats;
-  PipelinedTransport::Stats transport_stats;
+  flexrpc::ConnectionMux::Stats transport_stats;
   uint32_t final_window = 0;
   double virtual_seconds = 0;
 };
@@ -62,11 +62,11 @@ RunResult RunPipelined(uint32_t window, size_t chunk_bytes, size_t file_size,
   DatagramChannel channel(LinkModel(), FaultPlan{to_server},
                           FaultPlan{to_client}, &clock);
   EventQueue events(&clock);
-  PipelinePolicy policy;
-  policy.window = window;
-  // ReadFilePipelined submits every chunk up front and the deadline is
-  // armed at submission (queued time counts), so a serial lossy run over
-  // thousands of chunks needs a deadline covering the whole backlog.
+  MuxPolicy policy;
+  policy.per_conn_window = window;
+  // The read submits every chunk up front and the deadline is armed at
+  // submission (queued time counts), so a serial lossy run over thousands
+  // of chunks needs a deadline covering the whole backlog.
   policy.retry.deadline_nanos = 60'000'000'000;
   // The RTO must sit above the window's worst-case reply queueing delay
   // or healthy-but-queued replies trigger spurious retransmits (the
@@ -81,10 +81,10 @@ RunResult RunPipelined(uint32_t window, size_t chunk_bytes, size_t file_size,
     policy.retry.adaptive.rtt.initial_rto_nanos = rto_nanos;
     policy.retry.adaptive.rtt.min_rto_nanos = 5'000'000;
   }
-  PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                               RemoteServerModel(), policy, &events);
-  auto stats = client.ReadFilePipelined(
-      NfsClient::StubKind::kGeneratedUserBuffer, &transport, chunk_bytes);
+  ServerConnection rpc(&channel, NfsFileServer::MakeHandler(&server),
+                       policy, &events);
+  auto stats = client.ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                   &rpc, &clock, chunk_bytes);
   if (!stats.ok()) {
     std::fprintf(stderr, "pipelined NFS read failed: %s\n",
                  stats.status().ToString().c_str());
@@ -92,8 +92,8 @@ RunResult RunPipelined(uint32_t window, size_t chunk_bytes, size_t file_size,
   }
   RunResult result;
   result.stats = *stats;
-  result.transport_stats = transport.stats();
-  result.final_window = transport.current_window();
+  result.transport_stats = rpc.mux().stats();
+  result.final_window = static_cast<uint32_t>(rpc.mux().total_window());
   result.virtual_seconds = static_cast<double>(clock.now_nanos()) * 1e-9;
   return result;
 }
@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
     sweep.push_back(row);
   }
   // One traced repetition (window=8, clean + lossy, plus one adaptive
-  // lossy run) pins the rpc.pipeline.* and rpc.rtt.*/rpc.cwnd.* counters
-  // for the budget gate. The lossy adaptive run exercises Karn skips
+  // lossy run) pins the rpc.mux.* and rpc.rtt.*/rpc.cwnd.* counters for
+  // the budget gate. The lossy adaptive run exercises Karn skips
   // (replies to retransmitted requests) and both AIMD directions.
   harness.Traced([&] {
     (void)RunPipelined(8, 512, kRunSize, FaultConfig{}, FaultConfig{});
@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
               lossy_serial.virtual_seconds, lossy_windowed.virtual_seconds,
               lossy_serial.virtual_seconds / lossy_windowed.virtual_seconds,
               static_cast<unsigned long long>(
-                  lossy_windowed.stats.retransmits));
+                  lossy_windowed.transport_stats.retransmits));
 
   if (harness.record()) {
     // One extra seeded lossy rep under a flight-recorder session. Runs

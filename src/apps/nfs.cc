@@ -162,9 +162,14 @@ Status NfsFileServer::Handle(ByteSpan request, XdrWriter* reply) {
 
 DatagramHandler NfsFileServer::MakeHandler(NfsFileServer* server) {
   return [server](ByteSpan request, std::vector<uint8_t>* reply) {
+    if (request.size() < kMuxPrefixBytes) {
+      return DataLossError("request too short to carry [xid][conn]");
+    }
     XdrWriter w;
-    FLEXRPC_RETURN_IF_ERROR(server->Handle(request, &w));
-    reply->assign(w.span().begin(), w.span().end());
+    FLEXRPC_RETURN_IF_ERROR(
+        server->Handle(request.subspan(kMuxPrefixBytes), &w));
+    reply->assign(request.begin(), request.begin() + kMuxPrefixBytes);
+    reply->insert(reply->end(), w.span().begin(), w.span().end());
     return Status::Ok();
   };
 }
@@ -414,85 +419,15 @@ Result<NfsClient::ReadStats> NfsClient::ReadFile(StubKind kind,
   return stats;
 }
 
-Result<NfsClient::ReadStats> NfsClient::ReadFileLossy(
-    StubKind kind, RetryingTransport* rpc) {
-  ReadStats stats;
-  const uint64_t clock_start = rpc->clock()->now_nanos();
-  const RetryingTransport::Stats rpc_start = rpc->stats();
-  size_t file_size = server_->file_size();
-  auto* user_buffer =
-      static_cast<uint8_t*>(user_space_->Allocate(file_size));
-  uint8_t fh[kNfsFhSize];
-  std::memset(fh, 0xFD, sizeof(fh));
-
-  double client_seconds = 0;
-  for (size_t offset = 0; offset < file_size; offset += kNfsMaxData) {
-    uint32_t count = static_cast<uint32_t>(
-        file_size - offset < kNfsMaxData ? file_size - offset
-                                         : kNfsMaxData);
-    ChunkArgs chunk{fh, static_cast<uint32_t>(offset), count,
-                    user_buffer + offset};
-    uint32_t xid = next_xid_++;
-    // Attribute this chunk's marshal work to its xid: the encode records
-    // at submission time, the decode after the transport advanced the
-    // clock to the reply's arrival.
-    RecorderCallScope rec_scope(xid, rpc->clock());
-
-    // --- client-side marshal (measured) ---
-    XdrWriter request;
-    Stopwatch encode_timer;
-    EncodeSunRpcCall(&request,
-                     SunRpcCall{xid, kNfsProgram, kNfsVersion,
-                                kNfsProcRead});
-    FLEXRPC_ASSIGN_OR_RETURN(uint32_t unused,
-                             EncodeRequest(kind, chunk, &request));
-    (void)unused;
-    client_seconds += encode_timer.ElapsedSeconds();
-
-    // --- the lossy wire: retransmits, backoff, dedup (modeled time) ---
-    std::vector<uint8_t> reply;
-    FLEXRPC_RETURN_IF_ERROR(rpc->Call(xid, request.span(), &reply));
-
-    // --- client-side unmarshal + delivery (measured) ---
-    Stopwatch decode_timer;
-    XdrReader reader(ByteSpan(reply.data(), reply.size()));
-    FLEXRPC_RETURN_IF_ERROR(DecodeSunRpcReplySuccess(&reader, xid));
-    FLEXRPC_ASSIGN_OR_RETURN(uint32_t delivered,
-                             DecodeReply(kind, chunk, &reader));
-    client_seconds += decode_timer.ElapsedSeconds();
-
-    if (delivered != count) {
-      return DataLossError(
-          StrFormat("short read: wanted %u, got %u", count, delivered));
-    }
-    stats.bytes_read += delivered;
-    ++stats.rpc_calls;
-  }
-
-  // Verification (not timed): faults must never corrupt delivered data.
-  if (std::memcmp(user_buffer, server_->content(), file_size) != 0) {
-    return DataLossError("file contents corrupted in transit");
-  }
-  user_space_->Free(user_buffer);
-  stats.client_seconds = client_seconds;
-  stats.network_server_seconds = static_cast<double>(
-      rpc->clock()->now_nanos() - clock_start) * 1e-9;
-  const RetryingTransport::Stats& rpc_end = rpc->stats();
-  stats.retransmits = rpc_end.retransmits - rpc_start.retransmits;
-  stats.dup_cache_hits = rpc_end.dup_cache_hits - rpc_start.dup_cache_hits;
-  stats.server_executions =
-      rpc_end.dup_cache_misses - rpc_start.dup_cache_misses;
-  return stats;
-}
-
-Result<NfsClient::ReadStats> NfsClient::ReadFilePipelined(
-    StubKind kind, PipelinedTransport* rpc, size_t chunk_bytes) {
+Result<NfsClient::ReadStats> NfsClient::ReadFileOver(StubKind kind,
+                                                     CallChannel* rpc,
+                                                     VirtualClock* clock,
+                                                     size_t chunk_bytes) {
   ReadStats stats;
   if (chunk_bytes == 0 || chunk_bytes > kNfsMaxData) {
     chunk_bytes = kNfsMaxData;
   }
-  const uint64_t clock_start = rpc->clock()->now_nanos();
-  const PipelinedTransport::Stats rpc_start = rpc->stats();
+  const uint64_t clock_start = clock->now_nanos();
   size_t file_size = server_->file_size();
   auto* user_buffer =
       static_cast<uint8_t*>(user_space_->Allocate(file_size));
@@ -501,9 +436,14 @@ Result<NfsClient::ReadStats> NfsClient::ReadFilePipelined(
 
   double client_seconds = 0;
   Status first_error = Status::Ok();
-  // Submit every chunk; the window admits the first `window` immediately
-  // and each completion decodes into its own disjoint buffer region, so
-  // out-of-order replies cannot interfere with each other.
+  auto fail = [&first_error](Status st) {
+    if (first_error.ok()) {
+      first_error = std::move(st);
+    }
+  };
+  // Submit every chunk; the window admits what fits and each completion
+  // decodes into its own disjoint buffer region, so out-of-order replies
+  // cannot interfere with each other.
   for (size_t offset = 0; offset < file_size; offset += chunk_bytes) {
     uint32_t count = static_cast<uint32_t>(
         file_size - offset < chunk_bytes ? file_size - offset
@@ -520,200 +460,63 @@ Result<NfsClient::ReadStats> NfsClient::ReadFilePipelined(
                                 kNfsProcRead});
     {
       // Attribute the encode to its xid (flight recorder).
-      RecorderCallScope rec_scope(xid, rpc->clock());
+      RecorderCallScope rec_scope(xid, clock);
       FLEXRPC_ASSIGN_OR_RETURN(uint32_t unused,
                                EncodeRequest(kind, chunk, &request));
       (void)unused;
     }
     client_seconds += encode_timer.ElapsedSeconds();
 
+    // The SunRPC xid is the engine xid too, so wire, server, and marshal
+    // events of one call share it.
     rpc->Submit(xid, request.span(),
-                [this, kind, xid, chunk, rpc, &stats, &client_seconds,
-                 &first_error](Status st, std::vector<uint8_t> reply) {
+                [this, kind, xid, chunk, clock, &stats, &client_seconds,
+                 &fail](Status st, std::vector<uint8_t> reply) {
                   if (!st.ok()) {
-                    if (first_error.ok()) {
-                      first_error = std::move(st);
-                    }
+                    fail(std::move(st));
                     return;
                   }
                   // The decode runs at completion time, deep inside
-                  // Drive(); the scope re-attributes it to this xid.
-                  RecorderCallScope rec_scope(xid, rpc->clock());
+                  // Drive() — possibly after the call migrated replicas;
+                  // the scope re-attributes it to this xid.
+                  RecorderCallScope rec_scope(xid, clock);
                   // --- client-side unmarshal + delivery (measured) ---
                   Stopwatch decode_timer;
-                  XdrReader reader(ByteSpan(reply.data(), reply.size()));
+                  XdrReader reader(
+                      ByteSpan(reply).subspan(kMuxPrefixBytes));
                   Status hdr = DecodeSunRpcReplySuccess(&reader, xid);
                   if (!hdr.ok()) {
-                    if (first_error.ok()) {
-                      first_error = std::move(hdr);
-                    }
+                    fail(std::move(hdr));
                     return;
                   }
                   auto delivered = DecodeReply(kind, chunk, &reader);
                   client_seconds += decode_timer.ElapsedSeconds();
                   if (!delivered.ok()) {
-                    if (first_error.ok()) {
-                      first_error = delivered.status();
-                    }
-                    return;
+                    fail(delivered.status());
+                  } else if (*delivered != chunk.count) {
+                    fail(DataLossError(
+                        StrFormat("short read: wanted %u, got %u",
+                                  chunk.count, *delivered)));
+                  } else {
+                    stats.bytes_read += *delivered;
+                    ++stats.rpc_calls;
                   }
-                  if (*delivered != chunk.count) {
-                    if (first_error.ok()) {
-                      first_error = DataLossError(
-                          StrFormat("short read: wanted %u, got %u",
-                                    chunk.count, *delivered));
-                    }
-                    return;
-                  }
-                  stats.bytes_read += *delivered;
-                  ++stats.rpc_calls;
                 });
   }
 
-  // --- the lossy wire, window-wide (modeled time) ---
+  // --- the wire, window-wide (modeled time) ---
   FLEXRPC_RETURN_IF_ERROR(rpc->Drive());
   FLEXRPC_RETURN_IF_ERROR(first_error);
 
-  // Verification (not timed): out-of-order completion must still deliver
-  // exactly the file bytes the serial paths deliver.
+  // Verification (not timed): faults, out-of-order completion, and
+  // failover must still deliver exactly the file bytes.
   if (std::memcmp(user_buffer, server_->content(), file_size) != 0) {
     return DataLossError("file contents corrupted in transit");
   }
   user_space_->Free(user_buffer);
   stats.client_seconds = client_seconds;
-  stats.network_server_seconds = static_cast<double>(
-      rpc->clock()->now_nanos() - clock_start) * 1e-9;
-  const PipelinedTransport::Stats& rpc_end = rpc->stats();
-  stats.retransmits = rpc_end.retransmits - rpc_start.retransmits;
-  stats.dup_cache_hits = rpc_end.dup_cache_hits - rpc_start.dup_cache_hits;
-  stats.server_executions =
-      rpc_end.dup_cache_misses - rpc_start.dup_cache_misses;
-  return stats;
-}
-
-namespace {
-
-// Transport-level activity summed across a replica group; the binder's
-// callers see one logical endpoint, so its read stats aggregate too.
-struct GroupStatsSum {
-  uint64_t retransmits = 0;
-  uint64_t dup_cache_hits = 0;
-  uint64_t dup_cache_misses = 0;
-};
-
-GroupStatsSum SumGroupStats(ReplicaGroup* group) {
-  GroupStatsSum sum;
-  for (size_t i = 0; i < group->size(); ++i) {
-    const PipelinedTransport::Stats& s = group->transport(i)->stats();
-    sum.retransmits += s.retransmits;
-    sum.dup_cache_hits += s.dup_cache_hits;
-    sum.dup_cache_misses += s.dup_cache_misses;
-  }
-  return sum;
-}
-
-}  // namespace
-
-Result<NfsClient::ReadStats> NfsClient::ReadFileManaged(
-    StubKind kind, BinderTransport* rpc, size_t chunk_bytes) {
-  ReadStats stats;
-  if (chunk_bytes == 0 || chunk_bytes > kNfsMaxData) {
-    chunk_bytes = kNfsMaxData;
-  }
-  const uint64_t clock_start = rpc->clock()->now_nanos();
-  const GroupStatsSum rpc_start = SumGroupStats(rpc->group());
-  size_t file_size = server_->file_size();
-  auto* user_buffer =
-      static_cast<uint8_t*>(user_space_->Allocate(file_size));
-  uint8_t fh[kNfsFhSize];
-  std::memset(fh, 0xFD, sizeof(fh));
-
-  double client_seconds = 0;
-  Status first_error = Status::Ok();
-  for (size_t offset = 0; offset < file_size; offset += chunk_bytes) {
-    uint32_t count = static_cast<uint32_t>(
-        file_size - offset < chunk_bytes ? file_size - offset
-                                         : chunk_bytes);
-    ChunkArgs chunk{fh, static_cast<uint32_t>(offset), count,
-                    user_buffer + offset};
-    uint32_t xid = next_xid_++;
-
-    // --- client-side marshal (measured) ---
-    XdrWriter request;
-    Stopwatch encode_timer;
-    EncodeSunRpcCall(&request,
-                     SunRpcCall{xid, kNfsProgram, kNfsVersion,
-                                kNfsProcRead});
-    {
-      RecorderCallScope rec_scope(xid, rpc->clock());
-      FLEXRPC_ASSIGN_OR_RETURN(uint32_t unused,
-                               EncodeRequest(kind, chunk, &request));
-      (void)unused;
-    }
-    client_seconds += encode_timer.ElapsedSeconds();
-
-    rpc->Submit(xid, request.span(),
-                [this, kind, xid, chunk, rpc, &stats, &client_seconds,
-                 &first_error](Status st, std::vector<uint8_t> reply) {
-                  if (!st.ok()) {
-                    if (first_error.ok()) {
-                      first_error = std::move(st);
-                    }
-                    return;
-                  }
-                  // Decode at completion time — possibly after the call
-                  // migrated replicas; the reply bytes are the reply
-                  // bytes regardless of which replica produced them.
-                  RecorderCallScope rec_scope(xid, rpc->clock());
-                  // --- client-side unmarshal + delivery (measured) ---
-                  Stopwatch decode_timer;
-                  XdrReader reader(ByteSpan(reply.data(), reply.size()));
-                  Status hdr = DecodeSunRpcReplySuccess(&reader, xid);
-                  if (!hdr.ok()) {
-                    if (first_error.ok()) {
-                      first_error = std::move(hdr);
-                    }
-                    return;
-                  }
-                  auto delivered = DecodeReply(kind, chunk, &reader);
-                  client_seconds += decode_timer.ElapsedSeconds();
-                  if (!delivered.ok()) {
-                    if (first_error.ok()) {
-                      first_error = delivered.status();
-                    }
-                    return;
-                  }
-                  if (*delivered != chunk.count) {
-                    if (first_error.ok()) {
-                      first_error = DataLossError(
-                          StrFormat("short read: wanted %u, got %u",
-                                    chunk.count, *delivered));
-                    }
-                    return;
-                  }
-                  stats.bytes_read += *delivered;
-                  ++stats.rpc_calls;
-                });
-  }
-
-  // --- the managed wire, group-wide (modeled time) ---
-  FLEXRPC_RETURN_IF_ERROR(rpc->Drive());
-  FLEXRPC_RETURN_IF_ERROR(first_error);
-
-  // Verification (not timed): failover must deliver exactly the bytes a
-  // clean single-replica read delivers.
-  if (std::memcmp(user_buffer, server_->content(), file_size) != 0) {
-    return DataLossError("file contents corrupted in transit");
-  }
-  user_space_->Free(user_buffer);
-  stats.client_seconds = client_seconds;
-  stats.network_server_seconds = static_cast<double>(
-      rpc->clock()->now_nanos() - clock_start) * 1e-9;
-  const GroupStatsSum rpc_end = SumGroupStats(rpc->group());
-  stats.retransmits = rpc_end.retransmits - rpc_start.retransmits;
-  stats.dup_cache_hits = rpc_end.dup_cache_hits - rpc_start.dup_cache_hits;
-  stats.server_executions =
-      rpc_end.dup_cache_misses - rpc_start.dup_cache_misses;
+  stats.network_server_seconds =
+      static_cast<double>(clock->now_nanos() - clock_start) * 1e-9;
   return stats;
 }
 

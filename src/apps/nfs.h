@@ -22,8 +22,7 @@
 #include "src/net/link.h"
 #include "src/osim/address_space.h"
 #include "src/pdl/apply.h"
-#include "src/rpc/binder.h"
-#include "src/rpc/pipeline.h"
+#include "src/rpc/mux.h"
 #include "src/rpc/retry.h"
 #include "src/support/timing.h"
 
@@ -55,8 +54,9 @@ class NfsFileServer {
   size_t file_size() const { return content_.size(); }
   const uint8_t* content() const { return content_.data(); }
 
-  // Adapts Handle to the RetryingTransport's datagram interface. The
-  // returned handler counts nothing itself — wrap it when a test needs
+  // Adapts Handle to the call engine's datagram interface: strips the
+  // [xid][conn] prefix before Handle and echoes it in front of the reply.
+  // The returned handler counts nothing itself — wrap it when a test needs
   // per-xid execution counts.
   static DatagramHandler MakeHandler(NfsFileServer* server);
 
@@ -82,10 +82,6 @@ class NfsClient {
     double client_seconds = 0;          // measured: marshaling + copies
     double network_server_seconds = 0;  // modeled: wire + remote server
     uint64_t rpc_calls = 0;
-    // Lossy-path accounting (zero over the perfect wire).
-    uint64_t retransmits = 0;
-    uint64_t dup_cache_hits = 0;
-    uint64_t server_executions = 0;
   };
 
   // Reads the whole file in `chunk_bytes` chunks (clamped to kNfsMaxData)
@@ -95,35 +91,22 @@ class NfsClient {
   Result<ReadStats> ReadFile(StubKind kind,
                              size_t chunk_bytes = kNfsMaxData);
 
-  // Same read, but every RPC travels as a SunRPC datagram through `rpc`'s
-  // lossy DatagramChannel with at-most-once retry semantics. The transport
-  // must be wired to this client's server (NfsFileServer::MakeHandler or a
-  // counting wrapper around it); its virtual clock replaces the
-  // network+server model of the perfect-wire path. Degrades to
-  // kUnavailable / kDeadlineExceeded / kDataLoss exactly as
-  // RetryingTransport::Call does — never a hang, never a double read.
-  Result<ReadStats> ReadFileLossy(StubKind kind, RetryingTransport* rpc);
-
-  // The same read again, but with all chunks submitted up front to a
-  // sliding-window PipelinedTransport: up to `window` READs are in flight
-  // concurrently, replies may land out of order, and each one is decoded
-  // into its own disjoint region of the user buffer as it arrives. The
-  // delivered bytes are verified identical to the serial paths.
-  // `chunk_bytes` (clamped to kNfsMaxData) sets the per-call payload —
-  // small chunks make the workload latency-bound, where the window helps
-  // most; the default reproduces the serial call mix. Same degradation
-  // contract as ReadFileLossy.
-  Result<ReadStats> ReadFilePipelined(StubKind kind, PipelinedTransport* rpc,
-                                      size_t chunk_bytes = kNfsMaxData);
-
-  // The pipelined read over a *managed* binding: chunks are submitted to a
-  // BinderTransport fronting a replica group, so the read survives replica
-  // death mid-transfer — in-flight chunks migrate to a healthy replica and
-  // the delivered bytes still verify against the source file. Transport-
-  // level stats (retransmits, dup-cache activity) are summed across the
-  // group's replicas. Same degradation contract as ReadFilePipelined.
-  Result<ReadStats> ReadFileManaged(StubKind kind, BinderTransport* rpc,
-                                    size_t chunk_bytes = kNfsMaxData);
+  // The same read, with every NFSPROC_READ a remote call over `rpc` — one
+  // engine connection of any window (serial 1×1, pipelined 1×W) or a
+  // managed binding. Every chunk is submitted up front under its SunRPC
+  // xid; the engine's window decides how many are in flight, replies may
+  // land out of order, and each decodes (past the [xid][conn] prefix)
+  // into its own region of the user buffer. The server behind `rpc` must
+  // be this client's file (NfsFileServer::MakeHandler, or a counting
+  // wrapper around it). `clock` is the engine's virtual clock: it stamps
+  // marshal attribution and replaces the network+server model of the
+  // perfect-wire path. Degrades to the engine's terminal codes
+  // (kUnavailable, kDeadlineExceeded) or kDataLoss — never a hang, never
+  // a double read on one server. Transport activity (retransmits, reply
+  // cache hits, executions) lives in the engine's own stats.
+  Result<ReadStats> ReadFileOver(StubKind kind, CallChannel* rpc,
+                                 VirtualClock* clock,
+                                 size_t chunk_bytes = kNfsMaxData);
 
   AddressSpace* user_space() { return user_space_.get(); }
   AddressSpace* kernel_space() { return kernel_space_.get(); }

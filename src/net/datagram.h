@@ -85,8 +85,8 @@ class DatagramChannel {
   // connection id ([xid][conn][body] — the mux wire format). When on,
   // Receive tags its wire-delivery record events with that connection so
   // flexrec can attribute them to the (conn, xid) call; send-side events
-  // inherit the caller's RecorderConnScope instead. Off by default — the
-  // single-connection transports put arbitrary body bytes there.
+  // inherit the caller's RecorderConnScope instead. Off by default — a
+  // channel carrying other framings puts arbitrary body bytes there.
   void set_conn_tagging(bool on) { conn_tagging_ = on; }
 
   // Delivery timestamp of the frame at the head of `dir`'s queue (which

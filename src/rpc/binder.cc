@@ -10,34 +10,16 @@
 
 namespace flexrpc {
 
-ReplicaGroup::ReplicaGroup(std::vector<ReplicaSpec> specs,
-                           PipelinePolicy policy, EventQueue* events)
+ReplicaGroup::ReplicaGroup(std::vector<ReplicaSpec> specs, MuxPolicy policy,
+                           EventQueue* events)
     : events_(events) {
-  transports_.reserve(specs.size());
+  replicas_.reserve(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    PipelinePolicy p = policy;
+    MuxPolicy p = policy;
     p.retry.jitter_seed += i;  // decorrelate retransmit jitter per replica
-    auto t = std::make_unique<PipelinedTransport>(
-        specs[i].channel, std::move(specs[i].handler),
-        specs[i].server_model, p, events);
-    t->set_replica_tag(Tag(i));
-    transports_.push_back(std::move(t));
+    replicas_.push_back(std::make_unique<ServerConnection>(
+        specs[i].channel, std::move(specs[i].handler), p, events));
   }
-}
-
-void BinderTransport::ReplicaObserver::OnRtoFired(uint32_t /*xid*/,
-                                                  uint32_t /*attempts*/) {
-  binder->OnReplicaFailure(replica);
-}
-
-void BinderTransport::ReplicaObserver::OnReplyMatched(uint32_t /*xid*/) {
-  binder->OnReplicaSuccess(replica);
-}
-
-void BinderTransport::ReplicaObserver::OnCorruptReply() {
-  // A corrupt reply proves the replica is alive (it sent *something*), so
-  // it is neither failure nor success evidence for the health machine;
-  // the transport's own RTO/AIMD handling covers the damage.
 }
 
 BinderTransport::BinderTransport(ReplicaGroup* group, BinderPolicy policy)
@@ -45,24 +27,31 @@ BinderTransport::BinderTransport(ReplicaGroup* group, BinderPolicy policy)
   size_t n = group_->size();
   trackers_.assign(n, FailoverTracker(policy_.failover));
   probe_outstanding_.assign(n, false);
+  probe_xid_.assign(n, 0);
   probe_event_.assign(n, EventQueue::kInvalidEvent);
   stats_.per_replica_calls.assign(n, 0);
-  observers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    auto obs = std::make_unique<ReplicaObserver>();
-    obs->binder = this;
-    obs->replica = i;
-    group_->transport(i)->set_observer(obs.get());
-    observers_.push_back(std::move(obs));
+    ConnectionMux& mux = group_->replica(i)->mux();
+    mux.set_rto_listener([this, i]() { OnReplicaFailure(i); });
+    mux.set_match_listener([this, i]() { OnReplicaSuccess(i); });
   }
 }
 
 BinderTransport::~BinderTransport() {
+  // Nothing queued on the engines or the event queue may call back into
+  // a dead binder: unhook the taps and withdraw every timer and call.
+  events_->Cancel(cutover_event_);
   for (size_t i = 0; i < group_->size(); ++i) {
-    group_->transport(i)->set_observer(nullptr);
-    if (probe_event_[i] != EventQueue::kInvalidEvent) {
-      events_->Cancel(probe_event_[i]);
+    ConnectionMux& mux = group_->replica(i)->mux();
+    mux.set_rto_listener(nullptr);
+    mux.set_match_listener(nullptr);
+    events_->Cancel(probe_event_[i]);
+    if (probe_outstanding_[i]) {
+      CancelOnReplica(probe_xid_[i], i);
     }
+  }
+  for (const auto& [xid, call] : calls_) {
+    CancelOnReplica(xid, call.replica);
   }
 }
 
@@ -101,6 +90,12 @@ size_t BinderTransport::PickReplica() {
 
 void BinderTransport::Submit(uint32_t xid, ByteSpan request,
                              Completion done) {
+  if (calls_.count(xid) != 0) {
+    done(AlreadyExistsError(
+             StrFormat("xid %u is still bound to a replica", xid)),
+         {});
+    return;
+  }
   ++stats_.calls;
   TraceAdd(TraceCounter::kRpcBinderCalls);
   BoundCall call;
@@ -115,11 +110,20 @@ void BinderTransport::SubmitToReplica(uint32_t xid, size_t replica) {
   call.replica = replica;
   call.issued_nanos = Now();
   ++stats_.per_replica_calls[replica];
-  group_->transport(replica)->Submit(
+  RecorderReplicaScope scope(ReplicaGroup::Tag(replica));
+  // The replica may complete the call synchronously (a rejection), which
+  // erases `call`: nothing below may touch it.
+  group_->replica(replica)->Submit(
       xid, ByteSpan(call.request.data(), call.request.size()),
       [this, xid, replica](Status status, std::vector<uint8_t> reply) {
         OnInnerComplete(xid, replica, std::move(status), std::move(reply));
       });
+}
+
+void BinderTransport::CancelOnReplica(uint32_t xid, size_t replica) {
+  ServerConnection* engine = group_->replica(replica);
+  RecorderReplicaScope scope(ReplicaGroup::Tag(replica));
+  engine->mux().Cancel(engine->conn(), xid);
 }
 
 void BinderTransport::OnInnerComplete(uint32_t xid, size_t replica,
@@ -137,13 +141,15 @@ void BinderTransport::OnInnerComplete(uint32_t xid, size_t replica,
     Finish(xid, std::move(status), std::move(reply));
     return;
   }
-  // The transport gave up (attempts exhausted or deadline). The per-RTO
+  // The engine gave up (attempts exhausted or deadline). The per-RTO
   // evidence already drove the health machine; here the only question is
   // whether the *call* still has budget to try another replica. Note the
   // re-issue re-arms the attempt budget and deadline on the new replica —
-  // reissue_budget is what bounds the total.
+  // reissue_budget is what bounds the total. A rejection (the xid is
+  // still outstanding there) is the caller's error and passes straight on.
   BoundCall& call = it->second;
-  if (call.reissues < policy_.reissue_budget) {
+  if (status.code() != StatusCode::kAlreadyExists &&
+      call.reissues < policy_.reissue_budget) {
     size_t target = PickReplica();
     if (target != replica || !trackers_[replica].healthy()) {
       ++call.reissues;
@@ -182,7 +188,7 @@ void BinderTransport::OnReplicaFailure(size_t replica) {
   }
   // Healthy -> suspect: out of the rotation, probes scheduled, and any
   // calls bound here need rescue. The evidence arrived from inside the
-  // transport's own OnRto, so the rebind is deferred to a same-instant
+  // engine's own RTO handling, so the rebind is deferred to a same-instant
   // event (FIFO tie-break keeps this deterministic).
   ++stats_.suspects;
   TraceAdd(TraceCounter::kRpcFailoverSuspects);
@@ -220,15 +226,14 @@ void BinderTransport::OnReplicaSuccess(size_t replica) {
 }
 
 void BinderTransport::RequestCutover() {
-  if (cutover_pending_) {
+  if (cutover_event_ != EventQueue::kInvalidEvent) {
     return;
   }
-  cutover_pending_ = true;
-  events_->ScheduleAt(Now(), [this]() { Cutover(); });
+  cutover_event_ = events_->ScheduleAt(Now(), [this]() { Cutover(); });
 }
 
 void BinderTransport::Cutover() {
-  cutover_pending_ = false;
+  cutover_event_ = EventQueue::kInvalidEvent;
   size_t n = group_->size();
   size_t new_primary = primary_;
   for (size_t i = 0; i < n; ++i) {
@@ -261,7 +266,7 @@ void BinderTransport::Cutover() {
   for (uint32_t xid : doomed) {
     BoundCall& call = calls_.at(xid);
     size_t old_replica = call.replica;
-    group_->transport(old_replica)->Cancel(xid);
+    CancelOnReplica(xid, old_replica);
     size_t target = PickReplica();
     ++call.reissues;
     ++stats_.reissues;
@@ -301,25 +306,23 @@ void BinderTransport::ProbeTick(size_t replica) {
   std::vector<uint8_t> request = policy_.make_probe(probe_xid);
   tracker.OnProbeSent(now);
   probe_outstanding_[replica] = true;
+  probe_xid_[replica] = probe_xid;
   ++stats_.probes_sent;
   TraceAdd(TraceCounter::kRpcBinderProbes);
-  {
-    RecorderReplicaScope scope(ReplicaGroup::Tag(replica));
-    RecordEvent(RecEvent::kFailover, RecEndpoint::kClient, probe_xid, now,
-                /*a=*/ReplicaGroup::Tag(replica), /*b=*/2);
-  }
-  group_->transport(replica)->Submit(
+  RecorderReplicaScope scope(ReplicaGroup::Tag(replica));
+  RecordEvent(RecEvent::kFailover, RecEndpoint::kClient, probe_xid, now,
+              /*a=*/ReplicaGroup::Tag(replica), /*b=*/2);
+  group_->replica(replica)->Submit(
       probe_xid, ByteSpan(request.data(), request.size()),
-      [this, replica, probe_xid](Status status, std::vector<uint8_t>) {
-        OnProbeResult(replica, probe_xid, status.ok());
+      [this, replica](Status status, std::vector<uint8_t>) {
+        OnProbeResult(replica, status.ok());
       });
 }
 
-void BinderTransport::OnProbeResult(size_t replica, uint32_t /*probe_xid*/,
-                                    bool ok) {
+void BinderTransport::OnProbeResult(size_t replica, bool ok) {
   probe_outstanding_[replica] = false;
   // A successful probe already reinstated the replica through the
-  // OnReplyMatched evidence path; a failed one already fed its RTO fires
+  // matched-reply evidence path; a failed one already fed its RTO fires
   // in. All that is left is to keep the probe clock ticking.
   if (!ok && !trackers_[replica].healthy()) {
     ScheduleProbe(replica);
@@ -335,23 +338,6 @@ Status BinderTransport::Drive() {
     }
   }
   return Status::Ok();
-}
-
-Status BinderTransport::Call(uint32_t xid, ByteSpan request,
-                             std::vector<uint8_t>* reply) {
-  Status result = Status::Ok();
-  Submit(xid, request,
-         [&result, reply](Status status, std::vector<uint8_t> r) {
-           result = std::move(status);
-           if (result.ok() && reply != nullptr) {
-             *reply = std::move(r);
-           }
-         });
-  Status driven = Drive();
-  if (!driven.ok()) {
-    return driven;
-  }
-  return result;
 }
 
 }  // namespace flexrpc

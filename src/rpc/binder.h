@@ -1,31 +1,39 @@
 // flexbind — a managed-RPC control plane over replicated endpoints.
 //
-// Everything below the binder treats one transport as one server. This
-// layer makes N at-most-once replicas look like a single logical binding
-// that survives the death of any of them:
+// Everything below the binder treats one engine connection as one server.
+// This layer makes N at-most-once replicas look like a single logical
+// binding that survives the death of any of them:
 //
-//   ReplicaGroup    owns one PipelinedTransport per replica, all driven
-//                   by one shared EventQueue, each tagged (1-based) so
-//                   flight-recorder events attribute to their replica.
+//   ReplicaGroup    owns one 1×W call engine (ServerConnection: a mux
+//                   connection to a one-worker dispatch) per replica, each
+//                   on its own channel, all driven by one shared
+//                   EventQueue, each tagged (1-based) so flight-recorder
+//                   events attribute to their replica.
 //   BinderTransport routes calls to replicas by policy, watches each
-//                   transport's health evidence through PipelineObserver,
-//                   and on failure *re-binds live calls*: in-flight xids
-//                   on a dead replica are cancelled and re-issued on a
-//                   healthy one without completing (or dropping) them.
+//                   engine's health taps, and on failure *re-binds live
+//                   calls*: in-flight xids on a dead replica are cancelled
+//                   and re-issued, under the same xid, on a healthy one
+//                   without completing (or dropping) them.
 //
 // Health and failover (see failover.h for the state machine):
-//   * Every RTO fire on a replica's transport is failure evidence; every
-//     matched reply is success evidence. `suspect_after` consecutive
-//     failures move the replica out of the routing rotation.
+//   * Every RTO fire on a replica's engine is failure evidence; every
+//     matched reply is success evidence. A corrupt reply is neither — it
+//     is a drop, and the RTO it causes is the evidence. `suspect_after`
+//     consecutive failures move the replica out of the routing rotation.
 //   * A suspect with calls bound to it triggers a cutover: a new target
 //     is chosen and every xid bound to an unhealthy replica is Cancel'd
 //     and re-submitted there. The cutover runs as a deferred event (same
 //     virtual instant, after the current callback unwinds) because the
-//     evidence arrives from inside the transport's own event handling.
+//     evidence arrives from inside the engine's own event handling.
 //   * Suspects are probed with a policy-supplied idempotent request on a
 //     doubling backoff; any success reinstates them into the rotation.
 //     Reinstatement does not fail back live traffic — the primary moves
 //     only when it has to.
+//
+// Recorder attribution: the binder opens a RecorderReplicaScope around
+// everything it hands a replica's engine, and the engine's events reopen
+// the scope they were scheduled under, so every record point downstream
+// carries the replica tag.
 //
 // Why re-binding is safe: each replica runs its own AtMostOnceEndpoint,
 // so re-issuing an xid on replica B after replica A may (or may not)
@@ -53,36 +61,36 @@
 #include <vector>
 
 #include "src/net/datagram.h"
+#include "src/rpc/dispatch.h"
 #include "src/rpc/failover.h"
-#include "src/rpc/pipeline.h"
+#include "src/rpc/mux.h"
 #include "src/support/event_queue.h"
 #include "src/support/status.h"
 
 namespace flexrpc {
 
-// One logical binding's worth of replicas: a PipelinedTransport per
-// replica over caller-owned channels, all on one EventQueue. Transport i
-// carries replica tag i+1 (tag 0 means "unreplicated" in recordings).
+// One logical binding's worth of replicas: a ServerConnection per replica
+// over caller-owned channels, all on one EventQueue. Replica i carries tag
+// i+1 (tag 0 means "unreplicated" in recordings).
 class ReplicaGroup {
  public:
   struct ReplicaSpec {
     DatagramChannel* channel = nullptr;  // caller-owned, outlives group
     DatagramHandler handler;             // that replica's server
-    RemoteServerModel server_model;
   };
 
   // `policy` applies to every replica; jitter seeds are decorrelated by
   // adding the replica index so retransmit timers do not phase-lock.
-  ReplicaGroup(std::vector<ReplicaSpec> specs, PipelinePolicy policy,
+  ReplicaGroup(std::vector<ReplicaSpec> specs, MuxPolicy policy,
                EventQueue* events);
 
-  size_t size() const { return transports_.size(); }
-  PipelinedTransport* transport(size_t i) { return transports_[i].get(); }
+  size_t size() const { return replicas_.size(); }
+  ServerConnection* replica(size_t i) { return replicas_[i].get(); }
   EventQueue* events() { return events_; }
   static uint32_t Tag(size_t i) { return static_cast<uint32_t>(i) + 1; }
 
  private:
-  std::vector<std::unique_ptr<PipelinedTransport>> transports_;
+  std::vector<std::unique_ptr<ServerConnection>> replicas_;
   EventQueue* events_;
 };
 
@@ -102,10 +110,8 @@ struct BinderPolicy {
   std::function<std::vector<uint8_t>(uint32_t xid)> make_probe;
 };
 
-class BinderTransport {
+class BinderTransport : public CallChannel {
  public:
-  using Completion = PipelinedTransport::Completion;
-
   struct Stats {
     uint64_t calls = 0;
     uint64_t reissues = 0;   // cancel+resubmit of a live xid
@@ -123,25 +129,24 @@ class BinderTransport {
   };
 
   // `group` is caller-owned and must outlive the binder. The binder
-  // installs itself as each transport's PipelineObserver.
+  // installs itself on each replica engine's health taps; destroying it
+  // withdraws everything it still has queued on the engines and the
+  // event queue.
   BinderTransport(ReplicaGroup* group, BinderPolicy policy);
-  ~BinderTransport();
+  ~BinderTransport() override;
 
   // Queues one call on the current routing target. `done` runs during a
-  // later Drive — possibly after the call has migrated replicas.
-  void Submit(uint32_t xid, ByteSpan request, Completion done);
+  // later Drive — possibly after the call has migrated replicas. An xid
+  // still bound is rejected with kAlreadyExists.
+  void Submit(uint32_t xid, ByteSpan request, Completion done) override;
 
   // Runs the shared event queue until every submitted call has completed
   // (probes may remain outstanding). Non-OK only on a stalled machine.
-  Status Drive();
-
-  // Convenience: Submit one call and Drive. Returns that call's status.
-  Status Call(uint32_t xid, ByteSpan request, std::vector<uint8_t>* reply);
+  Status Drive() override;
 
   const Stats& stats() const { return stats_; }
   const BinderPolicy& policy() const { return policy_; }
   ReplicaGroup* group() { return group_; }
-  VirtualClock* clock() { return group_->events()->clock(); }
   size_t primary() const { return primary_; }
   ReplicaHealth health(size_t replica) const {
     return trackers_[replica].health();
@@ -149,16 +154,6 @@ class BinderTransport {
   size_t calls_in_flight() const { return calls_.size(); }
 
  private:
-  // Per-replica adapter: PipelineObserver callbacks carry no replica
-  // identity, so each transport gets a forwarding shim.
-  struct ReplicaObserver : PipelineObserver {
-    BinderTransport* binder = nullptr;
-    size_t replica = 0;
-    void OnRtoFired(uint32_t xid, uint32_t attempts) override;
-    void OnReplyMatched(uint32_t xid) override;
-    void OnCorruptReply() override;
-  };
-
   struct BoundCall {
     std::vector<uint8_t> request;  // kept for re-issue
     Completion done;
@@ -171,6 +166,7 @@ class BinderTransport {
   uint64_t Now();
   size_t PickReplica();                 // routing-policy target selection
   void SubmitToReplica(uint32_t xid, size_t replica);
+  void CancelOnReplica(uint32_t xid, size_t replica);
   void OnInnerComplete(uint32_t xid, size_t replica, Status status,
                        std::vector<uint8_t> reply);
   void Finish(uint32_t xid, Status status, std::vector<uint8_t> reply);
@@ -180,21 +176,21 @@ class BinderTransport {
   void Cutover();
   void ScheduleProbe(size_t replica);
   void ProbeTick(size_t replica);
-  void OnProbeResult(size_t replica, uint32_t probe_xid, bool ok);
+  void OnProbeResult(size_t replica, bool ok);
 
   ReplicaGroup* group_;
   BinderPolicy policy_;
   EventQueue* events_;
   std::vector<FailoverTracker> trackers_;
-  std::vector<std::unique_ptr<ReplicaObserver>> observers_;
   // std::map (not unordered) so cutover iteration order is an explicit
   // function of the xids, not of hash-table history.
   std::map<uint32_t, BoundCall> calls_;
   size_t primary_ = 0;
   size_t rr_next_ = 0;                    // round-robin cursor
-  bool cutover_pending_ = false;
+  EventQueue::EventId cutover_event_ = EventQueue::kInvalidEvent;
   uint32_t next_probe_xid_ = 0xF0000000;  // probe xid namespace
   std::vector<bool> probe_outstanding_;
+  std::vector<uint32_t> probe_xid_;       // valid while outstanding
   std::vector<EventQueue::EventId> probe_event_;
   Stats stats_;
 };

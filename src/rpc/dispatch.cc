@@ -1,9 +1,8 @@
 #include "src/rpc/dispatch.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
-
-#include "src/rpc/mux.h"
 
 #include "src/support/recorder.h"
 #include "src/support/timeline.h"
@@ -14,6 +13,18 @@ namespace flexrpc {
 namespace {
 constexpr auto kAtoB = DatagramChannel::Dir::kAtoB;
 constexpr auto kBtoA = DatagramChannel::Dir::kBtoA;
+
+// One worker at the default service cost, nothing shed, the reply cache
+// at the endpoint's default size: the server of every serial and
+// pipelined shape.
+DispatchPolicy OneWorkerPolicy() {
+  DispatchPolicy policy;
+  policy.workers = 1;
+  policy.accept_limit = std::numeric_limits<size_t>::max();
+  policy.run_queue_limit = std::numeric_limits<size_t>::max();
+  policy.cache_capacity = 256;
+  return policy;
+}
 }  // namespace
 
 ServerDispatch::ServerDispatch(DatagramChannel* channel,
@@ -33,9 +44,11 @@ ServerDispatch::ServerDispatch(DatagramChannel* channel,
 EventQueue::EventId ServerDispatch::Schedule(uint64_t at_nanos,
                                              std::function<void()> fn) {
   uint32_t conn_tag = RecorderConnScope::Current();
-  return events_->ScheduleAt(at_nanos, [this, conn_tag,
+  uint32_t replica_tag = RecorderReplicaScope::Current();
+  return events_->ScheduleAt(at_nanos, [this, conn_tag, replica_tag,
                                         fn = std::move(fn)]() {
     RecorderConnScope conn_scope(conn_tag);
+    RecorderReplicaScope replica_scope(replica_tag);
     ++stats_.events;
     fn();
   });
@@ -163,6 +176,16 @@ void ServerDispatch::PumpRequests() {
     });
   }
   ArmAcceptPoll();  // more requests may still be in flight
+}
+
+ServerConnection::ServerConnection(DatagramChannel* channel,
+                                   DatagramHandler handler,
+                                   MuxPolicy policy, EventQueue* events)
+    : mux_(channel, policy, events),
+      dispatch_(channel, std::move(handler), OneWorkerPolicy(), events),
+      conn_(mux_.OpenConnection()) {
+  mux_.set_request_listener([this]() { dispatch_.Poke(); });
+  dispatch_.set_reply_listener([this]() { mux_.Poke(); });
 }
 
 }  // namespace flexrpc

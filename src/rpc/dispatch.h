@@ -1,9 +1,9 @@
-// ServerDispatch — the server half of the multiplexed transport: a
+// ServerDispatch — the server half of flexrpc's one call engine: a
 // modeled worker pool behind bounded queues with an explicit shed policy.
 //
-// ConnectionMux (src/rpc/mux.h) puts many connections' requests on one
-// channel; this loop is what stands between that channel and the handler.
-// Per poll event it drains arrived frames and, for each one:
+// ConnectionMux (src/rpc/mux.h) puts one or many connections' requests on
+// a channel; this loop is what stands between that channel and the
+// handler. Per poll event it drains arrived frames and, for each one:
 //
 //   1. accept gate   — at most accept_limit frames admitted per poll;
 //                      overflow is shed (dropped without reply, counted,
@@ -32,6 +32,11 @@
 // carries the retry. The queue-depth histogram (rpc.dispatch.queue_depth)
 // samples the run-queue depth at every admission; flexrec locates the
 // saturation knee from it and from queued-vs-exec phase attribution.
+//
+// The serial and pipelined shapes run against a one-worker dispatch with
+// both limits at their maximum (ServerConnection below): nothing is ever
+// shed, and executions serialize on a single busy-until horizon — one
+// modeled CPU that replies when each execution finishes.
 
 #ifndef FLEXRPC_SRC_RPC_DISPATCH_H_
 #define FLEXRPC_SRC_RPC_DISPATCH_H_
@@ -43,6 +48,7 @@
 
 #include "src/net/datagram.h"
 #include "src/net/link.h"
+#include "src/rpc/mux.h"
 #include "src/rpc/retry.h"
 #include "src/support/event_queue.h"
 #include "src/support/status.h"
@@ -122,6 +128,31 @@ class ServerDispatch {
   EventQueue::EventId accept_poll_event_ = EventQueue::kInvalidEvent;
 
   Stats stats_;
+};
+
+// One connection to one single-worker server over its own channel: the
+// 1×1 (serial) and 1×W (pipelined) shapes of the engine, and one binder
+// replica. Owns the mux and the dispatch and wires them to wake each
+// other. `channel`, `events` and everything `handler` reaches must
+// outlive it.
+class ServerConnection : public CallChannel {
+ public:
+  ServerConnection(DatagramChannel* channel, DatagramHandler handler,
+                   MuxPolicy policy, EventQueue* events);
+
+  void Submit(uint32_t xid, ByteSpan body, Completion done) override {
+    mux_.Submit(conn_, xid, body, std::move(done));
+  }
+  Status Drive() override { return mux_.Drive(); }
+
+  ConnectionMux& mux() { return mux_; }
+  ServerDispatch& dispatch() { return dispatch_; }
+  uint32_t conn() const { return conn_; }
+
+ private:
+  ConnectionMux mux_;
+  ServerDispatch dispatch_;
+  uint32_t conn_;
 };
 
 }  // namespace flexrpc

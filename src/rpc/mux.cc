@@ -16,7 +16,7 @@ constexpr auto kBtoA = DatagramChannel::Dir::kBtoA;
 }  // namespace
 
 Result<uint32_t> PeekMuxConn(ByteSpan datagram) {
-  if (datagram.size() < 8) {
+  if (datagram.size() < kMuxPrefixBytes) {
     return DataLossError("datagram too short to carry a connection id");
   }
   ByteReader r(ByteSpan(datagram.data() + 4, 4));
@@ -59,13 +59,15 @@ const RttEstimator* ConnectionMux::conn_rtt(uint32_t conn) const {
 EventQueue::EventId ConnectionMux::Schedule(uint64_t at_nanos,
                                             std::function<void()> fn) {
   // Timer events fire with no ambient identity; capture the connection
-  // scope active at scheduling time and reopen it inside the event, so
-  // retransmits and reply sends downstream of timers record under the
-  // right connection.
+  // and replica scopes active at scheduling time and reopen them inside
+  // the event, so retransmits and reply sends downstream of timers record
+  // under the right connection (and, behind a binder, the right replica).
   uint32_t conn_tag = RecorderConnScope::Current();
-  return events_->ScheduleAt(at_nanos, [this, conn_tag,
+  uint32_t replica_tag = RecorderReplicaScope::Current();
+  return events_->ScheduleAt(at_nanos, [this, conn_tag, replica_tag,
                                         fn = std::move(fn)]() {
     RecorderConnScope conn_scope(conn_tag);
+    RecorderReplicaScope replica_scope(replica_tag);
     ++stats_.events;
     fn();
   });
@@ -79,11 +81,35 @@ void ConnectionMux::Submit(uint32_t conn_id, ByteSpan body, Completion done) {
          {});
     return;
   }
-  Conn& c = it->second;
+  Enqueue(it->second, conn_id, it->second.next_xid++, body,
+          std::move(done));
+}
+
+void ConnectionMux::Submit(uint32_t conn_id, uint32_t xid, ByteSpan body,
+                           Completion done) {
+  auto it = conns_.find(conn_id);
+  if (it == conns_.end()) {
+    done(InvalidArgumentError(
+             StrFormat("submit on unopened connection %u", conn_id)),
+         {});
+    return;
+  }
+  // A second call under an outstanding xid would alias the first one's
+  // in-flight entry and lose a completion; refuse it instead.
+  if (!caller_keys_.insert(Key(conn_id, xid)).second) {
+    done(AlreadyExistsError(StrFormat(
+             "conn %u xid %u is still outstanding", conn_id, xid)),
+         {});
+    return;
+  }
+  Enqueue(it->second, conn_id, xid, body, std::move(done));
+}
+
+void ConnectionMux::Enqueue(Conn& c, uint32_t conn_id, uint32_t xid,
+                            ByteSpan body, Completion done) {
   RecorderConnScope conn_scope(conn_id);
   ++stats_.calls;
   TraceAdd(TraceCounter::kRpcMuxCalls);
-  uint32_t xid = c.next_xid++;
   ByteWriter w;
   w.WriteU32Be(xid);
   w.WriteU32Be(conn_id);
@@ -105,6 +131,35 @@ void ConnectionMux::Submit(uint32_t conn_id, ByteSpan body, Completion done) {
   ++outstanding_;
   c.pending.push_back(std::move(pending));
   StartNext(conn_id);
+}
+
+bool ConnectionMux::Cancel(uint32_t conn_id, uint32_t xid) {
+  uint64_t key = Key(conn_id, xid);
+  auto conn_it = conns_.find(conn_id);
+  if (conn_it == conns_.end()) {
+    return false;
+  }
+  Conn& c = conn_it->second;
+  auto it = in_flight_.find(key);
+  if (it != in_flight_.end()) {
+    if (it->second.rto_event != EventQueue::kInvalidEvent) {
+      events_->Cancel(it->second.rto_event);
+    }
+    in_flight_.erase(it);
+    --c.in_flight;
+  } else {
+    auto p = std::find_if(
+        c.pending.begin(), c.pending.end(),
+        [xid](const PendingCall& call) { return call.call.xid == xid; });
+    if (p == c.pending.end()) {
+      return false;
+    }
+    c.pending.erase(p);
+  }
+  caller_keys_.erase(key);
+  --outstanding_;
+  StartNext(conn_id);  // a freed window slot admits the next queued call
+  return true;
 }
 
 void ConnectionMux::StartNext(uint32_t conn_id) {
@@ -172,6 +227,9 @@ void ConnectionMux::OnRto(uint64_t key) {
   uint64_t now = events_->clock()->now_nanos();
   RecordEvent(RecEvent::kRtoFire, RecEndpoint::kClient, f.call.xid, now,
               /*a=*/f.call.attempts);
+  if (rto_listener_) {
+    rto_listener_();
+  }
   auto conn_it = conns_.find(f.conn);
   if (policy_.retry.adaptive.enabled && conn_it != conns_.end() &&
       !f.call.DeadlinePassed(now)) {
@@ -229,10 +287,10 @@ void ConnectionMux::DrainReplies() {
   while (channel_->HasPending(kBtoA)) {
     auto datagram = channel_->Receive(kBtoA);
     if (!datagram.ok()) {
-      // A corrupt reply has no attributable identity; treat it as a drop
-      // and let that call's RTO fire.
+      // A reply that fails its checksum names no (conn, xid): it is a
+      // drop. It sends no loss signal — the owning call's RTO covers it.
       ++stats_.corrupt_replies;
-      TraceAdd(TraceCounter::kRpcCorruptReplies);
+      TraceAdd(TraceCounter::kRpcMuxCorruptReplies);
       continue;
     }
     ByteSpan reply_span(datagram->data(), datagram->size());
@@ -291,6 +349,9 @@ void ConnectionMux::DrainReplies() {
     }
     RecordEvent(RecEvent::kReplyMatch, RecEndpoint::kClient, *xid, now,
                 /*a=*/datagram->size());
+    if (match_listener_) {
+      match_listener_();
+    }
     Complete(key, Status::Ok(), std::move(*datagram));
   }
   ArmClientPoll();  // more replies may still be in flight
@@ -315,10 +376,10 @@ void ConnectionMux::Complete(uint64_t key, Status status,
                  events_->clock()->now_nanos() - f.call.submit_nanos);
   } else if (status.code() == StatusCode::kUnavailable) {
     ++stats_.unavailable_failures;
-    TraceAdd(TraceCounter::kRpcUnavailableFailures);
+    TraceAdd(TraceCounter::kRpcMuxUnavailable);
   } else if (status.code() == StatusCode::kDeadlineExceeded) {
     ++stats_.deadline_expiries;
-    TraceAdd(TraceCounter::kRpcDeadlineExpiries);
+    TraceAdd(TraceCounter::kRpcMuxDeadlineExpiries);
   }
   RecordEvent(RecEvent::kCallComplete, RecEndpoint::kClient, f.call.xid,
               events_->clock()->now_nanos(),
@@ -326,6 +387,9 @@ void ConnectionMux::Complete(uint64_t key, Status status,
   uint32_t conn_id = f.conn;
   Completion done = std::move(f.done);
   in_flight_.erase(it);
+  if (!caller_keys_.empty()) {
+    caller_keys_.erase(key);
+  }
   auto conn_it = conns_.find(conn_id);
   if (conn_it != conns_.end() && conn_it->second.in_flight > 0) {
     --conn_it->second.in_flight;

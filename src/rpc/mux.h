@@ -1,13 +1,20 @@
-// ConnectionMux — many client connections multiplexed over one channel.
+// ConnectionMux — the client half of flexrpc's one call engine.
 //
-// Every transport below this layer carries one client's calls. The fleet
-// simulation needs thousands: this mux runs N logical connections over a
-// single DatagramChannel (the server's NIC), giving each connection its
+// Every remote call in the library goes through this engine and its server
+// half, ServerDispatch (src/rpc/dispatch.h). Its shape is connections ×
+// window: N logical connections over one DatagramChannel, each with its
 // own xid namespace, its own flow-control window, and its own stream of
-// interleaved calls. The demux key — on the wire and in every table — is
-// the (connection-id, xid) pair; a bare xid means nothing fleet-wide.
+// interleaved calls.
 //
-// Wire format: the mux frames every datagram as
+//   serial     1×1  one connection, window 1 (stop-and-wait)
+//   pipelined  1×W  one connection, window W
+//   fleet      N×W  many connections over the server's one NIC
+//
+// A binder replica (src/rpc/binder.h) is one 1×W engine on its own
+// channel. The demux key — on the wire and in every table — is the
+// (connection-id, xid) pair; a bare xid means nothing fleet-wide.
+//
+// Wire format: every request and reply is
 //
 //   [xid u32 BE][conn u32 BE][body...]
 //
@@ -15,29 +22,30 @@
 // assumes, and what lets DatagramChannel attribute wire events without
 // parsing — and the connection id rides in the second word. Replies come
 // back with the same two-word prefix; completions hand the caller the
-// full datagram (prefix included), like the other transports do.
+// full datagram, prefix included.
 //
-// Client machinery is PipelinedTransport's, per connection: each call is
-// a ClientCallState with an attempt budget, a per-call RTO timer with
-// exponential backoff and deterministic jitter, and an absolute deadline;
-// replies are drained from coalesced poll events armed on the channel's
-// NextDeliveryNanos. Per-connection flow control mirrors the pipelined
-// window: at most per_conn_window calls of one connection are in flight,
-// the rest queue (counted as flow stalls, attributed as queued time).
+// Per call: a ClientCallState with an attempt budget, a per-call RTO timer
+// with exponential backoff and deterministic jitter, and an absolute
+// deadline armed at submission (time queued behind the window counts).
+// Replies are drained from coalesced poll events armed on the channel's
+// NextDeliveryNanos and matched by (conn, xid), so they may complete out
+// of order. At most per_conn_window calls of one connection are in
+// flight; the rest queue (counted as flow stalls, attributed as queued
+// time).
 //
 // When policy.retry.adaptive.enabled, every connection carries its own
-// RttEstimator + AimdController (the ROADMAP item 1/2 follow-on): the
-// estimator RTO replaces the fixed doubling schedule and the AIMD window
-// replaces per_conn_window, keyed per connection so one slow connection's
-// samples can never inflate another's RTO. Corrupt replies carry no
-// (conn, xid) identity, so — unlike the single-connection pipelined
-// transport — they feed no per-connection loss signal; the owning call's
-// RTO covers them.
+// RttEstimator + AimdController: the estimator RTO replaces the fixed
+// doubling schedule and the AIMD window replaces per_conn_window, keyed per
+// connection so one slow connection's samples can never inflate another's
+// RTO. A reply that fails its checksum carries no (conn, xid) identity, so
+// it is a drop: it feeds no loss signal, and the owning call's RTO covers
+// it. A reply too short to carry (xid, conn) counts as stale.
 //
-// The server side is ServerDispatch (src/rpc/dispatch.h); the two halves
-// share the channel and the EventQueue and wake each other through
-// listener hooks (request_listener -> dispatch.Poke, reply_listener ->
-// mux.Poke).
+// The two halves share the channel and the EventQueue and wake each other
+// through listener hooks (request_listener -> dispatch.Poke,
+// reply_listener -> mux.Poke). Scheduled events reopen the recorder's
+// connection and replica scopes captured when they were scheduled, so
+// every record point downstream of a timer carries the right identity.
 
 #ifndef FLEXRPC_SRC_RPC_MUX_H_
 #define FLEXRPC_SRC_RPC_MUX_H_
@@ -47,6 +55,7 @@
 #include <functional>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/net/datagram.h"
@@ -55,6 +64,35 @@
 #include "src/support/status.h"
 
 namespace flexrpc {
+
+// The call surface a closed-loop client drives: the caller picks each
+// call's xid, and completions run during Drive. One connection of the
+// engine (ServerConnection, src/rpc/dispatch.h) and a managed binding
+// (BinderTransport, src/rpc/binder.h) both implement it.
+class CallChannel {
+ public:
+  // Invoked exactly once per submitted call: on OK with the full reply
+  // datagram ([xid][conn] prefix included), otherwise with an empty
+  // vector and a terminal status.
+  using Completion = std::function<void(Status, std::vector<uint8_t>)>;
+
+  CallChannel() = default;
+  CallChannel(const CallChannel&) = delete;  // callbacks hold `this`
+  CallChannel& operator=(const CallChannel&) = delete;
+  virtual ~CallChannel() = default;
+
+  // Queues one call under `xid`. An xid that is still outstanding is
+  // rejected: `done` runs once, right away, with kAlreadyExists.
+  virtual void Submit(uint32_t xid, ByteSpan body, Completion done) = 0;
+
+  // Runs the event queue until every submitted call completed. Non-OK
+  // only when the simulation stalls with calls outstanding — a bug, not a
+  // degradation.
+  virtual Status Drive() = 0;
+};
+
+// Bytes of the [xid][conn] prefix in front of every request and reply.
+inline constexpr size_t kMuxPrefixBytes = 8;
 
 struct MuxPolicy {
   RetryPolicy retry;
@@ -66,7 +104,7 @@ struct MuxPolicy {
 
 class ConnectionMux {
  public:
-  using Completion = std::function<void(Status, std::vector<uint8_t>)>;
+  using Completion = CallChannel::Completion;
 
   struct Stats {
     uint64_t conns_opened = 0;
@@ -95,11 +133,23 @@ class ConnectionMux {
   // Opens a new connection and returns its id (1-based; ids never reuse).
   uint32_t OpenConnection();
 
-  // Submits one call on `conn` (which must be open). The mux allocates
-  // the per-connection xid and frames [xid][conn][body]. `done` fires
+  // Submits one call on `conn` (which must be open) under the
+  // connection's next xid, and frames [xid][conn][body]. `done` fires
   // exactly once — with the full reply datagram on OK, or a terminal
   // kUnavailable / kDeadlineExceeded status.
   void Submit(uint32_t conn, ByteSpan body, Completion done);
+
+  // The same, under a caller-chosen xid (the NFS read's SunRPC xid, or a
+  // binder re-issue keeping its xid on a new replica). An xid still
+  // outstanding on `conn` is rejected with kAlreadyExists. Do not mix
+  // both Submit flavors on one connection.
+  void Submit(uint32_t conn, uint32_t xid, ByteSpan body, Completion done);
+
+  // Withdraws a submitted call without completing it: the RTO timer is
+  // cancelled, the window slot freed, and `done` never invoked. A reply
+  // already in flight for it arrives as a stale reply; a queued call is
+  // never sent. Returns false when (conn, xid) is not outstanding.
+  bool Cancel(uint32_t conn, uint32_t xid);
 
   // Arms the reply poll — the server side calls this (via its
   // reply_listener hook) after sending so the mux wakes when the frame
@@ -110,6 +160,17 @@ class ConnectionMux {
   // ServerDispatch::Poke so the server polls the arrival.
   void set_request_listener(std::function<void()> fn) {
     request_listener_ = std::move(fn);
+  }
+
+  // Health taps for a control plane above the engine (the binder): an
+  // RTO fire is failure evidence, a matched reply success evidence. They
+  // run synchronously inside the engine's event handling and must not
+  // call back into this mux (defer through the EventQueue instead).
+  void set_rto_listener(std::function<void()> fn) {
+    rto_listener_ = std::move(fn);
+  }
+  void set_match_listener(std::function<void()> fn) {
+    match_listener_ = std::move(fn);
   }
 
   // Runs the event queue until every submitted call completed. Errors if
@@ -164,9 +225,12 @@ class ConnectionMux {
     return (static_cast<uint64_t>(conn) << 32) | xid;
   }
 
-  // Every scheduled event reopens the connection scope it was scheduled
-  // under, so record points downstream of timers inherit the right tag.
+  // Every scheduled event reopens the connection and replica scopes it
+  // was scheduled under, so record points downstream of timers inherit
+  // the right tags.
   EventQueue::EventId Schedule(uint64_t at_nanos, std::function<void()> fn);
+  void Enqueue(Conn& c, uint32_t conn_id, uint32_t xid, ByteSpan body,
+               Completion done);
   void StartNext(uint32_t conn_id);
   void TransmitCall(InFlight& f);
   void OnRto(uint64_t key);
@@ -179,10 +243,15 @@ class ConnectionMux {
   EventQueue* events_;
   Rng jitter_;
   std::function<void()> request_listener_;
+  std::function<void()> rto_listener_;
+  std::function<void()> match_listener_;
 
   uint32_t next_conn_ = 1;
   std::map<uint32_t, Conn> conns_;
   std::unordered_map<uint64_t, InFlight> in_flight_;  // by Key(conn, xid)
+  // Outstanding caller-chosen (conn, xid) keys, queued or in flight. The
+  // allocating Submit never touches it.
+  std::unordered_set<uint64_t> caller_keys_;
   size_t outstanding_ = 0;  // submitted, not yet completed
 
   bool client_poll_armed_ = false;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/support/recorder.h"
-#include "src/support/strings.h"
 #include "src/support/trace.h"
 
 namespace flexrpc {
@@ -153,174 +151,6 @@ uint64_t ClientCallState::NextBackoffWait(const RetryPolicy& policy,
       ClipRtoWait(rto_nanos, deadline_nanos, jitter, now_nanos, expires);
   rto_nanos = std::min(rto_nanos * 2, policy.max_rto_nanos);
   return wait;
-}
-
-RetryingTransport::RetryingTransport(DatagramChannel* channel,
-                                     DatagramHandler handler,
-                                     RemoteServerModel server_model,
-                                     RetryPolicy policy)
-    : channel_(channel), endpoint_(std::move(handler)),
-      server_model_(server_model), policy_(policy),
-      jitter_(policy.jitter_seed), rtt_(policy.adaptive.rtt) {}
-
-void RetryingTransport::PumpServer() {
-  while (channel_->HasPending(DatagramChannel::Dir::kAtoB)) {
-    auto request = channel_->Receive(DatagramChannel::Dir::kAtoB);
-    if (!request.ok()) {
-      continue;  // checksum discard — the retransmit loop covers it
-    }
-    auto handled =
-        endpoint_.Handle(ByteSpan(request->data(), request->size()));
-    if (!handled.ok()) {
-      continue;  // unparseable or rejected: nothing to send back
-    }
-    if (handled->dup_hit) {
-      ++stats_.dup_cache_hits;
-    } else {
-      ++stats_.dup_cache_misses;
-      // Charge the remote CPU for the one real execution. The span is
-      // virtual-clock-fed: Process advances the clock inline, and a
-      // wall-clock TraceSpan here would leak host nanos into artifacts
-      // that are gated on byte identity.
-      VirtualTraceSpan exec_span(TraceHistogram::kRpcDispatchNanos,
-                                 channel_->clock());
-      RecordEvent(RecEvent::kServerExecBegin, RecEndpoint::kServer,
-                  handled->xid, channel_->clock()->now_nanos(),
-                  /*a=*/handled->reply->size());
-      server_model_.Process(handled->reply->size(), channel_->clock());
-      RecordEvent(RecEvent::kServerExecEnd, RecEndpoint::kServer,
-                  handled->xid, channel_->clock()->now_nanos(),
-                  /*a=*/handled->reply->size());
-    }
-    channel_->Send(DatagramChannel::Dir::kBtoA,
-                   ByteSpan(handled->reply->data(), handled->reply->size()));
-  }
-}
-
-Status RetryingTransport::Call(uint32_t xid, ByteSpan request,
-                               std::vector<uint8_t>* reply) {
-  ++stats_.calls;
-  VirtualClock* clock = channel_->clock();
-  RecordEvent(RecEvent::kCallSubmit, RecEndpoint::kClient, xid,
-              clock->now_nanos(), /*a=*/request.size());
-  // Every exit path stamps the call's completion with its status code.
-  auto complete = [&](Status st) {
-    RecordEvent(RecEvent::kCallComplete, RecEndpoint::kClient, xid,
-                clock->now_nanos(), /*a=*/static_cast<uint64_t>(st.code()));
-    return st;
-  };
-  ClientCallState call;
-  call.xid = xid;
-  call.request.assign(request.begin(), request.end());
-  call.Arm(policy_, clock->now_nanos());
-
-  for (;;) {
-    ++call.attempts;
-    if (call.attempts > 1) {
-      ++stats_.retransmits;
-      TraceAdd(TraceCounter::kRpcRetransmits);
-      RecordEvent(RecEvent::kRetransmit, RecEndpoint::kClient, xid,
-                  clock->now_nanos(), /*a=*/call.attempts);
-    }
-    call.last_tx_nanos = clock->now_nanos();
-    channel_->Send(DatagramChannel::Dir::kAtoB,
-                   ByteSpan(call.request.data(), call.request.size()));
-    PumpServer();
-
-    // Drain everything the wire delivered before the RTO would fire.
-    while (channel_->HasPending(DatagramChannel::Dir::kBtoA)) {
-      auto datagram = channel_->Receive(DatagramChannel::Dir::kBtoA);
-      if (!datagram.ok()) {
-        ++stats_.corrupt_replies;
-        TraceAdd(TraceCounter::kRpcCorruptReplies);
-        if (!policy_.retry_on_corrupt) {
-          return complete(DataLossError(StrFormat(
-              "reply for xid %u failed its checksum", xid)));
-        }
-        continue;  // treat as a drop; the retransmit loop covers it
-      }
-      auto reply_xid = PeekXid(ByteSpan(datagram->data(), datagram->size()));
-      if (!reply_xid.ok()) {
-        return complete(reply_xid.status());  // structurally malformed reply
-      }
-      if (*reply_xid != xid) {
-        // A late duplicate of an earlier call: discard, keep waiting.
-        ++stats_.stale_replies;
-        TraceAdd(TraceCounter::kRpcStaleReplies);
-        RecordEvent(RecEvent::kReplyStale, RecEndpoint::kClient, *reply_xid,
-                    clock->now_nanos());
-        continue;
-      }
-      // The wire and the server advanced the clock while we waited; a
-      // reply that arrives after the deadline is as dead as no reply at
-      // all — the caller already moved on.
-      if (call.DeadlinePassed(clock->now_nanos())) {
-        ++stats_.deadline_expiries;
-        TraceAdd(TraceCounter::kRpcDeadlineExpiries);
-        RecordEvent(RecEvent::kReplyLate, RecEndpoint::kClient, xid,
-                    clock->now_nanos());
-        return complete(DeadlineExceededError(StrFormat(
-            "reply for xid %u arrived after the deadline", xid)));
-      }
-      if (policy_.adaptive.enabled) {
-        // Karn's rule: only a reply to a never-retransmitted request is an
-        // unambiguous round-trip measurement.
-        if (call.attempts == 1) {
-          uint64_t sample = clock->now_nanos() - call.last_tx_nanos;
-          rtt_.Sample(sample);
-          ++stats_.rtt_samples;
-          RecordEvent(RecEvent::kRttSample, RecEndpoint::kClient, xid,
-                      clock->now_nanos(), /*a=*/sample,
-                      /*b=*/rtt_.rto_nanos());
-        } else {
-          ++stats_.karn_skips;
-          TraceAdd(TraceCounter::kRpcRttKarnSkips);
-        }
-      }
-      RecordEvent(RecEvent::kReplyMatch, RecEndpoint::kClient, xid,
-                  clock->now_nanos(), /*a=*/datagram->size());
-      *reply = std::move(*datagram);
-      return complete(Status::Ok());
-    }
-
-    // Nothing matched. Give up, or back off and retransmit.
-    if (call.AttemptsExhausted(policy_)) {
-      ++stats_.unavailable_failures;
-      TraceAdd(TraceCounter::kRpcUnavailableFailures);
-      return complete(UnavailableError(StrFormat(
-          "no reply for xid %u after %u attempts", xid, call.attempts)));
-    }
-    uint64_t now = clock->now_nanos();
-    if (call.DeadlinePassed(now)) {
-      ++stats_.deadline_expiries;
-      TraceAdd(TraceCounter::kRpcDeadlineExpiries);
-      return complete(DeadlineExceededError(StrFormat(
-          "deadline passed after %u attempts for xid %u", call.attempts,
-          xid)));
-    }
-    bool expires = false;
-    uint64_t wait;
-    if (policy_.adaptive.enabled) {
-      wait = ClipRtoWait(rtt_.rto_nanos(), call.deadline_nanos, &jitter_,
-                         now, &expires);
-      // The wait we are about to sit out IS a retransmission timeout:
-      // Karn-backoff the estimator for the next one.
-      rtt_.Backoff();
-    } else {
-      wait = call.NextBackoffWait(policy_, &jitter_, now, &expires);
-    }
-    clock->AdvanceNanos(wait);
-    stats_.backoff_nanos += wait;
-    TraceAdd(TraceCounter::kRpcBackoffNanos, wait);
-    if (expires) {
-      ++stats_.deadline_expiries;
-      TraceAdd(TraceCounter::kRpcDeadlineExpiries);
-      return complete(DeadlineExceededError(StrFormat(
-          "deadline passed while backing off for xid %u", xid)));
-    }
-    RecordEvent(RecEvent::kRtoFire, RecEndpoint::kClient, xid,
-                clock->now_nanos(), /*a=*/call.attempts);
-  }
 }
 
 }  // namespace flexrpc

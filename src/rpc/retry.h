@@ -1,37 +1,26 @@
-// RetryingTransport — at-most-once datagram RPC over a lossy channel.
+// At-most-once building blocks for datagram RPC over a lossy channel.
 //
 // The specializable transports in this library assume the wire delivers;
-// this layer is what sits underneath the call path when it does not. It
-// implements the classic SunRPC/NFS-style at-most-once state machine:
+// these pieces are what the call engine (ConnectionMux + ServerDispatch,
+// src/rpc/mux.h and src/rpc/dispatch.h) runs on when it does not — the
+// classic SunRPC/NFS-style at-most-once state machine:
 //
-//   client: transmit request (xid first) -> wait RTO on the virtual clock
+//   client: transmit request (xid first) -> RTO timer on the virtual clock
 //           -> retransmit with exponential backoff + deterministic jitter
 //           -> give up with kUnavailable when the attempt budget is spent,
 //              or kDeadlineExceeded when the per-call deadline passes
 //              (including when a matching reply lands only after it).
-//   server: every valid request datagram is looked up in an xid-keyed
-//           reply cache. Miss -> execute the work function once, cache and
-//           send the reply. Hit -> resend the cached reply without
-//           re-executing (duplicate suppression: the work function runs at
-//           most once per xid, even when requests arrive twice).
+//   server: every valid request datagram is looked up in a reply cache.
+//           Miss -> execute the work function once, cache and send the
+//           reply. Hit -> resend the cached reply without re-executing
+//           (duplicate suppression: the work function runs at most once
+//           per (connection, xid), even when requests arrive twice).
 //
-// Both halves are reusable pieces shared with the pipelined transport
-// (src/rpc/pipeline.h): ClientCallState carries the per-call client state
-// machine (attempt budget, RTO/backoff arithmetic, deadline), and
-// AtMostOnceEndpoint is the server half (reply cache + execute-at-most-
-// once). RetryingTransport composes them into the serial stop-and-wait
-// loop.
-//
-// Degradation is always a Status, never a hang or a double execution:
-//   kUnavailable       retry budget exhausted (nothing came back)
-//   kDeadlineExceeded  virtual deadline passed while waiting
-//   kDataLoss          structurally malformed reply, or — when
-//                      retry_on_corrupt is off — a checksum failure
-// Stale replies (late duplicates carrying an old xid) are discarded and
-// the wait continues; checksum failures are treated as drops by default.
-//
-// All waiting happens on the channel's VirtualClock, so a "two second"
-// deadline costs no host time and every timestamp is reproducible.
+// ClientCallState carries the per-call client state (attempt budget,
+// RTO/backoff arithmetic, deadline); AtMostOnceEndpoint is the server
+// half (reply cache + execute-at-most-once). All waiting happens on a
+// VirtualClock, so a "two second" deadline costs no host time and every
+// timestamp is reproducible.
 
 #ifndef FLEXRPC_SRC_RPC_RETRY_H_
 #define FLEXRPC_SRC_RPC_RETRY_H_
@@ -58,7 +47,6 @@ struct RetryPolicy {
   uint64_t max_rto_nanos = 400'000'000;       // 400 ms backoff ceiling
   uint64_t deadline_nanos = 4'000'000'000;    // 4 s per call, virtual
   uint64_t jitter_seed = 42;                  // deterministic jitter stream
-  bool retry_on_corrupt = true;  // false: surface checksum loss as kDataLoss
   // A/B switch (src/rpc/rtt.h): when adaptive.enabled, the per-call RTO
   // comes from a shared Jacobson/Karels estimator instead of the fixed
   // initial_rto_nanos/max_rto_nanos doubling schedule.
@@ -105,15 +93,14 @@ class ReplyCache {
 using DatagramHandler =
     std::function<Status(ByteSpan request, std::vector<uint8_t>* reply)>;
 
-// Server half of the at-most-once state machine, shared by the serial,
-// pipelined, and multiplexed transports. At-most-once state is keyed by
-// the (connection, xid) pair: each connection gets its own xid namespace
-// and its own ReplyCache of cache_capacity entries, so two clients
-// colliding on an xid cannot poison each other's dedup state, total dedup
-// memory scales with the number of active connections, and one
-// connection's burst can never evict another connection's in-flight xid.
-// The single-argument Handle keeps the pre-mux contract — everything on
-// connection 0 — so the serial and pipelined transports are unchanged.
+// Server half of the at-most-once state machine (ServerDispatch runs one).
+// At-most-once state is keyed by the (connection, xid) pair: each
+// connection gets its own xid namespace and its own ReplyCache of
+// cache_capacity entries, so two clients colliding on an xid cannot
+// poison each other's dedup state, total dedup memory scales with the
+// number of active connections, and one connection's burst can never
+// evict another connection's in-flight xid. The single-argument Handle
+// puts everything on connection 0.
 class AtMostOnceEndpoint {
  public:
   struct Handled {
@@ -180,8 +167,7 @@ class AtMostOnceEndpoint {
 
 // Client half of the at-most-once state machine for one call: the attempt
 // budget, the RTO/backoff/jitter arithmetic, and the absolute deadline.
-// The serial transport steps it inside a blocking loop; the pipelined
-// transport steps one per in-flight call from timer events.
+// The mux steps one per in-flight call from timer events.
 struct ClientCallState {
   uint32_t xid = 0;
   std::vector<uint8_t> request;  // owned: retransmits outlive the caller
@@ -223,55 +209,6 @@ struct ClientCallState {
 // the clip. Returns 0 with *expires=true when the deadline already passed.
 uint64_t ClipRtoWait(uint64_t rto_nanos, uint64_t deadline_nanos,
                      Rng* jitter, uint64_t now_nanos, bool* expires);
-
-class RetryingTransport {
- public:
-  struct Stats {
-    uint64_t calls = 0;
-    uint64_t retransmits = 0;
-    uint64_t backoff_nanos = 0;
-    uint64_t stale_replies = 0;
-    uint64_t corrupt_replies = 0;
-    uint64_t dup_cache_hits = 0;
-    uint64_t dup_cache_misses = 0;   // == server work executions
-    uint64_t deadline_expiries = 0;
-    uint64_t unavailable_failures = 0;
-    uint64_t rtt_samples = 0;        // clean samples fed to the estimator
-    uint64_t karn_skips = 0;         // ambiguous replies excluded from it
-  };
-
-  // `channel` and everything reachable from `handler` must outlive the
-  // transport. `server_model` charges the remote CPU per executed call.
-  RetryingTransport(DatagramChannel* channel, DatagramHandler handler,
-                    RemoteServerModel server_model, RetryPolicy policy);
-
-  // One at-most-once call. `xid` must be the first (big-endian) word of
-  // `request` — the SunRPC layout — and unique per logical call; reply
-  // matching and duplicate suppression key on it. On OK, `*reply` holds
-  // the matched reply datagram (xid still in front).
-  Status Call(uint32_t xid, ByteSpan request, std::vector<uint8_t>* reply);
-
-  const Stats& stats() const { return stats_; }
-  const RetryPolicy& policy() const { return policy_; }
-  VirtualClock* clock() { return channel_->clock(); }
-  // The shared estimator (meaningful when policy.adaptive.enabled): RTT
-  // state accumulates across calls on this transport, like a TCP
-  // connection's, not per call.
-  const RttEstimator& rtt() const { return rtt_; }
-
- private:
-  // Drains the server-side queue: validates, deduplicates, executes,
-  // replies. Runs on the caller's thread (single-threaded simulation).
-  void PumpServer();
-
-  DatagramChannel* channel_;
-  AtMostOnceEndpoint endpoint_;
-  RemoteServerModel server_model_;
-  RetryPolicy policy_;
-  Rng jitter_;
-  RttEstimator rtt_;
-  Stats stats_;
-};
 
 // Reads the leading big-endian word of a datagram — the xid slot shared by
 // SunRPC calls and replies. kDataLoss when the datagram is too short.

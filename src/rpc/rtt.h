@@ -1,14 +1,13 @@
 // Adaptive transport parameters: smoothed-RTT RTO estimation and an AIMD
 // congestion window.
 //
-// PR 4 shipped the sliding-window pipelined transport with a *fixed* RTO
-// and a *fixed* window, and documented the failure mode that combination
-// has: once the window queues more reply bytes than the RTO covers,
+// A call engine with a *fixed* RTO and a *fixed* window has a known failure
+// mode: once the window queues more reply bytes than the RTO covers,
 // healthy-but-queued replies trigger spurious retransmits, the
 // retransmits add more queueing, and throughput collapses (congestion
-// collapse in miniature). PR 5's flight recorder classifies exactly those
+// collapse in miniature). The flight recorder classifies exactly those
 // spurious RTOs. This module closes the loop with the two classic
-// controllers, shared by the serial and pipelined transports:
+// controllers, kept per connection by the call engine (src/rpc/mux.h):
 //
 //   * RttEstimator — Jacobson/Karels smoothed RTT + mean deviation
 //     (RFC 6298 arithmetic: srtt <- 7/8 srtt + 1/8 R, rttvar <- 3/4
@@ -131,9 +130,9 @@ class AimdController {
   uint64_t decreases_ = 0;
 };
 
-// The A/B switch both transports take: disabled (the default) keeps the
-// fixed RetryPolicy RTO and the fixed PipelinePolicy window benchable;
-// enabled replaces them with the estimator RTO and the AIMD window.
+// The engine's A/B switch: disabled (the default) keeps the fixed
+// RetryPolicy RTO and the fixed MuxPolicy window benchable; enabled
+// replaces them with the estimator RTO and the AIMD window.
 struct AdaptiveConfig {
   bool enabled = false;
   RttConfig rtt;

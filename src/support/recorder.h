@@ -178,14 +178,15 @@ class RecorderCallScope {
   bool prev_active_;
 };
 
-// Thread-local replica context. A replicated binding runs one transport
-// per replica over the same record points; each transport opens this scope
-// around its entry points (Submit, Cancel, every scheduled event), so
+// Thread-local replica context. A replicated binding runs one call engine
+// per replica over the same record points; the binder opens this scope
+// around everything it hands a replica (Submit, Cancel), and the engine's
+// scheduled events reopen the scope they were scheduled under, so
 // channel- and server-side events inherit the replica identity without any
 // record-point signature change. Events recorded outside any scope carry
-// replica 0, which serializes and exports exactly as before — single-
-// transport recordings are byte-identical to pre-replica ones. Scopes
-// nest; tags are 1-based (ReplicaGroup assigns index + 1).
+// replica 0, which serializes and exports exactly as before — unreplicated
+// recordings are byte-identical to pre-replica ones. Scopes nest; tags
+// are 1-based (ReplicaGroup assigns index + 1).
 class RecorderReplicaScope {
  public:
   explicit RecorderReplicaScope(uint32_t replica_tag);

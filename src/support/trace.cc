@@ -63,20 +63,8 @@ constexpr std::string_view kCounterNames[kTraceCounterCount] = {
     "rpc.samedomain.calls",
     "rpc.samedomain.copies",
     "rpc.samedomain.copy_bytes",
-    "rpc.retry.retransmits",
-    "rpc.retry.backoff_nanos",
-    "rpc.retry.deadline_expiries",
-    "rpc.retry.unavailable",
-    "rpc.retry.stale_replies",
-    "rpc.retry.corrupt_replies",
     "rpc.dupcache.hits",
     "rpc.dupcache.misses",
-    "rpc.pipeline.calls",
-    "rpc.pipeline.retransmits",
-    "rpc.pipeline.stale_replies",
-    "rpc.pipeline.out_of_order",
-    "rpc.pipeline.window_stalls",
-    "rpc.pipeline.events",
     "rpc.rtt.samples",
     "rpc.rtt.karn_skips",
     "rpc.rtt.clamps",
@@ -93,6 +81,9 @@ constexpr std::string_view kCounterNames[kTraceCounterCount] = {
     "rpc.mux.retransmits",
     "rpc.mux.stale_replies",
     "rpc.mux.flow_stalls",
+    "rpc.mux.deadline_expiries",
+    "rpc.mux.unavailable",
+    "rpc.mux.corrupt_replies",
     "rpc.dispatch.accepts",
     "rpc.dispatch.executions",
     "rpc.dispatch.shed",

@@ -89,21 +89,8 @@ enum class TraceCounter : uint16_t {
   kSameDomainCalls,          // rpc.samedomain.calls
   kSameDomainCopies,         // rpc.samedomain.copies
   kSameDomainCopyBytes,      // rpc.samedomain.copy_bytes
-  kRpcRetransmits,           // rpc.retry.retransmits
-  kRpcBackoffNanos,          // rpc.retry.backoff_nanos (virtual clock)
-  kRpcDeadlineExpiries,      // rpc.retry.deadline_expiries
-  kRpcUnavailableFailures,   // rpc.retry.unavailable (budget exhausted)
-  kRpcStaleReplies,          // rpc.retry.stale_replies (late duplicates)
-  kRpcCorruptReplies,        // rpc.retry.corrupt_replies
   kRpcDupCacheHits,          // rpc.dupcache.hits (at-most-once suppressions)
   kRpcDupCacheMisses,        // rpc.dupcache.misses (work executions)
-  kRpcPipelineCalls,         // rpc.pipeline.calls
-  kRpcPipelineRetransmits,   // rpc.pipeline.retransmits
-  kRpcPipelineStaleReplies,  // rpc.pipeline.stale_replies
-  kRpcPipelineOutOfOrder,    // rpc.pipeline.out_of_order (completions that
-                             //   beat an older in-flight xid)
-  kRpcPipelineWindowStalls,  // rpc.pipeline.window_stalls (waited for a slot)
-  kRpcPipelineEvents,        // rpc.pipeline.events (event-queue dispatches)
   kRpcRttSamples,            // rpc.rtt.samples (clean RTT measurements)
   kRpcRttKarnSkips,          // rpc.rtt.karn_skips (retransmit-ambiguous
                              //   replies excluded from estimation)
@@ -123,6 +110,10 @@ enum class TraceCounter : uint16_t {
   kRpcMuxStaleReplies,       // rpc.mux.stale_replies (no in-flight match)
   kRpcMuxFlowStalls,         // rpc.mux.flow_stalls (queued behind the
                              //   per-connection window)
+  kRpcMuxDeadlineExpiries,   // rpc.mux.deadline_expiries
+  kRpcMuxUnavailable,        // rpc.mux.unavailable (attempt budget spent)
+  kRpcMuxCorruptReplies,     // rpc.mux.corrupt_replies (checksum failures
+                             //   on the reply path, dropped)
   kRpcDispatchAccepts,       // rpc.dispatch.accepts (frames admitted)
   kRpcDispatchExecutions,    // rpc.dispatch.executions (worker runs)
   kRpcDispatchShed,          // rpc.dispatch.shed (requests dropped at a
@@ -263,37 +254,6 @@ class TraceSpan {
   TraceHistogram histogram_;
   bool armed_;
   std::chrono::steady_clock::time_point start_;
-};
-
-// RAII *virtual-clock* span feeding a histogram. TraceSpan reads the host
-// clock, so its observations differ run-over-run — fine for the osim
-// microbenches it times, but poison for any artifact gated on byte
-// identity. Deterministic paths (the event-driven transports, whose
-// server-exec time is charged to a VirtualClock) use this variant: the
-// recorded duration is however far the models advanced the clock between
-// construction and destruction, so two same-seed runs observe identical
-// values. A null clock disarms the span.
-class VirtualTraceSpan {
- public:
-  VirtualTraceSpan(TraceHistogram h, const VirtualClock* clock)
-      : histogram_(h), clock_(TraceEnabled() ? clock : nullptr) {
-    if (clock_ != nullptr) {
-      start_nanos_ = clock_->now_nanos();
-    }
-  }
-  ~VirtualTraceSpan() {
-    if (clock_ != nullptr) {
-      TraceObserve(histogram_, clock_->now_nanos() - start_nanos_);
-    }
-  }
-
-  VirtualTraceSpan(const VirtualTraceSpan&) = delete;
-  VirtualTraceSpan& operator=(const VirtualTraceSpan&) = delete;
-
- private:
-  TraceHistogram histogram_;
-  const VirtualClock* clock_;
-  uint64_t start_nanos_ = 0;
 };
 
 // Point-in-time copy of the whole registry.

@@ -1,7 +1,7 @@
 // Failover soak: scripted replica-death matrix over the managed NFS read.
 //
 // A 64 KB pipelined read runs through a BinderTransport over three
-// replicas; the primary is killed at every point in a swept packet
+// replicas (each a 1×8 call engine); the primary is killed at every point in a swept packet
 // schedule (including "before the first packet" and "after the read
 // would have finished"). The robustness contract under test:
 //   * the read always completes OK and delivers byte-exact file contents;
@@ -31,7 +31,6 @@
 #include "src/net/link.h"
 #include "src/net/sunrpc.h"
 #include "src/rpc/binder.h"
-#include "src/rpc/pipeline.h"
 #include "src/support/event_queue.h"
 #include "src/support/recorder.h"
 #include "src/support/trace.h"
@@ -56,7 +55,7 @@ struct FailoverOutcome {
   Status status = Status::Ok();
   NfsClient::ReadStats read;
   BinderTransport::Stats binder;
-  std::vector<PipelinedTransport::Stats> transports;
+  std::vector<ServerDispatch::Stats> servers;
   int max_executions_per_replica_xid = 0;
   uint64_t cross_replica_reexecutions = 0;  // xids executed on >1 replica
   TraceSnapshot trace;
@@ -111,12 +110,11 @@ FailoverOutcome RunManagedRead(uint64_t seed,
       }
       return inner(request, reply);
     };
-    specs.push_back({channels.back().get(), std::move(counting),
-                     RemoteServerModel()});
+    specs.push_back({channels.back().get(), std::move(counting)});
   }
 
-  PipelinePolicy pipeline;
-  pipeline.window = 8;
+  MuxPolicy pipeline;
+  pipeline.per_conn_window = 8;
   pipeline.retry.max_attempts = 12;
   pipeline.retry.deadline_nanos = 8'000'000'000;
   pipeline.retry.jitter_seed = seed + 1;
@@ -141,8 +139,8 @@ FailoverOutcome RunManagedRead(uint64_t seed,
   BinderTransport binder(&group, std::move(binder_policy));
 
   FailoverOutcome outcome;
-  auto read = client.ReadFileManaged(
-      NfsClient::StubKind::kGeneratedUserBuffer, &binder, kChunkBytes);
+  auto read = client.ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                  &binder, &clock, kChunkBytes);
   if (read.ok()) {
     outcome.read = *read;
   } else {
@@ -150,7 +148,7 @@ FailoverOutcome RunManagedRead(uint64_t seed,
   }
   outcome.binder = binder.stats();
   for (size_t i = 0; i < kReplicas; ++i) {
-    outcome.transports.push_back(group.transport(i)->stats());
+    outcome.servers.push_back(group.replica(i)->dispatch().stats());
   }
   std::map<uint32_t, int> replicas_touched;
   for (size_t i = 0; i < kReplicas; ++i) {
@@ -237,8 +235,8 @@ TEST(FailoverSoakTest, ExecuteThenDieNeverDoubleExecutesOnOneReplica) {
   // The primary executed work; its dup cache absorbed every retransmit of
   // an already-executed xid (hits with no second execution).
   EXPECT_LE(outcome.max_executions_per_replica_xid, 1);
-  EXPECT_GT(outcome.transports[0].dup_cache_misses, 0u);
-  EXPECT_GE(outcome.transports[0].dup_cache_hits, 1u);
+  EXPECT_GT(outcome.servers[0].executions, 0u);
+  EXPECT_GE(outcome.servers[0].dup_replies, 1u);
   // Cross-replica re-execution happened (the safe, counted case): the
   // migrated xids ran again on the backup because the primary's execution
   // was unobservable.

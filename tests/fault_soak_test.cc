@@ -1,14 +1,18 @@
-// Seeded randomized soak of the lossy NFS read path (ISSUE 3, satellite 3).
+// Seeded fault soak of the NFS read over every shape of the call engine.
 //
-// For each seed we derive a fault mix (drop/dup/reorder/corrupt/extra
-// delay), run the Figure-2 NFS read through the at-most-once
-// RetryingTransport, and assert the robustness contract:
-//   * every call terminates with OK or a documented degradation code —
+// The same read (NfsClient::ReadFileOver) runs through the serial (1×1)
+// and pipelined (1×8) shapes and a 2-replica managed binding, under a
+// fault mix derived from each seed (drop/dup/reorder/corrupt/extra
+// delay), and the robustness contract is asserted on every shape:
+//   * every read terminates with OK or a documented degradation code —
 //     never a hang (the virtual clock bounds every wait);
-//   * the server work function runs at most once per xid, even under
+//   * an OK read delivers exactly the file's bytes;
+//   * each server executes each (conn, xid) at most once, even under
 //     duplicated and retransmitted requests;
-//   * trace counters are identical across two runs of the same seed
-//     (the whole substrate is deterministic given the seed).
+//   * two runs of the same seed produce identical trace counters and
+//     byte-identical recordings (the whole substrate is deterministic).
+// Targeted pipelined fault interactions and the adaptive engine's matrix
+// follow.
 //
 // Registered under the `fault` ctest label via the flexrpc_fault_tests
 // binary; tools/ci.sh runs the label in every sanitizer configuration.
@@ -16,14 +20,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/analysis/flexrec.h"
 #include "src/apps/nfs.h"
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
-#include "src/rpc/pipeline.h"
-#include "src/rpc/retry.h"
+#include "src/rpc/binder.h"
+#include "src/rpc/dispatch.h"
 #include "src/support/event_queue.h"
 #include "src/support/recorder.h"
 #include "src/support/rng.h"
@@ -49,57 +55,125 @@ FaultConfig MixForSeed(uint64_t seed, uint64_t direction_salt) {
   return config;
 }
 
+enum class Shape { kSerial, kPipelined, kManaged };
+constexpr Shape kShapes[] = {Shape::kSerial, Shape::kPipelined,
+                             Shape::kManaged};
+
+const char* ShapeName(Shape shape) {
+  switch (shape) {
+    case Shape::kSerial:
+      return "1x1";
+    case Shape::kPipelined:
+      return "1xW";
+    case Shape::kManaged:
+      return "2-replica binder";
+  }
+  return "?";
+}
+
+struct SoakSpec {
+  Shape shape = Shape::kSerial;
+  uint64_t seed = 1;
+  FaultConfig to_server;
+  FaultConfig to_client;
+  uint32_t window = 8;  // pipelined and managed shapes
+  size_t chunk_bytes = kNfsMaxData;
+  bool adaptive = false;
+};
+
+SoakSpec SeededSpec(Shape shape, uint64_t seed) {
+  return {shape, seed, MixForSeed(seed, 0xA2B), MixForSeed(seed, 0xB2A)};
+}
+
 struct SoakOutcome {
   Status status = Status::Ok();
   NfsClient::ReadStats stats;
-  int max_executions_per_xid = 0;
+  int max_executions = 0;  // per (replica, conn, xid)
+  // Engine activity, summed over replicas.
+  uint64_t retransmits = 0;
+  uint64_t stale_replies = 0;
+  uint64_t corrupt_replies = 0;
+  uint64_t dup_replies = 0;
+  uint64_t executions = 0;
   TraceSnapshot trace;
+  std::string recording;
+  uint64_t virtual_nanos = 0;
 };
 
 // One full soak iteration, built from scratch so a repeat with the same
-// seed replays the identical event sequence.
-SoakOutcome RunSoak(uint64_t seed) {
+// spec replays the identical event sequence.
+SoakOutcome RunSoak(const SoakSpec& spec) {
   TraceSession session;
+  RecorderSession recorder;
 
-  NfsFileServer server(kSoakFileSize, /*seed=*/seed);
+  NfsFileServer server(kSoakFileSize, /*seed=*/spec.seed);
   NfsClient client(&server, LinkModel(), RemoteServerModel());
   VirtualClock clock;
-  DatagramChannel channel(LinkModel(), FaultPlan(MixForSeed(seed, 0xA2B)),
-                          FaultPlan(MixForSeed(seed, 0xB2A)), &clock);
+  EventQueue events(&clock);
 
-  std::map<uint32_t, int> executions;
-  DatagramHandler inner = NfsFileServer::MakeHandler(&server);
-  DatagramHandler counting = [&executions, inner](
-                                 ByteSpan request,
-                                 std::vector<uint8_t>* reply) {
-    auto xid = PeekXid(request);
-    if (xid.ok()) {
-      ++executions[*xid];
-    }
-    return inner(request, reply);
-  };
+  const size_t replicas = spec.shape == Shape::kManaged ? 2 : 1;
+  std::vector<std::unique_ptr<DatagramChannel>> channels;
+  std::vector<std::map<uint64_t, int>> executions(replicas);
+  std::vector<ReplicaGroup::ReplicaSpec> specs;
+  for (size_t i = 0; i < replicas; ++i) {
+    FaultConfig to_server = spec.to_server;
+    FaultConfig to_client = spec.to_client;
+    to_server.seed += i;
+    to_client.seed += i;
+    channels.push_back(std::make_unique<DatagramChannel>(
+        LinkModel(), FaultPlan(to_server), FaultPlan(to_client), &clock));
+    DatagramHandler inner = NfsFileServer::MakeHandler(&server);
+    auto* counts = &executions[i];
+    DatagramHandler counting = [counts, inner](ByteSpan request,
+                                               std::vector<uint8_t>* reply) {
+      auto xid = PeekXid(request);
+      auto conn = PeekMuxConn(request);
+      if (xid.ok() && conn.ok()) {
+        ++(*counts)[(static_cast<uint64_t>(*conn) << 32) | *xid];
+      }
+      return inner(request, reply);
+    };
+    specs.push_back({channels.back().get(), std::move(counting)});
+  }
 
-  RetryPolicy policy;
-  policy.max_attempts = 12;
-  policy.deadline_nanos = 8'000'000'000;  // 8 virtual seconds per call
-  policy.jitter_seed = seed + 1;
-  RetryingTransport transport(&channel, counting, RemoteServerModel(),
-                              policy);
+  MuxPolicy policy;
+  policy.per_conn_window = spec.shape == Shape::kSerial ? 1 : spec.window;
+  policy.retry.max_attempts = 12;
+  policy.retry.deadline_nanos = 8'000'000'000;  // 8 virtual seconds
+  policy.retry.jitter_seed = spec.seed + 1;
+  policy.retry.adaptive.enabled = spec.adaptive;
+  ReplicaGroup group(std::move(specs), policy, &events);
+  std::unique_ptr<BinderTransport> binder;
+  CallChannel* rpc = group.replica(0);
+  if (spec.shape == Shape::kManaged) {
+    binder = std::make_unique<BinderTransport>(&group, BinderPolicy{});
+    rpc = binder.get();
+  }
 
   SoakOutcome outcome;
-  auto stats =
-      client.ReadFileLossy(NfsClient::StubKind::kGeneratedUserBuffer,
-                           &transport);
+  auto stats = client.ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                   rpc, &clock, spec.chunk_bytes);
   if (stats.ok()) {
     outcome.stats = *stats;
   } else {
     outcome.status = stats.status();
   }
-  for (const auto& [xid, count] : executions) {
-    outcome.max_executions_per_xid =
-        std::max(outcome.max_executions_per_xid, count);
+  for (size_t i = 0; i < replicas; ++i) {
+    for (const auto& [key, count] : executions[i]) {
+      outcome.max_executions = std::max(outcome.max_executions, count);
+    }
+    const ConnectionMux::Stats& mux = group.replica(i)->mux().stats();
+    const ServerDispatch::Stats& server_stats =
+        group.replica(i)->dispatch().stats();
+    outcome.retransmits += mux.retransmits;
+    outcome.stale_replies += mux.stale_replies;
+    outcome.corrupt_replies += mux.corrupt_replies;
+    outcome.dup_replies += server_stats.dup_replies;
+    outcome.executions += server_stats.executions;
   }
   outcome.trace = session.Report();
+  outcome.recording = RecordingToJson(recorder.Stop());
+  outcome.virtual_nanos = clock.now_nanos();
   return outcome;
 }
 
@@ -116,60 +190,75 @@ bool IsDocumentedOutcome(const Status& status) {
 }
 
 TEST(FaultSoakTest, EverySeedTerminatesWithDocumentedCode) {
-  int ok_runs = 0;
-  uint64_t total_retransmits = 0;
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    SoakOutcome outcome = RunSoak(seed);
-    EXPECT_TRUE(IsDocumentedOutcome(outcome.status))
-        << "seed " << seed << ": " << outcome.status.ToString();
-    EXPECT_LE(outcome.max_executions_per_xid, 1)
-        << "seed " << seed << " executed some xid more than once";
-    if (outcome.status.ok()) {
-      ++ok_runs;
-      EXPECT_EQ(outcome.stats.bytes_read, kSoakFileSize) << "seed " << seed;
-      total_retransmits += outcome.stats.retransmits;
+  for (Shape shape : kShapes) {
+    SCOPED_TRACE(ShapeName(shape));
+    int ok_runs = 0;
+    uint64_t total_retransmits = 0;
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      SoakOutcome outcome = RunSoak(SeededSpec(shape, seed));
+      EXPECT_TRUE(IsDocumentedOutcome(outcome.status))
+          << "seed " << seed << ": " << outcome.status.ToString();
+      EXPECT_LE(outcome.max_executions, 1)
+          << "seed " << seed << " executed some (conn, xid) twice";
+      if (outcome.status.ok()) {
+        ++ok_runs;
+        EXPECT_EQ(outcome.stats.bytes_read, kSoakFileSize) << "seed " << seed;
+      }
+      total_retransmits += outcome.retransmits;
     }
+    // The mix is tuned so the soak exercises both success and recovery:
+    // most seeds should finish, and the wire should have misbehaved.
+    EXPECT_GE(ok_runs, 6);
+    EXPECT_GT(total_retransmits, 0u);
   }
-  // The mix is tuned so the soak exercises both success and recovery: most
-  // seeds should finish, and the wire should have actually misbehaved.
-  EXPECT_GE(ok_runs, 6);
-  EXPECT_GT(total_retransmits, 0u);
 }
 
 TEST(FaultSoakTest, SameSeedTwiceYieldsIdenticalTraceCounters) {
-  for (uint64_t seed : {3u, 7u}) {
-    SoakOutcome first = RunSoak(seed);
-    SoakOutcome second = RunSoak(seed);
-    EXPECT_EQ(first.status.code(), second.status.code()) << "seed " << seed;
-    for (size_t i = 0; i < kTraceCounterCount; ++i) {
-      EXPECT_EQ(first.trace.counters[i], second.trace.counters[i])
-          << "seed " << seed << " counter "
-          << TraceCounterName(static_cast<TraceCounter>(i));
+  // Counters and recordings both: the serialized recording omits host
+  // wall stamps, so a same-seed rerun must match it byte for byte.
+  for (Shape shape : kShapes) {
+    for (uint64_t seed : {3u, 7u}) {
+      SCOPED_TRACE(std::string(ShapeName(shape)) + " seed " +
+                   std::to_string(seed));
+      SoakOutcome first = RunSoak(SeededSpec(shape, seed));
+      SoakOutcome second = RunSoak(SeededSpec(shape, seed));
+      EXPECT_EQ(first.status.code(), second.status.code());
+      for (size_t i = 0; i < kTraceCounterCount; ++i) {
+        EXPECT_EQ(first.trace.counters[i], second.trace.counters[i])
+            << TraceCounterName(static_cast<TraceCounter>(i));
+      }
+      EXPECT_GT(first.recording.size(), 1024u);
+      EXPECT_EQ(first.recording, second.recording);
     }
   }
 }
 
-TEST(FaultSoakTest, NfsDroppedReplyProvesAtMostOnce) {
-  // The acceptance scenario at the NFS layer: a single-chunk read whose
-  // reply datagram is dropped. The retransmitted request must be answered
-  // from the reply cache — one server execution, one dup-cache hit, OK.
+// One chunk, the first reply frame eaten: one retransmit, answered from
+// the reply cache — one execution, one dup-cache hit, OK.
+void ExpectDroppedReplyAnsweredFromCache(uint32_t window) {
   NfsFileServer server(kNfsMaxData, /*seed=*/21);
   NfsClient client(&server, LinkModel(), RemoteServerModel());
   VirtualClock clock;
+  EventQueue events(&clock);
   FaultPlan reply_eater;
   reply_eater.DropExactly(0, 0);
   DatagramChannel channel(LinkModel(), FaultPlan(), std::move(reply_eater),
                           &clock);
-  RetryingTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                              RemoteServerModel(), RetryPolicy{});
-
-  auto stats = client.ReadFileLossy(
-      NfsClient::StubKind::kGeneratedUserBuffer, &transport);
+  MuxPolicy policy;
+  policy.per_conn_window = window;
+  ServerConnection rpc(&channel, NfsFileServer::MakeHandler(&server), policy,
+                       &events);
+  auto stats = client.ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                   &rpc, &clock);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->bytes_read, kNfsMaxData);
-  EXPECT_EQ(stats->retransmits, 1u);
-  EXPECT_EQ(stats->dup_cache_hits, 1u);
-  EXPECT_EQ(stats->server_executions, 1u);
+  EXPECT_EQ(rpc.mux().stats().retransmits, 1u);
+  EXPECT_EQ(rpc.dispatch().stats().dup_replies, 1u);
+  EXPECT_EQ(rpc.dispatch().stats().executions, 1u);
+}
+
+TEST(FaultSoakTest, NfsDroppedReplyProvesAtMostOnce) {
+  ExpectDroppedReplyAnsweredFromCache(/*window=*/1);
 }
 
 TEST(FaultSoakTest, NfsBlackHoleDegradesWithinDeadline) {
@@ -179,108 +268,53 @@ TEST(FaultSoakTest, NfsBlackHoleDegradesWithinDeadline) {
   NfsFileServer server(kNfsMaxData, /*seed=*/22);
   NfsClient client(&server, LinkModel(), RemoteServerModel());
   VirtualClock clock;
+  EventQueue events(&clock);
   FaultConfig black_hole;
   black_hole.drop_prob = 1.0;
   DatagramChannel channel(LinkModel(), FaultPlan{black_hole},
                           FaultPlan{black_hole}, &clock);
-  RetryPolicy policy;
-  policy.max_attempts = 6;
-  policy.deadline_nanos = 2'000'000'000;
-  RetryingTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                              RemoteServerModel(), policy);
-
-  auto stats = client.ReadFileLossy(
-      NfsClient::StubKind::kGeneratedUserBuffer, &transport);
+  MuxPolicy policy;
+  policy.per_conn_window = 1;
+  policy.retry.max_attempts = 6;
+  policy.retry.deadline_nanos = 2'000'000'000;
+  ServerConnection rpc(&channel, NfsFileServer::MakeHandler(&server), policy,
+                       &events);
+  auto stats = client.ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                   &rpc, &clock);
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().code() == StatusCode::kUnavailable ||
               stats.status().code() == StatusCode::kDeadlineExceeded)
       << stats.status().ToString();
-  EXPECT_LE(clock.now_nanos(), policy.deadline_nanos + 100'000'000);
+  EXPECT_LE(clock.now_nanos(), policy.retry.deadline_nanos);
 }
 
-// --- pipelined-path interaction matrix (ISSUE 4, satellite 5) -----------
+// --- pipelined fault interactions ---------------------------------------
 //
-// The sliding-window transport multiplexes several xids over the same
-// lossy wire, so fault interactions the serial path never sees (a stale
-// reply for an already-completed call racing a fresh one, a reordered
-// duplicate landing mid-retransmit) are exercised here explicitly.
+// The window multiplexes several xids over the same lossy wire, so fault
+// interactions a stop-and-wait call never sees (a stale reply for an
+// already-completed call racing a fresh one, a reordered duplicate landing
+// mid-retransmit) are exercised here explicitly.
 
-struct PipelinedOutcome {
-  Status status = Status::Ok();
-  NfsClient::ReadStats stats;
-  int max_executions_per_xid = 0;
-  PipelinedTransport::Stats rpc;
-  TraceSnapshot trace;
-  uint64_t virtual_nanos = 0;
-};
-
-PipelinedOutcome RunPipelinedSoak(uint64_t seed, const FaultConfig& to_server,
-                                  const FaultConfig& to_client,
-                                  uint32_t window = 8,
-                                  size_t chunk_bytes = 2048,
-                                  bool adaptive = false) {
-  TraceSession session;
-
-  NfsFileServer server(kSoakFileSize, /*seed=*/seed);
-  NfsClient client(&server, LinkModel(), RemoteServerModel());
-  VirtualClock clock;
-  DatagramChannel channel(LinkModel(), FaultPlan(to_server),
-                          FaultPlan(to_client), &clock);
-  EventQueue events(&clock);
-
-  std::map<uint32_t, int> executions;
-  DatagramHandler inner = NfsFileServer::MakeHandler(&server);
-  DatagramHandler counting = [&executions, inner](
-                                 ByteSpan request,
-                                 std::vector<uint8_t>* reply) {
-    auto xid = PeekXid(request);
-    if (xid.ok()) {
-      ++executions[*xid];
-    }
-    return inner(request, reply);
-  };
-
-  PipelinePolicy policy;
-  policy.window = window;
-  policy.retry.max_attempts = 12;
-  policy.retry.deadline_nanos = 8'000'000'000;
-  policy.retry.jitter_seed = seed + 1;
-  policy.retry.adaptive.enabled = adaptive;
-  PipelinedTransport transport(&channel, counting, RemoteServerModel(),
-                               policy, &events);
-
-  PipelinedOutcome outcome;
-  auto stats = client.ReadFilePipelined(
-      NfsClient::StubKind::kGeneratedUserBuffer, &transport, chunk_bytes);
-  if (stats.ok()) {
-    outcome.stats = *stats;
-  } else {
-    outcome.status = stats.status();
-  }
-  for (const auto& [xid, count] : executions) {
-    outcome.max_executions_per_xid =
-        std::max(outcome.max_executions_per_xid, count);
-  }
-  outcome.rpc = transport.stats();
-  outcome.trace = session.Report();
-  outcome.virtual_nanos = clock.now_nanos();
-  return outcome;
+SoakOutcome RunPipelined(uint64_t seed, const FaultConfig& to_server,
+                         const FaultConfig& to_client) {
+  return RunSoak({Shape::kPipelined, seed, to_server, to_client, 8, 2048});
 }
 
 TEST(PipelinedFaultMatrixTest, ReorderPlusDuplicateKeepsAtMostOnce) {
   // Reordering shuffles which in-flight xid's reply lands first;
   // duplication makes the shuffled frames arrive twice. The window must
-  // still match every reply by xid and the dup cache must absorb the rest.
+  // still match every reply by (conn, xid) and the dup cache must absorb
+  // the rest.
   FaultConfig mix;
   mix.reorder_prob = 0.5;
   mix.dup_prob = 0.5;
   mix.seed = 1001;
-  PipelinedOutcome outcome = RunPipelinedSoak(31, mix, mix);
+  SoakOutcome outcome = RunPipelined(31, mix, mix);
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.stats.bytes_read, kSoakFileSize);
-  EXPECT_LE(outcome.max_executions_per_xid, 1);
-  EXPECT_GT(outcome.rpc.dup_cache_hits, 0u);   // duplicates were absorbed
-  EXPECT_EQ(outcome.rpc.dup_cache_misses, outcome.stats.rpc_calls);
+  EXPECT_LE(outcome.max_executions, 1);
+  EXPECT_GT(outcome.dup_replies, 0u);  // duplicates were absorbed
+  EXPECT_EQ(outcome.executions, outcome.stats.rpc_calls);
 }
 
 TEST(PipelinedFaultMatrixTest, StaleReplyFloodIsCountedAndIgnored) {
@@ -290,87 +324,86 @@ TEST(PipelinedFaultMatrixTest, StaleReplyFloodIsCountedAndIgnored) {
   FaultConfig reply_dupper;
   reply_dupper.dup_prob = 1.0;
   reply_dupper.seed = 1002;
-  PipelinedOutcome outcome =
-      RunPipelinedSoak(32, FaultConfig{}, reply_dupper);
+  SoakOutcome outcome = RunPipelined(32, FaultConfig{}, reply_dupper);
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.stats.bytes_read, kSoakFileSize);
-  EXPECT_LE(outcome.max_executions_per_xid, 1);
-  EXPECT_GT(outcome.rpc.stale_replies, 0u);
+  EXPECT_LE(outcome.max_executions, 1);
+  EXPECT_GT(outcome.stale_replies, 0u);
   // Duplicated frames double the reply wire's occupancy, so queueing delay
   // can push some replies past the RTO — retransmits are allowed, but every
   // one of them must have been answered from the cache, not re-executed.
-  EXPECT_EQ(outcome.rpc.dup_cache_misses, outcome.stats.rpc_calls);
+  EXPECT_EQ(outcome.executions, outcome.stats.rpc_calls);
 }
 
 TEST(PipelinedFaultMatrixTest, CorruptThenRetransmitRecoversViaDupCache) {
-  // Corrupt a good fraction of reply frames. The pipelined path treats a
-  // checksum failure as a drop, so the RTO retransmits and the server's
-  // reply cache answers without re-executing the work function.
+  // Corrupt a good fraction of reply frames. A checksum failure is a drop,
+  // so the RTO retransmits and the server's reply cache answers without
+  // re-executing the work function.
   FaultConfig corruptor;
   corruptor.corrupt_prob = 0.5;
   corruptor.seed = 1003;
-  PipelinedOutcome outcome =
-      RunPipelinedSoak(33, FaultConfig{}, corruptor);
+  SoakOutcome outcome = RunPipelined(33, FaultConfig{}, corruptor);
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.stats.bytes_read, kSoakFileSize);
-  EXPECT_LE(outcome.max_executions_per_xid, 1);
-  EXPECT_GT(outcome.rpc.corrupt_replies, 0u);
-  EXPECT_GT(outcome.rpc.retransmits, 0u);
-  EXPECT_GT(outcome.rpc.dup_cache_hits, 0u);
+  EXPECT_LE(outcome.max_executions, 1);
+  EXPECT_GT(outcome.corrupt_replies, 0u);
+  EXPECT_GT(outcome.retransmits, 0u);
+  EXPECT_GT(outcome.dup_replies, 0u);
 }
 
 TEST(PipelinedFaultMatrixTest, SameSeedTwiceMatchesPipelineCounters) {
-  // Two-run determinism, including the rpc.pipeline.* counters: the event
-  // queue's FIFO tie-break plus seeded fault plans make the whole pipelined
-  // soak a pure function of the seed.
+  // Two-run determinism of the whole counter catalog, the engine's
+  // rpc.mux.* family included: the event queue's FIFO tie-break plus
+  // seeded fault plans make the pipelined soak a pure function of the seed.
   FaultConfig mix = MixForSeed(5, 0xA2B);
   FaultConfig reply_mix = MixForSeed(5, 0xB2A);
-  PipelinedOutcome first = RunPipelinedSoak(5, mix, reply_mix);
-  PipelinedOutcome second = RunPipelinedSoak(5, mix, reply_mix);
+  SoakOutcome first = RunPipelined(5, mix, reply_mix);
+  SoakOutcome second = RunPipelined(5, mix, reply_mix);
   EXPECT_EQ(first.status.code(), second.status.code());
   EXPECT_EQ(first.virtual_nanos, second.virtual_nanos);
   for (size_t i = 0; i < kTraceCounterCount; ++i) {
     EXPECT_EQ(first.trace.counters[i], second.trace.counters[i])
         << "counter " << TraceCounterName(static_cast<TraceCounter>(i));
   }
-  EXPECT_GT(first.trace.counters[static_cast<size_t>(
-                TraceCounter::kRpcPipelineCalls)],
-            0u);
-  EXPECT_GT(first.trace.counters[static_cast<size_t>(
-                TraceCounter::kRpcPipelineEvents)],
-            0u);
+  EXPECT_GT(first.trace.counter(TraceCounter::kRpcMuxCalls), 0u);
+  EXPECT_GT(first.trace.counter(TraceCounter::kRpcMuxRetransmits), 0u);
 }
 
 TEST(PipelinedFaultMatrixTest, SameSeedRecordingsAreByteIdentical) {
-  // The flight-recorder determinism gate (ISSUE 5): the serialized
-  // recording omits host wall stamps by default, so two runs of the same
-  // seeded lossy workload must produce *byte-identical* artifacts — the
-  // contract that makes recordings diffable across CI runs and machines.
+  // The flight-recorder determinism gate: the serialized recording omits
+  // host wall stamps by default, so two runs of the same seeded lossy
+  // workload must produce *byte-identical* artifacts — the contract that
+  // makes recordings diffable across CI runs and machines.
   FaultConfig mix = MixForSeed(5, 0xA2B);
   FaultConfig reply_mix = MixForSeed(5, 0xB2A);
-  std::string first;
-  {
-    RecorderSession recorder;
-    RunPipelinedSoak(5, mix, reply_mix);
-    first = RecordingToJson(recorder.Stop());
-  }
-  std::string second;
-  {
-    RecorderSession recorder;
-    RunPipelinedSoak(5, mix, reply_mix);
-    second = RecordingToJson(recorder.Stop());
-  }
+  std::string first = RunPipelined(5, mix, reply_mix).recording;
+  std::string second = RunPipelined(5, mix, reply_mix).recording;
   EXPECT_GT(first.size(), 1024u);  // the run actually recorded a timeline
   EXPECT_EQ(first, second);
 }
 
-// --- adaptive transport under faults (ISSUE 7) --------------------------
+TEST(PipelinedFaultMatrixTest, NfsDroppedReplyProvesAtMostOncePipelined) {
+  ExpectDroppedReplyAnsweredFromCache(/*window=*/8);
+}
+
+// --- the adaptive engine under faults ------------------------------------
 //
-// The adaptive acceptance bar from the issue: across the fault matrix the
-// flight-recorder classification must attribute (essentially) every
-// retransmit to a recorded loss — a spurious RTO means the estimator
-// under-timed a healthy round trip, the failure mode the whole subsystem
+// Across the fault matrix the flight-recorder classification must
+// attribute every retransmit to a recorded loss — a spurious RTO means the
+// estimator under-timed a healthy round trip, the failure mode adaptation
 // exists to eliminate.
+
+SoakOutcome RunFullChunks(const FaultConfig& to_server,
+                          const FaultConfig& to_client, bool adaptive) {
+  return RunSoak({Shape::kPipelined, 41, to_server, to_client, 16,
+                  kNfsMaxData, adaptive});
+}
+
+RecordingAnalysis Analyze(const SoakOutcome& outcome) {
+  auto parsed = ParseRecording(outcome.recording);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return parsed.ok() ? AnalyzeRecording(*parsed) : RecordingAnalysis{};
+}
 
 TEST(AdaptiveFaultMatrixTest, SpuriousRetransmitsStayZeroAcrossMatrix) {
   struct Case {
@@ -394,21 +427,18 @@ TEST(AdaptiveFaultMatrixTest, SpuriousRetransmitsStayZeroAcrossMatrix) {
     matrix.push_back({"drop10", dropper, dropper});
   }
   {
-    FaultConfig corruptor;  // checksum failures count as losses too
+    FaultConfig corruptor;  // a corrupt reply is a drop its RTO covers
     corruptor.corrupt_prob = 0.30;
     corruptor.seed = 2003;
     matrix.push_back({"corrupt30", FaultConfig{}, corruptor});
   }
 
   for (const Case& c : matrix) {
-    RecorderSession recorder;
-    PipelinedOutcome outcome =
-        RunPipelinedSoak(41, c.to_server, c.to_client, /*window=*/16,
-                         /*chunk_bytes=*/kNfsMaxData, /*adaptive=*/true);
-    RecordingAnalysis analysis = AnalyzeRecording(recorder.Stop());
+    SoakOutcome outcome = RunFullChunks(c.to_server, c.to_client, true);
+    RecordingAnalysis analysis = Analyze(outcome);
     ASSERT_TRUE(outcome.status.ok())
         << c.name << ": " << outcome.status.ToString();
-    EXPECT_LE(outcome.max_executions_per_xid, 1) << c.name;
+    EXPECT_LE(outcome.max_executions, 1) << c.name;
     EXPECT_EQ(analysis.spurious_retransmits, 0u)
         << c.name << ": " << analysis.total_retransmits
         << " retransmits, " << analysis.drop_induced_retransmits
@@ -424,13 +454,9 @@ TEST(AdaptiveFaultMatrixTest, FixedWindowCollapsesWhereAdaptiveDoesNot) {
   // Control for the test above: the same full-size-chunk workload with a
   // fixed window of 16 at the default 20 ms RTO DOES retransmit
   // spuriously — proving the matrix would catch an estimator regression.
-  RecorderSession recorder;
-  PipelinedOutcome outcome =
-      RunPipelinedSoak(41, FaultConfig{}, FaultConfig{}, /*window=*/16,
-                       /*chunk_bytes=*/kNfsMaxData, /*adaptive=*/false);
-  RecordingAnalysis analysis = AnalyzeRecording(recorder.Stop());
+  SoakOutcome outcome = RunFullChunks(FaultConfig{}, FaultConfig{}, false);
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  EXPECT_GT(analysis.spurious_retransmits, 0u)
+  EXPECT_GT(Analyze(outcome).spurious_retransmits, 0u)
       << "the collapse scenario stopped collapsing — the adaptive matrix "
          "has lost its control";
 }
@@ -439,52 +465,17 @@ TEST(AdaptiveFaultMatrixTest, SameSeedAdaptiveRecordingsAreByteIdentical) {
   // Determinism extends to the adaptive control loop: estimator state,
   // AIMD moves, and their kRttSample/kCwndChange events are pure
   // functions of the seed, so two adaptive runs serialize identically.
-  FaultConfig mix = MixForSeed(5, 0xA2B);
-  FaultConfig reply_mix = MixForSeed(5, 0xB2A);
-  std::string first;
-  {
-    RecorderSession recorder;
-    RunPipelinedSoak(5, mix, reply_mix, /*window=*/16,
-                     /*chunk_bytes=*/2048, /*adaptive=*/true);
-    first = RecordingToJson(recorder.Stop());
-  }
-  std::string second;
-  {
-    RecorderSession recorder;
-    RunPipelinedSoak(5, mix, reply_mix, /*window=*/16,
-                     /*chunk_bytes=*/2048, /*adaptive=*/true);
-    second = RecordingToJson(recorder.Stop());
-  }
+  SoakSpec spec = SeededSpec(Shape::kPipelined, 5);
+  spec.window = 16;
+  spec.chunk_bytes = 2048;
+  spec.adaptive = true;
+  std::string first = RunSoak(spec).recording;
+  std::string second = RunSoak(spec).recording;
   EXPECT_GT(first.size(), 1024u);
   EXPECT_EQ(first, second);
   // The recording really carries the adaptive timeline.
   EXPECT_NE(first.find("rtt_sample"), std::string::npos);
   EXPECT_NE(first.find("cwnd_change"), std::string::npos);
-}
-
-TEST(PipelinedFaultMatrixTest, NfsDroppedReplyProvesAtMostOncePipelined) {
-  // The serial acceptance scenario, replayed through the window: one reply
-  // datagram eaten, one retransmit, one dup-cache hit, one execution.
-  TraceSession session;
-  NfsFileServer server(kNfsMaxData, /*seed=*/23);
-  NfsClient client(&server, LinkModel(), RemoteServerModel());
-  VirtualClock clock;
-  FaultPlan eater;
-  eater.DropExactly(0, 0);
-  DatagramChannel channel(LinkModel(), FaultPlan(), std::move(eater),
-                          &clock);
-  EventQueue events(&clock);
-  PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                               RemoteServerModel(), PipelinePolicy{},
-                               &events);
-
-  auto stats = client.ReadFilePipelined(
-      NfsClient::StubKind::kGeneratedUserBuffer, &transport);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->bytes_read, kNfsMaxData);
-  EXPECT_EQ(stats->retransmits, 1u);
-  EXPECT_EQ(stats->dup_cache_hits, 1u);
-  EXPECT_EQ(stats->server_executions, 1u);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "src/apps/nfs.h"
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
-#include "src/rpc/pipeline.h"
+#include "src/rpc/dispatch.h"
 #include "src/support/event_queue.h"
 #include "src/support/json.h"
 #include "src/support/recorder.h"
@@ -184,7 +184,7 @@ TEST(RecorderTest, ParseRejectsUnknownEventName) {
 
 // --- a real seeded lossy pipelined NFS run ------------------------------
 //
-// The acceptance workload: window-8 pipelined read over a drop/dup/reorder
+// The acceptance workload: a window-8 engine read over a drop/dup/reorder
 // wire, recorded end to end. Everything downstream (export, analysis,
 // determinism) is asserted against this recording.
 
@@ -206,14 +206,14 @@ Recording RecordLossyPipelinedRead(
   DatagramChannel channel(LinkModel(), FaultPlan{TestLossyMix(205)},
                           FaultPlan{TestLossyMix(206)}, &clock);
   EventQueue events(&clock);
-  PipelinePolicy policy;
-  policy.window = 8;
+  MuxPolicy policy;
+  policy.per_conn_window = 8;
   policy.retry.deadline_nanos = 60'000'000'000;
   policy.retry.initial_rto_nanos = 20'000'000;
-  PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                               RemoteServerModel(), policy, &events);
-  auto stats = client.ReadFilePipelined(
-      NfsClient::StubKind::kGeneratedUserBuffer, &transport, 2048);
+  ServerConnection rpc(&channel, NfsFileServer::MakeHandler(&server), policy,
+                       &events);
+  auto stats = client.ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                   &rpc, &clock, 2048);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   return recorder.Stop();
 }

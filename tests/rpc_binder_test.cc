@@ -1,7 +1,7 @@
-// flexbind unit tests: the FailoverTracker state machine, the pipelined
-// transport's Cancel/observer surface (including the corrupt-reply loss
-// signal, DESIGN.md §11), and the BinderTransport's routing, cutover, and
-// probe/reinstate behavior over scripted per-replica faults.
+// flexbind unit tests: the FailoverTracker state machine and the
+// BinderTransport's routing, cutover, probe/reinstate behavior, xid
+// contract, and teardown over scripted per-replica faults. Each replica is
+// a 1×W call engine (ServerConnection).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "src/net/link.h"
 #include "src/rpc/binder.h"
 #include "src/rpc/failover.h"
-#include "src/rpc/pipeline.h"
 #include "src/rpc/retry.h"
 #include "src/support/event_queue.h"
 #include "src/support/status.h"
@@ -93,8 +92,8 @@ TEST(FailoverTrackerTest, AnySuccessReinstatesAndResetsBackoff) {
 
 // --- shared rigging -----------------------------------------------------
 
-// 4-byte big-endian xid + filler; the echo handler reflects the request
-// back, so the reply's PeekXid matches trivially.
+// 4-byte big-endian xid + filler as the call body; the echo handler
+// reflects the whole request (engine prefix included) back.
 std::vector<uint8_t> MakeRequest(uint32_t xid, size_t payload = 4) {
   std::vector<uint8_t> req = {
       static_cast<uint8_t>(xid >> 24), static_cast<uint8_t>(xid >> 16),
@@ -103,9 +102,9 @@ std::vector<uint8_t> MakeRequest(uint32_t xid, size_t payload = 4) {
   return req;
 }
 
-PipelinePolicy FastPipeline() {
-  PipelinePolicy p;
-  p.window = 8;
+MuxPolicy FastPipeline() {
+  MuxPolicy p;
+  p.per_conn_window = 8;
   p.retry.initial_rto_nanos = 5'000'000;  // 5 ms: fast failure detection
   p.retry.max_rto_nanos = 40'000'000;
   p.retry.max_attempts = 12;
@@ -120,7 +119,7 @@ class BinderRig {
  public:
   BinderRig(std::vector<std::pair<FaultPlan, FaultPlan>> plans,
             BinderPolicy binder_policy,
-            PipelinePolicy pipeline_policy = FastPipeline())
+            MuxPolicy pipeline_policy = FastPipeline())
       : events_(&clock_) {
     size_t n = plans.size();
     executions_.resize(n);
@@ -139,8 +138,7 @@ class BinderRig {
         reply->assign(request.begin(), request.end());
         return Status::Ok();
       };
-      specs.push_back({channels_.back().get(), std::move(handler),
-                       RemoteServerModel()});
+      specs.push_back({channels_.back().get(), std::move(handler)});
     }
     group_ = std::make_unique<ReplicaGroup>(std::move(specs),
                                             pipeline_policy, &events_);
@@ -149,6 +147,7 @@ class BinderRig {
   }
 
   BinderTransport& binder() { return *binder_; }
+  void DestroyBinder() { binder_.reset(); }
   EventQueue& events() { return events_; }
   const std::map<uint32_t, int>& executions(size_t replica) const {
     return executions_[replica];
@@ -190,105 +189,6 @@ BinderPolicy EchoProbePolicy() {
   p.failover = FastFailover();
   p.make_probe = [](uint32_t xid) { return MakeRequest(xid); };
   return p;
-}
-
-// --- PipelinedTransport::Cancel -----------------------------------------
-
-TEST(PipelineCancelTest, CancelInFlightSuppressesItsCompletion) {
-  VirtualClock clock;
-  EventQueue events(&clock);
-  DatagramChannel channel(LinkModel(), FaultPlan(), FaultPlan(), &clock);
-  DatagramHandler echo = [](ByteSpan request, std::vector<uint8_t>* reply) {
-    reply->assign(request.begin(), request.end());
-    return Status::Ok();
-  };
-  PipelinedTransport transport(&channel, echo, RemoteServerModel(),
-                               FastPipeline(), &events);
-  bool cancelled_completed = false;
-  bool kept_completed = false;
-  auto req1 = MakeRequest(1);
-  auto req2 = MakeRequest(2);
-  transport.Submit(1, ByteSpan(req1.data(), req1.size()),
-                   [&](Status, std::vector<uint8_t>) {
-                     cancelled_completed = true;
-                   });
-  transport.Submit(2, ByteSpan(req2.data(), req2.size()),
-                   [&](Status status, std::vector<uint8_t>) {
-                     kept_completed = status.ok();
-                   });
-  EXPECT_TRUE(transport.Cancel(1));
-  EXPECT_FALSE(transport.Cancel(1));   // already withdrawn
-  EXPECT_FALSE(transport.Cancel(99));  // never existed
-  ASSERT_TRUE(transport.Drive().ok());
-  EXPECT_FALSE(cancelled_completed);
-  EXPECT_TRUE(kept_completed);
-  // Xid 1's request was already on the wire; its reply must land as a
-  // stale reply, not a crash or a resurrected completion.
-  EXPECT_GE(transport.stats().stale_replies, 1u);
-}
-
-TEST(PipelineCancelTest, CancelQueuedCallNeverTransmits) {
-  VirtualClock clock;
-  EventQueue events(&clock);
-  DatagramChannel channel(LinkModel(), FaultPlan(), FaultPlan(), &clock);
-  DatagramHandler echo = [](ByteSpan request, std::vector<uint8_t>* reply) {
-    reply->assign(request.begin(), request.end());
-    return Status::Ok();
-  };
-  PipelinePolicy policy = FastPipeline();
-  policy.window = 1;  // force xid 2 to queue behind xid 1
-  PipelinedTransport transport(&channel, echo, RemoteServerModel(), policy,
-                               &events);
-  bool queued_completed = false;
-  auto req1 = MakeRequest(1);
-  auto req2 = MakeRequest(2);
-  transport.Submit(1, ByteSpan(req1.data(), req1.size()),
-                   [](Status, std::vector<uint8_t>) {});
-  transport.Submit(2, ByteSpan(req2.data(), req2.size()),
-                   [&](Status, std::vector<uint8_t>) {
-                     queued_completed = true;
-                   });
-  EXPECT_TRUE(transport.Cancel(2));
-  ASSERT_TRUE(transport.Drive().ok());
-  EXPECT_FALSE(queued_completed);
-  // Only xid 1 ever reached the wire.
-  EXPECT_EQ(transport.stats().calls, 2u);
-  EXPECT_EQ(transport.stats().stale_replies, 0u);
-}
-
-// --- the §11 divergence, fixed: corrupt replies feed the loss signal ----
-
-TEST(PipelineCorruptLossTest, CorruptRepliesFeedTheAimdLossSignal) {
-  // Reply direction: every frame is duplicated AND corrupted. The channel
-  // transmits the clean duplicate first and the corrupted original second,
-  // so every call completes off the clean copy before its RTO can fire —
-  // zero retransmits, zero RTO-driven loss signals. The only evidence of
-  // trouble is the stream of checksum failures; before the corrupt-as-loss
-  // fix the AIMD window ignored them (cwnd_decreases stayed 0), after it
-  // they feed OnLoss exactly like an RTO fire.
-  TraceSession session;
-  NfsFileServer server(64 * 1024, /*seed=*/7);
-  NfsClient client(&server, LinkModel(), RemoteServerModel());
-  VirtualClock clock;
-  FaultConfig reply_mangler;
-  reply_mangler.dup_prob = 1.0;
-  reply_mangler.corrupt_prob = 1.0;
-  reply_mangler.seed = 4242;
-  DatagramChannel channel(LinkModel(), FaultPlan(),
-                          FaultPlan(reply_mangler), &clock);
-  EventQueue events(&clock);
-  PipelinePolicy policy;
-  policy.retry.jitter_seed = 7;
-  policy.retry.adaptive.enabled = true;
-  PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                               RemoteServerModel(), policy, &events);
-  auto stats = client.ReadFilePipelined(
-      NfsClient::StubKind::kGeneratedUserBuffer, &transport, 2048);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(transport.stats().retransmits, 0u);
-  EXPECT_GE(transport.stats().corrupt_replies, 1u);
-  EXPECT_GE(transport.stats().cwnd_decreases, 1u)
-      << "corrupt replies must reach the AIMD controller";
 }
 
 // --- BinderTransport ----------------------------------------------------
@@ -358,13 +258,37 @@ TEST(BinderTest, TransientOutageIsProbedAndReinstated) {
 }
 
 TEST(BinderTest, ManagedNfsReadOverPerfectWiresMatchesPipelined) {
-  // The managed path over healthy replicas is just the pipelined path
-  // with routing in front: a full NFS read must verify byte-identical.
-  NfsFileServer server(64 * 1024, /*seed=*/11);
+  // The managed path over healthy replicas is just the 1×W engine with
+  // routing in front: a full NFS read must verify byte-identical and take
+  // exactly the virtual time the bare engine takes.
+  constexpr size_t kFile = 64 * 1024;
+  NfsFileServer server(kFile, /*seed=*/11);
+  // Default tuning: the aggressive 5 ms test RTO false-fires on real NFS
+  // reply latencies; the clean path must look exactly like the pipelined
+  // path, spurious suspects included.
+  MuxPolicy pipeline;
+  pipeline.per_conn_window = 8;
+  pipeline.retry.jitter_seed = 11;
+
+  uint64_t bare_nanos = 0;
+  {
+    NfsClient client(&server, LinkModel(), RemoteServerModel());
+    VirtualClock clock;
+    EventQueue events(&clock);
+    DatagramChannel channel(LinkModel(), FaultPlan(), FaultPlan(), &clock);
+    ServerConnection rpc(&channel, NfsFileServer::MakeHandler(&server),
+                         pipeline, &events);
+    ASSERT_TRUE(client
+                    .ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                  &rpc, &clock, 2048)
+                    .ok());
+    bare_nanos = clock.now_nanos();
+  }
+
   std::vector<NfsFileServer> replicas;
   replicas.reserve(3);
   for (int i = 0; i < 3; ++i) {
-    replicas.emplace_back(64 * 1024, /*seed=*/11);
+    replicas.emplace_back(kFile, /*seed=*/11);
   }
   NfsClient client(&server, LinkModel(), RemoteServerModel());
   VirtualClock clock;
@@ -375,22 +299,57 @@ TEST(BinderTest, ManagedNfsReadOverPerfectWiresMatchesPipelined) {
     channels.push_back(std::make_unique<DatagramChannel>(
         LinkModel(), FaultPlan(), FaultPlan(), &clock));
     specs.push_back({channels.back().get(),
-                     NfsFileServer::MakeHandler(&replicas[i]),
-                     RemoteServerModel()});
+                     NfsFileServer::MakeHandler(&replicas[i])});
   }
-  // Default tuning: the aggressive 5 ms test RTO false-fires on real NFS
-  // reply latencies; the clean path must look exactly like the pipelined
-  // path, spurious suspects included.
-  PipelinePolicy pipeline;
-  pipeline.retry.jitter_seed = 11;
   ReplicaGroup group(std::move(specs), pipeline, &events);
   BinderTransport binder(&group, BinderPolicy{});
-  auto stats = client.ReadFileManaged(
-      NfsClient::StubKind::kGeneratedUserBuffer, &binder, 2048);
+  auto stats = client.ReadFileOver(NfsClient::StubKind::kGeneratedUserBuffer,
+                                   &binder, &clock, 2048);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->bytes_read, 64u * 1024u);
-  EXPECT_EQ(stats->retransmits, 0u);
+  EXPECT_EQ(stats->bytes_read, kFile);
+  EXPECT_EQ(group.replica(0)->mux().stats().retransmits, 0u);
   EXPECT_EQ(binder.stats().cutovers, 0u);
+  EXPECT_EQ(clock.now_nanos(), bare_nanos);
+}
+
+TEST(BinderTest, DuplicateXidIsRejectedNotLost) {
+  // A second Submit under an xid still bound to a replica used to alias
+  // the first call's binding: one completion was silently dropped and
+  // Drive returned OK with it never run. Now it is refused, once.
+  BinderRig rig(PerfectWires(2), EchoProbePolicy());
+  std::vector<StatusCode> codes;
+  for (int i = 0; i < 2; ++i) {
+    auto request = MakeRequest(5);
+    rig.binder().Submit(5, ByteSpan(request.data(), request.size()),
+                        [&codes](Status status, std::vector<uint8_t>) {
+                          codes.push_back(status.code());
+                        });
+  }
+  ASSERT_TRUE(rig.binder().Drive().ok());
+  EXPECT_EQ(codes, (std::vector<StatusCode>{StatusCode::kAlreadyExists,
+                                            StatusCode::kOk}));
+  EXPECT_EQ(rig.binder().stats().calls, 1u);
+  EXPECT_EQ(rig.executions(0).at(5), 1);
+}
+
+TEST(BinderTest, DestroyedBinderLeavesNothingQueued) {
+  // Dead primary, one attempt, no re-issues: the RTO fire marks replica 0
+  // suspect and queues a cutover, then the call fails and Drive returns
+  // with that cutover still pending. Destroying the binder must withdraw
+  // it — running it afterwards would call into a dead object.
+  auto plans = PerfectWires(2);
+  plans[0].first.KillFrom(0);
+  plans[0].second.KillFrom(0);
+  BinderPolicy policy;
+  policy.failover.suspect_after = 1;
+  policy.reissue_budget = 0;
+  MuxPolicy pipeline = FastPipeline();
+  pipeline.retry.max_attempts = 1;
+  BinderRig rig(std::move(plans), std::move(policy), pipeline);
+  EXPECT_EQ(rig.RunEchoCalls(1), 0u);
+  EXPECT_GT(rig.events().pending(), 0u);  // the cutover, still queued
+  rig.DestroyBinder();
+  EXPECT_EQ(rig.events().pending(), 0u);
 }
 
 }  // namespace

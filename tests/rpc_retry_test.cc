@@ -1,9 +1,8 @@
 // Unit tests for the lossy-wire substrate (src/net/fault.h,
-// src/net/datagram.h) and the at-most-once retrying transport
-// (src/rpc/retry.h): deterministic fault decisions, checksum framing,
-// xid-keyed retransmission, duplicate suppression, and graceful
-// degradation (kUnavailable / kDeadlineExceeded / kDataLoss — never a
-// hang, never a double execution).
+// src/net/datagram.h) and the at-most-once building blocks
+// (src/rpc/retry.h): deterministic fault decisions, checksum framing, the
+// LRU reply cache, and (connection, xid)-keyed duplicate suppression. The
+// call engine that runs on them is tested in rpc_engine_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
 #include "src/rpc/retry.h"
-#include "src/support/trace.h"
 
 namespace flexrpc {
 namespace {
@@ -378,237 +376,6 @@ TEST(PeekXidTest, BigEndianAndTruncation) {
   auto bad = PeekXid(ByteSpan(bytes, 3));
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss);
-}
-
-// --- RetryingTransport over an echo server -------------------------------
-
-// An at-most-once test rig: the handler echoes the request datagram back
-// (xid stays in front) and counts executions per xid.
-struct EchoRig {
-  explicit EchoRig(FaultPlan to_server, FaultPlan to_client,
-                   RetryPolicy policy = RetryPolicy{})
-      : channel(LinkModel(), std::move(to_server), std::move(to_client),
-                &clock),
-        transport(
-            &channel,
-            [this](ByteSpan request, std::vector<uint8_t>* reply) {
-              auto xid = PeekXid(request);
-              if (!xid.ok()) {
-                return xid.status();
-              }
-              ++executions[*xid];
-              reply->assign(request.begin(), request.end());
-              return Status::Ok();
-            },
-            RemoteServerModel(), policy) {}
-
-  Status Call(uint32_t xid, std::vector<uint8_t>* reply) {
-    uint8_t request[8] = {
-        static_cast<uint8_t>(xid >> 24), static_cast<uint8_t>(xid >> 16),
-        static_cast<uint8_t>(xid >> 8),  static_cast<uint8_t>(xid),
-        0xDE,                            0xAD,
-        0xBE,                            0xEF};
-    return transport.Call(xid, ByteSpan(request, sizeof(request)), reply);
-  }
-
-  VirtualClock clock;
-  DatagramChannel channel;
-  RetryingTransport transport;
-  std::map<uint32_t, int> executions;
-};
-
-TEST(RetryingTransportTest, PerfectWireFirstAttemptSucceeds) {
-  EchoRig rig{FaultPlan(), FaultPlan()};
-  std::vector<uint8_t> reply;
-  ASSERT_TRUE(rig.Call(100, &reply).ok());
-  EXPECT_EQ(reply.size(), 8u);
-  EXPECT_EQ(rig.executions[100], 1);
-  EXPECT_EQ(rig.transport.stats().retransmits, 0u);
-  EXPECT_EQ(rig.transport.stats().dup_cache_misses, 1u);
-}
-
-TEST(RetryingTransportTest, DroppedRequestRetransmits) {
-  FaultPlan to_server;
-  to_server.DropExactly(0, 0);  // lose the first request frame
-  EchoRig rig{std::move(to_server), FaultPlan()};
-  std::vector<uint8_t> reply;
-  ASSERT_TRUE(rig.Call(7, &reply).ok());
-  EXPECT_EQ(rig.executions[7], 1);  // never executed for the lost frame
-  EXPECT_EQ(rig.transport.stats().retransmits, 1u);
-  EXPECT_EQ(rig.transport.stats().dup_cache_hits, 0u);
-  EXPECT_GT(rig.transport.stats().backoff_nanos, 0u);
-}
-
-TEST(RetryingTransportTest, DroppedReplyHitsDupCacheNotTheWorkFunction) {
-  // The at-most-once acceptance case: the request executes, the reply is
-  // lost, the retransmit must be answered from the reply cache.
-  FaultPlan to_client;
-  to_client.DropExactly(0, 0);  // lose the first reply frame
-  EchoRig rig{FaultPlan(), std::move(to_client)};
-  std::vector<uint8_t> reply;
-  ASSERT_TRUE(rig.Call(9, &reply).ok());
-  EXPECT_EQ(rig.executions[9], 1);  // executed exactly once
-  EXPECT_EQ(rig.transport.stats().retransmits, 1u);
-  EXPECT_EQ(rig.transport.stats().dup_cache_hits, 1u);
-  EXPECT_EQ(rig.transport.stats().dup_cache_misses, 1u);
-}
-
-TEST(RetryingTransportTest, TotalLossReturnsUnavailableWithinDeadline) {
-  FaultConfig black_hole;
-  black_hole.drop_prob = 1.0;
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  EchoRig rig{FaultPlan(black_hole), FaultPlan(), policy};
-  std::vector<uint8_t> reply;
-  uint64_t start = rig.clock.now_nanos();
-  Status st = rig.Call(11, &reply);
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(rig.executions.count(11), 0u);
-  EXPECT_EQ(rig.transport.stats().retransmits, 3u);
-  EXPECT_LE(rig.clock.now_nanos() - start, policy.deadline_nanos);
-}
-
-TEST(RetryingTransportTest, DeadlineExceededOnTheVirtualClock) {
-  FaultConfig black_hole;
-  black_hole.drop_prob = 1.0;
-  RetryPolicy policy;
-  policy.max_attempts = 1000;           // budget will not bind
-  policy.deadline_nanos = 100'000'000;  // 100 ms virtual deadline
-  EchoRig rig{FaultPlan(black_hole), FaultPlan(), policy};
-  std::vector<uint8_t> reply;
-  uint64_t start = rig.clock.now_nanos();
-  Status st = rig.Call(12, &reply);
-  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
-  // The call gives up at (not past) the deadline on the virtual clock;
-  // in-flight wire time already charged can exceed it only marginally.
-  EXPECT_LE(rig.clock.now_nanos() - start,
-            policy.deadline_nanos + 10'000'000);
-  EXPECT_GE(rig.transport.stats().deadline_expiries, 1u);
-}
-
-TEST(RetryingTransportTest, LateReplyPastDeadlineIsDeadlineExceeded) {
-  // Regression: Call never rechecked the deadline after Send/PumpServer
-  // advanced the virtual clock, so a reply that arrived long after the
-  // deadline was still returned as OK. With a deadline shorter than one
-  // wire round trip, even a perfect wire delivers the reply too late.
-  RetryPolicy policy;
-  policy.deadline_nanos = 1'000;  // 1 µs: less than any transfer takes
-  EchoRig rig{FaultPlan(), FaultPlan(), policy};
-  std::vector<uint8_t> reply;
-  Status st = rig.Call(40, &reply);
-  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(reply.empty());  // the late reply must not be delivered
-  EXPECT_EQ(rig.executions[40], 1);  // the server did execute it
-  EXPECT_GE(rig.transport.stats().deadline_expiries, 1u);
-}
-
-TEST(RetryingTransportTest, CorruptRepliesRetryByDefault) {
-  FaultConfig mangler;
-  mangler.corrupt_prob = 1.0;  // every reply fails its checksum
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  EchoRig rig{FaultPlan(), FaultPlan(mangler), policy};
-  std::vector<uint8_t> reply;
-  Status st = rig.Call(13, &reply);
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);  // degraded, not hung
-  EXPECT_GE(rig.transport.stats().corrupt_replies, 3u);
-  EXPECT_EQ(rig.executions[13], 1);  // dup cache absorbed the retransmits
-  EXPECT_EQ(rig.transport.stats().dup_cache_hits, 2u);
-}
-
-TEST(RetryingTransportTest, CorruptReplyFailsFastWhenConfigured) {
-  FaultConfig mangler;
-  mangler.corrupt_prob = 1.0;
-  RetryPolicy policy;
-  policy.retry_on_corrupt = false;
-  EchoRig rig{FaultPlan(), FaultPlan(mangler), policy};
-  std::vector<uint8_t> reply;
-  Status st = rig.Call(14, &reply);
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(rig.transport.stats().retransmits, 0u);
-}
-
-TEST(RetryingTransportTest, StaleDuplicateRepliesAreDiscarded) {
-  FaultConfig dupper;
-  dupper.dup_prob = 1.0;  // every reply arrives twice
-  EchoRig rig{FaultPlan(), FaultPlan(dupper)};
-  std::vector<uint8_t> reply;
-  ASSERT_TRUE(rig.Call(20, &reply).ok());
-  // Call 20's duplicate reply is still queued; call 21 must skip past it.
-  ASSERT_TRUE(rig.Call(21, &reply).ok());
-  EXPECT_EQ(PeekXid(ByteSpan(reply.data(), reply.size())).value(), 21u);
-  EXPECT_GE(rig.transport.stats().stale_replies, 1u);
-  EXPECT_EQ(rig.executions[20], 1);
-  EXPECT_EQ(rig.executions[21], 1);
-}
-
-TEST(RetryingTransportTest, BackoffWaitsGrowExponentially) {
-  FaultConfig black_hole;
-  black_hole.drop_prob = 1.0;
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.initial_rto_nanos = 1'000'000;
-  policy.max_rto_nanos = 1'000'000'000;
-  EchoRig rig{FaultPlan(black_hole), FaultPlan(), policy};
-  std::vector<uint8_t> reply;
-  (void)rig.Call(30, &reply);
-  // Three waits of ~1, ~2, ~4 ms (plus ≤25% jitter each).
-  uint64_t backoff = rig.transport.stats().backoff_nanos;
-  EXPECT_GE(backoff, 7'000'000u);
-  EXPECT_LE(backoff, 7'000'000u + 3u * 250'000u + 3u);
-}
-
-// --- VirtualTraceSpan: no wall-clock leakage -----------------------------
-
-TEST(RetryingTransportTest, ServerExecSpanRecordsExactVirtualDuration) {
-  SetTraceEnabled(false);
-  ResetTrace();
-  {
-    TraceSession session;
-    EchoRig rig{FaultPlan(), FaultPlan()};
-    std::vector<uint8_t> reply;
-    ASSERT_TRUE(rig.Call(1, &reply).ok());
-    TraceSnapshot snap = session.Report();
-    const auto& h = snap.histogram(TraceHistogram::kRpcDispatchNanos);
-    // The span brackets server_model_.Process, which advances the virtual
-    // clock by exactly ProcessNanos(reply size) — the histogram sum must
-    // equal that modeled duration, not some host-dependent elapsed time.
-    EXPECT_EQ(h.count, 1u);
-    EXPECT_EQ(h.sum, RemoteServerModel().ProcessNanos(reply.size()));
-  }
-  SetTraceEnabled(false);
-  ResetTrace();
-}
-
-TEST(RetryingTransportTest, TraceSnapshotIsByteIdenticalAcrossRuns) {
-  // Satellite regression: the server-exec path once timed itself with a
-  // wall-clock TraceSpan, leaking host nanos into rpc.dispatch_nanos and
-  // breaking same-seed byte identity of trace artifacts. Two identical
-  // seeded lossy workloads must now serialize identical snapshots,
-  // histograms included.
-  auto run = []() {
-    TraceSession session;
-    FaultConfig mixed = MixedFaults(/*seed=*/17);
-    RetryPolicy policy;
-    policy.max_attempts = 8;
-    policy.deadline_nanos = 4'000'000'000;
-    policy.jitter_seed = 18;
-    EchoRig rig{FaultPlan(mixed), FaultPlan(mixed), policy};
-    std::vector<uint8_t> reply;
-    for (uint32_t xid = 1; xid <= 24; ++xid) {
-      (void)rig.Call(xid, &reply);
-    }
-    return session.ReportJson();
-  };
-  SetTraceEnabled(false);
-  ResetTrace();
-  std::string first = run();
-  std::string second = run();
-  SetTraceEnabled(false);
-  ResetTrace();
-  EXPECT_EQ(first, second);
-  // The workload actually exercised the histograms being compared.
-  EXPECT_NE(first.find("rpc.dispatch_nanos"), std::string::npos);
 }
 
 }  // namespace

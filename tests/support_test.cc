@@ -56,7 +56,7 @@ TEST(StatusTest, AllConstructorsProduceMatchingCodes) {
 }
 
 TEST(StatusTest, TransportDegradationCodes) {
-  // The retrying transport's graceful-degradation states are first-class
+  // The call engine's graceful-degradation states are first-class
   // codes, not kInternal: callers dispatch on them.
   Status deadline = DeadlineExceededError("virtual deadline passed");
   EXPECT_FALSE(deadline.ok());

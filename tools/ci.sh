@@ -37,15 +37,24 @@ run_suite() {
 echo "== plain build + tests =="
 run_suite build
 
+echo "== perfbench build + tests =="
+# perfbench/ is a standalone CMake project that compiles ../src itself;
+# building it here catches a library change that breaks the benchmark.
+# Its tests include the RunFleet equivalence check.
+cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build/perfbench -j "$JOBS" \
+  --target perfbench perfbench_tests
+ctest --test-dir .bench_build/perfbench --output-on-failure
+
 echo "== flexcheck on the examples =="
 ./build/tools/idlc/idlc --idl examples/idl/syslog.idl \
   --client-pdl examples/idl/syslog_client.pdl \
   --lint --Werror --check
 
 echo "== flexrec smoke check =="
-# One recorded smoke rep of the pipelined bench, then render its report —
-# proves the recorder, the serializer, and the attribution pipeline work
-# end to end on every CI run.
+# One recorded smoke rep of the pipelined (1×W) bench, then render its
+# report — proves the recorder, the serializer, and the attribution
+# pipeline work end to end on every CI run.
 rec_dir=build/flexrec-smoke
 mkdir -p "$rec_dir"
 ./build/bench/bench_pipeline_nfs --smoke --record "--json_dir=$rec_dir" \

@@ -76,15 +76,8 @@ constexpr const char* kGatedCounters[] = {
     "net.fault.corrupts",
     "net.checksum_failures",
     "net.frame_copies",
-    "rpc.retry.retransmits",
     "rpc.dupcache.hits",
     "rpc.dupcache.misses",
-    "rpc.pipeline.calls",
-    "rpc.pipeline.retransmits",
-    "rpc.pipeline.stale_replies",
-    "rpc.pipeline.out_of_order",
-    "rpc.pipeline.window_stalls",
-    "rpc.pipeline.events",
     // Adaptive transport: estimator samples, Karn exclusions, RTO clamps,
     // and AIMD window moves are exact for the seeded bench workloads — a
     // drift means the control loop's trajectory changed.
@@ -102,8 +95,9 @@ constexpr const char* kGatedCounters[] = {
     "rpc.binder.cutovers",
     "rpc.failover.suspects",
     "rpc.failover.reinstates",
-    // Fleet stack (connection mux + worker-pool dispatch). Exact for a
-    // fixed seed: arrivals, faults, sheds, and retransmits all replay.
+    // The call engine (connection mux + worker-pool dispatch), every shape
+    // from serial to fleet. Exact for a fixed seed: arrivals, faults,
+    // sheds, and retransmits all replay.
     "rpc.mux.conns_opened",
     "rpc.mux.calls",
     "rpc.mux.retransmits",
