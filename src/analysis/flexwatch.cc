@@ -3,22 +3,24 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "src/support/strings.h"
+#include "src/support/trace.h"
 
 namespace flexrpc {
 
 namespace {
 
-// Gauge/counter names the fleet registers (src/sim/fleet.cc). The
-// analysis degrades gracefully when a series is absent — a timeline from
-// a different harness still gets ribbons and sketch-derived onset.
-constexpr char kQueueDepthGauge[] = "dispatch.queue_depth";
-constexpr char kShedCounter[] = "dispatch.shed";
-constexpr char kCompletedCounter[] = "mux.completed";
+// Gauge/counter names the fleet registers (src/sim/fleet.cc); the shed
+// series is named after its flextrace counter. The analysis degrades
+// gracefully when a series is absent — a timeline from a different
+// harness still gets ribbons and sketch-derived onset.
+constexpr char kQueueDepthGauge[] = "rpc.dispatch.queue_depth";
+constexpr char kCompletedCounter[] = "rpc.mux.completed";
 
 const Timeline::Series* FindSeries(const std::vector<Timeline::Series>& all,
-                                   const std::string& name) {
+                                   std::string_view name) {
   for (const Timeline::Series& s : all) {
     if (s.name == name) {
       return &s;
@@ -163,7 +165,8 @@ WatchAnalysis AnalyzeTimeline(const Timeline& timeline) {
   }
 
   std::vector<uint64_t> depth = DepthPerWindow(timeline);
-  const Timeline::Series* shed = FindSeries(timeline.counters, kShedCounter);
+  const Timeline::Series* shed = FindSeries(
+      timeline.counters, TraceCounterName(TraceCounter::kRpcDispatchShed));
   const Timeline::Series* completed =
       FindSeries(timeline.counters, kCompletedCounter);
 

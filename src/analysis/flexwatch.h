@@ -33,9 +33,9 @@ struct WatchWindow {
   uint64_t p50_nanos = 0;
   uint64_t p99_nanos = 0;
   uint64_t max_nanos = 0;
-  uint64_t queue_depth = 0;  // dispatch.queue_depth gauge at window close
-  uint64_t shed = 0;         // dispatch.shed delta in the window
-  uint64_t completed = 0;    // mux.completed delta in the window
+  uint64_t queue_depth = 0;  // rpc.dispatch.queue_depth gauge at close
+  uint64_t shed = 0;         // rpc.dispatch.shed delta in the window
+  uint64_t completed = 0;    // rpc.mux.completed delta in the window
 };
 
 // Per-dimension latency totals for one series, used for attribution

@@ -13,7 +13,6 @@ Status FbufChannel::Call(uint32_t opnum, FbufAggregate request,
   }
   ++calls_;
   TraceAdd(TraceCounter::kFbufChannelCalls);
-  TraceObserve(TraceHistogram::kIpcMessageBytes, request.size());
   // Control transfer into the server: trap + control message copy. The
   // data itself stays in the shared fbufs.
   kernel_->Trap();

@@ -20,7 +20,6 @@ Status FastPath::Call(Task* client, Port* port, ByteSpan request,
   Endpoint& ep = it->second;
   ++calls_;
   TraceAdd(TraceCounter::kIpcFastpathCalls);
-  TraceObserve(TraceHistogram::kIpcMessageBytes, request.size());
 
   // Trap + copy the request buffer directly into the server's space.
   kernel_->Trap();

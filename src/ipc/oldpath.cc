@@ -21,7 +21,6 @@ Status OldPath::Call(Task* client, Port* port, PortName reply_port_name,
   Endpoint& ep = it->second;
   ++calls_;
   TraceAdd(TraceCounter::kIpcOldpathCalls);
-  TraceObserve(TraceHistogram::kIpcMessageBytes, request.size());
 
   // Validate that the typed descriptors cover the body exactly — the
   // header-parsing work the streamlined path avoids.

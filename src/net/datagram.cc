@@ -105,7 +105,8 @@ void DatagramChannel::Transmit(Dir dir, std::vector<uint8_t> bytes,
   frame.extra_delay_nanos = scheduled_ ? 0 : d.extra_delay_nanos;
   frame.deliver_at_nanos = deliver_at;
   if (d.extra_delay_nanos > 0) {
-    TraceAdd(TraceCounter::kNetFaultExtraDelayNanos, d.extra_delay_nanos);
+    TraceAdd(TraceCounter::kNetFaultExtraDelayVirtualNanos,
+             d.extra_delay_nanos);
   }
   if (d.corrupt) {
     // Flip one byte in the length/checksum/payload region; the receiver's

@@ -53,13 +53,12 @@ void LinkModel::CountTransfer(uint64_t payload_bytes) const {
   if (!TraceEnabled()) {
     return;
   }
-  uint64_t nanos = static_cast<uint64_t>(TransferSeconds(payload_bytes) * 1e9);
   TraceAdd(TraceCounter::kNetTransfers);
   TraceAdd(TraceCounter::kNetPackets, PacketsFor(config_, payload_bytes));
   TraceAdd(TraceCounter::kNetBytesOnWire,
            WireBytesFor(config_, payload_bytes));
-  TraceAdd(TraceCounter::kNetWireVirtualNanos, nanos);
-  TraceObserve(TraceHistogram::kNetTransferVirtualNanos, nanos);
+  TraceAdd(TraceCounter::kNetWireVirtualNanos,
+           static_cast<uint64_t>(TransferSeconds(payload_bytes) * 1e9));
 }
 
 void LinkModel::Transfer(uint64_t payload_bytes, VirtualClock* clock) const {

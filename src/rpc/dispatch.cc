@@ -91,15 +91,11 @@ void ServerDispatch::PumpRequests() {
     }
     ByteSpan request_span(request->data(), request->size());
     auto xid = PeekXid(request_span);
-    if (!xid.ok()) {
-      continue;  // too short to be a call; nothing to reply to
+    auto conn = PeekMuxConn(request_span);
+    if (!xid.ok() || !conn.ok()) {
+      continue;  // too short for [xid][conn]; nothing to reply to
     }
-    // Single-connection callers (no mux framing) land on connection 0.
-    uint32_t conn = 0;
-    if (auto c = PeekMuxConn(request_span); c.ok()) {
-      conn = *c;
-    }
-    RecorderConnScope conn_scope(conn);
+    RecorderConnScope conn_scope(*conn);
     uint64_t now = events_->clock()->now_nanos();
     if (++admitted > policy_.accept_limit) {
       ++stats_.shed_accept;
@@ -114,8 +110,8 @@ void ServerDispatch::PumpRequests() {
     // call is answered from the cache at zero worker cost and is never
     // shed (shedding a retransmit the server already paid for would turn
     // overload into a retransmit storm).
-    if (const std::vector<uint8_t>* cached = endpoint_.FindCached(conn,
-                                                                  *xid)) {
+    if (const std::vector<uint8_t>* cached =
+            endpoint_.FindCached(*conn, *xid)) {
       ++stats_.dup_replies;
       channel_->Send(kBtoA, ByteSpan(cached->data(), cached->size()));
       if (reply_listener_) {
@@ -133,11 +129,10 @@ void ServerDispatch::PumpRequests() {
                   /*a=*/depth, /*b=*/2);
       continue;
     }
-    auto handled = endpoint_.Handle(conn, request_span);
+    auto handled = endpoint_.Handle(*conn, request_span);
     if (!handled.ok()) {
       continue;  // unparseable or rejected: nothing to send back
     }
-    TraceObserve(TraceHistogram::kRpcDispatchQueueDepth, depth);
     WatchObserve(WatchSeries::kQueueDepth, 0, depth);
     stats_.max_queue_depth = std::max(stats_.max_queue_depth, depth);
     ++stats_.executions;
@@ -154,11 +149,6 @@ void ServerDispatch::PumpRequests() {
     uint64_t finish = start + service_.ProcessNanos(handled->reply->size());
     worker_free_[w] = finish;
     stats_.busy_nanos += finish - start;
-    // The modeled execution span, deterministically: the worker's CPU
-    // window is scheduled rather than elapsed, so a wall-clock TraceSpan
-    // cannot time it (and would poison byte-identical artifacts if it
-    // tried). Observed directly instead; per-worker for flexwatch.
-    TraceObserve(TraceHistogram::kRpcDispatchNanos, finish - start);
     WatchObserve(WatchSeries::kWorkerExec, static_cast<uint32_t>(w + 1),
                  finish - start);
     if (start > now) {

@@ -29,9 +29,10 @@
 //
 // Dropped/shed requests are invisible to the client except as silence —
 // exactly a UDP server under overload — and the mux's RTO machinery
-// carries the retry. The queue-depth histogram (rpc.dispatch.queue_depth)
-// samples the run-queue depth at every admission; flexrec locates the
-// saturation knee from it and from queued-vs-exec phase attribution.
+// carries the retry. flexwatch samples the run-queue depth at every
+// admission (the queue_depth sketch) and at every window close (the
+// rpc.dispatch.queue_depth gauge); flexrec locates the saturation knee
+// from queued-vs-exec phase attribution.
 //
 // The serial and pipelined shapes run against a one-worker dispatch with
 // both limits at their maximum (ServerConnection below): nothing is ever

@@ -47,10 +47,17 @@ Result<uint32_t> PeekXid(ByteSpan datagram) {
 }
 
 bool AtMostOnceEndpoint::ConnState::AlreadyExecuted(uint32_t xid) const {
+  if (xid == 0) {
+    return executed_zero;
+  }
   return xid <= executed_upto || executed_above.count(xid) > 0;
 }
 
 void AtMostOnceEndpoint::ConnState::MarkExecuted(uint32_t xid) {
+  if (xid == 0) {
+    executed_zero = true;
+    return;
+  }
   if (xid <= executed_upto) {
     return;
   }

@@ -99,8 +99,7 @@ using DatagramHandler =
 // cache_capacity entries, so two clients colliding on an xid cannot
 // poison each other's dedup state, total dedup memory scales with the
 // number of active connections, and one connection's burst can never
-// evict another connection's in-flight xid. The single-argument Handle
-// puts everything on connection 0.
+// evict another connection's in-flight xid.
 class AtMostOnceEndpoint {
  public:
   struct Handled {
@@ -119,7 +118,6 @@ class AtMostOnceEndpoint {
   // nothing executed beyond the (at most one) handler attempt, nothing to
   // send.
   Result<Handled> Handle(uint32_t conn, ByteSpan request);
-  Result<Handled> Handle(ByteSpan request) { return Handle(0, request); }
 
   // Dedup probe without execution: the cached reply for (conn, xid), or
   // nullptr. A hit counts as a dup-cache hit — the caller resends it (the
@@ -134,7 +132,6 @@ class AtMostOnceEndpoint {
   // fleet soak gates this at zero; see ConnState for how it is detected.
   uint64_t evicted_reexecs() const { return evicted_reexecs_; }
   uint64_t evictions() const;  // summed over all connection caches
-  ReplyCache& cache() { return CacheFor(0); }  // the pre-mux conn-0 cache
   ReplyCache& CacheFor(uint32_t conn);
   size_t connections() const { return conns_.size(); }
 
@@ -143,11 +140,13 @@ class AtMostOnceEndpoint {
     explicit ConnState(size_t capacity) : cache(capacity) {}
     ReplyCache cache;
     // Exact executed-xid memory backing the eviction hazard detector:
-    // every xid <= executed_upto has executed, plus the out-of-order set
-    // above it (gaps close as delayed first deliveries land, so the set
-    // stays small under monotonic per-connection allocation). This
-    // cannot replace the cache — it remembers THAT an xid executed, not
-    // the reply bytes — but it can prove a re-execution exactly.
+    // every xid in [1, executed_upto] has executed, plus the out-of-order
+    // set above it (gaps close as delayed first deliveries land, so the
+    // set stays small under monotonic per-connection allocation, which
+    // starts at 1). xid 0 sits below that range and has its own flag.
+    // This cannot replace the cache — it remembers THAT an xid executed,
+    // not the reply bytes — but it can prove a re-execution exactly.
+    bool executed_zero = false;
     uint64_t executed_upto = 0;
     std::set<uint32_t> executed_above;
 

@@ -63,7 +63,6 @@ const MarshalProgram* ServerObject::ProgramFor(uint32_t opnum) const {
 
 Status ServerObject::Dispatch(ServerCall* call) {
   TraceAdd(TraceCounter::kRpcDispatches);
-  TraceSpan span(TraceHistogram::kRpcDispatchNanos);
   NativeReader reader(ByteSpan(call->request, call->request_size));
   FLEXRPC_ASSIGN_OR_RETURN(uint32_t opnum, reader.GetU32());
   auto it = ops_.find(opnum);
@@ -174,11 +173,7 @@ Status RpcConnection::Call(std::string_view op_name, ArgVec* args) {
 
   NativeWriter request;
   request.PutU32(opnum);
-  {
-    TraceSpan span(TraceHistogram::kRpcMarshalNanos);
-    FLEXRPC_RETURN_IF_ERROR(
-        program.MarshalRequest(*args, &request, &special_));
-  }
+  FLEXRPC_RETURN_IF_ERROR(program.MarshalRequest(*args, &request, &special_));
   TraceAdd(TraceCounter::kRpcRequestBytes, request.span().size());
 
   void* reply_block = nullptr;
@@ -196,7 +191,6 @@ Status RpcConnection::Call(std::string_view op_name, ArgVec* args) {
                     std::string(reinterpret_cast<const char*>(msg),
                                 msg_len));
     }
-    TraceSpan span(TraceHistogram::kRpcUnmarshalNanos);
     return program.UnmarshalReply(&reader, &client_->space().arena(), args,
                                   &special_);
   }();

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "src/support/event_queue.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
+#include "src/support/trace.h"
 
 namespace flexrpc {
 
@@ -135,21 +137,27 @@ FleetResult RunFleet(const FleetConfig& config,
   std::optional<TimelineSampler> sampler;
   if (config.timeline_tick_nanos != 0) {
     sampler.emplace(&events, config.timeline_tick_nanos);
-    sampler->AddCounter("mux.completed",
+    // Series that count what a flextrace counter counts take its name.
+    auto counter_name = [](TraceCounter c) {
+      return std::string(TraceCounterName(c));
+    };
+    sampler->AddCounter("rpc.mux.completed",
                         [&mux]() { return mux.stats().completed; });
-    sampler->AddCounter("mux.retransmits",
+    sampler->AddCounter(counter_name(TraceCounter::kRpcMuxRetransmits),
                         [&mux]() { return mux.stats().retransmits; });
-    sampler->AddCounter("dispatch.executions",
+    sampler->AddCounter(counter_name(TraceCounter::kRpcDispatchExecutions),
                         [&dispatch]() { return dispatch.stats().executions; });
-    sampler->AddCounter("dispatch.shed", [&dispatch]() {
-      return dispatch.stats().shed_accept + dispatch.stats().shed_run;
-    });
-    sampler->AddGauge("mux.in_flight", [&mux]() {
+    sampler->AddCounter(counter_name(TraceCounter::kRpcDispatchShed),
+                        [&dispatch]() {
+                          return dispatch.stats().shed_accept +
+                                 dispatch.stats().shed_run;
+                        });
+    sampler->AddGauge("rpc.mux.in_flight", [&mux]() {
       return static_cast<uint64_t>(mux.in_flight_calls());
     });
-    sampler->AddGauge("mux.total_window",
+    sampler->AddGauge("rpc.mux.total_window",
                       [&mux]() { return mux.total_window(); });
-    sampler->AddGauge("dispatch.queue_depth",
+    sampler->AddGauge("rpc.dispatch.queue_depth",
                       [&dispatch]() { return dispatch.CurrentQueueDepth(); });
   }
 

@@ -54,58 +54,25 @@ void RecordSlow(RecEvent type, RecEndpoint endpoint, uint32_t xid,
 
 namespace {
 
-// Indexed by RecEvent value; keep in lockstep with the enum.
-constexpr std::string_view kRecEventNames[kRecEventCount] = {
-    "call_submit",
-    "marshal_begin",
-    "marshal_end",
-    "wire_tx",
-    "wire_rx",
-    "fault_drop",
-    "fault_dup",
-    "fault_corrupt",
-    "fault_delay",
-    "server_exec_begin",
-    "server_exec_end",
-    "retransmit",
-    "rto_fire",
-    "reply_match",
-    "reply_stale",
-    "reply_late",
-    "call_complete",
-    "rtt_sample",
-    "cwnd_change",
-    "failover",
-    "rebind",
-    "dispatch_shed",
+// Indexed by RecEvent and RecEndpoint, generated from the same lists as
+// the enums.
+constexpr std::string_view kEventNames[] = {
+#define FLEXRPC_REC_EVENT(id, name) name,
+#include "src/support/rec_events.def"
+#undef FLEXRPC_REC_EVENT
 };
 
-constexpr std::string_view kRecEndpointNames[kRecEndpointCount] = {
-    "client",
-    "server",
-    "wire.a2b",
-    "wire.b2a",
+constexpr std::string_view kEndpointNames[] = {
+#define FLEXRPC_REC_ENDPOINT(id, name) name,
+#include "src/support/rec_endpoints.def"
+#undef FLEXRPC_REC_ENDPOINT
 };
 
+// Position of `name` in a name table; N when the table lacks it.
 template <size_t N>
-constexpr bool NamesNonEmptyAndUnique(const std::string_view (&names)[N]) {
-  for (size_t i = 0; i < N; ++i) {
-    if (names[i].empty()) {
-      return false;
-    }
-    for (size_t j = i + 1; j < N; ++j) {
-      if (names[i] == names[j]) {
-        return false;
-      }
-    }
-  }
-  return true;
+size_t IndexOfName(const std::string_view (&names)[N], std::string_view name) {
+  return static_cast<size_t>(std::find(names, names + N, name) - names);
 }
-
-static_assert(NamesNonEmptyAndUnique(kRecEventNames),
-              "RecEvent name table must cover the enum with unique names");
-static_assert(NamesNonEmptyAndUnique(kRecEndpointNames),
-              "RecEndpoint name table must cover the enum with unique names");
 
 thread_local bool tls_scope_active = false;
 thread_local uint32_t tls_scope_xid = 0;
@@ -114,11 +81,11 @@ thread_local const VirtualClock* tls_scope_clock = nullptr;
 }  // namespace
 
 std::string_view RecEventName(RecEvent e) {
-  return kRecEventNames[static_cast<size_t>(e)];
+  return kEventNames[static_cast<size_t>(e)];
 }
 
 std::string_view RecEndpointName(RecEndpoint e) {
-  return kRecEndpointNames[static_cast<size_t>(e)];
+  return kEndpointNames[static_cast<size_t>(e)];
 }
 
 RecorderCallScope::RecorderCallScope(uint32_t xid, const VirtualClock* clock)
@@ -293,30 +260,18 @@ Result<Recording> ParseRecording(std::string_view json) {
     if (type == nullptr || ep == nullptr) {
       return InvalidArgumentError("recording event missing type/ep");
     }
-    bool found = false;
-    for (size_t i = 0; i < kRecEventCount; ++i) {
-      if (kRecEventNames[i] == type->string) {
-        e.type = static_cast<RecEvent>(i);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    size_t type_index = IndexOfName(kEventNames, type->string);
+    if (type_index == kRecEventCount) {
       return InvalidArgumentError(
           StrFormat("unknown event type \"%s\"", type->string.c_str()));
     }
-    found = false;
-    for (size_t i = 0; i < kRecEndpointCount; ++i) {
-      if (kRecEndpointNames[i] == ep->string) {
-        e.endpoint = static_cast<RecEndpoint>(i);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    e.type = static_cast<RecEvent>(type_index);
+    size_t ep_index = IndexOfName(kEndpointNames, ep->string);
+    if (ep_index == kRecEndpointCount) {
       return InvalidArgumentError(
           StrFormat("unknown endpoint \"%s\"", ep->string.c_str()));
     }
+    e.endpoint = static_cast<RecEndpoint>(ep_index);
     FLEXRPC_ASSIGN_OR_RETURN(uint64_t xid, RequireUInt(entry, "xid"));
     e.xid = static_cast<uint32_t>(xid);
     if (const JsonValue* r = entry.Find("r"); r != nullptr && r->IsNumber()) {
@@ -471,7 +426,7 @@ std::string ExportChromeTrace(const Recording& recording,
       w.Key("ph").String("M");
       w.Key("pid").UInt(0);
       w.Key("tid").UInt(ChromeTid(replica, static_cast<RecEndpoint>(i)));
-      std::string track(kRecEndpointNames[i]);
+      std::string track(kEndpointNames[i]);
       if (replica != 0) {
         track += StrFormat("[r%u]", replica);
       }

@@ -47,53 +47,20 @@
 
 namespace flexrpc {
 
-// The closed event catalog. Names (RecEventName) are stable: recordings,
-// reports, and EXPERIMENTS.md refer to them. Append new events at the end;
-// never renumber (serialized recordings store names, not ordinals, so old
-// recordings stay readable).
+// The closed event catalog, declared once in rec_events.def.
 enum class RecEvent : uint8_t {
-  kCallSubmit = 0,   // call enters the transport        a=request bytes
-  kMarshalBegin,     // stub marshal/unmarshal starts    a=1 if unmarshal
-  kMarshalEnd,       // ... ends                         a=1 if unmarshal
-  kWireTx,           // frame starts occupying the wire  a=occupancy ns,
-                     //                                  b=propagation ns
-  kWireRx,           // frame delivered intact           a=payload bytes
-  kFaultDrop,        // plan dropped the frame           b=decision index
-  kFaultDup,         // plan duplicated the frame        b=decision index
-  kFaultCorrupt,     // plan flipped a byte              b=decision index
-  kFaultDelay,       // plan held the frame back         a=extra ns,
-                     //                                  b=decision index
-  kServerExecBegin,  // modeled server CPU span starts   a=reply bytes
-  kServerExecEnd,    // ... ends                         a=reply bytes
-  kRetransmit,       // client re-sent the request       a=attempt number
-  kRtoFire,          // retransmit timer fired           a=attempt number
-  kReplyMatch,       // reply matched an in-flight xid   a=reply bytes
-  kReplyStale,       // reply matched nothing (late dup)
-  kReplyLate,        // reply matched but past deadline
-  kCallComplete,     // call left the transport          a=status code
-  kRttSample,        // clean RTT fed the estimator      a=sample ns,
-                     //                                  b=RTO after update
-  kCwndChange,       // AIMD window moved                a=new window,
-                     //                                  b=1 on decrease
-  kFailover,         // replica health transition        a=replica tag,
-                     //                                  b=1 suspect,
-                     //                                  2 probe sent,
-                     //                                  3 reinstated,
-                     //                                  4 new primary
-  kRebind,           // in-flight xid re-issued          a=new replica tag,
-                     //                                  b=old replica tag
-  kDispatchShed,     // server shed the request at a     a=queue depth,
-                     //   full accept/run queue          b=1 accept, 2 run
+#define FLEXRPC_REC_EVENT(id, name) id,
+#include "src/support/rec_events.def"
+#undef FLEXRPC_REC_EVENT
   kCount,
 };
 
-// Which track of the timeline an event belongs to. kWireAtoB is the
-// client->server direction, kWireBtoA the reverse (DatagramChannel::Dir).
+// Which track of the timeline an event belongs to, declared once in
+// rec_endpoints.def.
 enum class RecEndpoint : uint8_t {
-  kClient = 0,
-  kServer,
-  kWireAtoB,
-  kWireBtoA,
+#define FLEXRPC_REC_ENDPOINT(id, name) id,
+#include "src/support/rec_endpoints.def"
+#undef FLEXRPC_REC_ENDPOINT
   kCount,
 };
 

@@ -129,25 +129,22 @@ QuantileSketch QuantileSketch::FromParts(uint64_t count, uint64_t sum,
 
 namespace {
 
-constexpr std::string_view kWatchSeriesNames[] = {
-    "call_latency_nanos",
-    "replica_latency_nanos",
-    "worker_exec_nanos",
-    "queue_depth",
+// Indexed by WatchSeries, generated from the same list as the enum.
+constexpr std::string_view kSeriesNames[] = {
+#define FLEXRPC_WATCH_SERIES(id, name) name,
+#include "src/support/watch_series.def"
+#undef FLEXRPC_WATCH_SERIES
 };
-static_assert(sizeof(kWatchSeriesNames) / sizeof(kWatchSeriesNames[0]) ==
-                  static_cast<size_t>(WatchSeries::kCount),
-              "every WatchSeries needs a stable name");
 
 }  // namespace
 
 std::string_view WatchSeriesName(WatchSeries series) {
-  return kWatchSeriesNames[static_cast<size_t>(series)];
+  return kSeriesNames[static_cast<size_t>(series)];
 }
 
 Result<WatchSeries> WatchSeriesFromName(std::string_view name) {
   for (size_t i = 0; i < static_cast<size_t>(WatchSeries::kCount); ++i) {
-    if (kWatchSeriesNames[i] == name) {
+    if (kSeriesNames[i] == name) {
       return static_cast<WatchSeries>(i);
     }
   }
@@ -184,13 +181,6 @@ void TimelineSampler::AddCounter(std::string name,
   source.index = timeline_.counters.size();
   counter_sources_.push_back(std::move(source));
   timeline_.counters.push_back({std::move(name), {}});
-}
-
-void TimelineSampler::AddTraceCounter(TraceCounter counter) {
-  size_t slot = static_cast<size_t>(counter);
-  AddCounter(std::string(TraceCounterName(counter)), [slot]() {
-    return trace_internal::g_counters[slot].load(std::memory_order_relaxed);
-  });
 }
 
 void TimelineSampler::AddGauge(std::string name,

@@ -48,7 +48,6 @@
 
 #include "src/support/event_queue.h"
 #include "src/support/status.h"
-#include "src/support/trace.h"
 
 namespace flexrpc {
 
@@ -98,14 +97,12 @@ class QuantileSketch {
   uint64_t max_ = 0;
 };
 
-// The closed catalog of dimensioned observation series. Names are stable:
-// TIMELINE_*.json artifacts, the timeline budget gate, and EXPERIMENTS.md
-// refer to them. Append at the end; never renumber.
+// The closed catalog of dimensioned observation series, declared once in
+// watch_series.def.
 enum class WatchSeries : uint16_t {
-  kCallLatency = 0,  // call_latency_nanos  (dim: mux connection id; 0 = none)
-  kReplicaLatency,   // replica_latency_nanos (dim: replica tag, 1-based)
-  kWorkerExec,       // worker_exec_nanos  (dim: dispatch worker, 1-based)
-  kQueueDepth,       // queue_depth        (dim: 0)
+#define FLEXRPC_WATCH_SERIES(id, name) id,
+#include "src/support/watch_series.def"
+#undef FLEXRPC_WATCH_SERIES
   kCount,
 };
 
@@ -179,10 +176,6 @@ class TimelineSampler {
 
   // A cumulative source: each window records read() - previous read().
   void AddCounter(std::string name, std::function<uint64_t()> read);
-  // Registers a flextrace counter as a cumulative source under its stable
-  // dot-separated name. Reads the live registry, so deltas are exact when
-  // tracing is enabled and all-zero (still deterministic) when disabled.
-  void AddTraceCounter(TraceCounter counter);
   // An instantaneous source: each window records read() at window close.
   void AddGauge(std::string name, std::function<uint64_t()> read);
 

@@ -209,50 +209,7 @@ TEST(ReplyCacheTest, InsertOverwriteRefreshesSlot) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-// Builds a minimal request datagram: big-endian xid plus a marker byte.
-std::vector<uint8_t> XidRequest(uint32_t xid) {
-  return {static_cast<uint8_t>(xid >> 24), static_cast<uint8_t>(xid >> 16),
-          static_cast<uint8_t>(xid >> 8), static_cast<uint8_t>(xid), 0x5A};
-}
-
-TEST(AtMostOnceEndpointTest, LruKeepsRetransmittedXidExactlyOnce) {
-  // Capacity 2 with three live xids: the endpoint must keep the xid that
-  // is still being retransmitted (touched by every duplicate probe) and
-  // evict the idle one. With FIFO eviction xid 1 would age out mid-flight
-  // and its retransmit would re-execute the handler — at-most-once broken.
-  std::map<uint32_t, int> executions;
-  AtMostOnceEndpoint endpoint(
-      [&executions](ByteSpan request, std::vector<uint8_t>* reply) {
-        auto xid = PeekXid(request);
-        if (!xid.ok()) {
-          return xid.status();
-        }
-        ++executions[*xid];
-        reply->assign(request.begin(), request.end());
-        return Status::Ok();
-      },
-      /*cache_capacity=*/2);
-  auto handle = [&endpoint](uint32_t xid) {
-    std::vector<uint8_t> request = XidRequest(xid);
-    return endpoint.Handle(ByteSpan(request.data(), request.size()));
-  };
-
-  ASSERT_TRUE(handle(1).ok());  // executes
-  ASSERT_TRUE(handle(2).ok());  // executes; cache now full
-  auto dup1 = handle(1);        // retransmit of 1 mid-flight: cache hit
-  ASSERT_TRUE(dup1.ok());
-  EXPECT_TRUE(dup1->dup_hit);
-  ASSERT_TRUE(handle(3).ok());  // overflows capacity: must evict idle 2
-  auto dup1_again = handle(1);  // 1 must STILL be suppressed
-  ASSERT_TRUE(dup1_again.ok());
-  EXPECT_TRUE(dup1_again->dup_hit);
-  EXPECT_EQ(executions[1], 1);  // exactly once, despite the overflow
-  EXPECT_EQ(executions[3], 1);
-  EXPECT_EQ(endpoint.hits(), 2u);
-  EXPECT_EQ(endpoint.misses(), 3u);
-}
-
-// --- (connection, xid)-keyed at-most-once (the mux-era bugfixes) ---------
+// --- the at-most-once endpoint, keyed by (connection, xid) ---------------
 
 // Builds a mux-framed request: [xid u32 BE][conn u32 BE][marker].
 std::vector<uint8_t> ConnRequest(uint32_t conn, uint32_t xid,
@@ -291,6 +248,27 @@ struct ConnEndpointRig {
   std::map<uint64_t, int> executions;
   uint32_t last_conn = 0;
 };
+
+TEST(AtMostOnceEndpointTest, LruKeepsRetransmittedXidExactlyOnce) {
+  // Capacity 2 with three live xids: the endpoint must keep the xid that
+  // is still being retransmitted (touched by every duplicate probe) and
+  // evict the idle one. With FIFO eviction xid 1 would age out mid-flight
+  // and its retransmit would re-execute the handler — at-most-once broken.
+  ConnEndpointRig rig(/*cache_capacity=*/2);
+  ASSERT_TRUE(rig.Handle(1, 1, 0x01).ok());  // executes
+  ASSERT_TRUE(rig.Handle(1, 2, 0x02).ok());  // executes; cache now full
+  auto dup1 = rig.Handle(1, 1, 0x01);  // retransmit of 1 mid-flight: hit
+  ASSERT_TRUE(dup1.ok());
+  EXPECT_TRUE(dup1->dup_hit);
+  ASSERT_TRUE(rig.Handle(1, 3, 0x03).ok());  // overflows: must evict idle 2
+  auto dup1_again = rig.Handle(1, 1, 0x01);  // 1 must STILL be suppressed
+  ASSERT_TRUE(dup1_again.ok());
+  EXPECT_TRUE(dup1_again->dup_hit);
+  EXPECT_EQ(rig.executions[(1ull << 32) | 1], 1);  // exactly once
+  EXPECT_EQ(rig.executions[(1ull << 32) | 3], 1);
+  EXPECT_EQ(rig.endpoint.hits(), 2u);
+  EXPECT_EQ(rig.endpoint.misses(), 3u);
+}
 
 TEST(AtMostOnceEndpointTest, ConnectionsDoNotShareXidSpace) {
   // Bugfix regression. At-most-once state used to be keyed by bare xid;
@@ -366,6 +344,31 @@ TEST(AtMostOnceEndpointTest, ReorderedFirstDeliveryIsNotAReexec) {
   ASSERT_TRUE(rig.Handle(1, 1, 0x01).ok());  // delayed below the max xid
   ASSERT_TRUE(rig.Handle(1, 2, 0x02).ok());
   EXPECT_EQ(rig.endpoint.evicted_reexecs(), 0u);
+}
+
+TEST(AtMostOnceEndpointTest, FirstExecutionOfXidZeroIsNotAReexec) {
+  // Bugfix regression. The executed-xid memory started out treating xid 0
+  // as executed, so the first run of xid 0 — an xid CallChannel::Submit
+  // accepts like any other — was counted as an at-most-once violation.
+  ConnEndpointRig rig;
+  auto first = rig.Handle(/*conn=*/1, /*xid=*/0, /*marker=*/0x00);
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->dup_hit);
+  EXPECT_EQ(rig.executions[1ull << 32], 1);
+  EXPECT_EQ(rig.endpoint.evicted_reexecs(), 0u);  // pre-fix: 1
+}
+
+TEST(AtMostOnceEndpointTest, EvictedXidZeroReexecIsCounted) {
+  // The fix keeps the detector exact for xid 0: evicted from a one-entry
+  // cache and executed again, it counts exactly once.
+  ConnEndpointRig rig(/*cache_capacity=*/1);
+  ASSERT_TRUE(rig.Handle(1, 0, 0x00).ok());
+  ASSERT_TRUE(rig.Handle(1, 1, 0x01).ok());  // evicts xid 0
+  auto re = rig.Handle(1, 0, 0x00);
+  ASSERT_TRUE(re.ok());
+  EXPECT_FALSE(re->dup_hit);
+  EXPECT_EQ(rig.executions[1ull << 32], 2);
+  EXPECT_EQ(rig.endpoint.evicted_reexecs(), 1u);
 }
 
 TEST(PeekXidTest, BigEndianAndTruncation) {

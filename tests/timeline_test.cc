@@ -1,7 +1,6 @@
 // Unit tests for flexwatch: quantile-sketch error bounds against exact
 // percentiles, merge associativity, bucket math, sampler windowing on a
-// virtual clock, trace-counter delta snapshotting, and byte-deterministic
-// JSON round trips.
+// virtual clock, and byte-deterministic JSON round trips.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "src/support/event_queue.h"
 #include "src/support/timeline.h"
 #include "src/support/timing.h"
-#include "src/support/trace.h"
 
 namespace flexrpc {
 namespace {
@@ -273,31 +271,6 @@ TEST(TimelineSamplerTest, TickDoesNotKeepTheLoopAlive) {
   EXPECT_GE(t.ticks, 1u);  // the partial window flush still happened
 }
 
-TEST(TimelineSamplerTest, TraceCounterDeltasAreSnapshotted) {
-  SetTraceEnabled(true);
-  ResetTrace();
-  VirtualClock clock;
-  EventQueue events(&clock);
-  TimelineSampler sampler(&events, 1000);
-  sampler.AddTraceCounter(TraceCounter::kDataCopies);
-
-  events.ScheduleAt(100, []() { TraceAdd(TraceCounter::kDataCopies, 4); });
-  events.ScheduleAt(1100, []() { TraceAdd(TraceCounter::kDataCopies, 6); });
-
-  sampler.Start();
-  while (events.RunNext()) {
-  }
-  Timeline t = sampler.Stop();
-  SetTraceEnabled(false);
-  ResetTrace();
-
-  ASSERT_EQ(t.counters.size(), 1u);
-  EXPECT_EQ(t.counters[0].name, "mem.copies");
-  ASSERT_GE(t.ticks, 2u);
-  EXPECT_EQ(t.counters[0].samples[0], 4u);
-  EXPECT_EQ(t.counters[0].samples[1], 6u);
-}
-
 // ------------------------------------------------------------------- json
 
 TEST(TimelineJsonTest, RoundTripIsByteIdentical) {
@@ -334,6 +307,8 @@ TEST(TimelineJsonTest, ParseRejectsWrongSchema) {
 }
 
 TEST(TimelineJsonTest, SeriesNamesRoundTrip) {
+  // A duplicate name would map back to the first series carrying it, so
+  // the round trip also proves the catalog's names unique.
   for (uint16_t i = 0; i < static_cast<uint16_t>(WatchSeries::kCount); ++i) {
     WatchSeries s = static_cast<WatchSeries>(i);
     auto back = WatchSeriesFromName(WatchSeriesName(s));

@@ -2,9 +2,12 @@
 //
 // The flextrace counters are deterministic for the fixed-iteration bench
 // workloads (the simulation performs the same operations every run), so
-// the budgets pin exact values: any drift in copies, allocations, traps,
-// or bytes-on-wire is a regression (or an intentional change that must
-// regenerate the budgets with --update).
+// the budgets pin exact values for the whole counter catalog: any drift
+// in copies, allocations, traps, or bytes-on-wire is a regression (or an
+// intentional change that must regenerate the budgets with --update).
+// Each bench's budget must name exactly the catalog's counters — a
+// counter missing from it, or a key the catalog does not have, fails the
+// check — so a new counter is one catalog line plus one --update.
 //
 //   flextrace_check --budgets=bench/budgets/smoke.json --dir=OUT
 //   flextrace_check --budgets=bench/budgets/smoke.json --dir=OUT --update
@@ -32,97 +35,10 @@
 #include "src/support/status.h"
 #include "src/support/strings.h"
 #include "src/support/timeline.h"
+#include "src/support/trace.h"
 
 namespace flexrpc {
 namespace {
-
-// The gated subset of the counter catalog: the work the paper's
-// evaluation argues about. Timing *values* are deliberately absent —
-// they are host-dependent — but histogram observation counts are gated
-// separately below.
-constexpr const char* kGatedCounters[] = {
-    "kernel.traps",
-    "kernel.port_transfers.unique",
-    "kernel.port_transfers.nonunique",
-    "mem.copies",
-    "mem.copy_bytes",
-    "arena.bump_allocs",
-    "arena.block_allocs",
-    "fbuf.allocs",
-    "fbuf.bytes_by_reference",
-    "fbuf.bytes_copied",
-    "ipc.bytes_copied",
-    "ipc.sigcache.hits",
-    "ipc.sigcache.misses",
-    "rpc.client.calls",
-    "rpc.server.dispatches",
-    "marshal.bytes_marshaled",
-    "marshal.bytes_unmarshaled",
-    // flexspec dispatch: hit/miss split is deterministic for a fixed
-    // workload — a drift means a specialization appeared, vanished, or
-    // stopped matching its plan key.
-    "marshal.spec.hit",
-    "marshal.spec.miss",
-    "net.packets",
-    "net.bytes_on_wire",
-    // Lossy-wire substrate: injected faults and their recovery are
-    // deterministic (seeded FaultPlan + virtual clock), so CI pins them
-    // exactly — a drift here means the fault schedule itself changed.
-    "net.datagrams_sent",
-    "net.datagrams_delivered",
-    "net.fault.drops",
-    "net.fault.dups",
-    "net.fault.reorders",
-    "net.fault.corrupts",
-    "net.checksum_failures",
-    "net.frame_copies",
-    "rpc.dupcache.hits",
-    "rpc.dupcache.misses",
-    // Adaptive transport: estimator samples, Karn exclusions, RTO clamps,
-    // and AIMD window moves are exact for the seeded bench workloads — a
-    // drift means the control loop's trajectory changed.
-    "rpc.rtt.samples",
-    "rpc.rtt.karn_skips",
-    "rpc.rtt.clamps",
-    "rpc.cwnd.increases",
-    "rpc.cwnd.decreases",
-    // Managed-binding control plane: calls routed, live rebinds, probes,
-    // and health transitions are exact for the scripted kill schedules —
-    // a drift means the failover trajectory changed.
-    "rpc.binder.calls",
-    "rpc.binder.reissues",
-    "rpc.binder.probes",
-    "rpc.binder.cutovers",
-    "rpc.failover.suspects",
-    "rpc.failover.reinstates",
-    // The call engine (connection mux + worker-pool dispatch), every shape
-    // from serial to fleet. Exact for a fixed seed: arrivals, faults,
-    // sheds, and retransmits all replay.
-    "rpc.mux.conns_opened",
-    "rpc.mux.calls",
-    "rpc.mux.retransmits",
-    "rpc.mux.stale_replies",
-    "rpc.mux.flow_stalls",
-    "rpc.dispatch.accepts",
-    "rpc.dispatch.executions",
-    "rpc.dispatch.shed",
-    "rpc.dupcache.evictions",
-    "rpc.dupcache.evicted_reexecs",
-};
-
-// Histogram *counts* are gated too: the number of observations (marshals,
-// dispatches, messages, wire transfers) is exact for a fixed workload even
-// where the observed values are host wall time. Budget keys carry a
-// ".count" suffix on the histogram name; an artifact that elides a
-// zero-observation histogram reads as 0.
-constexpr const char* kGatedHistogramCounts[] = {
-    "rpc.marshal_nanos.count",
-    "rpc.unmarshal_nanos.count",
-    "rpc.dispatch_nanos.count",
-    "ipc.message_bytes.count",
-    "net.transfer_virtual_nanos.count",
-    "rpc.dispatch.queue_depth.count",
-};
 
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -144,7 +60,7 @@ Result<JsonValue> LoadJson(const std::string& path) {
   return parsed;
 }
 
-uint64_t CounterOf(const JsonValue& artifact, const char* name) {
+uint64_t CounterOf(const JsonValue& artifact, std::string_view name) {
   const JsonValue* trace = artifact.Find("trace");
   const JsonValue* counters =
       trace != nullptr ? trace->Find("counters") : nullptr;
@@ -155,33 +71,17 @@ uint64_t CounterOf(const JsonValue& artifact, const char* name) {
   return static_cast<uint64_t>(v->number);
 }
 
-uint64_t HistogramCountOf(const JsonValue& artifact,
-                          const std::string& histogram) {
-  const JsonValue* trace = artifact.Find("trace");
-  const JsonValue* histograms =
-      trace != nullptr ? trace->Find("histograms") : nullptr;
-  const JsonValue* h = histograms != nullptr
-                           ? histograms->Find(histogram.c_str())
-                           : nullptr;
-  // Zero-observation histograms are elided from the artifact entirely.
-  const JsonValue* v = h != nullptr ? h->Find("count") : nullptr;
-  if (v == nullptr || !v->IsNumber()) {
-    return 0;
-  }
-  return static_cast<uint64_t>(v->number);
+std::string_view CatalogName(size_t i) {
+  return TraceCounterName(static_cast<TraceCounter>(i));
 }
 
-// Resolves a budget key to its observed value: "<histogram>.count" keys
-// read trace.histograms, everything else reads trace.counters.
-uint64_t GatedValueOf(const JsonValue& artifact, const std::string& key) {
-  constexpr std::string_view kCountSuffix = ".count";
-  if (key.size() > kCountSuffix.size() &&
-      key.compare(key.size() - kCountSuffix.size(), kCountSuffix.size(),
-                  kCountSuffix) == 0) {
-    return HistogramCountOf(
-        artifact, key.substr(0, key.size() - kCountSuffix.size()));
+bool InCatalog(std::string_view key) {
+  for (size_t i = 0; i < kTraceCounterCount; ++i) {
+    if (CatalogName(i) == key) {
+      return true;
+    }
   }
-  return CounterOf(artifact, key.c_str());
+  return false;
 }
 
 struct Options {
@@ -240,8 +140,21 @@ void CheckBench(const std::string& bench, const JsonValue& artifact,
   if (budget == nullptr) {
     return;
   }
+  for (size_t i = 0; i < kTraceCounterCount; ++i) {
+    if (budget->Find(CatalogName(i)) == nullptr) {
+      violations->push_back(StrFormat(
+          "%s: counter %s is missing from the budget", bench.c_str(),
+          std::string(CatalogName(i)).c_str()));
+    }
+  }
   for (const auto& [name, want] : budget->object) {
-    uint64_t got = GatedValueOf(artifact, name);
+    if (!InCatalog(name)) {
+      violations->push_back(StrFormat(
+          "%s: budget key %s is not in the counter catalog", bench.c_str(),
+          name.c_str()));
+      continue;
+    }
+    uint64_t got = CounterOf(artifact, name);
     uint64_t lo;
     uint64_t hi;
     if (want.IsNumber()) {
@@ -447,7 +360,7 @@ int Run(const Options& opts) {
   }
 
   if (opts.update) {
-    // Regenerate: pin every gated counter to its observed value.
+    // Regenerate: pin every catalog counter to its observed value.
     JsonWriter w;
     w.BeginObject();
     w.Key("schema").String("flexrpc-bench-budgets-v1");
@@ -461,11 +374,8 @@ int Run(const Options& opts) {
         return Fail(artifact.status().ToString().c_str());
       }
       w.Key(bench).BeginObject();
-      for (const char* name : kGatedCounters) {
-        w.Key(name).UInt(CounterOf(*artifact, name));
-      }
-      for (const char* name : kGatedHistogramCounts) {
-        w.Key(name).UInt(GatedValueOf(*artifact, name));
+      for (size_t i = 0; i < kTraceCounterCount; ++i) {
+        w.Key(CatalogName(i)).UInt(CounterOf(*artifact, CatalogName(i)));
       }
       w.EndObject();
     }
