@@ -6,9 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "src/marshal/spec.h"
 #include "src/support/json.h"
-#include "src/support/strings.h"
 
 namespace flexrpc_bench {
 
@@ -46,9 +44,6 @@ void BenchHarness::RunMicrobenchmarks() {
   }
   session_.emplace();
   window_timer_.emplace();
-  // The marshal profile covers the same window as the trace counters, so
-  // the artifact's "marshal_profile" section ranks exactly the gated work.
-  flexrpc::ResetMarshalProfile();
 }
 
 double BenchHarness::BestOf(int rep_count,
@@ -128,31 +123,6 @@ int BenchHarness::Finish() {
   json.EndArray();
   json.Key("trace");
   flexrpc::WriteTraceSnapshot(json, delta);
-  // Per-plan hotness for `idlc --specialize --profile=`: one entry per
-  // (operation signature × presentation) key the window exercised.
-  // Budgets never read this section, so it cannot trip the CI gate.
-  json.Key("marshal_profile").BeginArray();
-  for (const flexrpc::MarshalProfileEntry& entry :
-       flexrpc::SnapshotMarshalProfile()) {
-    if (entry.marshal_calls == 0 && entry.unmarshal_calls == 0) {
-      continue;
-    }
-    json.BeginObject();
-    json.Key("op").String(entry.op_name);
-    json.Key("op_hash").String(
-        flexrpc::StrFormat("%016llx",
-                           static_cast<unsigned long long>(
-                               entry.key.op_hash)));
-    json.Key("pres_hash").String(
-        flexrpc::StrFormat("%016llx",
-                           static_cast<unsigned long long>(
-                               entry.key.pres_hash)));
-    json.Key("marshal_calls").UInt(entry.marshal_calls);
-    json.Key("unmarshal_calls").UInt(entry.unmarshal_calls);
-    json.Key("wire_bytes").UInt(entry.wire_bytes);
-    json.EndObject();
-  }
-  json.EndArray();
   json.EndObject();
 
   std::string path = json_dir_.empty() ? std::string(".") : json_dir_;

@@ -1,8 +1,7 @@
 // flexspec specialization emitter: `idlc --specialize`'s back end.
 //
 // Compiles every (operation × side presentation) of an interface file into
-// SpecPlans (src/marshal/spec.h), optionally keeps only the top-K plans a
-// marshal profile ranks hottest, and emits one C++ translation unit of
+// SpecPlans (src/marshal/spec.h) and emits one C++ translation unit of
 // fused straight-line marshal/unmarshal superinstruction functions plus a
 // RegisterSpecializations() entry point that installs them in the flexspec
 // registry.
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/flexspec_profile.h"
 #include "src/codegen/cpp_gen.h"
 #include "src/idl/ast.h"
 #include "src/marshal/spec.h"
@@ -38,10 +36,6 @@ struct SpecGenOptions {
   // Name the generated source #includes; defaults to
   // "<basename>.flexspec.h" at the idlc driver level.
   std::string header_name = "generated.flexspec.h";
-  // With a profile: specialize only the hottest `top_k` keys it ranks.
-  // Without one (profile == nullptr): specialize every supported plan.
-  size_t top_k = 8;
-  const MarshalProfile* profile = nullptr;
   // Test-only hook, applied to each plan after compilation but before
   // verification: lets tests corrupt a stream and prove the verifier
   // blocks emission. Never set by the driver.
@@ -52,7 +46,6 @@ struct SpecGenOptions {
 struct SpecGenStats {
   size_t plans_emitted = 0;
   size_t streams_emitted = 0;
-  size_t plans_skipped_cold = 0;    // profile present, key below top-K
   size_t plans_skipped_empty = 0;   // no specializable stream at all
   std::vector<std::string> notes;   // human-readable per-plan log lines
 };

@@ -141,11 +141,8 @@ MarshalProgram MarshalProgram::Build(const OperationDecl& op,
     prog.reply_items_.push_back(std::move(item));
   }
   // flexspec bind-time step: one key computation and one registry probe
-  // here buys branch-free per-call dispatch below, and interns the
-  // profile cell the bench harness snapshots into BENCH_*.json.
-  SpecKey key = ComputeSpecKey(op, pres);
-  prog.profile_ = InternMarshalProfileCell(key, op.name);
-  prog.spec_fns_ = FindSpecialization(key);
+  // here buys branch-free per-call dispatch below.
+  prog.spec_fns_ = FindSpecialization(ComputeSpecKey(op, pres));
   return prog;
 }
 
@@ -231,11 +228,6 @@ Status MarshalProgram::MarshalRequest(const ArgVec& args, WireWriter* w,
       FLEXRPC_RETURN_IF_ERROR(MarshalItem(item, args, w, special));
     }
   }
-  if (TraceEnabled() && profile_ != nullptr) {
-    profile_->marshal_calls.fetch_add(1, std::memory_order_relaxed);
-    profile_->wire_bytes.fetch_add(w->size() - wire_before,
-                                   std::memory_order_relaxed);
-  }
   if (record) {
     RecordEvent(RecEvent::kMarshalEnd, RecEndpoint::kClient,
                 RecorderCallScope::CurrentXid(),
@@ -262,11 +254,6 @@ Status MarshalProgram::UnmarshalRequest(WireReader* r, Arena* arena,
           UnmarshalItem(item, r, arena, args, special, borrow_bytes));
     }
   }
-  if (TraceEnabled() && profile_ != nullptr) {
-    profile_->unmarshal_calls.fetch_add(1, std::memory_order_relaxed);
-    profile_->wire_bytes.fetch_add(wire_before - r->remaining(),
-                                   std::memory_order_relaxed);
-  }
   return Status::Ok();
 }
 
@@ -290,11 +277,6 @@ Status MarshalProgram::MarshalReply(const ArgVec& args, WireWriter* w,
         DeallocAfterMarshal(item, args, arena);
       }
     }
-  }
-  if (TraceEnabled() && profile_ != nullptr) {
-    profile_->marshal_calls.fetch_add(1, std::memory_order_relaxed);
-    profile_->wire_bytes.fetch_add(w->size() - wire_before,
-                                   std::memory_order_relaxed);
   }
   return Status::Ok();
 }
@@ -323,11 +305,6 @@ Status MarshalProgram::UnmarshalReply(WireReader* r, Arena* arena,
       FLEXRPC_RETURN_IF_ERROR(UnmarshalItem(item, r, arena, args, special,
                                             /*borrow_bytes=*/false));
     }
-  }
-  if (TraceEnabled() && profile_ != nullptr) {
-    profile_->unmarshal_calls.fetch_add(1, std::memory_order_relaxed);
-    profile_->wire_bytes.fetch_add(wire_before - r->remaining(),
-                                   std::memory_order_relaxed);
   }
   if (record) {
     RecordEvent(RecEvent::kMarshalEnd, RecEndpoint::kClient,

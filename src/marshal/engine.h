@@ -127,7 +127,6 @@ struct MarshalPlanView {
 // dispatch to the registered straight-line function when present and
 // enabled, interpreting otherwise.
 struct SpecFns;
-struct MarshalProfileCell;
 
 class MarshalProgram {
  public:
@@ -222,8 +221,7 @@ class MarshalProgram {
   size_t slot_count_ = 0;
   std::vector<Item> request_items_;
   std::vector<Item> reply_items_;
-  const SpecFns* spec_fns_ = nullptr;       // registry hit, or null
-  MarshalProfileCell* profile_ = nullptr;   // interned per-key counters
+  const SpecFns* spec_fns_ = nullptr;  // registry hit, or null
 };
 
 }  // namespace flexrpc

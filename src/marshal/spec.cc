@@ -1,8 +1,8 @@
 #include "src/marshal/spec.h"
 
+#include <atomic>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <mutex>
 
 #include "src/marshal/layout.h"
@@ -734,14 +734,13 @@ Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,
   return Status::Ok();
 }
 
-// ---- Registry, dispatch switch, profile ------------------------------------
+// ---- Registry and dispatch switch ------------------------------------------
 
 namespace {
 
 struct Registry {
   std::mutex mu;
   std::map<SpecKey, SpecFns> fns;
-  std::map<SpecKey, std::unique_ptr<MarshalProfileCell>> profile;
 };
 
 Registry& GlobalRegistry() {
@@ -772,61 +771,12 @@ void UnregisterSpecialization(const SpecKey& key) {
   reg.fns.erase(key);
 }
 
-size_t SpecializationCount() {
-  Registry& reg = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  return reg.fns.size();
-}
-
 void SetMarshalSpecializationEnabled(bool enabled) {
   g_spec_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 bool MarshalSpecializationEnabled() {
   return g_spec_enabled.load(std::memory_order_relaxed);
-}
-
-MarshalProfileCell* InternMarshalProfileCell(const SpecKey& key,
-                                             std::string_view op_name) {
-  Registry& reg = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  auto it = reg.profile.find(key);
-  if (it == reg.profile.end()) {
-    auto cell = std::make_unique<MarshalProfileCell>();
-    cell->key = key;
-    cell->op_name = std::string(op_name);
-    it = reg.profile.emplace(key, std::move(cell)).first;
-  }
-  return it->second.get();
-}
-
-std::vector<MarshalProfileEntry> SnapshotMarshalProfile() {
-  Registry& reg = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  std::vector<MarshalProfileEntry> out;
-  out.reserve(reg.profile.size());
-  for (const auto& [key, cell] : reg.profile) {
-    MarshalProfileEntry e;
-    e.key = key;
-    e.op_name = cell->op_name;
-    e.marshal_calls = cell->marshal_calls.load(std::memory_order_relaxed);
-    e.unmarshal_calls =
-        cell->unmarshal_calls.load(std::memory_order_relaxed);
-    e.wire_bytes = cell->wire_bytes.load(std::memory_order_relaxed);
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-void ResetMarshalProfile() {
-  Registry& reg = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (auto& [key, cell] : reg.profile) {
-    (void)key;
-    cell->marshal_calls.store(0, std::memory_order_relaxed);
-    cell->unmarshal_calls.store(0, std::memory_order_relaxed);
-    cell->wire_bytes.store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace flexrpc

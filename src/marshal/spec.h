@@ -1,8 +1,8 @@
-// flexspec — profile-guided marshal superinstructions.
+// flexspec — bind-time marshal superinstructions.
 //
 // The interpreted MarshalProgram (engine.h) walks one wire item per step,
 // re-deciding type kind, presentation attributes, and length discipline on
-// every call. For hot (operation signature × presentation) pairs that is
+// every call. For a bound (operation signature × presentation) pair that is
 // pure overhead: every decision is already fixed at bind time. flexspec
 // compiles such plans into *superinstructions* — short straight-line
 // programs over a closed opcode set whose every operand (slot, offset,
@@ -30,7 +30,6 @@
 #ifndef FLEXRPC_SRC_MARSHAL_SPEC_H_
 #define FLEXRPC_SRC_MARSHAL_SPEC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -186,45 +185,11 @@ bool RegisterSpecialization(const SpecKey& key, const SpecFns& fns);
 const SpecFns* FindSpecialization(const SpecKey& key);
 // Test support: removes one registration (e.g. an executor-backed fake).
 void UnregisterSpecialization(const SpecKey& key);
-size_t SpecializationCount();
 
 // Global dispatch switch, default on. Benches A/B the fast path against
 // the interpreter with this (same program, same wire bytes).
 void SetMarshalSpecializationEnabled(bool enabled);
 bool MarshalSpecializationEnabled();
-
-// ---- Bind-time marshal profile ---------------------------------------------
-//
-// Every MarshalProgram::Build interns a profile cell for its SpecKey; the
-// engine entry points count calls and wire bytes into it while tracing is
-// enabled. BenchHarness serializes the snapshot into BENCH_*.json as the
-// "marshal_profile" section, which `idlc --specialize --profile=` ranks to
-// pick the top-K plans.
-
-struct MarshalProfileCell {
-  SpecKey key;
-  std::string op_name;
-  std::atomic<uint64_t> marshal_calls{0};
-  std::atomic<uint64_t> unmarshal_calls{0};
-  std::atomic<uint64_t> wire_bytes{0};
-};
-
-// Returns the (process-wide) cell for `key`, creating it on first use.
-MarshalProfileCell* InternMarshalProfileCell(const SpecKey& key,
-                                             std::string_view op_name);
-
-struct MarshalProfileEntry {
-  SpecKey key;
-  std::string op_name;
-  uint64_t marshal_calls = 0;
-  uint64_t unmarshal_calls = 0;
-  uint64_t wire_bytes = 0;
-};
-
-// Point-in-time copy, sorted by key for deterministic artifacts.
-std::vector<MarshalProfileEntry> SnapshotMarshalProfile();
-// Zeroes every cell (the bench harness resets at its trace window open).
-void ResetMarshalProfile();
 
 }  // namespace flexrpc
 

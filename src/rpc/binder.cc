@@ -59,21 +59,6 @@ uint64_t BinderTransport::Now() { return events_->clock()->now_nanos(); }
 
 size_t BinderTransport::PickReplica() {
   size_t n = group_->size();
-  if (policy_.routing == BinderPolicy::Routing::kRoundRobin) {
-    // Rotate, skipping unhealthy replicas; if none are healthy, fall back
-    // to the cursor position (the call will retry there and either get
-    // through or feed more failure evidence).
-    for (size_t step = 0; step < n; ++step) {
-      size_t candidate = (rr_next_ + step) % n;
-      if (trackers_[candidate].healthy()) {
-        rr_next_ = (candidate + 1) % n;
-        return candidate;
-      }
-    }
-    size_t candidate = rr_next_;
-    rr_next_ = (rr_next_ + 1) % n;
-    return candidate;
-  }
   // Primary-backup: the primary takes everything while healthy; otherwise
   // the lowest-indexed healthy replica stands in (Cutover makes that
   // stand-in official for in-flight calls too).

@@ -9,7 +9,7 @@
 //                   on its own channel, all driven by one shared
 //                   EventQueue, each tagged (1-based) so flight-recorder
 //                   events attribute to their replica.
-//   BinderTransport routes calls to replicas by policy, watches each
+//   BinderTransport routes calls to a primary replica, watches each
 //                   engine's health taps, and on failure *re-binds live
 //                   calls*: in-flight xids on a dead replica are cancelled
 //                   and re-issued, under the same xid, on a healthy one
@@ -94,12 +94,9 @@ class ReplicaGroup {
   EventQueue* events_;
 };
 
+// Routing is primary-backup: while the primary is healthy it takes every
+// call, and the backups serve only once it fails.
 struct BinderPolicy {
-  enum class Routing {
-    kPrimaryBackup,  // all calls to one primary; backups idle until cutover
-    kRoundRobin,     // calls rotate across the healthy set
-  };
-  Routing routing = Routing::kPrimaryBackup;
   FailoverPolicy failover;
   // Re-issues a single call may consume across replicas (cutover or
   // failure-driven) before its failure is surfaced to the caller.
@@ -151,7 +148,6 @@ class BinderTransport : public CallChannel {
   ReplicaHealth health(size_t replica) const {
     return trackers_[replica].health();
   }
-  size_t calls_in_flight() const { return calls_.size(); }
 
  private:
   struct BoundCall {
@@ -164,7 +160,7 @@ class BinderTransport : public CallChannel {
   };
 
   uint64_t Now();
-  size_t PickReplica();                 // routing-policy target selection
+  size_t PickReplica();                 // primary, or a healthy stand-in
   void SubmitToReplica(uint32_t xid, size_t replica);
   void CancelOnReplica(uint32_t xid, size_t replica);
   void OnInnerComplete(uint32_t xid, size_t replica, Status status,
@@ -186,7 +182,6 @@ class BinderTransport : public CallChannel {
   // function of the xids, not of hash-table history.
   std::map<uint32_t, BoundCall> calls_;
   size_t primary_ = 0;
-  size_t rr_next_ = 0;                    // round-robin cursor
   EventQueue::EventId cutover_event_ = EventQueue::kInvalidEvent;
   uint32_t next_probe_xid_ = 0xF0000000;  // probe xid namespace
   std::vector<bool> probe_outstanding_;

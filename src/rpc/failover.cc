@@ -4,18 +4,6 @@
 
 namespace flexrpc {
 
-std::string_view ReplicaHealthName(ReplicaHealth h) {
-  switch (h) {
-    case ReplicaHealth::kHealthy:
-      return "healthy";
-    case ReplicaHealth::kSuspect:
-      return "suspect";
-    case ReplicaHealth::kProbing:
-      return "probing";
-  }
-  return "?";
-}
-
 FailoverTracker::FailoverTracker(FailoverPolicy policy) : policy_(policy) {
   policy_.suspect_after = std::max<uint32_t>(policy_.suspect_after, 1);
   policy_.probe_interval_nanos =

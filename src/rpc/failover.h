@@ -30,7 +30,6 @@
 #define FLEXRPC_SRC_RPC_FAILOVER_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace flexrpc {
 
@@ -49,8 +48,6 @@ enum class ReplicaHealth : uint8_t {
   kSuspect,      // out of rotation, next probe scheduled
   kProbing,      // out of rotation, a probe is in flight
 };
-
-std::string_view ReplicaHealthName(ReplicaHealth h);
 
 class FailoverTracker {
  public:

@@ -176,6 +176,21 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
+std::optional<uint64_t> JsonValue::AsUInt(uint64_t max) const {
+  // 2^64 is exactly representable; every integral double below it
+  // converts to uint64_t without loss. NaN fails the first comparison.
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (kind != Kind::kNumber || !(number >= 0) || number >= kTwoTo64 ||
+      std::floor(number) != number) {
+    return std::nullopt;
+  }
+  uint64_t value = static_cast<uint64_t>(number);
+  if (value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 namespace {
 
 class Parser {

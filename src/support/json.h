@@ -10,6 +10,7 @@
 #define FLEXRPC_SRC_SUPPORT_JSON_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -70,6 +71,11 @@ struct JsonValue {
 
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
+  // The number as an integer field no larger than `max`; nullopt unless it
+  // is finite, integral, non-negative, and at most `max`. Readers of
+  // integer fields use this instead of casting `number`, which is UB (or a
+  // silent wrap) for negative, fractional, or out-of-range input.
+  std::optional<uint64_t> AsUInt(uint64_t max = UINT64_MAX) const;
   bool IsNumber() const { return kind == Kind::kNumber; }
   bool IsObject() const { return kind == Kind::kObject; }
 };

@@ -224,13 +224,26 @@ std::string RecordingToJson(const Recording& recording,
 
 namespace {
 
-Result<uint64_t> RequireUInt(const JsonValue& object, const char* key) {
+Result<uint64_t> RequireUInt(const JsonValue& object, const char* key,
+                             uint64_t max = UINT64_MAX) {
   const JsonValue* v = object.Find(key);
-  if (v == nullptr || !v->IsNumber()) {
-    return InvalidArgumentError(
-        StrFormat("recording event missing numeric \"%s\"", key));
+  std::optional<uint64_t> value =
+      v != nullptr ? v->AsUInt(max) : std::nullopt;
+  if (!value) {
+    return InvalidArgumentError(StrFormat(
+        "recording field \"%s\" is not an integer in [0, %llu]", key,
+        static_cast<unsigned long long>(max)));
   }
-  return static_cast<uint64_t>(v->number);
+  return *value;
+}
+
+// Optional fields read as zero when absent.
+Result<uint64_t> OptionalUInt(const JsonValue& object, const char* key,
+                              uint64_t max = UINT64_MAX) {
+  if (object.Find(key) == nullptr) {
+    return uint64_t{0};
+  }
+  return RequireUInt(object, key, max);
 }
 
 }  // namespace
@@ -272,21 +285,19 @@ Result<Recording> ParseRecording(std::string_view json) {
           StrFormat("unknown endpoint \"%s\"", ep->string.c_str()));
     }
     e.endpoint = static_cast<RecEndpoint>(ep_index);
-    FLEXRPC_ASSIGN_OR_RETURN(uint64_t xid, RequireUInt(entry, "xid"));
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t xid,
+                             RequireUInt(entry, "xid", UINT32_MAX));
     e.xid = static_cast<uint32_t>(xid);
-    if (const JsonValue* r = entry.Find("r"); r != nullptr && r->IsNumber()) {
-      e.replica = static_cast<uint32_t>(r->number);
-    }
-    if (const JsonValue* c = entry.Find("c"); c != nullptr && c->IsNumber()) {
-      e.conn = static_cast<uint32_t>(c->number);
-    }
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t replica,
+                             OptionalUInt(entry, "r", UINT32_MAX));
+    e.replica = static_cast<uint32_t>(replica);
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t conn,
+                             OptionalUInt(entry, "c", UINT32_MAX));
+    e.conn = static_cast<uint32_t>(conn);
     FLEXRPC_ASSIGN_OR_RETURN(e.virtual_nanos, RequireUInt(entry, "vt"));
     FLEXRPC_ASSIGN_OR_RETURN(e.a, RequireUInt(entry, "a"));
     FLEXRPC_ASSIGN_OR_RETURN(e.b, RequireUInt(entry, "b"));
-    if (const JsonValue* wt = entry.Find("wt");
-        wt != nullptr && wt->IsNumber()) {
-      e.wall_nanos = static_cast<uint64_t>(wt->number);
-    }
+    FLEXRPC_ASSIGN_OR_RETURN(e.wall_nanos, OptionalUInt(entry, "wt"));
     recording.events.push_back(e);
   }
   return recording;

@@ -324,13 +324,17 @@ std::string TimelineToJson(const Timeline& timeline) {
 
 namespace {
 
-Result<uint64_t> ReadUInt(const JsonValue& object, std::string_view key) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || !value->IsNumber()) {
+Result<uint64_t> ReadUInt(const JsonValue& object, std::string_view key,
+                          uint64_t max = UINT64_MAX) {
+  const JsonValue* v = object.Find(key);
+  std::optional<uint64_t> value =
+      v != nullptr ? v->AsUInt(max) : std::nullopt;
+  if (!value) {
     return InvalidArgumentError(StrFormat(
-        "timeline: missing numeric field \"%s\"", std::string(key).c_str()));
+        "timeline: field \"%s\" is not an integer in [0, %llu]",
+        std::string(key).c_str(), static_cast<unsigned long long>(max)));
   }
-  return static_cast<uint64_t>(value->number);
+  return *value;
 }
 
 Result<std::vector<Timeline::Series>> ParseSeriesArray(
@@ -354,10 +358,11 @@ Result<std::vector<Timeline::Series>> ParseSeriesArray(
     Timeline::Series series;
     series.name = name->string;
     for (const JsonValue& sample : samples->array) {
-      if (!sample.IsNumber()) {
-        return InvalidArgumentError("timeline: non-numeric sample");
+      std::optional<uint64_t> value = sample.AsUInt();
+      if (!value) {
+        return InvalidArgumentError("timeline: sample is not an integer");
       }
-      series.samples.push_back(static_cast<uint64_t>(sample.number));
+      series.samples.push_back(*value);
     }
     out.push_back(std::move(series));
   }
@@ -389,6 +394,9 @@ Result<Timeline> ParseTimeline(std::string_view json) {
   if (sketches == nullptr || sketches->kind != JsonValue::Kind::kArray) {
     return InvalidArgumentError("timeline: missing sketches array");
   }
+  // Bucket indices past the one holding UINT64_MAX name no value range;
+  // BucketHighValue would shift past 64 bits for them.
+  const uint64_t max_bucket = QuantileSketch::BucketOf(UINT64_MAX);
   for (const JsonValue& entry : sketches->array) {
     if (!entry.IsObject()) {
       return InvalidArgumentError("timeline: sketch entry is not an object");
@@ -402,7 +410,8 @@ Result<Timeline> ParseTimeline(std::string_view json) {
                              WatchSeriesFromName(series_name->string));
     Timeline::SketchKey key;
     key.series = static_cast<uint16_t>(series);
-    FLEXRPC_ASSIGN_OR_RETURN(uint64_t dim, ReadUInt(entry, "dim"));
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t dim,
+                             ReadUInt(entry, "dim", UINT32_MAX));
     key.dim = static_cast<uint32_t>(dim);
     FLEXRPC_ASSIGN_OR_RETURN(key.window, ReadUInt(entry, "window"));
     FLEXRPC_ASSIGN_OR_RETURN(uint64_t count, ReadUInt(entry, "count"));
@@ -415,12 +424,15 @@ Result<Timeline> ParseTimeline(std::string_view json) {
     }
     std::map<uint32_t, uint64_t> cells;
     for (const JsonValue& pair : buckets->array) {
-      if (pair.kind != JsonValue::Kind::kArray || pair.array.size() != 2 ||
-          !pair.array[0].IsNumber() || !pair.array[1].IsNumber()) {
+      if (pair.kind != JsonValue::Kind::kArray || pair.array.size() != 2) {
         return InvalidArgumentError("timeline: malformed sketch bucket");
       }
-      cells[static_cast<uint32_t>(pair.array[0].number)] =
-          static_cast<uint64_t>(pair.array[1].number);
+      std::optional<uint64_t> bucket = pair.array[0].AsUInt(max_bucket);
+      std::optional<uint64_t> cell_count = pair.array[1].AsUInt();
+      if (!bucket || !cell_count) {
+        return InvalidArgumentError("timeline: malformed sketch bucket");
+      }
+      cells[static_cast<uint32_t>(*bucket)] = *cell_count;
     }
     timeline.sketches[key] =
         QuantileSketch::FromParts(count, sum, min, max, std::move(cells));

@@ -1,18 +1,16 @@
 // flexspec tests: superinstruction compilation, the reference executors'
 // byte-for-byte agreement with the interpreter across every seed signature
-// family, engine dispatch + hit/miss counters, the registry, the profile
-// reader, the --specialize emitter (including blocked emission on a
-// corrupted stream), and the drift guards tying examples/idl/nfs.* to the
-// embedded NFS texts the build specializes against.
+// family, engine dispatch + hit/miss counters, the registry, the
+// --specialize emitter (including blocked emission on a corrupted stream),
+// and the drift guards tying examples/idl/nfs.* to the embedded NFS texts
+// the build specializes against.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "src/analysis/flexspec_profile.h"
 #include "src/analysis/spec_verifier.h"
 #include "src/apps/nfs.h"
 #include "src/codegen/spec_gen.h"
@@ -664,89 +662,6 @@ TEST(SpecDispatchTest, UnregisteredKeyAlwaysMisses) {
   EXPECT_GE(session.Report().counter(TraceCounter::kMarshalSpecMisses), 1u);
 }
 
-// --- profile reader ---------------------------------------------------------
-
-constexpr char kBenchArtifact[] = R"({
-  "schema": "flexrpc-bench-v1",
-  "marshal_profile": [
-    {"op_hash": "00000000000000aa", "pres_hash": "00000000000000bb",
-     "op": "hot_op", "marshal_calls": 100, "unmarshal_calls": 50,
-     "wire_bytes": 5000},
-    {"op_hash": "00000000000000cc", "pres_hash": "00000000000000dd",
-     "op": "cold_op", "marshal_calls": 1, "unmarshal_calls": 0,
-     "wire_bytes": 16},
-    {"op_hash": "00000000000000ee", "pres_hash": "00000000000000ff",
-     "op": "dead_op", "marshal_calls": 0, "unmarshal_calls": 0,
-     "wire_bytes": 0}
-  ]
-})";
-
-constexpr char kRecArtifact[] = R"({
-  "schema": "flexrpc-rec-v1",
-  "capacity": 16, "total_events": 2, "dropped_events": 0,
-  "events": [
-    {"type": "marshal_begin", "ep": "client", "xid": 1, "vt": 0,
-     "a": 0, "b": 0},
-    {"type": "marshal_end", "ep": "client", "xid": 1, "vt": 5,
-     "a": 0, "b": 0}
-  ]
-})";
-
-TEST(FlexspecProfileTest, MergesAndRanksBenchArtifacts) {
-  MarshalProfile profile;
-  ASSERT_TRUE(MergeProfileArtifact(kBenchArtifact, &profile).ok());
-  ASSERT_TRUE(MergeProfileArtifact(kBenchArtifact, &profile).ok());
-  FinalizeProfile(&profile);
-  ASSERT_EQ(profile.plans.size(), 3u);
-  EXPECT_EQ(profile.plans[0].op_name, "hot_op");
-  EXPECT_EQ(profile.plans[0].marshal_calls, 200u);  // merged twice
-  EXPECT_EQ(profile.plans[0].Score(), 300u);
-
-  // Zero-score keys never make the cut, however large K is.
-  std::vector<SpecKey> top = profile.TopKeys(10);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].op_hash, 0xAAu);
-  EXPECT_EQ(top[1].op_hash, 0xCCu);
-  top = profile.TopKeys(1);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].op_hash, 0xAAu);
-
-  const ProfiledPlan* hot = profile.Find(SpecKey{0xAA, 0xBB});
-  ASSERT_NE(hot, nullptr);
-  EXPECT_EQ(hot->wire_bytes, 10000u);
-}
-
-TEST(FlexspecProfileTest, RecordingsLandInUnattributedBucket) {
-  MarshalProfile profile;
-  ASSERT_TRUE(MergeProfileArtifact(kRecArtifact, &profile).ok());
-  EXPECT_EQ(profile.plans.size(), 0u);
-  EXPECT_EQ(profile.unattributed_recording_spans, 1u);
-}
-
-TEST(FlexspecProfileTest, RejectsUnknownSchemaAndMissingPath) {
-  MarshalProfile profile;
-  EXPECT_FALSE(
-      MergeProfileArtifact(R"({"schema": "not-a-profile"})", &profile)
-          .ok());
-  EXPECT_EQ(LoadProfilePath("/nonexistent/profile.json", &profile).code(),
-            StatusCode::kNotFound);
-}
-
-TEST(FlexspecProfileTest, LoadsDirectoryOfArtifacts) {
-  std::string dir = ::testing::TempDir() + "/flexspec_profile_dir";
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(std::filesystem::create_directories(dir));
-  std::ofstream(dir + "/BENCH_fake.json") << kBenchArtifact;
-  std::ofstream(dir + "/REC_fake.json") << kRecArtifact;
-  std::ofstream(dir + "/README.txt") << "not an artifact";
-  MarshalProfile profile;
-  ASSERT_TRUE(LoadProfilePath(dir, &profile).ok());
-  FinalizeProfile(&profile);
-  EXPECT_EQ(profile.artifacts_read, 2u);
-  EXPECT_EQ(profile.plans.size(), 3u);
-  EXPECT_EQ(profile.unattributed_recording_spans, 1u);
-}
-
 // --- the --specialize emitter -----------------------------------------------
 
 TEST(SpecGenTest, EmitsRegistrarForSupportedPlans) {
@@ -795,30 +710,6 @@ TEST(SpecGenTest, CorruptedStreamBlocksEmission) {
                                            options, "t.idl", &diags, &stats);
   EXPECT_FALSE(generated.ok());
   EXPECT_GE(diags.CountCode("FLEX201"), 1) << diags.ToString();
-}
-
-TEST(SpecGenTest, ProfileKeepsOnlyTopKeys) {
-  Compiled c = Compile(kFileIoIdl, false, "", "");
-  // A profile that saw only the client write plan.
-  MarshalProfile profile;
-  ProfiledPlan hot;
-  hot.key = ComputeSpecKey(c.idl->interfaces[0].ops[1],
-                           *c.client.Find("FileIO")->FindOp("write"));
-  hot.op_name = "write";
-  hot.marshal_calls = 1000;
-  profile.plans.push_back(hot);
-  FinalizeProfile(&profile);
-
-  SpecGenOptions options;
-  options.profile = &profile;
-  options.top_k = 1;
-  DiagnosticSink diags;
-  SpecGenStats stats;
-  auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
-                                           options, "t.idl", &diags, &stats);
-  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
-  EXPECT_EQ(stats.plans_emitted, 1u);
-  EXPECT_GE(stats.plans_skipped_cold, 1u);
 }
 
 // --- NFS end to end: the build-time generated unit --------------------------

@@ -182,6 +182,30 @@ TEST(RecorderTest, ParseRejectsUnknownEventName) {
   EXPECT_FALSE(ParseRecording(json).ok());
 }
 
+TEST(RecorderTest, ParseRejectsIntegersThatDoNotFitTheirField) {
+  auto recording = [](const std::string& fields) {
+    return R"({"schema": "flexrpc-rec-v1", "capacity": 4,
+               "total_events": 1, "dropped_events": 0,
+               "events": [{"type": "call_submit", "ep": "client", )" +
+           fields + "}]}";
+  };
+  ASSERT_TRUE(
+      ParseRecording(recording(R"("xid": 7, "vt": 1, "a": 0, "b": 0)")).ok());
+  // Negative, fractional, and too-wide numbers are refused, never cast.
+  for (const char* fields : {
+           R"("xid": -7, "vt": 1, "a": 0, "b": 0)",
+           R"("xid": 7, "vt": -1, "a": 0, "b": 0)",
+           R"("xid": 4294967296, "vt": 1, "a": 0, "b": 0)",
+           R"("xid": 7, "vt": 1.5, "a": 0, "b": 0)",
+           R"("xid": 7, "vt": 1e20, "a": 0, "b": 0)",
+           R"("xid": 7, "c": -1, "vt": 1, "a": 0, "b": 0)",
+       }) {
+    EXPECT_EQ(ParseRecording(recording(fields)).status().code(),
+              StatusCode::kInvalidArgument)
+        << fields;
+  }
+}
+
 // --- a real seeded lossy pipelined NFS run ------------------------------
 //
 // The acceptance workload: a window-8 engine read over a drop/dup/reorder

@@ -205,17 +205,6 @@ TEST(BinderTest, PrimaryBackupRoutesEverythingToThePrimary) {
   EXPECT_EQ(stats.cutovers, 0u);
 }
 
-TEST(BinderTest, RoundRobinSpreadsAcrossHealthyReplicas) {
-  BinderPolicy policy = EchoProbePolicy();
-  policy.routing = BinderPolicy::Routing::kRoundRobin;
-  BinderRig rig(PerfectWires(3), std::move(policy));
-  EXPECT_EQ(rig.RunEchoCalls(9), 9u);
-  const auto& stats = rig.binder().stats();
-  EXPECT_EQ(stats.per_replica_calls[0], 3u);
-  EXPECT_EQ(stats.per_replica_calls[1], 3u);
-  EXPECT_EQ(stats.per_replica_calls[2], 3u);
-}
-
 TEST(BinderTest, DeadPrimaryCutsOverWithoutDroppingCalls) {
   auto plans = PerfectWires(3);
   plans[0].first.KillFrom(0);   // requests into replica 0 vanish

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/support/event_queue.h"
@@ -304,6 +305,40 @@ TEST(TimelineJsonTest, RoundTripIsByteIdentical) {
 TEST(TimelineJsonTest, ParseRejectsWrongSchema) {
   EXPECT_FALSE(ParseTimeline("{\"schema\":\"flexrpc-rec-v1\"}").ok());
   EXPECT_FALSE(ParseTimeline("not json").ok());
+}
+
+TEST(TimelineJsonTest, ParseRejectsIntegersThatDoNotFitTheirField) {
+  auto timeline = [](const std::string& dim, const std::string& bucket) {
+    return R"({"schema": "flexrpc-timeline-v1", "tick_nanos": 1000,
+               "start_nanos": 0, "end_nanos": 1000, "ticks": 1,
+               "counters": [], "gauges": [],
+               "sketches": [{"series": "call_latency_nanos", "dim": )" +
+           dim + R"(, "window": 0, "count": 3, "sum": 3, "min": 1,
+               "max": 1, "buckets": [)" +
+           bucket + "]}]}";
+  };
+  // The last valid bucket holds UINT64_MAX; any later index names no
+  // value range, and Quantile would shift past 64 bits to bound it.
+  const std::string last =
+      std::to_string(QuantileSketch::BucketOf(UINT64_MAX));
+  const std::string past_last =
+      std::to_string(QuantileSketch::BucketOf(UINT64_MAX) + 1);
+  auto parsed = ParseTimeline(timeline("0", "[" + last + ", 3]"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->sketches.begin()->second.Quantile(0.5), 1u);
+  for (const auto& [dim, bucket] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"0", "[5000, 3]"},
+           {"0", "[" + past_last + ", 3]"},
+           {"0", "[1, -3]"},
+           {"0", "[1.5, 3]"},
+           {"-1", "[1, 3]"},
+           {"4294967296", "[1, 3]"},
+       }) {
+    EXPECT_EQ(ParseTimeline(timeline(dim, bucket)).status().code(),
+              StatusCode::kInvalidArgument)
+        << dim << " " << bucket;
+  }
 }
 
 TEST(TimelineJsonTest, SeriesNamesRoundTrip) {

@@ -15,20 +15,25 @@
 // --timeline switches the gate to flexwatch TIMELINE_<name>.json
 // artifacts: tick counts, series counts, sketch-cell counts, and total
 // sketch samples are exact for a seeded run, so the timeline budgets pin
-// them the same way (same --update regeneration, same unified-diff
-// failure report):
+// them the same way (same key-set rule, same --update regeneration, same
+// unified-diff failure report):
 //
-//   flextrace_check --timeline --budgets=bench/budgets/timeline.json \
+//   flextrace_check --timeline --budgets=bench/budgets/timeline.json
 //       --dir=OUT [--update]
 //
-// Exit code 0 = all benches within budget; 1 = violation or usage error.
+// A budget or artifact value that is not a non-negative integer is a
+// violation. Exit code 0 = all benches within budget; 1 = violation or
+// usage error.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/support/json.h"
@@ -60,30 +65,6 @@ Result<JsonValue> LoadJson(const std::string& path) {
   return parsed;
 }
 
-uint64_t CounterOf(const JsonValue& artifact, std::string_view name) {
-  const JsonValue* trace = artifact.Find("trace");
-  const JsonValue* counters =
-      trace != nullptr ? trace->Find("counters") : nullptr;
-  const JsonValue* v = counters != nullptr ? counters->Find(name) : nullptr;
-  if (v == nullptr || !v->IsNumber()) {
-    return 0;
-  }
-  return static_cast<uint64_t>(v->number);
-}
-
-std::string_view CatalogName(size_t i) {
-  return TraceCounterName(static_cast<TraceCounter>(i));
-}
-
-bool InCatalog(std::string_view key) {
-  for (size_t i = 0; i < kTraceCounterCount; ++i) {
-    if (CatalogName(i) == key) {
-      return true;
-    }
-  }
-  return false;
-}
-
 struct Options {
   std::string argv0 = "flextrace_check";
   std::string budgets_path;
@@ -92,7 +73,7 @@ struct Options {
   bool timeline = false;  // gate TIMELINE_*.json instead of BENCH_*.json
 };
 
-// One out-of-budget counter, kept structured so the failure report can
+// One out-of-budget value, kept structured so the failure report can
 // render a unified diff of the budget file against observed reality.
 struct Drift {
   std::string bench;
@@ -107,275 +88,199 @@ int Fail(const char* why) {
   return 1;
 }
 
-// Validates one artifact's shape and (unless updating) its counters
-// against the bench's budget entry. Appends human-readable violations.
-void CheckBench(const std::string& bench, const JsonValue& artifact,
-                bool want_smoke, const JsonValue* budget,
-                std::vector<std::string>* violations,
-                std::vector<Drift>* drifts) {
+// One artifact's gated (key, value) pairs, in the order --update writes
+// them. The keys are exactly what a budget entry must name.
+using Observed = std::vector<std::pair<std::string, uint64_t>>;
+
+// Reads a BENCH_ artifact: its whole counter catalog, after the shape
+// checks that make the counters comparable at all.
+Status ObserveBench(std::string_view text, bool want_smoke, Observed* out) {
+  FLEXRPC_ASSIGN_OR_RETURN(JsonValue artifact, ParseJson(text));
   const JsonValue* schema = artifact.Find("schema");
   if (schema == nullptr || schema->string != "flexrpc-bench-v1") {
-    violations->push_back(bench + ": missing/unknown schema");
-    return;
+    return InvalidArgumentError("missing/unknown schema");
   }
   const JsonValue* smoke = artifact.Find("smoke");
   if (smoke == nullptr || smoke->kind != JsonValue::Kind::kBool) {
-    violations->push_back(bench + ": missing smoke flag");
-    return;
+    return InvalidArgumentError("missing smoke flag");
   }
   // Comparing a full run against smoke budgets (or vice versa) would
   // "fail" on every counter for the wrong reason — refuse outright.
   if (smoke->boolean != want_smoke) {
-    violations->push_back(StrFormat(
-        "%s: artifact is a %s run but budgets are for %s runs",
-        bench.c_str(), smoke->boolean ? "smoke" : "full",
-        want_smoke ? "smoke" : "full"));
-    return;
+    return InvalidArgumentError(StrFormat(
+        "artifact is a %s run but budgets are for %s runs",
+        smoke->boolean ? "smoke" : "full", want_smoke ? "smoke" : "full"));
   }
   const JsonValue* results = artifact.Find("results");
   if (results == nullptr || results->kind != JsonValue::Kind::kArray ||
       results->array.empty()) {
-    violations->push_back(bench + ": empty results array");
+    return InvalidArgumentError("empty results array");
   }
-  if (budget == nullptr) {
+  const JsonValue* trace = artifact.Find("trace");
+  const JsonValue* counters =
+      trace != nullptr ? trace->Find("counters") : nullptr;
+  for (size_t i = 0; i < kTraceCounterCount; ++i) {
+    std::string name(TraceCounterName(static_cast<TraceCounter>(i)));
+    const JsonValue* v = counters != nullptr ? counters->Find(name) : nullptr;
+    // A counter the artifact does not carry counted nothing.
+    std::optional<uint64_t> value = v != nullptr ? v->AsUInt() : 0u;
+    if (!value) {
+      return InvalidArgumentError(
+          StrFormat("counter %s is not an integer", name.c_str()));
+    }
+    out->emplace_back(std::move(name), *value);
+  }
+  return Status::Ok();
+}
+
+// Reads a TIMELINE_ artifact's gated shape, all exact for a seeded run:
+// drift in tick count means the run's virtual span changed; drift in the
+// sketch-cell (distinct series, dim, window) or summed sample counts means
+// observations moved across windows, dimensions, or series.
+Status ObserveTimeline(std::string_view text, bool /*want_smoke*/,
+                       Observed* out) {
+  FLEXRPC_ASSIGN_OR_RETURN(Timeline timeline, ParseTimeline(text));
+  uint64_t sketch_samples = 0;
+  for (const auto& [key, sketch] : timeline.sketches) {
+    sketch_samples += sketch.count();
+  }
+  *out = {
+      {"tick_nanos", timeline.tick_nanos},
+      {"ticks", timeline.ticks},
+      {"counter_series", timeline.counters.size()},
+      {"gauge_series", timeline.gauges.size()},
+      {"sketch_cells", timeline.sketches.size()},
+      {"sketch_samples", sketch_samples},
+  };
+  return Status::Ok();
+}
+
+// What differs between the two artifact kinds; loading the budgets,
+// comparing keys, --update, the diff and the hint are shared.
+struct ArtifactKind {
+  const char* budgets_schema;
+  const char* prefix;      // artifact file name: <prefix><bench>.json
+  const char* noun;        // diff hunk header
+  const char* plural;      // summary line
+  const char* key_noun;    // what a budget key names
+  const char* catalog;     // where the observed keys come from
+  bool has_mode;           // budgets pin "smoke" or "full" runs
+  bool ranges;             // a budget may be [lo, hi] rather than exact
+  Status (*observe)(std::string_view text, bool want_smoke, Observed* out);
+};
+
+constexpr ArtifactKind kBenchKind = {
+    "flexrpc-bench-budgets-v1", "BENCH_", "bench", "bench(es)",
+    "counter", "counter catalog", true, true, ObserveBench};
+constexpr ArtifactKind kTimelineKind = {
+    "flexrpc-timeline-budgets-v1", "TIMELINE_", "timeline", "timeline(s)",
+    "key", "timeline shape", false, false, ObserveTimeline};
+
+Result<Observed> Observe(const ArtifactKind& kind, const Options& opts,
+                         const std::string& bench, bool want_smoke) {
+  FLEXRPC_ASSIGN_OR_RETURN(
+      std::string text,
+      ReadFile(opts.dir + "/" + kind.prefix + bench + ".json"));
+  Observed observed;
+  Status status = kind.observe(text, want_smoke, &observed);
+  if (!status.ok()) {
+    return InvalidArgumentError(
+        StrFormat("%s: %s", bench.c_str(), status.message().c_str()));
+  }
+  return observed;
+}
+
+// Compares one bench's observed values against its budget entry.
+void CheckBudget(const ArtifactKind& kind, const std::string& bench,
+                 const Observed& observed, const JsonValue& budget,
+                 std::vector<std::string>* violations,
+                 std::vector<Drift>* drifts) {
+  if (!budget.IsObject()) {
+    violations->push_back(bench + ": malformed budget entry");
     return;
   }
-  for (size_t i = 0; i < kTraceCounterCount; ++i) {
-    if (budget->Find(CatalogName(i)) == nullptr) {
-      violations->push_back(StrFormat(
-          "%s: counter %s is missing from the budget", bench.c_str(),
-          std::string(CatalogName(i)).c_str()));
+  for (const auto& [key, got] : observed) {
+    if (budget.Find(key) == nullptr) {
+      violations->push_back(StrFormat("%s: %s %s is missing from the budget",
+                                      bench.c_str(), kind.key_noun,
+                                      key.c_str()));
     }
   }
-  for (const auto& [name, want] : budget->object) {
-    if (!InCatalog(name)) {
-      violations->push_back(StrFormat(
-          "%s: budget key %s is not in the counter catalog", bench.c_str(),
-          name.c_str()));
+  for (const auto& [key, want] : budget.object) {
+    auto it = std::find_if(observed.begin(), observed.end(),
+                           [&](const auto& kv) { return kv.first == key; });
+    if (it == observed.end()) {
+      violations->push_back(StrFormat("%s: budget key %s is not in the %s",
+                                      bench.c_str(), key.c_str(),
+                                      kind.catalog));
       continue;
     }
-    uint64_t got = CounterOf(artifact, name);
-    uint64_t lo;
-    uint64_t hi;
-    if (want.IsNumber()) {
-      lo = hi = static_cast<uint64_t>(want.number);
-    } else if (want.kind == JsonValue::Kind::kArray &&
-               want.array.size() == 2 && want.array[0].IsNumber() &&
-               want.array[1].IsNumber()) {
-      lo = static_cast<uint64_t>(want.array[0].number);
-      hi = static_cast<uint64_t>(want.array[1].number);
-    } else {
-      violations->push_back(bench + ": malformed budget for " + name);
+    std::optional<uint64_t> lo = want.AsUInt();
+    std::optional<uint64_t> hi = lo;
+    if (kind.ranges && want.kind == JsonValue::Kind::kArray &&
+        want.array.size() == 2) {
+      lo = want.array[0].AsUInt();
+      hi = want.array[1].AsUInt();
+    }
+    if (!lo || !hi) {
+      violations->push_back(bench + ": malformed budget for " + key);
       continue;
     }
-    if (got < lo || got > hi) {
-      violations->push_back(StrFormat(
-          "%s: %s = %llu outside budget [%llu, %llu]", bench.c_str(),
-          name.c_str(), static_cast<unsigned long long>(got),
-          static_cast<unsigned long long>(lo),
-          static_cast<unsigned long long>(hi)));
-      drifts->push_back(Drift{bench, name, lo, hi, got});
+    uint64_t got = it->second;
+    if (got < *lo || got > *hi) {
+      violations->push_back(
+          *lo == *hi
+              ? StrFormat("%s: %s = %llu, budget pins %llu", bench.c_str(),
+                          key.c_str(), static_cast<unsigned long long>(got),
+                          static_cast<unsigned long long>(*lo))
+              : StrFormat("%s: %s = %llu outside budget [%llu, %llu]",
+                          bench.c_str(), key.c_str(),
+                          static_cast<unsigned long long>(got),
+                          static_cast<unsigned long long>(*lo),
+                          static_cast<unsigned long long>(*hi)));
+      drifts->push_back(Drift{bench, key, *lo, *hi, got});
     }
   }
 }
 
-// --- the --timeline gate -------------------------------------------------
-
-// The gated shape of a flexwatch timeline, all exact for a seeded run:
-// drift in tick count means the run's virtual span changed; drift in the
-// sketch-cell or sample counts means observations moved across windows,
-// dimensions, or series.
-struct TimelineShape {
-  uint64_t tick_nanos = 0;
-  uint64_t ticks = 0;
-  uint64_t counter_series = 0;
-  uint64_t gauge_series = 0;
-  uint64_t sketch_cells = 0;    // distinct (series, dim, window) sketches
-  uint64_t sketch_samples = 0;  // summed sketch counts
-};
-
-constexpr const char* kTimelineKeys[] = {
-    "tick_nanos",   "ticks",        "counter_series",
-    "gauge_series", "sketch_cells", "sketch_samples",
-};
-
-uint64_t TimelineKeyOf(const TimelineShape& shape, const std::string& key) {
-  if (key == "tick_nanos") return shape.tick_nanos;
-  if (key == "ticks") return shape.ticks;
-  if (key == "counter_series") return shape.counter_series;
-  if (key == "gauge_series") return shape.gauge_series;
-  if (key == "sketch_cells") return shape.sketch_cells;
-  if (key == "sketch_samples") return shape.sketch_samples;
-  return 0;
-}
-
-Result<TimelineShape> LoadTimelineShape(const std::string& path) {
-  FLEXRPC_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
-  auto timeline = ParseTimeline(text);
-  if (!timeline.ok()) {
-    return InvalidArgumentError(StrFormat(
-        "%s: %s", path.c_str(), timeline.status().message().c_str()));
-  }
-  TimelineShape shape;
-  shape.tick_nanos = timeline->tick_nanos;
-  shape.ticks = timeline->ticks;
-  shape.counter_series = timeline->counters.size();
-  shape.gauge_series = timeline->gauges.size();
-  shape.sketch_cells = timeline->sketches.size();
-  for (const auto& [key, sketch] : timeline->sketches) {
-    (void)key;
-    shape.sketch_samples += sketch.count();
-  }
-  return shape;
-}
-
-int RunTimeline(const Options& opts) {
+int Run(const ArtifactKind& kind, const Options& opts) {
   auto budgets = LoadJson(opts.budgets_path);
   if (!budgets.ok()) {
     return Fail(budgets.status().ToString().c_str());
   }
   const JsonValue* schema = budgets->Find("schema");
-  if (schema == nullptr ||
-      schema->string != "flexrpc-timeline-budgets-v1") {
-    return Fail("timeline budgets file has missing/unknown schema");
-  }
-  const JsonValue* benches = budgets->Find("benches");
-  if (benches == nullptr || !benches->IsObject()) {
-    return Fail("timeline budgets file has no benches object");
-  }
-
-  if (opts.update) {
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("schema").String("flexrpc-timeline-budgets-v1");
-    w.Key("benches").BeginObject();
-    for (const auto& [bench, unused] : benches->object) {
-      (void)unused;
-      auto shape =
-          LoadTimelineShape(opts.dir + "/TIMELINE_" + bench + ".json");
-      if (!shape.ok()) {
-        return Fail(shape.status().ToString().c_str());
-      }
-      w.Key(bench).BeginObject();
-      for (const char* key : kTimelineKeys) {
-        w.Key(key).UInt(TimelineKeyOf(*shape, key));
-      }
-      w.EndObject();
-    }
-    w.EndObject();
-    w.EndObject();
-    std::FILE* f = std::fopen(opts.budgets_path.c_str(), "w");
-    if (f == nullptr) {
-      return Fail("cannot write timeline budgets file");
-    }
-    std::fwrite(w.str().data(), 1, w.str().size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("flextrace_check: rewrote %s (%zu timelines)\n",
-                opts.budgets_path.c_str(), benches->object.size());
-    return 0;
-  }
-
-  std::vector<std::string> violations;
-  std::vector<Drift> drifts;
-  for (const auto& [bench, budget] : benches->object) {
-    auto shape =
-        LoadTimelineShape(opts.dir + "/TIMELINE_" + bench + ".json");
-    if (!shape.ok()) {
-      violations.push_back(shape.status().ToString());
-      continue;
-    }
-    if (!budget.IsObject()) {
-      violations.push_back(bench + ": malformed timeline budget entry");
-      continue;
-    }
-    for (const auto& [key, want] : budget.object) {
-      if (!want.IsNumber()) {
-        violations.push_back(bench + ": malformed timeline budget for " +
-                             key);
-        continue;
-      }
-      uint64_t lo = static_cast<uint64_t>(want.number);
-      uint64_t got = TimelineKeyOf(*shape, key);
-      if (got != lo) {
-        violations.push_back(StrFormat(
-            "%s: %s = %llu, budget pins %llu", bench.c_str(), key.c_str(),
-            static_cast<unsigned long long>(got),
-            static_cast<unsigned long long>(lo)));
-        drifts.push_back(Drift{bench, key, lo, lo, got});
-      }
-    }
-  }
-  if (!violations.empty()) {
-    for (const std::string& v : violations) {
-      std::fprintf(stderr, "flextrace_check: FAIL %s\n", v.c_str());
-    }
-    if (!drifts.empty()) {
-      std::fprintf(stderr, "\n--- %s (budget)\n+++ %s (observed)\n",
-                   opts.budgets_path.c_str(), opts.dir.c_str());
-      std::string current_bench;
-      for (const Drift& d : drifts) {
-        if (d.bench != current_bench) {
-          current_bench = d.bench;
-          std::fprintf(stderr, "@@ timeline %s @@\n", d.bench.c_str());
-        }
-        std::fprintf(stderr, "-  \"%s\": %llu\n", d.key.c_str(),
-                     static_cast<unsigned long long>(d.want_lo));
-        std::fprintf(stderr, "+  \"%s\": %llu\n", d.key.c_str(),
-                     static_cast<unsigned long long>(d.got));
-      }
-    }
-    std::fprintf(stderr,
-                 "\nflextrace_check: %zu violation(s). If the change is "
-                 "intentional, regenerate the timeline budgets with:\n"
-                 "  %s --timeline --budgets=%s --dir=%s --update\n",
-                 violations.size(), opts.argv0.c_str(),
-                 opts.budgets_path.c_str(), opts.dir.c_str());
-    return 1;
-  }
-  std::printf("flextrace_check: %zu timeline(s) within budget\n",
-              benches->object.size());
-  return 0;
-}
-
-int Run(const Options& opts) {
-  auto budgets = LoadJson(opts.budgets_path);
-  if (!budgets.ok()) {
-    return Fail(budgets.status().ToString().c_str());
-  }
-  const JsonValue* schema = budgets->Find("schema");
-  if (schema == nullptr ||
-      schema->string != "flexrpc-bench-budgets-v1") {
+  if (schema == nullptr || schema->string != kind.budgets_schema) {
     return Fail("budgets file has missing/unknown schema");
   }
   const JsonValue* mode = budgets->Find("mode");
-  if (mode == nullptr ||
-      (mode->string != "smoke" && mode->string != "full")) {
+  if (kind.has_mode && (mode == nullptr || (mode->string != "smoke" &&
+                                            mode->string != "full"))) {
     return Fail("budgets file mode must be \"smoke\" or \"full\"");
   }
-  bool want_smoke = mode->string == "smoke";
+  bool want_smoke = kind.has_mode && mode->string == "smoke";
   const JsonValue* benches = budgets->Find("benches");
   if (benches == nullptr || !benches->IsObject()) {
     return Fail("budgets file has no benches object");
   }
 
   if (opts.update) {
-    // Regenerate: pin every catalog counter to its observed value.
+    // Regenerate: pin every observed value exactly.
     JsonWriter w;
     w.BeginObject();
-    w.Key("schema").String("flexrpc-bench-budgets-v1");
-    w.Key("mode").String(mode->string);
+    w.Key("schema").String(kind.budgets_schema);
+    if (kind.has_mode) {
+      w.Key("mode").String(mode->string);
+    }
     w.Key("benches").BeginObject();
     for (const auto& [bench, unused] : benches->object) {
       (void)unused;
-      auto artifact =
-          LoadJson(opts.dir + "/BENCH_" + bench + ".json");
-      if (!artifact.ok()) {
-        return Fail(artifact.status().ToString().c_str());
+      auto observed = Observe(kind, opts, bench, want_smoke);
+      if (!observed.ok()) {
+        return Fail(observed.status().ToString().c_str());
       }
       w.Key(bench).BeginObject();
-      for (size_t i = 0; i < kTraceCounterCount; ++i) {
-        w.Key(CatalogName(i)).UInt(CounterOf(*artifact, CatalogName(i)));
+      for (const auto& [key, value] : *observed) {
+        w.Key(key).UInt(value);
       }
       w.EndObject();
     }
@@ -388,20 +293,21 @@ int Run(const Options& opts) {
     std::fwrite(w.str().data(), 1, w.str().size(), f);
     std::fputc('\n', f);
     std::fclose(f);
-    std::printf("flextrace_check: rewrote %s (%zu benches)\n",
-                opts.budgets_path.c_str(), benches->object.size());
+    std::printf("flextrace_check: rewrote %s (%zu %s)\n",
+                opts.budgets_path.c_str(), benches->object.size(),
+                kind.plural);
     return 0;
   }
 
   std::vector<std::string> violations;
   std::vector<Drift> drifts;
   for (const auto& [bench, budget] : benches->object) {
-    auto artifact = LoadJson(opts.dir + "/BENCH_" + bench + ".json");
-    if (!artifact.ok()) {
-      violations.push_back(artifact.status().ToString());
+    auto observed = Observe(kind, opts, bench, want_smoke);
+    if (!observed.ok()) {
+      violations.push_back(observed.status().ToString());
       continue;
     }
-    CheckBench(bench, *artifact, want_smoke, &budget, &violations, &drifts);
+    CheckBudget(kind, bench, *observed, budget, &violations, &drifts);
   }
   if (!violations.empty()) {
     for (const std::string& v : violations) {
@@ -417,7 +323,7 @@ int Run(const Options& opts) {
       for (const Drift& d : drifts) {
         if (d.bench != current_bench) {
           current_bench = d.bench;
-          std::fprintf(stderr, "@@ bench %s @@\n", d.bench.c_str());
+          std::fprintf(stderr, "@@ %s %s @@\n", kind.noun, d.bench.c_str());
         }
         if (d.want_lo == d.want_hi) {
           std::fprintf(stderr, "-  \"%s\": %llu\n", d.key.c_str(),
@@ -432,15 +338,16 @@ int Run(const Options& opts) {
       }
     }
     std::fprintf(stderr,
-                 "\nflextrace_check: %zu violation(s). If the work change "
-                 "is intentional, regenerate the budgets with:\n"
-                 "  %s --budgets=%s --dir=%s --update\n",
+                 "\nflextrace_check: %zu violation(s). If the change is "
+                 "intentional, regenerate the budgets with:\n"
+                 "  %s%s --budgets=%s --dir=%s --update\n",
                  violations.size(), opts.argv0.c_str(),
+                 opts.timeline ? " --timeline" : "",
                  opts.budgets_path.c_str(), opts.dir.c_str());
     return 1;
   }
-  std::printf("flextrace_check: %zu bench(es) within budget\n",
-              benches->object.size());
+  std::printf("flextrace_check: %zu %s within budget\n",
+              benches->object.size(), kind.plural);
   return 0;
 }
 
@@ -472,5 +379,6 @@ int main(int argc, char** argv) {
   if (opts.budgets_path.empty()) {
     return flexrpc::Fail("--budgets= is required");
   }
-  return opts.timeline ? flexrpc::RunTimeline(opts) : flexrpc::Run(opts);
+  return flexrpc::Run(
+      opts.timeline ? flexrpc::kTimelineKind : flexrpc::kBenchKind, opts);
 }

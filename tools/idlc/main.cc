@@ -7,7 +7,7 @@
 //        [--client-pdl client.pdl] [--server-pdl server.pdl]
 //        [--namespace ns] [--out-dir DIR] [--basename NAME]
 //        [--dump-signature] [--check] [--lint] [--advise] [--Werror]
-//        [--specialize] [--profile PATH]... [--spec-top K]
+//        [--specialize]
 //
 // Outputs <basename>.flexgen.h and <basename>.flexgen.cc in --out-dir.
 // --check parses, validates, and runs the flexcheck marshal-plan verifier
@@ -21,20 +21,15 @@
 // --specialize additionally emits <basename>.flexspec.h/.cc — fused
 // straight-line marshal superinstructions, each proven wire-equivalent to
 // the interpreted plan before emission (divergence blocks the run).
-// --profile feeds BENCH_*.json / REC_*.json artifacts (files or
-// directories, repeatable) so only the hottest --spec-top plans are
-// specialized; without a profile every supported plan is.
+// Every plan the prover accepts is specialized.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/analysis/flexcheck.h"
-#include "src/analysis/flexspec_profile.h"
 #include "src/analysis/plan_verifier.h"
 #include "src/analysis/spec_verifier.h"
 #include "src/codegen/cpp_gen.h"
@@ -63,8 +58,6 @@ struct Options {
   bool advise = false;
   bool werror = false;
   bool specialize = false;
-  std::vector<std::string> profile_paths;
-  size_t spec_top = 8;
 };
 
 int Usage(const char* argv0) {
@@ -73,8 +66,7 @@ int Usage(const char* argv0) {
       "usage: %s --idl FILE [--sun] [--client-pdl FILE] [--server-pdl "
       "FILE]\n            [--namespace NS] [--out-dir DIR] [--basename "
       "NAME] [--dump-signature]\n            [--check] [--lint] [--advise] "
-      "[--Werror]\n            [--specialize] [--profile PATH]... "
-      "[--spec-top K]\n",
+      "[--Werror]\n            [--specialize]\n",
       argv0);
   return 2;
 }
@@ -157,23 +149,6 @@ int main(int argc, char** argv) {
       opt.werror = true;
     } else if (arg == "--specialize") {
       opt.specialize = true;
-    } else if (arg == "--profile") {
-      const char* v = next();
-      if (v == nullptr) {
-        return Usage(argv[0]);
-      }
-      opt.profile_paths.emplace_back(v);
-    } else if (arg == "--spec-top") {
-      const char* v = next();
-      if (v == nullptr) {
-        return Usage(argv[0]);
-      }
-      char* end = nullptr;
-      opt.spec_top = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0' || opt.spec_top == 0) {
-        std::fprintf(stderr, "idlc: bad --spec-top value '%s'\n", v);
-        return Usage(argv[0]);
-      }
     } else {
       std::fprintf(stderr, "idlc: unknown option '%s'\n", arg.c_str());
       return Usage(argv[0]);
@@ -314,22 +289,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  flexrpc::MarshalProfile profile;
-  for (const std::string& path : opt.profile_paths) {
-    flexrpc::Status status = flexrpc::LoadProfilePath(path, &profile);
-    if (!status.ok()) {
-      std::fprintf(stderr, "idlc: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  flexrpc::FinalizeProfile(&profile);
-
   flexrpc::SpecGenOptions spec_options;
   spec_options.ns = opt.ns;
   spec_options.header_name = opt.basename + ".flexspec.h";
-  spec_options.top_k = opt.spec_top;
-  spec_options.profile =
-      opt.profile_paths.empty() ? nullptr : &profile;
   flexrpc::SpecGenStats spec_stats;
   flexrpc::DiagnosticSink spec_diags;  // fresh: earlier ones are printed
   auto spec_generated = flexrpc::GenerateSpecializations(
