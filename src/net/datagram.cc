@@ -1,6 +1,7 @@
 #include "src/net/datagram.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/support/recorder.h"
 #include "src/support/trace.h"
@@ -11,6 +12,43 @@ namespace {
 constexpr uint32_t kFrameMagic = 0x46444D31;  // "FDM1"
 constexpr size_t kHeaderSize = 16;            // magic, seq, length, checksum
 
+// The checksum: FNV-1a's step, run over kChecksumLanes independent lanes
+// of 32-bit words and then over the lanes themselves (see datagram.h).
+constexpr uint32_t kFnvBasis = 2166136261u;
+constexpr uint32_t kFnvPrime = 16777619u;
+constexpr size_t kChecksumLanes = 8;
+
+// For a fixed input the step is a bijection of the state (the prime is
+// odd), and for a fixed state a bijection of the input — so one changed
+// input changes the state, and every later step keeps it changed.
+uint32_t FnvStep(uint32_t state, uint32_t input) {
+  return (state ^ input) * kFnvPrime;
+}
+
+// Word assembly by shifts, so the value depends on neither the host's byte
+// order nor the pointer's alignment (compilers emit one load for these).
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 |
+         static_cast<uint32_t>(p[3]) << 24;
+}
+
+uint32_t LoadBe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) << 24 |
+         static_cast<uint32_t>(p[1]) << 16 |
+         static_cast<uint32_t>(p[2]) << 8 | static_cast<uint32_t>(p[3]);
+}
+
+// A frame travels as [header][payload] but is stored payload-first,
+// [payload][header], so Receive can hand back the frame's own buffer with
+// the header cut off its end. Maps an offset in the wire layout to the
+// stored byte.
+size_t StoredOffset(size_t wire_offset, size_t frame_size) {
+  return wire_offset < kHeaderSize
+             ? frame_size - kHeaderSize + wire_offset
+             : wire_offset - kHeaderSize;
+}
+
 // The payload is a SunRPC message whose first word is the xid, so the
 // channel can attribute wire and fault events to a call without the
 // transport plumbing identity down. Returns 0 (unattributed) for frames
@@ -19,10 +57,7 @@ uint32_t PeekPayloadXid(const uint8_t* payload, size_t size) {
   if (size < 4) {
     return 0;
   }
-  return (static_cast<uint32_t>(payload[0]) << 24) |
-         (static_cast<uint32_t>(payload[1]) << 16) |
-         (static_cast<uint32_t>(payload[2]) << 8) |
-         static_cast<uint32_t>(payload[3]);
+  return LoadBe32(payload);
 }
 
 // Under the mux wire format the payload's second word is the connection
@@ -38,8 +73,7 @@ uint32_t PeekFrameXid(const std::vector<uint8_t>& frame) {
   if (frame.size() < kHeaderSize) {
     return 0;
   }
-  return PeekPayloadXid(frame.data() + kHeaderSize,
-                        frame.size() - kHeaderSize);
+  return PeekPayloadXid(frame.data(), frame.size() - kHeaderSize);
 }
 
 RecEndpoint WireEndpoint(DatagramChannel::Dir dir) {
@@ -49,10 +83,23 @@ RecEndpoint WireEndpoint(DatagramChannel::Dir dir) {
 }  // namespace
 
 uint32_t DatagramChecksum(ByteSpan payload) {
-  uint32_t h = 2166136261u;
-  for (uint8_t b : payload) {
-    h ^= b;
-    h *= 16777619u;
+  constexpr size_t kRoundBytes = 4 * kChecksumLanes;
+  const uint8_t* p = payload.data();
+  const size_t n = payload.size();
+  std::array<uint32_t, kChecksumLanes> lanes;
+  lanes.fill(kFnvBasis);
+  size_t i = 0;
+  for (; i + kRoundBytes <= n; i += kRoundBytes) {
+    for (size_t l = 0; l < kChecksumLanes; ++l) {
+      lanes[l] = FnvStep(lanes[l], LoadLe32(p + i + 4 * l));
+    }
+  }
+  uint32_t h = kFnvBasis;
+  for (uint32_t lane : lanes) {
+    h = FnvStep(h, lane);
+  }
+  for (; i < n; ++i) {  // the tail too short for a full round
+    h = FnvStep(h, p[i]);
   }
   return h;
 }
@@ -109,12 +156,14 @@ void DatagramChannel::Transmit(Dir dir, std::vector<uint8_t> bytes,
              d.extra_delay_nanos);
   }
   if (d.corrupt) {
-    // Flip one byte in the length/checksum/payload region; the receiver's
-    // length or checksum validation detects it. (The magic and sequence
-    // words are skipped: they are not covered by the checksum, and an
-    // undetectably corrupted frame would break fault accounting.)
-    size_t pos = 8 + d.corrupt_salt % (frame.bytes.size() - 8);
-    frame.bytes[pos] ^= 0xFF;
+    // Flip one byte in the wire frame's length/checksum/payload region.
+    // The receiver always detects it: a flipped length fails the length
+    // check, and a one-byte edit of the checksum or of the payload always
+    // fails the checksum comparison. The magic and sequence words are
+    // skipped: they are not covered by the checksum, and an undetectably
+    // corrupted frame would break fault accounting.
+    size_t wire_pos = 8 + d.corrupt_salt % (frame.bytes.size() - 8);
+    frame.bytes[StoredOffset(wire_pos, frame.bytes.size())] ^= 0xFF;
     ++stats_.corrupted;
     TraceAdd(TraceCounter::kNetFaultCorrupts);
     RecordEvent(RecEvent::kFaultCorrupt, rec_ep, rec_xid,
@@ -133,17 +182,18 @@ void DatagramChannel::Transmit(Dir dir, std::vector<uint8_t> bytes,
 void DatagramChannel::Send(Dir dir, ByteSpan payload) {
   ++stats_.sent;
   TraceAdd(TraceCounter::kNetDatagramsSent);
-  ByteWriter w;
+  // One allocation of the frame's exact size, stored payload-first (see
+  // StoredOffset): the payload is copied once and the header appended.
+  ByteWriter w(payload.size() + kHeaderSize);
+  w.WriteSpan(payload);
   w.WriteU32Be(kFrameMagic);
   w.WriteU32Be(next_seq_[static_cast<size_t>(dir)]++);
   w.WriteU32Be(static_cast<uint32_t>(payload.size()));
   w.WriteU32Be(DatagramChecksum(payload));
-  w.WriteSpan(payload);
 
   FaultPlan::Decision d = plans_[static_cast<size_t>(dir)].Next();
-  // Release the framed bytes straight out of the writer — the send path
-  // performs no frame-buffer copy (net.frame_copies counts any that
-  // remain; only duplicated frames need one).
+  // The framed bytes move out of the writer onto the wire queue; only a
+  // duplicated frame needs a copy (net.frame_copies counts it).
   std::vector<uint8_t> bytes = w.TakeBuffer();
   if (d.duplicate) {
     ++stats_.duplicated;
@@ -194,21 +244,21 @@ Result<std::vector<uint8_t>> DatagramChannel::Receive(Dir dir) {
     TraceAdd(TraceCounter::kNetChecksumFailures);
     return DataLossError(why);
   };
-  ByteReader r(ByteSpan(frame.bytes.data(), frame.bytes.size()));
-  auto magic = r.ReadU32Be();
-  if (!magic.ok() || *magic != kFrameMagic) {
+  std::vector<uint8_t>& bytes = frame.bytes;
+  if (bytes.size() < kHeaderSize) {
+    return fail("datagram frame is shorter than its header");
+  }
+  // The header is stored after the payload (see StoredOffset).
+  const uint8_t* header = bytes.data() + bytes.size() - kHeaderSize;
+  if (LoadBe32(header) != kFrameMagic) {
     return fail("datagram frame has bad magic");
   }
-  auto seq = r.ReadU32Be();
-  auto length = r.ReadU32Be();
-  auto checksum = r.ReadU32Be();
-  (void)seq;
-  if (!length.ok() || !checksum.ok() ||
-      frame.bytes.size() != kHeaderSize + *length) {
+  const uint32_t length = LoadBe32(header + 8);
+  if (bytes.size() != kHeaderSize + length) {
     return fail("datagram frame has bad length");
   }
-  ByteSpan payload(frame.bytes.data() + kHeaderSize, *length);
-  if (DatagramChecksum(payload) != *checksum) {
+  if (DatagramChecksum(ByteSpan(bytes.data(), length)) !=
+      LoadBe32(header + 12)) {
     return fail("datagram checksum mismatch");
   }
   ++stats_.delivered;
@@ -218,12 +268,13 @@ Result<std::vector<uint8_t>> DatagramChannel::Receive(Dir dir) {
   // the connection id out of the payload itself.
   std::optional<RecorderConnScope> conn_scope;
   if (conn_tagging_ && RecorderEnabled()) {
-    conn_scope.emplace(PeekPayloadConn(payload.data(), *length));
+    conn_scope.emplace(PeekPayloadConn(bytes.data(), length));
   }
   RecordEvent(RecEvent::kWireRx, WireEndpoint(dir),
-              RecorderEnabled() ? PeekPayloadXid(payload.data(), *length) : 0,
-              clock_->now_nanos(), /*a=*/*length);
-  return std::vector<uint8_t>(payload.begin(), payload.end());
+              RecorderEnabled() ? PeekPayloadXid(bytes.data(), length) : 0,
+              clock_->now_nanos(), /*a=*/length);
+  bytes.resize(length);  // strip the header: the frame's own buffer, no copy
+  return std::move(bytes);
 }
 
 }  // namespace flexrpc

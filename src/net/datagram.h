@@ -2,14 +2,20 @@
 //
 // The channel moves whole datagrams between two endpoints (A = client,
 // B = server) through per-direction FIFO queues. Each send is framed with a
-// magic word, a per-direction sequence number, the payload length, and an
-// FNV-1a checksum over the payload; the FaultPlan for that direction then
-// decides whether the frame is dropped, duplicated, reordered ahead of the
-// queue, corrupted (one byte flipped — the checksum catches it at the
-// receiver, exactly like a UDP checksum discard), or held back by an extra
-// delivery delay. Wire occupancy is charged to the VirtualClock at send
-// time for every physical transmission (dropped and duplicated frames
-// occupied the wire too); extra delay is charged at delivery.
+// magic word, a per-direction sequence number, the payload length, and a
+// word-parallel FNV-1a checksum over the payload (DatagramChecksum); the
+// FaultPlan for that direction then decides whether the frame is dropped,
+// duplicated, reordered ahead of the queue, corrupted (one byte flipped —
+// the length or checksum check catches it at the receiver, exactly like a
+// UDP checksum discard), or held back by an extra delivery delay. Wire
+// occupancy is charged to the VirtualClock at send time for every physical
+// transmission (dropped and duplicated frames occupied the wire too); extra
+// delay is charged at delivery.
+//
+// Each byte is copied once: Send builds a frame in one allocation of its
+// exact size, and Receive validates the frame and returns that same buffer
+// with the header stripped. Only a fault-injected duplicate is copied
+// (net.frame_copies).
 //
 // The channel is a single-threaded simulation artifact: Send/Receive run on
 // the caller's thread and "time" is the shared virtual clock, which is what
@@ -31,7 +37,16 @@
 
 namespace flexrpc {
 
-// FNV-1a over a byte span; the frame checksum.
+// The frame checksum: FNV-1a's step, h = (h ^ w) * 16777619, run word-
+// parallel. Eight independent 32-bit lanes, each seeded with the FNV offset
+// basis, take one 32-bit word per round (32 bytes per round); each word is
+// assembled little-endian from bytes, so the value depends on neither the
+// host's byte order nor the span's alignment. The lanes are then folded
+// into one hash with the same step, and the tail too short for a full
+// round is hashed byte by byte. Every step is a bijection of its state for
+// a fixed input and of its input for a fixed state, so an edit confined to
+// one byte, or to one aligned word of a full round, always changes the
+// checksum.
 uint32_t DatagramChecksum(ByteSpan payload);
 
 class DatagramChannel {
@@ -100,7 +115,7 @@ class DatagramChannel {
 
  private:
   struct Frame {
-    std::vector<uint8_t> bytes;       // header + payload, post-corruption
+    std::vector<uint8_t> bytes;       // [payload][header], post-corruption
     uint64_t extra_delay_nanos = 0;   // charged at delivery (lockstep mode)
     uint64_t deliver_at_nanos = 0;    // receivable time (scheduled mode)
   };

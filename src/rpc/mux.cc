@@ -110,7 +110,7 @@ void ConnectionMux::Enqueue(Conn& c, uint32_t conn_id, uint32_t xid,
   RecorderConnScope conn_scope(conn_id);
   ++stats_.calls;
   TraceAdd(TraceCounter::kRpcMuxCalls);
-  ByteWriter w;
+  ByteWriter w(kMuxPrefixBytes + body.size());  // one exact-size allocation
   w.WriteU32Be(xid);
   w.WriteU32Be(conn_id);
   w.WriteSpan(body);

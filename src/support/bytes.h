@@ -22,6 +22,9 @@ using ByteSpan = std::span<const uint8_t>;
 class ByteWriter {
  public:
   ByteWriter() = default;
+  // Reserves `capacity` bytes up front: a writer sized to its exact output
+  // makes one allocation and never reallocates.
+  explicit ByteWriter(size_t capacity) { buffer_.reserve(capacity); }
 
   void WriteU8(uint8_t v) { buffer_.push_back(v); }
 

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
@@ -158,6 +161,104 @@ TEST(DatagramChannelTest, ChecksumCatchesCorruption) {
   EXPECT_EQ(ch.stats().corrupted, 1u);
   EXPECT_EQ(ch.stats().checksum_failures, 1u);
   EXPECT_EQ(ch.stats().delivered, 0u);
+}
+
+// Payload bytes for the checksum tests: a fixed pattern in which
+// neighbouring bytes always differ.
+std::vector<uint8_t> Pattern(size_t size) {
+  std::vector<uint8_t> bytes(size);
+  for (size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  return bytes;
+}
+
+// Counts the single-byte edits, one offset and mask at a time, that leave
+// DatagramChecksum unchanged.
+uint64_t ChecksumMisses(std::vector<uint8_t> bytes,
+                        const std::vector<uint8_t>& masks) {
+  const uint32_t clean = DatagramChecksum(ByteSpan(bytes));
+  uint64_t misses = 0;
+  for (uint8_t& b : bytes) {
+    for (uint8_t mask : masks) {
+      b ^= mask;
+      misses += DatagramChecksum(ByteSpan(bytes)) == clean;
+      b ^= mask;
+    }
+  }
+  return misses;
+}
+
+TEST(DatagramChannelTest, EverySingleByteEditChangesTheChecksum) {
+  // Sizes 0-70 put an edit in every word of a 32-byte round, in the second
+  // round, and at every position of the byte-by-byte tail.
+  std::vector<uint8_t> all_masks;
+  for (int mask = 1; mask <= 0xFF; ++mask) {
+    all_masks.push_back(static_cast<uint8_t>(mask));
+  }
+  for (size_t size = 0; size <= 70; ++size) {
+    EXPECT_EQ(ChecksumMisses(Pattern(size), all_masks), 0u) << size;
+  }
+  EXPECT_EQ(ChecksumMisses(Pattern(8200), {0x01, 0x80, 0xFF}), 0u);
+}
+
+TEST(DatagramChannelTest, ChecksumIsPinnedAndIndependentOfAlignment) {
+  // The value of the documented construction (eight little-endian FNV-1a
+  // lanes, folded, then the tail), independent of the host.
+  const std::vector<uint8_t> bytes = Pattern(70);
+  EXPECT_EQ(DatagramChecksum(ByteSpan(bytes)), 0x076621B2u);
+  EXPECT_EQ(DatagramChecksum(ByteSpan()), 0x84FEBEEDu);
+  for (size_t offset = 1; offset <= 3; ++offset) {
+    std::vector<uint8_t> shifted(offset + bytes.size());
+    std::copy(bytes.begin(), bytes.end(), shifted.begin() + offset);
+    EXPECT_EQ(DatagramChecksum(ByteSpan(shifted).subspan(offset)),
+              0x076621B2u)
+        << offset;
+  }
+}
+
+TEST(DatagramChannelTest, RoundTripReturnsEveryPayloadByteForByte) {
+  VirtualClock clock;
+  DatagramChannel ch(LinkModel(), FaultPlan(), FaultPlan(), &clock);
+  std::vector<size_t> sizes;
+  for (size_t size = 0; size <= 70; ++size) {
+    sizes.push_back(size);
+  }
+  sizes.push_back(8200);
+  for (size_t size : sizes) {
+    // Size 0 sends an empty span (an empty vector's data() may be null).
+    const std::vector<uint8_t> payload = Pattern(size);
+    ch.Send(DatagramChannel::Dir::kAtoB,
+            ByteSpan(payload.data(), payload.size()));
+    auto got = ch.Receive(DatagramChannel::Dir::kAtoB);
+    ASSERT_TRUE(got.ok()) << size << ": " << got.status().ToString();
+    EXPECT_EQ(*got, payload) << size;
+  }
+  EXPECT_EQ(ch.stats().delivered, sizes.size());
+}
+
+TEST(DatagramChannelTest, ScriptedCorruptionOfEveryFrameIsDetected) {
+  VirtualClock clock;
+  FaultPlan corrupt;
+  corrupt.CorruptExactly(0, 199);
+  DatagramChannel ch(LinkModel(), std::move(corrupt), FaultPlan(), &clock);
+  std::map<std::string, int> reasons;
+  for (size_t size = 0; size < 200; ++size) {
+    const std::vector<uint8_t> payload = Pattern(size);
+    ch.Send(DatagramChannel::Dir::kAtoB,
+            ByteSpan(payload.data(), payload.size()));
+    auto got = ch.Receive(DatagramChannel::Dir::kAtoB);
+    ASSERT_FALSE(got.ok()) << size;
+    EXPECT_EQ(got.status().code(), StatusCode::kDataLoss) << size;
+    ++reasons[got.status().message()];
+  }
+  EXPECT_EQ(ch.stats().corrupted, 200u);
+  EXPECT_EQ(ch.stats().checksum_failures, 200u);
+  EXPECT_EQ(ch.stats().delivered, 0u);
+  // The flipped bytes land in the length field as well as in the checksum
+  // and the payload.
+  EXPECT_GT(reasons["datagram frame has bad length"], 0);
+  EXPECT_GT(reasons["datagram checksum mismatch"], 0);
 }
 
 TEST(DatagramChannelTest, ExtraDelayChargedAtDelivery) {

@@ -366,6 +366,16 @@ TEST(ByteStreamTest, TakeBufferReleasesWithoutCopying) {
   EXPECT_EQ(taken.size(), 11u);
 }
 
+TEST(ByteStreamTest, SizedWriterNeverReallocates) {
+  ByteWriter w(12);
+  const uint8_t* reserved = w.span().data();
+  w.WriteU32Be(1);
+  w.WriteU32Be(2);
+  w.WriteSpan(ByteSpan(reinterpret_cast<const uint8_t*>("four"), 4));
+  EXPECT_EQ(w.span().data(), reserved);  // the one reserved allocation
+  EXPECT_EQ(w.size(), 12u);
+}
+
 TEST(DatagramSendTest, FramingPerformsNoBufferCopy) {
   VirtualClock clock;
   DatagramChannel ch(LinkModel(), FaultPlan(), FaultPlan(), &clock);

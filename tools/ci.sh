@@ -37,7 +37,7 @@ run_suite() {
 echo "== plain build + tests =="
 run_suite build
 
-echo "== perfbench build + tests =="
+echo "== perfbench build + tests + output checks =="
 # perfbench/ is a standalone CMake project that compiles ../src itself;
 # building it here catches a library change that breaks the benchmark.
 # Its tests include the RunFleet equivalence check.
@@ -45,6 +45,16 @@ cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release
 cmake --build .bench_build/perfbench -j "$JOBS" \
   --target perfbench perfbench_tests
 ctest --test-dir .bench_build/perfbench --output-on-failure
+# One short run of every workload, untraced and traced: each run makes the
+# benchmark's own output checks (fleet replies echo their [xid][conn] at
+# the requested length, nfs_read's user buffer equals the server's file,
+# traced runs close their attribution) and exits non-zero if one fails.
+for workload in nfs_read fleet_steady fleet_overload_lossy; do
+  for trace in 0 1; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace "$trace"
+  done
+done
 
 echo "== flexcheck on the examples =="
 ./build/tools/idlc/idlc --idl examples/idl/syslog.idl \
