@@ -25,7 +25,9 @@ Status FastPath::Call(Task* client, Port* port, ByteSpan request,
   kernel_->Trap();
   void* server_copy = ep.server->space().Allocate(
       request.size() > 0 ? request.size() : 1);
-  std::memcpy(server_copy, request.data(), request.size());
+  if (!request.empty()) {  // an empty span's data() may be null
+    std::memcpy(server_copy, request.data(), request.size());
+  }
   bytes_copied_ += request.size();
   TraceAdd(TraceCounter::kDataCopies);
   TraceAdd(TraceCounter::kDataCopyBytes, request.size());
@@ -47,7 +49,9 @@ Status FastPath::Call(Task* client, Port* port, ByteSpan request,
   kernel_->Trap();
   void* client_copy =
       client->space().Allocate(staging.size() > 0 ? staging.size() : 1);
-  std::memcpy(client_copy, staging.data(), staging.size());
+  if (!staging.empty()) {
+    std::memcpy(client_copy, staging.data(), staging.size());
+  }
   bytes_copied_ += staging.size();
   TraceAdd(TraceCounter::kDataCopies);
   TraceAdd(TraceCounter::kDataCopyBytes, staging.size());

@@ -41,19 +41,6 @@ ServerDispatch::ServerDispatch(DatagramChannel* channel,
   channel_->set_conn_tagging(true);
 }
 
-EventQueue::EventId ServerDispatch::Schedule(uint64_t at_nanos,
-                                             std::function<void()> fn) {
-  uint32_t conn_tag = RecorderConnScope::Current();
-  uint32_t replica_tag = RecorderReplicaScope::Current();
-  return events_->ScheduleAt(at_nanos, [this, conn_tag, replica_tag,
-                                        fn = std::move(fn)]() {
-    RecorderConnScope conn_scope(conn_tag);
-    RecorderReplicaScope replica_scope(replica_tag);
-    ++stats_.events;
-    fn();
-  });
-}
-
 void ServerDispatch::Poke() { ArmAcceptPoll(); }
 
 void ServerDispatch::ArmAcceptPoll() {
@@ -158,14 +145,29 @@ void ServerDispatch::PumpRequests() {
                 start, /*a=*/handled->reply->size(), /*b=*/w + 1);
     RecordEvent(RecEvent::kServerExecEnd, RecEndpoint::kServer, *xid,
                 finish, /*a=*/handled->reply->size(), /*b=*/w + 1);
-    Schedule(finish, [this, reply = *handled->reply]() {
-      channel_->Send(kBtoA, ByteSpan(reply.data(), reply.size()));
-      if (reply_listener_) {
-        reply_listener_();
-      }
-    });
+    // Park a copy: the cache entry may be evicted before `finish`.
+    uint32_t buffer;
+    if (free_reply_buffers_.empty()) {
+      buffer = static_cast<uint32_t>(reply_buffers_.size());
+      reply_buffers_.emplace_back();
+    } else {
+      buffer = free_reply_buffers_.back();
+      free_reply_buffers_.pop_back();
+    }
+    reply_buffers_[buffer].assign(handled->reply->begin(),
+                                  handled->reply->end());
+    Schedule(finish, [this, buffer]() { SendReply(buffer); });
   }
   ArmAcceptPoll();  // more requests may still be in flight
+}
+
+void ServerDispatch::SendReply(uint32_t buffer) {
+  const std::vector<uint8_t>& reply = reply_buffers_[buffer];
+  channel_->Send(kBtoA, ByteSpan(reply.data(), reply.size()));
+  free_reply_buffers_.push_back(buffer);
+  if (reply_listener_) {
+    reply_listener_();
+  }
 }
 
 ServerConnection::ServerConnection(DatagramChannel* channel,

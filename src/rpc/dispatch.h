@@ -25,7 +25,9 @@
 //                      the reply is assigned to the earliest-free worker
 //                      of a pool of `workers` modeled CPUs, occupies it
 //                      for RemoteServerModel::ProcessNanos(reply size),
-//                      and is sent when the worker finishes.
+//                      and is sent when the worker finishes. Until then
+//                      it waits in a recycled reply buffer, so a warm
+//                      dispatch allocates nothing for it.
 //
 // Dropped/shed requests are invisible to the client except as silence —
 // exactly a UDP server under overload — and the mux's RTO machinery
@@ -103,9 +105,14 @@ class ServerDispatch {
   }
 
  private:
-  EventQueue::EventId Schedule(uint64_t at_nanos, std::function<void()> fn);
+  template <typename F>
+  EventQueue::EventId Schedule(uint64_t at_nanos, F fn) {
+    return ScheduleScoped(events_, at_nanos, &stats_.events, std::move(fn));
+  }
   void ArmAcceptPoll();
   void PumpRequests();
+  // Sends the reply parked in reply_buffers_[buffer] and recycles it.
+  void SendReply(uint32_t buffer);
   // Prunes executions that have started by `now` off the run queue and
   // returns its depth.
   uint64_t QueueDepth(uint64_t now);
@@ -123,6 +130,10 @@ class ServerDispatch {
   // order (the min worker horizon only moves forward), so pruning is a
   // pop from the front.
   std::deque<uint64_t> queued_starts_;
+  // Replies waiting for their worker to finish. The send event carries a
+  // buffer index, and a sent buffer keeps its capacity for the next reply.
+  std::vector<std::vector<uint8_t>> reply_buffers_;
+  std::vector<uint32_t> free_reply_buffers_;
 
   bool accept_poll_armed_ = false;
   uint64_t accept_poll_at_ = 0;

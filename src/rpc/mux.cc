@@ -35,60 +35,41 @@ ConnectionMux::ConnectionMux(DatagramChannel* channel, MuxPolicy policy,
 }
 
 uint32_t ConnectionMux::OpenConnection() {
-  uint32_t conn = next_conn_++;
-  conns_.emplace(conn, Conn(policy_.retry.adaptive.rtt,
-                            policy_.retry.adaptive.window));
+  Conn& c = conns_.emplace_back(policy_.retry.adaptive.rtt,
+                                policy_.retry.adaptive.window);
+  c.in_flight.reserve(WindowFor(c));
   ++stats_.conns_opened;
   TraceAdd(TraceCounter::kRpcMuxConnsOpened);
-  return conn;
+  return static_cast<uint32_t>(conns_.size());
 }
 
 uint64_t ConnectionMux::total_window() const {
   uint64_t total = 0;
-  for (const auto& [id, c] : conns_) {
+  for (const Conn& c : conns_) {
     total += WindowFor(c);
   }
   return total;
 }
 
 const RttEstimator* ConnectionMux::conn_rtt(uint32_t conn) const {
-  auto it = conns_.find(conn);
-  return it == conns_.end() ? nullptr : &it->second.rtt;
-}
-
-EventQueue::EventId ConnectionMux::Schedule(uint64_t at_nanos,
-                                            std::function<void()> fn) {
-  // Timer events fire with no ambient identity; capture the connection
-  // and replica scopes active at scheduling time and reopen them inside
-  // the event, so retransmits and reply sends downstream of timers record
-  // under the right connection (and, behind a binder, the right replica).
-  uint32_t conn_tag = RecorderConnScope::Current();
-  uint32_t replica_tag = RecorderReplicaScope::Current();
-  return events_->ScheduleAt(at_nanos, [this, conn_tag, replica_tag,
-                                        fn = std::move(fn)]() {
-    RecorderConnScope conn_scope(conn_tag);
-    RecorderReplicaScope replica_scope(replica_tag);
-    ++stats_.events;
-    fn();
-  });
+  return conn - 1 < conns_.size() ? &conns_[conn - 1].rtt : nullptr;
 }
 
 void ConnectionMux::Submit(uint32_t conn_id, ByteSpan body, Completion done) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
+  Conn* c = FindConn(conn_id);
+  if (c == nullptr) {
     done(InvalidArgumentError(
              StrFormat("submit on unopened connection %u", conn_id)),
          {});
     return;
   }
-  Enqueue(it->second, conn_id, it->second.next_xid++, body,
-          std::move(done));
+  Enqueue(*c, conn_id, c->next_xid++, body, std::move(done));
 }
 
 void ConnectionMux::Submit(uint32_t conn_id, uint32_t xid, ByteSpan body,
                            Completion done) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
+  Conn* c = FindConn(conn_id);
+  if (c == nullptr) {
     done(InvalidArgumentError(
              StrFormat("submit on unopened connection %u", conn_id)),
          {});
@@ -102,7 +83,7 @@ void ConnectionMux::Submit(uint32_t conn_id, uint32_t xid, ByteSpan body,
          {});
     return;
   }
-  Enqueue(it->second, conn_id, xid, body, std::move(done));
+  Enqueue(*c, conn_id, xid, body, std::move(done));
 }
 
 void ConnectionMux::Enqueue(Conn& c, uint32_t conn_id, uint32_t xid,
@@ -114,152 +95,156 @@ void ConnectionMux::Enqueue(Conn& c, uint32_t conn_id, uint32_t xid,
   w.WriteU32Be(xid);
   w.WriteU32Be(conn_id);
   w.WriteSpan(body);
-  PendingCall pending;
-  pending.call.xid = xid;
-  pending.call.request = w.TakeBuffer();
+  Call call;
+  call.state.xid = xid;
+  call.state.request = w.TakeBuffer();
   // The deadline starts at submission: time queued behind this
   // connection's window counts against it, like a kernel send queue.
-  pending.call.Arm(policy_.retry, events_->clock()->now_nanos());
-  pending.done = std::move(done);
+  call.state.Arm(policy_.retry, events_->clock()->now_nanos());
+  call.done = std::move(done);
   RecordEvent(RecEvent::kCallSubmit, RecEndpoint::kClient, xid,
               events_->clock()->now_nanos(),
-              /*a=*/pending.call.request.size());
-  if (c.in_flight >= WindowFor(c)) {
+              /*a=*/call.state.request.size());
+  bool window_open = c.in_flight.size() < WindowFor(c);
+  if (!window_open) {
     ++stats_.flow_stalls;
     TraceAdd(TraceCounter::kRpcMuxFlowStalls);
   }
   ++outstanding_;
-  c.pending.push_back(std::move(pending));
-  StartNext(conn_id);
+  if (window_open && c.pending.empty()) {
+    Start(c, conn_id, std::move(call));  // nothing queued ahead of it
+    return;
+  }
+  c.pending.push_back(std::move(call));
+  StartNext(c, conn_id);
 }
 
 bool ConnectionMux::Cancel(uint32_t conn_id, uint32_t xid) {
-  uint64_t key = Key(conn_id, xid);
-  auto conn_it = conns_.find(conn_id);
-  if (conn_it == conns_.end()) {
+  Conn* c = FindConn(conn_id);
+  if (c == nullptr) {
     return false;
   }
-  Conn& c = conn_it->second;
-  auto it = in_flight_.find(key);
-  if (it != in_flight_.end()) {
-    if (it->second.rto_event != EventQueue::kInvalidEvent) {
-      events_->Cancel(it->second.rto_event);
+  if (Call* f = FindInFlight(*c, xid)) {
+    if (f->rto_event != EventQueue::kInvalidEvent) {
+      events_->Cancel(f->rto_event);
     }
-    in_flight_.erase(it);
-    --c.in_flight;
+    RemoveInFlight(*c, *f);
   } else {
     auto p = std::find_if(
-        c.pending.begin(), c.pending.end(),
-        [xid](const PendingCall& call) { return call.call.xid == xid; });
-    if (p == c.pending.end()) {
+        c->pending.begin(), c->pending.end(),
+        [xid](const Call& call) { return call.state.xid == xid; });
+    if (p == c->pending.end()) {
       return false;
     }
-    c.pending.erase(p);
+    c->pending.erase(p);
   }
-  caller_keys_.erase(key);
+  caller_keys_.erase(Key(conn_id, xid));
   --outstanding_;
-  StartNext(conn_id);  // a freed window slot admits the next queued call
+  StartNext(*c, conn_id);  // a freed window slot admits the next queued call
   return true;
 }
 
-void ConnectionMux::StartNext(uint32_t conn_id) {
-  auto conn_it = conns_.find(conn_id);
-  if (conn_it == conns_.end()) {
-    return;
-  }
-  Conn& c = conn_it->second;
-  while (c.in_flight < WindowFor(c) && !c.pending.empty()) {
-    PendingCall next = std::move(c.pending.front());
+void ConnectionMux::Start(Conn& c, uint32_t conn_id, Call call) {
+  Call& f = c.in_flight.emplace_back(std::move(call));
+  ++in_flight_total_;
+  stats_.max_in_flight =
+      std::max<uint64_t>(stats_.max_in_flight, in_flight_total_);
+  TransmitCall(c, conn_id, f);
+}
+
+void ConnectionMux::StartNext(Conn& c, uint32_t conn_id) {
+  while (c.in_flight.size() < WindowFor(c) && !c.pending.empty()) {
+    Call next = std::move(c.pending.front());
     c.pending.pop_front();
-    uint64_t key = Key(conn_id, next.call.xid);
-    InFlight& f = in_flight_[key];
-    f.conn = conn_id;
-    f.call = std::move(next.call);
-    f.done = std::move(next.done);
-    ++c.in_flight;
-    stats_.max_in_flight =
-        std::max<uint64_t>(stats_.max_in_flight, in_flight_.size());
-    TransmitCall(f);
+    Start(c, conn_id, std::move(next));
   }
 }
 
-void ConnectionMux::TransmitCall(InFlight& f) {
-  RecorderConnScope conn_scope(f.conn);
-  ++f.call.attempts;
-  if (f.call.attempts > 1) {
+void ConnectionMux::RemoveInFlight(Conn& c, Call& f) {
+  if (&f != &c.in_flight.back()) {
+    f = std::move(c.in_flight.back());
+  }
+  c.in_flight.pop_back();
+  --in_flight_total_;
+}
+
+void ConnectionMux::TransmitCall(Conn& c, uint32_t conn_id, Call& f) {
+  RecorderConnScope conn_scope(conn_id);
+  ClientCallState& call = f.state;
+  ++call.attempts;
+  if (call.attempts > 1) {
     ++stats_.retransmits;
     TraceAdd(TraceCounter::kRpcMuxRetransmits);
-    RecordEvent(RecEvent::kRetransmit, RecEndpoint::kClient, f.call.xid,
-                events_->clock()->now_nanos(), /*a=*/f.call.attempts);
+    RecordEvent(RecEvent::kRetransmit, RecEndpoint::kClient, call.xid,
+                events_->clock()->now_nanos(), /*a=*/call.attempts);
   }
-  f.call.last_tx_nanos = events_->clock()->now_nanos();
-  channel_->Send(kAtoB,
-                 ByteSpan(f.call.request.data(), f.call.request.size()));
+  call.last_tx_nanos = events_->clock()->now_nanos();
+  channel_->Send(kAtoB, ByteSpan(call.request.data(), call.request.size()));
   if (request_listener_) {
     request_listener_();
   }
   uint64_t now = events_->clock()->now_nanos();
   bool expires = false;
   uint64_t wait;
-  auto conn_it = conns_.find(f.conn);
-  if (policy_.retry.adaptive.enabled && conn_it != conns_.end()) {
+  if (policy_.retry.adaptive.enabled) {
     // This connection's estimator owns the RTO (and its Karn backoff —
     // see OnRto); samples never cross connections, so a slow peer cannot
     // inflate this one's timer.
-    wait = ClipRtoWait(conn_it->second.rtt.rto_nanos(),
-                       f.call.deadline_nanos, &jitter_, now, &expires);
+    wait = ClipRtoWait(c.rtt.rto_nanos(), call.deadline_nanos, &jitter_,
+                       now, &expires);
   } else {
-    wait = f.call.NextBackoffWait(policy_.retry, &jitter_, now, &expires);
+    wait = call.NextBackoffWait(policy_.retry, &jitter_, now, &expires);
   }
   // When the wait was clipped the timer fires at the deadline and OnRto
   // fails the call; no special case needed here.
-  uint64_t key = Key(f.conn, f.call.xid);
-  f.rto_event = Schedule(now + wait, [this, key]() { OnRto(key); });
+  uint32_t xid = call.xid;
+  f.rto_event =
+      Schedule(now + wait, [this, conn_id, xid]() { OnRto(conn_id, xid); });
 }
 
-void ConnectionMux::OnRto(uint64_t key) {
-  auto it = in_flight_.find(key);
-  if (it == in_flight_.end()) {
+void ConnectionMux::OnRto(uint32_t conn_id, uint32_t xid) {
+  Conn& c = conns_[conn_id - 1];
+  Call* f = FindInFlight(c, xid);
+  if (f == nullptr) {
     return;  // completed after this timer was already popped
   }
-  InFlight& f = it->second;
-  f.rto_event = EventQueue::kInvalidEvent;
+  f->rto_event = EventQueue::kInvalidEvent;
+  const ClientCallState& call = f->state;
   uint64_t now = events_->clock()->now_nanos();
-  RecordEvent(RecEvent::kRtoFire, RecEndpoint::kClient, f.call.xid, now,
-              /*a=*/f.call.attempts);
+  RecordEvent(RecEvent::kRtoFire, RecEndpoint::kClient, xid, now,
+              /*a=*/call.attempts);
   if (rto_listener_) {
     rto_listener_();
   }
-  auto conn_it = conns_.find(f.conn);
-  if (policy_.retry.adaptive.enabled && conn_it != conns_.end() &&
-      !f.call.DeadlinePassed(now)) {
+  if (policy_.retry.adaptive.enabled && !call.DeadlinePassed(now)) {
     // A genuine timeout on this connection: Karn-backoff its RTO until
     // the next clean sample, and signal its AIMD loss. OnLoss holds off
     // repeat decreases for one RTO, so a burst of timeouts from one
     // congestion episode halves this connection's window once.
-    Conn& c = conn_it->second;
     c.rtt.Backoff();
     if (c.cwnd.OnLoss(now, c.rtt.rto_nanos())) {
       ++stats_.cwnd_decreases;
-      RecordEvent(RecEvent::kCwndChange, RecEndpoint::kClient, f.call.xid,
-                  now, /*a=*/c.cwnd.window(), /*b=*/1);
+      RecordEvent(RecEvent::kCwndChange, RecEndpoint::kClient, xid, now,
+                  /*a=*/c.cwnd.window(), /*b=*/1);
     }
   }
-  if (f.call.AttemptsExhausted(policy_.retry)) {
-    Complete(key, UnavailableError(StrFormat(
-                      "no reply for conn %u xid %u after %u attempts",
-                      f.conn, f.call.xid, f.call.attempts)),
+  if (call.AttemptsExhausted(policy_.retry)) {
+    Complete(c, conn_id, *f,
+             UnavailableError(StrFormat(
+                 "no reply for conn %u xid %u after %u attempts", conn_id,
+                 xid, call.attempts)),
              {});
     return;
   }
-  if (f.call.DeadlinePassed(now)) {
-    Complete(key, DeadlineExceededError(StrFormat(
-                      "deadline passed after %u attempts for conn %u xid %u",
-                      f.call.attempts, f.conn, f.call.xid)),
+  if (call.DeadlinePassed(now)) {
+    Complete(c, conn_id, *f,
+             DeadlineExceededError(StrFormat(
+                 "deadline passed after %u attempts for conn %u xid %u",
+                 call.attempts, conn_id, xid)),
              {});
     return;
   }
-  TransmitCall(f);
+  TransmitCall(c, conn_id, *f);
 }
 
 void ConnectionMux::Poke() { ArmClientPoll(); }
@@ -303,9 +288,9 @@ void ConnectionMux::DrainReplies() {
     }
     RecorderConnScope conn_scope(*conn);
     uint64_t now = events_->clock()->now_nanos();
-    uint64_t key = Key(*conn, *xid);
-    auto it = in_flight_.find(key);
-    if (it == in_flight_.end()) {
+    Conn* c = FindConn(*conn);
+    Call* f = c == nullptr ? nullptr : FindInFlight(*c, *xid);
+    if (f == nullptr) {
       // A late duplicate of a call that already completed (or failed) on
       // this connection — or a reply whose conn half does not match any
       // open call, which the per-connection keying rejects here.
@@ -314,37 +299,33 @@ void ConnectionMux::DrainReplies() {
       RecordEvent(RecEvent::kReplyStale, RecEndpoint::kClient, *xid, now);
       continue;
     }
-    if (it->second.call.DeadlinePassed(now)) {
+    if (f->state.DeadlinePassed(now)) {
       RecordEvent(RecEvent::kReplyLate, RecEndpoint::kClient, *xid, now);
-      Complete(key, DeadlineExceededError(StrFormat(
-                        "reply for conn %u xid %u arrived after the "
-                        "deadline",
-                        *conn, *xid)),
+      Complete(*c, *conn, *f,
+               DeadlineExceededError(StrFormat(
+                   "reply for conn %u xid %u arrived after the deadline",
+                   *conn, *xid)),
                {});
       continue;
     }
     if (policy_.retry.adaptive.enabled) {
-      auto conn_state = conns_.find(*conn);
-      if (conn_state != conns_.end()) {
-        Conn& c = conn_state->second;
-        if (it->second.call.attempts == 1) {
-          // Karn's rule, per connection: only a reply to this
-          // connection's never-retransmitted request is an unambiguous
-          // measurement of *its* path.
-          uint64_t sample = now - it->second.call.last_tx_nanos;
-          c.rtt.Sample(sample);
-          ++stats_.rtt_samples;
-          RecordEvent(RecEvent::kRttSample, RecEndpoint::kClient, *xid,
-                      now, /*a=*/sample, /*b=*/c.rtt.rto_nanos());
-        } else {
-          ++stats_.karn_skips;
-          TraceAdd(TraceCounter::kRpcRttKarnSkips);
-        }
-        if (c.cwnd.OnAck()) {
-          ++stats_.cwnd_increases;
-          RecordEvent(RecEvent::kCwndChange, RecEndpoint::kClient, *xid,
-                      now, /*a=*/c.cwnd.window(), /*b=*/0);
-        }
+      if (f->state.attempts == 1) {
+        // Karn's rule, per connection: only a reply to this connection's
+        // never-retransmitted request is an unambiguous measurement of
+        // *its* path.
+        uint64_t sample = now - f->state.last_tx_nanos;
+        c->rtt.Sample(sample);
+        ++stats_.rtt_samples;
+        RecordEvent(RecEvent::kRttSample, RecEndpoint::kClient, *xid, now,
+                    /*a=*/sample, /*b=*/c->rtt.rto_nanos());
+      } else {
+        ++stats_.karn_skips;
+        TraceAdd(TraceCounter::kRpcRttKarnSkips);
+      }
+      if (c->cwnd.OnAck()) {
+        ++stats_.cwnd_increases;
+        RecordEvent(RecEvent::kCwndChange, RecEndpoint::kClient, *xid, now,
+                    /*a=*/c->cwnd.window(), /*b=*/0);
       }
     }
     RecordEvent(RecEvent::kReplyMatch, RecEndpoint::kClient, *xid, now,
@@ -352,19 +333,14 @@ void ConnectionMux::DrainReplies() {
     if (match_listener_) {
       match_listener_();
     }
-    Complete(key, Status::Ok(), std::move(*datagram));
+    Complete(*c, *conn, *f, Status::Ok(), std::move(*datagram));
   }
   ArmClientPoll();  // more replies may still be in flight
 }
 
-void ConnectionMux::Complete(uint64_t key, Status status,
-                             std::vector<uint8_t> reply) {
-  auto it = in_flight_.find(key);
-  if (it == in_flight_.end()) {
-    return;
-  }
-  InFlight& f = it->second;
-  RecorderConnScope conn_scope(f.conn);
+void ConnectionMux::Complete(Conn& c, uint32_t conn_id, Call& f,
+                             Status status, std::vector<uint8_t> reply) {
+  RecorderConnScope conn_scope(conn_id);
   if (f.rto_event != EventQueue::kInvalidEvent) {
     events_->Cancel(f.rto_event);
   }
@@ -372,8 +348,8 @@ void ConnectionMux::Complete(uint64_t key, Status status,
     ++stats_.completed;
     // flexwatch: per-connection submit-to-complete latency (queued time
     // behind the window included, exactly like the deadline accounting).
-    WatchObserve(WatchSeries::kCallLatency, f.conn,
-                 events_->clock()->now_nanos() - f.call.submit_nanos);
+    WatchObserve(WatchSeries::kCallLatency, conn_id,
+                 events_->clock()->now_nanos() - f.state.submit_nanos);
   } else if (status.code() == StatusCode::kUnavailable) {
     ++stats_.unavailable_failures;
     TraceAdd(TraceCounter::kRpcMuxUnavailable);
@@ -381,21 +357,17 @@ void ConnectionMux::Complete(uint64_t key, Status status,
     ++stats_.deadline_expiries;
     TraceAdd(TraceCounter::kRpcMuxDeadlineExpiries);
   }
-  RecordEvent(RecEvent::kCallComplete, RecEndpoint::kClient, f.call.xid,
+  uint32_t xid = f.state.xid;
+  RecordEvent(RecEvent::kCallComplete, RecEndpoint::kClient, xid,
               events_->clock()->now_nanos(),
               /*a=*/static_cast<uint64_t>(status.code()));
-  uint32_t conn_id = f.conn;
   Completion done = std::move(f.done);
-  in_flight_.erase(it);
+  RemoveInFlight(c, f);
   if (!caller_keys_.empty()) {
-    caller_keys_.erase(key);
-  }
-  auto conn_it = conns_.find(conn_id);
-  if (conn_it != conns_.end() && conn_it->second.in_flight > 0) {
-    --conn_it->second.in_flight;
+    caller_keys_.erase(Key(conn_id, xid));
   }
   --outstanding_;
-  StartNext(conn_id);  // the freed window slot admits the next queued call
+  StartNext(c, conn_id);  // the freed window slot admits the next queued call
   done(std::move(status), std::move(reply));
 }
 

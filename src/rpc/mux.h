@@ -33,6 +33,14 @@
 // flight; the rest queue (counted as flow stalls, attributed as queued
 // time).
 //
+// Tables: connections live in a dense vector indexed by id - 1 (ids are
+// 1-based and never reused), and each connection keeps its in-flight
+// calls — at most one window — in a small vector of its own, matched by
+// xid with a linear scan. A call that finds its window open is sent
+// without passing through the connection's queue. Once warm, such a call
+// under the mux's own xid allocates only its framed request and its wire
+// frame; the caller-xid Submit adds one hash-set node.
+//
 // When policy.retry.adaptive.enabled, every connection carries its own
 // RttEstimator + AimdController: the estimator RTO replaces the fixed
 // doubling schedule and the AIMD window replaces per_conn_window, keyed per
@@ -53,14 +61,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/net/datagram.h"
 #include "src/rpc/retry.h"
 #include "src/support/event_queue.h"
+#include "src/support/recorder.h"
 #include "src/support/status.h"
 
 namespace flexrpc {
@@ -93,6 +101,26 @@ class CallChannel {
 
 // Bytes of the [xid][conn] prefix in front of every request and reply.
 inline constexpr size_t kMuxPrefixBytes = 8;
+
+// Schedules `fn` on `events` at `at_nanos` so that it runs under the
+// recorder's connection and replica scopes open now, and counts the
+// dispatch in `*ran`. Timer events fire with no ambient identity; this is
+// how retransmits and reply sends downstream of timers record under the
+// right connection (and, behind a binder, the right replica). The wrapper
+// is one object: around a 16-byte `fn` it fits EventQueue's inline slot.
+template <typename F>
+EventQueue::EventId ScheduleScoped(EventQueue* events, uint64_t at_nanos,
+                                   uint64_t* ran, F fn) {
+  uint32_t conn_tag = RecorderConnScope::Current();
+  uint32_t replica_tag = RecorderReplicaScope::Current();
+  return events->ScheduleAt(
+      at_nanos, [ran, conn_tag, replica_tag, fn = std::move(fn)]() mutable {
+        RecorderConnScope conn_scope(conn_tag);
+        RecorderReplicaScope replica_scope(replica_tag);
+        ++*ran;
+        fn();
+      });
+}
 
 struct MuxPolicy {
   RetryPolicy retry;
@@ -157,7 +185,8 @@ class ConnectionMux {
   void Poke();
 
   // Invoked after every request transmission; the fleet wires it to
-  // ServerDispatch::Poke so the server polls the arrival.
+  // ServerDispatch::Poke so the server polls the arrival. It must not call
+  // back into this mux.
   void set_request_listener(std::function<void()> fn) {
     request_listener_ = std::move(fn);
   }
@@ -182,7 +211,7 @@ class ConnectionMux {
 
   // Calls currently in flight across all connections — the flexwatch
   // in-flight gauge.
-  size_t in_flight_calls() const { return in_flight_.size(); }
+  size_t in_flight_calls() const { return in_flight_total_; }
 
   // Sum of every open connection's effective window (AIMD when adaptive,
   // the fixed per_conn_window otherwise) — the flexwatch cwnd gauge.
@@ -194,20 +223,16 @@ class ConnectionMux {
   const RttEstimator* conn_rtt(uint32_t conn) const;
 
  private:
-  struct PendingCall {
-    ClientCallState call;
-    Completion done;
-  };
-  struct InFlight {
-    uint32_t conn = 0;
-    ClientCallState call;
+  // One submitted call, queued or in flight.
+  struct Call {
+    ClientCallState state;
     Completion done;
     EventQueue::EventId rto_event = EventQueue::kInvalidEvent;
   };
   struct Conn {
-    uint32_t next_xid = 1;   // per-connection namespace
-    uint32_t in_flight = 0;  // window occupancy
-    std::deque<PendingCall> pending;
+    uint32_t next_xid = 1;          // per-connection namespace
+    std::vector<Call> in_flight;    // at most one window, unordered
+    std::deque<Call> pending;       // behind a full window, FIFO
     // Per-connection adaptive state; idle unless adaptive.enabled.
     RttEstimator rtt;
     AimdController cwnd;
@@ -225,18 +250,36 @@ class ConnectionMux {
     return (static_cast<uint64_t>(conn) << 32) | xid;
   }
 
-  // Every scheduled event reopens the connection and replica scopes it
-  // was scheduled under, so record points downstream of timers inherit
-  // the right tags.
-  EventQueue::EventId Schedule(uint64_t at_nanos, std::function<void()> fn);
+  // nullptr for connection 0 and ids past the last one opened.
+  Conn* FindConn(uint32_t conn_id) {
+    return conn_id - 1 < conns_.size() ? &conns_[conn_id - 1] : nullptr;
+  }
+  static Call* FindInFlight(Conn& c, uint32_t xid) {
+    for (Call& f : c.in_flight) {
+      if (f.state.xid == xid) {
+        return &f;
+      }
+    }
+    return nullptr;
+  }
+
+  template <typename F>
+  EventQueue::EventId Schedule(uint64_t at_nanos, F fn) {
+    return ScheduleScoped(events_, at_nanos, &stats_.events, std::move(fn));
+  }
   void Enqueue(Conn& c, uint32_t conn_id, uint32_t xid, ByteSpan body,
                Completion done);
-  void StartNext(uint32_t conn_id);
-  void TransmitCall(InFlight& f);
-  void OnRto(uint64_t key);
+  void Start(Conn& c, uint32_t conn_id, Call call);
+  void StartNext(Conn& c, uint32_t conn_id);
+  void TransmitCall(Conn& c, uint32_t conn_id, Call& f);
+  void OnRto(uint32_t conn_id, uint32_t xid);
   void ArmClientPoll();
   void DrainReplies();
-  void Complete(uint64_t key, Status status, std::vector<uint8_t> reply);
+  // Removes `f` from its connection's window, admits the next queued
+  // call, then runs `f`'s completion.
+  void Complete(Conn& c, uint32_t conn_id, Call& f, Status status,
+                std::vector<uint8_t> reply);
+  void RemoveInFlight(Conn& c, Call& f);
 
   DatagramChannel* channel_;
   MuxPolicy policy_;
@@ -246,9 +289,8 @@ class ConnectionMux {
   std::function<void()> rto_listener_;
   std::function<void()> match_listener_;
 
-  uint32_t next_conn_ = 1;
-  std::map<uint32_t, Conn> conns_;
-  std::unordered_map<uint64_t, InFlight> in_flight_;  // by Key(conn, xid)
+  std::vector<Conn> conns_;  // connection id - 1
+  size_t in_flight_total_ = 0;
   // Outstanding caller-chosen (conn, xid) keys, queued or in flight. The
   // allocating Submit never touches it.
   std::unordered_set<uint64_t> caller_keys_;

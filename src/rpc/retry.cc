@@ -17,14 +17,15 @@ const std::vector<uint8_t>* ReplyCache::Find(uint32_t xid) {
   return &it->second.reply;
 }
 
-void ReplyCache::Insert(uint32_t xid, std::vector<uint8_t> reply) {
+const std::vector<uint8_t>* ReplyCache::Insert(uint32_t xid,
+                                               std::vector<uint8_t> reply) {
   auto it = entries_.find(xid);
   if (it != entries_.end()) {
     // Overwrite refreshes the LRU slot too — a re-inserted xid is as live
     // as a freshly inserted one.
     it->second.reply = std::move(reply);
     order_.splice(order_.end(), order_, it->second.slot);
-    return;
+    return &it->second.reply;
   }
   if (entries_.size() >= capacity_ && !order_.empty()) {
     entries_.erase(order_.front());
@@ -33,7 +34,9 @@ void ReplyCache::Insert(uint32_t xid, std::vector<uint8_t> reply) {
     TraceAdd(TraceCounter::kRpcDupCacheEvictions);
   }
   order_.push_back(xid);
-  entries_.emplace(xid, Entry{std::move(reply), std::prev(order_.end())});
+  auto inserted =
+      entries_.emplace(xid, Entry{std::move(reply), std::prev(order_.end())});
+  return &inserted.first->second.reply;
 }
 
 Result<uint32_t> PeekXid(ByteSpan datagram) {
@@ -75,11 +78,7 @@ void AtMostOnceEndpoint::ConnState::MarkExecuted(uint32_t xid) {
 }
 
 AtMostOnceEndpoint::ConnState& AtMostOnceEndpoint::StateFor(uint32_t conn) {
-  auto it = conns_.find(conn);
-  if (it == conns_.end()) {
-    it = conns_.emplace(conn, ConnState(cache_capacity_)).first;
-  }
-  return it->second;
+  return conns_.try_emplace(conn, cache_capacity_).first->second;
 }
 
 ReplyCache& AtMostOnceEndpoint::CacheFor(uint32_t conn) {
@@ -133,8 +132,7 @@ Result<AtMostOnceEndpoint::Handled> AtMostOnceEndpoint::Handle(
   state.MarkExecuted(*xid);
   ++misses_;
   TraceAdd(TraceCounter::kRpcDupCacheMisses);
-  state.cache.Insert(*xid, std::move(reply));
-  return Handled{*xid, false, state.cache.Find(*xid)};
+  return Handled{*xid, false, state.cache.Insert(*xid, std::move(reply))};
 }
 
 uint64_t ClipRtoWait(uint64_t rto_nanos, uint64_t deadline_nanos,

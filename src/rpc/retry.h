@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -60,12 +59,18 @@ struct RetryPolicy {
 // late retransmit re-execute the work and break exactly-once execution.
 class ReplyCache {
  public:
-  explicit ReplyCache(size_t capacity = 256) : capacity_(capacity) {}
+  // Sizes the xid index for `capacity` entries up front, so it never
+  // rehashes.
+  explicit ReplyCache(size_t capacity = 256) : capacity_(capacity) {
+    entries_.reserve(capacity);
+  }
 
   // nullptr on miss; the cached reply datagram on hit. A hit refreshes the
   // entry's LRU position (which is why Find is not const).
   const std::vector<uint8_t>* Find(uint32_t xid);
-  void Insert(uint32_t xid, std::vector<uint8_t> reply);
+  // Stores `reply` as the most recent entry and returns it.
+  const std::vector<uint8_t>* Insert(uint32_t xid,
+                                     std::vector<uint8_t> reply);
 
   size_t size() const { return entries_.size(); }
   size_t capacity() const { return capacity_; }
@@ -99,7 +104,9 @@ using DatagramHandler =
 // cache_capacity entries, so two clients colliding on an xid cannot
 // poison each other's dedup state, total dedup memory scales with the
 // number of active connections, and one connection's burst can never
-// evict another connection's in-flight xid.
+// evict another connection's in-flight xid. The per-connection states sit
+// in a hash table: connection ids come off the wire, so unlike the mux's
+// dense table this one cannot trust them to be small or contiguous.
 class AtMostOnceEndpoint {
  public:
   struct Handled {
@@ -158,7 +165,7 @@ class AtMostOnceEndpoint {
 
   DatagramHandler handler_;
   size_t cache_capacity_;
-  std::map<uint32_t, ConnState> conns_;
+  std::unordered_map<uint32_t, ConnState> conns_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evicted_reexecs_ = 0;

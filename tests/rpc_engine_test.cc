@@ -389,6 +389,43 @@ TEST(PipelineCancelTest, CancelQueuedCallNeverTransmits) {
   EXPECT_EQ(rig.mux().stale_replies, 0u);
 }
 
+// --- unopened connections ----------------------------------------------
+
+// The mux indexes connections densely from 1; connection 0 and any id past
+// the last one opened must be refused, never read out of the table.
+TEST(UnopenedConnectionTest, BothSubmitFlavorsFailOnceWithInvalidArgument) {
+  EchoRig rig{FaultPlan(), FaultPlan(), Window(4)};
+  ConnectionMux& mux = rig.rpc.mux();
+  const uint8_t body[4] = {1, 2, 3, 4};
+  for (uint32_t conn : {0u, rig.rpc.conn() + 1, 1000u}) {
+    std::vector<Status> seen;
+    auto done = [&seen](Status st, std::vector<uint8_t> reply) {
+      EXPECT_TRUE(reply.empty());
+      seen.push_back(std::move(st));
+    };
+    mux.Submit(conn, ByteSpan(body, sizeof(body)), done);
+    mux.Submit(conn, /*xid=*/7, ByteSpan(body, sizeof(body)), done);
+    ASSERT_EQ(seen.size(), 2u) << "conn " << conn;
+    for (const Status& st : seen) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    }
+  }
+  EXPECT_EQ(mux.outstanding(), 0u);
+  EXPECT_EQ(mux.stats().calls, 0u);
+  ASSERT_TRUE(rig.rpc.Drive().ok());
+  EXPECT_EQ(rig.events.pending(), 0u);  // nothing was scheduled either
+}
+
+TEST(UnopenedConnectionTest, CancelAndConnRttRefuseUnopenedIds) {
+  EchoRig rig{FaultPlan(), FaultPlan(), Window(4)};
+  ConnectionMux& mux = rig.rpc.mux();
+  for (uint32_t conn : {0u, rig.rpc.conn() + 1, 1000u}) {
+    EXPECT_FALSE(mux.Cancel(conn, 1)) << "conn " << conn;
+    EXPECT_EQ(mux.conn_rtt(conn), nullptr) << "conn " << conn;
+  }
+  EXPECT_NE(mux.conn_rtt(rig.rpc.conn()), nullptr);
+}
+
 // --- the corrupt-reply rule ---------------------------------------------
 
 TEST(PipelineCorruptLossTest, CorruptReplyIsADropUntilItsRtoFires) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -354,6 +356,129 @@ TEST(EventQueueTest, CallbacksMayScheduleAndCancelReentrantly) {
   q.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(clock.now_nanos(), 300u);
+}
+
+// The id contract the benchmark's event census relies on: a probe's id
+// minus one counts every event scheduled before it, whatever ran or was
+// cancelled in between.
+TEST(EventQueueTest, IdsStayConsecutiveAcrossScheduleCancelAndRun) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  EventQueue::EventId expected = 1;
+  std::vector<EventQueue::EventId> ids;
+  uint64_t scheduled = 0;
+  for (int round = 0; round < 300; ++round) {
+    for (int j = 0; j < 8; ++j) {
+      EventQueue::EventId id =
+          q.ScheduleAfter(static_cast<uint64_t>(1 + (round * 7 + j) % 13),
+                          [] {});
+      ASSERT_EQ(id, expected++);
+      ids.push_back(id);
+      ++scheduled;
+    }
+    q.Cancel(ids[ids.size() - 3]);
+    q.Cancel(ids[ids.size() / 2]);  // an old id, often long gone
+    q.RunNext();
+    q.RunNext();
+  }
+  q.RunUntilIdle();
+  EventQueue::EventId probe = q.ScheduleAt(clock.now_nanos(), [] {});
+  EXPECT_EQ(probe - 1, scheduled);
+  EXPECT_TRUE(q.Cancel(probe));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, CancelIsFalseForInvalidUnissuedRanAndRunningIds) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  EXPECT_FALSE(q.Cancel(EventQueue::kInvalidEvent));
+  EventQueue::EventId self = EventQueue::kInvalidEvent;
+  bool self_cancel = true;
+  self = q.ScheduleAt(10, [&] { self_cancel = q.Cancel(self); });
+  EventQueue::EventId done = q.ScheduleAt(5, [] {});
+  EXPECT_FALSE(q.Cancel(done + 1));  // never issued
+  q.RunUntilIdle();
+  EXPECT_FALSE(self_cancel);  // its own id, from inside its callback
+  EXPECT_FALSE(q.Cancel(done));
+  EXPECT_FALSE(q.Cancel(self));
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueTest, ReusedSlotNeverRunsTheStaleHeapEntry) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  std::vector<uint64_t> ran_at;
+  EventQueue::EventId early = q.ScheduleAt(100, [&] { ran_at.push_back(1); });
+  ASSERT_TRUE(q.Cancel(early));
+  // Takes the slot `early` freed; the heap still holds early's entry at
+  // deadline 100.
+  q.ScheduleAt(200, [&] { ran_at.push_back(clock.now_nanos()); });
+  EXPECT_EQ(q.RunUntilIdle(), 1u);
+  EXPECT_EQ(ran_at, (std::vector<uint64_t>{200}));
+}
+
+TEST(EventQueueTest, EqualDeadlinesStayFifoThroughCancelAndReuse) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  std::vector<int> order;
+  std::vector<EventQueue::EventId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(q.ScheduleAt(1000, [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 8; i += 2) {
+    q.Cancel(ids[i]);
+  }
+  for (int i = 8; i < 12; ++i) {  // into the freed slots
+    q.ScheduleAt(1000, [&order, i] { order.push_back(i); });
+  }
+  q.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7, 8, 9, 10, 11}));
+}
+
+// Counts how often it was destroyed (moved-from handles never own one).
+struct DestroyCounter {
+  explicit DestroyCounter(int* count) : destroyed(count) {}
+  ~DestroyCounter() { ++*destroyed; }
+  int* destroyed;
+};
+
+TEST(EventQueueTest, OversizeAndMoveOnlyCapturesRunAndDieOnce) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  int runs = 0;
+  int destroyed = 0;
+  auto token = std::make_shared<int>(0);
+  std::array<uint64_t, 16> big{};
+  big[15] = 7;
+  auto oversize = [&runs, token, big] { runs += static_cast<int>(big[15]); };
+  static_assert(sizeof(oversize) > EventQueue::kInlineBytes);
+  q.ScheduleAt(1, std::move(oversize));
+  q.ScheduleAt(2, [&runs, c = std::make_unique<DestroyCounter>(&destroyed)] {
+    runs += 100;
+  });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_EQ(q.RunUntilIdle(), 2u);
+  EXPECT_EQ(runs, 107);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueTest, DestroyingTheQueueReleasesPendingCaptures) {
+  VirtualClock clock;
+  auto token = std::make_shared<int>(0);
+  int destroyed = 0;
+  {
+    EventQueue q(&clock);
+    std::array<uint64_t, 16> big{};
+    q.ScheduleAt(1, [token] {});
+    q.ScheduleAt(2, [token, big] {});  // boxed on the heap
+    q.ScheduleAt(3, [c = std::make_unique<DestroyCounter>(&destroyed)] {});
+    EventQueue::EventId gone = q.ScheduleAt(4, [token] {});
+    q.Cancel(gone);
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(destroyed, 1);
 }
 
 TEST(ByteStreamTest, TakeBufferReleasesWithoutCopying) {
