@@ -75,11 +75,10 @@ RunResult RunPipelined(uint32_t window, size_t chunk_bytes, size_t file_size,
   policy.retry.initial_rto_nanos = rto_nanos;
   if (adaptive) {
     // The self-tuning transport: Jacobson/Karels RTO + AIMD window. No
-    // per-scenario tuning — only the pre-sample RTO seed and a 5 ms RTO
-    // floor (an NFS-style guard against under-timeout on fast paths).
+    // per-scenario tuning — the RTO above seeds the estimator, plus a 5 ms
+    // RTO floor (an NFS-style guard against under-timeout on fast paths).
     policy.retry.adaptive.enabled = true;
-    policy.retry.adaptive.rtt.initial_rto_nanos = rto_nanos;
-    policy.retry.adaptive.rtt.min_rto_nanos = 5'000'000;
+    policy.retry.adaptive.min_rto_nanos = 5'000'000;
   }
   ServerConnection rpc(&channel, NfsFileServer::MakeHandler(&server),
                        policy, &events);

@@ -70,16 +70,6 @@ class PlanVerifier {
     return out;
   }
 
-  // Slot of a named presentation parameter (slot order = param order).
-  int SlotOf(std::string_view name) const {
-    for (size_t i = 0; i < pres_.params.size(); ++i) {
-      if (pres_.params[i].name == name) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-
   void CheckStream(const char* stream_name,
                    const std::vector<PlanItemView>& items,
                    const std::vector<Expected>& expected) {
@@ -181,7 +171,7 @@ class PlanVerifier {
       if (p == nullptr || !p->explicit_length) {
         continue;
       }
-      int len_slot = SlotOf(p->length_param);
+      int len_slot = pres_.SlotOf(p->length_param);
       if (len_slot < 0) {
         continue;  // stage 1 reports the dangling name (FLEX003)
       }

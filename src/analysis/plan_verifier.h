@@ -16,10 +16,10 @@
 //   * flattened items have a slot for every field (and the union
 //     discriminant)                                              [FLEX106]
 //
-// The verifier consumes the MarshalPlanView introspection surface, so tests
-// can corrupt a hand-built view and prove each violation is caught. It is
-// also wired into the RPC runtime behind SetVerifyPlansAtBind (runtime.h)
-// and into `idlc --check`.
+// The verifier consumes the MarshalPlanView a program runs, so tests can
+// corrupt a copy and prove each violation is caught. `idlc --check` runs
+// it over every operation of an interface file, and CI runs that over the
+// shipped example interfaces.
 
 #ifndef FLEXRPC_SRC_ANALYSIS_PLAN_VERIFIER_H_
 #define FLEXRPC_SRC_ANALYSIS_PLAN_VERIFIER_H_

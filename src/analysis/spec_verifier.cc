@@ -9,11 +9,6 @@ namespace flexrpc {
 
 namespace {
 
-bool IsByteElem(const Type* elem) {
-  TypeKind k = elem->Resolve()->kind();
-  return k == TypeKind::kOctet || k == TypeKind::kChar;
-}
-
 const char* DestName(WireEffect::Dest dest) {
   switch (dest) {
     case WireEffect::Dest::kNone:
@@ -59,15 +54,6 @@ class PlanLowering {
   }
 
  private:
-  int SlotOfName(std::string_view name) const {
-    for (size_t i = 0; i < pres_.params.size(); ++i) {
-      if (pres_.params[i].name == name) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-
   void Opaque(int slot) {
     WireEffect e;
     e.kind = WireEffect::Kind::kOpaque;
@@ -124,7 +110,7 @@ class PlanLowering {
         if (marshal_) {
           len.len_src = SpecLenSource::kStrLen;
           if (pres != nullptr && pres->explicit_length) {
-            int ls = SlotOfName(pres->length_param);
+            int ls = pres_.SlotOf(pres->length_param);
             if (ls >= 0) {
               len.len_src = SpecLenSource::kLenSlot;
               len.len_slot = ls;
@@ -155,7 +141,7 @@ class PlanLowering {
         if (marshal_) {
           len.len_src = SpecLenSource::kSlotLength;
           if (pres != nullptr && pres->explicit_length) {
-            int ls = SlotOfName(pres->length_param);
+            int ls = pres_.SlotOf(pres->length_param);
             if (ls >= 0) {
               len.len_src = SpecLenSource::kLenSlot;
               len.len_slot = ls;
@@ -324,8 +310,7 @@ std::string WireEffect::ToString() const {
 std::vector<WireEffect> PlanStreamEffects(const OperationDecl& op,
                                           const OpPresentation& pres,
                                           SpecStream stream) {
-  MarshalProgram program = MarshalProgram::Build(op, pres);
-  MarshalPlanView view = program.Plan();
+  const MarshalPlanView view = BuildMarshalPlan(op, pres);
   bool marshal = stream == SpecStream::kMarshalRequest ||
                  stream == SpecStream::kMarshalReply;
   bool is_reply = stream == SpecStream::kMarshalReply ||

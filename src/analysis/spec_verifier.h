@@ -79,9 +79,9 @@ struct WireEffect {
 };
 
 // The interpreted plan's effects for one stream, derived by symbolically
-// executing MarshalProgram::Build(op, pres)'s item walk — independent of
-// CompileSpecPlan, which is the point: the two lowerings meet only at the
-// comparison.
+// executing the item walk over BuildMarshalPlan(op, pres), the plan the
+// interpreter runs — independent of CompileSpecPlan's lowering of that
+// plan, which is the point: the two lowerings meet only at the comparison.
 std::vector<WireEffect> PlanStreamEffects(const OperationDecl& op,
                                           const OpPresentation& pres,
                                           SpecStream stream);

@@ -32,8 +32,6 @@ namespace flexrpc {
 struct CppGenOptions {
   std::string ns = "flexgen";       // namespace for generated code
   std::string header_name;          // e.g. "syslog.flexgen.h" for includes
-  bool emit_client = true;
-  bool emit_server = true;
 };
 
 struct GeneratedCode {

@@ -1,7 +1,7 @@
 #include "src/marshal/engine.h"
 
 #include <cstring>
-#include <unordered_map>
+#include <utility>
 
 #include "src/marshal/layout.h"
 #include "src/marshal/spec.h"
@@ -14,11 +14,6 @@
 namespace flexrpc {
 
 namespace {
-
-bool IsByteElem(const Type* elem) {
-  TypeKind k = elem->Resolve()->kind();
-  return k == TypeKind::kOctet || k == TypeKind::kChar;
-}
 
 // Classifies one interpreter step for the per-opcode trace counters.
 // [special] presentations are their own bucket: they replace the copy
@@ -55,133 +50,209 @@ bool OwnsHeapStorage(const Type* type) {
   }
 }
 
+// Frees the storage `slot` owns as a value of `type` (its block and every
+// block nested in it, each sequence element's included) and clears the
+// slot. A borrowed view of the request message is only cleared; scalar
+// slots own nothing and keep their value.
+void ReleaseSlot(Arena* arena, const Type* type, ArgValue* slot) {
+  if (!OwnsHeapStorage(type) || slot->ptr() == nullptr) {
+    return;
+  }
+  if (!slot->borrowed) {
+    const Type* t = type->Resolve();
+    void* p = slot->ptr();
+    if (t->kind() == TypeKind::kSequence) {
+      // A slot carries a sequence unpacked; FreeValue takes its SeqRep and
+      // frees each element's blocks, then the buffer.
+      SeqRep rep{slot->length, slot->length, p};
+      FreeValue(arena, t, &rep);
+    } else {
+      if (t->kind() != TypeKind::kString) {
+        FreeValue(arena, t, p);
+      }
+      arena->FreeBlock(p);
+    }
+  }
+  slot->set_ptr(nullptr);
+  slot->borrowed = false;
+}
+
+// The operand walk every interpreter step shares: `fn(pres, type, slot)`
+// runs on the item's direct slot, or on each flattened field in order. A
+// flattened union result first hands its discriminant slot to `disc`,
+// which yields false when the value is an alternate arm; those are void by
+// construction (FlattenableResultStruct), so the item ends there.
+template <typename Disc, typename Fn>
+Status ForEachOperand(const PlanItemView& item, Disc disc, Fn fn) {
+  if (!item.flattened) {
+    return fn(item.pres, item.type, item.slot);
+  }
+  if (item.is_result && item.type->Resolve()->kind() == TypeKind::kUnion) {
+    FLEXRPC_ASSIGN_OR_RETURN(bool success_arm, disc(item.disc_slot));
+    if (!success_arm) {
+      return Status::Ok();
+    }
+  }
+  for (const PlanFieldView& field : item.fields) {
+    FLEXRPC_RETURN_IF_ERROR(fn(field.pres, field.type, field.slot));
+  }
+  return Status::Ok();
+}
+
+// The releases visit every field slot, whatever the discriminant says.
+Result<bool> EveryField(int /*disc_slot*/) { return true; }
+
+// Wire position marks for the fused path's byte credit: bytes written so
+// far on a writer, bytes left on a reader.
+size_t WireMark(const WireWriter* w) { return w->size(); }
+size_t WireMark(const WireReader* r) { return r->remaining(); }
+void CreditWireBytes(const WireWriter* w, size_t mark) {
+  TraceAdd(TraceCounter::kMarshalBytesOut, w->size() - mark);
+}
+void CreditWireBytes(const WireReader* r, size_t mark) {
+  TraceAdd(TraceCounter::kMarshalBytesIn, mark - r->remaining());
+}
+
+// Recorder spans of the client entry points (the `a` field of their
+// kMarshalBegin/kMarshalEnd pair); the server side records none here.
+constexpr int kNoSpan = -1;
+constexpr int kRequestSpan = 0;
+constexpr int kReplySpan = 1;
+
+// The one stream runner behind the four entry points. When `fns` (the
+// program's registry hit) has its `kFused` stream set and specialization
+// is on, the stream runs that straight-line function on `fused_args`;
+// otherwise it interprets `items`, one `step` each. Client streams
+// (`span` != kNoSpan) record a marshal begin/end pair tagged a = span.
+template <auto kFused, typename Wire, typename Step, typename... FusedArgs>
+Status RunStream(const SpecFns* fns, int span,
+                 const std::vector<PlanItemView>& items, Wire* wire,
+                 Step step, FusedArgs&&... fused_args) {
+  // The engine has no call identity of its own; it records only when the
+  // caller opened a RecorderCallScope (src/apps/nfs.cc does, around each
+  // stub invocation). Marshal work is host CPU, so the span is zero-width
+  // in virtual time — its wall stamps still separate begin from end.
+  const bool record =
+      span != kNoSpan && RecorderEnabled() && RecorderCallScope::Active();
+  if (record) {
+    RecordEvent(RecEvent::kMarshalBegin, RecEndpoint::kClient,
+                RecorderCallScope::CurrentXid(),
+                RecorderCallScope::CurrentVirtualNanos(), span);
+  }
+  const auto fused = fns != nullptr ? fns->*kFused : nullptr;
+  if (fused != nullptr && MarshalSpecializationEnabled()) {
+    TraceAdd(TraceCounter::kMarshalSpecHits);
+    const size_t mark = WireMark(wire);
+    FLEXRPC_RETURN_IF_ERROR(fused(std::forward<FusedArgs>(fused_args)...));
+    // The fused code skips the interpreter's per-item counters; account
+    // its work as wire-delta bytes so traced budgets stay attributable.
+    CreditWireBytes(wire, mark);
+  } else {
+    TraceAdd(TraceCounter::kMarshalSpecMisses);
+    for (const PlanItemView& item : items) {
+      FLEXRPC_RETURN_IF_ERROR(step(item));
+    }
+  }
+  if (record) {
+    RecordEvent(RecEvent::kMarshalEnd, RecEndpoint::kClient,
+                RecorderCallScope::CurrentXid(),
+                RecorderCallScope::CurrentVirtualNanos(), span);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
+
+MarshalPlanView BuildMarshalPlan(const OperationDecl& op,
+                                 const OpPresentation& pres) {
+  MarshalPlanView plan;
+  plan.slot_count = pres.params.size() + 1;
+  // Flattens `item` into the fields of struct `st`: field f goes in the
+  // slot whose binding is (kind, param_index, f).
+  auto flatten = [&](PlanItemView* item, const Type* st, BindingKind kind,
+                     int param_index) {
+    item->flattened = true;
+    item->fields.resize(st->fields().size());
+    for (size_t s = 0; s < pres.params.size(); ++s) {
+      const Binding& b = pres.params[s].binding;
+      if (b.kind == kind && b.param_index == param_index) {
+        auto f = static_cast<size_t>(b.field_index);
+        item->fields[f] = PlanFieldView{st->fields()[f].type,
+                                        static_cast<int>(s), &pres.params[s]};
+      }
+    }
+  };
+
+  for (size_t i = 0; i < op.params.size(); ++i) {
+    PlanItemView item;
+    item.type = op.params[i].type;
+    item.dir = op.params[i].dir;
+    for (size_t s = 0; s < pres.params.size() && item.slot < 0; ++s) {
+      const Binding& b = pres.params[s].binding;
+      if (b.kind == BindingKind::kParam &&
+          b.param_index == static_cast<int>(i)) {
+        item.slot = static_cast<int>(s);
+        item.pres = &pres.params[s];
+      }
+    }
+    if (item.slot < 0) {
+      // No direct binding: the parameter was flattened into its fields.
+      flatten(&item, item.type->Resolve(), BindingKind::kParamField,
+              static_cast<int>(i));
+    }
+    if (item.dir != ParamDir::kOut) {
+      plan.request.push_back(item);
+    }
+    if (item.dir != ParamDir::kIn) {
+      plan.reply.push_back(std::move(item));
+    }
+  }
+
+  const Type* result = op.result->Resolve();
+  if (result->kind() == TypeKind::kVoid) {
+    return plan;
+  }
+  PlanItemView item;
+  item.type = op.result;
+  item.dir = ParamDir::kOut;
+  item.is_result = true;
+  if (!pres.result_flattened) {
+    item.slot = static_cast<int>(plan.slot_count) - 1;
+    item.pres = &pres.result;
+  } else {
+    item.flattened = true;
+    item.success_struct = FlattenableResultStruct(op);
+    if (result->kind() == TypeKind::kUnion) {
+      for (const UnionArm& arm : result->arms()) {
+        if (arm.type->Resolve() == item.success_struct) {
+          item.success_label = arm.label;
+          break;
+        }
+      }
+    }
+    if (item.success_struct != nullptr) {
+      flatten(&item, item.success_struct, BindingKind::kResultField, -1);
+    }
+    for (size_t s = 0; s < pres.params.size(); ++s) {
+      if (pres.params[s].binding.kind == BindingKind::kResultDiscriminant) {
+        item.disc_slot = static_cast<int>(s);
+      }
+    }
+  }
+  plan.reply.push_back(std::move(item));
+  return plan;
+}
 
 MarshalProgram MarshalProgram::Build(const OperationDecl& op,
                                      const OpPresentation& pres) {
   MarshalProgram prog;
   prog.op_ = &op;
   prog.pres_ = &pres;
-  prog.slot_count_ = pres.params.size() + 1;
-
-  auto make_param_item = [&](int pi) {
-    Item item;
-    const ParamDecl& decl = op.params[static_cast<size_t>(pi)];
-    item.type = decl.type;
-    item.dir = decl.dir;
-    for (size_t s = 0; s < pres.params.size(); ++s) {
-      const Binding& b = pres.params[s].binding;
-      if (b.kind == BindingKind::kParam && b.param_index == pi) {
-        item.slot = static_cast<int>(s);
-        item.pres = &pres.params[s];
-        return item;
-      }
-    }
-    // No direct binding: the parameter was flattened into its fields.
-    item.flattened = true;
-    const Type* st = item.type->Resolve();
-    item.fields.resize(st->fields().size());
-    for (size_t s = 0; s < pres.params.size(); ++s) {
-      const Binding& b = pres.params[s].binding;
-      if (b.kind == BindingKind::kParamField && b.param_index == pi) {
-        item.fields[static_cast<size_t>(b.field_index)] = FieldSlot{
-            st->fields()[static_cast<size_t>(b.field_index)].type,
-            static_cast<int>(s), &pres.params[s]};
-      }
-    }
-    return item;
-  };
-
-  for (size_t i = 0; i < op.params.size(); ++i) {
-    Item item = make_param_item(static_cast<int>(i));
-    if (item.dir != ParamDir::kOut) {
-      prog.request_items_.push_back(item);
-    }
-    if (item.dir != ParamDir::kIn) {
-      prog.reply_items_.push_back(item);
-    }
-  }
-
-  const Type* result = op.result->Resolve();
-  bool result_void = result->kind() == TypeKind::kVoid;
-  if (!result_void) {
-    Item item;
-    item.type = op.result;
-    item.dir = ParamDir::kOut;
-    item.is_result = true;
-    if (!pres.result_flattened) {
-      item.slot = prog.result_slot();
-      item.pres = &pres.result;
-    } else {
-      item.flattened = true;
-      item.success_struct = FlattenableResultStruct(op);
-      if (result->kind() == TypeKind::kUnion) {
-        for (const UnionArm& arm : result->arms()) {
-          if (arm.type->Resolve() == item.success_struct) {
-            item.success_label = arm.label;
-            break;
-          }
-        }
-      }
-      if (item.success_struct != nullptr) {
-        item.fields.resize(item.success_struct->fields().size());
-      }
-      for (size_t s = 0; s < pres.params.size(); ++s) {
-        const Binding& b = pres.params[s].binding;
-        if (b.kind == BindingKind::kResultField) {
-          item.fields[static_cast<size_t>(b.field_index)] = FieldSlot{
-              item.success_struct->fields()[static_cast<size_t>(
-                  b.field_index)].type,
-              static_cast<int>(s), &pres.params[s]};
-        } else if (b.kind == BindingKind::kResultDiscriminant) {
-          item.disc_slot = static_cast<int>(s);
-        }
-      }
-    }
-    prog.reply_items_.push_back(std::move(item));
-  }
+  prog.plan_ = BuildMarshalPlan(op, pres);
   // flexspec bind-time step: one key computation and one registry probe
   // here buys branch-free per-call dispatch below.
   prog.spec_fns_ = FindSpecialization(ComputeSpecKey(op, pres));
   return prog;
-}
-
-MarshalPlanView MarshalProgram::Plan() const {
-  auto view_items = [](const std::vector<Item>& items) {
-    std::vector<PlanItemView> out;
-    out.reserve(items.size());
-    for (const Item& item : items) {
-      PlanItemView v;
-      v.type = item.type;
-      v.dir = item.dir;
-      v.is_result = item.is_result;
-      v.flattened = item.flattened;
-      v.slot = item.slot;
-      v.pres = item.pres;
-      v.disc_slot = item.disc_slot;
-      v.success_label = item.success_label;
-      v.success_struct = item.success_struct;
-      for (const FieldSlot& field : item.fields) {
-        v.fields.push_back(PlanFieldView{field.type, field.slot, field.pres});
-      }
-      out.push_back(std::move(v));
-    }
-    return out;
-  };
-  MarshalPlanView plan;
-  plan.slot_count = slot_count_;
-  plan.request = view_items(request_items_);
-  plan.reply = view_items(reply_items_);
-  return plan;
-}
-
-int MarshalProgram::SlotOf(std::string_view name) const {
-  for (size_t i = 0; i < pres_->params.size(); ++i) {
-    if (pres_->params[i].name == name) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
 }
 
 uint32_t MarshalProgram::EffectiveLength(const ParamPresentation* pres,
@@ -204,169 +275,92 @@ uint32_t MarshalProgram::EffectiveLength(const ParamPresentation* pres,
 
 Status MarshalProgram::MarshalRequest(const ArgVec& args, WireWriter* w,
                                       const SpecialOps* special) const {
-  // The engine has no call identity of its own; it records only when the
-  // caller opened a RecorderCallScope (src/apps/nfs.cc does, around each
-  // stub invocation). Marshal work is host CPU, so the span is zero-width
-  // in virtual time — its wall stamps still separate begin from end.
-  const bool record = RecorderEnabled() && RecorderCallScope::Active();
-  if (record) {
-    RecordEvent(RecEvent::kMarshalBegin, RecEndpoint::kClient,
-                RecorderCallScope::CurrentXid(),
-                RecorderCallScope::CurrentVirtualNanos());
-  }
-  const size_t wire_before = w->size();
-  if (spec_fns_ != nullptr && spec_fns_->marshal_request != nullptr &&
-      MarshalSpecializationEnabled()) {
-    TraceAdd(TraceCounter::kMarshalSpecHits);
-    FLEXRPC_RETURN_IF_ERROR(spec_fns_->marshal_request(args, w, special));
-    // The fused code skips the interpreter's per-item counters; account
-    // its work as wire-delta bytes so traced budgets stay attributable.
-    TraceAdd(TraceCounter::kMarshalBytesOut, w->size() - wire_before);
-  } else {
-    TraceAdd(TraceCounter::kMarshalSpecMisses);
-    for (const Item& item : request_items_) {
-      FLEXRPC_RETURN_IF_ERROR(MarshalItem(item, args, w, special));
-    }
-  }
-  if (record) {
-    RecordEvent(RecEvent::kMarshalEnd, RecEndpoint::kClient,
-                RecorderCallScope::CurrentXid(),
-                RecorderCallScope::CurrentVirtualNanos());
-  }
-  return Status::Ok();
+  return RunStream<&SpecFns::marshal_request>(
+      spec_fns_, kRequestSpan, plan_.request, w,
+      [&](const PlanItemView& item) {
+        return MarshalItem(item, args, w, special);
+      },
+      args, w, special);
 }
 
 Status MarshalProgram::UnmarshalRequest(WireReader* r, Arena* arena,
                                         ArgVec* args,
                                         const SpecialOps* special,
                                         bool borrow_bytes) const {
-  const size_t wire_before = r->remaining();
-  if (spec_fns_ != nullptr && spec_fns_->unmarshal_request != nullptr &&
-      MarshalSpecializationEnabled()) {
-    TraceAdd(TraceCounter::kMarshalSpecHits);
-    FLEXRPC_RETURN_IF_ERROR(spec_fns_->unmarshal_request(
-        r, arena, args, special, borrow_bytes));
-    TraceAdd(TraceCounter::kMarshalBytesIn, wire_before - r->remaining());
-  } else {
-    TraceAdd(TraceCounter::kMarshalSpecMisses);
-    for (const Item& item : request_items_) {
-      FLEXRPC_RETURN_IF_ERROR(
-          UnmarshalItem(item, r, arena, args, special, borrow_bytes));
-    }
-  }
-  return Status::Ok();
+  return RunStream<&SpecFns::unmarshal_request>(
+      spec_fns_, kNoSpan, plan_.request, r,
+      [&](const PlanItemView& item) {
+        return UnmarshalItem(item, r, arena, args, special, borrow_bytes);
+      },
+      r, arena, args, special, borrow_bytes);
 }
 
 Status MarshalProgram::MarshalReply(const ArgVec& args, WireWriter* w,
                                     Arena* arena,
                                     const SpecialOps* special) const {
-  const size_t wire_before = w->size();
-  if (spec_fns_ != nullptr && spec_fns_->marshal_reply != nullptr &&
-      MarshalSpecializationEnabled()) {
-    // Streams with [dealloc(always)] parameters are never specialized
-    // (CompileSpecPlan rejects them), so skipping the DeallocAfterMarshal
-    // epilogue here is sound.
-    TraceAdd(TraceCounter::kMarshalSpecHits);
-    FLEXRPC_RETURN_IF_ERROR(spec_fns_->marshal_reply(args, w, special));
-    TraceAdd(TraceCounter::kMarshalBytesOut, w->size() - wire_before);
-  } else {
-    TraceAdd(TraceCounter::kMarshalSpecMisses);
-    for (const Item& item : reply_items_) {
-      FLEXRPC_RETURN_IF_ERROR(MarshalItem(item, args, w, special));
-      if (arena != nullptr) {
-        DeallocAfterMarshal(item, args, arena);
-      }
-    }
-  }
-  return Status::Ok();
+  // Streams with [dealloc(always)] parameters are never specialized
+  // (CompileSpecPlan rejects them), so the DeallocAfterMarshal epilogue
+  // belongs to the interpreted path only.
+  return RunStream<&SpecFns::marshal_reply>(
+      spec_fns_, kNoSpan, plan_.reply, w,
+      [&](const PlanItemView& item) {
+        FLEXRPC_RETURN_IF_ERROR(MarshalItem(item, args, w, special));
+        if (arena != nullptr) {
+          DeallocAfterMarshal(item, args, arena);
+        }
+        return Status::Ok();
+      },
+      args, w, special);
 }
 
 Status MarshalProgram::UnmarshalReply(WireReader* r, Arena* arena,
                                       ArgVec* args,
                                       const SpecialOps* special) const {
-  const bool record = RecorderEnabled() && RecorderCallScope::Active();
-  if (record) {
-    RecordEvent(RecEvent::kMarshalBegin, RecEndpoint::kClient,
-                RecorderCallScope::CurrentXid(),
-                RecorderCallScope::CurrentVirtualNanos(), /*a=*/1);
-  }
-  const size_t wire_before = r->remaining();
-  if (spec_fns_ != nullptr && spec_fns_->unmarshal_reply != nullptr &&
-      MarshalSpecializationEnabled()) {
-    TraceAdd(TraceCounter::kMarshalSpecHits);
-    FLEXRPC_RETURN_IF_ERROR(spec_fns_->unmarshal_reply(
-        r, arena, args, special, /*borrow_bytes=*/false));
-    TraceAdd(TraceCounter::kMarshalBytesIn, wire_before - r->remaining());
-  } else {
-    TraceAdd(TraceCounter::kMarshalSpecMisses);
-    for (const Item& item : reply_items_) {
-      // Never borrow on the client: the reply buffer is released as soon
-      // as the stub returns.
-      FLEXRPC_RETURN_IF_ERROR(UnmarshalItem(item, r, arena, args, special,
-                                            /*borrow_bytes=*/false));
-    }
-  }
-  if (record) {
-    RecordEvent(RecEvent::kMarshalEnd, RecEndpoint::kClient,
-                RecorderCallScope::CurrentXid(),
-                RecorderCallScope::CurrentVirtualNanos(), /*a=*/1);
-  }
-  return Status::Ok();
+  // Never borrow on the client: the reply buffer is released as soon as
+  // the stub returns.
+  return RunStream<&SpecFns::unmarshal_reply>(
+      spec_fns_, kReplySpan, plan_.reply, r,
+      [&](const PlanItemView& item) {
+        return UnmarshalItem(item, r, arena, args, special,
+                             /*borrow_bytes=*/false);
+      },
+      r, arena, args, special, /*borrow_bytes=*/false);
 }
 
-Status MarshalProgram::MarshalItem(const Item& item, const ArgVec& args,
-                                   WireWriter* w,
+Status MarshalProgram::MarshalItem(const PlanItemView& item,
+                                   const ArgVec& args, WireWriter* w,
                                    const SpecialOps* special) const {
-  if (!item.flattened) {
-    const ArgValue& slot = args[static_cast<size_t>(item.slot)];
-    return MarshalTop(item.pres, item.type, slot,
-                      EffectiveLength(item.pres, item.type, slot, args), w,
-                      special);
-  }
-  const Type* resolved = item.type->Resolve();
-  if (item.is_result && resolved->kind() == TypeKind::kUnion) {
-    uint32_t disc =
-        static_cast<uint32_t>(args[static_cast<size_t>(item.disc_slot)]
-                                  .scalar);
-    w->PutU32(disc);
-    if (disc != item.success_label) {
-      // The alternate arms of a flattenable result are void by
-      // construction (FlattenableResultStruct).
-      return Status::Ok();
-    }
-  }
-  for (const FieldSlot& field : item.fields) {
-    const ArgValue& slot = args[static_cast<size_t>(field.slot)];
-    FLEXRPC_RETURN_IF_ERROR(MarshalTop(
-        field.pres, field.type, slot,
-        EffectiveLength(field.pres, field.type, slot, args), w, special));
-  }
-  return Status::Ok();
+  return ForEachOperand(
+      item,
+      [&](int disc_slot) -> Result<bool> {
+        auto disc = static_cast<uint32_t>(
+            args[static_cast<size_t>(disc_slot)].scalar);
+        w->PutU32(disc);
+        return disc == item.success_label;
+      },
+      [&](const ParamPresentation* pres, const Type* type, int s) {
+        const ArgValue& slot = args[static_cast<size_t>(s)];
+        return MarshalTop(pres, type, slot,
+                          EffectiveLength(pres, type, slot, args), w,
+                          special);
+      });
 }
 
-Status MarshalProgram::UnmarshalItem(const Item& item, WireReader* r,
+Status MarshalProgram::UnmarshalItem(const PlanItemView& item, WireReader* r,
                                      Arena* arena, ArgVec* args,
                                      const SpecialOps* special,
                                      bool borrow_bytes) const {
-  if (!item.flattened) {
-    ArgValue* slot = &(*args)[static_cast<size_t>(item.slot)];
-    return UnmarshalTop(item.pres, item.type, slot, r, arena, special,
-                        borrow_bytes);
-  }
-  const Type* resolved = item.type->Resolve();
-  if (item.is_result && resolved->kind() == TypeKind::kUnion) {
-    FLEXRPC_ASSIGN_OR_RETURN(uint32_t disc, r->GetU32());
-    (*args)[static_cast<size_t>(item.disc_slot)].scalar = disc;
-    if (disc != item.success_label) {
-      return Status::Ok();
-    }
-  }
-  for (const FieldSlot& field : item.fields) {
-    ArgValue* slot = &(*args)[static_cast<size_t>(field.slot)];
-    FLEXRPC_RETURN_IF_ERROR(UnmarshalTop(field.pres, field.type, slot, r,
-                                         arena, special, borrow_bytes));
-  }
-  return Status::Ok();
+  return ForEachOperand(
+      item,
+      [&](int disc_slot) -> Result<bool> {
+        FLEXRPC_ASSIGN_OR_RETURN(uint32_t disc, r->GetU32());
+        (*args)[static_cast<size_t>(disc_slot)].scalar = disc;
+        return disc == item.success_label;
+      },
+      [&](const ParamPresentation* pres, const Type* type, int s) {
+        return UnmarshalTop(pres, type, &(*args)[static_cast<size_t>(s)], r,
+                            arena, special, borrow_bytes);
+      });
 }
 
 Status MarshalProgram::MarshalTop(const ParamPresentation* pres,
@@ -376,6 +370,14 @@ Status MarshalProgram::MarshalTop(const ParamPresentation* pres,
   const Type* t = type->Resolve();
   bool use_special = pres != nullptr && pres->special &&
                      special != nullptr && special->copy_out != nullptr;
+  // A byte run moves through the [special] routine when one applies.
+  auto put_run = [&](const void* src, uint32_t n) {
+    if (use_special) {
+      special->copy_out(w->ReserveBytes(n), src, n);
+    } else {
+      w->PutBytes(src, n);
+    }
+  };
   if (TraceEnabled()) {
     TraceAdd(MarshalOpCounter(t, use_special));
     // Payload accounting: variable-length kinds by their wire length,
@@ -409,11 +411,7 @@ Status MarshalProgram::MarshalTop(const ParamPresentation* pres,
             StrFormat("string length %u exceeds bound %u", len, t->bound()));
       }
       w->PutU32(len);
-      if (use_special) {
-        special->copy_out(w->ReserveBytes(len), s, len);
-      } else {
-        w->PutBytes(s, len);
-      }
+      put_run(s, len);
       return Status::Ok();
     }
     case TypeKind::kSequence: {
@@ -426,11 +424,7 @@ Status MarshalProgram::MarshalTop(const ParamPresentation* pres,
       w->PutU32(len);
       const Type* elem = t->element();
       if (IsByteElem(elem)) {
-        if (use_special) {
-          special->copy_out(w->ReserveBytes(len), slot.ptr(), len);
-        } else {
-          w->PutBytes(slot.ptr(), len);
-        }
+        put_run(slot.ptr(), len);
         return Status::Ok();
       }
       size_t stride = elem->NativeSize();
@@ -443,12 +437,7 @@ Status MarshalProgram::MarshalTop(const ParamPresentation* pres,
     case TypeKind::kArray: {
       const Type* elem = t->element();
       if (IsByteElem(elem)) {
-        if (use_special) {
-          special->copy_out(w->ReserveBytes(t->bound()), slot.ptr(),
-                            t->bound());
-        } else {
-          w->PutBytes(slot.ptr(), t->bound());
-        }
+        put_run(slot.ptr(), t->bound());
         return Status::Ok();
       }
       size_t stride = elem->NativeSize();
@@ -475,6 +464,14 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
   const Type* t = type->Resolve();
   bool use_special = pres != nullptr && pres->special &&
                      special != nullptr && special->copy_in != nullptr;
+  // A byte run moves through the [special] routine when one applies.
+  auto copy_run = [&](void* dest, const uint8_t* bytes, uint32_t n) {
+    if (use_special) {
+      special->copy_in(dest, bytes, n);
+    } else {
+      std::memcpy(dest, bytes, n);
+    }
+  };
   TraceAdd(MarshalOpCounter(t, use_special));
   // A slot that already carries a destination pointer is caller storage:
   // [alloc(user)] receive buffers and [special] user-space destinations both
@@ -505,11 +502,7 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
         dest = static_cast<char*>(arena->AllocateBlock(len + 1));
         slot->set_ptr(dest);
       }
-      if (use_special) {
-        special->copy_in(dest, bytes, len);
-      } else {
-        std::memcpy(dest, bytes, len);
-      }
+      copy_run(dest, bytes, len);
       dest[len] = '\0';
       slot->length = len;
       return Status::Ok();
@@ -546,13 +539,16 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
           dest = arena->AllocateBlock(len > 0 ? len : 1);
           slot->set_ptr(dest);
         }
-        if (use_special) {
-          special->copy_in(dest, bytes, len);
-        } else {
-          std::memcpy(dest, bytes, len);
-        }
+        copy_run(dest, bytes, len);
         slot->length = len;
         return Status::Ok();
+      }
+      if (len > r->remaining()) {
+        // Every non-byte element takes at least one wire byte: a larger
+        // count is malformed, and must not size an allocation.
+        return DataLossError(StrFormat(
+            "wire sequence length %u exceeds the %zu bytes left", len,
+            r->remaining()));
       }
       size_t stride = elem->NativeSize();
       uint8_t* base;
@@ -579,7 +575,7 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
       size_t total = t->NativeSize();
       TraceAdd(TraceCounter::kMarshalBytesIn, total);
       uint8_t* dest;
-      if (caller_buffer || slot->ptr() != nullptr) {
+      if (caller_buffer) {
         // Fixed-size data goes into provided storage when there is any.
         dest = static_cast<uint8_t*>(slot->ptr());
       } else {
@@ -589,11 +585,7 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
       if (IsByteElem(elem)) {
         FLEXRPC_ASSIGN_OR_RETURN(const uint8_t* bytes,
                                  r->GetBytes(t->bound()));
-        if (use_special) {
-          special->copy_in(dest, bytes, t->bound());
-        } else {
-          std::memcpy(dest, bytes, t->bound());
-        }
+        copy_run(dest, bytes, t->bound());
         return Status::Ok();
       }
       size_t stride = elem->NativeSize();
@@ -607,7 +599,7 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
     case TypeKind::kUnion: {
       TraceAdd(TraceCounter::kMarshalBytesIn, t->NativeSize());
       void* dest;
-      if (caller_buffer || slot->ptr() != nullptr) {
+      if (caller_buffer) {
         dest = slot->ptr();
       } else {
         dest = arena->AllocateBlock(t->NativeSize());
@@ -624,89 +616,44 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
   }
 }
 
-void MarshalProgram::DeallocAfterMarshal(const Item& item,
+void MarshalProgram::DeallocAfterMarshal(const PlanItemView& item,
                                          const ArgVec& args,
                                          Arena* arena) const {
-  auto release = [&](const ParamPresentation* pres, const Type* type,
-                     const ArgValue& slot) {
-    if (pres == nullptr || pres->dealloc != DeallocPolicy::kAlways) {
-      return;
-    }
-    void* p = slot.ptr();
-    if (p == nullptr) {
-      return;
-    }
-    const Type* t = type->Resolve();
-    if (t->kind() == TypeKind::kStruct || t->kind() == TypeKind::kUnion ||
-        t->kind() == TypeKind::kArray) {
-      FreeValue(arena, t, p);
-    }
-    arena->FreeBlock(p);
-  };
-  if (!item.flattened) {
-    release(item.pres, item.type, args[static_cast<size_t>(item.slot)]);
-    return;
-  }
-  for (const FieldSlot& field : item.fields) {
-    release(field.pres, field.type, args[static_cast<size_t>(field.slot)]);
-  }
+  // [dealloc(always)] move semantics: the marshaled storage is freed; the
+  // caller's const slot keeps its (now dangling) pointer.
+  (void)ForEachOperand(
+      item, EveryField,
+      [&](const ParamPresentation* pres, const Type* type, int s) {
+        if (pres != nullptr && pres->dealloc == DeallocPolicy::kAlways) {
+          ArgValue donated = args[static_cast<size_t>(s)];
+          ReleaseSlot(arena, type, &donated);
+        }
+        return Status::Ok();
+      });
 }
 
 void MarshalProgram::ReleaseRequest(Arena* arena, ArgVec* args) const {
-  auto release = [&](const Type* type, ArgValue* slot) {
-    if (!OwnsHeapStorage(type) || slot->ptr() == nullptr) {
-      return;
-    }
-    if (slot->borrowed) {
-      slot->set_ptr(nullptr);
-      slot->borrowed = false;
-      return;
-    }
-    const Type* t = type->Resolve();
-    if (t->kind() == TypeKind::kStruct || t->kind() == TypeKind::kUnion ||
-        t->kind() == TypeKind::kArray) {
-      FreeValue(arena, t, slot->ptr());
-    }
-    arena->FreeBlock(slot->ptr());
-    slot->set_ptr(nullptr);
-  };
-  for (const Item& item : request_items_) {
-    if (!item.flattened) {
-      release(item.type, &(*args)[static_cast<size_t>(item.slot)]);
-      continue;
-    }
-    for (const FieldSlot& field : item.fields) {
-      release(field.type, &(*args)[static_cast<size_t>(field.slot)]);
-    }
+  for (const PlanItemView& item : plan_.request) {
+    (void)ForEachOperand(
+        item, EveryField,
+        [&](const ParamPresentation*, const Type* type, int s) {
+          ReleaseSlot(arena, type, &(*args)[static_cast<size_t>(s)]);
+          return Status::Ok();
+        });
   }
 }
 
 void MarshalProgram::ReleaseReply(Arena* arena, ArgVec* args) const {
-  auto release = [&](const ParamPresentation* pres, const Type* type,
-                     ArgValue* slot) {
-    if (!OwnsHeapStorage(type) || slot->ptr() == nullptr) {
-      return;
-    }
-    if (pres != nullptr && pres->alloc == AllocPolicy::kUser) {
-      return;  // caller-provided storage is the caller's to manage
-    }
-    const Type* t = type->Resolve();
-    if (t->kind() == TypeKind::kStruct || t->kind() == TypeKind::kUnion ||
-        t->kind() == TypeKind::kArray) {
-      FreeValue(arena, t, slot->ptr());
-    }
-    arena->FreeBlock(slot->ptr());
-    slot->set_ptr(nullptr);
-  };
-  for (const Item& item : reply_items_) {
-    if (!item.flattened) {
-      release(item.pres, item.type, &(*args)[static_cast<size_t>(item.slot)]);
-      continue;
-    }
-    for (const FieldSlot& field : item.fields) {
-      release(field.pres, field.type,
-              &(*args)[static_cast<size_t>(field.slot)]);
-    }
+  for (const PlanItemView& item : plan_.reply) {
+    (void)ForEachOperand(
+        item, EveryField,
+        [&](const ParamPresentation* pres, const Type* type, int s) {
+          // Caller-provided storage is the caller's to manage.
+          if (pres == nullptr || pres->alloc != AllocPolicy::kUser) {
+            ReleaseSlot(arena, type, &(*args)[static_cast<size_t>(s)]);
+          }
+          return Status::Ok();
+        });
   }
 }
 

@@ -92,11 +92,11 @@ struct SpecialOps {
   std::function<void(void* dst, const uint8_t* src, size_t n)> copy_in;
 };
 
-// Read-only structural view of a compiled MarshalProgram: the wire-item
-// streams a program would execute, with the slot each item reads or writes.
-// This is the surface the flexcheck plan verifier (src/analysis/) audits
-// like a bytecode verifier; tests hand-build or corrupt a view to prove
-// each violation is caught.
+// A compiled marshal plan: the request and reply wire-item streams in wire
+// order, with the slot each item reads or writes. MarshalProgram runs this
+// plan as-is, and the same structure is the surface the flexcheck plan
+// verifier (src/analysis/) audits like a bytecode verifier; tests hand-build
+// or corrupt a plan to prove each violation is caught.
 struct PlanFieldView {
   const Type* type = nullptr;
   int slot = -1;
@@ -122,10 +122,17 @@ struct MarshalPlanView {
   std::vector<PlanItemView> reply;
 };
 
+// Lowers one operation under one side's presentation to its plan. The
+// interpreter (MarshalProgram::Build), the flexspec compiler
+// (CompileSpecPlan) and the flexspec prover (PlanStreamEffects) all start
+// from this one function. `op` and `pres` must outlive the plan.
+MarshalPlanView BuildMarshalPlan(const OperationDecl& op,
+                                 const OpPresentation& pres);
+
 // flexspec fast path (src/marshal/spec.h): Build looks the plan's SpecKey
-// up in the specialization registry once; per call the entry points
-// dispatch to the registered straight-line function when present and
-// enabled, interpreting otherwise.
+// up in the specialization registry once; per call each entry point runs
+// the registered straight-line function when present and enabled, and
+// interprets the plan otherwise.
 struct SpecFns;
 
 class MarshalProgram {
@@ -154,54 +161,31 @@ class MarshalProgram {
   Status MarshalReply(const ArgVec& args, WireWriter* w, Arena* arena,
                       const SpecialOps* special = nullptr) const;
 
-  // Frees the storage UnmarshalRequest allocated from `arena` (server stub
-  // epilogue). Slots pointing at caller-provided storage are untouched.
+  // Frees the storage UnmarshalRequest allocated from `arena`, nested
+  // blocks included (server stub epilogue). Borrowed views of the request
+  // message are only cleared.
   void ReleaseRequest(Arena* arena, ArgVec* args) const;
   // Frees stub-allocated reply storage on the client (the "client frees the
-  // donated buffer" step of move semantics).
+  // donated buffer" step of move semantics); [alloc(user)] slots are the
+  // caller's and stay untouched.
   void ReleaseReply(Arena* arena, ArgVec* args) const;
 
   // Slot bookkeeping. Result occupies the final slot.
-  size_t slot_count() const { return slot_count_; }
-  int result_slot() const { return static_cast<int>(slot_count_) - 1; }
+  size_t slot_count() const { return plan_.slot_count; }
+  int result_slot() const { return static_cast<int>(plan_.slot_count) - 1; }
   // Slot of a named presentation parameter, -1 if absent.
-  int SlotOf(std::string_view name) const;
+  int SlotOf(std::string_view name) const { return pres_->SlotOf(name); }
 
   const OperationDecl& op() const { return *op_; }
   const OpPresentation& presentation() const { return *pres_; }
 
-  // Snapshot of the compiled item streams for the plan verifier.
-  MarshalPlanView Plan() const;
-
-  // True when Build found a registered flexspec specialization for this
-  // (operation, presentation) key. Dispatch is per entry point (a
-  // registration may cover only some streams) and still honors the
-  // global SetMarshalSpecializationEnabled switch.
-  bool specialized() const { return spec_fns_ != nullptr; }
+  // The plan the interpreter runs.
+  const MarshalPlanView& Plan() const { return plan_; }
 
  private:
-  // One wire item of the request or reply stream.
-  struct FieldSlot {
-    const Type* type = nullptr;
-    int slot = -1;
-    const ParamPresentation* pres = nullptr;
-  };
-  struct Item {
-    const Type* type = nullptr;       // wire type of the whole item
-    ParamDir dir = ParamDir::kIn;
-    bool is_result = false;
-    int slot = -1;                    // direct slot; -1 when flattened
-    const ParamPresentation* pres = nullptr;  // direct-slot presentation
-    bool flattened = false;
-    std::vector<FieldSlot> fields;    // flattened struct fields, in order
-    int disc_slot = -1;               // flattened union result discriminant
-    uint32_t success_label = 0;       // label of the struct-carrying arm
-    const Type* success_struct = nullptr;
-  };
-
-  Status MarshalItem(const Item& item, const ArgVec& args, WireWriter* w,
-                     const SpecialOps* special) const;
-  Status UnmarshalItem(const Item& item, WireReader* r, Arena* arena,
+  Status MarshalItem(const PlanItemView& item, const ArgVec& args,
+                     WireWriter* w, const SpecialOps* special) const;
+  Status UnmarshalItem(const PlanItemView& item, WireReader* r, Arena* arena,
                        ArgVec* args, const SpecialOps* special,
                        bool borrow_bytes) const;
   Status MarshalTop(const ParamPresentation* pres, const Type* type,
@@ -210,7 +194,7 @@ class MarshalProgram {
   Status UnmarshalTop(const ParamPresentation* pres, const Type* type,
                       ArgValue* slot, WireReader* r, Arena* arena,
                       const SpecialOps* special, bool borrow_bytes) const;
-  void DeallocAfterMarshal(const Item& item, const ArgVec& args,
+  void DeallocAfterMarshal(const PlanItemView& item, const ArgVec& args,
                            Arena* arena) const;
   // Length of a buffer-like value, honoring [length_is].
   uint32_t EffectiveLength(const ParamPresentation* pres, const Type* type,
@@ -218,9 +202,7 @@ class MarshalProgram {
 
   const OperationDecl* op_ = nullptr;
   const OpPresentation* pres_ = nullptr;
-  size_t slot_count_ = 0;
-  std::vector<Item> request_items_;
-  std::vector<Item> reply_items_;
+  MarshalPlanView plan_;
   const SpecFns* spec_fns_ = nullptr;  // registry hit, or null
 };
 

@@ -29,6 +29,13 @@ struct SeqRep {
 };
 static_assert(sizeof(SeqRep) == 16, "SeqRep layout is part of the ABI");
 
+// True for octet and char elements: sequences and arrays of them move as
+// one raw byte run rather than element by element.
+inline bool IsByteElem(const Type* elem) {
+  TypeKind k = elem->Resolve()->kind();
+  return k == TypeKind::kOctet || k == TypeKind::kChar;
+}
+
 // Byte offset of field `field_index` within the native layout of
 // `struct_type` (which must resolve to a struct).
 size_t NativeFieldOffset(const Type* struct_type, size_t field_index);

@@ -68,17 +68,6 @@ void HashType(Hasher* h, const Type* type, int depth) {
   }
 }
 
-// Slot index of the named presentation parameter, -1 if absent — the same
-// resolution MarshalProgram::SlotOf performs at run time.
-int SlotOfName(const OpPresentation& pres, std::string_view name) {
-  for (size_t i = 0; i < pres.params.size(); ++i) {
-    if (pres.params[i].name == name) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 void HashParamPresentation(Hasher* h, const OpPresentation& pres,
                            const ParamPresentation& p) {
   h->U8(static_cast<uint8_t>(p.binding.kind));
@@ -86,7 +75,7 @@ void HashParamPresentation(Hasher* h, const OpPresentation& pres,
   h->U32(static_cast<uint32_t>(p.binding.field_index + 1));
   h->U8(p.explicit_length ? 1 : 0);
   h->U32(static_cast<uint32_t>(
-      (p.explicit_length ? SlotOfName(pres, p.length_param) : -1) + 1));
+      (p.explicit_length ? pres.SlotOf(p.length_param) : -1) + 1));
   h->U8(p.special ? 1 : 0);
   h->U8(p.trashable ? 1 : 0);
   h->U8(p.preserved ? 1 : 0);
@@ -200,11 +189,6 @@ std::string_view SpecOpKindName(SpecOpKind kind) {
 
 namespace {
 
-bool IsByteElem(const Type* elem) {
-  TypeKind k = elem->Resolve()->kind();
-  return k == TypeKind::kOctet || k == TypeKind::kChar;
-}
-
 // Straight-line budget: a stream longer than this stops being a
 // superinstruction and goes back to the interpreter.
 constexpr size_t kMaxSpecOps = 192;
@@ -292,7 +276,7 @@ class StreamCompiler {
           op.kind = SpecOpKind::kPutString;
           op.len_src = SpecLenSource::kStrLen;
           if (pres != nullptr && pres->explicit_length) {
-            int len_slot = SlotOfName(pres_, pres->length_param);
+            int len_slot = pres_.SlotOf(pres->length_param);
             if (len_slot >= 0) {
               op.len_src = SpecLenSource::kLenSlot;
               op.len_slot = len_slot;
@@ -316,7 +300,7 @@ class StreamCompiler {
           op.kind = SpecOpKind::kPutSeqBytes;
           op.len_src = SpecLenSource::kSlotLength;
           if (pres != nullptr && pres->explicit_length) {
-            int len_slot = SlotOfName(pres_, pres->length_param);
+            int len_slot = pres_.SlotOf(pres->length_param);
             if (len_slot >= 0) {
               op.len_src = SpecLenSource::kLenSlot;
               op.len_slot = len_slot;
@@ -457,8 +441,7 @@ SpecPlan CompileSpecPlan(const OperationDecl& op,
   SpecPlan plan;
   plan.key = ComputeSpecKey(op, pres);
   plan.op_name = op.name;
-  MarshalProgram program = MarshalProgram::Build(op, pres);
-  MarshalPlanView view = program.Plan();
+  const MarshalPlanView view = BuildMarshalPlan(op, pres);
 
   struct StreamSpec {
     SpecStream stream;

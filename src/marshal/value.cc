@@ -22,11 +22,6 @@ const UnionArm* SelectArm(const Type* u, uint32_t disc) {
   return fallback;
 }
 
-bool IsByteElem(const Type* elem) {
-  TypeKind k = elem->Resolve()->kind();
-  return k == TypeKind::kOctet || k == TypeKind::kChar;
-}
-
 }  // namespace
 
 void PutScalarWire(WireWriter* w, const Type* type, uint64_t bits) {
@@ -203,6 +198,13 @@ Status UnmarshalValue(WireReader* r, const Type* type, void* dst,
         rep.buffer = arena->AllocateBlock(len > 0 ? len : 1);
         std::memcpy(rep.buffer, bytes, len);
       } else {
+        if (len > r->remaining()) {
+          // Every non-byte element takes at least one wire byte: a larger
+          // count is malformed, and must not size an allocation.
+          return DataLossError(StrFormat(
+              "wire sequence length %u exceeds the %zu bytes left", len,
+              r->remaining()));
+        }
         size_t stride = elem->NativeSize();
         rep.buffer = arena->AllocateBlock(len > 0 ? len * stride : 1);
         auto* base = static_cast<uint8_t*>(rep.buffer);

@@ -50,6 +50,11 @@ const ParamPresentation* OpPresentation::FindParam(
   return const_cast<OpPresentation*>(this)->FindParam(name);
 }
 
+int OpPresentation::SlotOf(std::string_view name) const {
+  const ParamPresentation* p = FindParam(name);
+  return p == nullptr ? -1 : static_cast<int>(p - params.data());
+}
+
 OpPresentation* InterfacePresentation::FindOp(std::string_view name) {
   for (OpPresentation& op : ops) {
     if (op.op_name == name) {

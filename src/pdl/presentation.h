@@ -144,6 +144,9 @@ struct OpPresentation {
 
   ParamPresentation* FindParam(std::string_view name);
   const ParamPresentation* FindParam(std::string_view name) const;
+  // Slot of the named parameter (slot order = param order), -1 if absent:
+  // how a [length_is] attribute finds its length slot.
+  int SlotOf(std::string_view name) const;
 };
 
 // Presentation of one interface as seen from one endpoint.

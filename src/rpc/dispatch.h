@@ -76,7 +76,6 @@ class ServerDispatch {
     uint64_t shed_run = 0;       // shed at the run-queue gate
     uint64_t max_queue_depth = 0;
     uint64_t busy_nanos = 0;     // summed worker occupancy
-    uint64_t events = 0;         // event-queue dispatches
   };
 
   // `channel` and `events` must outlive the dispatch (and share the
@@ -107,7 +106,7 @@ class ServerDispatch {
  private:
   template <typename F>
   EventQueue::EventId Schedule(uint64_t at_nanos, F fn) {
-    return ScheduleScoped(events_, at_nanos, &stats_.events, std::move(fn));
+    return ScheduleScoped(events_, at_nanos, std::move(fn));
   }
   void ArmAcceptPoll();
   void PumpRequests();

@@ -35,8 +35,11 @@ ConnectionMux::ConnectionMux(DatagramChannel* channel, MuxPolicy policy,
 }
 
 uint32_t ConnectionMux::OpenConnection() {
-  Conn& c = conns_.emplace_back(policy_.retry.adaptive.rtt,
-                                policy_.retry.adaptive.window);
+  const RetryPolicy& retry = policy_.retry;
+  Conn& c = conns_.emplace_back(
+      RttConfig{.initial_rto_nanos = retry.initial_rto_nanos,
+                .min_rto_nanos = retry.adaptive.min_rto_nanos,
+                .max_rto_nanos = retry.max_rto_nanos});
   c.in_flight.reserve(WindowFor(c));
   ++stats_.conns_opened;
   TraceAdd(TraceCounter::kRpcMuxConnsOpened);

@@ -103,21 +103,20 @@ class CallChannel {
 inline constexpr size_t kMuxPrefixBytes = 8;
 
 // Schedules `fn` on `events` at `at_nanos` so that it runs under the
-// recorder's connection and replica scopes open now, and counts the
-// dispatch in `*ran`. Timer events fire with no ambient identity; this is
-// how retransmits and reply sends downstream of timers record under the
-// right connection (and, behind a binder, the right replica). The wrapper
-// is one object: around a 16-byte `fn` it fits EventQueue's inline slot.
+// recorder's connection and replica scopes open now. Timer events fire
+// with no ambient identity; this is how retransmits and reply sends
+// downstream of timers record under the right connection (and, behind a
+// binder, the right replica). The wrapper is one object of two 4-byte tags
+// plus `fn`: 24 bytes around the engine's largest (16-byte) callbacks.
 template <typename F>
 EventQueue::EventId ScheduleScoped(EventQueue* events, uint64_t at_nanos,
-                                   uint64_t* ran, F fn) {
+                                   F fn) {
   uint32_t conn_tag = RecorderConnScope::Current();
   uint32_t replica_tag = RecorderReplicaScope::Current();
   return events->ScheduleAt(
-      at_nanos, [ran, conn_tag, replica_tag, fn = std::move(fn)]() mutable {
+      at_nanos, [conn_tag, replica_tag, fn = std::move(fn)]() mutable {
         RecorderConnScope conn_scope(conn_tag);
         RecorderReplicaScope replica_scope(replica_tag);
-        ++*ran;
         fn();
       });
 }
@@ -145,7 +144,6 @@ class ConnectionMux {
     uint64_t deadline_expiries = 0;
     uint64_t unavailable_failures = 0;
     uint64_t max_in_flight = 0;    // across all connections
-    uint64_t events = 0;           // event-queue dispatches
     // Adaptive-mode accounting (all zero when adaptive is disabled).
     uint64_t rtt_samples = 0;      // clean per-connection RTT measurements
     uint64_t karn_skips = 0;       // retransmit-ambiguous replies skipped
@@ -236,8 +234,7 @@ class ConnectionMux {
     // Per-connection adaptive state; idle unless adaptive.enabled.
     RttEstimator rtt;
     AimdController cwnd;
-    Conn(const RttConfig& rtt_config, const AimdConfig& window_config)
-        : rtt(rtt_config), cwnd(window_config) {}
+    explicit Conn(const RttConfig& rtt_config) : rtt(rtt_config) {}
   };
 
   // Effective flow-control window for one connection.
@@ -265,7 +262,7 @@ class ConnectionMux {
 
   template <typename F>
   EventQueue::EventId Schedule(uint64_t at_nanos, F fn) {
-    return ScheduleScoped(events_, at_nanos, &stats_.events, std::move(fn));
+    return ScheduleScoped(events_, at_nanos, std::move(fn));
   }
   void Enqueue(Conn& c, uint32_t conn_id, uint32_t xid, ByteSpan body,
                Completion done);

@@ -47,8 +47,9 @@ struct RetryPolicy {
   uint64_t deadline_nanos = 4'000'000'000;    // 4 s per call, virtual
   uint64_t jitter_seed = 42;                  // deterministic jitter stream
   // A/B switch (src/rpc/rtt.h): when adaptive.enabled, the per-call RTO
-  // comes from a shared Jacobson/Karels estimator instead of the fixed
-  // initial_rto_nanos/max_rto_nanos doubling schedule.
+  // comes from a per-connection Jacobson/Karels estimator, seeded with
+  // initial_rto_nanos and capped at max_rto_nanos, instead of the fixed
+  // doubling schedule between the two.
   AdaptiveConfig adaptive;
 };
 

@@ -132,11 +132,12 @@ class AimdController {
 
 // The engine's A/B switch: disabled (the default) keeps the fixed
 // RetryPolicy RTO and the fixed MuxPolicy window benchable; enabled
-// replaces them with the estimator RTO and the AIMD window.
+// replaces them with the estimator RTO and an AIMD window (AimdConfig's
+// defaults). The estimator starts at the RetryPolicy's initial RTO, backs
+// off no further than its max RTO, and floors at min_rto_nanos.
 struct AdaptiveConfig {
   bool enabled = false;
-  RttConfig rtt;
-  AimdConfig window;
+  uint64_t min_rto_nanos = RttConfig{}.min_rto_nanos;
 };
 
 }  // namespace flexrpc

@@ -2,47 +2,21 @@
 
 #include <cstring>
 
-#include "src/analysis/plan_verifier.h"
 #include "src/marshal/native.h"
 #include "src/support/strings.h"
 #include "src/support/trace.h"
 
 namespace flexrpc {
 
-namespace {
-bool g_verify_plans_at_bind = false;
-
-// Runs the flexcheck plan verifier over one freshly compiled program.
-Status AuditProgram(const MarshalProgram& program,
-                    const std::string& where) {
-  DiagnosticSink diags;
-  if (VerifyProgram(program, where, &diags) == 0) {
-    return Status::Ok();
-  }
-  return InternalError(StrFormat("marshal plan failed verification:\n%s",
-                                 diags.ToString().c_str()));
-}
-}  // namespace
-
-void SetVerifyPlansAtBind(bool enabled) {
-  g_verify_plans_at_bind = enabled;
-}
-
-bool VerifyPlansAtBind() { return g_verify_plans_at_bind; }
-
 ServerObject::ServerObject(const InterfaceDecl& itf,
                            const InterfacePresentation& pres, Task* task)
-    : itf_(&itf), pres_(&pres), task_(task),
+    : pres_(&pres), task_(task),
       signature_(BuildSignature(itf)) {
   for (const OperationDecl& op : itf.ops) {
     const OpPresentation* op_pres = pres.FindOp(op.name);
     OpState state;
     state.decl = &op;
     state.program = MarshalProgram::Build(op, *op_pres);
-    if (g_verify_plans_at_bind && verify_status_.ok()) {
-      verify_status_ =
-          AuditProgram(state.program, itf.name + "." + op.name);
-    }
     ops_.emplace(op.opnum, std::move(state));
   }
 }
@@ -77,9 +51,6 @@ Status ServerObject::Dispatch(ServerCall* call) {
     return Status::Ok();  // the error travels in-band
   };
 
-  if (!verify_status_.ok()) {
-    return send_error(verify_status_);
-  }
   if (it == ops_.end()) {
     return send_error(NotFoundError(
         StrFormat("server implements no operation %u", opnum)));
@@ -143,13 +114,9 @@ Result<std::unique_ptr<RpcConnection>> RpcConnection::Bind(
   conn->port_ = port;
   for (const OperationDecl& op : itf.ops) {
     const OpPresentation* op_pres = client_pres.FindOp(op.name);
-    MarshalProgram program = MarshalProgram::Build(op, *op_pres);
-    if (g_verify_plans_at_bind) {
-      FLEXRPC_RETURN_IF_ERROR(
-          AuditProgram(program, itf.name + "." + op.name));
-    }
-    conn->ops_.emplace(op.name,
-                       std::make_pair(op.opnum, std::move(program)));
+    conn->ops_.emplace(
+        op.name,
+        std::make_pair(op.opnum, MarshalProgram::Build(op, *op_pres)));
   }
   return conn;
 }

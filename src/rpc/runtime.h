@@ -31,15 +31,6 @@ namespace flexrpc {
 // and the result slot. `arena` is the server's address space allocator.
 using WorkFunction = std::function<Status(ArgVec* args, Arena* arena)>;
 
-// Debug switch: when enabled, every marshal program compiled at bind time
-// (by ServerObject and RpcConnection::Bind) is audited by the flexcheck
-// plan verifier (src/analysis/plan_verifier.h). A server with a bad plan
-// fails every dispatch; a client with one fails Bind. Off by default: the
-// programs MarshalProgram::Build compiles from a validated presentation
-// are correct by construction, so production binds skip the audit.
-void SetVerifyPlansAtBind(bool enabled);
-bool VerifyPlansAtBind();
-
 class ServerObject {
  public:
   // `itf` and `pres` must outlive the object.
@@ -59,10 +50,6 @@ class ServerObject {
   Task* task() const { return task_; }
   const MarshalProgram* ProgramFor(uint32_t opnum) const;
 
-  // OK unless VerifyPlansAtBind() found a bad plan at construction; a
-  // non-OK status is returned (in-band) by every Dispatch.
-  const Status& verify_status() const { return verify_status_; }
-
  private:
   struct OpState {
     const OperationDecl* decl = nullptr;
@@ -70,13 +57,11 @@ class ServerObject {
     WorkFunction work;
   };
 
-  const InterfaceDecl* itf_;
   const InterfacePresentation* pres_;
   Task* task_;
   InterfaceSignature signature_;
   std::map<uint32_t, OpState> ops_;
   SpecialOps special_;
-  Status verify_status_;
 };
 
 class RpcConnection {

@@ -46,8 +46,9 @@ class EventQueue {
   static constexpr EventId kInvalidEvent = 0;
 
   // Callables up to this size (and at most max_align_t alignment) are
-  // stored inline in their slot; the call engine's own closures — a
-  // counter pointer, two scope tags and a 16-byte inner closure — fit.
+  // stored inline in their slot; the call engine's own closures — two
+  // 4-byte scope tags around an inner closure of at most 16 bytes, 24
+  // bytes in all — fit.
   static constexpr size_t kInlineBytes = 32;
 
   // `clock` must outlive the queue; every event's deadline is read against

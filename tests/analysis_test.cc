@@ -5,8 +5,8 @@
 // presentation in memory: ApplyPdl's own validator rejects most of these
 // combinations at parse time (by design), and flexcheck must catch the same
 // classes when presentations are built or edited programmatically.
-// Stage 2 (FLEX101-FLEX106) positives corrupt the MarshalPlanView snapshot
-// of a correctly compiled MarshalProgram, bytecode-verifier style.
+// Stage 2 (FLEX101-FLEX106) positives corrupt a copy of the MarshalPlanView
+// a correctly compiled MarshalProgram runs, bytecode-verifier style.
 // Stage 3 (FLEX201-FLEX207) positives corrupt a compiled SpecPlan's
 // superinstruction streams the same way; the wire-equivalence prover must
 // refuse each class of divergence.
@@ -22,7 +22,6 @@
 #include "src/idl/sema.h"
 #include "src/idl/sunrpc_parser.h"
 #include "src/pdl/apply.h"
-#include "src/rpc/runtime.h"
 
 namespace flexrpc {
 namespace {
@@ -793,34 +792,6 @@ TEST(SpecVerifierCatalogTest, Stage3CodesAreCatalogued) {
                                   : DiagSeverity::kError)
         << code;
   }
-}
-
-// --- bind-time wiring: SetVerifyPlansAtBind ---
-
-TEST(BindVerifyTest, VerifiedBindSucceedsOnSoundPrograms) {
-  struct FlagGuard {
-    ~FlagGuard() { SetVerifyPlansAtBind(false); }
-  } guard;
-  EXPECT_FALSE(VerifyPlansAtBind());
-  SetVerifyPlansAtBind(true);
-  EXPECT_TRUE(VerifyPlansAtBind());
-
-  auto idl = MustParseCorba("interface Echo { long bump(in long x); };");
-  PresentationSet client = MustApply(*idl, Side::kClient);
-  PresentationSet server = MustApply(*idl, Side::kServer);
-  Kernel kernel;
-  FastPath fastpath{&kernel};
-  Task* client_task = kernel.CreateTask("client");
-  Task* server_task = kernel.CreateTask("server");
-
-  const InterfaceDecl& itf = idl->interfaces[0];
-  ServerObject object(itf, *server.Find("Echo"), server_task);
-  EXPECT_TRUE(object.verify_status().ok())
-      << object.verify_status().ToString();
-  Port* port = ExportServer(&kernel, &fastpath, &object);
-  auto conn = RpcConnection::Bind(&kernel, &fastpath, client_task, port,
-                                  object, itf, *client.Find("Echo"));
-  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
 }
 
 }  // namespace

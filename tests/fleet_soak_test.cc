@@ -282,11 +282,11 @@ TEST(FleetSoakTest, AdaptiveRtoIsPerConnection) {
   policy.retry.adaptive.enabled = true;
   // First-sample RTO above B's ~50 ms service time, so neither connection
   // retransmits and every reply yields a clean (Karn-admissible) sample.
-  policy.retry.adaptive.rtt.initial_rto_nanos = 200'000'000;
+  policy.retry.initial_rto_nanos = 200'000'000;
   // A's converged RTO floors here. 5 ms absorbs the wire-sharing delay a
   // 50 KB reply of B's adds in front of A's reply (~0.5 ms) while staying
   // an order of magnitude under B's srtt — the inequality under test.
-  policy.retry.adaptive.rtt.min_rto_nanos = 5'000'000;
+  policy.retry.adaptive.min_rto_nanos = 5'000'000;
 
   DispatchPolicy dispatch_policy;
   dispatch_policy.workers = 2;

@@ -478,6 +478,53 @@ TEST(EngineTest, FlattenedErrorReplyCarriesOnlyStatus) {
   EXPECT_EQ(client_args[client_prog.SlotOf("status")].scalar, 5u);
 }
 
+TEST(EngineTest, FlattenedReleasesFreeEveryField) {
+  // Flattened on both sides: ReleaseRequest frees the stub-allocated file
+  // handle, ReleaseReply the stub-allocated `data`.
+  Compiled c = Compile(kNfsIdl, true, kNfsClientPdl, kNfsClientPdl);
+  const OperationDecl& op = c.idl->interfaces[0].ops[0];
+  MarshalProgram client_prog = MarshalProgram::Build(
+      op, *c.client.Find("NFS_VERSION")->FindOp("NFSPROC_READ"));
+  MarshalProgram server_prog = MarshalProgram::Build(
+      op, *c.server.Find("NFS_VERSION")->FindOp("NFSPROC_READ"));
+
+  uint8_t fh[32] = {};
+  uint8_t payload[64] = {};
+  alignas(8) uint8_t attributes[64] = {};  // caller storage on both sides
+  ArgVec client_args(client_prog.slot_count());
+  client_args[client_prog.SlotOf("file")].set_ptr(fh);
+  XdrWriter request;
+  ASSERT_TRUE(client_prog.MarshalRequest(client_args, &request).ok());
+
+  Arena server_arena("server");
+  ArgVec server_args(server_prog.slot_count());
+  XdrReader request_reader(request.span());
+  ASSERT_TRUE(server_prog
+                  .UnmarshalRequest(&request_reader, &server_arena,
+                                    &server_args)
+                  .ok());
+  EXPECT_EQ(server_arena.live_blocks(), 1u);
+  server_prog.ReleaseRequest(&server_arena, &server_args);
+  EXPECT_EQ(server_arena.live_blocks(), 0u);
+
+  server_args[server_prog.SlotOf("attributes")].set_ptr(attributes);
+  server_args[server_prog.SlotOf("data")].set_ptr(payload);
+  server_args[server_prog.SlotOf("data")].length = sizeof(payload);
+  XdrWriter reply;
+  ASSERT_TRUE(server_prog.MarshalReply(server_args, &reply, nullptr).ok());
+
+  Arena client_arena("client");
+  client_args.Reset();
+  client_args[client_prog.SlotOf("attributes")].set_ptr(attributes);
+  XdrReader reply_reader(reply.span());
+  ASSERT_TRUE(
+      client_prog.UnmarshalReply(&reply_reader, &client_arena, &client_args)
+          .ok());
+  EXPECT_EQ(client_arena.live_blocks(), 1u);
+  client_prog.ReleaseReply(&client_arena, &client_args);
+  EXPECT_EQ(client_arena.live_blocks(), 0u);
+}
+
 TEST(EngineTest, InOutParameterTravelsBothWays) {
   Compiled c = Compile(
       "interface Calc { void inc(inout long value); };", false, "", "");
@@ -523,6 +570,83 @@ TEST(EngineTest, TruncatedRequestRejected) {
   NativeReader r(w.span());
   EXPECT_EQ(prog.UnmarshalRequest(&r, &arena, &args).code(),
             StatusCode::kDataLoss);
+
+  // An 8-byte request whose count word claims 2^32-1 longs: rejected
+  // before the count can size an allocation.
+  Compiled sum =
+      Compile("interface Sum { void add(in sequence<long> v); };", false,
+              "", "");
+  MarshalProgram add = MarshalProgram::Build(
+      sum.idl->interfaces[0].ops[0], *sum.server.Find("Sum")->FindOp("add"));
+  NativeWriter huge;
+  huge.PutU32(0xFFFFFFFF);
+  huge.PutU32(7);
+  ArgVec add_args(add.slot_count());
+  NativeReader huge_reader(huge.span());
+  EXPECT_EQ(add.UnmarshalRequest(&huge_reader, &arena, &add_args).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(arena.live_blocks(), 0u);
+}
+
+// Fills `slot` with a two-name sequence<string> whose buffer and strings
+// come from `arena` (three blocks).
+void FillNames(Arena* arena, ArgValue* slot) {
+  auto* names = static_cast<char**>(arena->AllocateBlock(2 * sizeof(char*)));
+  for (int i = 0; i < 2; ++i) {
+    names[i] = static_cast<char*>(arena->AllocateBlock(4));
+    std::memcpy(names[i], i == 0 ? "ada" : "bob", 4);
+  }
+  slot->set_ptr(names);
+  slot->length = 2;
+}
+
+TEST(EngineTest, SequenceOfStringsFreedByEveryRelease) {
+  // A sequence<string> owns its buffer and one block per name. The server's
+  // ReleaseRequest and [dealloc(always)] epilogue and the client's
+  // ReleaseReply each return all three.
+  Compiled c = Compile(
+      "interface Names { sequence<string> echo(in sequence<string> n); };",
+      false, "", "");
+  const OperationDecl& op = c.idl->interfaces[0].ops[0];
+  MarshalProgram client_prog =
+      MarshalProgram::Build(op, *c.client.Find("Names")->FindOp("echo"));
+  MarshalProgram server_prog =
+      MarshalProgram::Build(op, *c.server.Find("Names")->FindOp("echo"));
+
+  Arena caller("caller");
+  ArgVec client_args(client_prog.slot_count());
+  FillNames(&caller, &client_args[client_prog.SlotOf("n")]);
+  NativeWriter request;
+  ASSERT_TRUE(client_prog.MarshalRequest(client_args, &request).ok());
+
+  Arena server_arena("server");
+  ArgVec server_args(server_prog.slot_count());
+  NativeReader request_reader(request.span());
+  ASSERT_TRUE(server_prog
+                  .UnmarshalRequest(&request_reader, &server_arena,
+                                    &server_args)
+                  .ok());
+  EXPECT_EQ(server_arena.live_blocks(), 3u);
+  server_prog.ReleaseRequest(&server_arena, &server_args);
+  EXPECT_EQ(server_arena.live_blocks(), 0u);
+
+  FillNames(&server_arena, &server_args[server_prog.result_slot()]);
+  NativeWriter reply;
+  ASSERT_TRUE(
+      server_prog.MarshalReply(server_args, &reply, &server_arena).ok());
+  EXPECT_EQ(server_arena.live_blocks(), 0u);
+
+  Arena client_arena("client");
+  NativeReader reply_reader(reply.span());
+  ASSERT_TRUE(client_prog
+                  .UnmarshalReply(&reply_reader, &client_arena, &client_args)
+                  .ok());
+  auto* const* names = static_cast<char* const*>(
+      client_args[client_prog.result_slot()].ptr());
+  EXPECT_STREQ(names[1], "bob");
+  EXPECT_EQ(client_arena.live_blocks(), 3u);
+  client_prog.ReleaseReply(&client_arena, &client_args);
+  EXPECT_EQ(client_arena.live_blocks(), 0u);
 }
 
 }  // namespace

@@ -272,6 +272,32 @@ TEST(ValueTest, SequenceBoundEnforcedOnUnmarshal) {
   EXPECT_EQ(st.code(), StatusCode::kDataLoss);
 }
 
+TEST(ValueTest, SequenceCountBeyondWireRejected) {
+  // An 8-byte wire image whose count claims 2^32-1 elements, bare and as a
+  // struct field: each non-byte element takes at least one wire byte, so
+  // the count must not size an allocation (16 GiB of longs).
+  for (const char* shape : {"typedef sequence<long> t;",
+                            "typedef sequence<string> t;",
+                            "struct t { sequence<long> values; };"}) {
+    DiagnosticSink diags;
+    auto idl = ParseCorbaIdl(
+        std::string(shape) + "\ninterface I { void f(in t x); };", "t.idl",
+        &diags);
+    ASSERT_NE(idl, nullptr) << diags.ToString();
+    const Type* t = idl->types.FindNamed("t");
+    XdrWriter w;
+    w.PutU32(0xFFFFFFFF);
+    w.PutU32(7);
+    XdrReader r(w.span());
+    Arena arena("a");
+    std::vector<uint8_t> dst(t->NativeSize());
+    EXPECT_EQ(UnmarshalValue(&r, t, dst.data(), &arena).code(),
+              StatusCode::kDataLoss)
+        << shape;
+    EXPECT_EQ(arena.live_blocks(), 0u) << shape;
+  }
+}
+
 TEST(ValueTest, UnknownUnionDiscriminantRejected) {
   DiagnosticSink diags;
   auto idl = ParseCorbaIdl(R"(

@@ -434,7 +434,7 @@ TEST(PipelineCorruptLossTest, CorruptReplyIsADropUntilItsRtoFires) {
   // owning call's RTO covers it, and that fire is the loss signal.
   MuxPolicy policy = Window(8);
   policy.retry.adaptive.enabled = true;
-  policy.retry.adaptive.rtt.initial_rto_nanos = 5'000'000;
+  policy.retry.initial_rto_nanos = 5'000'000;
   EchoRig rig{FaultPlan(), Always(&FaultConfig::corrupt_prob), policy};
   rig.Submit(1);
   while (rig.mux().corrupt_replies == 0 && rig.events.RunNext()) {
@@ -555,7 +555,7 @@ TEST(AdaptivePipelineTest, CleanRunSamplesEveryReplyAndGrowsWindow) {
   EXPECT_EQ(rig.mux().cwnd_decreases, 0u);
   EXPECT_GT(rig.mux().cwnd_increases, 0u);  // AIMD ramped from 2
   EXPECT_GT(rig.rpc.mux().total_window(),
-            Adaptive().retry.adaptive.window.initial_window);
+            AimdConfig{}.initial_window);
   const RttEstimator* rtt = rig.rpc.mux().conn_rtt(rig.rpc.conn());
   ASSERT_NE(rtt, nullptr);
   EXPECT_TRUE(rtt->has_sample());
@@ -567,7 +567,7 @@ TEST(AdaptivePipelineTest, RetransmitIsKarnSkippedAndHalvesWindow) {
   // the sample is ambiguous (Karn skip), and the RTO fire is a loss signal
   // that must halve the AIMD window (2 -> 1).
   MuxPolicy policy = Adaptive();
-  policy.retry.adaptive.rtt.initial_rto_nanos = 5'000'000;
+  policy.retry.initial_rto_nanos = 5'000'000;
   EchoRig rig{DropFirst(), FaultPlan(), policy};
   ASSERT_TRUE(rig.Call(1).ok()) << rig.results[1].ToString();
   EXPECT_EQ(rig.mux().retransmits, 1u);

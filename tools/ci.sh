@@ -57,8 +57,13 @@ for workload in nfs_read fleet_steady fleet_overload_lossy; do
 done
 
 echo "== flexcheck on the examples =="
+# --check runs the plan verifier over every operation, so the marshal
+# plans of the shipped interfaces are audited here rather than at bind.
 ./build/tools/idlc/idlc --idl examples/idl/syslog.idl \
   --client-pdl examples/idl/syslog_client.pdl \
+  --lint --Werror --check
+./build/tools/idlc/idlc --idl examples/idl/nfs.x --sun \
+  --client-pdl examples/idl/nfs_client.pdl \
   --lint --Werror --check
 
 echo "== flexrec smoke check =="
