@@ -125,19 +125,8 @@ int BenchHarness::Finish() {
   flexrpc::WriteTraceSnapshot(json, delta);
   json.EndObject();
 
-  std::string path = json_dir_.empty() ? std::string(".") : json_dir_;
-  path += "/BENCH_" + name_ + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  const std::string& text = json.str();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-  return 0;
+  std::printf("\n");
+  return WriteArtifact("BENCH_" + name_ + ".json", json.str()) ? 0 : 1;
 }
 
 }  // namespace flexrpc_bench

@@ -6,6 +6,11 @@
 // RegisterSpecializations() entry point that installs them in the flexspec
 // registry.
 //
+// The emitter prints operands only. Each function is one call per op to
+// the op's step (src/marshal/spec_ops.h), the same code the reference
+// executors run, with the op written as a literal; the compiler folds the
+// step to the op's straight-line code.
+//
 // Proof obligation: emission is gated on the flexcheck stage-3 verifier
 // (src/analysis/spec_verifier.h). Every claimed stream of every plan is
 // proven wire-equivalent to the interpreted MarshalProgram before any code

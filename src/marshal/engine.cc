@@ -560,14 +560,16 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
         base = static_cast<uint8_t*>(slot->ptr());
       } else {
         base = static_cast<uint8_t*>(
-            arena->AllocateBlock(len > 0 ? len * stride : 1));
+            AllocateZeroedBlock(arena, len > 0 ? len * stride : 1));
         slot->set_ptr(base);
       }
+      // The length covers every element before any is read, so a release
+      // after a failed element frees the ones already read.
+      slot->length = len;
       for (uint32_t i = 0; i < len; ++i) {
         FLEXRPC_RETURN_IF_ERROR(
             UnmarshalValue(r, elem, base + i * stride, arena));
       }
-      slot->length = len;
       return Status::Ok();
     }
     case TypeKind::kArray: {
@@ -579,7 +581,7 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
         // Fixed-size data goes into provided storage when there is any.
         dest = static_cast<uint8_t*>(slot->ptr());
       } else {
-        dest = static_cast<uint8_t*>(arena->AllocateBlock(total));
+        dest = static_cast<uint8_t*>(AllocateZeroedBlock(arena, total));
         slot->set_ptr(dest);
       }
       if (IsByteElem(elem)) {
@@ -602,7 +604,7 @@ Status MarshalProgram::UnmarshalTop(const ParamPresentation* pres,
       if (caller_buffer) {
         dest = slot->ptr();
       } else {
-        dest = arena->AllocateBlock(t->NativeSize());
+        dest = AllocateZeroedBlock(arena, t->NativeSize());
         slot->set_ptr(dest);
       }
       return UnmarshalValue(r, t, dest, arena);

@@ -1,7 +1,6 @@
 #include "src/marshal/spec.h"
 
 #include <atomic>
-#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -158,31 +157,43 @@ std::string_view SpecStreamName(SpecStream stream) {
 std::string_view SpecOpKindName(SpecOpKind kind) {
   switch (kind) {
     case SpecOpKind::kPutScalarSlot:
-      return "put_scalar_slot";
+      return "kPutScalarSlot";
     case SpecOpKind::kPutScalarMem:
-      return "put_scalar_mem";
+      return "kPutScalarMem";
     case SpecOpKind::kPutBytesFixed:
-      return "put_bytes_fixed";
+      return "kPutBytesFixed";
     case SpecOpKind::kPutSeqBytes:
-      return "put_seq_bytes";
+      return "kPutSeqBytes";
     case SpecOpKind::kPutString:
-      return "put_string";
+      return "kPutString";
     case SpecOpKind::kPutUnionDisc:
-      return "put_union_disc";
+      return "kPutUnionDisc";
     case SpecOpKind::kGetScalarSlot:
-      return "get_scalar_slot";
+      return "kGetScalarSlot";
     case SpecOpKind::kGetScalarMem:
-      return "get_scalar_mem";
+      return "kGetScalarMem";
     case SpecOpKind::kGetBytesFixed:
-      return "get_bytes_fixed";
+      return "kGetBytesFixed";
     case SpecOpKind::kGetSeqBytes:
-      return "get_seq_bytes";
+      return "kGetSeqBytes";
     case SpecOpKind::kGetString:
-      return "get_string";
+      return "kGetString";
     case SpecOpKind::kGetUnionDisc:
-      return "get_union_disc";
+      return "kGetUnionDisc";
     case SpecOpKind::kEnsureStorage:
-      return "ensure_storage";
+      return "kEnsureStorage";
+  }
+  return "?";
+}
+
+std::string_view SpecLenSourceName(SpecLenSource src) {
+  switch (src) {
+    case SpecLenSource::kSlotLength:
+      return "kSlotLength";
+    case SpecLenSource::kLenSlot:
+      return "kLenSlot";
+    case SpecLenSource::kStrLen:
+      return "kStrLen";
   }
   return "?";
 }
@@ -469,252 +480,28 @@ SpecPlan CompileSpecPlan(const OperationDecl& op,
 }
 
 // ---- Reference executors ---------------------------------------------------
-//
-// These are the operational semantics of the opcode set: the C++ the
-// spec_gen emitter produces is this switch unrolled with every operand
-// folded to a constant. Any behavioral edit here must be mirrored there
-// (the differential sweep in tests/flexspec_test.cc enforces it).
-
-namespace {
-
-void PutScalarWidth(WireWriter* w, uint8_t width, uint64_t bits) {
-  switch (width) {
-    case 1:
-      w->PutU8(static_cast<uint8_t>(bits));
-      return;
-    case 2:
-      w->PutU16(static_cast<uint16_t>(bits));
-      return;
-    case 4:
-      w->PutU32(static_cast<uint32_t>(bits));
-      return;
-    default:
-      w->PutU64(bits);
-      return;
-  }
-}
-
-Result<uint64_t> GetScalarWidth(WireReader* r, uint8_t width) {
-  switch (width) {
-    case 1: {
-      FLEXRPC_ASSIGN_OR_RETURN(uint8_t v, r->GetU8());
-      return static_cast<uint64_t>(v);
-    }
-    case 2: {
-      FLEXRPC_ASSIGN_OR_RETURN(uint16_t v, r->GetU16());
-      return static_cast<uint64_t>(v);
-    }
-    case 4: {
-      FLEXRPC_ASSIGN_OR_RETURN(uint32_t v, r->GetU32());
-      return static_cast<uint64_t>(v);
-    }
-    default:
-      return r->GetU64();
-  }
-}
-
-uint32_t MarshalLength(const SpecOp& op, const ArgVec& args) {
-  switch (op.len_src) {
-    case SpecLenSource::kSlotLength:
-      return args[static_cast<size_t>(op.slot)].length;
-    case SpecLenSource::kLenSlot:
-      return static_cast<uint32_t>(
-          args[static_cast<size_t>(op.len_slot)].scalar);
-    case SpecLenSource::kStrLen: {
-      const char* s = static_cast<const char*>(
-          args[static_cast<size_t>(op.slot)].ptr());
-      return s == nullptr ? 0 : static_cast<uint32_t>(std::strlen(s));
-    }
-  }
-  return 0;
-}
-
-}  // namespace
 
 Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
                       WireWriter* w, const SpecialOps* special) {
+  Status end;
   for (const SpecOp& op : prog.ops) {
-    const ArgValue& slot = args[static_cast<size_t>(op.slot)];
-    bool use_special = op.special && special != nullptr &&
-                       special->copy_out != nullptr;
-    switch (op.kind) {
-      case SpecOpKind::kPutScalarSlot:
-        PutScalarWidth(w, op.width, slot.scalar);
-        break;
-      case SpecOpKind::kPutScalarMem: {
-        uint64_t bits = 0;
-        std::memcpy(&bits, static_cast<const uint8_t*>(slot.ptr()) +
-                               op.offset,
-                    op.width);
-        PutScalarWidth(w, op.width, bits);
-        break;
-      }
-      case SpecOpKind::kPutBytesFixed: {
-        const uint8_t* src =
-            static_cast<const uint8_t*>(slot.ptr()) + op.offset;
-        if (use_special) {
-          special->copy_out(w->ReserveBytes(op.count), src, op.count);
-        } else {
-          w->PutBytes(src, op.count);
-        }
-        break;
-      }
-      case SpecOpKind::kPutSeqBytes: {
-        uint32_t len = MarshalLength(op, args);
-        if (op.bound != 0 && len > op.bound) {
-          return InvalidArgumentError(StrFormat(
-              "sequence length %u exceeds bound %u", len, op.bound));
-        }
-        w->PutU32(len);
-        if (use_special) {
-          special->copy_out(w->ReserveBytes(len), slot.ptr(), len);
-        } else {
-          w->PutBytes(slot.ptr(), len);
-        }
-        break;
-      }
-      case SpecOpKind::kPutString: {
-        uint32_t len = MarshalLength(op, args);
-        if (op.bound != 0 && len > op.bound) {
-          return InvalidArgumentError(StrFormat(
-              "string length %u exceeds bound %u", len, op.bound));
-        }
-        w->PutU32(len);
-        if (use_special) {
-          special->copy_out(w->ReserveBytes(len), slot.ptr(), len);
-        } else {
-          w->PutBytes(slot.ptr(), len);
-        }
-        break;
-      }
-      case SpecOpKind::kPutUnionDisc: {
-        uint32_t disc = static_cast<uint32_t>(slot.scalar);
-        w->PutU32(disc);
-        if (disc != op.label) {
-          return Status::Ok();  // alternate arms are void by construction
-        }
-        break;
-      }
-      default:
-        return InternalError("unmarshal opcode in a marshal stream");
+    if (!MarshalStep(op, args, w, special, &end)) {
+      break;
     }
   }
-  return Status::Ok();
+  return end;
 }
 
 Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,
                         ArgVec* args, const SpecialOps* special,
                         bool borrow_bytes) {
+  Status end;
   for (const SpecOp& op : prog.ops) {
-    ArgValue* slot = &(*args)[static_cast<size_t>(op.slot)];
-    bool use_special = op.special && special != nullptr &&
-                       special->copy_in != nullptr;
-    switch (op.kind) {
-      case SpecOpKind::kEnsureStorage:
-        if (slot->ptr() == nullptr) {
-          slot->set_ptr(arena->AllocateBlock(op.count));
-        }
-        break;
-      case SpecOpKind::kGetScalarSlot: {
-        FLEXRPC_ASSIGN_OR_RETURN(uint64_t bits,
-                                 GetScalarWidth(r, op.width));
-        slot->scalar = bits;
-        break;
-      }
-      case SpecOpKind::kGetScalarMem: {
-        FLEXRPC_ASSIGN_OR_RETURN(uint64_t bits,
-                                 GetScalarWidth(r, op.width));
-        std::memcpy(static_cast<uint8_t*>(slot->ptr()) + op.offset, &bits,
-                    op.width);
-        break;
-      }
-      case SpecOpKind::kGetBytesFixed: {
-        FLEXRPC_ASSIGN_OR_RETURN(const uint8_t* bytes,
-                                 r->GetBytes(op.count));
-        uint8_t* dest = static_cast<uint8_t*>(slot->ptr()) + op.offset;
-        if (use_special) {
-          special->copy_in(dest, bytes, op.count);
-        } else {
-          std::memcpy(dest, bytes, op.count);
-        }
-        break;
-      }
-      case SpecOpKind::kGetSeqBytes: {
-        FLEXRPC_ASSIGN_OR_RETURN(uint32_t len, r->GetU32());
-        if (op.bound != 0 && len > op.bound) {
-          return DataLossError(StrFormat(
-              "wire sequence length %u exceeds bound %u", len, op.bound));
-        }
-        FLEXRPC_ASSIGN_OR_RETURN(const uint8_t* bytes, r->GetBytes(len));
-        bool caller_buffer = slot->ptr() != nullptr;
-        if (borrow_bytes && !caller_buffer && !use_special) {
-          slot->set_ptr(bytes);
-          slot->length = len;
-          slot->borrowed = true;
-          break;
-        }
-        void* dest;
-        if (caller_buffer) {
-          if (slot->capacity < len) {
-            return ResourceExhaustedError(StrFormat(
-                "caller buffer (%u bytes) too small for %u-byte sequence",
-                slot->capacity, len));
-          }
-          dest = slot->ptr();
-        } else {
-          dest = arena->AllocateBlock(len > 0 ? len : 1);
-          slot->set_ptr(dest);
-        }
-        if (use_special) {
-          special->copy_in(dest, bytes, len);
-        } else {
-          std::memcpy(dest, bytes, len);
-        }
-        slot->length = len;
-        break;
-      }
-      case SpecOpKind::kGetString: {
-        FLEXRPC_ASSIGN_OR_RETURN(uint32_t len, r->GetU32());
-        if (op.bound != 0 && len > op.bound) {
-          return DataLossError(StrFormat(
-              "wire string length %u exceeds bound %u", len, op.bound));
-        }
-        FLEXRPC_ASSIGN_OR_RETURN(const uint8_t* bytes, r->GetBytes(len));
-        bool caller_buffer = slot->ptr() != nullptr;
-        char* dest;
-        if (caller_buffer) {
-          if (slot->capacity < len + 1) {
-            return ResourceExhaustedError(StrFormat(
-                "caller buffer (%u bytes) too small for %u-byte string",
-                slot->capacity, len));
-          }
-          dest = static_cast<char*>(slot->ptr());
-        } else {
-          dest = static_cast<char*>(arena->AllocateBlock(len + 1));
-          slot->set_ptr(dest);
-        }
-        if (use_special) {
-          special->copy_in(dest, bytes, len);
-        } else {
-          std::memcpy(dest, bytes, len);
-        }
-        dest[len] = '\0';
-        slot->length = len;
-        break;
-      }
-      case SpecOpKind::kGetUnionDisc: {
-        FLEXRPC_ASSIGN_OR_RETURN(uint32_t disc, r->GetU32());
-        slot->scalar = disc;
-        if (disc != op.label) {
-          return Status::Ok();
-        }
-        break;
-      }
-      default:
-        return InternalError("marshal opcode in an unmarshal stream");
+    if (!UnmarshalStep(op, r, arena, args, special, borrow_bytes, &end)) {
+      break;
     }
   }
-  return Status::Ok();
+  return end;
 }
 
 // ---- Registry and dispatch switch ------------------------------------------

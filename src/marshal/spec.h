@@ -12,13 +12,15 @@
 // dispatches per call: registry hit → straight-line code, miss → the
 // interpreter (gated `marshal.spec.hit/miss` counters).
 //
+// Each opcode has one definition, its step in spec_ops.h. The reference
+// executors here loop over those steps, and every emitted function calls
+// them once per op with constant operands, so the two cannot drift apart.
+//
 // Correctness story (the flexcheck stage-3 prover, src/analysis/
 // spec_verifier.h): a specialization is only emitted after a symbolic
-// wire-effect interpreter proves the SpecProgram byte-for-byte equivalent
-// to the interpreted plan. The executor in this file (RunSpecMarshal /
-// RunSpecUnmarshal) defines the operational semantics the emitted C++ is
-// template-for-template identical to; differential tests drive both
-// against the interpreter over every seed IDL signature.
+// wire-effect interpreter, which expands each opcode on its own rather
+// than through the steps, proves the SpecProgram byte-for-byte equivalent
+// to the interpreted plan.
 //
 // Deliberate semantic difference from the interpreter: specialized
 // streams do not bump the per-opcode `marshal.ops.*` trace counters
@@ -37,6 +39,7 @@
 
 #include "src/idl/ast.h"
 #include "src/marshal/engine.h"
+#include "src/marshal/spec_ops.h"
 #include "src/pdl/presentation.h"
 #include "src/support/status.h"
 
@@ -76,52 +79,10 @@ inline constexpr size_t kSpecStreamCount = 4;
 
 std::string_view SpecStreamName(SpecStream stream);
 
-// The closed superinstruction set. Every operand is fixed at compile time;
-// the only per-call inputs are the ArgVec, the wire, and the runtime
-// [special]/borrow flags the engine entry points already take.
-enum class SpecOpKind : uint8_t {
-  kPutScalarSlot,   // wire scalar from args[slot].scalar
-  kPutScalarMem,    // wire scalar loaded from args[slot].ptr() + offset
-  kPutBytesFixed,   // `count` raw bytes from args[slot].ptr() + offset
-  kPutSeqBytes,     // u32 length prefix + that many bytes from args[slot]
-  kPutString,       // u32 length prefix + string bytes from args[slot]
-  kPutUnionDisc,    // u32 from args[slot].scalar; end-of-stream unless
-                    //   it equals `label` (void alternate arms)
-  kGetScalarSlot,   // wire scalar into args[slot].scalar
-  kGetScalarMem,    // wire scalar stored at args[slot].ptr() + offset
-  kGetBytesFixed,   // `count` raw bytes to args[slot].ptr() + offset
-  kGetSeqBytes,     // u32 length + bytes into the slot (borrow/caller/
-                    //   arena policy identical to the interpreter)
-  kGetString,       // u32 length + bytes + NUL into the slot
-  kGetUnionDisc,    // u32 into args[slot].scalar; end-of-stream unless
-                    //   it equals `label`
-  kEnsureStorage,   // if args[slot].ptr() == null, point it at
-                    //   arena->AllocateBlock(count)
-};
-
+// C++ spellings of the enumerators (`kPutScalarSlot`, `kStrLen`), as
+// generated units write them.
 std::string_view SpecOpKindName(SpecOpKind kind);
-
-// Where a marshal-side variable length comes from.
-enum class SpecLenSource : uint8_t {
-  kSlotLength,  // args[slot].length
-  kLenSlot,     // args[len_slot].scalar ([length_is] presentation)
-  kStrLen,      // strlen(args[slot].ptr())
-};
-
-struct SpecOp {
-  SpecOpKind kind = SpecOpKind::kPutScalarSlot;
-  uint8_t width = 4;     // wire scalar width for *Scalar* ops (1/2/4/8)
-  int slot = -1;         // ArgVec slot the op reads or writes
-  uint32_t offset = 0;   // native byte offset for *Mem / *BytesFixed
-  uint32_t count = 0;    // byte count for *BytesFixed / kEnsureStorage
-  uint32_t bound = 0;    // declared length bound (0 = unbounded)
-  SpecLenSource len_src = SpecLenSource::kSlotLength;
-  int len_slot = -1;     // [length_is] slot for kLenSlot
-  uint32_t label = 0;    // union success label for *UnionDisc
-  bool special = false;  // may route through SpecialOps at runtime
-
-  bool operator==(const SpecOp&) const = default;
-};
+std::string_view SpecLenSourceName(SpecLenSource src);
 
 struct SpecProgram {
   std::vector<SpecOp> ops;
@@ -153,9 +114,9 @@ struct SpecPlan {
 // self-contained.
 SpecPlan CompileSpecPlan(const OperationDecl& op, const OpPresentation& pres);
 
-// Reference executors: the operational semantics of a SpecProgram,
-// instruction-for-instruction what the emitted C++ does. Used by the
-// differential test sweep; generated code never calls these.
+// Reference executors: run a SpecProgram one step (spec_ops.h) per op, as
+// the emitted C++ does with the ops unrolled. Tests compare them with the
+// interpreter.
 Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
                       WireWriter* w, const SpecialOps* special);
 Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,

@@ -1,0 +1,337 @@
+// flexspec opcodes: each superinstruction's operands and its one definition.
+//
+// A SpecOp is one instruction of a compiled marshal stream (spec.h): its
+// kind plus constant operands. MarshalStep and UnmarshalStep define what
+// each kind does to the wire and the ArgVec, and nothing else does: the
+// reference executors (RunSpecMarshal/RunSpecUnmarshal) loop over the
+// steps, and `idlc --specialize` emits one step call per op with the op
+// written out as a literal. Both steps are forced inline, so in generated
+// code the kind switch and every operand fold to constants and the stream
+// runs straight-line, with no loop and no table walk.
+
+#ifndef FLEXRPC_SRC_MARSHAL_SPEC_OPS_H_
+#define FLEXRPC_SRC_MARSHAL_SPEC_OPS_H_
+
+#include <cstdint>
+#include <cstring>
+#include <utility>
+
+#include "src/marshal/engine.h"
+#include "src/marshal/format.h"
+#include "src/support/arena.h"
+#include "src/support/status.h"
+#include "src/support/strings.h"
+
+namespace flexrpc {
+
+// The closed superinstruction set. Every operand is fixed at compile time;
+// the only per-call inputs are the ArgVec, the wire, and the runtime
+// [special]/borrow flags the engine entry points already take.
+enum class SpecOpKind : uint8_t {
+  kPutScalarSlot,   // wire scalar from args[slot].scalar
+  kPutScalarMem,    // wire scalar loaded from args[slot].ptr() + offset
+  kPutBytesFixed,   // `count` raw bytes from args[slot].ptr() + offset
+  kPutSeqBytes,     // u32 length prefix + that many bytes from args[slot]
+  kPutString,       // u32 length prefix + string bytes from args[slot]
+  kPutUnionDisc,    // u32 from args[slot].scalar; end-of-stream unless
+                    //   it equals `label` (void alternate arms)
+  kGetScalarSlot,   // wire scalar into args[slot].scalar
+  kGetScalarMem,    // wire scalar stored at args[slot].ptr() + offset
+  kGetBytesFixed,   // `count` raw bytes to args[slot].ptr() + offset
+  kGetSeqBytes,     // u32 length + bytes into the slot (borrow/caller/
+                    //   arena policy identical to the interpreter)
+  kGetString,       // u32 length + bytes + NUL into the slot
+  kGetUnionDisc,    // u32 into args[slot].scalar; end-of-stream unless
+                    //   it equals `label`
+  kEnsureStorage,   // if args[slot].ptr() == null, point it at
+                    //   arena->AllocateBlock(count)
+};
+
+// Where a marshal-side variable length comes from.
+enum class SpecLenSource : uint8_t {
+  kSlotLength,  // args[slot].length
+  kLenSlot,     // args[len_slot].scalar ([length_is] presentation)
+  kStrLen,      // strlen(args[slot].ptr())
+};
+
+struct SpecOp {
+  SpecOpKind kind = SpecOpKind::kPutScalarSlot;
+  uint8_t width = 4;     // wire scalar width for *Scalar* ops (1/2/4/8)
+  int slot = -1;         // ArgVec slot the op reads or writes
+  uint32_t offset = 0;   // native byte offset for *Mem / *BytesFixed
+  uint32_t count = 0;    // byte count for *BytesFixed / kEnsureStorage
+  uint32_t bound = 0;    // declared length bound (0 = unbounded)
+  SpecLenSource len_src = SpecLenSource::kSlotLength;
+  int len_slot = -1;     // [length_is] slot for kLenSlot
+  uint32_t label = 0;    // union success label for *UnionDisc
+  bool special = false;  // may route through SpecialOps at runtime
+
+  bool operator==(const SpecOp&) const = default;
+};
+
+namespace spec_internal {
+
+// Ends the stream with `status`.
+[[gnu::always_inline]] inline bool End(Status* end, Status status) {
+  *end = std::move(status);
+  return false;
+}
+
+[[gnu::always_inline]] inline void PutScalar(WireWriter* w, uint8_t width,
+                                             uint64_t bits) {
+  switch (width) {
+    case 1:
+      w->PutU8(static_cast<uint8_t>(bits));
+      return;
+    case 2:
+      w->PutU16(static_cast<uint16_t>(bits));
+      return;
+    case 4:
+      w->PutU32(static_cast<uint32_t>(bits));
+      return;
+    default:
+      w->PutU64(bits);
+      return;
+  }
+}
+
+// Stores a successful read in `*value`; otherwise ends the stream with the
+// read's error.
+template <typename T, typename V>
+[[gnu::always_inline]] inline bool Get(Result<T> read, V* value,
+                                       Status* end) {
+  if (!read.ok()) {
+    return End(end, read.status());
+  }
+  *value = *read;
+  return true;
+}
+
+[[gnu::always_inline]] inline bool GetScalar(WireReader* r, uint8_t width,
+                                             uint64_t* bits, Status* end) {
+  switch (width) {
+    case 1:
+      return Get(r->GetU8(), bits, end);
+    case 2:
+      return Get(r->GetU16(), bits, end);
+    case 4:
+      return Get(r->GetU32(), bits, end);
+    default:
+      return Get(r->GetU64(), bits, end);
+  }
+}
+
+[[gnu::always_inline]] inline uint32_t MarshalLength(const SpecOp& op,
+                                                     const ArgVec& args) {
+  switch (op.len_src) {
+    case SpecLenSource::kSlotLength:
+      return args[static_cast<size_t>(op.slot)].length;
+    case SpecLenSource::kLenSlot:
+      return static_cast<uint32_t>(
+          args[static_cast<size_t>(op.len_slot)].scalar);
+    case SpecLenSource::kStrLen: {
+      const char* s = static_cast<const char*>(
+          args[static_cast<size_t>(op.slot)].ptr());
+      return s == nullptr ? 0 : static_cast<uint32_t>(std::strlen(s));
+    }
+  }
+  return 0;
+}
+
+}  // namespace spec_internal
+
+// Each step returns true when its stream goes on. Otherwise it has ended
+// the stream, and `*end` holds the stream's status: an error, or OK when a
+// union discriminant selected one of the void alternate arms.
+[[gnu::always_inline]] inline bool MarshalStep(const SpecOp& op,
+                                               const ArgVec& args,
+                                               WireWriter* w,
+                                               const SpecialOps* special,
+                                               Status* end) {
+  using spec_internal::End;
+  const ArgValue& slot = args[static_cast<size_t>(op.slot)];
+  const bool use_special =
+      op.special && special != nullptr && special->copy_out != nullptr;
+  // A byte run moves through the [special] routine when one applies.
+  auto put_run = [&](const void* src, uint32_t n) {
+    if (use_special) {
+      special->copy_out(w->ReserveBytes(n), src, n);
+    } else {
+      w->PutBytes(src, n);
+    }
+  };
+  switch (op.kind) {
+    case SpecOpKind::kPutScalarSlot:
+      spec_internal::PutScalar(w, op.width, slot.scalar);
+      return true;
+    case SpecOpKind::kPutScalarMem: {
+      uint64_t bits = 0;
+      std::memcpy(&bits,
+                  static_cast<const uint8_t*>(slot.ptr()) + op.offset,
+                  op.width);
+      spec_internal::PutScalar(w, op.width, bits);
+      return true;
+    }
+    case SpecOpKind::kPutBytesFixed:
+      put_run(static_cast<const uint8_t*>(slot.ptr()) + op.offset,
+              op.count);
+      return true;
+    case SpecOpKind::kPutSeqBytes:
+    case SpecOpKind::kPutString: {
+      const uint32_t len = spec_internal::MarshalLength(op, args);
+      if (op.bound != 0 && len > op.bound) {
+        return End(end, InvalidArgumentError(StrFormat(
+                            "%s length %u exceeds bound %u",
+                            op.kind == SpecOpKind::kPutString ? "string"
+                                                              : "sequence",
+                            len, op.bound)));
+      }
+      w->PutU32(len);
+      put_run(slot.ptr(), len);
+      return true;
+    }
+    case SpecOpKind::kPutUnionDisc: {
+      const auto disc = static_cast<uint32_t>(slot.scalar);
+      w->PutU32(disc);
+      if (disc != op.label) {
+        return End(end, Status::Ok());  // alternate arms are void
+      }
+      return true;
+    }
+    default:
+      return End(end, InternalError("unmarshal opcode in a marshal stream"));
+  }
+}
+
+[[gnu::always_inline]] inline bool UnmarshalStep(
+    const SpecOp& op, WireReader* r, Arena* arena, ArgVec* args,
+    const SpecialOps* special, bool borrow_bytes, Status* end) {
+  using spec_internal::End;
+  using spec_internal::Get;
+  ArgValue* slot = &(*args)[static_cast<size_t>(op.slot)];
+  const bool use_special =
+      op.special && special != nullptr && special->copy_in != nullptr;
+  // A byte run moves through the [special] routine when one applies.
+  auto copy_run = [&](void* dest, const uint8_t* bytes, uint32_t n) {
+    if (use_special) {
+      special->copy_in(dest, bytes, n);
+    } else {
+      std::memcpy(dest, bytes, n);
+    }
+  };
+  uint32_t len = 0;
+  const uint8_t* bytes = nullptr;
+  switch (op.kind) {
+    case SpecOpKind::kEnsureStorage:
+      // Left unzeroed: CompileSpecPlan emits it only for values with no
+      // nested pointers, so a release after a failed read follows none.
+      if (slot->ptr() == nullptr) {
+        slot->set_ptr(arena->AllocateBlock(op.count));
+      }
+      return true;
+    case SpecOpKind::kGetScalarSlot:
+    case SpecOpKind::kGetScalarMem: {
+      uint64_t bits = 0;
+      if (!spec_internal::GetScalar(r, op.width, &bits, end)) {
+        return false;
+      }
+      if (op.kind == SpecOpKind::kGetScalarSlot) {
+        slot->scalar = bits;
+      } else {
+        std::memcpy(static_cast<uint8_t*>(slot->ptr()) + op.offset, &bits,
+                    op.width);
+      }
+      return true;
+    }
+    case SpecOpKind::kGetBytesFixed:
+      if (!Get(r->GetBytes(op.count), &bytes, end)) {
+        return false;
+      }
+      copy_run(static_cast<uint8_t*>(slot->ptr()) + op.offset, bytes,
+               op.count);
+      return true;
+    case SpecOpKind::kGetSeqBytes: {
+      if (!Get(r->GetU32(), &len, end)) {
+        return false;
+      }
+      if (op.bound != 0 && len > op.bound) {
+        return End(end, DataLossError(StrFormat(
+                            "wire sequence length %u exceeds bound %u", len,
+                            op.bound)));
+      }
+      if (!Get(r->GetBytes(len), &bytes, end)) {
+        return false;
+      }
+      const bool caller_buffer = slot->ptr() != nullptr;
+      if (borrow_bytes && !caller_buffer && !use_special) {
+        slot->set_ptr(bytes);
+        slot->length = len;
+        slot->borrowed = true;
+        return true;
+      }
+      void* dest;
+      if (caller_buffer) {
+        if (slot->capacity < len) {
+          return End(end, ResourceExhaustedError(StrFormat(
+                              "caller buffer (%u bytes) too small for "
+                              "%u-byte sequence",
+                              slot->capacity, len)));
+        }
+        dest = slot->ptr();
+      } else {
+        dest = arena->AllocateBlock(len > 0 ? len : 1);
+        slot->set_ptr(dest);
+      }
+      copy_run(dest, bytes, len);
+      slot->length = len;
+      return true;
+    }
+    case SpecOpKind::kGetString: {
+      if (!Get(r->GetU32(), &len, end)) {
+        return false;
+      }
+      if (op.bound != 0 && len > op.bound) {
+        return End(end, DataLossError(StrFormat(
+                            "wire string length %u exceeds bound %u", len,
+                            op.bound)));
+      }
+      if (!Get(r->GetBytes(len), &bytes, end)) {
+        return false;
+      }
+      char* dest;
+      if (slot->ptr() != nullptr) {
+        if (slot->capacity < len + 1) {
+          return End(end, ResourceExhaustedError(StrFormat(
+                              "caller buffer (%u bytes) too small for "
+                              "%u-byte string",
+                              slot->capacity, len)));
+        }
+        dest = static_cast<char*>(slot->ptr());
+      } else {
+        dest = static_cast<char*>(arena->AllocateBlock(len + 1));
+        slot->set_ptr(dest);
+      }
+      copy_run(dest, bytes, len);
+      dest[len] = '\0';
+      slot->length = len;
+      return true;
+    }
+    case SpecOpKind::kGetUnionDisc: {
+      uint32_t disc = 0;
+      if (!Get(r->GetU32(), &disc, end)) {
+        return false;
+      }
+      slot->scalar = disc;
+      if (disc != op.label) {
+        return End(end, Status::Ok());
+      }
+      return true;
+    }
+    default:
+      return End(end, InternalError("marshal opcode in an unmarshal stream"));
+  }
+}
+
+}  // namespace flexrpc
+
+#endif  // FLEXRPC_SRC_MARSHAL_SPEC_OPS_H_

@@ -206,12 +206,13 @@ Status UnmarshalValue(WireReader* r, const Type* type, void* dst,
               r->remaining()));
         }
         size_t stride = elem->NativeSize();
-        rep.buffer = arena->AllocateBlock(len > 0 ? len * stride : 1);
+        rep.buffer = AllocateZeroedBlock(arena, len > 0 ? len * stride : 1);
         auto* base = static_cast<uint8_t*>(rep.buffer);
         for (uint32_t i = 0; i < len; ++i) {
           Status st = UnmarshalValue(r, elem, base + i * stride, arena);
           if (!st.ok()) {
-            arena->FreeBlock(rep.buffer);
+            // Frees the elements already read; the rest are still zero.
+            FreeValue(arena, t, &rep);
             return st;
           }
         }
@@ -323,6 +324,12 @@ void FreeValue(Arena* arena, const Type* type, void* native) {
     default:
       return;  // scalars own no storage
   }
+}
+
+void* AllocateZeroedBlock(Arena* arena, size_t size) {
+  void* block = arena->AllocateBlock(size);
+  std::memset(block, 0, size);
+  return block;
 }
 
 bool ValueEquals(const Type* type, const void* a, const void* b) {

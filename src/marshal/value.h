@@ -34,6 +34,11 @@ Status UnmarshalValue(WireReader* r, const Type* type, void* dst,
 // `native` itself, which the caller owns).
 void FreeValue(Arena* arena, const Type* type, void* native);
 
+// AllocateBlock, zero-filled. Storage that UnmarshalValue fills starts out
+// this way, so FreeValue on a value whose unmarshal failed part-way frees
+// what was read and finds null pointers where nothing was.
+void* AllocateZeroedBlock(Arena* arena, size_t size);
+
 // Deep structural equality of two native-layout values (test support and
 // same-domain copy elision verification).
 bool ValueEquals(const Type* type, const void* a, const void* b);

@@ -66,10 +66,9 @@ Status ServerObject::Dispatch(ServerCall* call) {
   ArgVec args(state.program.slot_count());
   Status st = state.program.UnmarshalRequest(&reader, arena, &args,
                                              &special_);
-  if (!st.ok()) {
-    return send_error(st);
+  if (st.ok()) {
+    st = state.work(&args, arena);
   }
-  st = state.work(&args, arena);
   if (!st.ok()) {
     state.program.ReleaseRequest(arena, &args);
     return send_error(st);

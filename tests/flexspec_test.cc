@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "src/analysis/spec_verifier.h"
@@ -20,6 +21,7 @@
 #include "src/marshal/spec.h"
 #include "src/marshal/xdr.h"
 #include "src/pdl/apply.h"
+#include "src/support/strings.h"
 #include "src/support/trace.h"
 
 namespace flexrpc {
@@ -689,6 +691,78 @@ TEST(SpecGenTest, EmitsRegistrarForSupportedPlans) {
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(key.op_hash));
   EXPECT_NE(generated->source.find(hex), std::string::npos);
+}
+
+TEST(SpecGenTest, EachFunctionIsOneStepCallPerOp) {
+  // examples/idl/syslog.idl under its client PDL: both sides' plans cover
+  // both string opcodes and the kLenSlot and kStrLen length sources.
+  Compiled c = Compile(R"(
+    interface SysLog {
+      void write_msg(in string msg);
+      unsigned long message_count();
+    };
+  )",
+                       false,
+                       "SysLog_write_msg(,, char *[length_is(length)] msg, "
+                       "int length);",
+                       "");
+  DiagnosticSink diags;
+  auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
+                                           SpecGenOptions{}, "syslog.idl",
+                                           &diags, nullptr);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const std::string& source = generated->source;
+  // What an op does lives in its step alone: the unit moves no bytes,
+  // copies nothing and allocates nothing itself.
+  for (const char* text : {"PutU32", "memcpy", "AllocateBlock"}) {
+    EXPECT_EQ(source.find(text), std::string::npos) << text;
+  }
+
+  // Every function body is `Status end;`, then one step call per op of
+  // its stream in order, then `return end;`: straight-line code.
+  static constexpr const char* kSuffix[kSpecStreamCount] = {
+      "MarshalRequest", "UnmarshalRequest", "MarshalReply",
+      "UnmarshalReply"};
+  std::set<SpecKey> seen;
+  size_t index = 0;
+  size_t calls = 0;
+  for (const PresentationSet* set : {&c.client, &c.server}) {
+    for (const OperationDecl& op : c.idl->interfaces[0].ops) {
+      SpecPlan plan =
+          CompileSpecPlan(op, *set->Find("SysLog")->FindOp(op.name));
+      if (!seen.insert(plan.key).second) {
+        continue;
+      }
+      for (size_t s = 0; s < kSpecStreamCount; ++s) {
+        ASSERT_TRUE(plan.has_stream[s]) << op.name << " " << s;
+        std::string head = StrFormat("Status Spec%zu%s(", index, kSuffix[s]);
+        size_t begin = source.find(head);
+        ASSERT_NE(begin, std::string::npos) << head;
+        begin = source.find('\n', begin) + 1;
+        size_t end = source.find("\n}\n", begin);
+        std::istringstream body(source.substr(begin, end - begin));
+        std::string line;
+        ASSERT_TRUE(std::getline(body, line));
+        EXPECT_EQ(line, "  Status end;") << head;
+        for (const SpecOp& spec_op : plan.streams[s].ops) {
+          ASSERT_TRUE(std::getline(body, line)) << head;
+          std::string call =
+              StrFormat("  if (!%s({.kind = %s",
+                        s % 2 == 0 ? "MarshalStep" : "UnmarshalStep",
+                        std::string(SpecOpKindName(spec_op.kind)).c_str());
+          EXPECT_EQ(line.rfind(call, 0), 0u) << head << ": " << line;
+          EXPECT_TRUE(line.ends_with(", &end)) return end;")) << line;
+          ++calls;
+        }
+        ASSERT_TRUE(std::getline(body, line));
+        EXPECT_EQ(line, "  return end;") << head;
+        EXPECT_FALSE(std::getline(body, line)) << head << ": " << line;
+      }
+      ++index;
+    }
+  }
+  EXPECT_EQ(index, 4u);  // both operations under both presentations
+  EXPECT_EQ(calls, 8u);
 }
 
 TEST(SpecGenTest, CorruptedStreamBlocksEmission) {

@@ -298,6 +298,30 @@ TEST(ValueTest, SequenceCountBeyondWireRejected) {
   }
 }
 
+TEST(ValueTest, TruncatedSequenceFreesTheElementsRead) {
+  // The third of three names is cut short: the sequence's buffer and the
+  // two names already read go back to the arena with the error.
+  DiagnosticSink diags;
+  auto idl = ParseCorbaIdl(
+      "typedef sequence<string> t;\ninterface I { void f(in t x); };",
+      "t.idl", &diags);
+  ASSERT_NE(idl, nullptr) << diags.ToString();
+  const Type* t = idl->types.FindNamed("t");
+  XdrWriter w;
+  w.PutU32(3);
+  for (const char* name : {"one", "two"}) {
+    w.PutU32(3);
+    w.PutBytes(name, 3);
+  }
+  w.PutU32(5);
+  XdrReader r(w.span());
+  Arena arena("a");
+  std::vector<uint8_t> dst(t->NativeSize());
+  EXPECT_EQ(UnmarshalValue(&r, t, dst.data(), &arena).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(arena.live_blocks(), 0u);
+}
+
 TEST(ValueTest, UnknownUnionDiscriminantRejected) {
   DiagnosticSink diags;
   auto idl = ParseCorbaIdl(R"(

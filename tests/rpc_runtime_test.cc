@@ -7,6 +7,7 @@
 
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
+#include "src/marshal/native.h"
 #include "src/rpc/runtime.h"
 
 namespace flexrpc {
@@ -36,6 +37,17 @@ class RpcRuntimeTest : public ::testing::Test {
     }
     client_task_ = kernel_.CreateTask("client");
     server_task_ = kernel_.CreateTask("server");
+  }
+
+  // Dispatches `request` (opnum, then body) to `server` directly and
+  // returns the status code its reply carries.
+  uint32_t DispatchRaw(ServerObject* server, const NativeWriter& request) {
+    std::vector<uint8_t> reply;
+    ServerCall call{request.span().data(), request.span().size(), &reply};
+    EXPECT_TRUE(server->Dispatch(&call).ok());
+    NativeReader reader(ByteSpan(reply.data(), reply.size()));
+    Result<uint32_t> code = reader.GetU32();
+    return code.ok() ? *code : ~0u;
   }
 
   Kernel kernel_;
@@ -140,6 +152,59 @@ TEST_F(RpcRuntimeTest, UnknownOperationReported) {
   ASSERT_TRUE(conn.ok());
   ArgVec args(1);
   EXPECT_EQ((*conn)->Call("nope", &args).code(), StatusCode::kNotFound);
+}
+
+// A request the server cannot unmarshal is answered DATA_LOSS without
+// running the work function, and the blocks the partial unmarshal took
+// are released: here the struct block and its first string.
+TEST_F(RpcRuntimeTest, TruncatedStructRequestFreesWhatWasRead) {
+  Load(R"(
+    struct Pair { string a; string b; };
+    interface P { void put(in Pair p); };
+  )");
+  const InterfaceDecl& itf = idl_->interfaces[0];
+  ServerObject server(itf, *server_.Find("P"), server_task_);
+  bool ran = false;
+  server.SetWork("put", [&](ArgVec*, Arena*) {
+    ran = true;
+    return Status::Ok();
+  });
+  NativeWriter request;
+  request.PutU32(itf.ops[0].opnum);
+  request.PutU32(5);
+  request.PutBytes("alpha", 5);
+  request.PutU32(5);
+  request.PutBytes("br", 2);  // b is cut short
+  EXPECT_EQ(DispatchRaw(&server, request),
+            static_cast<uint32_t>(StatusCode::kDataLoss));
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(server_task_->space().arena().live_blocks(), 0u);
+}
+
+// The same for a sequence of strings whose third element is cut short:
+// the sequence buffer and the two names already read are released.
+TEST_F(RpcRuntimeTest, TruncatedStringSequenceRequestFreesWhatWasRead) {
+  Load("interface N { void names(in sequence<string> n); };");
+  const InterfaceDecl& itf = idl_->interfaces[0];
+  ServerObject server(itf, *server_.Find("N"), server_task_);
+  bool ran = false;
+  server.SetWork("names", [&](ArgVec*, Arena*) {
+    ran = true;
+    return Status::Ok();
+  });
+  NativeWriter request;
+  request.PutU32(itf.ops[0].opnum);
+  request.PutU32(3);
+  request.PutU32(3);
+  request.PutBytes("one", 3);
+  request.PutU32(3);
+  request.PutBytes("two", 3);
+  request.PutU32(5);
+  request.PutBytes("th", 2);  // the third name is cut short
+  EXPECT_EQ(DispatchRaw(&server, request),
+            static_cast<uint32_t>(StatusCode::kDataLoss));
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(server_task_->space().arena().live_blocks(), 0u);
 }
 
 TEST_F(RpcRuntimeTest, SequenceOutParamWithCallerBuffer) {
