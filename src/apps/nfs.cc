@@ -87,6 +87,15 @@ const char* NfsClientPdlText() {
 namespace {
 
 constexpr uint32_t kFattrFieldCount = 14;
+constexpr uint32_t kNfsOk = 0;
+constexpr uint32_t kNfsErrIo = 5;
+
+// A reply whose data would overrun the caller's chunk: the [special]
+// stub's caller-buffer check, made by every stub before it copies.
+Status ChunkOverrun(uint32_t count, uint32_t len) {
+  return ResourceExhaustedError(StrFormat(
+      "read reply carries %u bytes for a %u-byte chunk", len, count));
+}
 
 // Native layout of readargs (checked against the type table in the ctor).
 struct NativeReadArgs {
@@ -109,7 +118,8 @@ NfsFileServer::NfsFileServer(size_t file_size, uint64_t seed) {
   }
 }
 
-Status NfsFileServer::Handle(ByteSpan request, XdrWriter* reply) {
+Result<NfsFileServer::ReadCall> NfsFileServer::DecodeRead(
+    ByteSpan request) const {
   XdrReader r(request);
   FLEXRPC_ASSIGN_OR_RETURN(SunRpcCall call, DecodeSunRpcCall(&r));
   if (call.program != kNfsProgram || call.version != kNfsVersion) {
@@ -127,19 +137,38 @@ Status NfsFileServer::Handle(ByteSpan request, XdrWriter* reply) {
   FLEXRPC_ASSIGN_OR_RETURN(uint32_t totalcount, r.GetU32());
   (void)totalcount;
 
-  EncodeSunRpcReplySuccess(reply, call.xid);
+  ReadCall read{call.xid, kNfsOk, offset, count};
   if (offset >= content_.size()) {
-    reply->PutU32(5);  // NFSERR_IO: the paper's workload never reads past EOF
-    return Status::Ok();
+    read.status = kNfsErrIo;  // the paper's workload never reads past EOF
+    read.count = 0;
+    return read;
   }
-  uint32_t n = count;
-  if (n > kNfsMaxData) {
-    n = kNfsMaxData;
+  if (read.count > kNfsMaxData) {
+    read.count = kNfsMaxData;
   }
-  if (offset + n > content_.size()) {
-    n = static_cast<uint32_t>(content_.size() - offset);
+  if (offset + read.count > content_.size()) {
+    read.count = static_cast<uint32_t>(content_.size() - offset);
   }
-  reply->PutU32(0);  // NFS_OK
+  return read;
+}
+
+size_t NfsFileServer::ReplyBytes(const ReadCall& read) {
+  // The SunRPC reply header (6 words) and the status word; NFS_OK adds
+  // fattr, the data length and the padded data: 88 bytes plus the data.
+  constexpr size_t kHeaderAndStatus = 7 * 4;
+  if (read.status != kNfsOk) {
+    return kHeaderAndStatus;
+  }
+  return kHeaderAndStatus + (kFattrFieldCount + 1) * 4 +
+         XdrPadTo4(read.count);
+}
+
+void NfsFileServer::EncodeReply(const ReadCall& read, XdrWriter* w) const {
+  EncodeSunRpcReplySuccess(w, read.xid);
+  w->PutU32(read.status);
+  if (read.status != kNfsOk) {
+    return;
+  }
   // fattr
   uint32_t now = 0x5F000000;
   uint32_t fattr[kFattrFieldCount] = {
@@ -152,11 +181,17 @@ Status NfsFileServer::Handle(ByteSpan request, XdrWriter* reply) {
       /*fsid=*/7,     /*fileid=*/42, /*atime=*/now,
       /*mtime=*/now,  /*ctime=*/now};
   for (uint32_t field : fattr) {
-    reply->PutU32(field);
+    w->PutU32(field);
   }
   // data<>
-  reply->PutU32(n);
-  reply->PutBytes(content_.data() + offset, n);
+  w->PutU32(read.count);
+  w->PutBytes(content_.data() + read.offset, read.count);
+}
+
+Status NfsFileServer::Handle(ByteSpan request, XdrWriter* reply) {
+  FLEXRPC_ASSIGN_OR_RETURN(ReadCall read, DecodeRead(request));
+  reply->Reserve(ReplyBytes(read));
+  EncodeReply(read, reply);
   return Status::Ok();
 }
 
@@ -165,11 +200,14 @@ DatagramHandler NfsFileServer::MakeHandler(NfsFileServer* server) {
     if (request.size() < kMuxPrefixBytes) {
       return DataLossError("request too short to carry [xid][conn]");
     }
+    FLEXRPC_ASSIGN_OR_RETURN(
+        ReadCall read, server->DecodeRead(request.subspan(kMuxPrefixBytes)));
+    // One exact-size buffer: the echoed prefix, then the reply.
     XdrWriter w;
-    FLEXRPC_RETURN_IF_ERROR(
-        server->Handle(request.subspan(kMuxPrefixBytes), &w));
-    reply->assign(request.begin(), request.begin() + kMuxPrefixBytes);
-    reply->insert(reply->end(), w.span().begin(), w.span().end());
+    w.Reserve(kMuxPrefixBytes + ReplyBytes(read));
+    w.PutBytes(request.data(), kMuxPrefixBytes);
+    server->EncodeReply(read, &w);
+    *reply = w.TakeBuffer();
     return Status::Ok();
   };
 }
@@ -205,6 +243,15 @@ NfsClient::NfsClient(NfsFileServer* server, LinkModel link,
       *op, *default_pres_.Find("NFS_VERSION")->FindOp("NFSPROC_READ")));
   prog_special_ = std::make_unique<MarshalProgram>(MarshalProgram::Build(
       *op, *special_pres_.Find("NFS_VERSION")->FindOp("NFSPROC_READ")));
+  const MarshalProgram& special = *prog_special_;
+  special_slots_ = {special.SlotOf("file"),       special.SlotOf("offset"),
+                    special.SlotOf("count"),      special.SlotOf("totalcount"),
+                    special.SlotOf("data"),       special.SlotOf("attributes"),
+                    special.SlotOf("status")};
+  const Type* readres_t = idl_->types.FindNamed("readres")->Resolve();
+  const Type* okres_t = idl_->types.FindNamed("readokres");
+  readres_data_offset_ =
+      UnionPayloadOffset(readres_t) + NativeFieldOffset(okres_t, 1);
   attr_storage_ = kernel_space_->arena().AllocateBlock(
       idl_->types.FindNamed("fattr")->NativeSize());
 }
@@ -228,10 +275,10 @@ Result<uint32_t> NfsClient::EncodeRequest(StubKind kind,
     }
     case StubKind::kGeneratedUserBuffer: {
       ArgVec args(prog_special_->slot_count());
-      args[prog_special_->SlotOf("file")].set_ptr(chunk.fh);
-      args[prog_special_->SlotOf("offset")].scalar = chunk.offset;
-      args[prog_special_->SlotOf("count")].scalar = chunk.count;
-      args[prog_special_->SlotOf("totalcount")].scalar = chunk.count;
+      args[special_slots_.file].set_ptr(chunk.fh);
+      args[special_slots_.offset].scalar = chunk.offset;
+      args[special_slots_.count].scalar = chunk.count;
+      args[special_slots_.totalcount].scalar = chunk.count;
       FLEXRPC_RETURN_IF_ERROR(prog_special_->MarshalRequest(args, w));
       return 0u;
     }
@@ -263,21 +310,20 @@ Result<uint32_t> NfsClient::DecodeReply(StubKind kind,
       uint32_t status;
       std::memcpy(&status, readres, sizeof(status));
       uint32_t delivered = 0;
+      Status st = Status::Ok();
       if (status == 0) {
-        const Type* readres_t = idl_->types.FindNamed("readres")->Resolve();
-        const Type* okres_t = idl_->types.FindNamed("readokres");
-        const uint8_t* okres = readres + UnionPayloadOffset(readres_t);
         SeqRep data;
-        std::memcpy(&data, okres + NativeFieldOffset(okres_t, 1),
-                    sizeof(data));
+        std::memcpy(&data, readres + readres_data_offset_, sizeof(data));
         // ...and the NFS client must copy it out to user space: the extra
         // copy the [special] presentation eliminates.
-        FLEXRPC_RETURN_IF_ERROR(CopyToUser(user_space_.get(),
-                                           chunk.user_dest, data.buffer,
-                                           data.length));
+        st = data.length > chunk.count
+                 ? ChunkOverrun(chunk.count, data.length)
+                 : CopyToUser(user_space_.get(), chunk.user_dest,
+                              data.buffer, data.length);
         delivered = data.length;
       }
       prog_default_->ReleaseReply(karena, &args);
+      FLEXRPC_RETURN_IF_ERROR(st);
       if (status != 0) {
         return DataLossError(StrFormat("NFS error %u", status));
       }
@@ -295,16 +341,15 @@ Result<uint32_t> NfsClient::DecodeReply(StubKind kind,
         }
       };
       ArgVec args(prog_special_->slot_count());
-      int data_slot = prog_special_->SlotOf("data");
-      args[data_slot].set_ptr(chunk.user_dest);
-      args[data_slot].capacity = chunk.count;
+      args[special_slots_.data].set_ptr(chunk.user_dest);
+      args[special_slots_.data].capacity = chunk.count;
       // fattr lands in a kernel-resident struct, as in the original stub.
-      args[prog_special_->SlotOf("attributes")].set_ptr(attr_storage_);
+      args[special_slots_.attributes].set_ptr(attr_storage_);
       Status st =
           prog_special_->UnmarshalReply(r, karena, &args, &special);
-      uint32_t status = static_cast<uint32_t>(
-          args[prog_special_->SlotOf("status")].scalar);
-      uint32_t delivered = args[data_slot].length;
+      uint32_t status =
+          static_cast<uint32_t>(args[special_slots_.status].scalar);
+      uint32_t delivered = args[special_slots_.data].length;
       FLEXRPC_RETURN_IF_ERROR(st);
       if (status != 0) {
         return DataLossError(StrFormat("NFS error %u", status));
@@ -322,6 +367,9 @@ Result<uint32_t> NfsClient::DecodeReply(StubKind kind,
       }
       FLEXRPC_ASSIGN_OR_RETURN(uint32_t len, r->GetU32());
       FLEXRPC_ASSIGN_OR_RETURN(const uint8_t* bytes, r->GetBytes(len));
+      if (len > chunk.count) {
+        return ChunkOverrun(chunk.count, len);
+      }
       // Intermediate kernel buffer, then copyout: two copies.
       void* staging = karena->AllocateBlock(len > 0 ? len : 1);
       std::memcpy(staging, bytes, len);
@@ -342,6 +390,9 @@ Result<uint32_t> NfsClient::DecodeReply(StubKind kind,
       }
       FLEXRPC_ASSIGN_OR_RETURN(uint32_t len, r->GetU32());
       FLEXRPC_ASSIGN_OR_RETURN(const uint8_t* bytes, r->GetBytes(len));
+      if (len > chunk.count) {
+        return ChunkOverrun(chunk.count, len);
+      }
       // Straight from the network buffer to user space: one copy.
       FLEXRPC_RETURN_IF_ERROR(
           CopyToUser(user_space_.get(), chunk.user_dest, bytes, len));

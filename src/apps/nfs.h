@@ -48,19 +48,33 @@ class NfsFileServer {
  public:
   NfsFileServer(size_t file_size, uint64_t seed);
 
-  // Handles one Sun RPC datagram; appends the reply datagram to `reply`.
+  // Handles one Sun RPC datagram; appends the reply datagram to `reply`,
+  // sizing it first (Reserve), so an empty writer makes one allocation.
   Status Handle(ByteSpan request, XdrWriter* reply);
 
   size_t file_size() const { return content_.size(); }
   const uint8_t* content() const { return content_.data(); }
 
   // Adapts Handle to the call engine's datagram interface: strips the
-  // [xid][conn] prefix before Handle and echoes it in front of the reply.
+  // [xid][conn] prefix before decoding and echoes it in front of the
+  // reply, both written into one exact-size buffer that becomes `reply`.
   // The returned handler counts nothing itself — wrap it when a test needs
   // per-xid execution counts.
   static DatagramHandler MakeHandler(NfsFileServer* server);
 
  private:
+  // One decoded read call: what its reply carries.
+  struct ReadCall {
+    uint32_t xid = 0;
+    uint32_t status = 0;  // NFS_OK, or NFSERR_IO past EOF
+    uint32_t offset = 0;
+    uint32_t count = 0;   // data bytes the reply carries
+  };
+  Result<ReadCall> DecodeRead(ByteSpan request) const;
+  // The exact number of bytes EncodeReply appends.
+  static size_t ReplyBytes(const ReadCall& read);
+  void EncodeReply(const ReadCall& read, XdrWriter* w) const;
+
   std::vector<uint8_t> content_;
 };
 
@@ -120,7 +134,9 @@ class NfsClient {
   };
 
   // One NFSPROC_READ through the selected stub: appends the request body
-  // to `w`; decodes the reply body from `r`. Returns bytes delivered.
+  // to `w`; decodes the reply body from `r`. Returns bytes delivered. A
+  // reply carrying more data than `chunk.count` is kResourceExhausted, and
+  // nothing is copied to `chunk.user_dest`.
   Result<uint32_t> EncodeRequest(StubKind kind, const ChunkArgs& chunk,
                                  XdrWriter* w);
   Result<uint32_t> DecodeReply(StubKind kind, const ChunkArgs& chunk,
@@ -138,6 +154,14 @@ class NfsClient {
   PresentationSet special_pres_;
   std::unique_ptr<MarshalProgram> prog_default_;
   std::unique_ptr<MarshalProgram> prog_special_;
+  // Resolved once at construction rather than per call: the [special]
+  // presentation's parameter slots, and where the conventional stub's
+  // unmarshaled readres keeps its data sequence (a SeqRep).
+  struct SpecialSlots {
+    int file, offset, count, totalcount, data, attributes, status;
+  };
+  SpecialSlots special_slots_{};
+  size_t readres_data_offset_ = 0;
   void* attr_storage_ = nullptr;  // kernel-resident fattr, reused per call
   uint32_t next_xid_ = 1;
 };

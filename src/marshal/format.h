@@ -35,9 +35,10 @@ class WireWriter {
   // Appends `n` raw bytes (plus any format padding).
   virtual void PutBytes(const void* src, size_t n) = 0;
 
-  // Reserves a padded `n`-byte region and returns a pointer to fill in.
-  // The pointer is invalidated by the next Put/Reserve call. This is the
-  // hook [special] marshaling uses to copy via user routines without an
+  // Reserves a padded `n`-byte region and returns a pointer to fill in:
+  // the caller writes all `n` bytes, the format zeroes its padding. The
+  // pointer is invalidated by the next Put/Reserve call. This is the hook
+  // [special] marshaling uses to copy via user routines without an
   // intermediate buffer.
   virtual uint8_t* ReserveBytes(size_t n) = 0;
 

@@ -4,11 +4,6 @@
 
 namespace flexrpc {
 
-void NativeWriter::Append(const void* src, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(src);
-  buffer_.insert(buffer_.end(), p, p + n);
-}
-
 template <typename T>
 Result<T> NativeReader::Read() {
   if (remaining() < sizeof(T)) {

@@ -11,26 +11,20 @@ namespace flexrpc {
 
 class NativeWriter final : public WireWriter {
  public:
-  void PutU8(uint8_t v) override { buffer_.push_back(v); }
-  void PutU16(uint16_t v) override { Append(&v, sizeof(v)); }
-  void PutU32(uint32_t v) override { Append(&v, sizeof(v)); }
-  void PutU64(uint64_t v) override { Append(&v, sizeof(v)); }
-  void PutBytes(const void* src, size_t n) override { Append(src, n); }
-  uint8_t* ReserveBytes(size_t n) override {
-    size_t offset = buffer_.size();
-    buffer_.resize(offset + n);
-    return buffer_.data() + offset;
+  void PutU8(uint8_t v) override { out_.WriteU8(v); }
+  void PutU16(uint16_t v) override { out_.WriteHost(v); }
+  void PutU32(uint32_t v) override { out_.WriteHost(v); }
+  void PutU64(uint64_t v) override { out_.WriteHost(v); }
+  void PutBytes(const void* src, size_t n) override {
+    out_.WriteBytes(src, n);
   }
-  size_t size() const override { return buffer_.size(); }
-  ByteSpan span() const override {
-    return ByteSpan(buffer_.data(), buffer_.size());
-  }
-  void Clear() override { buffer_.clear(); }
+  uint8_t* ReserveBytes(size_t n) override { return out_.Append(n); }
+  size_t size() const override { return out_.size(); }
+  ByteSpan span() const override { return out_.span(); }
+  void Clear() override { out_.Clear(); }
 
  private:
-  void Append(const void* src, size_t n);
-
-  std::vector<uint8_t> buffer_;
+  ByteWriter out_;
 };
 
 class NativeReader final : public WireReader {

@@ -9,7 +9,7 @@ namespace flexrpc {
 
 Status CopyToUser(AddressSpace* user, void* user_ptr, const void* kernel_src,
                   size_t size) {
-  if (!user->Owns(user_ptr)) {
+  if (!user->Owns(user_ptr, size)) {
     return PermissionDeniedError(
         StrFormat("copyout target is not mapped in address space '%s'",
                   user->name().c_str()));
@@ -22,7 +22,7 @@ Status CopyToUser(AddressSpace* user, void* user_ptr, const void* kernel_src,
 
 Status CopyFromUser(AddressSpace* user, void* kernel_dst,
                     const void* user_ptr, size_t size) {
-  if (!user->Owns(user_ptr)) {
+  if (!user->Owns(user_ptr, size)) {
     return PermissionDeniedError(
         StrFormat("copyin source is not mapped in address space '%s'",
                   user->name().c_str()));

@@ -32,7 +32,9 @@ class AddressSpace {
 
   void* Allocate(size_t size) { return arena_.AllocateBlock(size); }
   void Free(void* ptr) { arena_.FreeBlock(ptr); }
-  bool Owns(const void* ptr) const { return arena_.Owns(ptr); }
+  bool Owns(const void* ptr, size_t size = 1) const {
+    return arena_.Owns(ptr, size);
+  }
 
  private:
   Arena arena_;
@@ -42,7 +44,8 @@ class AddressSpace {
 // The user/kernel boundary copy routines of a monolithic kernel — the
 // analogues of Linux's memcpy_tofs()/memcpy_fromfs() that the paper's §4.1
 // [special] presentation plugs into the generated NFS stubs. The validation
-// that `user_ptr` really lies in `user` models the access_ok() check.
+// that [user_ptr, user_ptr + size) lies in one mapping of `user` models the
+// access_ok() check; on failure nothing is copied.
 Status CopyToUser(AddressSpace* user, void* user_ptr, const void* kernel_src,
                   size_t size);
 Status CopyFromUser(AddressSpace* user, void* kernel_dst,

@@ -106,11 +106,12 @@ void Arena::FreeBlock(void* ptr) {
   free_lists_[header->size_class].push_back(ptr);
 }
 
-bool Arena::Owns(const void* ptr) const {
+bool Arena::Owns(const void* ptr, size_t size) const {
   const auto* p = static_cast<const uint8_t*>(ptr);
   for (const Chunk& chunk : chunks_) {
-    if (p >= chunk.data.get() && p < chunk.data.get() + chunk.size) {
-      return true;
+    const uint8_t* begin = chunk.data.get();
+    if (p >= begin && p < begin + chunk.size) {
+      return size <= static_cast<size_t>(begin + chunk.size - p);
     }
   }
   return false;

@@ -52,8 +52,9 @@ class Arena {
     return new (mem) T(std::forward<Args>(args)...);
   }
 
-  // Returns true if `ptr` points into memory owned by this arena.
-  bool Owns(const void* ptr) const;
+  // Returns true if [ptr, ptr + size) lies inside one chunk of this arena
+  // (for size 0, if `ptr` itself does).
+  bool Owns(const void* ptr, size_t size = 1) const;
 
   // Releases all bump allocations and block free lists.
   void Reset();

@@ -1,10 +1,10 @@
-// Allocation gate for the call engine's bookkeeping. This binary replaces
-// the global operator new with a counting one — which is why it is a
-// binary of its own, leaving the main suite's allocator untouched — and
-// pins how many heap allocations a warm EventQueue and a warm 1×4
-// ServerConnection make. The counts are exact: everything here runs on
-// the virtual clock with a fault-free wire, so one build always makes the
-// same allocations.
+// Allocation gate for the call engine's bookkeeping and the XDR path. This
+// binary replaces the global operator new with a counting one — which is
+// why it is a binary of its own, leaving the main suite's allocator
+// untouched — and pins how many heap allocations a warm EventQueue, a warm
+// 1×4 ServerConnection and each step of one NFS read make. The counts are
+// exact: everything here runs on the virtual clock with a fault-free wire,
+// so one build always makes the same allocations.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +14,11 @@
 #include <new>
 #include <vector>
 
+#include "src/apps/nfs.h"
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
 #include "src/net/link.h"
+#include "src/net/sunrpc.h"
 #include "src/rpc/dispatch.h"
 #include "src/support/event_queue.h"
 #include "src/support/timing.h"
@@ -141,6 +143,144 @@ TEST(AllocGateTest, WarmServerConnectionCallsMakeOnlyTheirNamedAllocations) {
   // stretch.) The event queue, the connection's in-flight table and the
   // parked reply buffers add nothing.
   EXPECT_EQ(count, 24u * 7 + 4);
+}
+
+// The perfbench nfs_read call, step by step.
+struct NfsReadAllocs {
+  uint64_t encode = 0;  // EncodeSunRpcCall + NfsClient::EncodeRequest
+  uint64_t serve = 0;   // NfsFileServer::Handle
+  uint64_t decode = 0;  // DecodeSunRpcReplySuccess + NfsClient::DecodeReply
+  bool ok = false;
+};
+
+NfsReadAllocs ReadOnce(NfsFileServer* server, NfsClient* client,
+                       NfsClient::StubKind kind, uint32_t count,
+                       uint8_t* user_dest) {
+  static const uint8_t fh[kNfsFhSize] = {};
+  const NfsClient::ChunkArgs chunk{fh, 0, count, user_dest};
+  NfsReadAllocs allocs;
+  bool ok = true;
+  XdrWriter request;
+  {
+    AllocCounter counter;
+    EncodeSunRpcCall(&request,
+                     SunRpcCall{7, kNfsProgram, kNfsVersion, kNfsProcRead});
+    ok = client->EncodeRequest(kind, chunk, &request).ok() && ok;
+    allocs.encode = counter.count();
+  }
+  XdrWriter reply;
+  {
+    AllocCounter counter;
+    ok = server->Handle(request.span(), &reply).ok() && ok;
+    allocs.serve = counter.count();
+  }
+  {
+    AllocCounter counter;
+    XdrReader r(reply.span());
+    ok = DecodeSunRpcReplySuccess(&r, 7).ok() && ok;
+    Result<uint32_t> delivered = client->DecodeReply(kind, chunk, &r);
+    ok = delivered.ok() && *delivered == count && ok;
+    allocs.decode = counter.count();
+  }
+  allocs.ok = ok;
+  return allocs;
+}
+
+constexpr NfsClient::StubKind kNfsStubKinds[] = {
+    NfsClient::StubKind::kGeneratedConventional,
+    NfsClient::StubKind::kGeneratedUserBuffer,
+    NfsClient::StubKind::kHandConventional,
+    NfsClient::StubKind::kHandUserBuffer,
+};
+
+class NfsAllocGateTest : public ::testing::Test {
+ protected:
+  NfsAllocGateTest()
+      : server_(64 * 1024, /*seed=*/3),
+        client_(&server_, LinkModel(), RemoteServerModel()),
+        user_dest_(static_cast<uint8_t*>(
+            client_.user_space()->Allocate(kNfsMaxData))) {}
+
+  // One read of `count` bytes through `kind`, counted warm: the first call
+  // grows the client's kernel arena and its free lists, so a warm-up read
+  // comes first.
+  NfsReadAllocs WarmRead(NfsClient::StubKind kind, uint32_t count) {
+    ReadOnce(&server_, &client_, kind, count, user_dest_);
+    return ReadOnce(&server_, &client_, kind, count, user_dest_);
+  }
+
+  NfsFileServer server_;
+  NfsClient client_;
+  uint8_t* user_dest_;
+};
+
+TEST_F(NfsAllocGateTest, EncodingARequestIsOneAllocationForEveryStub) {
+  for (NfsClient::StubKind kind : kNfsStubKinds) {
+    NfsReadAllocs allocs = WarmRead(kind, 512);
+    ASSERT_TRUE(allocs.ok);
+    // One: the request writer's first growth (ByteWriter::kFirstGrowth,
+    // 256 bytes) holds the 40-byte SunRPC call header and the 44 bytes of
+    // readargs. The generated stubs' ArgVec lives on the stack.
+    EXPECT_EQ(allocs.encode, 1u) << "stub kind " << static_cast<int>(kind);
+  }
+}
+
+TEST_F(NfsAllocGateTest, ServerReplyIsOneAllocationAt512BytesAnd8KB) {
+  for (uint32_t count : {512u, static_cast<uint32_t>(kNfsMaxData)}) {
+    NfsReadAllocs allocs =
+        WarmRead(NfsClient::StubKind::kHandUserBuffer, count);
+    ASSERT_TRUE(allocs.ok);
+    // One: Handle sizes the reply writer to the reply (88 bytes plus the
+    // padded data) before it writes a word.
+    EXPECT_EQ(allocs.serve, 1u) << count << "-byte read";
+  }
+}
+
+TEST_F(NfsAllocGateTest, DecodingAReplyMakesNoAllocationForAnyStub) {
+  for (NfsClient::StubKind kind : kNfsStubKinds) {
+    NfsReadAllocs allocs = WarmRead(kind, 512);
+    ASSERT_TRUE(allocs.ok);
+    // None: the reader walks the reply in place, the conventional stubs'
+    // kernel buffers come from the warm arena's free lists, and the
+    // [special] copy routine fits std::function's inline storage.
+    EXPECT_EQ(allocs.decode, 0u) << "stub kind " << static_cast<int>(kind);
+  }
+}
+
+TEST(AllocGateTest, NfsEngineHandlerWritesItsReplyInOneAllocation) {
+  NfsFileServer server(64 * 1024, /*seed=*/3);
+  DatagramHandler handler = NfsFileServer::MakeHandler(&server);
+  XdrWriter request;
+  request.PutU32(41);  // [xid]
+  request.PutU32(2);   // [conn]
+  const size_t prefix = request.size();
+  EncodeSunRpcCall(&request,
+                   SunRpcCall{41, kNfsProgram, kNfsVersion, kNfsProcRead});
+  const uint8_t fh[kNfsFhSize] = {};
+  request.PutBytes(fh, sizeof(fh));
+  request.PutU32(4096);  // offset
+  request.PutU32(700);   // count
+  request.PutU32(700);   // totalcount
+
+  std::vector<uint8_t> reply;
+  uint64_t count;
+  bool ok;
+  {
+    AllocCounter allocs;
+    ok = handler(request.span(), &reply).ok();
+    count = allocs.count();
+  }
+  ASSERT_TRUE(ok);
+  // One: the [xid][conn] prefix and the XDR reply are written into one
+  // writer sized to both, whose buffer becomes `reply`.
+  EXPECT_EQ(count, 1u);
+  // The same bytes as the prefix followed by Handle's reply.
+  XdrWriter direct;
+  ASSERT_TRUE(server.Handle(request.span().subspan(prefix), &direct).ok());
+  std::vector<uint8_t> expected(request.span().begin(),
+                                request.span().begin() + prefix);
+  expected.insert(expected.end(), direct.span().begin(), direct.span().end());
+  EXPECT_EQ(reply, expected);
 }
 
 }  // namespace

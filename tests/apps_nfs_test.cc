@@ -191,6 +191,38 @@ TEST_P(NfsClientTest, ReadsWholeFileCorrectly) {
   EXPECT_GT(stats->network_server_seconds, stats->client_seconds);
 }
 
+TEST_P(NfsClientTest, ReplyLongerThanItsChunkIsRejectedBeforeCopying) {
+  // A 64-byte reply decoded into a 16-byte chunk: every stub must refuse
+  // it as the [special] stub's caller-buffer check does, and touch neither
+  // the chunk nor the 48 bytes after it.
+  NfsFileServer server(4096, /*seed=*/13);
+  NfsClient client(&server, LinkModel(), RemoteServerModel());
+  XdrWriter request;
+  EncodeSunRpcCall(&request, SunRpcCall{21, kNfsProgram, kNfsVersion,
+                                        kNfsProcRead});
+  uint8_t fh[kNfsFhSize] = {};
+  request.PutBytes(fh, sizeof(fh));
+  request.PutU32(0);   // offset
+  request.PutU32(64);  // count
+  request.PutU32(64);  // totalcount
+  XdrWriter reply;
+  ASSERT_TRUE(server.Handle(request.span(), &reply).ok());
+
+  auto* user = static_cast<uint8_t*>(client.user_space()->Allocate(64));
+  std::memset(user, 0xEE, 64);
+  const size_t kernel_blocks = client.kernel_space()->arena().live_blocks();
+  NfsClient::ChunkArgs chunk{fh, 0, 16, user};
+  XdrReader r(reply.span());
+  ASSERT_TRUE(DecodeSunRpcReplySuccess(&r, 21).ok());
+  Result<uint32_t> delivered = client.DecodeReply(GetParam(), chunk, &r);
+  EXPECT_EQ(delivered.status().code(), StatusCode::kResourceExhausted);
+  for (size_t i = 0; i < 64; ++i) {
+    ASSERT_EQ(user[i], 0xEE) << "byte " << i << " was written";
+  }
+  // The conventional stubs' kernel-side buffers are released on this path.
+  EXPECT_EQ(client.kernel_space()->arena().live_blocks(), kernel_blocks);
+}
+
 TEST(NfsClientWireTest, AllStubsProduceIdenticalRequests) {
   // The presentation must not change the network contract: all four stub
   // variants emit byte-identical request bodies.

@@ -32,6 +32,19 @@ TEST(XdrFormatTest, OpaquePadding) {
   EXPECT_EQ(w.span()[5], 0);
   EXPECT_EQ(w.span()[6], 0);
   EXPECT_EQ(w.span()[7], 0);
+  // A cleared writer reuses its buffer, whose old bytes must not show
+  // through the padding of a run or of a reserved region.
+  const uint8_t ones[16] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                            0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  w.Clear();
+  w.PutBytes(ones, sizeof(ones));
+  w.Clear();
+  w.PutBytes("abcde", 5);
+  std::memcpy(w.ReserveBytes(2), "fg", 2);
+  const uint8_t expected[] = {'a', 'b', 'c', 'd', 'e', 0, 0, 0,
+                              'f', 'g', 0, 0};
+  ASSERT_EQ(w.size(), sizeof(expected));
+  EXPECT_EQ(std::memcmp(w.span().data(), expected, sizeof(expected)), 0);
 }
 
 TEST(XdrFormatTest, GoldenU32) {

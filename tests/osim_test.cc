@@ -41,6 +41,35 @@ TEST(AddressSpaceTest, CopyToUserValidatesTarget) {
             StatusCode::kPermissionDenied);
 }
 
+TEST(AddressSpaceTest, CopyToUserRejectsARangeRunningPastTheMapping) {
+  AddressSpace user("user");
+  AddressSpace kernel("kernel");
+  auto* ubuf = static_cast<uint8_t*>(user.Allocate(16));
+  auto* kbuf = static_cast<uint8_t*>(kernel.Allocate(16));
+  std::memset(kbuf, 0xAA, 16);
+  // The space has one chunk; find where it ends.
+  size_t to_end = 16;
+  while (user.Owns(ubuf + to_end)) {
+    ++to_end;
+  }
+  uint8_t* tail = ubuf + to_end - 8;  // its last 8 bytes
+  std::memset(tail, 0x11, 8);
+
+  // The first byte is mapped, the last 8 of the 16 are not: access_ok()
+  // fails and nothing is copied.
+  EXPECT_EQ(CopyToUser(&user, tail, kbuf, 16).code(),
+            StatusCode::kPermissionDenied);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(tail[i], 0x11) << "byte " << i;
+  }
+  EXPECT_EQ(CopyFromUser(&user, kbuf, tail, 16).code(),
+            StatusCode::kPermissionDenied);
+  EXPECT_EQ(kbuf[0], 0xAA);
+  // Exactly to the end of the chunk is in bounds.
+  EXPECT_TRUE(CopyToUser(&user, tail, kbuf, 8).ok());
+  EXPECT_EQ(tail[7], 0xAA);
+}
+
 TEST(AddressSpaceTest, CopyFromUserMovesData) {
   AddressSpace user("user");
   AddressSpace kernel("kernel");

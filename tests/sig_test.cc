@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
 #include "src/pdl/apply.h"
@@ -83,7 +85,7 @@ TEST(SignatureTest, EncodeDecodeRoundTrip) {
   // Deterministic: re-encoding the decoded form gives identical bytes.
   ByteWriter w2;
   EncodeSignature(*decoded, &w2);
-  EXPECT_EQ(w.buffer(), w2.buffer());
+  EXPECT_TRUE(std::ranges::equal(w.span(), w2.span()));
 }
 
 TEST(SignatureTest, DecodeRejectsGarbage) {

@@ -491,6 +491,30 @@ TEST(ByteStreamTest, TakeBufferReleasesWithoutCopying) {
   EXPECT_EQ(taken.size(), 11u);
 }
 
+TEST(ByteStreamTest, WordsAndRunsMatchAByteAtATimeReference) {
+  // Words and runs of every length up to 600 bytes, across the first
+  // growth, the room steps and the runs that skip the room.
+  ByteWriter w;
+  std::vector<uint8_t> expected;
+  std::vector<uint8_t> run(600);
+  for (size_t i = 0; i < run.size(); ++i) {
+    run[i] = static_cast<uint8_t>(i * 7);
+  }
+  for (uint32_t len = 0; len <= run.size(); len += 37) {
+    w.WriteU32Be(len);
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      expected.push_back(static_cast<uint8_t>(len >> shift));
+    }
+    w.WriteBytes(run.data(), len);
+    expected.insert(expected.end(), run.begin(), run.begin() + len);
+    w.WriteU8(0xA5);
+    expected.push_back(0xA5);
+  }
+  EXPECT_EQ(w.size(), expected.size());
+  EXPECT_EQ(w.TakeBuffer(), expected);
+  EXPECT_EQ(w.size(), 0u);  // TakeBuffer leaves the writer empty
+}
+
 TEST(ByteStreamTest, SizedWriterNeverReallocates) {
   ByteWriter w(12);
   const uint8_t* reserved = w.span().data();
