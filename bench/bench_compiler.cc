@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   PrintHeader("Stub-compiler pipeline: cost per stage (fixed iterations)");
 
   // Fixed-iteration re-measurement of each stage so the stage mix (and
-  // the marshal work-counter breakdown) lands in the JSON artifact.
+  // its trace counters) lands in the JSON artifact.
   auto time_stage = [&](const char* name, int full_iters, int smoke_iters,
                         const std::function<void()>& body) {
     int iters = harness.calls(full_iters, smoke_iters);
@@ -207,13 +207,14 @@ int main(int argc, char** argv) {
   });
 
   // flexspec stages: compiling a superinstruction plan, proving it
-  // equivalent, and the interpreter-vs-fused A/B on the same program.
+  // equivalent, and the reference-executor-vs-fused A/B on the same
+  // program.
   const flexrpc::OperationDecl& read_op = idl->interfaces[0].ops[0];
   const flexrpc::OpPresentation& read_pres =
       *pres.Find("NFS_VERSION")->FindOp("NFSPROC_READ");
   time_stage("compile_spec_plan", 2000, 20, [&] {
     auto plan = flexrpc::CompileSpecPlan(read_op, read_pres);
-    benchmark::DoNotOptimize(plan.AnyStream());
+    benchmark::DoNotOptimize(plan.EmitsAny());
   });
   time_stage("verify_spec_plan", 500, 5, [&] {
     auto plan = flexrpc::CompileSpecPlan(read_op, read_pres);
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
     benchmark::DoNotOptimize(divergences);
   });
   flexrpc::SetMarshalSpecializationEnabled(false);
-  time_stage("marshal_nfs_read_interp", 1000000, 100, [&] {
+  time_stage("marshal_nfs_read_reference", 1000000, 100, [&] {
     flexrpc::XdrWriter w;
     (void)prog.MarshalRequest(args, &w);
     benchmark::DoNotOptimize(w.size());

@@ -21,6 +21,8 @@ const char* DestName(WireEffect::Dest dest) {
       return "buffer";
     case WireEffect::Dest::kString:
       return "string";
+    case WireEffect::Dest::kValue:
+      return "value";
   }
   return "?";
 }
@@ -37,14 +39,14 @@ const char* LenSourceName(SpecLenSource src) {
   return "?";
 }
 
-// Symbolic executor for the interpreted plan: one pass over the item
-// stream the engine would walk, lowering each MarshalTop/UnmarshalTop
-// case to canonical effects. Engine constructs the superinstruction set
-// cannot express lower to kOpaque.
+// Symbolic lowering of the plan: one pass over the item stream, lowering
+// each wire item the way the engine's semantics define it, on its own
+// terms rather than through CompileSpecPlan. A value MarshalValue/
+// UnmarshalValue moves whole lowers to one kOpaque effect.
 class PlanLowering {
  public:
-  PlanLowering(const OpPresentation& pres, bool marshal, bool is_reply)
-      : pres_(pres), marshal_(marshal), is_reply_(is_reply) {}
+  PlanLowering(const OpPresentation& pres, bool marshal)
+      : pres_(pres), marshal_(marshal) {}
 
   std::vector<WireEffect> Lower(const std::vector<PlanItemView>& items) {
     for (const PlanItemView& item : items) {
@@ -89,15 +91,38 @@ class PlanLowering {
     }
   }
 
+  // The marshaled length of a string or sequence: `implicit` unless
+  // [length_is] names a slot.
+  void MarshalLength(const ParamPresentation* pres, SpecLenSource implicit,
+                     WireEffect* e) const {
+    e->len_src = implicit;
+    if (pres != nullptr && pres->explicit_length) {
+      int ls = pres_.SlotOf(pres->length_param);
+      if (ls >= 0) {
+        e->len_src = SpecLenSource::kLenSlot;
+        e->len_slot = ls;
+      }
+    }
+  }
+
+  // A value moved whole by MarshalValue/UnmarshalValue: into caller
+  // storage or a zeroed arena block on unmarshal; a top-level sequence
+  // keeps its marshaled length source.
+  void Value(const ParamPresentation* pres, const Type* t, int slot) {
+    WireEffect e;
+    e.kind = WireEffect::Kind::kOpaque;
+    e.slot = slot;
+    e.type = t;
+    if (!marshal_) {
+      e.dest = WireEffect::Dest::kValue;
+    } else if (t->kind() == TypeKind::kSequence) {
+      MarshalLength(pres, SpecLenSource::kSlotLength, &e);
+    }
+    effects_.push_back(e);
+  }
+
   void LowerTop(const ParamPresentation* pres, const Type* type, int slot) {
     const Type* t = type->Resolve();
-    if (marshal_ && is_reply_ && pres != nullptr &&
-        pres->dealloc == DeallocPolicy::kAlways) {
-      // DeallocAfterMarshal frees this slot inside the interpreter's
-      // reply loop — a state effect no SpecProgram performs.
-      Opaque(slot);
-      return;
-    }
     bool special = pres != nullptr && pres->special;
     switch (t->kind()) {
       case TypeKind::kVoid:
@@ -108,14 +133,7 @@ class PlanLowering {
         len.slot = slot;
         len.bound = t->bound();
         if (marshal_) {
-          len.len_src = SpecLenSource::kStrLen;
-          if (pres != nullptr && pres->explicit_length) {
-            int ls = pres_.SlotOf(pres->length_param);
-            if (ls >= 0) {
-              len.len_src = SpecLenSource::kLenSlot;
-              len.len_slot = ls;
-            }
-          }
+          MarshalLength(pres, SpecLenSource::kStrLen, &len);
         }
         effects_.push_back(len);
         WireEffect bytes;
@@ -131,7 +149,7 @@ class PlanLowering {
       }
       case TypeKind::kSequence: {
         if (!IsByteElem(t->element())) {
-          Opaque(slot);  // per-element MarshalValue recursion
+          Value(pres, t, slot);  // per-element MarshalValue recursion
           return;
         }
         WireEffect len;
@@ -139,14 +157,7 @@ class PlanLowering {
         len.slot = slot;
         len.bound = t->bound();
         if (marshal_) {
-          len.len_src = SpecLenSource::kSlotLength;
-          if (pres != nullptr && pres->explicit_length) {
-            int ls = pres_.SlotOf(pres->length_param);
-            if (ls >= 0) {
-              len.len_src = SpecLenSource::kLenSlot;
-              len.len_slot = ls;
-            }
-          }
+          MarshalLength(pres, SpecLenSource::kSlotLength, &len);
         }
         effects_.push_back(len);
         WireEffect bytes;
@@ -160,18 +171,9 @@ class PlanLowering {
         effects_.push_back(bytes);
         return;
       }
-      case TypeKind::kArray: {
-        if (!marshal_) {
-          WireEffect ensure;
-          ensure.kind = WireEffect::Kind::kEnsure;
-          ensure.slot = slot;
-          ensure.count = static_cast<uint32_t>(t->NativeSize());
-          effects_.push_back(ensure);
-        }
-        LowerFixedValue(t, slot, 0, special);
-        return;
-      }
+      case TypeKind::kArray:
       case TypeKind::kStruct: {
+        const size_t mark = effects_.size();
         if (!marshal_) {
           WireEffect ensure;
           ensure.kind = WireEffect::Kind::kEnsure;
@@ -179,22 +181,23 @@ class PlanLowering {
           ensure.count = static_cast<uint32_t>(t->NativeSize());
           effects_.push_back(ensure);
         }
-        // MarshalValue/UnmarshalValue recursion ignores [special].
-        LowerFixedValue(t, slot, 0, /*special=*/false);
+        // MarshalValue/UnmarshalValue recursion ignores [special]; only a
+        // top-level byte array's run takes it.
+        leaf_mark_ = effects_.size();
+        if (!LowerFixedValue(t, slot, 0,
+                             t->kind() == TypeKind::kArray && special)) {
+          effects_.resize(mark);
+          Value(pres, t, slot);
+        }
         return;
       }
       case TypeKind::kUnion:
-        Opaque(slot);  // runtime arm selection
+        Value(pres, t, slot);  // runtime arm selection
         return;
       default: {
-        unsigned width = WireScalarWidth(t->kind());
-        if (width == 0) {
-          Opaque(slot);
-          return;
-        }
         WireEffect e;
         e.kind = WireEffect::Kind::kScalar;
-        e.width = static_cast<uint8_t>(width);
+        e.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
         e.slot = slot;
         e.dest = marshal_ ? WireEffect::Dest::kNone
                           : WireEffect::Dest::kSlotScalar;
@@ -206,74 +209,74 @@ class PlanLowering {
 
   // Mirror of MarshalValue/UnmarshalValue over fixed-wire-size values:
   // recursion to scalar loads/stores and raw byte runs at constant
-  // offsets.
-  void LowerFixedValue(const Type* type, int slot, uint32_t offset,
+  // offsets. False on a member that is not fixed-size, or once the value
+  // has more leaves than the emission budget lets a value unroll to.
+  bool LowerFixedValue(const Type* type, int slot, uint32_t offset,
                        bool special) {
     const Type* t = type->Resolve();
+    WireEffect e;
+    e.slot = slot;
+    e.offset = offset;
     switch (t->kind()) {
       case TypeKind::kArray: {
         const Type* elem = t->element();
         if (IsByteElem(elem)) {
-          WireEffect e;
           e.kind = WireEffect::Kind::kBytes;
-          e.slot = slot;
-          e.offset = offset;
           e.count = t->bound();
           e.fixed = true;
           e.special = special;
           if (!marshal_) {
             e.dest = WireEffect::Dest::kSlotMem;
           }
-          effects_.push_back(e);
-          return;
+          return Leaf(e);
         }
         size_t stride = elem->NativeSize();
         for (uint32_t i = 0; i < t->bound(); ++i) {
-          LowerFixedValue(elem, slot,
-                          offset + i * static_cast<uint32_t>(stride),
-                          /*special=*/false);
+          if (!LowerFixedValue(elem, slot,
+                               offset + i * static_cast<uint32_t>(stride),
+                               /*special=*/false)) {
+            return false;
+          }
         }
-        return;
+        return true;
       }
-      case TypeKind::kStruct: {
+      case TypeKind::kStruct:
         for (size_t i = 0; i < t->fields().size(); ++i) {
-          LowerFixedValue(
-              t->fields()[i].type, slot,
-              offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
-              /*special=*/false);
+          if (!LowerFixedValue(
+                  t->fields()[i].type, slot,
+                  offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
+                  /*special=*/false)) {
+            return false;
+          }
         }
-        return;
-      }
+        return true;
       case TypeKind::kString:
       case TypeKind::kSequence:
       case TypeKind::kUnion:
       case TypeKind::kVoid:
-        Opaque(slot);  // arena-allocating members: not fixed-size
-        return;
-      default: {
-        unsigned width = WireScalarWidth(t->kind());
-        if (width == 0) {
-          Opaque(slot);
-          return;
-        }
-        WireEffect e;
+        return false;  // arena-allocating members: not fixed-size
+      default:
         e.kind = WireEffect::Kind::kScalar;
-        e.width = static_cast<uint8_t>(width);
-        e.slot = slot;
-        e.offset = offset;
+        e.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
         e.from_memory = true;
         e.dest = marshal_ ? WireEffect::Dest::kNone
                           : WireEffect::Dest::kSlotMem;
-        effects_.push_back(e);
-        return;
-      }
+        return Leaf(e);
     }
+  }
+
+  bool Leaf(const WireEffect& e) {
+    if (effects_.size() - leaf_mark_ >= kMaxSpecOps) {
+      return false;
+    }
+    effects_.push_back(e);
+    return true;
   }
 
   const OpPresentation& pres_;
   bool marshal_;
-  bool is_reply_;
   std::vector<WireEffect> effects_;
+  size_t leaf_mark_ = 0;  // first leaf effect of the value being lowered
 };
 
 }  // namespace
@@ -302,7 +305,9 @@ std::string WireEffect::ToString() const {
     case Kind::kEnsure:
       return StrFormat("ensure(slot%d %u bytes)", slot, count);
     case Kind::kOpaque:
-      return StrFormat("opaque(slot%d)", slot);
+      return StrFormat("opaque(slot%d %s src=%s len_slot%d dest=%s)", slot,
+                       type != nullptr ? type->ToString().c_str() : "?",
+                       LenSourceName(len_src), len_slot, DestName(dest));
   }
   return "?";
 }
@@ -315,7 +320,7 @@ std::vector<WireEffect> PlanStreamEffects(const OperationDecl& op,
                  stream == SpecStream::kMarshalReply;
   bool is_reply = stream == SpecStream::kMarshalReply ||
                   stream == SpecStream::kUnmarshalReply;
-  PlanLowering lowering(pres, marshal, is_reply);
+  PlanLowering lowering(pres, marshal);
   return lowering.Lower(is_reply ? view.reply : view.request);
 }
 
@@ -444,6 +449,19 @@ std::vector<WireEffect> SpecStreamEffects(const SpecProgram& prog) {
         effects.push_back(e);
         break;
       }
+      case SpecOpKind::kPutValue:
+      case SpecOpKind::kGetValue: {
+        WireEffect e;
+        e.kind = WireEffect::Kind::kOpaque;
+        e.slot = op.slot;
+        e.type = op.type;
+        e.len_src = op.len_src;
+        e.len_slot = op.len_slot;
+        e.dest = op.kind == SpecOpKind::kGetValue ? WireEffect::Dest::kValue
+                                                  : WireEffect::Dest::kNone;
+        effects.push_back(e);
+        break;
+      }
     }
   }
   return effects;
@@ -466,7 +484,8 @@ std::string_view DivergenceCode(const WireEffect& plan,
     return "FLEX202";
   }
   if (plan.slot != spec.slot || plan.offset != spec.offset ||
-      plan.width != spec.width || plan.from_memory != spec.from_memory) {
+      plan.width != spec.width || plan.from_memory != spec.from_memory ||
+      plan.type != spec.type) {
     return "FLEX203";
   }
   if (plan.len_src != spec.len_src || plan.len_slot != spec.len_slot ||
@@ -491,9 +510,6 @@ int VerifySpecPlan(const OperationDecl& op, const OpPresentation& pres,
                    DiagnosticSink* diags) {
   int reported = 0;
   for (size_t s = 0; s < kSpecStreamCount; ++s) {
-    if (!spec_plan.has_stream[s]) {
-      continue;
-    }
     SpecStream stream = static_cast<SpecStream>(s);
     std::vector<WireEffect> plan_fx = PlanStreamEffects(op, pres, stream);
     std::vector<WireEffect> spec_fx =
@@ -503,8 +519,8 @@ int VerifySpecPlan(const OperationDecl& op, const OpPresentation& pres,
                                       .c_str());
     if (plan_fx.size() != spec_fx.size()) {
       ReportFlex("FLEX201", file,
-                 StrFormat("%s: interpreted plan performs %zu wire "
-                           "effects, specialization performs %zu",
+                 StrFormat("%s: plan performs %zu wire effects, "
+                           "compiled stream performs %zu",
                            where.c_str(), plan_fx.size(), spec_fx.size()),
                  diags);
       ++reported;
@@ -516,7 +532,7 @@ int VerifySpecPlan(const OperationDecl& op, const OpPresentation& pres,
       }
       ReportFlex(DivergenceCode(plan_fx[i], spec_fx[i]), file,
                  StrFormat("%s: effect %zu diverges: plan %s vs "
-                           "specialization %s",
+                           "compiled stream %s",
                            where.c_str(), i,
                            plan_fx[i].ToString().c_str(),
                            spec_fx[i].ToString().c_str()),
@@ -532,7 +548,7 @@ int ReportUnspecializedStreams(const SpecPlan& spec_plan,
                                DiagnosticSink* diags) {
   int reported = 0;
   for (size_t s = 0; s < kSpecStreamCount; ++s) {
-    if (spec_plan.has_stream[s] || spec_plan.rejection[s].empty()) {
+    if (spec_plan.Emits(s)) {
       continue;
     }
     ReportFlex("FLEX205", file,

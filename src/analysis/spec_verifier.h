@@ -1,13 +1,13 @@
 // flexcheck stage 3: the flexspec wire-equivalence prover.
 //
-// A flexspec superinstruction stream (src/marshal/spec.h) claims to be
-// byte-for-byte what the interpreted MarshalProgram would put on (or take
-// off) the wire. This pass *proves* the claim before any specialization is
-// emitted: two independent abstract interpreters execute over a symbolic
-// wire buffer —
+// A compiled marshal stream (src/marshal/spec.h) claims to be byte-for-byte
+// what the operation's plan puts on (or takes off) the wire under its
+// presentation. This pass *proves* the claim for every stream before any
+// specialization is emitted: two independent lowerings run over a
+// symbolic wire buffer —
 //
-//   * the plan side walks the MarshalPlanView + type graph exactly as the
-//     engine's MarshalTop/UnmarshalTop recursion would, and
+//   * the plan side walks the MarshalPlanView + type graph the way the
+//     engine's semantics define each wire item, and
 //   * the spec side mechanically expands the SpecProgram opcodes —
 //
 // each producing a canonical sequence of WireEffects: "write a 4-byte
@@ -17,10 +17,9 @@
 // policy, so equal effect sequences imply equal wire bytes and equal
 // ArgVec/arena behavior for every input. Any divergence is a hard coded
 // diagnostic (FLEX201–FLEX207) that blocks emission; `idlc --check`
-// reports it. Constructs outside the specializable subset surface as a
-// kOpaque effect on the plan side — a SpecProgram can never match one, so
-// a compiler bug that emits code for an unsupported plan is caught by the
-// same comparison.
+// reports it. A value that MarshalValue/UnmarshalValue move whole (a
+// value op) is one kOpaque effect on both sides, matched on its slot,
+// type, length source and direction.
 
 #ifndef FLEXRPC_SRC_ANALYSIS_SPEC_VERIFIER_H_
 #define FLEXRPC_SRC_ANALYSIS_SPEC_VERIFIER_H_
@@ -36,7 +35,7 @@
 namespace flexrpc {
 
 // One symbolic effect on the wire or on call state. The canonical forms
-// both abstract interpreters lower to; field meanings depend on `kind`.
+// both lowerings produce; field meanings depend on `kind`.
 struct WireEffect {
   enum class Kind : uint8_t {
     kScalar,     // one wire scalar moved between the wire and a slot
@@ -45,7 +44,8 @@ struct WireEffect {
                  //   length prefix), with its copy/destination policy
     kDisc,       // union discriminant; stream ends unless it == `label`
     kEnsure,     // unmarshal storage guarantee: slot gets `count` bytes
-    kOpaque,     // plan construct outside the specializable subset
+    kOpaque,     // one whole `type` value through MarshalValue/
+                 //   UnmarshalValue; the prover does not look inside
   };
   // Unmarshal destination policy for kScalar/kBytes (kNone on marshal).
   enum class Dest : uint8_t {
@@ -54,6 +54,7 @@ struct WireEffect {
     kSlotMem,     // slot memory at `offset`
     kBuffer,      // sequence buffer: borrow/caller/arena policy
     kString,      // string buffer: caller/arena policy + NUL terminator
+    kValue,       // caller storage or a zeroed arena block (kOpaque)
   };
 
   Kind kind = Kind::kOpaque;
@@ -71,6 +72,7 @@ struct WireEffect {
   bool nul_terminated = false;  // kBytes into kString storage
   bool may_borrow = false;      // kBytes may alias the message buffer
   uint32_t label = 0;           // kDisc success label
+  const Type* type = nullptr;   // kOpaque: the resolved value type
 
   bool operator==(const WireEffect&) const = default;
 
@@ -78,10 +80,10 @@ struct WireEffect {
   std::string ToString() const;
 };
 
-// The interpreted plan's effects for one stream, derived by symbolically
-// executing the item walk over BuildMarshalPlan(op, pres), the plan the
-// interpreter runs — independent of CompileSpecPlan's lowering of that
-// plan, which is the point: the two lowerings meet only at the comparison.
+// The plan's effects for one stream, derived by symbolically lowering the
+// items of BuildMarshalPlan(op, pres), the plan MarshalProgram compiles —
+// independent of CompileSpecPlan's lowering of that plan, which is the
+// point: the two lowerings meet only at the comparison.
 std::vector<WireEffect> PlanStreamEffects(const OperationDecl& op,
                                           const OpPresentation& pres,
                                           SpecStream stream);
@@ -89,17 +91,18 @@ std::vector<WireEffect> PlanStreamEffects(const OperationDecl& op,
 // A SpecProgram's effects, by mechanical opcode expansion.
 std::vector<WireEffect> SpecStreamEffects(const SpecProgram& prog);
 
-// Proves every stream `spec_plan` claims against the interpreted plan.
-// Divergences are reported as FLEX201–FLEX207 errors attributed to
-// `file`; returns the number of diagnostics emitted (0 = proven
-// equivalent; emission may proceed).
+// Proves every stream of `spec_plan` against the plan. Divergences are
+// reported as FLEX201–FLEX207 errors attributed to `file`; returns the
+// number of diagnostics emitted (0 = proven equivalent; emission may
+// proceed).
 int VerifySpecPlan(const OperationDecl& op, const OpPresentation& pres,
                    const SpecPlan& spec_plan, const std::string& file,
                    DiagnosticSink* diags);
 
 // Reports a FLEX205 warning (with the compiler's reason) for each stream
-// of `spec_plan` that stayed on the interpreter. Informational: used by
-// `idlc --specialize` logs and tests, never blocks anything.
+// of `spec_plan` that `idlc --specialize` does not emit, and that runs on
+// the reference executor. Informational: used by --specialize logs and
+// tests, never blocks anything.
 int ReportUnspecializedStreams(const SpecPlan& spec_plan,
                                const std::string& file,
                                DiagnosticSink* diags);

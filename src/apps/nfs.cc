@@ -303,25 +303,27 @@ Result<uint32_t> NfsClient::DecodeReply(StubKind kind,
     case StubKind::kGeneratedConventional: {
       // The stub unmarshals the readres union into kernel memory...
       ArgVec args(prog_default_->slot_count());
-      FLEXRPC_RETURN_IF_ERROR(
-          prog_default_->UnmarshalReply(r, karena, &args));
-      auto* readres = static_cast<uint8_t*>(
-          args[prog_default_->result_slot()].ptr());
-      uint32_t status;
-      std::memcpy(&status, readres, sizeof(status));
+      Status st = prog_default_->UnmarshalReply(r, karena, &args);
+      uint32_t status = 0;
       uint32_t delivered = 0;
-      Status st = Status::Ok();
-      if (status == 0) {
-        SeqRep data;
-        std::memcpy(&data, readres + readres_data_offset_, sizeof(data));
-        // ...and the NFS client must copy it out to user space: the extra
-        // copy the [special] presentation eliminates.
-        st = data.length > chunk.count
-                 ? ChunkOverrun(chunk.count, data.length)
-                 : CopyToUser(user_space_.get(), chunk.user_dest,
-                              data.buffer, data.length);
-        delivered = data.length;
+      if (st.ok()) {
+        auto* readres = static_cast<uint8_t*>(
+            args[prog_default_->result_slot()].ptr());
+        std::memcpy(&status, readres, sizeof(status));
+        if (status == 0) {
+          SeqRep data;
+          std::memcpy(&data, readres + readres_data_offset_, sizeof(data));
+          // ...and the NFS client must copy it out to user space: the
+          // extra copy the [special] presentation eliminates.
+          st = data.length > chunk.count
+                   ? ChunkOverrun(chunk.count, data.length)
+                   : CopyToUser(user_space_.get(), chunk.user_dest,
+                                data.buffer, data.length);
+          delivered = data.length;
+        }
       }
+      // A malformed reply leaves what it read behind, the readres block
+      // at least: release on every path.
       prog_default_->ReleaseReply(karena, &args);
       FLEXRPC_RETURN_IF_ERROR(st);
       if (status != 0) {

@@ -4,7 +4,7 @@
 // For each interface the generator emits:
 //   * C++ declarations for the IDL's named types (structs, enums, unions)
 //     whose memory layout matches the runtime engine's native layout —
-//     generated code and interpreted marshal programs interoperate on the
+//     generated code and compiled marshal programs interoperate on the
 //     same bytes (checked by static_asserts in the generated header);
 //   * a client proxy class whose method signatures are shaped by the
 //     *client* presentation (explicit lengths, caller buffers, flattened

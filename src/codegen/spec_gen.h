@@ -12,12 +12,12 @@
 // step to the op's straight-line code.
 //
 // Proof obligation: emission is gated on the flexcheck stage-3 verifier
-// (src/analysis/spec_verifier.h). Every claimed stream of every plan is
-// proven wire-equivalent to the interpreted MarshalProgram before any code
-// is generated; a single FLEX2xx divergence blocks the whole unit. Streams
-// the spec compiler could not express surface as FLEX205 warnings and the
-// engine keeps interpreting them — never a correctness risk, only a missed
-// speedup.
+// (src/analysis/spec_verifier.h). Every stream of every plan is proven
+// wire-equivalent to its marshal plan before any code is generated; a
+// single FLEX2xx divergence blocks the whole unit. A stream that holds a
+// value op or runs past the op budget is not emitted: it surfaces as a
+// FLEX205 warning and the engine runs it on the reference executor —
+// never a correctness risk, only a missed speedup.
 
 #ifndef FLEXRPC_SRC_CODEGEN_SPEC_GEN_H_
 #define FLEXRPC_SRC_CODEGEN_SPEC_GEN_H_
@@ -51,7 +51,7 @@ struct SpecGenOptions {
 struct SpecGenStats {
   size_t plans_emitted = 0;
   size_t streams_emitted = 0;
-  size_t plans_skipped_empty = 0;   // no specializable stream at all
+  size_t plans_skipped_empty = 0;   // no stream to emit at all
   std::vector<std::string> notes;   // human-readable per-plan log lines
 };
 

@@ -15,6 +15,13 @@
 //     allocated from the receiving arena,
 //   * whether the producing stub frees buffers after marshaling
 //     ([dealloc(always)] move semantics vs [dealloc(never)]).
+//
+// Build lowers the pair to a plan (its wire items in order, with their
+// slots), then compiles each of the plan's four streams into a SpecProgram:
+// a sequence of SpecOps over a closed opcode set whose operands are all
+// constants. Each opcode has one definition, its step in spec_ops.h; the
+// reference executor (spec.h) runs a program one step per op, and
+// `idlc --specialize` emits the same steps unrolled as generated code.
 
 #ifndef FLEXRPC_SRC_MARSHAL_ENGINE_H_
 #define FLEXRPC_SRC_MARSHAL_ENGINE_H_
@@ -92,11 +99,76 @@ struct SpecialOps {
   std::function<void(void* dst, const uint8_t* src, size_t n)> copy_in;
 };
 
-// A compiled marshal plan: the request and reply wire-item streams in wire
-// order, with the slot each item reads or writes. MarshalProgram runs this
-// plan as-is, and the same structure is the surface the flexcheck plan
-// verifier (src/analysis/) audits like a bytecode verifier; tests hand-build
-// or corrupt a plan to prove each violation is caught.
+// The closed opcode set every marshal stream compiles to. Every operand is
+// fixed at compile time; the only per-call inputs are the ArgVec, the wire,
+// and the runtime [special]/borrow flags the engine entry points take.
+enum class SpecOpKind : uint8_t {
+  kPutScalarSlot,   // wire scalar from args[slot].scalar
+  kPutScalarMem,    // wire scalar loaded from args[slot].ptr() + offset
+  kPutBytesFixed,   // `count` raw bytes from args[slot].ptr() + offset
+  kPutSeqBytes,     // u32 length prefix + that many bytes from args[slot]
+  kPutString,       // u32 length prefix + string bytes from args[slot]
+  kPutUnionDisc,    // u32 from args[slot].scalar; end-of-stream unless
+                    //   it equals `label` (void alternate arms)
+  kPutValue,        // the `type` value at args[slot].ptr() through
+                    //   MarshalValue; a sequence travels unpacked, its
+                    //   length from `len_src`
+  kGetScalarSlot,   // wire scalar into args[slot].scalar
+  kGetScalarMem,    // wire scalar stored at args[slot].ptr() + offset
+  kGetBytesFixed,   // `count` raw bytes to args[slot].ptr() + offset
+  kGetSeqBytes,     // u32 length + bytes into the slot (borrow, caller
+                    //   buffer or arena block)
+  kGetString,       // u32 length + bytes + NUL into the slot
+  kGetUnionDisc,    // u32 into args[slot].scalar; end-of-stream unless
+                    //   it equals `label`
+  kGetValue,        // a `type` value through UnmarshalValue into caller
+                    //   storage or a zeroed arena block; a sequence sets
+                    //   args[slot].length before any element is read
+  kEnsureStorage,   // if args[slot].ptr() == null, point it at
+                    //   arena->AllocateBlock(count)
+};
+
+// Where a marshal-side variable length comes from.
+enum class SpecLenSource : uint8_t {
+  kSlotLength,  // args[slot].length
+  kLenSlot,     // args[len_slot].scalar ([length_is] presentation)
+  kStrLen,      // strlen(args[slot].ptr())
+};
+
+struct SpecOp {
+  SpecOpKind kind = SpecOpKind::kPutScalarSlot;
+  uint8_t width = 4;     // wire scalar width for *Scalar* ops (1/2/4/8)
+  int slot = -1;         // ArgVec slot the op reads or writes
+  uint32_t offset = 0;   // native byte offset for *Mem / *BytesFixed
+  uint32_t count = 0;    // byte count for *BytesFixed / kEnsureStorage
+  uint32_t bound = 0;    // declared length bound (0 = unbounded)
+  SpecLenSource len_src = SpecLenSource::kSlotLength;
+  int len_slot = -1;     // [length_is] slot for kLenSlot
+  uint32_t label = 0;    // union success label for *UnionDisc
+  bool special = false;  // may route through SpecialOps at runtime
+  const Type* type = nullptr;  // resolved value type for *Value ops
+
+  bool operator==(const SpecOp&) const = default;
+};
+
+struct SpecProgram {
+  std::vector<SpecOp> ops;
+};
+
+// The four per-call streams a plan compiles to.
+enum class SpecStream : uint8_t {
+  kMarshalRequest = 0,
+  kUnmarshalRequest,
+  kMarshalReply,
+  kUnmarshalReply,
+};
+inline constexpr size_t kSpecStreamCount = 4;
+
+// A marshal plan: the request and reply wire-item streams in wire order,
+// with the slot each item reads or writes. MarshalProgram compiles its
+// streams from this plan, and the same structure is the surface the
+// flexcheck plan verifier (src/analysis/) audits like a bytecode verifier;
+// tests hand-build or corrupt a plan to prove each violation is caught.
 struct PlanFieldView {
   const Type* type = nullptr;
   int slot = -1;
@@ -122,23 +194,24 @@ struct MarshalPlanView {
   std::vector<PlanItemView> reply;
 };
 
-// Lowers one operation under one side's presentation to its plan. The
-// interpreter (MarshalProgram::Build), the flexspec compiler
-// (CompileSpecPlan) and the flexspec prover (PlanStreamEffects) all start
-// from this one function. `op` and `pres` must outlive the plan.
+// Lowers one operation under one side's presentation to its plan.
+// MarshalProgram::Build, the flexspec compiler (CompileSpecPlan) and the
+// flexspec prover (PlanStreamEffects) all start from this one function.
+// `op` and `pres` must outlive the plan.
 MarshalPlanView BuildMarshalPlan(const OperationDecl& op,
                                  const OpPresentation& pres);
 
 // flexspec fast path (src/marshal/spec.h): Build looks the plan's SpecKey
 // up in the specialization registry once; per call each entry point runs
-// the registered straight-line function when present and enabled, and
-// interprets the plan otherwise.
+// the registered generated function when present and enabled, and the
+// reference executor over the bind-time program otherwise.
 struct SpecFns;
 
 class MarshalProgram {
  public:
-  // Compiles the program for one operation under one side's presentation.
-  // `op` and `pres` must outlive the program.
+  // Compiles the program for one operation under one side's presentation:
+  // its plan and the plan's four streams. `op` and `pres` must outlive the
+  // program.
   static MarshalProgram Build(const OperationDecl& op,
                               const OpPresentation& pres);
 
@@ -158,6 +231,9 @@ class MarshalProgram {
   Status UnmarshalRequest(WireReader* r, Arena* arena, ArgVec* args,
                           const SpecialOps* special = nullptr,
                           bool borrow_bytes = true) const;
+  // Marshals the reply, then frees the storage of every [dealloc(always)]
+  // slot from `arena` (when given), whether the stream succeeded or not;
+  // the caller's const slots keep their now dangling pointers.
   Status MarshalReply(const ArgVec& args, WireWriter* w, Arena* arena,
                       const SpecialOps* special = nullptr) const;
 
@@ -179,30 +255,18 @@ class MarshalProgram {
   const OperationDecl& op() const { return *op_; }
   const OpPresentation& presentation() const { return *pres_; }
 
-  // The plan the interpreter runs.
+  // The plan the program was compiled from.
   const MarshalPlanView& Plan() const { return plan_; }
+  // The program `stream` runs when no generated function serves it.
+  const SpecProgram& Stream(SpecStream stream) const {
+    return streams_[static_cast<size_t>(stream)];
+  }
 
  private:
-  Status MarshalItem(const PlanItemView& item, const ArgVec& args,
-                     WireWriter* w, const SpecialOps* special) const;
-  Status UnmarshalItem(const PlanItemView& item, WireReader* r, Arena* arena,
-                       ArgVec* args, const SpecialOps* special,
-                       bool borrow_bytes) const;
-  Status MarshalTop(const ParamPresentation* pres, const Type* type,
-                    const ArgValue& slot, uint32_t explicit_len,
-                    WireWriter* w, const SpecialOps* special) const;
-  Status UnmarshalTop(const ParamPresentation* pres, const Type* type,
-                      ArgValue* slot, WireReader* r, Arena* arena,
-                      const SpecialOps* special, bool borrow_bytes) const;
-  void DeallocAfterMarshal(const PlanItemView& item, const ArgVec& args,
-                           Arena* arena) const;
-  // Length of a buffer-like value, honoring [length_is].
-  uint32_t EffectiveLength(const ParamPresentation* pres, const Type* type,
-                           const ArgValue& slot, const ArgVec& args) const;
-
   const OperationDecl* op_ = nullptr;
   const OpPresentation* pres_ = nullptr;
   MarshalPlanView plan_;
+  SpecProgram streams_[kSpecStreamCount];
   const SpecFns* spec_fns_ = nullptr;  // registry hit, or null
 };
 

@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "src/marshal/layout.h"
+#include "src/marshal/value.h"
 #include "src/support/strings.h"
 
 namespace flexrpc {
@@ -30,14 +31,12 @@ struct Hasher {
   }
 };
 
-// Structural wire hash of a type: kinds, bounds, field/arm shapes — never
-// names, which do not affect the bytes. Aliases hash as their targets.
-void HashType(Hasher* h, const Type* type, int depth) {
+// Structural wire hash of the whole type: kinds, bounds, field/arm shapes
+// at every depth — never names, which do not affect the bytes. Aliases
+// hash as their targets. Sema rejects by-value recursion, so the walk ends.
+void HashType(Hasher* h, const Type* type) {
   const Type* t = type->Resolve();
   h->U8(static_cast<uint8_t>(t->kind()));
-  if (depth > 32) {
-    return;  // depth fuse; seed IDLs are nowhere near this
-  }
   switch (t->kind()) {
     case TypeKind::kString:
       h->U32(t->bound());
@@ -45,21 +44,21 @@ void HashType(Hasher* h, const Type* type, int depth) {
     case TypeKind::kSequence:
     case TypeKind::kArray:
       h->U32(t->bound());
-      HashType(h, t->element(), depth + 1);
+      HashType(h, t->element());
       return;
     case TypeKind::kStruct:
       h->U32(static_cast<uint32_t>(t->fields().size()));
       for (const StructField& f : t->fields()) {
-        HashType(h, f.type, depth + 1);
+        HashType(h, f.type);
       }
       return;
     case TypeKind::kUnion:
-      HashType(h, t->discriminant(), depth + 1);
+      HashType(h, t->discriminant());
       h->U32(static_cast<uint32_t>(t->arms().size()));
       for (const UnionArm& arm : t->arms()) {
         h->U32(arm.label);
         h->U8(arm.is_default ? 1 : 0);
-        HashType(h, arm.type, depth + 1);
+        HashType(h, arm.type);
       }
       return;
     default:
@@ -95,9 +94,9 @@ SpecKey ComputeSpecKey(const OperationDecl& op, const OpPresentation& pres) {
     h.U32(static_cast<uint32_t>(op.params.size()));
     for (const ParamDecl& p : op.params) {
       h.U8(static_cast<uint8_t>(p.dir));
-      HashType(&h, p.type, 0);
+      HashType(&h, p.type);
     }
-    HashType(&h, op.result, 0);
+    HashType(&h, op.result);
     key.op_hash = h.h;
   }
   {
@@ -168,6 +167,8 @@ std::string_view SpecOpKindName(SpecOpKind kind) {
       return "kPutString";
     case SpecOpKind::kPutUnionDisc:
       return "kPutUnionDisc";
+    case SpecOpKind::kPutValue:
+      return "kPutValue";
     case SpecOpKind::kGetScalarSlot:
       return "kGetScalarSlot";
     case SpecOpKind::kGetScalarMem:
@@ -180,6 +181,8 @@ std::string_view SpecOpKindName(SpecOpKind kind) {
       return "kGetString";
     case SpecOpKind::kGetUnionDisc:
       return "kGetUnionDisc";
+    case SpecOpKind::kGetValue:
+      return "kGetValue";
     case SpecOpKind::kEnsureStorage:
       return "kEnsureStorage";
   }
@@ -200,51 +203,46 @@ std::string_view SpecLenSourceName(SpecLenSource src) {
 
 namespace {
 
-// Straight-line budget: a stream longer than this stops being a
-// superinstruction and goes back to the interpreter.
-constexpr size_t kMaxSpecOps = 192;
-
-// Compiles one of the four streams of a plan into SpecOps. Mirrors the
-// exact decision structure of MarshalProgram::MarshalItem/UnmarshalItem —
-// every construct it cannot express as a constant-operand op rejects the
-// stream (it keeps the interpreter; nothing is ever approximated).
+// Compiles one stream of a plan into SpecOps, one wire item at a time.
+// Every construct has an op: a struct or array unrolls to constant-offset
+// leaves when they fit in kMaxSpecOps, and a value no leaf op expresses (a
+// union in its own slot, a non-byte sequence, a struct or array that does
+// not unroll) is one value op. The first construct that keeps the stream
+// out of generated code becomes its rejection.
 class StreamCompiler {
  public:
-  StreamCompiler(const OpPresentation& pres, bool marshal, bool is_reply)
-      : pres_(pres), marshal_(marshal), is_reply_(is_reply) {}
+  StreamCompiler(const OpPresentation& pres, bool marshal)
+      : pres_(pres), marshal_(marshal) {}
 
-  bool Compile(const std::vector<PlanItemView>& items) {
+  SpecProgram Compile(const std::vector<PlanItemView>& items) {
     for (const PlanItemView& item : items) {
-      if (!AddItem(item)) {
-        return false;
-      }
+      AddItem(item);
     }
-    return ops_.size() <= kMaxSpecOps ||
-           Reject("superinstruction budget exceeded");
+    if (ops_.size() > kMaxSpecOps) {
+      Reject("superinstruction budget exceeded");
+    }
+    return SpecProgram{std::move(ops_)};
   }
 
-  std::vector<SpecOp> TakeOps() { return std::move(ops_); }
-  const std::string& reason() const { return reason_; }
+  std::string TakeRejection() { return std::move(rejection_); }
 
  private:
-  bool Reject(std::string why) {
-    if (reason_.empty()) {
-      reason_ = std::move(why);
+  void Reject(std::string why) {
+    if (rejection_.empty()) {
+      rejection_ = std::move(why);
     }
-    return false;
   }
 
-  void Emit(SpecOp op) { ops_.push_back(op); }
+  void Emit(const SpecOp& op) { ops_.push_back(op); }
 
-  bool AddItem(const PlanItemView& item) {
+  // BuildMarshalPlan binds every field and the discriminant of a
+  // presentation ApplyPdl accepted (the plan verifier's FLEX106 audits it).
+  void AddItem(const PlanItemView& item) {
     if (!item.flattened) {
-      return AddTop(item.pres, item.type, item.slot);
+      AddTop(item.pres, item.type, item.slot);
+      return;
     }
-    const Type* resolved = item.type->Resolve();
-    if (item.is_result && resolved->kind() == TypeKind::kUnion) {
-      if (item.disc_slot < 0) {
-        return Reject("flattened union result lacks a discriminant slot");
-      }
+    if (item.is_result && item.type->Resolve()->kind() == TypeKind::kUnion) {
       SpecOp op;
       op.kind = marshal_ ? SpecOpKind::kPutUnionDisc
                          : SpecOpKind::kGetUnionDisc;
@@ -253,199 +251,195 @@ class StreamCompiler {
       Emit(op);
     }
     for (const PlanFieldView& field : item.fields) {
-      if (field.type == nullptr) {
-        return Reject("flattened item has an unbound field");
-      }
-      if (!AddTop(field.pres, field.type, field.slot)) {
-        return false;
-      }
+      AddTop(field.pres, field.type, field.slot);
     }
-    return true;
   }
 
-  // One top-level wire value with its own presentation — the unit
-  // MarshalTop/UnmarshalTop handles.
-  bool AddTop(const ParamPresentation* pres, const Type* type, int slot) {
-    const Type* t = type->Resolve();
-    if (marshal_ && is_reply_ && pres != nullptr &&
-        pres->dealloc == DeallocPolicy::kAlways) {
-      // The interpreter's reply epilogue frees donated buffers
-      // (DeallocAfterMarshal); that side effect is not in the
-      // superinstruction vocabulary.
-      return Reject("dealloc(always) requires the interpreter epilogue");
+  // A marshaled length comes from `implicit` unless [length_is] names a
+  // slot.
+  void SetMarshalLength(const ParamPresentation* pres,
+                        SpecLenSource implicit, SpecOp* op) const {
+    op->len_src = implicit;
+    if (pres != nullptr && pres->explicit_length) {
+      int len_slot = pres_.SlotOf(pres->length_param);
+      if (len_slot >= 0) {
+        op->len_src = SpecLenSource::kLenSlot;
+        op->len_slot = len_slot;
+      }
     }
-    bool special = pres != nullptr && pres->special;
+  }
+
+  // One top-level wire value with its own presentation.
+  void AddTop(const ParamPresentation* pres, const Type* type, int slot) {
+    const Type* t = type->Resolve();
+    const bool special = pres != nullptr && pres->special;
+    SpecOp op;
+    op.slot = slot;
     switch (t->kind()) {
       case TypeKind::kVoid:
-        return true;
-      case TypeKind::kString: {
-        SpecOp op;
-        op.slot = slot;
+        return;
+      case TypeKind::kString:
+        op.kind = marshal_ ? SpecOpKind::kPutString : SpecOpKind::kGetString;
         op.bound = t->bound();
         op.special = special;
         if (marshal_) {
-          op.kind = SpecOpKind::kPutString;
-          op.len_src = SpecLenSource::kStrLen;
-          if (pres != nullptr && pres->explicit_length) {
-            int len_slot = pres_.SlotOf(pres->length_param);
-            if (len_slot >= 0) {
-              op.len_src = SpecLenSource::kLenSlot;
-              op.len_slot = len_slot;
-            }
-          }
-        } else {
-          op.kind = SpecOpKind::kGetString;
+          SetMarshalLength(pres, SpecLenSource::kStrLen, &op);
         }
         Emit(op);
-        return true;
-      }
-      case TypeKind::kSequence: {
+        return;
+      case TypeKind::kSequence:
         if (!IsByteElem(t->element())) {
-          return Reject("sequence of non-byte elements");
+          AddValue(pres, t, slot, "sequence of non-byte elements");
+          return;
         }
-        SpecOp op;
-        op.slot = slot;
+        op.kind =
+            marshal_ ? SpecOpKind::kPutSeqBytes : SpecOpKind::kGetSeqBytes;
         op.bound = t->bound();
         op.special = special;
         if (marshal_) {
-          op.kind = SpecOpKind::kPutSeqBytes;
-          op.len_src = SpecLenSource::kSlotLength;
-          if (pres != nullptr && pres->explicit_length) {
-            int len_slot = pres_.SlotOf(pres->length_param);
-            if (len_slot >= 0) {
-              op.len_src = SpecLenSource::kLenSlot;
-              op.len_slot = len_slot;
-            }
-          }
-        } else {
-          op.kind = SpecOpKind::kGetSeqBytes;
+          SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
         }
         Emit(op);
-        return true;
-      }
-      case TypeKind::kArray: {
-        if (!marshal_) {
-          SpecOp ensure;
-          ensure.kind = SpecOpKind::kEnsureStorage;
-          ensure.slot = slot;
-          ensure.count = static_cast<uint32_t>(t->NativeSize());
-          Emit(ensure);
-        }
-        return AddFixedValue(t, slot, 0, special);
-      }
+        return;
+      case TypeKind::kArray:
       case TypeKind::kStruct: {
+        const size_t mark = ops_.size();
         if (!marshal_) {
-          SpecOp ensure;
-          ensure.kind = SpecOpKind::kEnsureStorage;
-          ensure.slot = slot;
-          ensure.count = static_cast<uint32_t>(t->NativeSize());
-          Emit(ensure);
+          op.kind = SpecOpKind::kEnsureStorage;
+          op.count = static_cast<uint32_t>(t->NativeSize());
+          Emit(op);
         }
-        // The interpreter hands structs to MarshalValue/UnmarshalValue,
-        // which never consult [special] — nested byte runs stay plain.
-        return AddFixedValue(t, slot, 0, /*special=*/false);
+        // [special] reaches only a top-level byte array's run: struct
+        // members go through MarshalValue/UnmarshalValue semantics, which
+        // never consult it.
+        leaf_mark_ = ops_.size();
+        std::string why;
+        if (AddFixedValue(t, slot, 0,
+                          t->kind() == TypeKind::kArray && special, &why)) {
+          return;
+        }
+        ops_.resize(mark);
+        AddValue(pres, t, slot, std::move(why));
+        return;
       }
       case TypeKind::kUnion:
-        return Reject("direct union slot needs arm selection at run time");
-      default: {
-        unsigned width = WireScalarWidth(t->kind());
-        if (width == 0) {
-          return Reject(StrFormat("unsupported type kind %s",
-                                  std::string(TypeKindName(t->kind()))
-                                      .c_str()));
-        }
-        SpecOp op;
+        AddValue(pres, t, slot,
+                 "direct union slot needs arm selection at run time");
+        return;
+      default:
         op.kind = marshal_ ? SpecOpKind::kPutScalarSlot
                            : SpecOpKind::kGetScalarSlot;
-        op.width = static_cast<uint8_t>(width);
-        op.slot = slot;
+        op.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
         Emit(op);
-        return true;
-      }
+        return;
     }
   }
 
-  // A fixed-wire-size value living in native memory at slot.ptr()+offset:
-  // scalars, byte arrays, scalar arrays, and structs thereof — the subset
-  // MarshalValue/UnmarshalValue handle without arena allocation, unrolled
-  // to constant offsets. `special` applies only to the outermost byte run
-  // of a top-level array (the one place the interpreter routes [special]).
+  // One whole value through MarshalValue/UnmarshalValue. A top-level
+  // sequence takes its marshaled length like a byte sequence does.
+  void AddValue(const ParamPresentation* pres, const Type* t, int slot,
+                std::string why) {
+    SpecOp op;
+    op.kind = marshal_ ? SpecOpKind::kPutValue : SpecOpKind::kGetValue;
+    op.slot = slot;
+    op.type = t;
+    if (marshal_ && t->kind() == TypeKind::kSequence) {
+      SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
+    }
+    Emit(op);
+    Reject(std::move(why));
+  }
+
+  // A fixed-wire-size value living in native memory at slot.ptr()+offset
+  // (scalars, byte arrays, and arrays and structs of them), unrolled to
+  // one leaf op per scalar or byte run at a constant offset. Fails, with
+  // the reason in `*why`, on a member that is not fixed-size or on a leaf
+  // past kMaxSpecOps. `special` applies only to the outermost byte run of
+  // a top-level array.
   bool AddFixedValue(const Type* type, int slot, uint32_t offset,
-                     bool special) {
+                     bool special, std::string* why) {
     const Type* t = type->Resolve();
+    SpecOp op;
+    op.slot = slot;
+    op.offset = offset;
     switch (t->kind()) {
       case TypeKind::kArray: {
         const Type* elem = t->element();
         if (IsByteElem(elem)) {
-          SpecOp op;
           op.kind = marshal_ ? SpecOpKind::kPutBytesFixed
                              : SpecOpKind::kGetBytesFixed;
-          op.slot = slot;
-          op.offset = offset;
           op.count = t->bound();
           op.special = special;
-          Emit(op);
-          return true;
+          return AddLeaf(op, why);
         }
         size_t stride = elem->NativeSize();
         for (uint32_t i = 0; i < t->bound(); ++i) {
-          if (ops_.size() > kMaxSpecOps) {
-            return Reject("superinstruction budget exceeded");
-          }
           if (!AddFixedValue(elem, slot,
                              offset + i * static_cast<uint32_t>(stride),
-                             /*special=*/false)) {
+                             /*special=*/false, why)) {
             return false;
           }
         }
         return true;
       }
-      case TypeKind::kStruct: {
+      case TypeKind::kStruct:
         for (size_t i = 0; i < t->fields().size(); ++i) {
-          if (ops_.size() > kMaxSpecOps) {
-            return Reject("superinstruction budget exceeded");
-          }
           if (!AddFixedValue(
                   t->fields()[i].type, slot,
                   offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
-                  /*special=*/false)) {
+                  /*special=*/false, why)) {
             return false;
           }
         }
         return true;
-      }
       case TypeKind::kString:
       case TypeKind::kSequence:
       case TypeKind::kUnion:
       case TypeKind::kVoid:
-        return Reject(StrFormat(
+        *why = StrFormat(
             "nested %s member is not fixed-size straight-line code",
-            std::string(TypeKindName(t->kind())).c_str()));
-      default: {
-        unsigned width = WireScalarWidth(t->kind());
-        if (width == 0) {
-          return Reject("unsupported nested scalar kind");
-        }
-        SpecOp op;
+            std::string(TypeKindName(t->kind())).c_str());
+        return false;
+      default:
         op.kind = marshal_ ? SpecOpKind::kPutScalarMem
                            : SpecOpKind::kGetScalarMem;
-        op.width = static_cast<uint8_t>(width);
-        op.slot = slot;
-        op.offset = offset;
-        Emit(op);
-        return true;
-      }
+        op.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
+        return AddLeaf(op, why);
     }
+  }
+
+  bool AddLeaf(const SpecOp& op, std::string* why) {
+    if (ops_.size() - leaf_mark_ >= kMaxSpecOps) {
+      *why = "superinstruction budget exceeded";
+      return false;
+    }
+    Emit(op);
+    return true;
   }
 
   const OpPresentation& pres_;
   bool marshal_;
-  bool is_reply_;
   std::vector<SpecOp> ops_;
-  std::string reason_;
+  size_t leaf_mark_ = 0;  // first leaf op of the value being unrolled
+  std::string rejection_;
 };
 
 }  // namespace
+
+SpecProgram CompileSpecStream(const MarshalPlanView& plan,
+                              const OpPresentation& pres, SpecStream stream,
+                              std::string* rejection) {
+  const bool marshal = stream == SpecStream::kMarshalRequest ||
+                       stream == SpecStream::kMarshalReply;
+  const bool reply = stream == SpecStream::kMarshalReply ||
+                     stream == SpecStream::kUnmarshalReply;
+  StreamCompiler compiler(pres, marshal);
+  SpecProgram prog = compiler.Compile(reply ? plan.reply : plan.request);
+  if (rejection != nullptr) {
+    *rejection = compiler.TakeRejection();
+  }
+  return prog;
+}
 
 SpecPlan CompileSpecPlan(const OperationDecl& op,
                          const OpPresentation& pres) {
@@ -453,33 +447,73 @@ SpecPlan CompileSpecPlan(const OperationDecl& op,
   plan.key = ComputeSpecKey(op, pres);
   plan.op_name = op.name;
   const MarshalPlanView view = BuildMarshalPlan(op, pres);
-
-  struct StreamSpec {
-    SpecStream stream;
-    const std::vector<PlanItemView>* items;
-    bool marshal;
-    bool is_reply;
-  };
-  const StreamSpec streams[] = {
-      {SpecStream::kMarshalRequest, &view.request, true, false},
-      {SpecStream::kUnmarshalRequest, &view.request, false, false},
-      {SpecStream::kMarshalReply, &view.reply, true, true},
-      {SpecStream::kUnmarshalReply, &view.reply, false, true},
-  };
-  for (const StreamSpec& s : streams) {
-    StreamCompiler compiler(pres, s.marshal, s.is_reply);
-    size_t index = static_cast<size_t>(s.stream);
-    if (compiler.Compile(*s.items)) {
-      plan.has_stream[index] = true;
-      plan.streams[index].ops = compiler.TakeOps();
-    } else {
-      plan.rejection[index] = compiler.reason();
-    }
+  for (size_t s = 0; s < kSpecStreamCount; ++s) {
+    plan.streams[s] = CompileSpecStream(view, pres, static_cast<SpecStream>(s),
+                                        &plan.rejection[s]);
   }
   return plan;
 }
 
-// ---- Reference executors ---------------------------------------------------
+// ---- Value ops -------------------------------------------------------------
+
+Status PutValueOp(const SpecOp& op, const ArgVec& args, WireWriter* w) {
+  void* value = args[static_cast<size_t>(op.slot)].ptr();
+  if (op.type->kind() != TypeKind::kSequence) {
+    return MarshalValue(w, op.type, value);
+  }
+  // A top-level sequence travels unpacked: its elements at the slot's
+  // pointer, its length from `len_src`.
+  const uint32_t len = spec_internal::MarshalLength(op, args);
+  SeqRep rep{len, len, value};
+  return MarshalValue(w, op.type, &rep);
+}
+
+Status GetValueOp(const SpecOp& op, WireReader* r, Arena* arena,
+                  ArgVec* args) {
+  ArgValue* slot = &(*args)[static_cast<size_t>(op.slot)];
+  const Type* t = op.type;
+  // A slot that already carries a pointer is caller storage: [alloc(user)]
+  // receive buffers arrive this way.
+  const bool caller_buffer = slot->ptr() != nullptr;
+  if (t->kind() != TypeKind::kSequence) {
+    if (!caller_buffer) {
+      slot->set_ptr(AllocateZeroedBlock(arena, t->NativeSize()));
+    }
+    return UnmarshalValue(r, t, slot->ptr(), arena);
+  }
+  FLEXRPC_ASSIGN_OR_RETURN(uint32_t len, r->GetU32());
+  if (t->bound() != 0 && len > t->bound()) {
+    return DataLossError(StrFormat(
+        "wire sequence length %u exceeds bound %u", len, t->bound()));
+  }
+  if (len > r->remaining()) {
+    // Every non-byte element takes at least one wire byte: a larger count
+    // is malformed, and must not size an allocation.
+    return DataLossError(
+        StrFormat("wire sequence length %u exceeds the %zu bytes left", len,
+                  r->remaining()));
+  }
+  const Type* elem = t->element();
+  const size_t stride = elem->NativeSize();
+  if (caller_buffer) {
+    if (slot->capacity < len) {
+      return ResourceExhaustedError("caller buffer too small for sequence");
+    }
+  } else {
+    slot->set_ptr(AllocateZeroedBlock(arena, len > 0 ? len * stride : 1));
+  }
+  // The length covers every element before any is read, so a release
+  // after a failed element frees the ones already read.
+  slot->length = len;
+  auto* base = static_cast<uint8_t*>(slot->ptr());
+  for (uint32_t i = 0; i < len; ++i) {
+    FLEXRPC_RETURN_IF_ERROR(
+        UnmarshalValue(r, elem, base + i * stride, arena));
+  }
+  return Status::Ok();
+}
+
+// ---- Reference executor ----------------------------------------------------
 
 Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
                       WireWriter* w, const SpecialOps* special) {

@@ -1,33 +1,28 @@
-// flexspec — bind-time marshal superinstructions.
+// flexspec — the marshal op compiler, its reference executor, and the
+// registry of generated code.
 //
-// The interpreted MarshalProgram (engine.h) walks one wire item per step,
-// re-deciding type kind, presentation attributes, and length discipline on
-// every call. For a bound (operation signature × presentation) pair that is
-// pure overhead: every decision is already fixed at bind time. flexspec
-// compiles such plans into *superinstructions* — short straight-line
-// programs over a closed opcode set whose every operand (slot, offset,
-// width, bound, length source) is a constant — and `idlc --specialize`
-// emits them as fused C++ functions that register themselves here. The
-// engine looks its (signature, presentation) key up at bind time and
-// dispatches per call: registry hit → straight-line code, miss → the
-// interpreter (gated `marshal.spec.hit/miss` counters).
+// Every (operation signature × presentation) pair fixes each marshal
+// decision at bind time: type kind, presentation attributes, length
+// discipline. CompileSpecPlan turns the pair's four streams into
+// SpecPrograms, short programs over a closed opcode set (engine.h) whose
+// every operand (slot, offset, width, bound, length source, value type) is
+// a constant; MarshalProgram::Build runs the same compiler once per
+// program. The reference executor runs a program one step (spec_ops.h) per
+// op, and `idlc --specialize` emits the streams it can unroll as fused C++
+// functions that register themselves here. The engine looks its key up at
+// bind time and dispatches per call: a registered function runs when
+// specialization is on, the reference executor otherwise (gated
+// `marshal.spec.hit/miss` counters, one per stream either way).
 //
 // Each opcode has one definition, its step in spec_ops.h. The reference
-// executors here loop over those steps, and every emitted function calls
-// them once per op with constant operands, so the two cannot drift apart.
+// executor loops over those steps, and every emitted function calls them
+// once per op with constant operands, so the two cannot drift apart.
 //
 // Correctness story (the flexcheck stage-3 prover, src/analysis/
 // spec_verifier.h): a specialization is only emitted after a symbolic
-// wire-effect interpreter, which expands each opcode on its own rather
-// than through the steps, proves the SpecProgram byte-for-byte equivalent
-// to the interpreted plan.
-//
-// Deliberate semantic difference from the interpreter: specialized
-// streams do not bump the per-opcode `marshal.ops.*` trace counters
-// (counting would reintroduce the interpreter's per-item overhead). The
-// engine instead counts one `marshal.spec.hit` per stream execution and
-// credits `marshal.bytes_*` with the stream's wire delta at dispatch.
-// Wire bytes, statuses, and ArgVec effects are identical.
+// lowering of the plan and a separate expansion of each opcode (not
+// through the steps) meet in equal wire-effect sequences, which proves the
+// SpecProgram byte-for-byte equivalent to the plan.
 
 #ifndef FLEXRPC_SRC_MARSHAL_SPEC_H_
 #define FLEXRPC_SRC_MARSHAL_SPEC_H_
@@ -65,17 +60,8 @@ struct SpecKey {
 SpecKey ComputeSpecKey(const OperationDecl& op, const OpPresentation& pres);
 
 // Wire width in bytes (1, 2, 4, 8) of a scalar kind, exactly as
-// PutScalarWire/GetScalarWire move it; 0 for non-scalar kinds.
+// MarshalValue/UnmarshalValue move it; 0 for non-scalar kinds.
 unsigned WireScalarWidth(TypeKind kind);
-
-// The four per-call entry points a plan compiles to.
-enum class SpecStream : uint8_t {
-  kMarshalRequest = 0,
-  kUnmarshalRequest,
-  kMarshalReply,
-  kUnmarshalReply,
-};
-inline constexpr size_t kSpecStreamCount = 4;
 
 std::string_view SpecStreamName(SpecStream stream);
 
@@ -84,23 +70,33 @@ std::string_view SpecStreamName(SpecStream stream);
 std::string_view SpecOpKindName(SpecOpKind kind);
 std::string_view SpecLenSourceName(SpecLenSource src);
 
-struct SpecProgram {
-  std::vector<SpecOp> ops;
-};
+// Emission budget: `idlc --specialize` emits no stream longer than this,
+// and a struct or array unrolls to its fixed-size leaves only when they
+// fit in it (otherwise it is one value op).
+inline constexpr size_t kMaxSpecOps = 192;
 
-// One (operation × presentation)'s compiled superinstruction streams.
-// Streams outside the specializable subset are absent, with the reason
-// kept for the FLEX205 diagnostic and for --specialize logs.
+// Compiles `stream` of `plan`, the plan BuildMarshalPlan made under
+// `pres`. Total: every stream compiles. A stream that holds a value op or
+// runs past kMaxSpecOps is not emitted as generated code; `*rejection`
+// (when given) receives the first reason why, and stays empty otherwise.
+SpecProgram CompileSpecStream(const MarshalPlanView& plan,
+                              const OpPresentation& pres, SpecStream stream,
+                              std::string* rejection);
+
+// One (operation × presentation)'s four compiled streams, with the reason
+// `idlc --specialize` leaves a stream out (FLEX205), empty for a stream it
+// emits. The SpecPlan is self-contained: `op` and `pres` need not outlive
+// it.
 struct SpecPlan {
   SpecKey key;
   std::string op_name;
-  bool has_stream[kSpecStreamCount] = {};
   SpecProgram streams[kSpecStreamCount];
   std::string rejection[kSpecStreamCount];
 
-  bool AnyStream() const {
-    for (bool has : has_stream) {
-      if (has) {
+  bool Emits(size_t stream) const { return rejection[stream].empty(); }
+  bool EmitsAny() const {
+    for (size_t s = 0; s < kSpecStreamCount; ++s) {
+      if (Emits(s)) {
         return true;
       }
     }
@@ -108,15 +104,10 @@ struct SpecPlan {
   }
 };
 
-// Compiles every specializable stream of (op, pres). Total: a stream the
-// compiler cannot express straight-line is recorded as rejected, never
-// mis-compiled. `op` and `pres` must outlive nothing — the SpecPlan is
-// self-contained.
 SpecPlan CompileSpecPlan(const OperationDecl& op, const OpPresentation& pres);
 
-// Reference executors: run a SpecProgram one step (spec_ops.h) per op, as
-// the emitted C++ does with the ops unrolled. Tests compare them with the
-// interpreter.
+// The reference executor: runs a SpecProgram one step (spec_ops.h) per op,
+// as the emitted C++ does with the ops unrolled.
 Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
                       WireWriter* w, const SpecialOps* special);
 Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,
@@ -131,8 +122,8 @@ using SpecUnmarshalFn = Status (*)(WireReader* r, Arena* arena, ArgVec* args,
                                    const SpecialOps* special,
                                    bool borrow_bytes);
 
-// Function table one generated unit registers for one SpecKey. Null slots
-// fall back to the interpreter for that stream.
+// Function table one generated unit registers for one SpecKey. A null slot
+// leaves that stream to the reference executor.
 struct SpecFns {
   SpecMarshalFn marshal_request = nullptr;
   SpecUnmarshalFn unmarshal_request = nullptr;
@@ -147,8 +138,8 @@ const SpecFns* FindSpecialization(const SpecKey& key);
 // Test support: removes one registration (e.g. an executor-backed fake).
 void UnregisterSpecialization(const SpecKey& key);
 
-// Global dispatch switch, default on. Benches A/B the fast path against
-// the interpreter with this (same program, same wire bytes).
+// Global dispatch switch, default on. Benches A/B generated code against
+// the reference executor with this (same program, same wire bytes).
 void SetMarshalSpecializationEnabled(bool enabled);
 bool MarshalSpecializationEnabled();
 

@@ -1,13 +1,13 @@
-// flexspec opcodes: each superinstruction's operands and its one definition.
+// flexspec opcodes: each op's one definition.
 //
-// A SpecOp is one instruction of a compiled marshal stream (spec.h): its
+// A SpecOp (engine.h) is one instruction of a compiled marshal stream: its
 // kind plus constant operands. MarshalStep and UnmarshalStep define what
 // each kind does to the wire and the ArgVec, and nothing else does: the
-// reference executors (RunSpecMarshal/RunSpecUnmarshal) loop over the
-// steps, and `idlc --specialize` emits one step call per op with the op
-// written out as a literal. Both steps are forced inline, so in generated
-// code the kind switch and every operand fold to constants and the stream
-// runs straight-line, with no loop and no table walk.
+// reference executor (RunSpecMarshal/RunSpecUnmarshal, spec.h) loops over
+// the steps, and `idlc --specialize` emits one step call per op with the
+// op written out as a literal. Both steps are forced inline, so in
+// generated code the kind switch and every operand fold to constants and
+// the stream runs straight-line, with no loop and no table walk.
 
 #ifndef FLEXRPC_SRC_MARSHAL_SPEC_OPS_H_
 #define FLEXRPC_SRC_MARSHAL_SPEC_OPS_H_
@@ -24,50 +24,12 @@
 
 namespace flexrpc {
 
-// The closed superinstruction set. Every operand is fixed at compile time;
-// the only per-call inputs are the ArgVec, the wire, and the runtime
-// [special]/borrow flags the engine entry points already take.
-enum class SpecOpKind : uint8_t {
-  kPutScalarSlot,   // wire scalar from args[slot].scalar
-  kPutScalarMem,    // wire scalar loaded from args[slot].ptr() + offset
-  kPutBytesFixed,   // `count` raw bytes from args[slot].ptr() + offset
-  kPutSeqBytes,     // u32 length prefix + that many bytes from args[slot]
-  kPutString,       // u32 length prefix + string bytes from args[slot]
-  kPutUnionDisc,    // u32 from args[slot].scalar; end-of-stream unless
-                    //   it equals `label` (void alternate arms)
-  kGetScalarSlot,   // wire scalar into args[slot].scalar
-  kGetScalarMem,    // wire scalar stored at args[slot].ptr() + offset
-  kGetBytesFixed,   // `count` raw bytes to args[slot].ptr() + offset
-  kGetSeqBytes,     // u32 length + bytes into the slot (borrow/caller/
-                    //   arena policy identical to the interpreter)
-  kGetString,       // u32 length + bytes + NUL into the slot
-  kGetUnionDisc,    // u32 into args[slot].scalar; end-of-stream unless
-                    //   it equals `label`
-  kEnsureStorage,   // if args[slot].ptr() == null, point it at
-                    //   arena->AllocateBlock(count)
-};
-
-// Where a marshal-side variable length comes from.
-enum class SpecLenSource : uint8_t {
-  kSlotLength,  // args[slot].length
-  kLenSlot,     // args[len_slot].scalar ([length_is] presentation)
-  kStrLen,      // strlen(args[slot].ptr())
-};
-
-struct SpecOp {
-  SpecOpKind kind = SpecOpKind::kPutScalarSlot;
-  uint8_t width = 4;     // wire scalar width for *Scalar* ops (1/2/4/8)
-  int slot = -1;         // ArgVec slot the op reads or writes
-  uint32_t offset = 0;   // native byte offset for *Mem / *BytesFixed
-  uint32_t count = 0;    // byte count for *BytesFixed / kEnsureStorage
-  uint32_t bound = 0;    // declared length bound (0 = unbounded)
-  SpecLenSource len_src = SpecLenSource::kSlotLength;
-  int len_slot = -1;     // [length_is] slot for kLenSlot
-  uint32_t label = 0;    // union success label for *UnionDisc
-  bool special = false;  // may route through SpecialOps at runtime
-
-  bool operator==(const SpecOp&) const = default;
-};
+// The value ops' bodies, kept out of line: each hands one whole value to
+// MarshalValue/UnmarshalValue (value.h), which recurse over its type. The
+// reference executor runs them; generated code never contains them.
+Status PutValueOp(const SpecOp& op, const ArgVec& args, WireWriter* w);
+Status GetValueOp(const SpecOp& op, WireReader* r, Arena* arena,
+                  ArgVec* args);
 
 namespace spec_internal {
 
@@ -75,6 +37,11 @@ namespace spec_internal {
 [[gnu::always_inline]] inline bool End(Status* end, Status status) {
   *end = std::move(status);
   return false;
+}
+
+// Goes on after `status` is OK; otherwise ends the stream with it.
+[[gnu::always_inline]] inline bool Continue(Status status, Status* end) {
+  return status.ok() || End(end, std::move(status));
 }
 
 [[gnu::always_inline]] inline void PutScalar(WireWriter* w, uint8_t width,
@@ -198,6 +165,8 @@ template <typename T, typename V>
       }
       return true;
     }
+    case SpecOpKind::kPutValue:
+      return spec_internal::Continue(PutValueOp(op, args, w), end);
     default:
       return End(end, InternalError("unmarshal opcode in a marshal stream"));
   }
@@ -327,6 +296,8 @@ template <typename T, typename V>
       }
       return true;
     }
+    case SpecOpKind::kGetValue:
+      return spec_internal::Continue(GetValueOp(op, r, arena, args), end);
     default:
       return End(end, InternalError("marshal opcode in an unmarshal stream"));
   }

@@ -22,8 +22,7 @@ const UnionArm* SelectArm(const Type* u, uint32_t disc) {
   return fallback;
 }
 
-}  // namespace
-
+// Writes a scalar's u64 bit pattern at the wire width of `type`.
 void PutScalarWire(WireWriter* w, const Type* type, uint64_t bits) {
   switch (type->Resolve()->kind()) {
     case TypeKind::kBool:
@@ -52,6 +51,7 @@ void PutScalarWire(WireWriter* w, const Type* type, uint64_t bits) {
   }
 }
 
+// Reads a scalar of `type`, widened to a u64 bit pattern.
 Result<uint64_t> GetScalarWire(WireReader* r, const Type* type) {
   switch (type->Resolve()->kind()) {
     case TypeKind::kBool:
@@ -81,6 +81,8 @@ Result<uint64_t> GetScalarWire(WireReader* r, const Type* type) {
       return InternalError("GetScalarWire on non-scalar type");
   }
 }
+
+}  // namespace
 
 Status MarshalValue(WireWriter* w, const Type* type, const void* src) {
   const Type* t = type->Resolve();

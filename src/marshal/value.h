@@ -1,10 +1,10 @@
 // Recursive marshaling of native-layout values to and from a wire format.
 //
 // These routines implement the *default* (attribute-free) encoding used for
-// nested data; top-level parameters go through the presentation-aware
+// nested data. Top-level parameters go through the presentation-aware
 // MarshalProgram (src/marshal/engine.h), which applies [special] routines,
-// explicit lengths, and allocation policies before delegating to these for
-// structured payloads.
+// explicit lengths, and allocation policies itself, and hands a value it
+// moves whole (its value ops, spec_ops.h) to these.
 
 #ifndef FLEXRPC_SRC_MARSHAL_VALUE_H_
 #define FLEXRPC_SRC_MARSHAL_VALUE_H_
@@ -15,11 +15,6 @@
 #include "src/support/status.h"
 
 namespace flexrpc {
-
-// Writes a scalar's u64 bit pattern at the wire width of `type`.
-void PutScalarWire(WireWriter* w, const Type* type, uint64_t bits);
-// Reads a scalar of `type`, widened to a u64 bit pattern.
-Result<uint64_t> GetScalarWire(WireReader* r, const Type* type);
 
 // Marshals the native-layout value at `src`.
 Status MarshalValue(WireWriter* w, const Type* type, const void* src);

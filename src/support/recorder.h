@@ -120,7 +120,7 @@ inline void RecordEvent(RecEvent type, RecEndpoint endpoint, uint32_t xid,
 }
 
 // Thread-local per-call context for layers that have no call identity of
-// their own (the marshal engine interprets plans without knowing which
+// their own (the marshal engine runs its programs without knowing which
 // xid, or even which clock, it is working for). The transport-facing code
 // (src/apps/nfs.cc) opens a scope around each stub invocation; engine
 // record points then attribute to the scope's xid at the scope clock's

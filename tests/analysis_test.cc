@@ -18,6 +18,7 @@
 #include "src/analysis/flexcheck.h"
 #include "src/analysis/plan_verifier.h"
 #include "src/analysis/spec_verifier.h"
+#include "src/codegen/spec_gen.h"
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
 #include "src/idl/sunrpc_parser.h"
@@ -697,10 +698,8 @@ class SpecVerifierTest : public ::testing::Test {
 };
 
 TEST_F(SpecVerifierTest, CompiledPlansProveClean) {
-  ASSERT_TRUE(
-      plan_.has_stream[static_cast<size_t>(SpecStream::kMarshalRequest)]);
-  ASSERT_TRUE(
-      plan_.has_stream[static_cast<size_t>(SpecStream::kUnmarshalReply)]);
+  ASSERT_TRUE(plan_.Emits(static_cast<size_t>(SpecStream::kMarshalRequest)));
+  ASSERT_TRUE(plan_.Emits(static_cast<size_t>(SpecStream::kUnmarshalReply)));
   DiagnosticSink diags;
   EXPECT_EQ(Verify(&diags), 0) << diags.ToString();
 }
@@ -759,25 +758,46 @@ TEST_F(SpecVerifierTest, Flex207UnionDiscriminantDiverges) {
 }
 
 TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
-  // sequence<long> needs per-element byte swapping the superinstruction
-  // set does not express: the compiler must reject, and the rejection
-  // surfaces as an informational FLEX205 — never as miscompiled code.
+  // sequence<long> moves element by element through MarshalValue: the
+  // stream compiles to a value op, which the reference executor runs and
+  // `idlc --specialize` does not emit; FLEX205 says why.
   auto idl =
       MustParseCorba("interface V { void push(in sequence<long> v); };");
-  PresentationSet set = MustApply(*idl, Side::kClient);
+  PresentationSet client = MustApply(*idl, Side::kClient);
+  PresentationSet server = MustApply(*idl, Side::kServer);
   const OperationDecl& op = idl->interfaces[0].ops[0];
-  const OpPresentation* pres = set.Find("V")->FindOp("push");
+  const OpPresentation* pres = client.Find("V")->FindOp("push");
   ASSERT_NE(pres, nullptr);
   SpecPlan plan = CompileSpecPlan(op, *pres);
-  EXPECT_FALSE(
-      plan.has_stream[static_cast<size_t>(SpecStream::kMarshalRequest)]);
+  const auto request = static_cast<size_t>(SpecStream::kMarshalRequest);
+
+  // Compiled: one value op, proven against the plan like any stream.
+  ASSERT_EQ(plan.streams[request].ops.size(), 1u);
+  EXPECT_EQ(plan.streams[request].ops[0].kind, SpecOpKind::kPutValue);
   DiagnosticSink diags;
-  // Absent streams are not proof obligations...
   EXPECT_EQ(VerifySpecPlan(op, *pres, plan, "t.idl", &diags), 0)
       << diags.ToString();
-  // ...but they are reportable, with the compiler's reason.
+
+  // Not emitted: the unit registers the empty reply streams only.
+  EXPECT_FALSE(plan.Emits(request));
+  DiagnosticSink gen_diags;
+  SpecGenStats stats;
+  auto generated = GenerateSpecializations(*idl, client, server,
+                                           SpecGenOptions{}, "t.idl",
+                                           &gen_diags, &stats);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  EXPECT_EQ(generated->source.find("Spec0MarshalRequest"),
+            std::string::npos);
+  EXPECT_NE(generated->source.find("Spec0MarshalReply"), std::string::npos);
+  EXPECT_EQ(stats.streams_emitted, 2u);
+
+  // Reported, with the compiler's reason.
   EXPECT_GE(ReportUnspecializedStreams(plan, "t.idl", &diags), 1);
   EXPECT_GE(diags.CountCode("FLEX205"), 1) << diags.ToString();
+  EXPECT_NE(diags.ToString().find(
+                "push marshal_request: sequence of non-byte elements"),
+            std::string::npos)
+      << diags.ToString();
 }
 
 TEST(SpecVerifierCatalogTest, Stage3CodesAreCatalogued) {
@@ -785,8 +805,8 @@ TEST(SpecVerifierCatalogTest, Stage3CodesAreCatalogued) {
                            "FLEX205", "FLEX206", "FLEX207"}) {
     const FlexCodeInfo* info = FindFlexCode(code);
     ASSERT_NE(info, nullptr) << code;
-    // FLEX205 is advice (an unspecialized stream still interprets
-    // correctly); every divergence code is a hard error.
+    // FLEX205 is advice (a stream left out runs on the reference
+    // executor, correctly); every divergence code is a hard error.
     EXPECT_EQ(info->severity, std::string_view(code) == "FLEX205"
                                   ? DiagSeverity::kWarning
                                   : DiagSeverity::kError)

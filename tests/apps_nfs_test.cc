@@ -223,6 +223,33 @@ TEST_P(NfsClientTest, ReplyLongerThanItsChunkIsRejectedBeforeCopying) {
   EXPECT_EQ(client.kernel_space()->arena().live_blocks(), kernel_blocks);
 }
 
+TEST_P(NfsClientTest, TruncatedReplyLeaksNothing) {
+  // A reply that announces 512 data bytes but carries 100 is DATA_LOSS on
+  // every stub, and leaves no kernel block behind.
+  NfsFileServer server(4096, /*seed=*/17);
+  NfsClient client(&server, LinkModel(), RemoteServerModel());
+  XdrWriter reply;
+  reply.PutU32(0);  // NFS_OK
+  for (uint32_t i = 0; i < 14; ++i) {  // fattr
+    reply.PutU32(i);
+  }
+  reply.PutU32(512);
+  const uint8_t carried[100] = {};
+  reply.PutBytes(carried, sizeof(carried));
+
+  auto* user = static_cast<uint8_t*>(client.user_space()->Allocate(512));
+  uint8_t fh[kNfsFhSize] = {};
+  const size_t kernel_blocks = client.kernel_space()->arena().live_blocks();
+  for (int call = 0; call < 3; ++call) {
+    XdrReader r(reply.span());
+    Result<uint32_t> delivered =
+        client.DecodeReply(GetParam(), {fh, 0, 512, user}, &r);
+    EXPECT_EQ(delivered.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(client.kernel_space()->arena().live_blocks(), kernel_blocks)
+        << "call " << call;
+  }
+}
+
 TEST(NfsClientWireTest, AllStubsProduceIdenticalRequests) {
   // The presentation must not change the network contract: all four stub
   // variants emit byte-identical request bodies.

@@ -1,9 +1,9 @@
-// flexspec tests: superinstruction compilation, the reference executors'
-// byte-for-byte agreement with the interpreter across every seed signature
-// family, engine dispatch + hit/miss counters, the registry, the
-// --specialize emitter (including blocked emission on a corrupted stream),
-// and the drift guards tying examples/idl/nfs.* to the embedded NFS texts
-// the build specializes against.
+// flexspec tests: stream compilation (total over every seed signature
+// family), the reference executor against wire references and the
+// hand-coded NFS stubs, engine dispatch + hit/miss counters, the registry,
+// the --specialize emitter (including blocked emission on a corrupted
+// stream), and the drift guards tying examples/idl/nfs.* to the embedded
+// NFS texts the build specializes against.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/spec_verifier.h"
 #include "src/apps/nfs.h"
@@ -78,6 +80,20 @@ void ExpectSameBytes(const XdrWriter& a, const XdrWriter& b,
       << what;
 }
 
+// Expects `w` to hold exactly the bytes `hex` spells (spaces ignored).
+void ExpectWire(const XdrWriter& w, std::string_view hex, const char* what) {
+  std::vector<uint8_t> want;
+  for (size_t i = 0; i < hex.size(); ++i) {
+    if (hex[i] != ' ') {
+      want.push_back(static_cast<uint8_t>(
+          std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+      ++i;
+    }
+  }
+  EXPECT_EQ(std::vector<uint8_t>(w.span().begin(), w.span().end()), want)
+      << what;
+}
+
 constexpr char kSysLogIdl[] = R"(
   interface SysLog {
     void write_msg(in string msg);
@@ -132,48 +148,61 @@ TEST(SpecKeyTest, SameInputsAreDeterministic) {
   EXPECT_EQ(k1, k2);
 }
 
-// --- differential: executor vs interpreter, per signature family -----------
+TEST(SpecKeyTest, TypesDifferingOnlyDeepDownGetDistinctKeys) {
+  // S0 holds S1 ... holds S33, which holds the one scalar: `long` in one
+  // interface, `long long` in the other, 34 structs below the parameter.
+  auto nested = [](const char* leaf) {
+    std::string idl = StrFormat("struct S33 { %s v; };\n", leaf);
+    for (int i = 32; i >= 0; --i) {
+      idl += StrFormat("struct S%d { S%d f; };\n", i, i + 1);
+    }
+    return idl + "interface I { void f(in S0 v); };";
+  };
+  Compiled narrow = Compile(nested("long"), false, "", "");
+  Compiled wide = Compile(nested("long long"), false, "", "");
+  SpecKey kn = ComputeSpecKey(narrow.idl->interfaces[0].ops[0],
+                              *narrow.client.Find("I")->FindOp("f"));
+  SpecKey kw = ComputeSpecKey(wide.idl->interfaces[0].ops[0],
+                              *wide.client.Find("I")->FindOp("f"));
+  EXPECT_NE(kn.op_hash, kw.op_hash);
+}
+
+// --- the reference executor against wire references -------------------------
+//
+// Each expected byte string, status message and ArgVec effect below is what
+// the plan-walking interpreter the reference executor replaced produced for
+// the same input.
 
 TEST(SpecExecutorTest, StringDefaultPresentation) {
-  SpecSwitchGuard guard;
   Compiled c = Compile(kSysLogIdl, false, "", "");
   const OperationDecl& op = c.idl->interfaces[0].ops[0];
   const OpPresentation& pres =
       *c.client.Find("SysLog")->FindOp("write_msg");
   MarshalProgram prog = MarshalProgram::Build(op, pres);
   SpecPlan plan = CompileSpecPlan(op, pres);
-  ASSERT_TRUE(plan.has_stream[kMReq]) << plan.rejection[kMReq];
-  ASSERT_TRUE(plan.has_stream[kUReq]) << plan.rejection[kUReq];
 
   ArgVec args(prog.slot_count());
   args[prog.SlotOf("msg")].set_ptr("hello flexspec");
-  XdrWriter interp;
-  XdrWriter fused;
-  SetMarshalSpecializationEnabled(false);
-  ASSERT_TRUE(prog.MarshalRequest(args, &interp).ok());
+  XdrWriter wire;
   ASSERT_TRUE(
-      RunSpecMarshal(plan.streams[kMReq], args, &fused, nullptr).ok());
-  ExpectSameBytes(interp, fused, "string marshal request");
+      RunSpecMarshal(plan.streams[kMReq], args, &wire, nullptr).ok());
+  ExpectWire(wire, "0000000e 68656c6c 6f20666c 65787370 65630000",
+             "string marshal request");
 
-  // Unmarshal side: both paths must produce the same NUL-terminated copy.
-  Arena arena_a("interp");
-  Arena arena_b("fused");
-  ArgVec out_a(prog.slot_count());
-  ArgVec out_b(prog.slot_count());
-  XdrReader ra(interp.span());
-  XdrReader rb(fused.span());
-  ASSERT_TRUE(prog.UnmarshalRequest(&ra, &arena_a, &out_a).ok());
-  ASSERT_TRUE(RunSpecUnmarshal(plan.streams[kUReq], &rb, &arena_b, &out_b,
+  // Unmarshal side: a NUL-terminated copy in one arena block.
+  Arena arena("spec");
+  ArgVec out(prog.slot_count());
+  XdrReader r(wire.span());
+  ASSERT_TRUE(RunSpecUnmarshal(plan.streams[kUReq], &r, &arena, &out,
                                nullptr, /*borrow_bytes=*/false)
                   .ok());
   int slot = prog.SlotOf("msg");
-  EXPECT_STREQ(static_cast<const char*>(out_a[slot].ptr()),
-               static_cast<const char*>(out_b[slot].ptr()));
-  EXPECT_EQ(arena_a.live_blocks(), arena_b.live_blocks());
+  EXPECT_STREQ(static_cast<const char*>(out[slot].ptr()), "hello flexspec");
+  EXPECT_EQ(out[slot].length, 14u);
+  EXPECT_EQ(arena.live_blocks(), 1u);
 }
 
 TEST(SpecExecutorTest, StringExplicitLengthPresentation) {
-  SpecSwitchGuard guard;
   Compiled c = Compile(
       kSysLogIdl, false,
       "SysLog_write_msg(,, char *[length_is(length)] msg, int length);",
@@ -183,30 +212,23 @@ TEST(SpecExecutorTest, StringExplicitLengthPresentation) {
       *c.client.Find("SysLog")->FindOp("write_msg");
   MarshalProgram prog = MarshalProgram::Build(op, pres);
   SpecPlan plan = CompileSpecPlan(op, pres);
-  ASSERT_TRUE(plan.has_stream[kMReq]) << plan.rejection[kMReq];
 
   const char buffer[] = {'h', 'e', 'l', 'l', 'o', 'X', 'X', 'X'};
   ArgVec args(prog.slot_count());
   args[prog.SlotOf("msg")].set_ptr(buffer);
   args[prog.SlotOf("length")].scalar = 5;
-  XdrWriter interp;
-  XdrWriter fused;
-  SetMarshalSpecializationEnabled(false);
-  ASSERT_TRUE(prog.MarshalRequest(args, &interp).ok());
+  XdrWriter wire;
   ASSERT_TRUE(
-      RunSpecMarshal(plan.streams[kMReq], args, &fused, nullptr).ok());
-  ExpectSameBytes(interp, fused, "length_is marshal request");
+      RunSpecMarshal(plan.streams[kMReq], args, &wire, nullptr).ok());
+  ExpectWire(wire, "00000005 68656c6c 6f000000", "length_is marshal request");
 }
 
 TEST(SpecExecutorTest, SequenceWriteAndArenaReadBack) {
-  SpecSwitchGuard guard;
   Compiled c = Compile(kFileIoIdl, false, "", "");
   const OperationDecl& op = c.idl->interfaces[0].ops[1];  // write
   const OpPresentation& pres = *c.client.Find("FileIO")->FindOp("write");
   MarshalProgram prog = MarshalProgram::Build(op, pres);
   SpecPlan plan = CompileSpecPlan(op, pres);
-  ASSERT_TRUE(plan.has_stream[kMReq]) << plan.rejection[kMReq];
-  ASSERT_TRUE(plan.has_stream[kUReq]) << plan.rejection[kUReq];
 
   uint8_t data[100];
   for (size_t i = 0; i < sizeof(data); ++i) {
@@ -215,80 +237,57 @@ TEST(SpecExecutorTest, SequenceWriteAndArenaReadBack) {
   ArgVec args(prog.slot_count());
   args[prog.SlotOf("data")].set_ptr(data);
   args[prog.SlotOf("data")].length = sizeof(data);
-  XdrWriter interp;
-  XdrWriter fused;
-  SetMarshalSpecializationEnabled(false);
-  ASSERT_TRUE(prog.MarshalRequest(args, &interp).ok());
+  XdrWriter wire;
   ASSERT_TRUE(
-      RunSpecMarshal(plan.streams[kMReq], args, &fused, nullptr).ok());
-  ExpectSameBytes(interp, fused, "sequence marshal request");
+      RunSpecMarshal(plan.streams[kMReq], args, &wire, nullptr).ok());
+  // The u32 count, then the bytes as they are (100 needs no padding).
+  std::vector<uint8_t> want = {0, 0, 0, 100};
+  want.insert(want.end(), data, data + sizeof(data));
+  EXPECT_EQ(std::vector<uint8_t>(wire.span().begin(), wire.span().end()),
+            want);
 
-  Arena arena_a("interp");
-  Arena arena_b("fused");
-  ArgVec out_a(prog.slot_count());
-  ArgVec out_b(prog.slot_count());
-  XdrReader ra(interp.span());
-  XdrReader rb(fused.span());
-  ASSERT_TRUE(prog.UnmarshalRequest(&ra, &arena_a, &out_a, nullptr,
-                                    /*borrow_bytes=*/false)
-                  .ok());
-  ASSERT_TRUE(RunSpecUnmarshal(plan.streams[kUReq], &rb, &arena_b, &out_b,
+  Arena arena("spec");
+  ArgVec out(prog.slot_count());
+  XdrReader r(wire.span());
+  ASSERT_TRUE(RunSpecUnmarshal(plan.streams[kUReq], &r, &arena, &out,
                                nullptr, /*borrow_bytes=*/false)
                   .ok());
   int slot = prog.SlotOf("data");
-  ASSERT_EQ(out_a[slot].length, out_b[slot].length);
-  EXPECT_EQ(std::memcmp(out_a[slot].ptr(), out_b[slot].ptr(),
-                        out_a[slot].length),
-            0);
-  EXPECT_EQ(out_a[slot].borrowed, out_b[slot].borrowed);
-  EXPECT_EQ(arena_a.live_blocks(), arena_b.live_blocks());
+  ASSERT_EQ(out[slot].length, sizeof(data));
+  EXPECT_EQ(std::memcmp(out[slot].ptr(), data, sizeof(data)), 0);
+  EXPECT_FALSE(out[slot].borrowed);
+  EXPECT_EQ(arena.live_blocks(), 1u);
 }
 
 TEST(SpecExecutorTest, SequenceBorrowPolicyMatches) {
-  SpecSwitchGuard guard;
   Compiled c = Compile(kFileIoIdl, false, "", "");
   const OperationDecl& op = c.idl->interfaces[0].ops[1];  // write
   const OpPresentation& pres = *c.server.Find("FileIO")->FindOp("write");
   MarshalProgram prog = MarshalProgram::Build(op, pres);
   SpecPlan plan = CompileSpecPlan(op, pres);
-  ASSERT_TRUE(plan.has_stream[kUReq]) << plan.rejection[kUReq];
 
-  ArgVec src(prog.slot_count());
   uint8_t data[64];
   std::memset(data, 0xAB, sizeof(data));
-  src[prog.SlotOf("data")].set_ptr(data);
-  src[prog.SlotOf("data")].length = sizeof(data);
   XdrWriter wire;
-  SetMarshalSpecializationEnabled(false);
-  ASSERT_TRUE(prog.MarshalRequest(src, &wire).ok());
+  wire.PutU32(sizeof(data));
+  wire.PutBytes(data, sizeof(data));
 
-  // Server-side borrow: both paths must alias the message buffer rather
-  // than copy, and flag the slot as borrowed.
-  Arena arena_a("interp");
-  Arena arena_b("fused");
-  ArgVec out_a(prog.slot_count());
-  ArgVec out_b(prog.slot_count());
-  XdrReader ra(wire.span());
-  XdrReader rb(wire.span());
-  ASSERT_TRUE(prog.UnmarshalRequest(&ra, &arena_a, &out_a, nullptr,
-                                    /*borrow_bytes=*/true)
-                  .ok());
-  ASSERT_TRUE(RunSpecUnmarshal(plan.streams[kUReq], &rb, &arena_b, &out_b,
+  // Server-side borrow: the slot aliases the message buffer instead of
+  // copying, and is flagged as borrowed.
+  Arena arena("spec");
+  ArgVec out(prog.slot_count());
+  XdrReader r(wire.span());
+  ASSERT_TRUE(RunSpecUnmarshal(plan.streams[kUReq], &r, &arena, &out,
                                nullptr, /*borrow_bytes=*/true)
                   .ok());
   int slot = prog.SlotOf("data");
-  EXPECT_TRUE(out_a[slot].borrowed);
-  EXPECT_TRUE(out_b[slot].borrowed);
-  EXPECT_EQ(arena_a.live_blocks(), 0u);
-  EXPECT_EQ(arena_b.live_blocks(), 0u);
-  ASSERT_EQ(out_a[slot].length, out_b[slot].length);
-  EXPECT_EQ(std::memcmp(out_a[slot].ptr(), out_b[slot].ptr(),
-                        out_a[slot].length),
-            0);
+  EXPECT_TRUE(out[slot].borrowed);
+  EXPECT_EQ(out[slot].ptr(), wire.span().data() + 4);
+  EXPECT_EQ(out[slot].length, sizeof(data));
+  EXPECT_EQ(arena.live_blocks(), 0u);
 }
 
 TEST(SpecExecutorTest, ScalarWidthsMarshalIdentically) {
-  SpecSwitchGuard guard;
   Compiled c = Compile(R"(
     interface Calc {
       void mix(in octet a, in short b, in unsigned long d,
@@ -300,39 +299,36 @@ TEST(SpecExecutorTest, ScalarWidthsMarshalIdentically) {
   const OpPresentation& pres = *c.client.Find("Calc")->FindOp("mix");
   MarshalProgram prog = MarshalProgram::Build(op, pres);
   SpecPlan plan = CompileSpecPlan(op, pres);
-  ASSERT_TRUE(plan.has_stream[kMReq]) << plan.rejection[kMReq];
 
+  const std::pair<const char*, uint64_t> kValues[] = {
+      {"a", 0xC3},
+      {"b", 0x1234},
+      {"d", 0xDEADBEEF},
+      {"e", 0x0123456789ABCDEFull},
+      {"f", 1}};
   ArgVec args(prog.slot_count());
-  args[prog.SlotOf("a")].scalar = 0xC3;
-  args[prog.SlotOf("b")].scalar = 0x1234;
-  args[prog.SlotOf("d")].scalar = 0xDEADBEEF;
-  args[prog.SlotOf("e")].scalar = 0x0123456789ABCDEFull;
-  args[prog.SlotOf("f")].scalar = 1;
-  XdrWriter interp;
-  XdrWriter fused;
-  SetMarshalSpecializationEnabled(false);
-  ASSERT_TRUE(prog.MarshalRequest(args, &interp).ok());
+  for (const auto& [name, value] : kValues) {
+    args[prog.SlotOf(name)].scalar = value;
+  }
+  XdrWriter wire;
   ASSERT_TRUE(
-      RunSpecMarshal(plan.streams[kMReq], args, &fused, nullptr).ok());
-  ExpectSameBytes(interp, fused, "mixed scalar widths");
+      RunSpecMarshal(plan.streams[kMReq], args, &wire, nullptr).ok());
+  // XDR widens the octet, short and boolean to four bytes.
+  ExpectWire(wire, "000000c3 00001234 deadbeef 01234567 89abcdef 00000001",
+             "mixed scalar widths");
 
-  ArgVec out_a(prog.slot_count());
-  ArgVec out_b(prog.slot_count());
+  ArgVec out(prog.slot_count());
   Arena arena("scalars");
-  XdrReader ra(interp.span());
-  XdrReader rb(fused.span());
-  ASSERT_TRUE(prog.UnmarshalRequest(&ra, &arena, &out_a).ok());
-  ASSERT_TRUE(RunSpecUnmarshal(plan.streams[kUReq], &rb, &arena, &out_b,
+  XdrReader r(wire.span());
+  ASSERT_TRUE(RunSpecUnmarshal(plan.streams[kUReq], &r, &arena, &out,
                                nullptr, /*borrow_bytes=*/false)
                   .ok());
-  for (const char* name : {"a", "b", "d", "e", "f"}) {
-    int slot = prog.SlotOf(name);
-    EXPECT_EQ(out_a[slot].scalar, out_b[slot].scalar) << name;
+  for (const auto& [name, value] : kValues) {
+    EXPECT_EQ(out[prog.SlotOf(name)].scalar, value) << name;
   }
 }
 
 TEST(SpecExecutorTest, BoundedSequenceRejectsOverrunExactly) {
-  SpecSwitchGuard guard;
   Compiled c = Compile(R"(
     interface Cap {
       void put(in sequence<octet, 16> data);
@@ -343,20 +339,178 @@ TEST(SpecExecutorTest, BoundedSequenceRejectsOverrunExactly) {
   const OpPresentation& pres = *c.client.Find("Cap")->FindOp("put");
   MarshalProgram prog = MarshalProgram::Build(op, pres);
   SpecPlan plan = CompileSpecPlan(op, pres);
-  ASSERT_TRUE(plan.has_stream[kMReq]) << plan.rejection[kMReq];
 
   uint8_t data[32] = {};
   ArgVec args(prog.slot_count());
   args[prog.SlotOf("data")].set_ptr(data);
   args[prog.SlotOf("data")].length = 32;  // over the declared bound
-  XdrWriter interp;
-  XdrWriter fused;
-  SetMarshalSpecializationEnabled(false);
-  Status a = prog.MarshalRequest(args, &interp);
-  Status b = RunSpecMarshal(plan.streams[kMReq], args, &fused, nullptr);
-  EXPECT_EQ(a.code(), StatusCode::kInvalidArgument) << a.ToString();
-  EXPECT_EQ(b.code(), StatusCode::kInvalidArgument) << b.ToString();
-  EXPECT_EQ(a.message(), b.message());
+  XdrWriter wire;
+  Status st = RunSpecMarshal(plan.streams[kMReq], args, &wire, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(st.message(), "sequence length 32 exceeds bound 16");
+  EXPECT_EQ(wire.span().size(), 0u);
+}
+
+// --- value ops: what MarshalValue/UnmarshalValue move whole ------------------
+//
+// These run the engine's entry points with nothing registered for their
+// keys, so every stream is the reference executor over the bind-time
+// program, releases included. A direct union slot and a struct holding a
+// string run the same way in EngineTest and RpcRuntimeTest.
+
+constexpr char kLongSeqIdl[] = R"(
+  interface V {
+    void push(in sequence<long> v);
+    void cap(in sequence<long, 2> v);
+    void fetch(out sequence<long> v);
+  };
+)";
+
+TEST(SpecExecutorTest, ValueOpSequenceOfLongs) {
+  Compiled c = Compile(kLongSeqIdl, false, "V_fetch(long *[alloc(user)] v);",
+                       "");
+  const InterfaceDecl& itf = c.idl->interfaces[0];
+  MarshalProgram client =
+      MarshalProgram::Build(itf.ops[0], *c.client.Find("V")->FindOp("push"));
+  MarshalProgram server =
+      MarshalProgram::Build(itf.ops[0], *c.server.Find("V")->FindOp("push"));
+  ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 1u);
+  EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].kind,
+            SpecOpKind::kPutValue);
+
+  int32_t v[3] = {1, -2, 0x7FFFFFFF};
+  ArgVec args(client.slot_count());
+  args[0].set_ptr(v);
+  args[0].length = 3;
+  XdrWriter three;
+  ASSERT_TRUE(client.MarshalRequest(args, &three).ok());
+  ExpectWire(three, "00000003 00000001 fffffffe 7fffffff", "sequence<long>");
+
+  Arena arena("seq");
+  Status st;
+  {
+    ArgVec out(server.slot_count());
+    XdrReader r(three.span());
+    ASSERT_TRUE(server.UnmarshalRequest(&r, &arena, &out).ok());
+    ASSERT_EQ(out[0].length, 3u);
+    EXPECT_EQ(std::memcmp(out[0].ptr(), v, sizeof(v)), 0);
+    EXPECT_EQ(arena.live_blocks(), 1u);
+    server.ReleaseRequest(&arena, &out);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  }
+
+  // The declared bound, on both sides.
+  MarshalProgram cap_client =
+      MarshalProgram::Build(itf.ops[1], *c.client.Find("V")->FindOp("cap"));
+  MarshalProgram cap_server =
+      MarshalProgram::Build(itf.ops[1], *c.server.Find("V")->FindOp("cap"));
+  XdrWriter unused;
+  st = cap_client.MarshalRequest(args, &unused);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "sequence length 3 exceeds bound 2");
+  EXPECT_EQ(unused.span().size(), 0u);
+  {
+    ArgVec out(cap_server.slot_count());
+    XdrReader r(three.span());
+    st = cap_server.UnmarshalRequest(&r, &arena, &out);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(st.message(), "wire sequence length 3 exceeds bound 2");
+  }
+
+  // A count the bytes left cannot hold sizes no allocation.
+  {
+    XdrWriter big;
+    big.PutU32(1000);
+    big.PutU32(1);
+    big.PutU32(2);
+    ArgVec out(server.slot_count());
+    XdrReader r(big.span());
+    st = server.UnmarshalRequest(&r, &arena, &out);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(st.message(),
+              "wire sequence length 1000 exceeds the 8 bytes left");
+    EXPECT_EQ(out[0].ptr(), nullptr);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  }
+
+  // A truncated element: the length is set before any element is read,
+  // so the release frees the zeroed block.
+  {
+    XdrWriter cut;
+    cut.PutU32(3);
+    cut.PutU32(5);
+    cut.PutU32(6);
+    ArgVec out(server.slot_count());
+    XdrReader r(cut.span());
+    st = server.UnmarshalRequest(&r, &arena, &out);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(st.message(), "XDR stream truncated reading u32");
+    EXPECT_EQ(out[0].length, 3u);
+    EXPECT_EQ(arena.live_blocks(), 1u);
+    server.ReleaseRequest(&arena, &out);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  }
+
+  // [alloc(user)]: the caller's capacity, in elements, bounds the count.
+  MarshalProgram fetch =
+      MarshalProgram::Build(itf.ops[2], *c.client.Find("V")->FindOp("fetch"));
+  for (uint32_t capacity : {2u, 4u}) {
+    int32_t mine[4] = {};
+    ArgVec out(fetch.slot_count());
+    out[0].set_ptr(mine);
+    out[0].capacity = capacity;
+    XdrReader r(three.span());
+    st = fetch.UnmarshalReply(&r, &arena, &out);
+    if (capacity == 2) {
+      EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(st.message(), "caller buffer too small for sequence");
+    } else {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(out[0].length, 3u);
+      EXPECT_EQ(std::memcmp(mine, v, sizeof(v)), 0);
+      EXPECT_EQ(mine[3], 0);
+    }
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  }
+}
+
+TEST(SpecExecutorTest, ValueOpArrayPastTheOpBudget) {
+  // 100 two-long structs are 200 leaves, past kMaxSpecOps: one value op.
+  Compiled c = Compile(R"(
+    struct P { long x; long y; };
+    typedef P Pts[100];
+    interface Poly { void set(in Pts pts); };
+  )",
+                       false, "", "");
+  const OperationDecl& op = c.idl->interfaces[0].ops[0];
+  MarshalProgram client =
+      MarshalProgram::Build(op, *c.client.Find("Poly")->FindOp("set"));
+  MarshalProgram server =
+      MarshalProgram::Build(op, *c.server.Find("Poly")->FindOp("set"));
+  ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 1u);
+  EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].kind,
+            SpecOpKind::kPutValue);
+
+  int32_t pts[200];
+  XdrWriter want;
+  for (int i = 0; i < 100; ++i) {
+    pts[2 * i] = i;
+    pts[2 * i + 1] = -i;
+    want.PutU32(static_cast<uint32_t>(i));
+    want.PutU32(static_cast<uint32_t>(-i));
+  }
+  ArgVec args(client.slot_count());
+  args[0].set_ptr(pts);
+  XdrWriter wire;
+  ASSERT_TRUE(client.MarshalRequest(args, &wire).ok());
+  ExpectSameBytes(wire, want, "Pts");
+
+  Arena arena("array");
+  ArgVec out(server.slot_count());
+  XdrReader r(wire.span());
+  ASSERT_TRUE(server.UnmarshalRequest(&r, &arena, &out).ok());
+  EXPECT_EQ(std::memcmp(out[0].ptr(), pts, sizeof(pts)), 0);
+  EXPECT_EQ(arena.live_blocks(), 1u);
 }
 
 // The full NFS pair (the texts the build's generated unit specializes):
@@ -381,8 +535,6 @@ class NfsSpecPlanTest : public ::testing::Test {
 };
 
 TEST_F(NfsSpecPlanTest, FlattenedRequestMarshalsIdentically) {
-  SpecSwitchGuard guard;
-  ASSERT_TRUE(plan_.has_stream[kMReq]) << plan_.rejection[kMReq];
   uint8_t fh[kNfsFhSize];
   std::memset(fh, 0x3C, sizeof(fh));
   ArgVec args(prog_->slot_count());
@@ -390,19 +542,27 @@ TEST_F(NfsSpecPlanTest, FlattenedRequestMarshalsIdentically) {
   args[prog_->SlotOf("offset")].scalar = 4096;
   args[prog_->SlotOf("count")].scalar = 512;
   args[prog_->SlotOf("totalcount")].scalar = 512;
-  XdrWriter interp;
-  XdrWriter fused;
-  SetMarshalSpecializationEnabled(false);
-  ASSERT_TRUE(prog_->MarshalRequest(args, &interp).ok());
+  XdrWriter wire;
   ASSERT_TRUE(
-      RunSpecMarshal(plan_.streams[kMReq], args, &fused, nullptr).ok());
-  ExpectSameBytes(interp, fused, "NFS flattened request");
+      RunSpecMarshal(plan_.streams[kMReq], args, &wire, nullptr).ok());
+  ExpectWire(wire,
+             "3c3c3c3c 3c3c3c3c 3c3c3c3c 3c3c3c3c 3c3c3c3c 3c3c3c3c "
+             "3c3c3c3c 3c3c3c3c 00001000 00000200 00000200",
+             "NFS flattened request");
+
+  // The hand-coded stub writes the same request longhand.
+  NfsFileServer server(/*file_size=*/4096, /*seed=*/1);
+  NfsClient client(&server, LinkModel(), RemoteServerModel());
+  uint8_t dest[512];
+  XdrWriter hand;
+  ASSERT_TRUE(client
+                  .EncodeRequest(NfsClient::StubKind::kHandUserBuffer,
+                                 {fh, 4096, 512, dest}, &hand)
+                  .ok());
+  ExpectSameBytes(wire, hand, "hand-coded request");
 }
 
 TEST_F(NfsSpecPlanTest, UnionReplyDecodesIdentically) {
-  SpecSwitchGuard guard;
-  ASSERT_TRUE(plan_.has_stream[kURep]) << plan_.rejection[kURep];
-
   // Hand-encoded NFS_OK reply: disc + 14-field fattr + 512-byte payload.
   XdrWriter reply;
   reply.PutU32(0);  // NFS_OK
@@ -416,75 +576,74 @@ TEST_F(NfsSpecPlanTest, UnionReplyDecodesIdentically) {
   reply.PutU32(sizeof(payload));
   reply.PutBytes(payload, sizeof(payload));
 
-  auto decode = [&](bool use_executor, uint8_t* dest, uint8_t* attrs,
-                    uint64_t* status, uint32_t* len) {
-    Arena arena("nfs");
-    ArgVec args(prog_->slot_count());
-    int data_slot = prog_->SlotOf("data");
-    args[data_slot].set_ptr(dest);
-    args[data_slot].capacity = sizeof(payload);
-    args[prog_->SlotOf("attributes")].set_ptr(attrs);
-    XdrReader r(reply.span());
-    Status st =
-        use_executor
-            ? RunSpecUnmarshal(plan_.streams[kURep], &r, &arena, &args,
-                               nullptr, /*borrow_bytes=*/false)
-            : prog_->UnmarshalReply(&r, &arena, &args);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    *status = args[prog_->SlotOf("status")].scalar;
-    *len = args[data_slot].length;
-  };
+  Arena arena("nfs");
+  ArgVec args(prog_->slot_count());
+  uint8_t dest[512] = {};
+  uint32_t attrs[14] = {};
+  int data_slot = prog_->SlotOf("data");
+  args[data_slot].set_ptr(dest);
+  args[data_slot].capacity = sizeof(payload);
+  args[prog_->SlotOf("attributes")].set_ptr(attrs);
+  XdrReader r(reply.span());
+  Status st = RunSpecUnmarshal(plan_.streams[kURep], &r, &arena, &args,
+                               nullptr, /*borrow_bytes=*/false);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(args[prog_->SlotOf("status")].scalar, 0u);
+  EXPECT_EQ(args[data_slot].length, sizeof(payload));
+  EXPECT_EQ(std::memcmp(dest, payload, sizeof(payload)), 0);
+  for (uint32_t i = 0; i < 14; ++i) {
+    EXPECT_EQ(attrs[i], i * 3 + 1) << i;
+  }
+  EXPECT_EQ(arena.live_blocks(), 0u);  // caller storage only
 
-  uint8_t dest_a[512] = {};
-  uint8_t dest_b[512] = {};
-  uint8_t attrs_a[14 * 4] = {};
-  uint8_t attrs_b[14 * 4] = {};
-  uint64_t status_a = 99;
-  uint64_t status_b = 99;
-  uint32_t len_a = 0;
-  uint32_t len_b = 0;
-  SetMarshalSpecializationEnabled(false);
-  decode(false, dest_a, attrs_a, &status_a, &len_a);
-  decode(true, dest_b, attrs_b, &status_b, &len_b);
-  EXPECT_EQ(status_a, 0u);
-  EXPECT_EQ(status_b, 0u);
-  EXPECT_EQ(len_a, len_b);
-  EXPECT_EQ(std::memcmp(dest_a, dest_b, sizeof(dest_a)), 0);
-  EXPECT_EQ(std::memcmp(dest_a, payload, sizeof(payload)), 0);
-  EXPECT_EQ(std::memcmp(attrs_a, attrs_b, sizeof(attrs_a)), 0);
+  // The hand-coded stub delivers the same bytes into user space.
+  NfsFileServer server(/*file_size=*/4096, /*seed=*/1);
+  NfsClient client(&server, LinkModel(), RemoteServerModel());
+  auto* user =
+      static_cast<uint8_t*>(client.user_space()->Allocate(sizeof(payload)));
+  uint8_t fh[kNfsFhSize] = {};
+  XdrReader hand_reader(reply.span());
+  Result<uint32_t> delivered = client.DecodeReply(
+      NfsClient::StubKind::kHandUserBuffer,
+      {fh, 0, static_cast<uint32_t>(sizeof(payload)), user}, &hand_reader);
+  ASSERT_TRUE(delivered.ok()) << delivered.status().ToString();
+  EXPECT_EQ(*delivered, sizeof(payload));
+  EXPECT_EQ(std::memcmp(user, dest, sizeof(payload)), 0);
 }
 
 TEST_F(NfsSpecPlanTest, ErrorArmEndsStreamOnBothPaths) {
+  // Both paths: the reference executor, and the entry point that runs the
+  // build's generated function when specialization is on.
+  NfsFileServer server(/*file_size=*/4096, /*seed=*/1);
+  NfsClient registers(&server, LinkModel(), RemoteServerModel());
+  MarshalProgram prog = MarshalProgram::Build(*op_, *pres_);
   SpecSwitchGuard guard;
-  ASSERT_TRUE(plan_.has_stream[kURep]) << plan_.rejection[kURep];
   XdrWriter reply;
   reply.PutU32(5);  // NFSERR_IO: default arm is void, stream ends
 
-  for (bool use_executor : {false, true}) {
+  for (bool generated : {false, true}) {
+    SetMarshalSpecializationEnabled(generated);
     Arena arena("nfs");
-    ArgVec args(prog_->slot_count());
+    ArgVec args(prog.slot_count());
     uint8_t dest[16] = {};
     uint8_t attrs[14 * 4] = {};
-    int data_slot = prog_->SlotOf("data");
+    int data_slot = prog.SlotOf("data");
     args[data_slot].set_ptr(dest);
     args[data_slot].capacity = sizeof(dest);
-    args[prog_->SlotOf("attributes")].set_ptr(attrs);
+    args[prog.SlotOf("attributes")].set_ptr(attrs);
     XdrReader r(reply.span());
-    SetMarshalSpecializationEnabled(false);
-    Status st =
-        use_executor
-            ? RunSpecUnmarshal(plan_.streams[kURep], &r, &arena, &args,
-                               nullptr, /*borrow_bytes=*/false)
-            : prog_->UnmarshalReply(&r, &arena, &args);
+    TraceSession session;
+    Status st = prog.UnmarshalReply(&r, &arena, &args);
     ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(args[prog_->SlotOf("status")].scalar, 5u);
+    EXPECT_EQ(session.Report().counter(TraceCounter::kMarshalSpecHits),
+              generated ? 1u : 0u);
+    EXPECT_EQ(args[prog.SlotOf("status")].scalar, 5u);
     EXPECT_EQ(args[data_slot].length, 0u);
+    EXPECT_EQ(r.remaining(), 0u);
   }
 }
 
 TEST_F(NfsSpecPlanTest, SpecialRoutineReceivesTheBytes) {
-  SpecSwitchGuard guard;
-  ASSERT_TRUE(plan_.has_stream[kURep]) << plan_.rejection[kURep];
   XdrWriter reply;
   reply.PutU32(0);
   for (uint32_t i = 0; i < 14; ++i) {
@@ -495,62 +654,74 @@ TEST_F(NfsSpecPlanTest, SpecialRoutineReceivesTheBytes) {
   reply.PutU32(sizeof(payload));
   reply.PutBytes(payload, sizeof(payload));
 
-  // Both paths must route the [special] data run through copy_in — the
-  // simulated kernel copyout — rather than a plain memcpy.
-  for (bool use_executor : {false, true}) {
-    int special_calls = 0;
-    SpecialOps special;
-    special.copy_in = [&special_calls](void* dst, const uint8_t* src,
-                                       size_t n) {
-      ++special_calls;
-      std::memcpy(dst, src, n);
-    };
-    Arena arena("nfs");
-    ArgVec args(prog_->slot_count());
-    uint8_t dest[64] = {};
-    uint8_t attrs[14 * 4] = {};
-    int data_slot = prog_->SlotOf("data");
-    args[data_slot].set_ptr(dest);
-    args[data_slot].capacity = sizeof(dest);
-    args[prog_->SlotOf("attributes")].set_ptr(attrs);
-    XdrReader r(reply.span());
-    SetMarshalSpecializationEnabled(false);
-    Status st =
-        use_executor
-            ? RunSpecUnmarshal(plan_.streams[kURep], &r, &arena, &args,
-                               &special, /*borrow_bytes=*/false)
-            : prog_->UnmarshalReply(&r, &arena, &args, &special);
-    ASSERT_TRUE(st.ok()) << st.ToString();
-    EXPECT_EQ(special_calls, 1) << "executor=" << use_executor;
-    EXPECT_EQ(dest[10], 0x42);
-  }
+  // The [special] data run goes through copy_in — the simulated kernel
+  // copyout — rather than a plain memcpy, once.
+  int special_calls = 0;
+  SpecialOps special;
+  special.copy_in = [&special_calls](void* dst, const uint8_t* src,
+                                     size_t n) {
+    ++special_calls;
+    std::memcpy(dst, src, n);
+  };
+  Arena arena("nfs");
+  ArgVec args(prog_->slot_count());
+  uint8_t dest[64] = {};
+  uint8_t attrs[14 * 4] = {};
+  int data_slot = prog_->SlotOf("data");
+  args[data_slot].set_ptr(dest);
+  args[data_slot].capacity = sizeof(dest);
+  args[prog_->SlotOf("attributes")].set_ptr(attrs);
+  XdrReader r(reply.span());
+  Status st = RunSpecUnmarshal(plan_.streams[kURep], &r, &arena, &args,
+                               &special, /*borrow_bytes=*/false);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(special_calls, 1);
+  EXPECT_EQ(std::memcmp(dest, payload, sizeof(payload)), 0);
 }
 
 // --- the prover sweep over every seed signature family ----------------------
 
-TEST(SpecVerifierSweepTest, AllSeedPlansProveEquivalent) {
-  struct Fixture {
-    const char* name;
-    const char* idl;
-    bool sunrpc;
-    const char* client_pdl;
-    const char* server_pdl;
-  };
-  const Fixture kFixtures[] = {
-      {"syslog-default", kSysLogIdl, false, "", ""},
-      {"syslog-length_is", kSysLogIdl, false,
-       "SysLog_write_msg(,, char *[length_is(length)] msg, int length);",
-       ""},
-      {"fileio-default", kFileIoIdl, false, "", ""},
-      {"fileio-alloc-user", kFileIoIdl, false, "FileIO_read()[alloc(user)];",
-       ""},
-      {"fileio-special", kFileIoIdl, false,
-       "FileIO_write(char *[special] data);", ""},
-      {"fileio-dealloc-never", kFileIoIdl, false, "",
-       "FileIO_read()[dealloc(never)];"},
-      {"nfs-figure1", nullptr, true, nullptr, ""},
-  };
-  for (const Fixture& fx : kFixtures) {
+struct SweepFixture {
+  const char* name;
+  const char* idl;  // null: the NFS text
+  bool sunrpc;
+  const char* client_pdl;  // null: the NFS [special] PDL
+  const char* server_pdl;
+};
+
+const SweepFixture kSweepFixtures[] = {
+    {"syslog-default", kSysLogIdl, false, "", ""},
+    {"syslog-length_is", kSysLogIdl, false,
+     "SysLog_write_msg(,, char *[length_is(length)] msg, int length);", ""},
+    {"fileio-default", kFileIoIdl, false, "", ""},
+    {"fileio-alloc-user", kFileIoIdl, false, "FileIO_read()[alloc(user)];",
+     ""},
+    {"fileio-special", kFileIoIdl, false,
+     "FileIO_write(char *[special] data);", ""},
+    {"fileio-dealloc-never", kFileIoIdl, false, "",
+     "FileIO_read()[dealloc(never)];"},
+    {"nfs-figure1", nullptr, true, nullptr, ""},
+    {"nfs-direct-union", nullptr, true, "", ""},
+    {"sequence-of-long", kLongSeqIdl, false, "", ""},
+    {"struct-holding-string", R"(
+      struct Entry { string name; long id; };
+      interface Dir { void add(in Entry e); Entry get(in long id); };
+    )",
+     false, "", ""},
+    {"array-past-op-budget", R"(
+      struct P { long x; long y; };
+      typedef P Pts[100];
+      interface Poly { void set(in Pts pts); Pts get(); };
+    )",
+     false, "", ""},
+};
+
+// Calls `fn(op, pres)` for every operation of every sweep fixture under
+// both side presentations.
+template <typename Fn>
+void ForEachSweepPlan(Fn fn) {
+  for (const SweepFixture& fx : kSweepFixtures) {
+    SCOPED_TRACE(fx.name);
     Compiled c = Compile(fx.idl != nullptr ? fx.idl : NfsIdlText(),
                          fx.sunrpc,
                          fx.client_pdl != nullptr ? fx.client_pdl
@@ -560,15 +731,38 @@ TEST(SpecVerifierSweepTest, AllSeedPlansProveEquivalent) {
       for (const InterfaceDecl& itf : c.idl->interfaces) {
         for (const OperationDecl& op : itf.ops) {
           const OpPresentation* pres = set->Find(itf.name)->FindOp(op.name);
-          ASSERT_NE(pres, nullptr) << fx.name << " " << op.name;
-          SpecPlan plan = CompileSpecPlan(op, *pres);
-          DiagnosticSink diags;
-          EXPECT_EQ(VerifySpecPlan(op, *pres, plan, "sweep", &diags), 0)
-              << fx.name << " " << op.name << ": " << diags.ToString();
+          ASSERT_NE(pres, nullptr) << op.name;
+          fn(op, *pres);
         }
       }
     }
   }
+}
+
+TEST(SpecVerifierSweepTest, AllSeedPlansProveEquivalent) {
+  ForEachSweepPlan([](const OperationDecl& op, const OpPresentation& pres) {
+    SpecPlan plan = CompileSpecPlan(op, pres);
+    DiagnosticSink diags;
+    EXPECT_EQ(VerifySpecPlan(op, pres, plan, "sweep", &diags), 0)
+        << op.name << ": " << diags.ToString();
+  });
+}
+
+// Compilation is total: every stream of every fixture compiles to ops that
+// lower to the plan's own effects, and the engine runs that very program.
+TEST(SpecCompileTest, EverySweepFixtureStreamCompiles) {
+  ForEachSweepPlan([](const OperationDecl& op, const OpPresentation& pres) {
+    SpecPlan plan = CompileSpecPlan(op, pres);
+    MarshalProgram prog = MarshalProgram::Build(op, pres);
+    for (size_t s = 0; s < kSpecStreamCount; ++s) {
+      const SpecStream stream = static_cast<SpecStream>(s);
+      EXPECT_EQ(SpecStreamEffects(plan.streams[s]),
+                PlanStreamEffects(op, pres, stream))
+          << op.name << " " << SpecStreamName(stream);
+      EXPECT_EQ(prog.Stream(stream).ops, plan.streams[s].ops)
+          << op.name << " " << SpecStreamName(stream);
+    }
+  });
 }
 
 // --- registry + engine dispatch ---------------------------------------------
@@ -606,7 +800,6 @@ TEST(SpecDispatchTest, EngineDispatchesRegisteredFnAndCountsHitMiss) {
 
   static SpecPlan plan;  // outlives the trampoline calls
   plan = CompileSpecPlan(op, pres);
-  ASSERT_TRUE(plan.has_stream[kMReq]);
   g_dispatch_plan = &plan;
   SpecFns fns;
   fns.marshal_request = &DispatchMarshalRequest;
@@ -625,12 +818,13 @@ TEST(SpecDispatchTest, EngineDispatchesRegisteredFnAndCountsHitMiss) {
     TraceSnapshot report = session.Report();
     EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecHits), 1u);
     EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecMisses), 0u);
-    // The dispatch-level byte accounting must credit the fused stream.
-    EXPECT_GT(report.counter(TraceCounter::kMarshalBytesOut), 0u);
+    // Either executor credits the stream's wire delta.
+    EXPECT_EQ(report.counter(TraceCounter::kMarshalBytesOut),
+              fast.span().size());
   }
 
   // Flipping the global switch falls back per call — no rebind needed —
-  // and the interpreter produces the same bytes.
+  // and the reference executor produces the same bytes.
   SetMarshalSpecializationEnabled(false);
   XdrWriter slow;
   {
@@ -639,8 +833,10 @@ TEST(SpecDispatchTest, EngineDispatchesRegisteredFnAndCountsHitMiss) {
     TraceSnapshot report = session.Report();
     EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecHits), 0u);
     EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecMisses), 1u);
+    EXPECT_EQ(report.counter(TraceCounter::kMarshalBytesOut),
+              slow.span().size());
   }
-  ExpectSameBytes(fast, slow, "dispatch vs interpreter");
+  ExpectSameBytes(fast, slow, "dispatch vs reference executor");
 
   UnregisterSpecialization(plan.key);
   g_dispatch_plan = nullptr;
@@ -734,7 +930,7 @@ TEST(SpecGenTest, EachFunctionIsOneStepCallPerOp) {
         continue;
       }
       for (size_t s = 0; s < kSpecStreamCount; ++s) {
-        ASSERT_TRUE(plan.has_stream[s]) << op.name << " " << s;
+        ASSERT_TRUE(plan.Emits(s)) << op.name << " " << s;
         std::string head = StrFormat("Status Spec%zu%s(", index, kSuffix[s]);
         size_t begin = source.find(head);
         ASSERT_NE(begin, std::string::npos) << head;
@@ -772,7 +968,7 @@ TEST(SpecGenTest, CorruptedStreamBlocksEmission) {
   SpecGenOptions options;
   options.mutate_for_test = [](SpecPlan* plan) {
     for (size_t s = 0; s < kSpecStreamCount; ++s) {
-      if (plan->has_stream[s] && !plan->streams[s].ops.empty()) {
+      if (!plan->streams[s].ops.empty()) {
         plan->streams[s].ops.pop_back();
         return;
       }
@@ -806,7 +1002,8 @@ TEST(NfsSpecE2ETest, GeneratedUnitIsRegisteredAndHit) {
 
 TEST(NfsSpecE2ETest, SpecializedAndInterpretedReadsDeliverSameBytes) {
   // ReadFile verifies every delivered byte against the server's content,
-  // so a pass on both settings is a byte-identity proof end to end.
+  // so a pass with the generated code and with the reference executor is
+  // a byte-identity proof end to end.
   SpecSwitchGuard guard;
   NfsFileServer server(/*file_size=*/32u << 10, /*seed=*/7);
   NfsClient client(&server, LinkModel(), RemoteServerModel());
@@ -830,6 +1027,11 @@ TEST(NfsSpecE2ETest, RequestWireBytesIdenticalAcrossDispatch) {
   std::memset(fh, 0xFD, sizeof(fh));
   uint8_t dest[512];
   NfsClient::ChunkArgs chunk{fh, /*offset=*/0, /*count=*/512, dest};
+  XdrWriter hand;
+  ASSERT_TRUE(client
+                  .EncodeRequest(NfsClient::StubKind::kHandConventional,
+                                 chunk, &hand)
+                  .ok());
   for (NfsClient::StubKind kind :
        {NfsClient::StubKind::kGeneratedConventional,
         NfsClient::StubKind::kGeneratedUserBuffer}) {
@@ -840,6 +1042,7 @@ TEST(NfsSpecE2ETest, RequestWireBytesIdenticalAcrossDispatch) {
     SetMarshalSpecializationEnabled(false);
     ASSERT_TRUE(client.EncodeRequest(kind, chunk, &slow).ok());
     ExpectSameBytes(fast, slow, "NFS request across dispatch");
+    ExpectSameBytes(slow, hand, "NFS request against the hand-coded stub");
   }
 }
 

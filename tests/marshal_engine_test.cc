@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
@@ -154,6 +155,38 @@ TEST(EngineTest, ReadReplyRoundTripDefaultPresentation) {
   EXPECT_EQ(client_arena.live_blocks(), 1u);
   client_prog.ReleaseReply(&client_arena, &client_args);
   EXPECT_EQ(client_arena.live_blocks(), 0u);
+}
+
+// [dealloc(always)] donates every out value to the stub, so a reply that
+// fails part-way must still free all of them: here `a` breaks its bound,
+// and neither `a` nor the `b` after it may stay live.
+TEST(EngineTest, FailedReplyStillFreesDonatedStorage) {
+  Compiled c = Compile(
+      "interface G { void get(out string<4> a, out string b); };", false,
+      "", "");
+  const OperationDecl& op = c.idl->interfaces[0].ops[0];
+  MarshalProgram prog =
+      MarshalProgram::Build(op, *c.server.Find("G")->FindOp("get"));
+
+  Arena arena("server");
+  for (const char* a : {"toolong", "ok"}) {
+    ArgVec args(prog.slot_count());
+    for (const auto& [name, text] : {std::pair{"a", a}, {"b", "fine"}}) {
+      char* block =
+          static_cast<char*>(arena.AllocateBlock(std::strlen(text) + 1));
+      std::strcpy(block, text);
+      args[prog.SlotOf(name)].set_ptr(block);
+    }
+    NativeWriter wire;
+    Status st = prog.MarshalReply(args, &wire, &arena);
+    if (std::strcmp(a, "ok") == 0) {
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(st.message(), "string length 7 exceeds bound 4");
+    }
+    EXPECT_EQ(arena.live_blocks(), 0u) << "a = " << a;
+  }
 }
 
 TEST(EngineTest, DeallocNeverLeavesServerBufferAlone) {

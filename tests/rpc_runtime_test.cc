@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
@@ -204,6 +205,34 @@ TEST_F(RpcRuntimeTest, TruncatedStringSequenceRequestFreesWhatWasRead) {
   EXPECT_EQ(DispatchRaw(&server, request),
             static_cast<uint32_t>(StatusCode::kDataLoss));
   EXPECT_FALSE(ran);
+  EXPECT_EQ(server_task_->space().arena().live_blocks(), 0u);
+}
+
+// A reply the server cannot marshal is answered INVALID_ARGUMENT, and the
+// out values the work function donated ([dealloc(always)], the default
+// server presentation) are freed all the same: `a`, which broke its
+// bound, and `b` after it.
+TEST_F(RpcRuntimeTest, FailedReplyMarshalFreesDonatedStorage) {
+  Load("interface G { void get(out string<4> a, out string b); };");
+  const InterfaceDecl& itf = idl_->interfaces[0];
+  ServerObject server(itf, *server_.Find("G"), server_task_);
+  const MarshalProgram* prog = server.ProgramFor(itf.ops[0].opnum);
+  ASSERT_NE(prog, nullptr);
+  const int a = prog->SlotOf("a");
+  const int b = prog->SlotOf("b");
+  server.SetWork("get", [a, b](ArgVec* args, Arena* arena) {
+    for (const auto& [slot, text] : {std::pair{a, "toolong"}, {b, "fine"}}) {
+      char* block =
+          static_cast<char*>(arena->AllocateBlock(std::strlen(text) + 1));
+      std::strcpy(block, text);
+      (*args)[static_cast<size_t>(slot)].set_ptr(block);
+    }
+    return Status::Ok();
+  });
+  NativeWriter request;
+  request.PutU32(itf.ops[0].opnum);
+  EXPECT_EQ(DispatchRaw(&server, request),
+            static_cast<uint32_t>(StatusCode::kInvalidArgument));
   EXPECT_EQ(server_task_->space().arena().live_blocks(), 0u);
 }
 

@@ -20,8 +20,9 @@
 //
 // --specialize additionally emits <basename>.flexspec.h/.cc — fused
 // straight-line marshal superinstructions, each proven wire-equivalent to
-// the interpreted plan before emission (divergence blocks the run).
-// Every plan the prover accepts is specialized.
+// its plan before emission (divergence blocks the run). Every stream the
+// prover accepts is emitted unless it holds a value op or runs past the
+// op budget (FLEX205); those run on the reference executor.
 
 #include <cstdio>
 #include <cstring>
@@ -222,10 +223,10 @@ int main(int argc, char** argv) {
   }
   if (opt.check_only) {
     // Audit every (operation, side) marshal program the runtime would
-    // compile at bind time — flexcheck stage 2 — then prove every
-    // compilable superinstruction stream wire-equivalent to it (stage 3,
-    // FLEX2xx). Streams outside the specializable subset stay on the
-    // interpreter; --check only reports them under --specialize.
+    // compile at bind time — flexcheck stage 2 — then prove each of its
+    // compiled streams wire-equivalent to it (stage 3, FLEX2xx). Streams
+    // that --specialize would not emit run on the reference executor;
+    // --check only reports them under --specialize.
     for (const flexrpc::InterfaceDecl& itf : idl->interfaces) {
       for (const flexrpc::PresentationSet* set :
            {&client_pres, &server_pres}) {
