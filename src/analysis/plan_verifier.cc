@@ -3,7 +3,6 @@
 #include <map>
 #include <vector>
 
-#include "src/analysis/flexcheck.h"
 #include "src/support/strings.h"
 
 namespace flexrpc {
@@ -41,9 +40,7 @@ class PlanVerifier {
   };
 
   void Report(std::string_view code, std::string message) {
-    const FlexCodeInfo* info = FindFlexCode(code);
-    diags_->Report(info != nullptr ? info->severity : DiagSeverity::kError,
-                   std::string(code), file_, op_.pos, std::move(message));
+    diags_->Report(code, file_, op_.pos, std::move(message));
     ++count_;
   }
 

@@ -1,6 +1,5 @@
 #include "src/analysis/spec_verifier.h"
 
-#include "src/analysis/flexcheck.h"
 #include "src/marshal/engine.h"
 #include "src/marshal/layout.h"
 #include "src/support/strings.h"
@@ -496,13 +495,6 @@ std::string_view DivergenceCode(const WireEffect& plan,
   return "FLEX206";  // dest / special / borrow / NUL policy
 }
 
-void ReportFlex(std::string_view code, const std::string& file,
-                std::string message, DiagnosticSink* diags) {
-  const FlexCodeInfo* info = FindFlexCode(code);
-  diags->Report(info != nullptr ? info->severity : DiagSeverity::kError,
-                std::string(code), file, SourcePos{}, std::move(message));
-}
-
 }  // namespace
 
 int VerifySpecPlan(const OperationDecl& op, const OpPresentation& pres,
@@ -518,11 +510,11 @@ int VerifySpecPlan(const OperationDecl& op, const OpPresentation& pres,
                                   std::string(SpecStreamName(stream))
                                       .c_str());
     if (plan_fx.size() != spec_fx.size()) {
-      ReportFlex("FLEX201", file,
-                 StrFormat("%s: plan performs %zu wire effects, "
-                           "compiled stream performs %zu",
-                           where.c_str(), plan_fx.size(), spec_fx.size()),
-                 diags);
+      diags->Report("FLEX201", file, SourcePos{},
+                    StrFormat("%s: plan performs %zu wire effects, "
+                              "compiled stream performs %zu",
+                              where.c_str(), plan_fx.size(),
+                              spec_fx.size()));
       ++reported;
       continue;
     }
@@ -530,13 +522,13 @@ int VerifySpecPlan(const OperationDecl& op, const OpPresentation& pres,
       if (plan_fx[i] == spec_fx[i]) {
         continue;
       }
-      ReportFlex(DivergenceCode(plan_fx[i], spec_fx[i]), file,
-                 StrFormat("%s: effect %zu diverges: plan %s vs "
-                           "compiled stream %s",
-                           where.c_str(), i,
-                           plan_fx[i].ToString().c_str(),
-                           spec_fx[i].ToString().c_str()),
-                 diags);
+      diags->Report(DivergenceCode(plan_fx[i], spec_fx[i]), file,
+                    SourcePos{},
+                    StrFormat("%s: effect %zu diverges: plan %s vs "
+                              "compiled stream %s",
+                              where.c_str(), i,
+                              plan_fx[i].ToString().c_str(),
+                              spec_fx[i].ToString().c_str()));
       ++reported;
     }
   }
@@ -551,13 +543,12 @@ int ReportUnspecializedStreams(const SpecPlan& spec_plan,
     if (spec_plan.Emits(s)) {
       continue;
     }
-    ReportFlex("FLEX205", file,
-               StrFormat("%s %s: %s", spec_plan.op_name.c_str(),
-                         std::string(SpecStreamName(
-                                         static_cast<SpecStream>(s)))
-                             .c_str(),
-                         spec_plan.rejection[s].c_str()),
-               diags);
+    diags->Report("FLEX205", file, SourcePos{},
+                  StrFormat("%s %s: %s", spec_plan.op_name.c_str(),
+                            std::string(SpecStreamName(
+                                            static_cast<SpecStream>(s)))
+                                .c_str(),
+                            spec_plan.rejection[s].c_str()));
     ++reported;
   }
   return reported;

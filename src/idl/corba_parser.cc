@@ -453,8 +453,15 @@ class CorbaParser {
     }
     if (tok.IsIdent("sequence")) {
       cursor_.Next();
+      if (sequence_depth_ == kMaxSequenceNesting) {
+        cursor_.Error(StrFormat("sequences nest deeper than %d levels",
+                                kMaxSequenceNesting));
+        return nullptr;
+      }
       cursor_.Expect(TokenKind::kLAngle, "after 'sequence'");
+      ++sequence_depth_;
       const Type* element = ParseTypeSpec();
+      --sequence_depth_;
       if (element == nullptr) {
         return nullptr;
       }
@@ -477,6 +484,7 @@ class CorbaParser {
 
   std::unique_ptr<InterfaceFile> file_;
   TokenCursor cursor_;
+  int sequence_depth_ = 0;  // `sequence<` levels open at the cursor
   std::unordered_map<std::string, uint64_t> const_values_;
   std::unordered_map<std::string, uint32_t> enum_values_;
 };

@@ -236,22 +236,20 @@ Status MarshalProgram::UnmarshalRequest(WireReader* r, Arena* arena,
       arena, args, special, borrow_bytes);
 }
 
-Status MarshalProgram::MarshalReply(const ArgVec& args, WireWriter* w,
+Status MarshalProgram::MarshalReply(ArgVec* args, WireWriter* w,
                                     Arena* arena,
                                     const SpecialOps* special) const {
   Status st = RunStream<&SpecFns::marshal_reply, &RunSpecMarshal>(
       spec_fns_, Stream(SpecStream::kMarshalReply), kNoSpan, w,
-      args, w, special);
+      *args, w, special);
   if (arena != nullptr) {
     // [dealloc(always)] move semantics: the donated storage is freed even
-    // when the stream failed part-way; the caller's const slot keeps its
-    // (now dangling) pointer.
+    // when the stream failed part-way, and its slot is cleared.
     for (const PlanItemView& item : plan_.reply) {
       ForEachOperand(item, [&](const ParamPresentation* pres,
                                const Type* type, int s) {
         if (pres != nullptr && pres->dealloc == DeallocPolicy::kAlways) {
-          ArgValue donated = args[static_cast<size_t>(s)];
-          ReleaseSlot(arena, type, &donated);
+          ReleaseSlot(arena, type, &(*args)[static_cast<size_t>(s)]);
         }
       });
     }

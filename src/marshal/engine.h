@@ -232,9 +232,10 @@ class MarshalProgram {
                           const SpecialOps* special = nullptr,
                           bool borrow_bytes = true) const;
   // Marshals the reply, then frees the storage of every [dealloc(always)]
-  // slot from `arena` (when given), whether the stream succeeded or not;
-  // the caller's const slots keep their now dangling pointers.
-  Status MarshalReply(const ArgVec& args, WireWriter* w, Arena* arena,
+  // slot from `arena` (when given) and clears the slot, whether the stream
+  // succeeded or not. A donated inout slot is then empty, so the
+  // ReleaseRequest that follows does not free it a second time.
+  Status MarshalReply(ArgVec* args, WireWriter* w, Arena* arena,
                       const SpecialOps* special = nullptr) const;
 
   // Frees the storage UnmarshalRequest allocated from `arena`, nested

@@ -1,33 +1,13 @@
 #include "src/pdl/apply.h"
 
 #include <set>
-#include <unordered_set>
 
+#include "src/pdl/lint.h"
 #include "src/support/strings.h"
 
 namespace flexrpc {
 
 namespace {
-
-ParamPresentation DefaultFieldPresentation(const std::string& name,
-                                           const Type* type, ParamDir dir,
-                                           Side side, Binding binding) {
-  ParamPresentation p;
-  p.name = name;
-  p.binding = binding;
-  bool produces_data = dir != ParamDir::kIn;
-  if (produces_data && IsVariableWireSize(type)) {
-    if (side == Side::kServer) {
-      p.alloc = AllocPolicy::kUser;
-      p.dealloc = DeallocPolicy::kAlways;
-    } else {
-      p.alloc = AllocPolicy::kStub;
-    }
-  } else if (produces_data) {
-    p.alloc = side == Side::kClient ? AllocPolicy::kUser : AllocPolicy::kStub;
-  }
-  return p;
-}
 
 class Applier {
  public:
@@ -52,14 +32,16 @@ class Applier {
         ApplyOpDecl(decl);
       }
     }
-    Validate();
+    // The presentation rules (flexcheck stage 1) at error severity: an
+    // annotation the stubs would act on unsoundly is refused here.
+    CheckPresentationSet(idl_, *out_, diags_);
     return !diags_->HasErrors();
   }
 
  private:
+  // A merge error: only PDL declarations make them, at PDL positions.
   void Error(SourcePos pos, std::string message) {
-    diags_->Error(pdl_ != nullptr ? pdl_->filename : idl_.filename, pos,
-                  std::move(message));
+    diags_->Error(pdl_->filename, pos, std::move(message));
   }
 
   void ApplyInterfaceDecl(const PdlInterfaceDecl& decl) {
@@ -270,7 +252,7 @@ class Applier {
           continue;
         }
         args_flattened = true;
-        p = DefaultFieldPresentation(
+        p = DefaultParamPresentation(
             slot.name, flatten_arg_type->fields()[static_cast<size_t>(fi)].type,
             op.params[static_cast<size_t>(flatten_arg)].dir, side_,
             Binding{BindingKind::kParamField, flatten_arg, fi});
@@ -284,7 +266,7 @@ class Applier {
           continue;
         }
         result_flattened = true;
-        p = DefaultFieldPresentation(
+        p = DefaultParamPresentation(
             slot.name, result_struct->fields()[static_cast<size_t>(fi)].type,
             ParamDir::kOut, side_,
             Binding{BindingKind::kResultField, -1, fi});
@@ -298,7 +280,7 @@ class Applier {
         }
         disc_bound = true;
         result_flattened = true;
-        p = DefaultFieldPresentation(
+        p = DefaultParamPresentation(
             slot.name, result_resolved->discriminant(), ParamDir::kOut,
             side_, Binding{BindingKind::kResultDiscriminant, -1, -1});
       } else {
@@ -333,7 +315,7 @@ class Applier {
           continue;
         }
         const StructField& f = flatten_arg_type->fields()[fi];
-        new_params.push_back(DefaultFieldPresentation(
+        new_params.push_back(DefaultParamPresentation(
             f.name, f.type, op.params[static_cast<size_t>(flatten_arg)].dir,
             side_,
             Binding{BindingKind::kParamField, flatten_arg,
@@ -347,7 +329,7 @@ class Applier {
             continue;
           }
           const StructField& f = result_struct->fields()[fi];
-          new_params.push_back(DefaultFieldPresentation(
+          new_params.push_back(DefaultParamPresentation(
               f.name, f.type, ParamDir::kOut, side_,
               Binding{BindingKind::kResultField, -1, static_cast<int>(fi)}));
         }
@@ -356,7 +338,7 @@ class Applier {
         std::string disc_name = result_resolved->discriminant_name().empty()
                                     ? "status"
                                     : result_resolved->discriminant_name();
-        new_params.push_back(DefaultFieldPresentation(
+        new_params.push_back(DefaultParamPresentation(
             disc_name, result_resolved->discriminant(), ParamDir::kOut,
             side_, Binding{BindingKind::kResultDiscriminant, -1, -1}));
       }
@@ -448,159 +430,6 @@ class Applier {
           StrFormat("unknown parameter attribute '%s'", attr.name.c_str()));
   }
 
-  // --- final validation over every op presentation ---
-
-  void Validate() {
-    for (const InterfaceDecl& itf : idl_.interfaces) {
-      auto it = out_->by_interface.find(itf.name);
-      if (it == out_->by_interface.end()) {
-        continue;
-      }
-      for (size_t oi = 0; oi < itf.ops.size(); ++oi) {
-        ValidateOp(itf.ops[oi], it->second.ops[oi]);
-      }
-    }
-  }
-
-  void ValidateOp(const OperationDecl& op, const OpPresentation& pres) {
-    SourcePos pos = op.pos;
-    for (const ParamPresentation& p : pres.params) {
-      ValidateParam(op, pres, p, pos);
-    }
-    ValidateParam(op, pres, pres.result, pos);
-    ValidateCoverage(op, pres, pos);
-  }
-
-  void ValidateParam(const OperationDecl& op, const OpPresentation& pres,
-                     const ParamPresentation& p, SourcePos pos) {
-    const Type* type = BindingType(op, p.binding);
-    if (p.presentation_only) {
-      if (p.special || p.trashable || p.preserved || p.nonunique ||
-          p.explicit_length || p.alloc != AllocPolicy::kAuto ||
-          p.dealloc != DeallocPolicy::kDefault) {
-        Error(pos,
-              StrFormat("presentation-only parameter '%s' cannot carry "
-                        "marshaling attributes",
-                        p.name.c_str()));
-      }
-      return;
-    }
-    if (type == nullptr) {
-      return;
-    }
-    ParamDir dir = BindingDir(op, p.binding);
-    if (p.explicit_length) {
-      const Type* r = type->Resolve();
-      if (r->kind() != TypeKind::kString &&
-          r->kind() != TypeKind::kSequence) {
-        Error(pos, StrFormat("[length_is] on '%s' requires a string or "
-                             "sequence type",
-                             p.name.c_str()));
-      }
-      const ParamPresentation* len = pres.FindParam(p.length_param);
-      if (len == nullptr) {
-        Error(pos, StrFormat("[length_is(%s)] names no parameter of this "
-                             "stub",
-                             p.length_param.c_str()));
-      } else if (!len->presentation_only) {
-        const Type* lt = BindingType(op, len->binding);
-        if (lt != nullptr && !IsIntegralScalar(lt)) {
-          Error(pos, StrFormat("length parameter '%s' must be integral",
-                               p.length_param.c_str()));
-        }
-      }
-    }
-    if (p.special && !IsBufferLike(type)) {
-      Error(pos, StrFormat("[special] on '%s' requires a buffer-like type",
-                           p.name.c_str()));
-    }
-    if (p.trashable) {
-      if (side_ != Side::kClient) {
-        Error(pos, "[trashable] is a client-side attribute");
-      } else if (dir == ParamDir::kOut) {
-        Error(pos, "[trashable] applies to in/inout parameters");
-      } else if (!IsBufferLike(type)) {
-        Error(pos, StrFormat("[trashable] on '%s' requires a buffer-like "
-                             "type",
-                             p.name.c_str()));
-      }
-    }
-    if (p.preserved) {
-      if (side_ != Side::kServer) {
-        Error(pos, "[preserved] is a server-side attribute");
-      } else if (dir == ParamDir::kOut) {
-        Error(pos, "[preserved] applies to in/inout parameters");
-      } else if (!IsBufferLike(type)) {
-        Error(pos, StrFormat("[preserved] on '%s' requires a buffer-like "
-                             "type",
-                             p.name.c_str()));
-      }
-    }
-    if (p.nonunique && type->Resolve()->kind() != TypeKind::kObjRef) {
-      Error(pos, StrFormat("[nonunique] on '%s' requires an object "
-                           "reference",
-                           p.name.c_str()));
-    }
-    if (p.alloc != AllocPolicy::kAuto && dir == ParamDir::kIn) {
-      Error(pos, StrFormat("[alloc] on '%s' applies to out/result data",
-                           p.name.c_str()));
-    }
-    if (p.dealloc != DeallocPolicy::kDefault &&
-        IsScalarKind(type->Resolve()->kind())) {
-      Error(pos, StrFormat("[dealloc] on '%s' requires allocated (non-"
-                           "scalar) data",
-                           p.name.c_str()));
-    }
-  }
-
-  // Every wire item (each IDL parameter; the result) must be carried by
-  // exactly one stub-level binding.
-  void ValidateCoverage(const OperationDecl& op, const OpPresentation& pres,
-                        SourcePos pos) {
-    std::vector<int> param_cover(op.params.size(), 0);
-    int result_cover = 0;
-    auto count = [&](const ParamPresentation& p) {
-      switch (p.binding.kind) {
-        case BindingKind::kParam:
-          if (p.binding.param_index >= 0 &&
-              p.binding.param_index < static_cast<int>(op.params.size())) {
-            ++param_cover[static_cast<size_t>(p.binding.param_index)];
-          }
-          break;
-        case BindingKind::kResult:
-          ++result_cover;
-          break;
-        default:
-          break;  // field bindings checked via flatten bookkeeping
-      }
-    };
-    for (const ParamPresentation& p : pres.params) {
-      count(p);
-    }
-    count(pres.result);
-
-    int flatten_arg = FlattenableArgIndex(op);
-    for (size_t i = 0; i < op.params.size(); ++i) {
-      bool flattened_here = pres.args_flattened &&
-                            static_cast<int>(i) == flatten_arg;
-      if (flattened_here) {
-        continue;  // covered by its field bindings
-      }
-      if (param_cover[i] != 1) {
-        Error(pos, StrFormat("parameter '%s' of '%s' is carried by %d stub "
-                             "parameters (need exactly 1)",
-                             op.params[i].name.c_str(), op.name.c_str(),
-                             param_cover[i]));
-      }
-    }
-    bool result_void = op.result->Resolve()->kind() == TypeKind::kVoid;
-    if (!result_void && !pres.result_flattened && result_cover != 1) {
-      Error(pos, StrFormat("result of '%s' is carried by %d bindings (need "
-                           "exactly 1)",
-                           op.name.c_str(), result_cover));
-    }
-  }
-
   const InterfaceFile& idl_;
   Side side_;
   const PdlFile* pdl_;
@@ -628,8 +457,8 @@ bool ApplyPdlText(const InterfaceFile& idl, Side side,
 namespace {
 
 // Bounds-checked indexing: bindings may come from hand-built or corrupted
-// presentations (flexcheck lints exactly those), so out-of-range indices
-// must resolve to "no type" rather than UB.
+// presentations (the presentation rules check exactly those), so
+// out-of-range indices must resolve to "no type" rather than UB.
 const ParamDecl* BoundParam(const OperationDecl& op, const Binding& binding) {
   if (binding.param_index < 0 ||
       binding.param_index >= static_cast<int>(op.params.size())) {

@@ -5,6 +5,12 @@
 // alter the network contract: the output only carries stub-level bindings
 // and attributes; the wire signature (src/sig/) is derived solely from the
 // InterfaceFile.
+//
+// Validation is the presentation rules of src/pdl/lint.h at error
+// severity: ApplyPdl fails on any of them, so an unsound annotation is
+// refused where it is applied. Those diagnostics carry their FLEX code and
+// name the IDL file and item; the merge's own errors (an unknown op, type
+// or attribute, a slot named twice) name the PDL file and position.
 
 #ifndef FLEXRPC_SRC_PDL_APPLY_H_
 #define FLEXRPC_SRC_PDL_APPLY_H_
@@ -32,7 +38,8 @@ struct PresentationSet {
 
 // Builds default presentations for every interface in `idl` and overlays
 // `pdl` (which may be null for a pure default presentation). Returns false
-// and reports to `diags` if the PDL is invalid.
+// and reports to `diags` if the PDL does not merge or the result breaks an
+// error-severity presentation rule.
 bool ApplyPdl(const InterfaceFile& idl, Side side, const PdlFile* pdl,
               PresentationSet* out, DiagnosticSink* diags);
 

@@ -116,13 +116,12 @@ bool IsIntegralScalar(const Type* type) {
   }
 }
 
-namespace {
-
 ParamPresentation DefaultParamPresentation(const std::string& name,
                                            const Type* type, ParamDir dir,
-                                           Side side) {
+                                           Side side, Binding binding) {
   ParamPresentation p;
   p.name = name;
+  p.binding = binding;
   const Type* t = type->Resolve();
   bool produces_data =
       dir != ParamDir::kIn;  // out/inout: data flows back to the client
@@ -147,8 +146,6 @@ ParamPresentation DefaultParamPresentation(const std::string& name,
   return p;
 }
 
-}  // namespace
-
 InterfacePresentation DefaultPresentation(const InterfaceDecl& itf,
                                           Side side) {
   InterfacePresentation pres;
@@ -160,15 +157,14 @@ InterfacePresentation DefaultPresentation(const InterfaceDecl& itf,
     op_pres.op_name = op.name;
     for (size_t i = 0; i < op.params.size(); ++i) {
       const ParamDecl& param = op.params[i];
-      ParamPresentation p =
-          DefaultParamPresentation(param.name, param.type, param.dir, side);
-      p.binding = Binding{BindingKind::kParam, static_cast<int>(i), -1};
-      op_pres.params.push_back(std::move(p));
+      op_pres.params.push_back(DefaultParamPresentation(
+          param.name, param.type, param.dir, side,
+          Binding{BindingKind::kParam, static_cast<int>(i), -1}));
     }
     // The result behaves like an out parameter named "return".
-    op_pres.result = DefaultParamPresentation("return", op.result,
-                                              ParamDir::kOut, side);
-    op_pres.result.binding = Binding{BindingKind::kResult, -1, -1};
+    op_pres.result =
+        DefaultParamPresentation("return", op.result, ParamDir::kOut, side,
+                                 Binding{BindingKind::kResult, -1, -1});
     pres.ops.push_back(std::move(op_pres));
   }
   return pres;

@@ -173,6 +173,12 @@ struct InterfacePresentation {
 InterfacePresentation DefaultPresentation(const InterfaceDecl& itf,
                                           Side side);
 
+// The default presentation of one wire item (a parameter, the result, or
+// a flattened field) under the rules above.
+ParamPresentation DefaultParamPresentation(const std::string& name,
+                                           const Type* type, ParamDir dir,
+                                           Side side, Binding binding);
+
 // True if `type` is "buffer-like": its wire representation includes a
 // variable- or fixed-length run of bytes/elements a presentation can point
 // somewhere else (string, sequence, array).

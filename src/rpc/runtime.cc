@@ -74,7 +74,7 @@ Status ServerObject::Dispatch(ServerCall* call) {
     return send_error(st);
   }
   reply.PutU32(0);
-  st = state.program.MarshalReply(args, &reply, arena, &special_);
+  st = state.program.MarshalReply(&args, &reply, arena, &special_);
   state.program.ReleaseRequest(arena, &args);
   if (!st.ok()) {
     return send_error(st);

@@ -1,8 +1,11 @@
-// Shared diagnostics machinery for the IDL and PDL front-ends.
+// Shared diagnostics machinery for the IDL and PDL front-ends and the
+// flexcheck stages.
 //
 // Parsers report errors through a DiagnosticSink rather than aborting, so a
 // single compiler run can surface multiple problems, and tests can assert on
-// exact diagnostic locations.
+// exact diagnostic locations. Every stable FLEXnnn code, with its one
+// severity, is listed in the catalog below; DiagnosticSink::Report takes
+// the severity from it.
 
 #ifndef FLEXRPC_SRC_SUPPORT_DIAG_H_
 #define FLEXRPC_SRC_SUPPORT_DIAG_H_
@@ -24,6 +27,24 @@ struct SourcePos {
 enum class DiagSeverity { kError, kWarning, kNote };
 
 std::string_view DiagSeverityName(DiagSeverity severity);
+
+// One entry of the stable diagnostic catalog. Codes never change meaning
+// once shipped; DESIGN.md §8 documents the rationale for each.
+struct FlexCodeInfo {
+  std::string_view code;
+  DiagSeverity severity = DiagSeverity::kError;
+  std::string_view summary;
+};
+
+// Every FLEX code the presentation rules (src/pdl/lint.h), the marshal-plan
+// verifier and the flexspec prover can emit, in code order.
+const std::vector<FlexCodeInfo>& FlexCodeCatalog();
+
+// Catalog lookup; null for unknown codes.
+const FlexCodeInfo* FindFlexCode(std::string_view code);
+
+// The catalog's severity for `code`; an unknown code is an error.
+DiagSeverity FlexSeverity(std::string_view code);
 
 struct Diagnostic {
   DiagSeverity severity = DiagSeverity::kError;
@@ -52,12 +73,12 @@ class DiagnosticSink {
 
   void Add(DiagSeverity severity, std::string file, SourcePos pos,
            std::string message) {
-    Report(severity, /*code=*/"", std::move(file), pos, std::move(message));
+    Emit(severity, /*code=*/"", std::move(file), pos, std::move(message));
   }
 
-  // Full-fidelity entry point: a coded diagnostic (flexcheck's FLEXnnn).
-  void Report(DiagSeverity severity, std::string code, std::string file,
-              SourcePos pos, std::string message);
+  // A coded diagnostic (FLEXnnn), at the catalog's severity for `code`.
+  void Report(std::string_view code, std::string file, SourcePos pos,
+              std::string message);
 
   bool HasErrors() const { return error_count_ > 0; }
   bool HasWarnings() const { return warning_count_ > 0; }
@@ -73,6 +94,9 @@ class DiagnosticSink {
   std::string ToString() const;
 
  private:
+  void Emit(DiagSeverity severity, std::string code, std::string file,
+            SourcePos pos, std::string message);
+
   std::vector<Diagnostic> diagnostics_;
   int error_count_ = 0;
   int warning_count_ = 0;

@@ -242,11 +242,14 @@ class Parser {
       return Error("unexpected end of input");
     }
     char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject();
-    }
-    if (c == '[') {
-      return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonNesting) {
+        return Error("arrays and objects nest too deeply");
+      }
+      ++depth_;
+      Result<JsonValue> v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
     }
     if (c == '"') {
       JsonValue v;
@@ -425,6 +428,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at pos_
 };
 
 }  // namespace

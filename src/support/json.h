@@ -80,6 +80,11 @@ struct JsonValue {
   bool IsObject() const { return kind == Kind::kObject; }
 };
 
+// Deepest array/object nesting ParseJson accepts (a top-level `[]` is one
+// level). The parser recurses once per level; one more level is
+// InvalidArgument rather than a deeper stack.
+inline constexpr int kMaxJsonNesting = 256;
+
 // Parses a complete JSON document (trailing whitespace allowed).
 Result<JsonValue> ParseJson(std::string_view text);
 

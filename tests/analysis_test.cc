@@ -1,10 +1,10 @@
 // Golden-diagnostic tests for flexcheck: one triggering and one
 // non-triggering case per stable code.
 //
-// Stage 1 (FLEX001-FLEX012) positives are produced by mutating a valid
-// presentation in memory: ApplyPdl's own validator rejects most of these
-// combinations at parse time (by design), and flexcheck must catch the same
-// classes when presentations are built or edited programmatically.
+// Stage 1 (FLEX001-FLEX013) positives mutate a valid presentation in
+// memory, so each carries exactly the one fault under test. ApplyPdl runs
+// the same rules at error severity, so they can come from PDL text as well:
+// pdl_apply_test.cc refuses PDL text with each stage-1 error code.
 // Stage 2 (FLEX101-FLEX106) positives corrupt a copy of the MarshalPlanView
 // a correctly compiled MarshalProgram runs, bytecode-verifier style.
 // Stage 3 (FLEX201-FLEX207) positives corrupt a compiled SpecPlan's
@@ -15,7 +15,6 @@
 
 #include <set>
 
-#include "src/analysis/flexcheck.h"
 #include "src/analysis/plan_verifier.h"
 #include "src/analysis/spec_verifier.h"
 #include "src/codegen/spec_gen.h"
@@ -23,6 +22,7 @@
 #include "src/idl/sema.h"
 #include "src/idl/sunrpc_parser.h"
 #include "src/pdl/apply.h"
+#include "src/pdl/lint.h"
 
 namespace flexrpc {
 namespace {
@@ -264,6 +264,34 @@ TEST(FlexLintTest, Flex007NotOnObjref) {
   EXPECT_EQ(LintPresentation(*idl, idl->interfaces[1],
                              *client.Find("Registry"), &diags),
             0)
+      << diags.ToString();
+}
+
+// --- FLEX013: marshaling attributes on items they cannot apply to ---
+
+TEST(FlexLintTest, Flex013DeallocOnScalar) {
+  auto idl = MustParseCorba(kStoreIdl);
+  PresentationSet client = MustApply(*idl, Side::kClient);
+  Pres(client, "Store").FindOp("touch")->FindParam("ticks")->dealloc =
+      DeallocPolicy::kNever;
+  DiagnosticSink diags;
+  Lint(*idl, *client.Find("Store"), &diags);
+  EXPECT_EQ(diags.CountCode("FLEX013"), 1) << diags.ToString();
+  EXPECT_EQ(diags.FindCode("FLEX013")->severity, DiagSeverity::kError);
+}
+
+TEST(FlexLintTest, Flex013NotOnApplicableItems) {
+  // [dealloc] on a donated result, [preserved] on an in buffer, [alloc] on
+  // out data and [length_is] on a sequence each have a wire item to act on.
+  auto idl = MustParseCorba(kStoreIdl);
+  PresentationSet server = MustApply(
+      *idl, Side::kServer,
+      "Store_read()[dealloc(never)];"
+      "Store_write(char *[preserved] data);"
+      "Store_fetch(char *[length_is(len)] src, long [alloc(stub)] n,"
+      " int len);");
+  DiagnosticSink diags;
+  EXPECT_EQ(Lint(*idl, *server.Find("Store"), &diags), 0)
       << diags.ToString();
 }
 

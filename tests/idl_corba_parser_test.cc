@@ -234,6 +234,31 @@ TEST(CorbaParserTest, MissingSemicolonRecovers) {
   EXPECT_TRUE(diags.HasErrors());  // error, but no crash/hang
 }
 
+// The type parser recurses once per `sequence<` level, so nesting past
+// kMaxSequenceNesting is a diagnostic instead of a stack overflow.
+TEST(CorbaParserTest, SequenceNestingPastTheLimitIsRefused) {
+  auto nested = [](int depth) {
+    std::string idl = "interface I { void f(in ";
+    for (int i = 0; i < depth; ++i) {
+      idl += "sequence<";
+    }
+    idl += "long";
+    idl.append(static_cast<size_t>(depth), '>');
+    return idl + " x); };";
+  };
+  auto file = ParseOk(nested(kMaxSequenceNesting));
+  ASSERT_NE(file, nullptr);
+  EXPECT_EQ(file->interfaces[0].ops[0].params[0].type->kind(),
+            TypeKind::kSequence);
+  for (int depth : {kMaxSequenceNesting + 1, 100000}) {
+    DiagnosticSink diags;
+    EXPECT_EQ(Parse(nested(depth), &diags), nullptr) << depth;
+    EXPECT_NE(diags.ToString().find("sequences nest deeper than 64 levels"),
+              std::string::npos)
+        << depth;
+  }
+}
+
 TEST(CorbaParserTest, SequenceOfStruct) {
   auto file = ParseOk(R"(
     struct entry { long id; string name; };

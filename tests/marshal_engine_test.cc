@@ -139,7 +139,7 @@ TEST(EngineTest, ReadReplyRoundTripDefaultPresentation) {
 
   NativeWriter wire;
   ASSERT_TRUE(
-      server_prog.MarshalReply(server_args, &wire, &server_arena).ok());
+      server_prog.MarshalReply(&server_args, &wire, &server_arena).ok());
   // Default server presentation deallocates after marshal (move semantics).
   EXPECT_EQ(server_arena.live_blocks(), 0u);
 
@@ -178,7 +178,7 @@ TEST(EngineTest, FailedReplyStillFreesDonatedStorage) {
       args[prog.SlotOf(name)].set_ptr(block);
     }
     NativeWriter wire;
-    Status st = prog.MarshalReply(args, &wire, &arena);
+    Status st = prog.MarshalReply(&args, &wire, &arena);
     if (std::strcmp(a, "ok") == 0) {
       EXPECT_TRUE(st.ok()) << st.ToString();
     } else {
@@ -206,7 +206,7 @@ TEST(EngineTest, DeallocNeverLeavesServerBufferAlone) {
   args[prog.result_slot()].length = 256;
 
   NativeWriter wire;
-  ASSERT_TRUE(prog.MarshalReply(args, &wire, &arena).ok());
+  ASSERT_TRUE(prog.MarshalReply(&args, &wire, &arena).ok());
   // The stub must NOT have freed anything: the buffer belongs to the app.
   EXPECT_EQ(arena.live_blocks(), 1u);
   NativeReader r(wire.span());
@@ -230,7 +230,7 @@ TEST(EngineTest, AllocUserUnmarshalsIntoCallerBuffer) {
   server_args[server_prog.result_slot()].length = 64;
   NativeWriter wire;
   ASSERT_TRUE(
-      server_prog.MarshalReply(server_args, &wire, &server_arena).ok());
+      server_prog.MarshalReply(&server_args, &wire, &server_arena).ok());
 
   // Client supplies its own buffer; the stub must not allocate.
   uint8_t my_buffer[128] = {};
@@ -262,7 +262,7 @@ TEST(EngineTest, AllocUserCapacityEnforced) {
   server_args[server_prog.result_slot()].length = 64;
   NativeWriter wire;
   ASSERT_TRUE(
-      server_prog.MarshalReply(server_args, &wire, &server_arena).ok());
+      server_prog.MarshalReply(&server_args, &wire, &server_arena).ok());
 
   uint8_t tiny[8];
   Arena client_arena("client");
@@ -326,7 +326,7 @@ TEST(EngineTest, SpecialUnmarshalDeliversToUserBuffer) {
   server_args[server_prog.result_slot()].length = 16;
   NativeWriter wire;
   ASSERT_TRUE(
-      server_prog.MarshalReply(server_args, &wire, &server_arena).ok());
+      server_prog.MarshalReply(&server_args, &wire, &server_arena).ok());
 
   uint8_t user_space[64] = {};
   int calls = 0;
@@ -452,7 +452,7 @@ TEST(EngineTest, FlattenedReplyDeliveredThroughOutParams) {
 
   XdrWriter wire;
   ASSERT_TRUE(
-      server_prog.MarshalReply(server_args, &wire, &server_arena).ok());
+      server_prog.MarshalReply(&server_args, &wire, &server_arena).ok());
 
   // Flattened client: data lands in the user buffer via the special
   // routine, attributes and status in their own slots.
@@ -500,7 +500,7 @@ TEST(EngineTest, FlattenedErrorReplyCarriesOnlyStatus) {
 
   XdrWriter wire;
   ASSERT_TRUE(
-      server_prog.MarshalReply(server_args, &wire, &server_arena).ok());
+      server_prog.MarshalReply(&server_args, &wire, &server_arena).ok());
   EXPECT_EQ(wire.size(), 4u);  // just the discriminant
 
   Arena client_arena("client");
@@ -544,7 +544,7 @@ TEST(EngineTest, FlattenedReleasesFreeEveryField) {
   server_args[server_prog.SlotOf("data")].set_ptr(payload);
   server_args[server_prog.SlotOf("data")].length = sizeof(payload);
   XdrWriter reply;
-  ASSERT_TRUE(server_prog.MarshalReply(server_args, &reply, nullptr).ok());
+  ASSERT_TRUE(server_prog.MarshalReply(&server_args, &reply, nullptr).ok());
 
   Arena client_arena("client");
   client_args.Reset();
@@ -581,7 +581,7 @@ TEST(EngineTest, InOutParameterTravelsBothWays) {
   server_args[server_prog.SlotOf("value")].scalar = 42;
 
   NativeWriter rep;
-  ASSERT_TRUE(server_prog.MarshalReply(server_args, &rep, &server_arena)
+  ASSERT_TRUE(server_prog.MarshalReply(&server_args, &rep, &server_arena)
                   .ok());
   Arena client_arena("client");
   NativeReader rr2(rep.span());
@@ -666,7 +666,7 @@ TEST(EngineTest, SequenceOfStringsFreedByEveryRelease) {
   FillNames(&server_arena, &server_args[server_prog.result_slot()]);
   NativeWriter reply;
   ASSERT_TRUE(
-      server_prog.MarshalReply(server_args, &reply, &server_arena).ok());
+      server_prog.MarshalReply(&server_args, &reply, &server_arena).ok());
   EXPECT_EQ(server_arena.live_blocks(), 0u);
 
   Arena client_arena("client");

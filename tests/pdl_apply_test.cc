@@ -1,4 +1,6 @@
-// Tests for default-presentation computation and PDL application/validation.
+// Tests for default-presentation computation and PDL application: the
+// merge of PDL text over the defaults, and the presentation rules
+// (src/pdl/lint.h) ApplyPdl enforces, each refusal carrying its FLEX code.
 
 #include <gtest/gtest.h>
 
@@ -140,6 +142,7 @@ TEST(ApplyPdlTest, TrashableOnServerRejected) {
                             "FileIO_write(char *[trashable] data);", "t.pdl",
                             &set, &diags));
   EXPECT_NE(diags.ToString().find("client-side"), std::string::npos);
+  EXPECT_EQ(diags.CountCode("FLEX001"), 1) << diags.ToString();
 }
 
 TEST(ApplyPdlTest, PreservedOnClientRejected) {
@@ -149,6 +152,7 @@ TEST(ApplyPdlTest, PreservedOnClientRejected) {
   EXPECT_FALSE(ApplyPdlText(*idl, Side::kClient,
                             "FileIO_write(char *[preserved] data);", "t.pdl",
                             &set, &diags));
+  EXPECT_EQ(diags.CountCode("FLEX002"), 1) << diags.ToString();
 }
 
 TEST(ApplyPdlTest, TrustLevels) {
@@ -212,6 +216,7 @@ TEST(ApplyPdlTest, LengthIsOnScalarRejected) {
                             "FileIO_read(unsigned long [length_is(n)] count,"
                             " int n);",
                             "t.pdl", &set, &diags));
+  EXPECT_EQ(diags.CountCode("FLEX013"), 1) << diags.ToString();
 }
 
 TEST(ApplyPdlTest, LengthIsDanglingTargetRejected) {
@@ -222,6 +227,7 @@ TEST(ApplyPdlTest, LengthIsDanglingTargetRejected) {
       *idl, Side::kClient,
       "SysLog_write_msg(char *[length_is(nothere)] msg);", "t.pdl", &set,
       &diags));
+  EXPECT_EQ(diags.CountCode("FLEX003"), 1) << diags.ToString();
 }
 
 TEST(ApplyPdlTest, NonuniqueRequiresObjRef) {
@@ -231,6 +237,7 @@ TEST(ApplyPdlTest, NonuniqueRequiresObjRef) {
   EXPECT_FALSE(ApplyPdlText(*idl, Side::kClient,
                             "FileIO_write(char *[nonunique] data);", "t.pdl",
                             &set, &diags));
+  EXPECT_EQ(diags.CountCode("FLEX007"), 1) << diags.ToString();
 }
 
 TEST(ApplyPdlTest, NonuniqueOnObjRefAccepted) {
@@ -266,6 +273,88 @@ TEST(ApplyPdlTest, AllocOnInParamRejected) {
   EXPECT_FALSE(ApplyPdlText(*idl, Side::kClient,
                             "FileIO_write(char *[alloc(user)] data);",
                             "t.pdl", &set, &diags));
+  EXPECT_EQ(diags.CountCode("FLEX013"), 1) << diags.ToString();
+}
+
+// --- the remaining presentation rules, from PDL text ---
+
+constexpr char kStoreIdl[] = R"(
+  struct Pt { long x; long y; };
+  interface Store {
+    void fetch(in sequence<octet> src, out long n);
+    void resize(inout sequence<octet> buf);
+    long touch(in long ticks);
+    void move(in Pt p);
+  };
+)";
+
+// Applies `pdl` to kStoreIdl and returns the diagnostics of a refusal.
+DiagnosticSink ExpectRefused(Side side, std::string_view pdl) {
+  auto idl = MustParseCorba(kStoreIdl);
+  PresentationSet set;
+  DiagnosticSink diags;
+  EXPECT_FALSE(ApplyPdlText(*idl, side, pdl, "t.pdl", &set, &diags)) << pdl;
+  return diags;
+}
+
+TEST(ApplyPdlTest, LengthTravelingTheWrongWayRejected) {
+  // The buffer goes in the request, its length only comes back in the
+  // reply: the server has no length to read the buffer with.
+  DiagnosticSink diags = ExpectRefused(
+      Side::kClient, "Store_fetch(char *[length_is(n)] src, int n);");
+  EXPECT_EQ(diags.CountCode("FLEX004"), 1) << diags.ToString();
+}
+
+TEST(ApplyPdlTest, ClientInOutUserBufferFreedByStubRejected) {
+  DiagnosticSink diags = ExpectRefused(
+      Side::kClient,
+      "Store_resize(char *[alloc(user), dealloc(always)] buf);");
+  EXPECT_EQ(diags.CountCode("FLEX005"), 1) << diags.ToString();
+}
+
+TEST(ApplyPdlTest, SpecialOnScalarRejected) {
+  DiagnosticSink diags =
+      ExpectRefused(Side::kClient, "Store_touch(int [special] ticks);");
+  EXPECT_EQ(diags.CountCode("FLEX006"), 1) << diags.ToString();
+}
+
+TEST(ApplyPdlTest, ArgumentFlattenedAndCarriedWholeRejected) {
+  // Naming the struct argument and one of its fields carries p.x twice.
+  DiagnosticSink diags =
+      ExpectRefused(Side::kClient, "Store_move(Pt *p, int x);");
+  EXPECT_GE(diags.CountCode("FLEX008"), 1) << diags.ToString();
+}
+
+TEST(ApplyPdlTest, MarshalingAttributeOnInapplicableItemRejected) {
+  for (std::string_view pdl : {
+           "Store_touch(int [dealloc(never)] ticks);",
+           "Store_fetch(char *src, int [trashable] n);",
+           "Store_fetch(char *src, int n, int [special] extra);",
+       }) {
+    DiagnosticSink diags = ExpectRefused(Side::kClient, pdl);
+    EXPECT_EQ(diags.CountCode("FLEX013"), 1) << pdl << "\n"
+                                             << diags.ToString();
+  }
+}
+
+TEST(ApplyPdlTest, RuleDiagnosticsNameTheIdlItem) {
+  auto idl = MustParseCorba(kStoreIdl);
+  PresentationSet set;
+  DiagnosticSink diags;
+  EXPECT_FALSE(ApplyPdlText(*idl, Side::kServer,
+                            "Store_fetch(char *[trashable] src);", "t.pdl",
+                            &set, &diags));
+  const Diagnostic* rule = diags.FindCode("FLEX001");
+  ASSERT_NE(rule, nullptr) << diags.ToString();
+  EXPECT_EQ(rule->file, "test.idl");
+  EXPECT_EQ(rule->pos, idl->interfaces[0].ops[0].params[0].pos);
+  // A merge error stays with the PDL text that made it.
+  DiagnosticSink merge;
+  EXPECT_FALSE(ApplyPdlText(*idl, Side::kServer, "Store_nope();", "t.pdl",
+                            &set, &merge));
+  ASSERT_EQ(merge.diagnostics().size(), 1u);
+  EXPECT_EQ(merge.diagnostics()[0].file, "t.pdl");
+  EXPECT_EQ(merge.diagnostics()[0].pos, (SourcePos{1, 1}));
 }
 
 // --- Figure 1 flattened Sun RPC presentation ---

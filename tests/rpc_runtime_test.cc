@@ -236,6 +236,40 @@ TEST_F(RpcRuntimeTest, FailedReplyMarshalFreesDonatedStorage) {
   EXPECT_EQ(server_task_->space().arena().live_blocks(), 0u);
 }
 
+// The server's default presentation gives variable-size inout data
+// [dealloc(always)]: the reply epilogue frees it, so the request release
+// that follows must find the slot empty instead of freeing it again.
+TEST_F(RpcRuntimeTest, InOutDonatedDataIsFreedOnceOnTheServer) {
+  Load("interface E { void echo(inout string s, inout sequence<long> v); };");
+  const InterfaceDecl& itf = idl_->interfaces[0];
+  ServerObject server(itf, *server_.Find("E"), server_task_);
+  server.SetWork("echo", [](ArgVec*, Arena*) { return Status::Ok(); });
+  Port* port = ExportServer(&kernel_, &fastpath_, &server);
+  auto conn = RpcConnection::Bind(&kernel_, &fastpath_, client_task_, port,
+                                  server, itf, *client_.Find("E"));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  const MarshalProgram* prog = (*conn)->ProgramFor("echo");
+  const size_t s = static_cast<size_t>(prog->SlotOf("s"));
+  const size_t v = static_cast<size_t>(prog->SlotOf("v"));
+  for (int call = 0; call < 3; ++call) {
+    char text[16] = "hello";
+    int32_t longs[3] = {7, -8, 9};
+    ArgVec args(prog->slot_count());
+    args[s].set_ptr(text);
+    args[s].capacity = sizeof(text);
+    args[v].set_ptr(longs);
+    args[v].length = 3;
+    args[v].capacity = 3;
+    Status st = (*conn)->Call("echo", &args);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_STREQ(text, "hello");
+    EXPECT_EQ(args[v].length, 3u);
+    EXPECT_EQ(longs[1], -8);
+    EXPECT_EQ(server_task_->space().arena().live_blocks(), 0u);
+  }
+}
+
 TEST_F(RpcRuntimeTest, SequenceOutParamWithCallerBuffer) {
   Load(R"(
     interface Blob {

@@ -616,6 +616,23 @@ TEST(JsonTest, EscapingRoundTripsEveryControlByte) {
   EXPECT_EQ(parsed->array[0].string, all_controls);
 }
 
+// ParseJson recurses once per array/object level, so nesting past
+// kMaxJsonNesting is InvalidArgument instead of a stack overflow.
+TEST(JsonTest, NestingPastTheLimitIsRefused) {
+  auto arrays = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  EXPECT_TRUE(ParseJson(arrays(kMaxJsonNesting)).ok());
+  for (int depth : {kMaxJsonNesting + 1, 100000}) {
+    auto parsed = ParseJson(arrays(depth));
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << depth;
+  }
+  // Objects count toward the same limit.
+  std::string mixed = "{\"k\": " + arrays(kMaxJsonNesting) + "}";
+  EXPECT_EQ(ParseJson(mixed).status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(JsonTest, RawNumberEmitsLiteralVerbatim) {
   // RawNumber exists for exact decimal control (Chrome trace timestamps:
   // nanos rendered as microseconds with three decimals); Double's %.9g

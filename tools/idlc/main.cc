@@ -12,9 +12,10 @@
 // Outputs <basename>.flexgen.h and <basename>.flexgen.cc in --out-dir.
 // --check parses, validates, and runs the flexcheck marshal-plan verifier
 // over every compiled (operation, side) program, plus the stage-3 flexspec
-// equivalence prover over every compiled superinstruction stream; --lint
-// runs the flexcheck presentation lint (FLEXnnn diagnostics), --advise
-// adds its §4 advisor notes; --Werror makes warnings fail the run;
+// equivalence prover over every compiled superinstruction stream. Every
+// run refuses a PDL that breaks an error-severity presentation rule
+// (FLEXnnn; ApplyPdl enforces them); --lint adds the rules' warnings,
+// --advise their §4 advisor notes; --Werror makes warnings fail the run;
 // --dump-signature prints the canonical wire signature (hex) of every
 // interface.
 //
@@ -30,7 +31,6 @@
 #include <sstream>
 #include <string>
 
-#include "src/analysis/flexcheck.h"
 #include "src/analysis/plan_verifier.h"
 #include "src/analysis/spec_verifier.h"
 #include "src/codegen/cpp_gen.h"
@@ -40,6 +40,7 @@
 #include "src/idl/sunrpc_parser.h"
 #include "src/marshal/engine.h"
 #include "src/pdl/apply.h"
+#include "src/pdl/lint.h"
 #include "src/sig/signature.h"
 #include "src/support/strings.h"
 

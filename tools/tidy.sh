@@ -5,7 +5,7 @@
 # gracefully when clang-tidy is not installed so tools/ci.sh works in
 # minimal containers (mirrors tools/format.sh).
 #
-#   tools/tidy.sh                 # lint src/analysis + src/codegen
+#   tools/tidy.sh                 # lint src/analysis + src/codegen + src/pdl/lint.cc
 #   BUILD_DIR=build-asan tools/tidy.sh
 set -eu
 
@@ -24,7 +24,7 @@ if [ ! -f "$BUILD_DIR/compile_commands.json" ]; then
   cmake -B "$BUILD_DIR" -S . >/dev/null
 fi
 
-FILES=$(git ls-files 'src/analysis/*.cc' 'src/codegen/*.cc')
+FILES=$(git ls-files 'src/analysis/*.cc' 'src/codegen/*.cc' 'src/pdl/lint.cc')
 # shellcheck disable=SC2086
 "$CLANG_TIDY" -p "$BUILD_DIR" --quiet $FILES
 echo "tidy.sh: all files clean"
