@@ -1,5 +1,7 @@
 #include "src/analysis/spec_verifier.h"
 
+#include <cstdint>
+
 #include "src/marshal/engine.h"
 #include "src/marshal/layout.h"
 #include "src/support/strings.h"
@@ -22,6 +24,8 @@ const char* DestName(WireEffect::Dest dest) {
       return "string";
     case WireEffect::Dest::kValue:
       return "value";
+    case WireEffect::Dest::kSeqRep:
+      return "seqrep";
   }
   return "?";
 }
@@ -44,8 +48,9 @@ const char* LenSourceName(SpecLenSource src) {
 // UnmarshalValue moves whole lowers to one kOpaque effect.
 class PlanLowering {
  public:
-  PlanLowering(const OpPresentation& pres, bool marshal)
-      : pres_(pres), marshal_(marshal) {}
+  // `receives_reply`: the stream unmarshals a reply.
+  PlanLowering(const OpPresentation& pres, bool marshal, bool receives_reply)
+      : pres_(pres), marshal_(marshal), receives_reply_(receives_reply) {}
 
   std::vector<WireEffect> Lower(const std::vector<PlanItemView>& items) {
     for (const PlanItemView& item : items) {
@@ -63,6 +68,9 @@ class PlanLowering {
   }
 
   void LowerItem(const PlanItemView& item) {
+    // The reply half of an inout item arrives in a slot that still holds
+    // the caller's in-value.
+    inout_reply_ = receives_reply_ && item.dir == ParamDir::kInOut;
     if (!item.flattened) {
       LowerTop(item.pres, item.type, item.slot);
       return;
@@ -107,13 +115,15 @@ class PlanLowering {
   // A value moved whole by MarshalValue/UnmarshalValue: into caller
   // storage or a zeroed arena block on unmarshal; a top-level sequence
   // keeps its marshaled length source.
-  void Value(const ParamPresentation* pres, const Type* t, int slot) {
+  void Value(const ParamPresentation* pres, const Type* t, int slot,
+             bool fresh) {
     WireEffect e;
     e.kind = WireEffect::Kind::kOpaque;
     e.slot = slot;
     e.type = t;
     if (!marshal_) {
       e.dest = WireEffect::Dest::kValue;
+      e.fresh = fresh;
     } else if (t->kind() == TypeKind::kSequence) {
       MarshalLength(pres, SpecLenSource::kSlotLength, &e);
     }
@@ -123,6 +133,10 @@ class PlanLowering {
   void LowerTop(const ParamPresentation* pres, const Type* type, int slot) {
     const Type* t = type->Resolve();
     bool special = pres != nullptr && pres->special;
+    // [alloc(stub)] on an inout reply: the stub allocates, and the slot's
+    // pointer (the in-value) is no receive buffer.
+    bool fresh = inout_reply_ && pres != nullptr &&
+                 pres->alloc == AllocPolicy::kStub;
     switch (t->kind()) {
       case TypeKind::kVoid:
         return;
@@ -142,13 +156,14 @@ class PlanLowering {
         if (!marshal_) {
           bytes.dest = WireEffect::Dest::kString;
           bytes.nul_terminated = true;
+          bytes.fresh = fresh;
         }
         effects_.push_back(bytes);
         return;
       }
       case TypeKind::kSequence: {
         if (!IsByteElem(t->element())) {
-          Value(pres, t, slot);  // per-element MarshalValue recursion
+          Value(pres, t, slot, fresh);  // per-element recursion
           return;
         }
         WireEffect len;
@@ -166,33 +181,33 @@ class PlanLowering {
         if (!marshal_) {
           bytes.dest = WireEffect::Dest::kBuffer;
           bytes.may_borrow = true;
+          bytes.fresh = fresh;
         }
         effects_.push_back(bytes);
         return;
       }
       case TypeKind::kArray:
-      case TypeKind::kStruct: {
+      case TypeKind::kStruct:
+      case TypeKind::kUnion: {
         const size_t mark = effects_.size();
         if (!marshal_) {
           WireEffect ensure;
           ensure.kind = WireEffect::Kind::kEnsure;
           ensure.slot = slot;
           ensure.count = static_cast<uint32_t>(t->NativeSize());
+          ensure.fresh = fresh;
           effects_.push_back(ensure);
         }
         // MarshalValue/UnmarshalValue recursion ignores [special]; only a
         // top-level byte array's run takes it.
-        leaf_mark_ = effects_.size();
-        if (!LowerFixedValue(t, slot, 0,
-                             t->kind() == TypeKind::kArray && special)) {
+        leaves_ = 0;
+        if (!LowerMemValue(t, slot, 0,
+                           t->kind() == TypeKind::kArray && special)) {
           effects_.resize(mark);
-          Value(pres, t, slot);
+          Value(pres, t, slot, fresh);
         }
         return;
       }
-      case TypeKind::kUnion:
-        Value(pres, t, slot);  // runtime arm selection
-        return;
       default: {
         WireEffect e;
         e.kind = WireEffect::Kind::kScalar;
@@ -206,17 +221,20 @@ class PlanLowering {
     }
   }
 
-  // Mirror of MarshalValue/UnmarshalValue over fixed-wire-size values:
-  // recursion to scalar loads/stores and raw byte runs at constant
-  // offsets. False on a member that is not fixed-size, or once the value
-  // has more leaves than the emission budget lets a value unroll to.
-  bool LowerFixedValue(const Type* type, int slot, uint32_t offset,
-                       bool special) {
+  // Mirror of MarshalValue/UnmarshalValue over a value in native memory:
+  // recursion to scalar loads/stores, raw byte runs and byte sequences at
+  // constant offsets, and each union's arm selection. False on a member
+  // they recurse into further (a string, a non-byte sequence), or once the
+  // value has more leaves than the emission budget lets a value unroll to.
+  bool LowerMemValue(const Type* type, int slot, uint32_t offset,
+                     bool special) {
     const Type* t = type->Resolve();
     WireEffect e;
     e.slot = slot;
     e.offset = offset;
     switch (t->kind()) {
+      case TypeKind::kVoid:
+        return true;  // moves nothing
       case TypeKind::kArray: {
         const Type* elem = t->element();
         if (IsByteElem(elem)) {
@@ -231,9 +249,9 @@ class PlanLowering {
         }
         size_t stride = elem->NativeSize();
         for (uint32_t i = 0; i < t->bound(); ++i) {
-          if (!LowerFixedValue(elem, slot,
-                               offset + i * static_cast<uint32_t>(stride),
-                               /*special=*/false)) {
+          if (!LowerMemValue(elem, slot,
+                             offset + i * static_cast<uint32_t>(stride),
+                             /*special=*/false)) {
             return false;
           }
         }
@@ -241,7 +259,7 @@ class PlanLowering {
       }
       case TypeKind::kStruct:
         for (size_t i = 0; i < t->fields().size(); ++i) {
-          if (!LowerFixedValue(
+          if (!LowerMemValue(
                   t->fields()[i].type, slot,
                   offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
                   /*special=*/false)) {
@@ -249,11 +267,31 @@ class PlanLowering {
           }
         }
         return true;
-      case TypeKind::kString:
-      case TypeKind::kSequence:
       case TypeKind::kUnion:
-      case TypeKind::kVoid:
-        return false;  // arena-allocating members: not fixed-size
+        return LowerUnion(t, slot, offset);
+      case TypeKind::kSequence: {
+        if (!IsByteElem(t->element())) {
+          return false;  // element-by-element recursion
+        }
+        // The SeqRep in memory: its length under the bound, then its
+        // bytes; UnmarshalValue always copies into a new arena block.
+        e.kind = WireEffect::Kind::kLenPrefix;
+        e.from_memory = true;
+        e.bound = t->bound();
+        WireEffect bytes = e;
+        bytes.kind = WireEffect::Kind::kBytes;
+        bytes.bound = 0;
+        if (!marshal_) {
+          bytes.dest = WireEffect::Dest::kSeqRep;
+        }
+        if (!Leaf(e)) {
+          return false;
+        }
+        effects_.push_back(bytes);  // the same leaf's second effect
+        return true;
+      }
+      case TypeKind::kString:
+        return false;  // not lowered inside a value
       default:
         e.kind = WireEffect::Kind::kScalar;
         e.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
@@ -264,18 +302,83 @@ class PlanLowering {
     }
   }
 
-  bool Leaf(const WireEffect& e) {
-    if (effects_.size() - leaf_mark_ >= kMaxSpecOps) {
+  // A union as SelectArm reads it: the u32 discriminant at `offset`, then
+  // the arm whose label it equals, else the default arm, else an error.
+  // Lowered as a chain of guarded blocks, one per labeled arm in
+  // declaration order, each ending in a jump past the rest; then the
+  // default arm's effects, or kNoArm.
+  bool LowerUnion(const Type* u, int slot, uint32_t offset) {
+    WireEffect disc;
+    disc.kind = WireEffect::Kind::kScalar;
+    disc.width = 4;
+    disc.slot = slot;
+    disc.offset = offset;
+    disc.from_memory = true;
+    disc.dest =
+        marshal_ ? WireEffect::Dest::kNone : WireEffect::Dest::kSlotMem;
+    if (!Leaf(disc)) {
       return false;
     }
+    WireEffect control;
+    control.slot = slot;
+    control.offset = offset;
+    const uint32_t payload =
+        offset + static_cast<uint32_t>(UnionPayloadOffset(u));
+    const Type* fallback = nullptr;
+    std::vector<size_t> jumps;
+    for (const UnionArm& arm : u->arms()) {
+      if (arm.is_default) {
+        fallback = arm.type;
+        continue;
+      }
+      const size_t guard = effects_.size();
+      WireEffect test = control;
+      test.kind = WireEffect::Kind::kArm;
+      test.label = arm.label;
+      WireEffect jump = control;
+      jump.kind = WireEffect::Kind::kArmEnd;
+      if (!Leaf(test) || !LowerMemValue(arm.type, slot, payload, false) ||
+          !Leaf(jump)) {
+        return false;
+      }
+      effects_[guard].count =
+          static_cast<uint32_t>(effects_.size() - guard - 1);
+      jumps.push_back(effects_.size() - 1);
+    }
+    if (fallback != nullptr) {
+      if (!LowerMemValue(fallback, slot, payload, false)) {
+        return false;
+      }
+    } else {
+      WireEffect none = control;
+      none.kind = WireEffect::Kind::kNoArm;
+      if (!Leaf(none)) {
+        return false;
+      }
+    }
+    for (size_t at : jumps) {
+      effects_[at].count = static_cast<uint32_t>(effects_.size() - at - 1);
+    }
+    return true;
+  }
+
+  // One leaf of an unrolled value, counted against the emission budget
+  // the way the compiler counts its ops.
+  bool Leaf(const WireEffect& e) {
+    if (leaves_ >= kMaxSpecOps) {
+      return false;
+    }
+    ++leaves_;
     effects_.push_back(e);
     return true;
   }
 
   const OpPresentation& pres_;
   bool marshal_;
+  bool receives_reply_;
+  bool inout_reply_ = false;  // lowering an inout item's reply half
   std::vector<WireEffect> effects_;
-  size_t leaf_mark_ = 0;  // first leaf effect of the value being lowered
+  size_t leaves_ = 0;  // leaves of the value being lowered so far
 };
 
 }  // namespace
@@ -290,23 +393,35 @@ std::string WireEffect::ToString() const {
                            : "",
                        DestName(dest));
     case Kind::kLenPrefix:
-      return StrFormat("len(slot%d src=%s len_slot%d bound=%u)", slot,
+      return StrFormat("len(slot%d%s src=%s len_slot%d bound=%u)", slot,
+                       from_memory ? StrFormat("+%u mem", offset).c_str()
+                                   : "",
                        LenSourceName(len_src), len_slot, bound);
     case Kind::kBytes:
       return StrFormat(
           "bytes(slot%d+%u %s%s%s dest=%s%s%s)", slot, offset,
           fixed ? StrFormat("fixed=%u", count).c_str() : "var",
           special ? " special" : "", may_borrow ? " borrow" : "",
-          DestName(dest), nul_terminated ? " nul" : "", "");
+          DestName(dest), nul_terminated ? " nul" : "",
+          fresh ? " fresh" : "");
     case Kind::kDisc:
       return StrFormat("disc(slot%d label=%u dest=%s)", slot, label,
                        DestName(dest));
     case Kind::kEnsure:
-      return StrFormat("ensure(slot%d %u bytes)", slot, count);
+      return StrFormat("ensure(slot%d %u bytes%s)", slot, count,
+                       fresh ? " fresh" : "");
     case Kind::kOpaque:
-      return StrFormat("opaque(slot%d %s src=%s len_slot%d dest=%s)", slot,
+      return StrFormat("opaque(slot%d %s src=%s len_slot%d dest=%s%s)", slot,
                        type != nullptr ? type->ToString().c_str() : "?",
-                       LenSourceName(len_src), len_slot, DestName(dest));
+                       LenSourceName(len_src), len_slot, DestName(dest),
+                       fresh ? " fresh" : "");
+    case Kind::kArm:
+      return StrFormat("arm(slot%d+%u label=%u skip=%u)", slot, offset,
+                       label, count);
+    case Kind::kArmEnd:
+      return StrFormat("arm_end(slot%d+%u skip=%u)", slot, offset, count);
+    case Kind::kNoArm:
+      return StrFormat("no_arm(slot%d+%u)", slot, offset);
   }
   return "?";
 }
@@ -319,148 +434,170 @@ std::vector<WireEffect> PlanStreamEffects(const OperationDecl& op,
                  stream == SpecStream::kMarshalReply;
   bool is_reply = stream == SpecStream::kMarshalReply ||
                   stream == SpecStream::kUnmarshalReply;
-  PlanLowering lowering(pres, marshal);
+  PlanLowering lowering(pres, marshal,
+                        /*receives_reply=*/is_reply && !marshal);
   return lowering.Lower(is_reply ? view.reply : view.request);
 }
 
-std::vector<WireEffect> SpecStreamEffects(const SpecProgram& prog) {
-  std::vector<WireEffect> effects;
-  for (const SpecOp& op : prog.ops) {
-    switch (op.kind) {
-      case SpecOpKind::kPutScalarSlot:
-      case SpecOpKind::kGetScalarSlot: {
-        WireEffect e;
-        e.kind = WireEffect::Kind::kScalar;
-        e.width = op.width;
-        e.slot = op.slot;
-        e.dest = op.kind == SpecOpKind::kGetScalarSlot
-                     ? WireEffect::Dest::kSlotScalar
-                     : WireEffect::Dest::kNone;
-        effects.push_back(e);
-        break;
-      }
-      case SpecOpKind::kPutScalarMem:
-      case SpecOpKind::kGetScalarMem: {
-        WireEffect e;
-        e.kind = WireEffect::Kind::kScalar;
-        e.width = op.width;
-        e.slot = op.slot;
-        e.offset = op.offset;
-        e.from_memory = true;
-        e.dest = op.kind == SpecOpKind::kGetScalarMem
-                     ? WireEffect::Dest::kSlotMem
-                     : WireEffect::Dest::kNone;
-        effects.push_back(e);
-        break;
-      }
-      case SpecOpKind::kPutBytesFixed:
-      case SpecOpKind::kGetBytesFixed: {
-        WireEffect e;
-        e.kind = WireEffect::Kind::kBytes;
-        e.slot = op.slot;
-        e.offset = op.offset;
-        e.count = op.count;
-        e.fixed = true;
-        e.special = op.special;
-        e.dest = op.kind == SpecOpKind::kGetBytesFixed
-                     ? WireEffect::Dest::kSlotMem
-                     : WireEffect::Dest::kNone;
-        effects.push_back(e);
-        break;
-      }
-      case SpecOpKind::kPutSeqBytes: {
-        WireEffect len;
-        len.kind = WireEffect::Kind::kLenPrefix;
-        len.slot = op.slot;
-        len.len_src = op.len_src;
-        len.len_slot = op.len_slot;
-        len.bound = op.bound;
-        effects.push_back(len);
-        WireEffect bytes;
-        bytes.kind = WireEffect::Kind::kBytes;
-        bytes.slot = op.slot;
-        bytes.special = op.special;
-        effects.push_back(bytes);
-        break;
-      }
-      case SpecOpKind::kPutString: {
-        WireEffect len;
-        len.kind = WireEffect::Kind::kLenPrefix;
-        len.slot = op.slot;
-        len.len_src = op.len_src;
-        len.len_slot = op.len_slot;
-        len.bound = op.bound;
-        effects.push_back(len);
-        WireEffect bytes;
-        bytes.kind = WireEffect::Kind::kBytes;
-        bytes.slot = op.slot;
-        bytes.special = op.special;
-        effects.push_back(bytes);
-        break;
-      }
-      case SpecOpKind::kGetSeqBytes: {
-        WireEffect len;
-        len.kind = WireEffect::Kind::kLenPrefix;
-        len.slot = op.slot;
-        len.bound = op.bound;
-        effects.push_back(len);
-        WireEffect bytes;
-        bytes.kind = WireEffect::Kind::kBytes;
-        bytes.slot = op.slot;
-        bytes.special = op.special;
-        bytes.dest = WireEffect::Dest::kBuffer;
-        bytes.may_borrow = true;
-        effects.push_back(bytes);
-        break;
-      }
-      case SpecOpKind::kGetString: {
-        WireEffect len;
-        len.kind = WireEffect::Kind::kLenPrefix;
-        len.slot = op.slot;
-        len.bound = op.bound;
-        effects.push_back(len);
-        WireEffect bytes;
-        bytes.kind = WireEffect::Kind::kBytes;
-        bytes.slot = op.slot;
-        bytes.special = op.special;
+namespace {
+
+// A length prefix effect governed by `op`'s length operands.
+WireEffect LenEffect(const SpecOp& op) {
+  WireEffect len;
+  len.kind = WireEffect::Kind::kLenPrefix;
+  len.slot = op.slot;
+  len.len_src = op.len_src;
+  len.len_slot = op.len_slot;
+  len.bound = op.bound;
+  return len;
+}
+
+// A variable byte run effect moved by `op`.
+WireEffect BytesEffect(const SpecOp& op) {
+  WireEffect bytes;
+  bytes.kind = WireEffect::Kind::kBytes;
+  bytes.slot = op.slot;
+  bytes.special = op.special;
+  return bytes;
+}
+
+// Appends one op's effects, expanded from its kind alone. A branch op's
+// `count` still counts ops here; SpecStreamEffects converts it.
+void ExpandOp(const SpecOp& op, std::vector<WireEffect>* effects) {
+  WireEffect e;
+  e.slot = op.slot;
+  switch (op.kind) {
+    case SpecOpKind::kPutScalarSlot:
+    case SpecOpKind::kGetScalarSlot:
+      e.kind = WireEffect::Kind::kScalar;
+      e.width = op.width;
+      e.dest = op.kind == SpecOpKind::kGetScalarSlot
+                   ? WireEffect::Dest::kSlotScalar
+                   : WireEffect::Dest::kNone;
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kPutScalarMem:
+    case SpecOpKind::kGetScalarMem:
+      e.kind = WireEffect::Kind::kScalar;
+      e.width = op.width;
+      e.offset = op.offset;
+      e.from_memory = true;
+      e.dest = op.kind == SpecOpKind::kGetScalarMem
+                   ? WireEffect::Dest::kSlotMem
+                   : WireEffect::Dest::kNone;
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kPutBytesFixed:
+    case SpecOpKind::kGetBytesFixed:
+      e.kind = WireEffect::Kind::kBytes;
+      e.offset = op.offset;
+      e.count = op.count;
+      e.fixed = true;
+      e.special = op.special;
+      e.dest = op.kind == SpecOpKind::kGetBytesFixed
+                   ? WireEffect::Dest::kSlotMem
+                   : WireEffect::Dest::kNone;
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kPutSeqBytes:
+    case SpecOpKind::kPutString:
+      effects->push_back(LenEffect(op));
+      effects->push_back(BytesEffect(op));
+      return;
+    case SpecOpKind::kGetSeqBytes:
+    case SpecOpKind::kGetString: {
+      WireEffect len = LenEffect(op);
+      len.len_src = SpecLenSource::kSlotLength;  // the wire gives it
+      len.len_slot = -1;
+      effects->push_back(len);
+      WireEffect bytes = BytesEffect(op);
+      bytes.fresh = op.fresh;
+      if (op.kind == SpecOpKind::kGetString) {
         bytes.dest = WireEffect::Dest::kString;
         bytes.nul_terminated = true;
-        effects.push_back(bytes);
-        break;
+      } else {
+        bytes.dest = WireEffect::Dest::kBuffer;
+        bytes.may_borrow = true;
       }
-      case SpecOpKind::kPutUnionDisc:
-      case SpecOpKind::kGetUnionDisc: {
-        WireEffect e;
-        e.kind = WireEffect::Kind::kDisc;
-        e.slot = op.slot;
-        e.label = op.label;
-        e.dest = op.kind == SpecOpKind::kGetUnionDisc
-                     ? WireEffect::Dest::kSlotScalar
-                     : WireEffect::Dest::kNone;
-        effects.push_back(e);
-        break;
+      effects->push_back(bytes);
+      return;
+    }
+    case SpecOpKind::kPutSeqBytesMem:
+    case SpecOpKind::kGetSeqBytesMem: {
+      WireEffect len = LenEffect(op);
+      len.offset = op.offset;
+      len.from_memory = true;
+      effects->push_back(len);
+      WireEffect bytes = BytesEffect(op);
+      bytes.offset = op.offset;
+      bytes.from_memory = true;
+      if (op.kind == SpecOpKind::kGetSeqBytesMem) {
+        bytes.dest = WireEffect::Dest::kSeqRep;
       }
-      case SpecOpKind::kEnsureStorage: {
-        WireEffect e;
-        e.kind = WireEffect::Kind::kEnsure;
-        e.slot = op.slot;
-        e.count = op.count;
-        effects.push_back(e);
-        break;
-      }
-      case SpecOpKind::kPutValue:
-      case SpecOpKind::kGetValue: {
-        WireEffect e;
-        e.kind = WireEffect::Kind::kOpaque;
-        e.slot = op.slot;
-        e.type = op.type;
-        e.len_src = op.len_src;
-        e.len_slot = op.len_slot;
-        e.dest = op.kind == SpecOpKind::kGetValue ? WireEffect::Dest::kValue
-                                                  : WireEffect::Dest::kNone;
-        effects.push_back(e);
-        break;
-      }
+      effects->push_back(bytes);
+      return;
+    }
+    case SpecOpKind::kPutUnionDisc:
+    case SpecOpKind::kGetUnionDisc:
+      e.kind = WireEffect::Kind::kDisc;
+      e.label = op.label;
+      e.dest = op.kind == SpecOpKind::kGetUnionDisc
+                   ? WireEffect::Dest::kSlotScalar
+                   : WireEffect::Dest::kNone;
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kEnsureStorage:
+      e.kind = WireEffect::Kind::kEnsure;
+      e.count = op.count;
+      e.fresh = op.fresh;
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kPutValue:
+    case SpecOpKind::kGetValue:
+      e.kind = WireEffect::Kind::kOpaque;
+      e.type = op.type;
+      e.len_src = op.len_src;
+      e.len_slot = op.len_slot;
+      e.fresh = op.fresh;
+      e.dest = op.kind == SpecOpKind::kGetValue ? WireEffect::Dest::kValue
+                                                : WireEffect::Dest::kNone;
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kArm:
+    case SpecOpKind::kArmEnd:
+    case SpecOpKind::kNoArm:
+      e.kind = op.kind == SpecOpKind::kArm      ? WireEffect::Kind::kArm
+               : op.kind == SpecOpKind::kArmEnd ? WireEffect::Kind::kArmEnd
+                                                : WireEffect::Kind::kNoArm;
+      e.offset = op.offset;
+      e.label = op.kind == SpecOpKind::kArm ? op.label : 0;
+      e.count = op.kind == SpecOpKind::kNoArm ? 0 : op.count;
+      effects->push_back(e);
+      return;
+  }
+}
+
+}  // namespace
+
+std::vector<WireEffect> SpecStreamEffects(const SpecProgram& prog) {
+  const std::vector<SpecOp>& ops = prog.ops;
+  std::vector<WireEffect> effects;
+  std::vector<size_t> first(ops.size() + 1);  // op i's first effect
+  for (size_t i = 0; i < ops.size(); ++i) {
+    first[i] = effects.size();
+    ExpandOp(ops[i], &effects);
+  }
+  first[ops.size()] = effects.size();
+  // A branch skips ops; its effect skips the effects of those ops. A skip
+  // past the stream's end matches no plan.
+  for (size_t i = 0; i < ops.size(); ++i) {
+    WireEffect& e = effects[first[i]];
+    if (e.kind == WireEffect::Kind::kArm ||
+        e.kind == WireEffect::Kind::kArmEnd) {
+      const size_t past = i + 1 + ops[i].count;
+      e.count = past <= ops.size()
+                    ? static_cast<uint32_t>(first[past] - first[i + 1])
+                    : UINT32_MAX;
     }
   }
   return effects;
@@ -471,13 +608,14 @@ namespace {
 // Classifies one effect-pair divergence into its FLEX2xx code.
 std::string_view DivergenceCode(const WireEffect& plan,
                                 const WireEffect& spec) {
-  bool plan_disc = plan.kind == WireEffect::Kind::kDisc;
-  bool spec_disc = spec.kind == WireEffect::Kind::kDisc;
-  if (plan_disc != spec_disc) {
+  // Any union control: a discriminant, an arm's label or skip, no-arm.
+  auto union_control = [](WireEffect::Kind kind) {
+    return kind == WireEffect::Kind::kDisc || kind == WireEffect::Kind::kArm ||
+           kind == WireEffect::Kind::kArmEnd ||
+           kind == WireEffect::Kind::kNoArm;
+  };
+  if (union_control(plan.kind) || union_control(spec.kind)) {
     return "FLEX207";
-  }
-  if (plan_disc && spec_disc) {
-    return "FLEX207";  // same kind: slot or label diverged
   }
   if (plan.kind != spec.kind) {
     return "FLEX202";
@@ -492,7 +630,7 @@ std::string_view DivergenceCode(const WireEffect& plan,
       plan.fixed != spec.fixed) {
     return "FLEX204";
   }
-  return "FLEX206";  // dest / special / borrow / NUL policy
+  return "FLEX206";  // dest / fresh / special / borrow / NUL policy
 }
 
 }  // namespace

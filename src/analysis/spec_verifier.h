@@ -19,7 +19,10 @@
 // diagnostic (FLEX201–FLEX207) that blocks emission; `idlc --check`
 // reports it. A value that MarshalValue/UnmarshalValue move whole (a
 // value op) is one kOpaque effect on both sides, matched on its slot,
-// type, length source and direction.
+// type, length source and direction. A union unrolled in native memory is
+// its discriminant scalar, then one guarded block per labeled arm (kArm,
+// the arm's effects, kArmEnd), then the default arm or kNoArm; the guards'
+// labels and skip counts are compared like any operand (FLEX207).
 
 #ifndef FLEXRPC_SRC_ANALYSIS_SPEC_VERIFIER_H_
 #define FLEXRPC_SRC_ANALYSIS_SPEC_VERIFIER_H_
@@ -46,6 +49,11 @@ struct WireEffect {
     kEnsure,     // unmarshal storage guarantee: slot gets `count` bytes
     kOpaque,     // one whole `type` value through MarshalValue/
                  //   UnmarshalValue; the prover does not look inside
+    kArm,        // the next `count` effects run only when the union
+                 //   discriminant at slot memory + `offset` is `label`
+    kArmEnd,     // the next `count` effects (the other arms) are skipped
+    kNoArm,      // the discriminant at slot memory + `offset` matches no
+                 //   arm: the stream ends with an error
   };
   // Unmarshal destination policy for kScalar/kBytes (kNone on marshal).
   enum class Dest : uint8_t {
@@ -55,23 +63,30 @@ struct WireEffect {
     kBuffer,      // sequence buffer: borrow/caller/arena policy
     kString,      // string buffer: caller/arena policy + NUL terminator
     kValue,       // caller storage or a zeroed arena block (kOpaque)
+    kSeqRep,      // a new arena copy, its SeqRep stored at slot memory +
+                  //   `offset` (a byte sequence inside a struct or union)
   };
 
   Kind kind = Kind::kOpaque;
   uint8_t width = 0;      // kScalar: wire width in bytes
   int slot = -1;          // operand slot
   uint32_t offset = 0;    // native byte offset for memory operands
-  bool from_memory = false;  // operand loaded from slot memory, not .scalar
+  bool from_memory = false;  // operand in slot memory at `offset`, not in
+                             //   the slot itself
   SpecLenSource len_src = SpecLenSource::kSlotLength;  // kLenPrefix source
   int len_slot = -1;      // [length_is] slot for kLenSlot
   uint32_t bound = 0;     // declared bound (0 = unbounded)
-  uint32_t count = 0;     // kBytes fixed runs / kEnsure size
+  uint32_t count = 0;     // kBytes fixed runs / kEnsure size / effects an
+                          //   arm guard or arm end skips
   bool fixed = false;     // kBytes: count is compile-time constant
   bool special = false;   // byte run may route through SpecialOps
   Dest dest = Dest::kNone;
+  // Unmarshal into new arena storage, whatever pointer the slot holds (an
+  // inout item's reply under [alloc(stub)]).
+  bool fresh = false;
   bool nul_terminated = false;  // kBytes into kString storage
   bool may_borrow = false;      // kBytes may alias the message buffer
-  uint32_t label = 0;           // kDisc success label
+  uint32_t label = 0;           // kDisc success label / kArm label
   const Type* type = nullptr;   // kOpaque: the resolved value type
 
   bool operator==(const WireEffect&) const = default;

@@ -254,6 +254,13 @@ NfsClient::NfsClient(NfsFileServer* server, LinkModel link,
       UnionPayloadOffset(readres_t) + NativeFieldOffset(okres_t, 1);
   attr_storage_ = kernel_space_->arena().AllocateBlock(
       idl_->types.FindNamed("fattr")->NativeSize());
+  AddressSpace* user = user_space_.get();
+  copy_to_user_.copy_in = [user](void* dst, const uint8_t* src, size_t n) {
+    Status st = CopyToUser(user, dst, src, n);
+    if (!st.ok()) {
+      std::abort();  // simulation misconfiguration
+    }
+  };
 }
 
 NfsClient::~NfsClient() = default;
@@ -334,21 +341,13 @@ Result<uint32_t> NfsClient::DecodeReply(StubKind kind,
     case StubKind::kGeneratedUserBuffer: {
       // Figure 1's stub: [special] routines unmarshal straight into the
       // user buffer via the kernel's copyout.
-      SpecialOps special;
-      AddressSpace* user = user_space_.get();
-      special.copy_in = [user](void* dst, const uint8_t* src, size_t n) {
-        Status st = CopyToUser(user, dst, src, n);
-        if (!st.ok()) {
-          std::abort();  // simulation misconfiguration
-        }
-      };
       ArgVec args(prog_special_->slot_count());
       args[special_slots_.data].set_ptr(chunk.user_dest);
       args[special_slots_.data].capacity = chunk.count;
       // fattr lands in a kernel-resident struct, as in the original stub.
       args[special_slots_.attributes].set_ptr(attr_storage_);
       Status st =
-          prog_special_->UnmarshalReply(r, karena, &args, &special);
+          prog_special_->UnmarshalReply(r, karena, &args, &copy_to_user_);
       uint32_t status =
           static_cast<uint32_t>(args[special_slots_.status].scalar);
       uint32_t delivered = args[special_slots_.data].length;

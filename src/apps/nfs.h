@@ -163,6 +163,8 @@ class NfsClient {
   SpecialSlots special_slots_{};
   size_t readres_data_offset_ = 0;
   void* attr_storage_ = nullptr;  // kernel-resident fattr, reused per call
+  // Figure 1's [special] routine: the kernel's copyout into user space.
+  SpecialOps copy_to_user_;
   uint32_t next_xid_ = 1;
 };
 

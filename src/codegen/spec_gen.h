@@ -1,8 +1,9 @@
 // flexspec specialization emitter: `idlc --specialize`'s back end.
 //
-// Compiles every (operation × side presentation) of an interface file into
-// SpecPlans (src/marshal/spec.h) and emits one C++ translation unit of
-// fused straight-line marshal/unmarshal superinstruction functions plus a
+// Compiles every (operation × side presentation) of an interface file, each
+// side's default presentation included, into SpecPlans
+// (src/marshal/spec.h) and emits one C++ translation unit of fused
+// straight-line marshal/unmarshal superinstruction functions plus a
 // RegisterSpecializations() entry point that installs them in the flexspec
 // registry.
 //
@@ -56,7 +57,9 @@ struct SpecGenStats {
 };
 
 // Generates the specialization unit for `idl` under both side
-// presentations (identical keys across sides are emitted once). Reports
+// presentations and both sides' default presentations (a key planned once
+// is emitted once, first come first served in that order: client, client
+// default, server, server default). Reports
 // FLEX201–FLEX207 errors and FLEX205 warnings to `diags` attributed to
 // `source_file`; returns a non-OK status — and emits nothing — if any
 // plan fails the equivalence proof. `stats` may be null.

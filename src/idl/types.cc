@@ -139,6 +139,35 @@ size_t Type::FieldOffset(size_t index) const {
   return cached_field_offsets_[index];
 }
 
+bool Type::HoldsPointers() const {
+  if (cached_pointers_ < 0) {
+    cached_pointers_ = ComputeHoldsPointers() ? 1 : 0;
+  }
+  return cached_pointers_ != 0;
+}
+
+bool Type::ComputeHoldsPointers() const {
+  switch (kind_) {
+    case TypeKind::kString:
+    case TypeKind::kSequence:
+      return true;
+    case TypeKind::kArray:
+    case TypeKind::kAlias:
+      return element_->HoldsPointers();
+    case TypeKind::kStruct:
+      return std::any_of(fields_.begin(), fields_.end(),
+                         [](const StructField& f) {
+                           return f.type->HoldsPointers();
+                         });
+    case TypeKind::kUnion:
+      return std::any_of(arms_.begin(), arms_.end(), [](const UnionArm& arm) {
+        return arm.type->HoldsPointers();
+      });
+    default:
+      return false;  // scalars, enums, object references, void
+  }
+}
+
 size_t Type::ComputeNativeSize() const {
   switch (kind_) {
     case TypeKind::kVoid:

@@ -107,6 +107,11 @@ class Type {
   // Memoized alongside NativeSize.
   size_t FieldOffset(size_t index) const;
 
+  // True when the native representation holds a pointer (a string, a
+  // sequence buffer) anywhere inside it, in any union arm. A value without
+  // one owns no storage beyond its own bytes. Memoized like NativeSize.
+  bool HoldsPointers() const;
+
  private:
   friend class TypeTable;
   Type() = default;
@@ -125,10 +130,12 @@ class Type {
   mutable size_t cached_size_ = kLayoutUncached;
   mutable size_t cached_align_ = kLayoutUncached;
   mutable std::vector<size_t> cached_field_offsets_;
+  mutable int8_t cached_pointers_ = -1;  // -1 until HoldsPointers runs
   static constexpr size_t kLayoutUncached = static_cast<size_t>(-1);
 
   size_t ComputeNativeSize() const;
   size_t ComputeNativeAlign() const;
+  bool ComputeHoldsPointers() const;
 };
 
 // Owns all Type nodes for one compilation. Primitive types are singletons;

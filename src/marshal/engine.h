@@ -105,9 +105,12 @@ struct SpecialOps {
 enum class SpecOpKind : uint8_t {
   kPutScalarSlot,   // wire scalar from args[slot].scalar
   kPutScalarMem,    // wire scalar loaded from args[slot].ptr() + offset
+                    //   (a union's u32 discriminant among them)
   kPutBytesFixed,   // `count` raw bytes from args[slot].ptr() + offset
   kPutSeqBytes,     // u32 length prefix + that many bytes from args[slot]
   kPutString,       // u32 length prefix + string bytes from args[slot]
+  kPutSeqBytesMem,  // the byte sequence whose SeqRep is at args[slot].ptr()
+                    //   + offset: u32 length under `bound` + the bytes
   kPutUnionDisc,    // u32 from args[slot].scalar; end-of-stream unless
                     //   it equals `label` (void alternate arms)
   kPutValue,        // the `type` value at args[slot].ptr() through
@@ -119,13 +122,23 @@ enum class SpecOpKind : uint8_t {
   kGetSeqBytes,     // u32 length + bytes into the slot (borrow, caller
                     //   buffer or arena block)
   kGetString,       // u32 length + bytes + NUL into the slot
+  kGetSeqBytesMem,  // u32 length under `bound` + bytes, copied into a new
+                    //   arena block whose SeqRep goes to args[slot].ptr()
+                    //   + offset
   kGetUnionDisc,    // u32 into args[slot].scalar; end-of-stream unless
                     //   it equals `label`
   kGetValue,        // a `type` value through UnmarshalValue into caller
                     //   storage or a zeroed arena block; a sequence sets
                     //   args[slot].length before any element is read
-  kEnsureStorage,   // if args[slot].ptr() == null, point it at
-                    //   arena->AllocateBlock(count)
+  kEnsureStorage,   // if args[slot].ptr() == null, point it at a zeroed
+                    //   arena block of `count` bytes
+  kArm,             // branch: unless the u32 union discriminant at
+                    //   args[slot].ptr() + offset equals `label`, skip the
+                    //   next `count` ops (the arm's ops and its kArmEnd)
+  kArmEnd,          // branch: skip the next `count` ops (the union's
+                    //   remaining arms)
+  kNoArm,           // end-of-stream with an error: the discriminant at
+                    //   args[slot].ptr() + offset matches no arm
 };
 
 // Where a marshal-side variable length comes from.
@@ -139,13 +152,19 @@ struct SpecOp {
   SpecOpKind kind = SpecOpKind::kPutScalarSlot;
   uint8_t width = 4;     // wire scalar width for *Scalar* ops (1/2/4/8)
   int slot = -1;         // ArgVec slot the op reads or writes
-  uint32_t offset = 0;   // native byte offset for *Mem / *BytesFixed
-  uint32_t count = 0;    // byte count for *BytesFixed / kEnsureStorage
+  uint32_t offset = 0;   // native byte offset for *Mem / *BytesFixed / arms
+  uint32_t count = 0;    // byte count for *BytesFixed / kEnsureStorage;
+                         //   ops skipped for kArm / kArmEnd
   uint32_t bound = 0;    // declared length bound (0 = unbounded)
   SpecLenSource len_src = SpecLenSource::kSlotLength;
   int len_slot = -1;     // [length_is] slot for kLenSlot
-  uint32_t label = 0;    // union success label for *UnionDisc
+  uint32_t label = 0;    // union label for *UnionDisc / kArm
   bool special = false;  // may route through SpecialOps at runtime
+  // Unmarshal into new arena storage even when the slot holds a pointer:
+  // that pointer is the caller's in-value of an inout item under
+  // [alloc(stub)], not a receive buffer. kGetSeqBytes, kGetString,
+  // kGetValue and kEnsureStorage.
+  bool fresh = false;
   const Type* type = nullptr;  // resolved value type for *Value ops
 
   bool operator==(const SpecOp&) const = default;

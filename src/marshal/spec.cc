@@ -165,6 +165,8 @@ std::string_view SpecOpKindName(SpecOpKind kind) {
       return "kPutSeqBytes";
     case SpecOpKind::kPutString:
       return "kPutString";
+    case SpecOpKind::kPutSeqBytesMem:
+      return "kPutSeqBytesMem";
     case SpecOpKind::kPutUnionDisc:
       return "kPutUnionDisc";
     case SpecOpKind::kPutValue:
@@ -179,12 +181,20 @@ std::string_view SpecOpKindName(SpecOpKind kind) {
       return "kGetSeqBytes";
     case SpecOpKind::kGetString:
       return "kGetString";
+    case SpecOpKind::kGetSeqBytesMem:
+      return "kGetSeqBytesMem";
     case SpecOpKind::kGetUnionDisc:
       return "kGetUnionDisc";
     case SpecOpKind::kGetValue:
       return "kGetValue";
     case SpecOpKind::kEnsureStorage:
       return "kEnsureStorage";
+    case SpecOpKind::kArm:
+      return "kArm";
+    case SpecOpKind::kArmEnd:
+      return "kArmEnd";
+    case SpecOpKind::kNoArm:
+      return "kNoArm";
   }
   return "?";
 }
@@ -204,15 +214,19 @@ std::string_view SpecLenSourceName(SpecLenSource src) {
 namespace {
 
 // Compiles one stream of a plan into SpecOps, one wire item at a time.
-// Every construct has an op: a struct or array unrolls to constant-offset
-// leaves when they fit in kMaxSpecOps, and a value no leaf op expresses (a
-// union in its own slot, a non-byte sequence, a struct or array that does
-// not unroll) is one value op. The first construct that keeps the stream
-// out of generated code becomes its rejection.
+// Every construct has an op: a struct, array or union unrolls to leaves at
+// constant offsets (a union's arms as branches) when they fit in
+// kMaxSpecOps, and a value no leaf op expresses (a non-byte sequence, a
+// string inside a struct, a value past the budget) is one value op. The
+// first construct that keeps the stream out of generated code becomes its
+// rejection.
 class StreamCompiler {
  public:
-  StreamCompiler(const OpPresentation& pres, bool marshal)
-      : pres_(pres), marshal_(marshal) {}
+  // `receives_reply`: the stream unmarshals a reply, where an inout item's
+  // slot still holds the caller's in-value.
+  StreamCompiler(const OpPresentation& pres, bool marshal,
+                 bool receives_reply)
+      : pres_(pres), marshal_(marshal), receives_reply_(receives_reply) {}
 
   SpecProgram Compile(const std::vector<PlanItemView>& items) {
     for (const PlanItemView& item : items) {
@@ -238,6 +252,7 @@ class StreamCompiler {
   // BuildMarshalPlan binds every field and the discriminant of a
   // presentation ApplyPdl accepted (the plan verifier's FLEX106 audits it).
   void AddItem(const PlanItemView& item) {
+    inout_reply_ = receives_reply_ && item.dir == ParamDir::kInOut;
     if (!item.flattened) {
       AddTop(item.pres, item.type, item.slot);
       return;
@@ -273,6 +288,10 @@ class StreamCompiler {
   void AddTop(const ParamPresentation* pres, const Type* type, int slot) {
     const Type* t = type->Resolve();
     const bool special = pres != nullptr && pres->special;
+    // The reply of an inout item under [alloc(stub)] gets stub storage;
+    // the pointer its slot holds is the caller's in-value.
+    const bool fresh = inout_reply_ && pres != nullptr &&
+                       pres->alloc == AllocPolicy::kStub;
     SpecOp op;
     op.slot = slot;
     switch (t->kind()) {
@@ -282,6 +301,7 @@ class StreamCompiler {
         op.kind = marshal_ ? SpecOpKind::kPutString : SpecOpKind::kGetString;
         op.bound = t->bound();
         op.special = special;
+        op.fresh = fresh;
         if (marshal_) {
           SetMarshalLength(pres, SpecLenSource::kStrLen, &op);
         }
@@ -289,43 +309,42 @@ class StreamCompiler {
         return;
       case TypeKind::kSequence:
         if (!IsByteElem(t->element())) {
-          AddValue(pres, t, slot, "sequence of non-byte elements");
+          AddValue(pres, t, slot, fresh, "sequence of non-byte elements");
           return;
         }
         op.kind =
             marshal_ ? SpecOpKind::kPutSeqBytes : SpecOpKind::kGetSeqBytes;
         op.bound = t->bound();
         op.special = special;
+        op.fresh = fresh;
         if (marshal_) {
           SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
         }
         Emit(op);
         return;
       case TypeKind::kArray:
-      case TypeKind::kStruct: {
+      case TypeKind::kStruct:
+      case TypeKind::kUnion: {
         const size_t mark = ops_.size();
         if (!marshal_) {
           op.kind = SpecOpKind::kEnsureStorage;
           op.count = static_cast<uint32_t>(t->NativeSize());
+          op.fresh = fresh;
           Emit(op);
         }
-        // [special] reaches only a top-level byte array's run: struct
-        // members go through MarshalValue/UnmarshalValue semantics, which
-        // never consult it.
+        // [special] reaches only a top-level byte array's run: members
+        // go through MarshalValue/UnmarshalValue semantics, which never
+        // consult it.
         leaf_mark_ = ops_.size();
         std::string why;
-        if (AddFixedValue(t, slot, 0,
-                          t->kind() == TypeKind::kArray && special, &why)) {
+        if (AddMemValue(t, slot, 0, t->kind() == TypeKind::kArray && special,
+                        &why)) {
           return;
         }
         ops_.resize(mark);
-        AddValue(pres, t, slot, std::move(why));
+        AddValue(pres, t, slot, fresh, std::move(why));
         return;
       }
-      case TypeKind::kUnion:
-        AddValue(pres, t, slot,
-                 "direct union slot needs arm selection at run time");
-        return;
       default:
         op.kind = marshal_ ? SpecOpKind::kPutScalarSlot
                            : SpecOpKind::kGetScalarSlot;
@@ -338,11 +357,12 @@ class StreamCompiler {
   // One whole value through MarshalValue/UnmarshalValue. A top-level
   // sequence takes its marshaled length like a byte sequence does.
   void AddValue(const ParamPresentation* pres, const Type* t, int slot,
-                std::string why) {
+                bool fresh, std::string why) {
     SpecOp op;
     op.kind = marshal_ ? SpecOpKind::kPutValue : SpecOpKind::kGetValue;
     op.slot = slot;
     op.type = t;
+    op.fresh = fresh;
     if (marshal_ && t->kind() == TypeKind::kSequence) {
       SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
     }
@@ -350,19 +370,21 @@ class StreamCompiler {
     Reject(std::move(why));
   }
 
-  // A fixed-wire-size value living in native memory at slot.ptr()+offset
-  // (scalars, byte arrays, and arrays and structs of them), unrolled to
-  // one leaf op per scalar or byte run at a constant offset. Fails, with
-  // the reason in `*why`, on a member that is not fixed-size or on a leaf
+  // A value living in native memory at slot.ptr()+offset, unrolled to one
+  // leaf op per scalar, byte run or byte sequence at a constant offset,
+  // with a union's arms as branches. Fails, with the reason in `*why`, on
+  // a member no leaf op moves (a string, a non-byte sequence) or on a leaf
   // past kMaxSpecOps. `special` applies only to the outermost byte run of
   // a top-level array.
-  bool AddFixedValue(const Type* type, int slot, uint32_t offset,
-                     bool special, std::string* why) {
+  bool AddMemValue(const Type* type, int slot, uint32_t offset, bool special,
+                   std::string* why) {
     const Type* t = type->Resolve();
     SpecOp op;
     op.slot = slot;
     op.offset = offset;
     switch (t->kind()) {
+      case TypeKind::kVoid:
+        return true;
       case TypeKind::kArray: {
         const Type* elem = t->element();
         if (IsByteElem(elem)) {
@@ -374,9 +396,9 @@ class StreamCompiler {
         }
         size_t stride = elem->NativeSize();
         for (uint32_t i = 0; i < t->bound(); ++i) {
-          if (!AddFixedValue(elem, slot,
-                             offset + i * static_cast<uint32_t>(stride),
-                             /*special=*/false, why)) {
+          if (!AddMemValue(elem, slot,
+                           offset + i * static_cast<uint32_t>(stride),
+                           /*special=*/false, why)) {
             return false;
           }
         }
@@ -384,7 +406,7 @@ class StreamCompiler {
       }
       case TypeKind::kStruct:
         for (size_t i = 0; i < t->fields().size(); ++i) {
-          if (!AddFixedValue(
+          if (!AddMemValue(
                   t->fields()[i].type, slot,
                   offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
                   /*special=*/false, why)) {
@@ -392,13 +414,19 @@ class StreamCompiler {
           }
         }
         return true;
-      case TypeKind::kString:
-      case TypeKind::kSequence:
       case TypeKind::kUnion:
-      case TypeKind::kVoid:
-        *why = StrFormat(
-            "nested %s member is not fixed-size straight-line code",
-            std::string(TypeKindName(t->kind())).c_str());
+        return AddUnion(t, slot, offset, why);
+      case TypeKind::kSequence:
+        if (IsByteElem(t->element())) {
+          op.kind = marshal_ ? SpecOpKind::kPutSeqBytesMem
+                             : SpecOpKind::kGetSeqBytesMem;
+          op.bound = t->bound();
+          return AddLeaf(op, why);
+        }
+        *why = "nested sequence of non-byte elements";
+        return false;
+      case TypeKind::kString:
+        *why = "nested string member";
         return false;
       default:
         op.kind = marshal_ ? SpecOpKind::kPutScalarMem
@@ -406,6 +434,64 @@ class StreamCompiler {
         op.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
         return AddLeaf(op, why);
     }
+  }
+
+  // The union at slot.ptr()+offset: its u32 discriminant, then for each
+  // labeled arm a kArm, the arm's leaves at the payload offset and a
+  // kArmEnd past the remaining arms, then the default arm's leaves or, with
+  // no default arm, kNoArm. A matching label wins over the default arm, as
+  // in MarshalValue/UnmarshalValue.
+  bool AddUnion(const Type* u, int slot, uint32_t offset, std::string* why) {
+    SpecOp op;
+    op.slot = slot;
+    op.offset = offset;
+    op.kind =
+        marshal_ ? SpecOpKind::kPutScalarMem : SpecOpKind::kGetScalarMem;
+    op.width = 4;
+    if (!AddLeaf(op, why)) {
+      return false;
+    }
+    const uint32_t payload =
+        offset + static_cast<uint32_t>(UnionPayloadOffset(u));
+    std::vector<size_t> arm_ends;
+    const UnionArm* fallback = nullptr;
+    for (const UnionArm& arm : u->arms()) {
+      if (arm.is_default) {
+        fallback = &arm;
+        continue;
+      }
+      SpecOp branch = op;
+      branch.kind = SpecOpKind::kArm;
+      branch.label = arm.label;
+      const size_t at = ops_.size();
+      if (!AddLeaf(branch, why) ||
+          !AddMemValue(arm.type, slot, payload, /*special=*/false, why)) {
+        return false;
+      }
+      SpecOp skip = op;
+      skip.kind = SpecOpKind::kArmEnd;
+      if (!AddLeaf(skip, why)) {
+        return false;
+      }
+      ops_[at].count = static_cast<uint32_t>(ops_.size() - at - 1);
+      arm_ends.push_back(ops_.size() - 1);
+    }
+    if (fallback != nullptr) {
+      if (!AddMemValue(fallback->type, slot, payload, /*special=*/false,
+                       why)) {
+        return false;
+      }
+    } else {
+      SpecOp none = op;
+      none.kind = SpecOpKind::kNoArm;
+      if (!AddLeaf(none, why)) {
+        return false;
+      }
+    }
+    for (size_t end : arm_ends) {
+      ops_[end].count = static_cast<uint32_t>(ops_.size() - end - 1);
+    }
+    return true;
   }
 
   bool AddLeaf(const SpecOp& op, std::string* why) {
@@ -419,6 +505,8 @@ class StreamCompiler {
 
   const OpPresentation& pres_;
   bool marshal_;
+  bool receives_reply_;
+  bool inout_reply_ = false;  // the current item is an inout's reply half
   std::vector<SpecOp> ops_;
   size_t leaf_mark_ = 0;  // first leaf op of the value being unrolled
   std::string rejection_;
@@ -433,7 +521,8 @@ SpecProgram CompileSpecStream(const MarshalPlanView& plan,
                        stream == SpecStream::kMarshalReply;
   const bool reply = stream == SpecStream::kMarshalReply ||
                      stream == SpecStream::kUnmarshalReply;
-  StreamCompiler compiler(pres, marshal);
+  StreamCompiler compiler(pres, marshal,
+                          /*receives_reply=*/reply && !marshal);
   SpecProgram prog = compiler.Compile(reply ? plan.reply : plan.request);
   if (rejection != nullptr) {
     *rejection = compiler.TakeRejection();
@@ -472,9 +561,10 @@ Status GetValueOp(const SpecOp& op, WireReader* r, Arena* arena,
                   ArgVec* args) {
   ArgValue* slot = &(*args)[static_cast<size_t>(op.slot)];
   const Type* t = op.type;
-  // A slot that already carries a pointer is caller storage: [alloc(user)]
-  // receive buffers arrive this way.
-  const bool caller_buffer = slot->ptr() != nullptr;
+  // A slot that already carries a pointer is caller storage ([alloc(user)]
+  // receive buffers arrive this way), unless the op is fresh.
+  const bool caller_buffer =
+      spec_internal::ReceiveBuffer(op, slot) != nullptr;
   if (t->kind() != TypeKind::kSequence) {
     if (!caller_buffer) {
       slot->set_ptr(AllocateZeroedBlock(arena, t->NativeSize()));
@@ -515,11 +605,14 @@ Status GetValueOp(const SpecOp& op, WireReader* r, Arena* arena,
 
 // ---- Reference executor ----------------------------------------------------
 
+// A branch op's step does nothing; the loop then moves past the ops it
+// skips.
 Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
                       WireWriter* w, const SpecialOps* special) {
   Status end;
-  for (const SpecOp& op : prog.ops) {
-    if (!MarshalStep(op, args, w, special, &end)) {
+  const std::vector<SpecOp>& ops = prog.ops;
+  for (size_t i = 0; i < ops.size(); i += 1 + SkippedOps(ops[i], args)) {
+    if (!MarshalStep(ops[i], args, w, special, &end)) {
       break;
     }
   }
@@ -530,8 +623,10 @@ Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,
                         ArgVec* args, const SpecialOps* special,
                         bool borrow_bytes) {
   Status end;
-  for (const SpecOp& op : prog.ops) {
-    if (!UnmarshalStep(op, r, arena, args, special, borrow_bytes, &end)) {
+  const std::vector<SpecOp>& ops = prog.ops;
+  for (size_t i = 0; i < ops.size(); i += 1 + SkippedOps(ops[i], *args)) {
+    if (!UnmarshalStep(ops[i], r, arena, args, special, borrow_bytes,
+                       &end)) {
       break;
     }
   }

@@ -2,12 +2,14 @@
 //
 // A SpecOp (engine.h) is one instruction of a compiled marshal stream: its
 // kind plus constant operands. MarshalStep and UnmarshalStep define what
-// each kind does to the wire and the ArgVec, and nothing else does: the
+// each kind does to the wire and the ArgVec, and SkippedOps defines the
+// branch ops (a union's arm selection), and nothing else does: the
 // reference executor (RunSpecMarshal/RunSpecUnmarshal, spec.h) loops over
-// the steps, and `idlc --specialize` emits one step call per op with the
-// op written out as a literal. Both steps are forced inline, so in
-// generated code the kind switch and every operand fold to constants and
-// the stream runs straight-line, with no loop and no table walk.
+// them, and `idlc --specialize` emits one step call per op with the op
+// written out as a literal, and each branch op as a forward `goto`. All
+// three are forced inline, so in generated code the kind switch and every
+// operand fold to constants and the stream runs straight-line, with no
+// loop and no table walk.
 
 #ifndef FLEXRPC_SRC_MARSHAL_SPEC_OPS_H_
 #define FLEXRPC_SRC_MARSHAL_SPEC_OPS_H_
@@ -18,6 +20,7 @@
 
 #include "src/marshal/engine.h"
 #include "src/marshal/format.h"
+#include "src/marshal/layout.h"
 #include "src/support/arena.h"
 #include "src/support/status.h"
 #include "src/support/strings.h"
@@ -62,13 +65,22 @@ namespace spec_internal {
   }
 }
 
+// Ends the stream with a failed read's error. Cold and out of line, so
+// that each op inlines only the read, one test and the store, and the
+// compiler keeps inlining the accessors of a long stream's last reads.
+template <typename T>
+[[gnu::cold, gnu::noinline]] bool EndRead(const Result<T>& read,
+                                          Status* end) {
+  return End(end, read.status());
+}
+
 // Stores a successful read in `*value`; otherwise ends the stream with the
 // read's error.
 template <typename T, typename V>
 [[gnu::always_inline]] inline bool Get(Result<T> read, V* value,
                                        Status* end) {
   if (!read.ok()) {
-    return End(end, read.status());
+    return EndRead(read, end);
   }
   *value = *read;
   return true;
@@ -86,6 +98,48 @@ template <typename T, typename V>
     default:
       return Get(r->GetU64(), bits, end);
   }
+}
+
+// The u32 union discriminant at args[slot].ptr() + offset, which a branch
+// op tests and kNoArm reports.
+[[gnu::always_inline]] inline uint32_t Disc(const SpecOp& op,
+                                            const ArgVec& args) {
+  uint32_t disc;
+  std::memcpy(&disc,
+              static_cast<const uint8_t*>(
+                  args[static_cast<size_t>(op.slot)].ptr()) +
+                  op.offset,
+              sizeof(disc));
+  return disc;
+}
+
+// The receive storage an unmarshal op finds in its slot: a caller buffer,
+// or null when the stub allocates. A `fresh` op first drops the caller's
+// in-value pointer, so a release after a failed read frees nothing of the
+// caller's.
+[[gnu::always_inline]] inline void* ReceiveBuffer(const SpecOp& op,
+                                                  ArgValue* slot) {
+  if (op.fresh) {
+    slot->set_ptr(nullptr);
+  }
+  return slot->ptr();
+}
+
+// Reads a u32 length under `op.bound` (`what` names the value in the
+// error) and then that many bytes and their padding.
+[[gnu::always_inline]] inline bool GetRun(WireReader* r, const SpecOp& op,
+                                          const char* what, uint32_t* len,
+                                          const uint8_t** bytes,
+                                          Status* end) {
+  if (!Get(r->GetU32(), len, end)) {
+    return false;
+  }
+  if (op.bound != 0 && *len > op.bound) {
+    return End(end, DataLossError(StrFormat(
+                        "wire %s length %u exceeds bound %u", what, *len,
+                        op.bound)));
+  }
+  return Get(r->GetBytes(*len), bytes, end);
 }
 
 [[gnu::always_inline]] inline uint32_t MarshalLength(const SpecOp& op,
@@ -107,8 +161,25 @@ template <typename T, typename V>
 
 }  // namespace spec_internal
 
-// Each step returns true when its stream goes on. Otherwise it has ended
-// the stream, and `*end` holds the stream's status: an error, or OK when a
+// The branch ops' one definition: how many of the ops after `op` the
+// stream skips. A union compiles to its discriminant op, then per arm a
+// kArm, the arm's ops and a kArmEnd past the remaining arms, then the
+// default arm's ops or kNoArm. Zero for every other kind.
+[[gnu::always_inline]] inline uint32_t SkippedOps(const SpecOp& op,
+                                                  const ArgVec& args) {
+  switch (op.kind) {
+    case SpecOpKind::kArm:
+      return spec_internal::Disc(op, args) == op.label ? 0 : op.count;
+    case SpecOpKind::kArmEnd:
+      return op.count;
+    default:
+      return 0;
+  }
+}
+
+// Each step returns true when its stream goes on (a branch op's step does
+// nothing: SkippedOps is its definition). Otherwise it has ended the
+// stream, and `*end` holds the stream's status: an error, or OK when a
 // union discriminant selected one of the void alternate arms.
 [[gnu::always_inline]] inline bool MarshalStep(const SpecOp& op,
                                                const ArgVec& args,
@@ -144,8 +215,19 @@ template <typename T, typename V>
               op.count);
       return true;
     case SpecOpKind::kPutSeqBytes:
-    case SpecOpKind::kPutString: {
-      const uint32_t len = spec_internal::MarshalLength(op, args);
+    case SpecOpKind::kPutString:
+    case SpecOpKind::kPutSeqBytesMem: {
+      const void* src = slot.ptr();
+      uint32_t len;
+      if (op.kind == SpecOpKind::kPutSeqBytesMem) {
+        SeqRep rep;
+        std::memcpy(&rep, static_cast<const uint8_t*>(src) + op.offset,
+                    sizeof(rep));
+        src = rep.buffer;
+        len = rep.length;
+      } else {
+        len = spec_internal::MarshalLength(op, args);
+      }
       if (op.bound != 0 && len > op.bound) {
         return End(end, InvalidArgumentError(StrFormat(
                             "%s length %u exceeds bound %u",
@@ -154,7 +236,7 @@ template <typename T, typename V>
                             len, op.bound)));
       }
       w->PutU32(len);
-      put_run(slot.ptr(), len);
+      put_run(src, len);
       return true;
     }
     case SpecOpKind::kPutUnionDisc: {
@@ -167,6 +249,13 @@ template <typename T, typename V>
     }
     case SpecOpKind::kPutValue:
       return spec_internal::Continue(PutValueOp(op, args, w), end);
+    case SpecOpKind::kArm:
+    case SpecOpKind::kArmEnd:
+      return true;
+    case SpecOpKind::kNoArm:
+      return End(end, InvalidArgumentError(StrFormat(
+                          "union discriminant %u matches no arm",
+                          spec_internal::Disc(op, args))));
     default:
       return End(end, InternalError("unmarshal opcode in a marshal stream"));
   }
@@ -192,10 +281,12 @@ template <typename T, typename V>
   const uint8_t* bytes = nullptr;
   switch (op.kind) {
     case SpecOpKind::kEnsureStorage:
-      // Left unzeroed: CompileSpecPlan emits it only for values with no
-      // nested pointers, so a release after a failed read follows none.
-      if (slot->ptr() == nullptr) {
-        slot->set_ptr(arena->AllocateBlock(op.count));
+      // Zeroed, so a release after a failed read finds null pointers
+      // wherever nothing was read.
+      if (spec_internal::ReceiveBuffer(op, slot) == nullptr) {
+        void* block = arena->AllocateBlock(op.count);
+        std::memset(block, 0, op.count);
+        slot->set_ptr(block);
       }
       return true;
     case SpecOpKind::kGetScalarSlot:
@@ -220,33 +311,23 @@ template <typename T, typename V>
                op.count);
       return true;
     case SpecOpKind::kGetSeqBytes: {
-      if (!Get(r->GetU32(), &len, end)) {
+      void* dest = spec_internal::ReceiveBuffer(op, slot);
+      if (!spec_internal::GetRun(r, op, "sequence", &len, &bytes, end)) {
         return false;
       }
-      if (op.bound != 0 && len > op.bound) {
-        return End(end, DataLossError(StrFormat(
-                            "wire sequence length %u exceeds bound %u", len,
-                            op.bound)));
-      }
-      if (!Get(r->GetBytes(len), &bytes, end)) {
-        return false;
-      }
-      const bool caller_buffer = slot->ptr() != nullptr;
-      if (borrow_bytes && !caller_buffer && !use_special) {
+      if (borrow_bytes && dest == nullptr && !use_special) {
         slot->set_ptr(bytes);
         slot->length = len;
         slot->borrowed = true;
         return true;
       }
-      void* dest;
-      if (caller_buffer) {
+      if (dest != nullptr) {
         if (slot->capacity < len) {
           return End(end, ResourceExhaustedError(StrFormat(
                               "caller buffer (%u bytes) too small for "
                               "%u-byte sequence",
                               slot->capacity, len)));
         }
-        dest = slot->ptr();
       } else {
         dest = arena->AllocateBlock(len > 0 ? len : 1);
         slot->set_ptr(dest);
@@ -256,26 +337,17 @@ template <typename T, typename V>
       return true;
     }
     case SpecOpKind::kGetString: {
-      if (!Get(r->GetU32(), &len, end)) {
+      auto* dest = static_cast<char*>(spec_internal::ReceiveBuffer(op, slot));
+      if (!spec_internal::GetRun(r, op, "string", &len, &bytes, end)) {
         return false;
       }
-      if (op.bound != 0 && len > op.bound) {
-        return End(end, DataLossError(StrFormat(
-                            "wire string length %u exceeds bound %u", len,
-                            op.bound)));
-      }
-      if (!Get(r->GetBytes(len), &bytes, end)) {
-        return false;
-      }
-      char* dest;
-      if (slot->ptr() != nullptr) {
+      if (dest != nullptr) {
         if (slot->capacity < len + 1) {
           return End(end, ResourceExhaustedError(StrFormat(
                               "caller buffer (%u bytes) too small for "
                               "%u-byte string",
                               slot->capacity, len)));
         }
-        dest = static_cast<char*>(slot->ptr());
       } else {
         dest = static_cast<char*>(arena->AllocateBlock(len + 1));
         slot->set_ptr(dest);
@@ -283,6 +355,17 @@ template <typename T, typename V>
       copy_run(dest, bytes, len);
       dest[len] = '\0';
       slot->length = len;
+      return true;
+    }
+    case SpecOpKind::kGetSeqBytesMem: {
+      if (!spec_internal::GetRun(r, op, "sequence", &len, &bytes, end)) {
+        return false;
+      }
+      // As UnmarshalValue does: always a copy in a new arena block.
+      SeqRep rep{len, len, arena->AllocateBlock(len > 0 ? len : 1)};
+      std::memcpy(rep.buffer, bytes, len);
+      std::memcpy(static_cast<uint8_t*>(slot->ptr()) + op.offset, &rep,
+                  sizeof(rep));
       return true;
     }
     case SpecOpKind::kGetUnionDisc: {
@@ -298,6 +381,13 @@ template <typename T, typename V>
     }
     case SpecOpKind::kGetValue:
       return spec_internal::Continue(GetValueOp(op, r, arena, args), end);
+    case SpecOpKind::kArm:
+    case SpecOpKind::kArmEnd:
+      return true;
+    case SpecOpKind::kNoArm:
+      return End(end, DataLossError(StrFormat(
+                          "wire union discriminant %u matches no arm",
+                          spec_internal::Disc(op, *args))));
     default:
       return End(end, InternalError("marshal opcode in an unmarshal stream"));
   }

@@ -271,6 +271,9 @@ Status UnmarshalValue(WireReader* r, const Type* type, void* dst,
 
 void FreeValue(Arena* arena, const Type* type, void* native) {
   const Type* t = type->Resolve();
+  if (!t->HoldsPointers()) {
+    return;  // owns no storage: nothing inside to visit
+  }
   switch (t->kind()) {
     case TypeKind::kString: {
       char* s;
@@ -282,7 +285,7 @@ void FreeValue(Arena* arena, const Type* type, void* native) {
       SeqRep rep;
       std::memcpy(&rep, native, sizeof(rep));
       const Type* elem = t->element();
-      if (!IsByteElem(elem) && !IsScalarKind(elem->Resolve()->kind())) {
+      if (elem->HoldsPointers()) {
         size_t stride = elem->NativeSize();
         auto* base = static_cast<uint8_t*>(rep.buffer);
         for (uint32_t i = 0; i < rep.length; ++i) {
@@ -294,9 +297,6 @@ void FreeValue(Arena* arena, const Type* type, void* native) {
     }
     case TypeKind::kArray: {
       const Type* elem = t->element();
-      if (IsByteElem(elem) || IsScalarKind(elem->Resolve()->kind())) {
-        return;
-      }
       size_t stride = elem->NativeSize();
       auto* base = static_cast<uint8_t*>(native);
       for (uint32_t i = 0; i < t->bound(); ++i) {
@@ -316,7 +316,7 @@ void FreeValue(Arena* arena, const Type* type, void* native) {
       uint32_t disc;
       std::memcpy(&disc, native, sizeof(disc));
       const UnionArm* arm = SelectArm(t, disc);
-      if (arm == nullptr || arm->type->Resolve()->kind() == TypeKind::kVoid) {
+      if (arm == nullptr) {
         return;
       }
       auto* base = static_cast<uint8_t*>(native);
@@ -324,7 +324,7 @@ void FreeValue(Arena* arena, const Type* type, void* native) {
       return;
     }
     default:
-      return;  // scalars own no storage
+      return;
   }
 }
 

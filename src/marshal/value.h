@@ -26,7 +26,8 @@ Status UnmarshalValue(WireReader* r, const Type* type, void* dst,
                       Arena* arena);
 
 // Frees the nested blocks UnmarshalValue allocated inside `native` (but not
-// `native` itself, which the caller owns).
+// `native` itself, which the caller owns). Returns at once for a type that
+// holds no pointer (Type::HoldsPointers), whatever its size.
 void FreeValue(Arena* arena, const Type* type, void* native);
 
 // AllocateBlock, zero-filled. Storage that UnmarshalValue fills starts out

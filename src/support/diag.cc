@@ -72,7 +72,8 @@ const std::vector<FlexCodeInfo>& FlexCodeCatalog() {
       {"FLEX206", DiagSeverity::kError,
        "specialized wire effect has the wrong destination/alloc policy"},
       {"FLEX207", DiagSeverity::kError,
-       "specialized union discriminant structure diverges from the plan"},
+       "specialized union discriminant or arm selection diverges from the "
+       "plan"},
   };
   return kCatalog;
 }

@@ -1,14 +1,16 @@
 // flexspec tests: stream compilation (total over every seed signature
 // family), the reference executor against wire references and the
-// hand-coded NFS stubs, engine dispatch + hit/miss counters, the registry,
-// the --specialize emitter (including blocked emission on a corrupted
-// stream), and the drift guards tying examples/idl/nfs.* to the embedded
-// NFS texts the build specializes against.
+// hand-coded NFS stubs, union arms and nested byte sequences against the
+// value path, engine dispatch + hit/miss counters, the registry, the
+// --specialize emitter (including blocked emission on a corrupted stream),
+// and the drift guards tying examples/idl/nfs.* to the embedded NFS texts
+// the build specializes against.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -20,7 +22,9 @@
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
 #include "src/idl/sunrpc_parser.h"
+#include "src/marshal/layout.h"
 #include "src/marshal/spec.h"
+#include "src/marshal/value.h"
 #include "src/marshal/xdr.h"
 #include "src/pdl/apply.h"
 #include "src/support/strings.h"
@@ -80,17 +84,22 @@ void ExpectSameBytes(const XdrWriter& a, const XdrWriter& b,
       << what;
 }
 
-// Expects `w` to hold exactly the bytes `hex` spells (spaces ignored).
-void ExpectWire(const XdrWriter& w, std::string_view hex, const char* what) {
-  std::vector<uint8_t> want;
+// The bytes `hex` spells (spaces ignored).
+std::vector<uint8_t> Hex(std::string_view hex) {
+  std::vector<uint8_t> bytes;
   for (size_t i = 0; i < hex.size(); ++i) {
     if (hex[i] != ' ') {
-      want.push_back(static_cast<uint8_t>(
+      bytes.push_back(static_cast<uint8_t>(
           std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
       ++i;
     }
   }
-  EXPECT_EQ(std::vector<uint8_t>(w.span().begin(), w.span().end()), want)
+  return bytes;
+}
+
+// Expects `w` to hold exactly the bytes `hex` spells.
+void ExpectWire(const XdrWriter& w, std::string_view hex, const char* what) {
+  EXPECT_EQ(std::vector<uint8_t>(w.span().begin(), w.span().end()), Hex(hex))
       << what;
 }
 
@@ -679,6 +688,392 @@ TEST_F(NfsSpecPlanTest, SpecialRoutineReceivesTheBytes) {
   EXPECT_EQ(std::memcmp(dest, payload, sizeof(payload)), 0);
 }
 
+// --- union arms and nested byte sequences as ops ----------------------------
+//
+// A union and a byte sequence inside a struct compile to leaf ops. Each
+// literal wire image, status and message below is what the value path
+// (one value op through MarshalValue/UnmarshalValue, which moved these
+// values before they compiled to leaf ops) gives for the same input, and
+// each case runs on the reference executor and on that value op; the NFS
+// cases also run the build's generated function.
+
+// One value op over `slot`: how the stream moved `type` before.
+SpecProgram ValueOp(bool marshal, int slot, const Type* type) {
+  SpecOp op;
+  op.kind = marshal ? SpecOpKind::kPutValue : SpecOpKind::kGetValue;
+  op.slot = slot;
+  op.type = type->Resolve();
+  return SpecProgram{{op}};
+}
+
+enum class Path { kGenerated, kReference, kValueOp };
+
+const char* PathName(Path path) {
+  switch (path) {
+    case Path::kGenerated:
+      return "generated";
+    case Path::kReference:
+      return "reference executor";
+    case Path::kValueOp:
+      return "value op";
+  }
+  return "?";
+}
+
+// NFS_OK, the fattr words 1..14, then a five-byte "hello" and its pad.
+constexpr char kReadresOkWire[] =
+    "00000000 00000001 00000002 00000003 00000004 00000005 00000006 "
+    "00000007 00000008 00000009 0000000a 0000000b 0000000c 0000000d "
+    "0000000e 00000005 68656c6c 6f000000";
+
+// NFS under both default presentations: readres in one result slot, the
+// conventional stub's reply on the client and its twin on the server.
+class NfsDefaultOpsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    c_ = Compile(NfsIdlText(), true, "", "");
+    const OperationDecl& op = c_.idl->interfaces[0].ops[0];
+    client_ = std::make_unique<MarshalProgram>(MarshalProgram::Build(
+        op, *c_.client.Find("NFS_VERSION")->FindOp("NFSPROC_READ")));
+    server_ = std::make_unique<MarshalProgram>(MarshalProgram::Build(
+        op, *c_.server.Find("NFS_VERSION")->FindOp("NFSPROC_READ")));
+    readres_ = c_.idl->types.FindNamed("readres")->Resolve();
+    payload_ = UnionPayloadOffset(readres_);
+    data_offset_ =
+        payload_ + NativeFieldOffset(c_.idl->types.FindNamed("readokres"), 1);
+  }
+
+  // A native readres with discriminant `status`; an NFS_OK one carries
+  // the fattr words 1..14 and `data`.
+  std::vector<uint8_t> Native(uint32_t status, const char* data) {
+    std::vector<uint8_t> value(readres_->NativeSize());
+    std::memcpy(value.data(), &status, sizeof(status));
+    if (status == 0) {
+      for (uint32_t i = 0; i < 14; ++i) {
+        const uint32_t word = i + 1;
+        std::memcpy(value.data() + payload_ + 4 * i, &word, sizeof(word));
+      }
+      const auto len = static_cast<uint32_t>(std::strlen(data));
+      SeqRep rep{len, len, const_cast<char*>(data)};
+      std::memcpy(value.data() + data_offset_, &rep, sizeof(rep));
+    }
+    return value;
+  }
+
+  // The server's reply stream over the readres at `value`.
+  Status Encode(Path path, void* value, XdrWriter* w) {
+    ArgVec args(server_->slot_count());
+    const int slot = server_->result_slot();
+    args[static_cast<size_t>(slot)].set_ptr(value);
+    if (path == Path::kValueOp) {
+      return RunSpecMarshal(ValueOp(true, slot, readres_), args, w, nullptr);
+    }
+    SpecSwitchGuard guard;
+    SetMarshalSpecializationEnabled(path == Path::kGenerated);
+    TraceSession session;
+    Status st = server_->MarshalReply(&args, w, /*arena=*/nullptr);
+    EXPECT_EQ(session.Report().counter(TraceCounter::kMarshalSpecHits),
+              path == Path::kGenerated ? 1u : 0u);
+    return st;
+  }
+
+  // The client's reply stream into `args`, as the conventional stub runs
+  // it.
+  Status Decode(Path path, ByteSpan wire, Arena* arena, ArgVec* args) {
+    XdrReader r(wire);
+    if (path == Path::kValueOp) {
+      return RunSpecUnmarshal(
+          ValueOp(false, client_->result_slot(), readres_), &r, arena, args,
+          nullptr, /*borrow_bytes=*/false);
+    }
+    SpecSwitchGuard guard;
+    SetMarshalSpecializationEnabled(path == Path::kGenerated);
+    TraceSession session;
+    Status st = client_->UnmarshalReply(&r, arena, args);
+    EXPECT_EQ(session.Report().counter(TraceCounter::kMarshalSpecHits),
+              path == Path::kGenerated ? 1u : 0u);
+    return st;
+  }
+
+  static constexpr Path kPaths[] = {Path::kValueOp, Path::kReference,
+                                    Path::kGenerated};
+
+  // Constructing a client registers the build's NFS unit.
+  NfsFileServer file_server_{/*file_size=*/4096, /*seed=*/1};
+  NfsClient registrar_{&file_server_, LinkModel(), RemoteServerModel()};
+  Compiled c_;
+  std::unique_ptr<MarshalProgram> client_;
+  std::unique_ptr<MarshalProgram> server_;
+  const Type* readres_ = nullptr;
+  size_t payload_ = 0;
+  size_t data_offset_ = 0;
+};
+
+TEST_F(NfsDefaultOpsTest, StreamsCompileToLeafOpsWithArmBranches) {
+  for (const MarshalProgram* prog : {client_.get(), server_.get()}) {
+    for (size_t s = 0; s < kSpecStreamCount; ++s) {
+      for (const SpecOp& op : prog->Stream(static_cast<SpecStream>(s)).ops) {
+        EXPECT_NE(op.kind, SpecOpKind::kPutValue);
+        EXPECT_NE(op.kind, SpecOpKind::kGetValue);
+      }
+    }
+  }
+  // ensure, discriminant, the NFS_OK arm (14 fattr words, the data
+  // sequence, its end), and the void default arm has no op.
+  const std::vector<SpecOp>& reply =
+      client_->Stream(SpecStream::kUnmarshalReply).ops;
+  ASSERT_EQ(reply.size(), 19u);
+  EXPECT_EQ(reply[0].kind, SpecOpKind::kEnsureStorage);
+  EXPECT_EQ(reply[1].kind, SpecOpKind::kGetScalarMem);
+  EXPECT_EQ(reply[2].kind, SpecOpKind::kArm);
+  EXPECT_EQ(reply[2].label, 0u);
+  EXPECT_EQ(reply[2].count, 16u);
+  EXPECT_EQ(reply[17].kind, SpecOpKind::kGetSeqBytesMem);
+  EXPECT_EQ(reply[17].offset, data_offset_);
+  EXPECT_EQ(reply[17].bound, 8192u);
+  EXPECT_EQ(reply[18].kind, SpecOpKind::kArmEnd);
+  EXPECT_EQ(reply[18].count, 0u);
+}
+
+TEST_F(NfsDefaultOpsTest, NfsOkArmMatchesTheValuePath) {
+  std::vector<uint8_t> native = Native(0, "hello");
+  const std::vector<uint8_t> wire = Hex(kReadresOkWire);
+  for (Path path : kPaths) {
+    SCOPED_TRACE(PathName(path));
+    XdrWriter w;
+    Status st = Encode(path, native.data(), &w);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ExpectWire(w, kReadresOkWire, PathName(path));
+
+    Arena arena("nfs");
+    ArgVec args(client_->slot_count());
+    st = Decode(path, ByteSpan(wire), &arena, &args);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_TRUE(ValueEquals(readres_, args[client_->result_slot()].ptr(),
+                            native.data()));
+    EXPECT_EQ(arena.live_blocks(), 2u);  // the readres and its data
+    client_->ReleaseReply(&arena, &args);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  }
+}
+
+TEST_F(NfsDefaultOpsTest, NfserrIoTakesTheVoidDefaultArm) {
+  std::vector<uint8_t> native = Native(5, nullptr);
+  const std::vector<uint8_t> wire = Hex("00000005");
+  for (Path path : kPaths) {
+    SCOPED_TRACE(PathName(path));
+    XdrWriter w;
+    ASSERT_TRUE(Encode(path, native.data(), &w).ok());
+    ExpectWire(w, "00000005", PathName(path));
+
+    Arena arena("nfs");
+    ArgVec args(client_->slot_count());
+    Status st = Decode(path, ByteSpan(wire), &arena, &args);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    uint32_t status = 0;
+    std::memcpy(&status, args[client_->result_slot()].ptr(), sizeof(status));
+    EXPECT_EQ(status, 5u);
+    EXPECT_EQ(arena.live_blocks(), 1u);
+    client_->ReleaseReply(&arena, &args);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  }
+}
+
+TEST_F(NfsDefaultOpsTest, ReplyCutAtEveryByteFailsAlikeAndLeaksNothing) {
+  const std::vector<uint8_t> wire = Hex(kReadresOkWire);
+  for (size_t cut = 0; cut < wire.size(); ++cut) {
+    SCOPED_TRACE(StrFormat("cut at %zu", cut));
+    Status want;
+    for (Path path : kPaths) {
+      Arena arena("nfs");
+      ArgVec args(client_->slot_count());
+      Status st = Decode(path, ByteSpan(wire.data(), cut), &arena, &args);
+      EXPECT_FALSE(st.ok()) << PathName(path);
+      if (path == Path::kValueOp) {
+        want = st;
+      }
+      EXPECT_EQ(st.code(), want.code()) << PathName(path);
+      EXPECT_EQ(st.message(), want.message()) << PathName(path);
+      client_->ReleaseReply(&arena, &args);
+      EXPECT_EQ(arena.live_blocks(), 0u) << PathName(path);
+    }
+  }
+}
+
+constexpr char kShapeIdl[] = R"(
+  struct pair { unsigned long x; unsigned long y; };
+  union shape switch (long) {
+    case 1: unsigned long radius;
+    case 2: pair box;
+  };
+  interface Shapes { void draw(in shape s); shape last(); };
+)";
+
+TEST(SpecUnionOpsTest, TwoArmsWithoutDefaultMatchTheValuePath) {
+  Compiled c = Compile(kShapeIdl, false, "", "");
+  const OperationDecl& draw = c.idl->interfaces[0].ops[0];
+  const OpPresentation& client_pres = *c.client.Find("Shapes")->FindOp("draw");
+  const OpPresentation& server_pres = *c.server.Find("Shapes")->FindOp("draw");
+  MarshalProgram client = MarshalProgram::Build(draw, client_pres);
+  MarshalProgram server = MarshalProgram::Build(draw, server_pres);
+  EXPECT_TRUE(CompileSpecPlan(draw, client_pres).Emits(kMReq));
+  EXPECT_TRUE(CompileSpecPlan(draw, server_pres).Emits(kUReq));
+  const Type* shape = c.idl->types.FindNamed("shape")->Resolve();
+  const size_t payload = UnionPayloadOffset(shape);
+
+  struct Case {
+    uint32_t kind, x, y;
+    const char* wire;
+  };
+  for (const Case& k : {Case{1, 9, 0, "00000001 00000009"},
+                        Case{2, 3, 4, "00000002 00000003 00000004"}}) {
+    std::vector<uint8_t> native(shape->NativeSize());
+    std::memcpy(native.data(), &k.kind, 4);
+    std::memcpy(native.data() + payload, &k.x, 4);
+    std::memcpy(native.data() + payload + 4, &k.y, 4);
+    ArgVec args(client.slot_count());
+    args[0].set_ptr(native.data());
+    for (Path path : {Path::kValueOp, Path::kReference}) {
+      SCOPED_TRACE(StrFormat("arm %u, %s", k.kind, PathName(path)));
+      const bool value_op = path == Path::kValueOp;
+      XdrWriter w;
+      Status st = RunSpecMarshal(
+          value_op ? ValueOp(true, 0, shape) : client.Stream(
+                                                   SpecStream::kMarshalRequest),
+          args, &w, nullptr);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      ExpectWire(w, k.wire, "shape");
+
+      Arena arena("shape");
+      ArgVec out(server.slot_count());
+      XdrReader r(w.span());
+      st = RunSpecUnmarshal(
+          value_op ? ValueOp(false, 0, shape)
+                   : server.Stream(SpecStream::kUnmarshalRequest),
+          &r, &arena, &out, nullptr, /*borrow_bytes=*/false);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_TRUE(ValueEquals(shape, out[0].ptr(), native.data()));
+      server.ReleaseRequest(&arena, &out);
+      EXPECT_EQ(arena.live_blocks(), 0u);
+    }
+  }
+
+  // Discriminant 3 matches neither arm, and there is no default.
+  std::vector<uint8_t> stray(shape->NativeSize());
+  const uint32_t three = 3;
+  std::memcpy(stray.data(), &three, 4);
+  ArgVec args(client.slot_count());
+  args[0].set_ptr(stray.data());
+  const std::vector<uint8_t> wire = Hex("00000003 00000009");
+  for (Path path : {Path::kValueOp, Path::kReference}) {
+    SCOPED_TRACE(PathName(path));
+    const bool value_op = path == Path::kValueOp;
+    XdrWriter w;
+    Status st = RunSpecMarshal(
+        value_op ? ValueOp(true, 0, shape)
+                 : client.Stream(SpecStream::kMarshalRequest),
+        args, &w, nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(st.message(), "union discriminant 3 matches no arm");
+
+    Arena arena("shape");
+    ArgVec out(server.slot_count());
+    XdrReader r{ByteSpan(wire)};
+    st = RunSpecUnmarshal(value_op
+                              ? ValueOp(false, 0, shape)
+                              : server.Stream(SpecStream::kUnmarshalRequest),
+                          &r, &arena, &out, nullptr, /*borrow_bytes=*/false);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(st.message(), "wire union discriminant 3 matches no arm");
+    server.ReleaseRequest(&arena, &out);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  }
+}
+
+constexpr char kBlobIdl[] = R"(
+  struct blob { unsigned long id; sequence<octet, 16> data;
+                unsigned long tail; };
+  interface Blobs { void put(in blob b); blob get(); };
+)";
+
+TEST(SpecNestedBytesTest, ByteSequenceInAStructMatchesTheValuePath) {
+  Compiled c = Compile(kBlobIdl, false, "", "");
+  const OperationDecl& put = c.idl->interfaces[0].ops[0];
+  const OpPresentation& client_pres = *c.client.Find("Blobs")->FindOp("put");
+  const OpPresentation& server_pres = *c.server.Find("Blobs")->FindOp("put");
+  MarshalProgram client = MarshalProgram::Build(put, client_pres);
+  MarshalProgram server = MarshalProgram::Build(put, server_pres);
+  EXPECT_TRUE(CompileSpecPlan(put, client_pres).Emits(kMReq));
+  EXPECT_TRUE(CompileSpecPlan(put, server_pres).Emits(kUReq));
+  const Type* blob = c.idl->types.FindNamed("blob");
+  const size_t data_at = NativeFieldOffset(blob, 1);
+  const size_t tail_at = NativeFieldOffset(blob, 2);
+
+  auto native = [&](uint32_t len) {
+    static char bytes[32] = "abcdefghijklmnopqrstuvwxyz";
+    std::vector<uint8_t> value(blob->NativeSize());
+    const uint32_t id = 7;
+    const uint32_t tail = 9;
+    SeqRep rep{len, len, bytes};
+    std::memcpy(value.data(), &id, 4);
+    std::memcpy(value.data() + data_at, &rep, sizeof(rep));
+    std::memcpy(value.data() + tail_at, &tail, 4);
+    return value;
+  };
+  for (Path path : {Path::kValueOp, Path::kReference}) {
+    SCOPED_TRACE(PathName(path));
+    const bool value_op = path == Path::kValueOp;
+    const SpecProgram put_request =
+        value_op ? ValueOp(true, 0, blob)
+                 : client.Stream(SpecStream::kMarshalRequest);
+    const SpecProgram get_request =
+        value_op ? ValueOp(false, 0, blob)
+                 : server.Stream(SpecStream::kUnmarshalRequest);
+
+    std::vector<uint8_t> three = native(3);
+    ArgVec args(client.slot_count());
+    args[0].set_ptr(three.data());
+    XdrWriter w;
+    ASSERT_TRUE(RunSpecMarshal(put_request, args, &w, nullptr).ok());
+    ExpectWire(w, "00000007 00000003 61626300 00000009", "blob");
+
+    // Unmarshal always copies the bytes into their own arena block.
+    Arena arena("blob");
+    {
+      ArgVec out(server.slot_count());
+      XdrReader r(w.span());
+      Status st = RunSpecUnmarshal(get_request, &r, &arena, &out, nullptr,
+                                   /*borrow_bytes=*/true);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_TRUE(ValueEquals(blob, out[0].ptr(), three.data()));
+      EXPECT_EQ(arena.live_blocks(), 2u);
+      server.ReleaseRequest(&arena, &out);
+      EXPECT_EQ(arena.live_blocks(), 0u);
+    }
+
+    // The declared bound, on both sides.
+    std::vector<uint8_t> long_one = native(17);
+    args[0].set_ptr(long_one.data());
+    XdrWriter unused;
+    Status st = RunSpecMarshal(put_request, args, &unused, nullptr);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(st.message(), "sequence length 17 exceeds bound 16");
+    {
+      const std::vector<uint8_t> wire =
+          Hex("00000007 00000011 61626364 65666768 696a6b6c 6d6e6f70 "
+              "71000000 00000009");
+      ArgVec out(server.slot_count());
+      XdrReader r{ByteSpan(wire)};
+      st = RunSpecUnmarshal(get_request, &r, &arena, &out, nullptr,
+                            /*borrow_bytes=*/true);
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+      EXPECT_EQ(st.message(), "wire sequence length 17 exceeds bound 16");
+      server.ReleaseRequest(&arena, &out);
+      EXPECT_EQ(arena.live_blocks(), 0u);
+    }
+  }
+}
+
 // --- the prover sweep over every seed signature family ----------------------
 
 struct SweepFixture {
@@ -714,6 +1109,8 @@ const SweepFixture kSweepFixtures[] = {
       interface Poly { void set(in Pts pts); Pts get(); };
     )",
      false, "", ""},
+    {"union-two-arms", kShapeIdl, false, "", ""},
+    {"struct-holding-bytes", kBlobIdl, false, "", ""},
 };
 
 // Calls `fn(op, pres)` for every operation of every sweep fixture under
@@ -982,6 +1379,69 @@ TEST(SpecGenTest, CorruptedStreamBlocksEmission) {
   EXPECT_GE(diags.CountCode("FLEX201"), 1) << diags.ToString();
 }
 
+TEST(SpecGenTest, CorruptedArmBlocksEmissionWithFlex207) {
+  // An arm that tests the wrong label, or skips the wrong number of ops,
+  // would decode the wrong arm: the prover must refuse the unit.
+  Compiled c = Compile(NfsIdlText(), true, "", "");
+  for (bool label : {true, false}) {
+    SCOPED_TRACE(label ? "label" : "count");
+    SpecGenOptions options;
+    options.mutate_for_test = [label](SpecPlan* plan) {
+      for (SpecProgram& stream : plan->streams) {
+        for (SpecOp& op : stream.ops) {
+          if (op.kind == SpecOpKind::kArm) {
+            if (label) {
+              op.label += 1;
+            } else {
+              op.count -= 1;
+            }
+            return;
+          }
+        }
+      }
+    };
+    DiagnosticSink diags;
+    auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
+                                             options, "nfs.x", &diags,
+                                             nullptr);
+    EXPECT_FALSE(generated.ok());
+    EXPECT_GE(diags.CountCode("FLEX207"), 1) << diags.ToString();
+  }
+}
+
+TEST(SpecGenTest, ArmBranchesAreForwardGotos) {
+  // NFS's default presentations: every stream is emitted, and each union
+  // arm is an `if (SkippedOps(...)) goto` to a label further down.
+  Compiled c = Compile(NfsIdlText(), true, "", "");
+  DiagnosticSink diags;
+  SpecGenStats stats;
+  auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
+                                           SpecGenOptions{}, "nfs.x", &diags,
+                                           &stats);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  EXPECT_EQ(diags.CountCode("FLEX205"), 0) << diags.ToString();
+  EXPECT_EQ(stats.plans_emitted, 2u);  // client and server default
+  EXPECT_EQ(stats.streams_emitted, 8u);
+  std::istringstream source(generated->source);
+  std::set<std::string> pending;  // labels jumped to, not yet seen
+  size_t branches = 0;
+  for (std::string line; std::getline(source, line);) {
+    if (line.rfind("  if (SkippedOps({.kind = kArm", 0) == 0) {
+      const size_t go = line.find(")) goto ");
+      ASSERT_NE(go, std::string::npos) << line;
+      EXPECT_TRUE(line.ends_with(";")) << line;
+      pending.insert(line.substr(go + 8, line.size() - go - 9));
+      ++branches;
+    } else if (!line.empty() && line.back() == ':' && line[0] != ' ') {
+      pending.erase(line.substr(0, line.size() - 1));
+    } else if (line == "}") {
+      EXPECT_TRUE(pending.empty()) << "a branch jumps out of its function";
+      pending.clear();
+    }
+  }
+  EXPECT_EQ(branches, 8u);  // kArm and kArmEnd in four reply streams
+}
+
 // --- NFS end to end: the build-time generated unit --------------------------
 
 TEST(NfsSpecE2ETest, GeneratedUnitIsRegisteredAndHit) {
@@ -1044,6 +1504,43 @@ TEST(NfsSpecE2ETest, RequestWireBytesIdenticalAcrossDispatch) {
     ExpectSameBytes(fast, slow, "NFS request across dispatch");
     ExpectSameBytes(slow, hand, "NFS request against the hand-coded stub");
   }
+}
+
+TEST(NfsSpecE2ETest, UnitServesTheFigure1PdlAndBothDefaults) {
+  NfsFileServer server(/*file_size=*/4096, /*seed=*/1);
+  NfsClient registers(&server, LinkModel(), RemoteServerModel());
+  Compiled figure1 = Compile(NfsIdlText(), true, NfsClientPdlText(), "");
+  Compiled defaults = Compile(NfsIdlText(), true, "", "");
+  const std::pair<const Compiled*, const PresentationSet*> plans[] = {
+      {&figure1, &figure1.client},
+      {&defaults, &defaults.client},
+      {&defaults, &defaults.server}};
+  for (const auto& [compiled, set] : plans) {
+    const OperationDecl& op = compiled->idl->interfaces[0].ops[0];
+    const SpecFns* fns = FindSpecialization(ComputeSpecKey(
+        op, *set->Find("NFS_VERSION")->FindOp("NFSPROC_READ")));
+    ASSERT_NE(fns, nullptr);
+    EXPECT_NE(fns->marshal_request, nullptr);
+    EXPECT_NE(fns->unmarshal_request, nullptr);
+    EXPECT_NE(fns->marshal_reply, nullptr);
+    EXPECT_NE(fns->unmarshal_reply, nullptr);
+  }
+}
+
+TEST(NfsSpecE2ETest, ConventionalReadRunsOnlyGeneratedCode) {
+  SpecSwitchGuard guard;
+  SetMarshalSpecializationEnabled(true);
+  NfsFileServer server(/*file_size=*/64u << 10, /*seed=*/1995);
+  NfsClient client(&server, LinkModel(), RemoteServerModel());
+  TraceSession session;
+  auto stats =
+      client.ReadFile(NfsClient::StubKind::kGeneratedConventional, 512);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->bytes_read, 64u << 10);
+  TraceSnapshot report = session.Report();
+  EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecMisses), 0u);
+  EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecHits),
+            2 * stats->rpc_calls);
 }
 
 // --- drift guards: examples/idl inputs vs the embedded texts ----------------

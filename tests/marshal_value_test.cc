@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
@@ -377,6 +378,37 @@ TEST(ValueTest, FreeValueReturnsAllBlocks) {
   FreeValue(&sink, t, decoded);
   sink.FreeBlock(decoded);
   EXPECT_EQ(sink.live_blocks(), 0u);  // refcount conservation
+}
+
+TEST(ValueTest, FreeValueSkipsValuesThatHoldNoPointer) {
+  DiagnosticSink diags;
+  auto idl = ParseCorbaIdl(R"(
+    struct flat { long a; octet b[8]; double c; long d[3]; };
+    struct holder { long a; sequence<octet> data; };
+    union either switch (long) { case 1: flat f; case 2: holder h; };
+    interface I { void f(in flat x, in holder y, in either z); };
+  )", "t.idl", &diags);
+  ASSERT_NE(idl, nullptr) << diags.ToString();
+  const Type* flat = idl->types.FindNamed("flat");
+  const Type* holder = idl->types.FindNamed("holder");
+  EXPECT_FALSE(flat->HoldsPointers());
+  EXPECT_TRUE(holder->HoldsPointers());
+  EXPECT_TRUE(idl->types.FindNamed("either")->HoldsPointers());
+
+  // A struct of scalars frees nothing, whatever its bytes look like.
+  Arena arena("a");
+  std::vector<uint8_t> bits(flat->NativeSize(), 0xA5);
+  FreeValue(&arena, flat, bits.data());
+  EXPECT_EQ(arena.block_frees(), 0u);
+
+  // A struct holding a sequence still frees its buffer.
+  std::vector<uint8_t> value(holder->NativeSize());
+  SeqRep rep{4, 4, arena.AllocateBlock(4)};
+  std::memcpy(value.data() + NativeFieldOffset(holder, 1), &rep,
+              sizeof(rep));
+  FreeValue(&arena, holder, value.data());
+  EXPECT_EQ(arena.block_frees(), 1u);
+  EXPECT_EQ(arena.live_blocks(), 0u);
 }
 
 TEST(ValueTest, XdrMatchesHandEncodedStruct) {

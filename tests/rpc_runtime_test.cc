@@ -270,6 +270,59 @@ TEST_F(RpcRuntimeTest, InOutDonatedDataIsFreedOnceOnTheServer) {
   }
 }
 
+// The client's default presentation gives variable-size inout data
+// [alloc(stub)]: the reply lands in storage the stub allocates rather than
+// over the caller's in-value, which needs no capacity, and ReleaseReply
+// returns that storage.
+TEST_F(RpcRuntimeTest, InOutReplyLandsInStubStorage) {
+  Load("interface E { void echo(inout string s, inout sequence<long> v); };");
+  const InterfaceDecl& itf = idl_->interfaces[0];
+  ServerObject server(itf, *server_.Find("E"), server_task_);
+  server.SetWork("echo", [](ArgVec* args, Arena*) {
+    for (char* c = static_cast<char*>((*args)[0].ptr()); *c != '\0'; ++c) {
+      *c = static_cast<char>(*c - 'a' + 'A');
+    }
+    auto* v = static_cast<int32_t*>((*args)[1].ptr());
+    for (uint32_t i = 0; i < (*args)[1].length; ++i) {
+      v[i] = -v[i];
+    }
+    return Status::Ok();
+  });
+  Port* port = ExportServer(&kernel_, &fastpath_, &server);
+  auto conn = RpcConnection::Bind(&kernel_, &fastpath_, client_task_, port,
+                                  server, itf, *client_.Find("E"));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+
+  const MarshalProgram* prog = (*conn)->ProgramFor("echo");
+  const size_t s = static_cast<size_t>(prog->SlotOf("s"));
+  const size_t v = static_cast<size_t>(prog->SlotOf("v"));
+  Arena& arena = client_task_->space().arena();
+  const size_t baseline = arena.live_blocks();
+  for (int call = 0; call < 3; ++call) {
+    char text[] = "hello";
+    int32_t longs[3] = {7, -8, 9};
+    ArgVec args(prog->slot_count());
+    args[s].set_ptr(text);  // no capacity: an in-value, not a buffer
+    args[v].set_ptr(longs);
+    args[v].length = 3;
+    Status st = (*conn)->Call("echo", &args);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_STREQ(text, "hello");
+    EXPECT_EQ(longs[0], 7);
+    EXPECT_EQ(longs[1], -8);
+    EXPECT_TRUE(arena.Owns(args[s].ptr()));
+    EXPECT_STREQ(static_cast<const char*>(args[s].ptr()), "HELLO");
+    ASSERT_TRUE(arena.Owns(args[v].ptr()));
+    ASSERT_EQ(args[v].length, 3u);
+    const auto* echoed = static_cast<const int32_t*>(args[v].ptr());
+    EXPECT_EQ(echoed[0], -7);
+    EXPECT_EQ(echoed[1], 8);
+    EXPECT_EQ(echoed[2], -9);
+    prog->ReleaseReply(&arena, &args);
+    EXPECT_EQ(arena.live_blocks(), baseline);
+  }
+}
+
 TEST_F(RpcRuntimeTest, SequenceOutParamWithCallerBuffer) {
   Load(R"(
     interface Blob {

@@ -21,9 +21,11 @@
 //
 // --specialize additionally emits <basename>.flexspec.h/.cc — fused
 // straight-line marshal superinstructions, each proven wire-equivalent to
-// its plan before emission (divergence blocks the run). Every stream the
-// prover accepts is emitted unless it holds a value op or runs past the
-// op budget (FLEX205); those run on the reference executor.
+// its plan before emission (divergence blocks the run). It plans each
+// side's default presentation beside the one given, so the unit also
+// serves a stub bound to the default. Every stream the prover accepts is
+// emitted unless it holds a value op or runs past the op budget
+// (FLEX205); those run on the reference executor.
 
 #include <cstdio>
 #include <cstring>
