@@ -48,9 +48,8 @@ const char* LenSourceName(SpecLenSource src) {
 // UnmarshalValue moves whole lowers to one kOpaque effect.
 class PlanLowering {
  public:
-  // `receives_reply`: the stream unmarshals a reply.
-  PlanLowering(const OpPresentation& pres, bool marshal, bool receives_reply)
-      : pres_(pres), marshal_(marshal), receives_reply_(receives_reply) {}
+  PlanLowering(const OpPresentation& pres, bool marshal)
+      : pres_(pres), marshal_(marshal) {}
 
   std::vector<WireEffect> Lower(const std::vector<PlanItemView>& items) {
     for (const PlanItemView& item : items) {
@@ -68,9 +67,6 @@ class PlanLowering {
   }
 
   void LowerItem(const PlanItemView& item) {
-    // The reply half of an inout item arrives in a slot that still holds
-    // the caller's in-value.
-    inout_reply_ = receives_reply_ && item.dir == ParamDir::kInOut;
     if (!item.flattened) {
       LowerTop(item.pres, item.type, item.slot);
       return;
@@ -115,15 +111,13 @@ class PlanLowering {
   // A value moved whole by MarshalValue/UnmarshalValue: into caller
   // storage or a zeroed arena block on unmarshal; a top-level sequence
   // keeps its marshaled length source.
-  void Value(const ParamPresentation* pres, const Type* t, int slot,
-             bool fresh) {
+  void Value(const ParamPresentation* pres, const Type* t, int slot) {
     WireEffect e;
     e.kind = WireEffect::Kind::kOpaque;
     e.slot = slot;
     e.type = t;
     if (!marshal_) {
       e.dest = WireEffect::Dest::kValue;
-      e.fresh = fresh;
     } else if (t->kind() == TypeKind::kSequence) {
       MarshalLength(pres, SpecLenSource::kSlotLength, &e);
     }
@@ -133,10 +127,6 @@ class PlanLowering {
   void LowerTop(const ParamPresentation* pres, const Type* type, int slot) {
     const Type* t = type->Resolve();
     bool special = pres != nullptr && pres->special;
-    // [alloc(stub)] on an inout reply: the stub allocates, and the slot's
-    // pointer (the in-value) is no receive buffer.
-    bool fresh = inout_reply_ && pres != nullptr &&
-                 pres->alloc == AllocPolicy::kStub;
     switch (t->kind()) {
       case TypeKind::kVoid:
         return;
@@ -156,14 +146,13 @@ class PlanLowering {
         if (!marshal_) {
           bytes.dest = WireEffect::Dest::kString;
           bytes.nul_terminated = true;
-          bytes.fresh = fresh;
         }
         effects_.push_back(bytes);
         return;
       }
       case TypeKind::kSequence: {
         if (!IsByteElem(t->element())) {
-          Value(pres, t, slot, fresh);  // per-element recursion
+          Value(pres, t, slot);  // per-element recursion
           return;
         }
         WireEffect len;
@@ -181,7 +170,6 @@ class PlanLowering {
         if (!marshal_) {
           bytes.dest = WireEffect::Dest::kBuffer;
           bytes.may_borrow = true;
-          bytes.fresh = fresh;
         }
         effects_.push_back(bytes);
         return;
@@ -195,7 +183,6 @@ class PlanLowering {
           ensure.kind = WireEffect::Kind::kEnsure;
           ensure.slot = slot;
           ensure.count = static_cast<uint32_t>(t->NativeSize());
-          ensure.fresh = fresh;
           effects_.push_back(ensure);
         }
         // MarshalValue/UnmarshalValue recursion ignores [special]; only a
@@ -204,7 +191,7 @@ class PlanLowering {
         if (!LowerMemValue(t, slot, 0,
                            t->kind() == TypeKind::kArray && special)) {
           effects_.resize(mark);
-          Value(pres, t, slot, fresh);
+          Value(pres, t, slot);
         }
         return;
       }
@@ -375,8 +362,6 @@ class PlanLowering {
 
   const OpPresentation& pres_;
   bool marshal_;
-  bool receives_reply_;
-  bool inout_reply_ = false;  // lowering an inout item's reply half
   std::vector<WireEffect> effects_;
   size_t leaves_ = 0;  // leaves of the value being lowered so far
 };
@@ -399,22 +384,19 @@ std::string WireEffect::ToString() const {
                        LenSourceName(len_src), len_slot, bound);
     case Kind::kBytes:
       return StrFormat(
-          "bytes(slot%d+%u %s%s%s dest=%s%s%s)", slot, offset,
+          "bytes(slot%d+%u %s%s%s dest=%s%s)", slot, offset,
           fixed ? StrFormat("fixed=%u", count).c_str() : "var",
           special ? " special" : "", may_borrow ? " borrow" : "",
-          DestName(dest), nul_terminated ? " nul" : "",
-          fresh ? " fresh" : "");
+          DestName(dest), nul_terminated ? " nul" : "");
     case Kind::kDisc:
       return StrFormat("disc(slot%d label=%u dest=%s)", slot, label,
                        DestName(dest));
     case Kind::kEnsure:
-      return StrFormat("ensure(slot%d %u bytes%s)", slot, count,
-                       fresh ? " fresh" : "");
+      return StrFormat("ensure(slot%d %u bytes)", slot, count);
     case Kind::kOpaque:
-      return StrFormat("opaque(slot%d %s src=%s len_slot%d dest=%s%s)", slot,
+      return StrFormat("opaque(slot%d %s src=%s len_slot%d dest=%s)", slot,
                        type != nullptr ? type->ToString().c_str() : "?",
-                       LenSourceName(len_src), len_slot, DestName(dest),
-                       fresh ? " fresh" : "");
+                       LenSourceName(len_src), len_slot, DestName(dest));
     case Kind::kArm:
       return StrFormat("arm(slot%d+%u label=%u skip=%u)", slot, offset,
                        label, count);
@@ -434,9 +416,8 @@ std::vector<WireEffect> PlanStreamEffects(const OperationDecl& op,
                  stream == SpecStream::kMarshalReply;
   bool is_reply = stream == SpecStream::kMarshalReply ||
                   stream == SpecStream::kUnmarshalReply;
-  PlanLowering lowering(pres, marshal,
-                        /*receives_reply=*/is_reply && !marshal);
-  return lowering.Lower(is_reply ? view.reply : view.request);
+  return PlanLowering(pres, marshal)
+      .Lower(is_reply ? view.reply : view.request);
 }
 
 namespace {
@@ -511,7 +492,6 @@ void ExpandOp(const SpecOp& op, std::vector<WireEffect>* effects) {
       len.len_slot = -1;
       effects->push_back(len);
       WireEffect bytes = BytesEffect(op);
-      bytes.fresh = op.fresh;
       if (op.kind == SpecOpKind::kGetString) {
         bytes.dest = WireEffect::Dest::kString;
         bytes.nul_terminated = true;
@@ -549,7 +529,6 @@ void ExpandOp(const SpecOp& op, std::vector<WireEffect>* effects) {
     case SpecOpKind::kEnsureStorage:
       e.kind = WireEffect::Kind::kEnsure;
       e.count = op.count;
-      e.fresh = op.fresh;
       effects->push_back(e);
       return;
     case SpecOpKind::kPutValue:
@@ -558,7 +537,6 @@ void ExpandOp(const SpecOp& op, std::vector<WireEffect>* effects) {
       e.type = op.type;
       e.len_src = op.len_src;
       e.len_slot = op.len_slot;
-      e.fresh = op.fresh;
       e.dest = op.kind == SpecOpKind::kGetValue ? WireEffect::Dest::kValue
                                                 : WireEffect::Dest::kNone;
       effects->push_back(e);
@@ -630,7 +608,7 @@ std::string_view DivergenceCode(const WireEffect& plan,
       plan.fixed != spec.fixed) {
     return "FLEX204";
   }
-  return "FLEX206";  // dest / fresh / special / borrow / NUL policy
+  return "FLEX206";  // dest / special / borrow / NUL policy
 }
 
 }  // namespace

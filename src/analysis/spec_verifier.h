@@ -81,9 +81,6 @@ struct WireEffect {
   bool fixed = false;     // kBytes: count is compile-time constant
   bool special = false;   // byte run may route through SpecialOps
   Dest dest = Dest::kNone;
-  // Unmarshal into new arena storage, whatever pointer the slot holds (an
-  // inout item's reply under [alloc(stub)]).
-  bool fresh = false;
   bool nul_terminated = false;  // kBytes into kString storage
   bool may_borrow = false;      // kBytes may alias the message buffer
   uint32_t label = 0;           // kDisc success label / kArm label

@@ -14,75 +14,9 @@
 
 namespace flexrpc {
 
-const char* NfsIdlText() {
-  return R"(
-const NFS_MAXDATA = 8192;
-const NFS_FHSIZE = 32;
+const char* NfsIdlText() { return flexspec_nfs::kIdlSource; }
 
-enum nfsstat {
-  NFS_OK = 0,
-  NFSERR_PERM = 1,
-  NFSERR_NOENT = 2,
-  NFSERR_IO = 5,
-  NFSERR_STALE = 70
-};
-
-struct nfs_fh {
-  opaque data[NFS_FHSIZE];
-};
-
-struct fattr {
-  unsigned type;
-  unsigned mode;
-  unsigned nlink;
-  unsigned uid;
-  unsigned gid;
-  unsigned size;
-  unsigned blocksize;
-  unsigned rdev;
-  unsigned blocks;
-  unsigned fsid;
-  unsigned fileid;
-  unsigned atime;
-  unsigned mtime;
-  unsigned ctime;
-};
-
-struct readargs {
-  nfs_fh file;
-  unsigned offset;
-  unsigned count;
-  unsigned totalcount;
-};
-
-struct readokres {
-  fattr attributes;
-  opaque data<NFS_MAXDATA>;
-};
-
-union readres switch (nfsstat status) {
-  case NFS_OK:
-    readokres reply;
-  default:
-    void;
-};
-
-program NFS_PROGRAM {
-  version NFS_VERSION {
-    readres NFSPROC_READ(readargs) = 6;
-  } = 2;
-} = 100003;
-)";
-}
-
-const char* NfsClientPdlText() {
-  // Figure 1 of the paper, adapted to this PDL's resolved names.
-  return R"(
-    [comm_status] int NFSPROC_READ(nfs_fh *file,
-        unsigned offset, unsigned count, unsigned totalcount,
-        [special] user_data *data, fattr *attributes, nfsstat *status);
-  )";
-}
+const char* NfsClientPdlText() { return flexspec_nfs::kClientPdlSource; }
 
 namespace {
 

@@ -28,10 +28,14 @@
 
 namespace flexrpc {
 
-// The NFSv2 subset in Sun RPC language (readargs/readres as in the paper).
+// The NFSv2 subset in Sun RPC language (readargs/readres as in the paper):
+// examples/idl/nfs.x, as the build's `idlc --specialize` run embedded it in
+// nfs.flexspec.h. NfsClient parses this text, so its programs have the
+// keys that unit registers.
 const char* NfsIdlText();
-// The paper's Figure 1 PDL: flattened stub with [comm_status] and a
-// [special] user-space data buffer.
+// The paper's Figure 1 PDL (flattened stub with [comm_status] and a
+// [special] user-space data buffer): examples/idl/nfs_client.pdl, embedded
+// by the same run.
 const char* NfsClientPdlText();
 
 inline constexpr uint32_t kNfsProgram = 100003;

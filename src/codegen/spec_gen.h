@@ -5,7 +5,8 @@
 // (src/marshal/spec.h) and emits one C++ translation unit of fused
 // straight-line marshal/unmarshal superinstruction functions plus a
 // RegisterSpecializations() entry point that installs them in the flexspec
-// registry.
+// registry. Its header carries the IDL and client PDL texts the unit was
+// compiled from, so the stub that binds from them needs no copy of its own.
 //
 // The emitter prints operands only. Each function is one call per op to
 // the op's step (src/marshal/spec_ops.h), the same code the reference
@@ -26,6 +27,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/codegen/cpp_gen.h"
@@ -63,10 +65,18 @@ struct SpecGenStats {
 // FLEX201–FLEX207 errors and FLEX205 warnings to `diags` attributed to
 // `source_file`; returns a non-OK status — and emits nothing — if any
 // plan fails the equivalence proof. `stats` may be null.
+//
+// `idl_text` and `client_pdl_text` are the sources `idl` and
+// `client_pres` were compiled from ("" for the default presentation).
+// The header embeds them byte for byte as `kIdlSource` and
+// `kClientPdlSource`, so a stub that binds from those constants binds the
+// keys this unit registers. (A C++ compiler reads a CR LF line end inside
+// a raw string literal as LF; both lexers read the two alike.)
 Result<GeneratedCode> GenerateSpecializations(
     const InterfaceFile& idl, const PresentationSet& client_pres,
     const PresentationSet& server_pres, const SpecGenOptions& options,
-    const std::string& source_file, DiagnosticSink* diags,
+    const std::string& source_file, std::string_view idl_text,
+    std::string_view client_pdl_text, DiagnosticSink* diags,
     SpecGenStats* stats);
 
 }  // namespace flexrpc

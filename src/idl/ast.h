@@ -17,6 +17,13 @@
 
 namespace flexrpc {
 
+// Deepest nesting of value types accepted. ParseCorbaIdl refuses
+// `sequence<` nested deeper, since it recurses once per level; sema refuses
+// any type an operation reaches that nests deeper (its sequence, array,
+// struct and union levels, typedefs followed), so the marshal code and
+// every other recursive walk of such a type stays as shallow.
+inline constexpr int kMaxSequenceNesting = 64;
+
 enum class ParamDir { kIn, kOut, kInOut };
 
 std::string_view ParamDirName(ParamDir dir);

@@ -236,16 +236,12 @@ class CorbaParser {
         continue;
       }
       do {
+        SourcePos field_pos = cursor_.Peek().pos;
         std::string field_name = cursor_.ExpectIdentifier("as field name");
         const Type* actual = ParseArraySuffix(field_type);
         if (s != nullptr) {
-          for (const StructField& f : s->fields()) {
-            if (f.name == field_name) {
-              cursor_.Error(StrFormat("duplicate field '%s' in struct '%s'",
-                                      field_name.c_str(), name.c_str()));
-            }
-          }
-          types().AddField(s, std::move(field_name), actual);
+          cursor_.Check(field_pos,
+                        types().AddField(s, std::move(field_name), actual));
         }
       } while (cursor_.TryConsume(TokenKind::kComma));
       cursor_.Expect(TokenKind::kSemicolon, "after struct field");
@@ -266,6 +262,7 @@ class CorbaParser {
     cursor_.Expect(TokenKind::kLBrace, "to open enum body");
     uint32_t next_value = 0;
     do {
+      SourcePos member_pos = cursor_.Peek().pos;
       std::string member = cursor_.ExpectIdentifier("as enum member");
       uint32_t value = next_value;
       if (cursor_.TryConsume(TokenKind::kEquals)) {
@@ -273,7 +270,7 @@ class CorbaParser {
       }
       next_value = value + 1;
       if (e != nullptr) {
-        types().AddEnumMember(e, member, value);
+        cursor_.Check(member_pos, types().AddEnumMember(e, member, value));
         enum_values_[member] = value;
       }
     } while (cursor_.TryConsume(TokenKind::kComma));
@@ -296,6 +293,7 @@ class CorbaParser {
     }
     cursor_.Expect(TokenKind::kLBrace, "to open union body");
     while (!cursor_.AtEnd() && !cursor_.Peek().Is(TokenKind::kRBrace)) {
+      SourcePos arm_pos = cursor_.Peek().pos;
       bool is_default = false;
       uint32_t label = 0;
       if (cursor_.TryConsumeIdent("default")) {
@@ -313,8 +311,9 @@ class CorbaParser {
       std::string arm_name = cursor_.ExpectIdentifier("as union arm name");
       cursor_.Expect(TokenKind::kSemicolon, "after union arm");
       if (u != nullptr && arm_type != nullptr) {
-        types().AddUnionArm(u, label, is_default, std::move(arm_name),
-                            arm_type);
+        cursor_.Check(arm_pos,
+                      types().AddUnionArm(u, label, is_default,
+                                          std::move(arm_name), arm_type));
       }
     }
     cursor_.Expect(TokenKind::kRBrace, "to close union body");

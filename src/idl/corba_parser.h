@@ -18,11 +18,6 @@
 
 namespace flexrpc {
 
-// Deepest `sequence<` nesting ParseCorbaIdl accepts. The parser, and the
-// marshal code that walks a type, recurse once per level; one more level
-// is a parse error rather than a deeper stack.
-inline constexpr int kMaxSequenceNesting = 64;
-
 // Parses CORBA IDL text into an InterfaceFile. Parse errors go to `diags`;
 // the returned pointer is null when any error was reported.
 std::unique_ptr<InterfaceFile> ParseCorbaIdl(std::string_view source,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/support/diag.h"
+#include "src/support/status.h"
 
 namespace flexrpc {
 
@@ -115,6 +116,12 @@ class TokenCursor {
   }
   void ErrorAt(SourcePos pos, std::string message) {
     diags_->Error(file_, pos, std::move(message));
+  }
+  // Reports a declaration the type table refused, at `pos`.
+  void Check(SourcePos pos, const Status& status) {
+    if (!status.ok()) {
+      ErrorAt(pos, status.message());
+    }
   }
 
   bool AtEnd() const { return Peek().Is(TokenKind::kEof); }

@@ -1,9 +1,11 @@
 #include "src/idl/sema.h"
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "src/support/strings.h"
 
@@ -135,47 +137,77 @@ class Analyzer {
               StrFormat("parameter '%s' may not have type void",
                         param.name.c_str()));
       }
-      CheckValueType(param.type, param.pos, {});
+      CheckValueType(param.type, param.pos);
     }
     if (op.result != nullptr) {
-      CheckValueType(op.result, op.pos, {});
+      CheckValueType(op.result, op.pos);
     }
   }
 
-  // Rejects by-value recursion: a struct/union that (transitively) contains
-  // itself by value has no finite wire size.
-  void CheckValueType(const Type* type, SourcePos pos,
-                      std::set<const Type*> active) {
-    const Type* resolved = type->Resolve();
-    if (!active.insert(resolved).second) {
-      Error(pos, StrFormat("type '%s' recursively contains itself by value",
-                           resolved->ToString().c_str()));
-      return;
+  // Returns the nesting depth of `type` (its sequence, array, struct and
+  // union levels; 0 for any other type), or -1 once it is refused, with
+  // the error at `pos`, the use site. A struct or union that
+  // (transitively) contains itself by value has no finite wire size, and
+  // a type nested deeper than kMaxSequenceNesting would take every
+  // recursive walk of it as deep: both are refused. Each type is walked
+  // once (`depth_` keeps the verdicts), and the walk itself never goes
+  // deeper than the bound.
+  int CheckValueType(const Type* type, SourcePos pos) {
+    const Type* t = type->Resolve();
+    if (auto known = depth_.find(t); known != depth_.end()) {
+      return known->second;
     }
-    switch (resolved->kind()) {
+    std::vector<const Type*> inner;
+    switch (t->kind()) {
       case TypeKind::kSequence:
       case TypeKind::kArray:
-        CheckValueType(resolved->element(), pos, active);
+        inner.push_back(t->element());
         break;
       case TypeKind::kStruct:
-        for (const StructField& f : resolved->fields()) {
-          CheckValueType(f.type, pos, active);
+        for (const StructField& f : t->fields()) {
+          inner.push_back(f.type);
         }
         break;
       case TypeKind::kUnion:
-        for (const UnionArm& arm : resolved->arms()) {
-          if (arm.type->Resolve()->kind() != TypeKind::kVoid) {
-            CheckValueType(arm.type, pos, active);
-          }
+        for (const UnionArm& arm : t->arms()) {
+          inner.push_back(arm.type);
         }
         break;
       default:
-        break;
+        return 0;
     }
+    if (std::find(path_.begin(), path_.end(), t) != path_.end()) {
+      Error(pos, StrFormat("type '%s' recursively contains itself by value",
+                           t->ToString().c_str()));
+      return -1;
+    }
+    // The walk stops at the bound: a type one level past it is refused.
+    int depth = kMaxSequenceNesting + 1;
+    if (path_.size() < static_cast<size_t>(kMaxSequenceNesting)) {
+      path_.push_back(t);
+      depth = 1;
+      for (size_t i = 0; i < inner.size() && depth > 0; ++i) {
+        const int d = CheckValueType(inner[i], pos);
+        depth = d < 0 ? -1 : std::max(depth, d + 1);
+      }
+      path_.pop_back();
+    }
+    if (depth > kMaxSequenceNesting) {
+      const Type* outer = path_.empty() ? t : path_.front();
+      Error(pos, StrFormat("type '%s' nests deeper than %d levels",
+                           outer->ToString().c_str(), kMaxSequenceNesting));
+      depth = -1;
+    }
+    depth_[t] = depth;
+    return depth;
   }
 
   InterfaceFile* file_;
   DiagnosticSink* diags_;
+  // The types on the walk's current path, outermost first.
+  std::vector<const Type*> path_;
+  // Each type CheckValueType has walked: its depth, or -1 if refused.
+  std::unordered_map<const Type*, int> depth_;
 };
 
 }  // namespace

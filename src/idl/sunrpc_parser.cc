@@ -134,10 +134,12 @@ class SunRpcParser {
     }
     cursor_.Expect(TokenKind::kLBrace, "to open struct body");
     while (!cursor_.AtEnd() && !cursor_.Peek().Is(TokenKind::kRBrace)) {
+      SourcePos field_pos = cursor_.Peek().pos;
       auto [field_type, field_name] = ParseDeclaration();
       cursor_.Expect(TokenKind::kSemicolon, "after struct field");
       if (s != nullptr && field_type != nullptr) {
-        types().AddField(s, std::move(field_name), field_type);
+        cursor_.Check(field_pos,
+                      types().AddField(s, std::move(field_name), field_type));
       }
     }
     cursor_.Expect(TokenKind::kRBrace, "to close struct body");
@@ -156,6 +158,7 @@ class SunRpcParser {
     cursor_.Expect(TokenKind::kLBrace, "to open enum body");
     uint32_t next_value = 0;
     do {
+      SourcePos member_pos = cursor_.Peek().pos;
       std::string member = cursor_.ExpectIdentifier("as enum member");
       uint32_t value = next_value;
       if (cursor_.TryConsume(TokenKind::kEquals)) {
@@ -163,7 +166,7 @@ class SunRpcParser {
       }
       next_value = value + 1;
       if (e != nullptr) {
-        types().AddEnumMember(e, member, value);
+        cursor_.Check(member_pos, types().AddEnumMember(e, member, value));
         const_values_[member] = value;
       }
     } while (cursor_.TryConsume(TokenKind::kComma));
@@ -192,6 +195,7 @@ class SunRpcParser {
     }
     cursor_.Expect(TokenKind::kLBrace, "to open union body");
     while (!cursor_.AtEnd() && !cursor_.Peek().Is(TokenKind::kRBrace)) {
+      SourcePos arm_pos = cursor_.Peek().pos;
       bool is_default = false;
       uint32_t label = 0;
       if (cursor_.TryConsumeIdent("default")) {
@@ -208,15 +212,17 @@ class SunRpcParser {
       if (cursor_.TryConsumeIdent("void")) {
         cursor_.Expect(TokenKind::kSemicolon, "after void arm");
         if (u != nullptr) {
-          types().AddUnionArm(u, label, is_default, "", types().Void());
+          cursor_.Check(arm_pos, types().AddUnionArm(u, label, is_default, "",
+                                                     types().Void()));
         }
         continue;
       }
       auto [arm_type, arm_name] = ParseDeclaration();
       cursor_.Expect(TokenKind::kSemicolon, "after union arm");
       if (u != nullptr && arm_type != nullptr) {
-        types().AddUnionArm(u, label, is_default, std::move(arm_name),
-                            arm_type);
+        cursor_.Check(arm_pos,
+                      types().AddUnionArm(u, label, is_default,
+                                          std::move(arm_name), arm_type));
       }
     }
     cursor_.Expect(TokenKind::kRBrace, "to close union body");

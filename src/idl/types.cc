@@ -375,23 +375,55 @@ const Type* TypeTable::NewAlias(std::string name, const Type* target) {
   return t;
 }
 
-void TypeTable::AddField(Type* struct_type, std::string name,
-                         const Type* type) {
+namespace {
+
+// Refuses a second `what` (a name, a case label, a default arm) in `type`.
+Status Duplicate(const std::string& what, const Type* type) {
+  return InvalidArgumentError(StrFormat("duplicate %s in %s", what.c_str(),
+                                        type->ToString().c_str()));
+}
+
+}  // namespace
+
+Status TypeTable::AddField(Type* struct_type, std::string name,
+                           const Type* type) {
   assert(struct_type->kind_ == TypeKind::kStruct);
+  for (const StructField& f : struct_type->fields_) {
+    if (f.name == name) {
+      return Duplicate("field '" + name + "'", struct_type);
+    }
+  }
   struct_type->fields_.push_back(StructField{std::move(name), type});
+  return Status::Ok();
 }
 
-void TypeTable::AddEnumMember(Type* enum_type, std::string name,
-                              uint32_t value) {
+Status TypeTable::AddEnumMember(Type* enum_type, std::string name,
+                                uint32_t value) {
   assert(enum_type->kind_ == TypeKind::kEnum);
+  for (const EnumMember& m : enum_type->members_) {
+    if (m.name == name) {
+      return Duplicate("member '" + name + "'", enum_type);
+    }
+  }
   enum_type->members_.push_back(EnumMember{std::move(name), value});
+  return Status::Ok();
 }
 
-void TypeTable::AddUnionArm(Type* union_type, uint32_t label, bool is_default,
-                            std::string name, const Type* type) {
+Status TypeTable::AddUnionArm(Type* union_type, uint32_t label,
+                              bool is_default, std::string name,
+                              const Type* type) {
   assert(union_type->kind_ == TypeKind::kUnion);
+  for (const UnionArm& arm : union_type->arms_) {
+    if (is_default && arm.is_default) {
+      return Duplicate("default arm", union_type);
+    }
+    if (!is_default && !arm.is_default && arm.label == label) {
+      return Duplicate(StrFormat("case label %u", label), union_type);
+    }
+  }
   union_type->arms_.push_back(
       UnionArm{label, is_default, std::move(name), type});
+  return Status::Ok();
 }
 
 std::vector<const Type*> TypeTable::NamedTypes() const {

@@ -16,6 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/support/status.h"
+
 namespace flexrpc {
 
 enum class TypeKind {
@@ -174,10 +176,14 @@ class TypeTable {
   const Type* NewAlias(std::string name, const Type* target);
 
   // Mutators used by the parsers while a named type is under construction.
-  void AddField(Type* struct_type, std::string name, const Type* type);
-  void AddEnumMember(Type* enum_type, std::string name, uint32_t value);
-  void AddUnionArm(Type* union_type, uint32_t label, bool is_default,
-                   std::string name, const Type* type);
+  // Both front-ends declare through them, so they hold the rules on names
+  // within one type: each refuses, with InvalidArgument and no change, a
+  // field or enum member name the type already has, a case label it
+  // already has, or a second default arm.
+  Status AddField(Type* struct_type, std::string name, const Type* type);
+  Status AddEnumMember(Type* enum_type, std::string name, uint32_t value);
+  Status AddUnionArm(Type* union_type, uint32_t label, bool is_default,
+                     std::string name, const Type* type);
 
   // Looks up a named type (struct/enum/union/objref/alias). Null if absent.
   const Type* FindNamed(std::string_view name) const;

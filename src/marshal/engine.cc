@@ -210,6 +210,15 @@ MarshalProgram MarshalProgram::Build(const OperationDecl& op,
   prog.op_ = &op;
   prog.pres_ = &pres;
   prog.plan_ = BuildMarshalPlan(op, pres);
+  for (const PlanItemView& item : prog.plan_.reply) {
+    ForEachOperand(item, [&](const ParamPresentation* p, const Type* type,
+                             int s) {
+      if (item.dir == ParamDir::kInOut && p != nullptr &&
+          p->alloc == AllocPolicy::kStub && OwnsHeapStorage(type)) {
+        prog.inout_stub_slots_.push_back(s);
+      }
+    });
+  }
   for (size_t s = 0; s < kSpecStreamCount; ++s) {
     prog.streams_[s] = CompileSpecStream(
         prog.plan_, pres, static_cast<SpecStream>(s), /*rejection=*/nullptr);
@@ -260,6 +269,9 @@ Status MarshalProgram::MarshalReply(ArgVec* args, WireWriter* w,
 Status MarshalProgram::UnmarshalReply(WireReader* r, Arena* arena,
                                       ArgVec* args,
                                       const SpecialOps* special) const {
+  for (int s : inout_stub_slots_) {
+    (*args)[static_cast<size_t>(s)].set_ptr(nullptr);
+  }
   // Never borrow on the client: the reply buffer is released as soon as
   // the stub returns.
   return RunStream<&SpecFns::unmarshal_reply, &RunSpecUnmarshal>(

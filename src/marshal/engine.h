@@ -160,11 +160,6 @@ struct SpecOp {
   int len_slot = -1;     // [length_is] slot for kLenSlot
   uint32_t label = 0;    // union label for *UnionDisc / kArm
   bool special = false;  // may route through SpecialOps at runtime
-  // Unmarshal into new arena storage even when the slot holds a pointer:
-  // that pointer is the caller's in-value of an inout item under
-  // [alloc(stub)], not a receive buffer. kGetSeqBytes, kGetString,
-  // kGetValue and kEnsureStorage.
-  bool fresh = false;
   const Type* type = nullptr;  // resolved value type for *Value ops
 
   bool operator==(const SpecOp&) const = default;
@@ -237,6 +232,10 @@ class MarshalProgram {
   // --- client side ---
   Status MarshalRequest(const ArgVec& args, WireWriter* w,
                         const SpecialOps* special = nullptr) const;
+  // An inout item under [alloc(stub)] gets its reply in stub storage: its
+  // slot still holds the caller's in-value, which is cleared first, so
+  // neither the reply nor a ReleaseReply after a failed one touches the
+  // caller's storage.
   Status UnmarshalReply(WireReader* r, Arena* arena, ArgVec* args,
                         const SpecialOps* special = nullptr) const;
 
@@ -286,6 +285,9 @@ class MarshalProgram {
   const OperationDecl* op_ = nullptr;
   const OpPresentation* pres_ = nullptr;
   MarshalPlanView plan_;
+  // Reply slots of inout items under [alloc(stub)] that own storage
+  // (a direct slot or a flattened field): UnmarshalReply clears them.
+  std::vector<int> inout_stub_slots_;
   SpecProgram streams_[kSpecStreamCount];
   const SpecFns* spec_fns_ = nullptr;  // registry hit, or null
 };

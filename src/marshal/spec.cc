@@ -222,11 +222,8 @@ namespace {
 // rejection.
 class StreamCompiler {
  public:
-  // `receives_reply`: the stream unmarshals a reply, where an inout item's
-  // slot still holds the caller's in-value.
-  StreamCompiler(const OpPresentation& pres, bool marshal,
-                 bool receives_reply)
-      : pres_(pres), marshal_(marshal), receives_reply_(receives_reply) {}
+  StreamCompiler(const OpPresentation& pres, bool marshal)
+      : pres_(pres), marshal_(marshal) {}
 
   SpecProgram Compile(const std::vector<PlanItemView>& items) {
     for (const PlanItemView& item : items) {
@@ -252,7 +249,6 @@ class StreamCompiler {
   // BuildMarshalPlan binds every field and the discriminant of a
   // presentation ApplyPdl accepted (the plan verifier's FLEX106 audits it).
   void AddItem(const PlanItemView& item) {
-    inout_reply_ = receives_reply_ && item.dir == ParamDir::kInOut;
     if (!item.flattened) {
       AddTop(item.pres, item.type, item.slot);
       return;
@@ -288,10 +284,6 @@ class StreamCompiler {
   void AddTop(const ParamPresentation* pres, const Type* type, int slot) {
     const Type* t = type->Resolve();
     const bool special = pres != nullptr && pres->special;
-    // The reply of an inout item under [alloc(stub)] gets stub storage;
-    // the pointer its slot holds is the caller's in-value.
-    const bool fresh = inout_reply_ && pres != nullptr &&
-                       pres->alloc == AllocPolicy::kStub;
     SpecOp op;
     op.slot = slot;
     switch (t->kind()) {
@@ -301,7 +293,6 @@ class StreamCompiler {
         op.kind = marshal_ ? SpecOpKind::kPutString : SpecOpKind::kGetString;
         op.bound = t->bound();
         op.special = special;
-        op.fresh = fresh;
         if (marshal_) {
           SetMarshalLength(pres, SpecLenSource::kStrLen, &op);
         }
@@ -309,14 +300,13 @@ class StreamCompiler {
         return;
       case TypeKind::kSequence:
         if (!IsByteElem(t->element())) {
-          AddValue(pres, t, slot, fresh, "sequence of non-byte elements");
+          AddValue(pres, t, slot, "sequence of non-byte elements");
           return;
         }
         op.kind =
             marshal_ ? SpecOpKind::kPutSeqBytes : SpecOpKind::kGetSeqBytes;
         op.bound = t->bound();
         op.special = special;
-        op.fresh = fresh;
         if (marshal_) {
           SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
         }
@@ -329,7 +319,6 @@ class StreamCompiler {
         if (!marshal_) {
           op.kind = SpecOpKind::kEnsureStorage;
           op.count = static_cast<uint32_t>(t->NativeSize());
-          op.fresh = fresh;
           Emit(op);
         }
         // [special] reaches only a top-level byte array's run: members
@@ -342,7 +331,7 @@ class StreamCompiler {
           return;
         }
         ops_.resize(mark);
-        AddValue(pres, t, slot, fresh, std::move(why));
+        AddValue(pres, t, slot, std::move(why));
         return;
       }
       default:
@@ -357,12 +346,11 @@ class StreamCompiler {
   // One whole value through MarshalValue/UnmarshalValue. A top-level
   // sequence takes its marshaled length like a byte sequence does.
   void AddValue(const ParamPresentation* pres, const Type* t, int slot,
-                bool fresh, std::string why) {
+                std::string why) {
     SpecOp op;
     op.kind = marshal_ ? SpecOpKind::kPutValue : SpecOpKind::kGetValue;
     op.slot = slot;
     op.type = t;
-    op.fresh = fresh;
     if (marshal_ && t->kind() == TypeKind::kSequence) {
       SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
     }
@@ -505,8 +493,6 @@ class StreamCompiler {
 
   const OpPresentation& pres_;
   bool marshal_;
-  bool receives_reply_;
-  bool inout_reply_ = false;  // the current item is an inout's reply half
   std::vector<SpecOp> ops_;
   size_t leaf_mark_ = 0;  // first leaf op of the value being unrolled
   std::string rejection_;
@@ -521,8 +507,7 @@ SpecProgram CompileSpecStream(const MarshalPlanView& plan,
                        stream == SpecStream::kMarshalReply;
   const bool reply = stream == SpecStream::kMarshalReply ||
                      stream == SpecStream::kUnmarshalReply;
-  StreamCompiler compiler(pres, marshal,
-                          /*receives_reply=*/reply && !marshal);
+  StreamCompiler compiler(pres, marshal);
   SpecProgram prog = compiler.Compile(reply ? plan.reply : plan.request);
   if (rejection != nullptr) {
     *rejection = compiler.TakeRejection();
@@ -562,9 +547,8 @@ Status GetValueOp(const SpecOp& op, WireReader* r, Arena* arena,
   ArgValue* slot = &(*args)[static_cast<size_t>(op.slot)];
   const Type* t = op.type;
   // A slot that already carries a pointer is caller storage ([alloc(user)]
-  // receive buffers arrive this way), unless the op is fresh.
-  const bool caller_buffer =
-      spec_internal::ReceiveBuffer(op, slot) != nullptr;
+  // receive buffers arrive this way).
+  const bool caller_buffer = slot->ptr() != nullptr;
   if (t->kind() != TypeKind::kSequence) {
     if (!caller_buffer) {
       slot->set_ptr(AllocateZeroedBlock(arena, t->NativeSize()));

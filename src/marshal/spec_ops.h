@@ -113,18 +113,6 @@ template <typename T, typename V>
   return disc;
 }
 
-// The receive storage an unmarshal op finds in its slot: a caller buffer,
-// or null when the stub allocates. A `fresh` op first drops the caller's
-// in-value pointer, so a release after a failed read frees nothing of the
-// caller's.
-[[gnu::always_inline]] inline void* ReceiveBuffer(const SpecOp& op,
-                                                  ArgValue* slot) {
-  if (op.fresh) {
-    slot->set_ptr(nullptr);
-  }
-  return slot->ptr();
-}
-
 // Reads a u32 length under `op.bound` (`what` names the value in the
 // error) and then that many bytes and their padding.
 [[gnu::always_inline]] inline bool GetRun(WireReader* r, const SpecOp& op,
@@ -283,7 +271,7 @@ template <typename T, typename V>
     case SpecOpKind::kEnsureStorage:
       // Zeroed, so a release after a failed read finds null pointers
       // wherever nothing was read.
-      if (spec_internal::ReceiveBuffer(op, slot) == nullptr) {
+      if (slot->ptr() == nullptr) {
         void* block = arena->AllocateBlock(op.count);
         std::memset(block, 0, op.count);
         slot->set_ptr(block);
@@ -311,7 +299,7 @@ template <typename T, typename V>
                op.count);
       return true;
     case SpecOpKind::kGetSeqBytes: {
-      void* dest = spec_internal::ReceiveBuffer(op, slot);
+      void* dest = slot->ptr();
       if (!spec_internal::GetRun(r, op, "sequence", &len, &bytes, end)) {
         return false;
       }
@@ -337,7 +325,7 @@ template <typename T, typename V>
       return true;
     }
     case SpecOpKind::kGetString: {
-      auto* dest = static_cast<char*>(spec_internal::ReceiveBuffer(op, slot));
+      auto* dest = static_cast<char*>(slot->ptr());
       if (!spec_internal::GetRun(r, op, "string", &len, &bytes, end)) {
         return false;
       }

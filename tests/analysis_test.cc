@@ -789,8 +789,8 @@ TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
   // sequence<long> moves element by element through MarshalValue: the
   // stream compiles to a value op, which the reference executor runs and
   // `idlc --specialize` does not emit; FLEX205 says why.
-  auto idl =
-      MustParseCorba("interface V { void push(in sequence<long> v); };");
+  constexpr char kIdl[] = "interface V { void push(in sequence<long> v); };";
+  auto idl = MustParseCorba(kIdl);
   PresentationSet client = MustApply(*idl, Side::kClient);
   PresentationSet server = MustApply(*idl, Side::kServer);
   const OperationDecl& op = idl->interfaces[0].ops[0];
@@ -811,8 +811,8 @@ TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
   DiagnosticSink gen_diags;
   SpecGenStats stats;
   auto generated = GenerateSpecializations(*idl, client, server,
-                                           SpecGenOptions{}, "t.idl",
-                                           &gen_diags, &stats);
+                                           SpecGenOptions{}, "t.idl", kIdl,
+                                           "", &gen_diags, &stats);
   ASSERT_TRUE(generated.ok()) << generated.status().ToString();
   EXPECT_EQ(generated->source.find("Spec0MarshalRequest"),
             std::string::npos);

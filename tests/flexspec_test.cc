@@ -1,15 +1,13 @@
 // flexspec tests: stream compilation (total over every seed signature
 // family), the reference executor against wire references and the
 // hand-coded NFS stubs, union arms and nested byte sequences against the
-// value path, engine dispatch + hit/miss counters, the registry, the
-// --specialize emitter (including blocked emission on a corrupted stream),
-// and the drift guards tying examples/idl/nfs.* to the embedded NFS texts
-// the build specializes against.
+// value path, engine dispatch + hit/miss counters, the registry, and the
+// --specialize emitter (including blocked emission on a corrupted stream,
+// and the sources it embeds).
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -1266,8 +1264,9 @@ TEST(SpecGenTest, EmitsRegistrarForSupportedPlans) {
   options.header_name = "t.flexspec.h";
   DiagnosticSink diags;
   SpecGenStats stats;
-  auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
-                                           options, "t.idl", &diags, &stats);
+  auto generated =
+      GenerateSpecializations(*c.idl, c.client, c.server, options, "t.idl",
+                              kSysLogIdl, "", &diags, &stats);
   ASSERT_TRUE(generated.ok()) << generated.status().ToString();
   EXPECT_GE(stats.plans_emitted, 1u);
   EXPECT_GE(stats.streams_emitted, 2u);
@@ -1286,23 +1285,67 @@ TEST(SpecGenTest, EmitsRegistrarForSupportedPlans) {
   EXPECT_NE(generated->source.find(hex), std::string::npos);
 }
 
+// The bytes between `name`'s raw-string delimiters in `header`, read as
+// the compiler reads them: up to the first `)<delimiter>"`.
+std::string EmbeddedSource(const std::string& header, const char* name) {
+  const std::string head =
+      StrFormat("inline constexpr char %s[] = R\"", name);
+  size_t open = header.find(head);
+  if (open == std::string::npos) {
+    return "<no such constant>";
+  }
+  open += head.size();
+  const size_t paren = header.find('(', open);
+  const std::string close = ")" + header.substr(open, paren - open) + "\"";
+  const size_t end = header.find(close, paren + 1);
+  return header.substr(paren + 1, end - paren - 1);
+}
+
+TEST(SpecGenTest, HeaderEmbedsTheSourcesByteForByte) {
+  // Comments carry what a literal could trip on: the emitter's first-choice
+  // raw-string terminator, quotes, backslashes and a tab.
+  const std::string idl =
+      "// )src\" ends the first-choice literal; \"q\" C:\\dir\\ \t tab\n" +
+      std::string(kSysLogIdl);
+  const std::string pdl =
+      "// \"\\\" )src\" \t\n"
+      "SysLog_write_msg(,, char *[length_is(length)] msg, int length);\n";
+  Compiled c = Compile(idl, false, pdl, "");
+  DiagnosticSink diags;
+  auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
+                                           SpecGenOptions{}, "t.idl", idl,
+                                           pdl, &diags, nullptr);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  EXPECT_EQ(EmbeddedSource(generated->header, "kIdlSource"), idl);
+  EXPECT_EQ(EmbeddedSource(generated->header, "kClientPdlSource"), pdl);
+
+  // Without a client PDL its constant is empty.
+  Compiled defaults = Compile(kSysLogIdl, false, "", "");
+  auto unit = GenerateSpecializations(*defaults.idl, defaults.client,
+                                      defaults.server, SpecGenOptions{},
+                                      "t.idl", kSysLogIdl, "", &diags,
+                                      nullptr);
+  ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+  EXPECT_EQ(EmbeddedSource(unit->header, "kIdlSource"), kSysLogIdl);
+  EXPECT_EQ(EmbeddedSource(unit->header, "kClientPdlSource"), "");
+}
+
 TEST(SpecGenTest, EachFunctionIsOneStepCallPerOp) {
   // examples/idl/syslog.idl under its client PDL: both sides' plans cover
   // both string opcodes and the kLenSlot and kStrLen length sources.
-  Compiled c = Compile(R"(
+  constexpr char kIdl[] = R"(
     interface SysLog {
       void write_msg(in string msg);
       unsigned long message_count();
     };
-  )",
-                       false,
-                       "SysLog_write_msg(,, char *[length_is(length)] msg, "
-                       "int length);",
-                       "");
+  )";
+  constexpr char kClientPdl[] =
+      "SysLog_write_msg(,, char *[length_is(length)] msg, int length);";
+  Compiled c = Compile(kIdl, false, kClientPdl, "");
   DiagnosticSink diags;
   auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
                                            SpecGenOptions{}, "syslog.idl",
-                                           &diags, nullptr);
+                                           kIdl, kClientPdl, &diags, nullptr);
   ASSERT_TRUE(generated.ok()) << generated.status().ToString();
   const std::string& source = generated->source;
   // What an op does lives in its step alone: the unit moves no bytes,
@@ -1373,8 +1416,9 @@ TEST(SpecGenTest, CorruptedStreamBlocksEmission) {
   };
   DiagnosticSink diags;
   SpecGenStats stats;
-  auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
-                                           options, "t.idl", &diags, &stats);
+  auto generated =
+      GenerateSpecializations(*c.idl, c.client, c.server, options, "t.idl",
+                              kSysLogIdl, "", &diags, &stats);
   EXPECT_FALSE(generated.ok());
   EXPECT_GE(diags.CountCode("FLEX201"), 1) << diags.ToString();
 }
@@ -1401,9 +1445,9 @@ TEST(SpecGenTest, CorruptedArmBlocksEmissionWithFlex207) {
       }
     };
     DiagnosticSink diags;
-    auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
-                                             options, "nfs.x", &diags,
-                                             nullptr);
+    auto generated =
+        GenerateSpecializations(*c.idl, c.client, c.server, options, "nfs.x",
+                                NfsIdlText(), "", &diags, nullptr);
     EXPECT_FALSE(generated.ok());
     EXPECT_GE(diags.CountCode("FLEX207"), 1) << diags.ToString();
   }
@@ -1416,8 +1460,8 @@ TEST(SpecGenTest, ArmBranchesAreForwardGotos) {
   DiagnosticSink diags;
   SpecGenStats stats;
   auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
-                                           SpecGenOptions{}, "nfs.x", &diags,
-                                           &stats);
+                                           SpecGenOptions{}, "nfs.x",
+                                           NfsIdlText(), "", &diags, &stats);
   ASSERT_TRUE(generated.ok()) << generated.status().ToString();
   EXPECT_EQ(diags.CountCode("FLEX205"), 0) << diags.ToString();
   EXPECT_EQ(stats.plans_emitted, 2u);  // client and server default
@@ -1542,68 +1586,6 @@ TEST(NfsSpecE2ETest, ConventionalReadRunsOnlyGeneratedCode) {
   EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecHits),
             2 * stats->rpc_calls);
 }
-
-// --- drift guards: examples/idl inputs vs the embedded texts ----------------
-
-#ifdef FLEXRPC_SOURCE_DIR
-
-std::string ReadSourceFile(const std::string& relative) {
-  std::ifstream in(std::string(FLEXRPC_SOURCE_DIR) + "/" + relative);
-  EXPECT_TRUE(in.good()) << relative;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-// Collapses all whitespace runs to single spaces: the checked-in files and
-// the embedded raw strings differ only in indentation.
-std::string NormalizeWs(std::string_view text) {
-  std::string out;
-  bool in_ws = true;  // swallows leading whitespace
-  for (char ch : text) {
-    if (ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r') {
-      if (!in_ws) {
-        out.push_back(' ');
-      }
-      in_ws = true;
-    } else {
-      out.push_back(ch);
-      in_ws = false;
-    }
-  }
-  while (!out.empty() && out.back() == ' ') {
-    out.pop_back();
-  }
-  return out;
-}
-
-// The build generates nfs.flexspec.cc from examples/idl/nfs.x + the PDL
-// file, while NfsClient builds its programs from the embedded texts. The
-// registry lookup only connects them while both pairs stay structurally
-// identical — so drift must fail loudly here, not as a silent spec miss.
-TEST(NfsSpecDriftTest, ExamplesMatchEmbeddedTexts) {
-  EXPECT_EQ(NormalizeWs(ReadSourceFile("examples/idl/nfs.x")),
-            NormalizeWs(NfsIdlText()));
-  EXPECT_EQ(NormalizeWs(ReadSourceFile("examples/idl/nfs_client.pdl")),
-            NormalizeWs(NfsClientPdlText()));
-}
-
-TEST(NfsSpecDriftTest, ExamplesProduceTheEmbeddedSpecKey) {
-  Compiled from_files = Compile(ReadSourceFile("examples/idl/nfs.x"), true,
-                                ReadSourceFile("examples/idl/nfs_client.pdl"),
-                                "");
-  Compiled embedded = Compile(NfsIdlText(), true, NfsClientPdlText(), "");
-  SpecKey file_key = ComputeSpecKey(
-      from_files.idl->interfaces[0].ops[0],
-      *from_files.client.Find("NFS_VERSION")->FindOp("NFSPROC_READ"));
-  SpecKey embedded_key = ComputeSpecKey(
-      embedded.idl->interfaces[0].ops[0],
-      *embedded.client.Find("NFS_VERSION")->FindOp("NFSPROC_READ"));
-  EXPECT_EQ(file_key, embedded_key)
-      << "generated specializations would never be dispatched";
-}
-
-#endif  // FLEXRPC_SOURCE_DIR
 
 }  // namespace
 }  // namespace flexrpc

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/idl/corba_parser.h"
 
 namespace flexrpc {
@@ -215,6 +218,29 @@ TEST(CorbaParserTest, UnknownTypeIsError) {
   auto file = Parse("interface I { void f(in bogus x); };", &diags);
   EXPECT_EQ(file, nullptr);
   EXPECT_TRUE(diags.HasErrors());
+}
+
+// The names inside one type must be unique (TypeTable refuses the second
+// declaration for both front-ends): a repeated field or enum member would
+// redeclare a C++ name in the generated header, and a repeated case label
+// or default arm could never be selected.
+TEST(CorbaParserTest, DuplicateNamesInsideATypeAreRefused) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"struct s { long a; long a; };",
+       "test.idl:1:25: error: duplicate field 'a' in struct s"},
+      {"enum e { X, X };",
+       "test.idl:1:13: error: duplicate member 'X' in enum e"},
+      {"union u switch (long) { case 1: long a; case 1: long b; };",
+       "test.idl:1:41: error: duplicate case label 1 in union u"},
+      {"union u switch (long) { default: long a; default: long b; };",
+       "test.idl:1:42: error: duplicate default arm in union u"},
+  };
+  for (const auto& [idl, message] : cases) {
+    DiagnosticSink diags;
+    EXPECT_EQ(Parse(idl, &diags), nullptr) << idl;
+    EXPECT_NE(diags.ToString().find(message), std::string::npos)
+        << diags.ToString();
+  }
 }
 
 TEST(CorbaParserTest, DuplicateTypeIsError) {

@@ -1,10 +1,14 @@
 // Unit tests for semantic analysis: inheritance flattening, duplicate
-// detection, and recursive-type rejection.
+// detection, recursive-type rejection, and the nesting bound.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
+#include "src/idl/sunrpc_parser.h"
+#include "src/support/strings.h"
 
 namespace flexrpc {
 namespace {
@@ -130,6 +134,75 @@ TEST(SemaTest, MutuallyRecursiveStructsRejected) {
   file->types.AddField(a, "self", a);
   EXPECT_FALSE(AnalyzeInterfaceFile(file.get(), &diags));
   EXPECT_TRUE(diags.HasErrors());
+}
+
+// Each struct holds two of the one before it, so the type graph is a DAG
+// of 60 levels with 2^60 paths: sema must check each type once.
+TEST(SemaTest, SharedSubtypesAreCheckedOnce) {
+  std::string idl = "struct s0 { long a; long b; };\n";
+  for (int i = 1; i < 60; ++i) {
+    idl += StrFormat("struct s%d { s%d a; s%d b; };\n", i, i - 1, i - 1);
+  }
+  idl += "interface I { void f(in s59 x); };";
+  DiagnosticSink diags;
+  EXPECT_NE(ParseAndAnalyze(idl, &diags), nullptr) << diags.ToString();
+}
+
+// A typedef chain nests as deep as it is long, and no parser limit sees
+// it: sema refuses one level past kMaxSequenceNesting, at the use site, in
+// both dialects, and accepts the limit itself.
+TEST(SemaTest, NestingPastTheLimitIsRefusedInBothDialects) {
+  auto corba = [](int levels) {
+    std::string idl = "typedef sequence<long> c1;\n";
+    for (int i = 2; i <= levels; ++i) {
+      idl += StrFormat("typedef sequence<c%d> c%d;\n", i - 1, i);
+    }
+    return idl + StrFormat("interface I {\n void f(in c%d x); };", levels);
+  };
+  auto sun = [](int levels) {
+    std::string idl = "typedef int c1<>;\n";
+    for (int i = 2; i <= levels; ++i) {
+      idl += StrFormat("typedef c%d c%d<>;\n", i - 1, i);
+    }
+    return idl + StrFormat(
+                     "program P { version V {\n void F(c%d) = 1; } = 1; } "
+                     "= 9;",
+                     levels);
+  };
+  for (bool sunrpc : {false, true}) {
+    for (int levels : {kMaxSequenceNesting, kMaxSequenceNesting + 1}) {
+      SCOPED_TRACE(StrFormat("%s, %d levels", sunrpc ? "sun" : "corba",
+                             levels));
+      const std::string idl = sunrpc ? sun(levels) : corba(levels);
+      DiagnosticSink diags;
+      auto file = sunrpc ? ParseSunRpc(idl, "test.x", &diags)
+                         : ParseCorbaIdl(idl, "test.idl", &diags);
+      ASSERT_NE(file, nullptr) << diags.ToString();
+      const bool ok = AnalyzeInterfaceFile(file.get(), &diags);
+      if (levels == kMaxSequenceNesting) {
+        EXPECT_TRUE(ok) << diags.ToString();
+        continue;
+      }
+      EXPECT_FALSE(ok);
+      const std::string expected = StrFormat(
+          "%s:%d:%d: error: type 'sequence<c%d>' nests deeper than 64 levels",
+          sunrpc ? "test.x" : "test.idl", levels + 2, sunrpc ? 2 : 9,
+          levels - 1);
+      EXPECT_NE(diags.ToString().find(expected), std::string::npos)
+          << diags.ToString();
+    }
+  }
+
+  // The deepest `sequence<` the CORBA parser accepts passes sema too.
+  std::string nested = "interface I { void f(in ";
+  for (int i = 0; i < kMaxSequenceNesting; ++i) {
+    nested += "sequence<";
+  }
+  nested += "long";
+  nested.append(static_cast<size_t>(kMaxSequenceNesting), '>');
+  DiagnosticSink diags;
+  EXPECT_NE(ParseAndAnalyze(nested + " x); };", &diags), nullptr)
+      << diags.ToString();
 }
 
 TEST(SemaTest, DuplicateInterfaceRejected) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "src/idl/sunrpc_parser.h"
 
 namespace flexrpc {
@@ -67,6 +70,27 @@ program NFS_PROGRAM {
   } = 2;
 } = 100003;
 )";
+
+// The names inside one type must be unique, as in the CORBA front-end:
+// both declare through TypeTable, which refuses the second one.
+TEST(SunRpcParserTest, DuplicateNamesInsideATypeAreRefused) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"struct s { int a; int a; };",
+       "test.x:1:19: error: duplicate field 'a' in struct s"},
+      {"enum e { X, X };",
+       "test.x:1:13: error: duplicate member 'X' in enum e"},
+      {"union u switch (int d) { case 1: int a; case 1: void; };",
+       "test.x:1:41: error: duplicate case label 1 in union u"},
+      {"union u switch (int d) { default: void; default: int b; };",
+       "test.x:1:41: error: duplicate default arm in union u"},
+  };
+  for (const auto& [idl, message] : cases) {
+    DiagnosticSink diags;
+    EXPECT_EQ(ParseSunRpc(idl, "test.x", &diags), nullptr) << idl;
+    EXPECT_NE(diags.ToString().find(message), std::string::npos)
+        << diags.ToString();
+  }
+}
 
 TEST(SunRpcParserTest, NfsProgramParses) {
   DiagnosticSink diags;

@@ -590,6 +590,40 @@ TEST(EngineTest, InOutParameterTravelsBothWays) {
   EXPECT_EQ(client_args[client_prog.SlotOf("value")].scalar, 42u);
 }
 
+// Under the client's default presentation an inout string or sequence
+// gets its reply in stub storage, while its slot holds the caller's
+// in-value. A reply cut inside `s` fails before `v` is read: neither
+// caller value may be written, and the release that follows may free only
+// what the reply allocated.
+TEST(EngineTest, InOutReplyCutShortLeavesCallerStorage) {
+  Compiled c = Compile(
+      "interface E { void echo(inout string s, inout sequence<long> v); };",
+      false, "", "");
+  MarshalProgram prog = MarshalProgram::Build(
+      c.idl->interfaces[0].ops[0], *c.client.Find("E")->FindOp("echo"));
+  Arena arena("client");
+  const size_t baseline = arena.live_blocks();
+  char text[] = "hello";
+  int32_t longs[3] = {7, -8, 9};
+  ArgVec args(prog.slot_count());
+  args[prog.SlotOf("s")].set_ptr(text);
+  args[prog.SlotOf("v")].set_ptr(longs);
+  args[prog.SlotOf("v")].length = 3;
+
+  NativeWriter reply;
+  reply.PutU32(5);
+  reply.PutBytes("HE", 2);
+  NativeReader r(reply.span());
+  EXPECT_EQ(prog.UnmarshalReply(&r, &arena, &args).code(),
+            StatusCode::kDataLoss);
+  prog.ReleaseReply(&arena, &args);
+  EXPECT_EQ(arena.live_blocks(), baseline);
+  EXPECT_STREQ(text, "hello");
+  EXPECT_EQ(longs[0], 7);
+  EXPECT_EQ(longs[1], -8);
+  EXPECT_EQ(longs[2], 9);
+}
+
 TEST(EngineTest, TruncatedRequestRejected) {
   Compiled c = Compile(kFileIoIdl, false, "", "");
   const OperationDecl& write = c.idl->interfaces[0].ops[1];

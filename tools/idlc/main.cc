@@ -25,7 +25,10 @@
 // side's default presentation beside the one given, so the unit also
 // serves a stub bound to the default. Every stream the prover accepts is
 // emitted unless it holds a value op or runs past the op budget
-// (FLEX205); those run on the reference executor.
+// (FLEX205); those run on the reference executor. The header also holds
+// the --idl and --client-pdl texts byte for byte, as kIdlSource and
+// kClientPdlSource ("" without --client-pdl): a stub that binds from them
+// binds exactly the plans the unit registers.
 
 #include <cstdio>
 #include <cstring>
@@ -180,26 +183,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // `pdl_text` receives the PDL read (--specialize embeds the client's).
   auto apply_side = [&](flexrpc::Side side, const std::string& pdl_path,
-                        flexrpc::PresentationSet* out) {
+                        std::string* pdl_text, flexrpc::PresentationSet* out) {
     if (pdl_path.empty()) {
       return flexrpc::ApplyPdl(*idl, side, nullptr, out, &diags);
     }
-    std::string pdl_text;
-    if (!ReadFileToString(pdl_path, &pdl_text)) {
+    if (!ReadFileToString(pdl_path, pdl_text)) {
       std::fprintf(stderr, "idlc: cannot read '%s'\n", pdl_path.c_str());
       return false;
     }
-    return flexrpc::ApplyPdlText(*idl, side, pdl_text, pdl_path, out,
+    return flexrpc::ApplyPdlText(*idl, side, *pdl_text, pdl_path, out,
                                  &diags);
   };
 
+  std::string client_pdl_text;
+  std::string server_pdl_text;
   flexrpc::PresentationSet client_pres;
   flexrpc::PresentationSet server_pres;
   if (!apply_side(flexrpc::Side::kClient, opt.client_pdl_path,
-                  &client_pres) ||
+                  &client_pdl_text, &client_pres) ||
       !apply_side(flexrpc::Side::kServer, opt.server_pdl_path,
-                  &server_pres)) {
+                  &server_pdl_text, &server_pres)) {
     std::fputs(diags.ToString().c_str(), stderr);
     return 1;
   }
@@ -299,8 +304,8 @@ int main(int argc, char** argv) {
   flexrpc::SpecGenStats spec_stats;
   flexrpc::DiagnosticSink spec_diags;  // fresh: earlier ones are printed
   auto spec_generated = flexrpc::GenerateSpecializations(
-      *idl, client_pres, server_pres, spec_options, opt.idl_path,
-      &spec_diags, &spec_stats);
+      *idl, client_pres, server_pres, spec_options, opt.idl_path, idl_text,
+      client_pdl_text, &spec_diags, &spec_stats);
   // Everything the prover said, warnings (FLEX205) included.
   if (!spec_diags.diagnostics().empty()) {
     std::fputs(spec_diags.ToString().c_str(), stderr);
