@@ -22,10 +22,10 @@ const char* DestName(WireEffect::Dest dest) {
       return "buffer";
     case WireEffect::Dest::kString:
       return "string";
-    case WireEffect::Dest::kValue:
-      return "value";
     case WireEffect::Dest::kSeqRep:
       return "seqrep";
+    case WireEffect::Dest::kStrPtr:
+      return "strptr";
   }
   return "?";
 }
@@ -38,14 +38,17 @@ const char* LenSourceName(SpecLenSource src) {
       return "length-slot";
     case SpecLenSource::kStrLen:
       return "strlen";
+    case SpecLenSource::kSeqRep:
+      return "seqrep";
+    case SpecLenSource::kConstant:
+      return "constant";
   }
   return "?";
 }
 
 // Symbolic lowering of the plan: one pass over the item stream, lowering
 // each wire item the way the engine's semantics define it, on its own
-// terms rather than through CompileSpecPlan. A value MarshalValue/
-// UnmarshalValue moves whole lowers to one kOpaque effect.
+// terms rather than through CompileSpecPlan.
 class PlanLowering {
  public:
   PlanLowering(const OpPresentation& pres, bool marshal)
@@ -59,9 +62,9 @@ class PlanLowering {
   }
 
  private:
-  void Opaque(int slot) {
+  void Unbound(int slot) {
     WireEffect e;
-    e.kind = WireEffect::Kind::kOpaque;
+    e.kind = WireEffect::Kind::kUnbound;
     e.slot = slot;
     effects_.push_back(e);
   }
@@ -74,7 +77,7 @@ class PlanLowering {
     if (item.is_result &&
         item.type->Resolve()->kind() == TypeKind::kUnion) {
       if (item.disc_slot < 0) {
-        Opaque(-1);
+        Unbound(-1);
         return;
       }
       WireEffect e;
@@ -87,7 +90,7 @@ class PlanLowering {
     }
     for (const PlanFieldView& field : item.fields) {
       if (field.type == nullptr) {
-        Opaque(field.slot);
+        Unbound(field.slot);
         continue;
       }
       LowerTop(field.pres, field.type, field.slot);
@@ -106,22 +109,6 @@ class PlanLowering {
         e->len_slot = ls;
       }
     }
-  }
-
-  // A value moved whole by MarshalValue/UnmarshalValue: into caller
-  // storage or a zeroed arena block on unmarshal; a top-level sequence
-  // keeps its marshaled length source.
-  void Value(const ParamPresentation* pres, const Type* t, int slot) {
-    WireEffect e;
-    e.kind = WireEffect::Kind::kOpaque;
-    e.slot = slot;
-    e.type = t;
-    if (!marshal_) {
-      e.dest = WireEffect::Dest::kValue;
-    } else if (t->kind() == TypeKind::kSequence) {
-      MarshalLength(pres, SpecLenSource::kSlotLength, &e);
-    }
-    effects_.push_back(e);
   }
 
   void LowerTop(const ParamPresentation* pres, const Type* type, int slot) {
@@ -151,17 +138,19 @@ class PlanLowering {
         return;
       }
       case TypeKind::kSequence: {
-        if (!IsByteElem(t->element())) {
-          Value(pres, t, slot);  // per-element recursion
-          return;
-        }
         WireEffect len;
-        len.kind = WireEffect::Kind::kLenPrefix;
         len.slot = slot;
         len.bound = t->bound();
         if (marshal_) {
           MarshalLength(pres, SpecLenSource::kSlotLength, &len);
         }
+        if (!IsByteElem(t->element())) {
+          // Travels unpacked: elements at the slot's pointer, count in its
+          // length; on unmarshal a caller buffer or a zeroed arena block.
+          LowerLoop(len, t->element());
+          return;
+        }
+        len.kind = WireEffect::Kind::kLenPrefix;
         effects_.push_back(len);
         WireEffect bytes;
         bytes.kind = WireEffect::Kind::kBytes;
@@ -177,7 +166,6 @@ class PlanLowering {
       case TypeKind::kArray:
       case TypeKind::kStruct:
       case TypeKind::kUnion: {
-        const size_t mark = effects_.size();
         if (!marshal_) {
           WireEffect ensure;
           ensure.kind = WireEffect::Kind::kEnsure;
@@ -185,14 +173,8 @@ class PlanLowering {
           ensure.count = static_cast<uint32_t>(t->NativeSize());
           effects_.push_back(ensure);
         }
-        // MarshalValue/UnmarshalValue recursion ignores [special]; only a
-        // top-level byte array's run takes it.
-        leaves_ = 0;
-        if (!LowerMemValue(t, slot, 0,
-                           t->kind() == TypeKind::kArray && special)) {
-          effects_.resize(mark);
-          Value(pres, t, slot);
-        }
+        // Only a top-level byte array's run takes [special].
+        LowerMem(t, slot, 0, 0, t->kind() == TypeKind::kArray && special);
         return;
       }
       default: {
@@ -208,23 +190,23 @@ class PlanLowering {
     }
   }
 
-  // Mirror of MarshalValue/UnmarshalValue over a value in native memory:
-  // recursion to scalar loads/stores, raw byte runs and byte sequences at
-  // constant offsets, and each union's arm selection. False on a member
-  // they recurse into further (a string, a non-byte sequence), or once the
-  // value has more leaves than the emission budget lets a value unroll to.
-  bool LowerMemValue(const Type* type, int slot, uint32_t offset,
-                     bool special) {
+  // A value in memory at `offset`, inside `depth` loops (in the current
+  // element of the innermost one; in slot memory at depth 0): scalar loads
+  // and stores, raw byte runs, byte sequences and strings each copied into
+  // a new arena block on unmarshal, a union's arm selection, and a loop
+  // over each sequence or array of non-byte elements.
+  void LowerMem(const Type* type, int slot, uint32_t offset, uint8_t depth,
+                bool special) {
     const Type* t = type->Resolve();
     WireEffect e;
     e.slot = slot;
     e.offset = offset;
+    e.depth = depth;
     switch (t->kind()) {
       case TypeKind::kVoid:
-        return true;  // moves nothing
-      case TypeKind::kArray: {
-        const Type* elem = t->element();
-        if (IsByteElem(elem)) {
+        return;  // moves nothing
+      case TypeKind::kArray:
+        if (IsByteElem(t->element())) {
           e.kind = WireEffect::Kind::kBytes;
           e.count = t->bound();
           e.fixed = true;
@@ -232,61 +214,88 @@ class PlanLowering {
           if (!marshal_) {
             e.dest = WireEffect::Dest::kSlotMem;
           }
-          return Leaf(e);
+          effects_.push_back(e);
+          return;
         }
-        size_t stride = elem->NativeSize();
-        for (uint32_t i = 0; i < t->bound(); ++i) {
-          if (!LowerMemValue(elem, slot,
-                             offset + i * static_cast<uint32_t>(stride),
-                             /*special=*/false)) {
-            return false;
-          }
-        }
-        return true;
-      }
+        e.len_src = SpecLenSource::kConstant;
+        e.bound = t->bound();
+        LowerLoop(e, t->element());
+        return;
       case TypeKind::kStruct:
         for (size_t i = 0; i < t->fields().size(); ++i) {
-          if (!LowerMemValue(
-                  t->fields()[i].type, slot,
-                  offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
-                  /*special=*/false)) {
-            return false;
-          }
+          LowerMem(t->fields()[i].type, slot,
+                   offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
+                   depth, /*special=*/false);
         }
-        return true;
+        return;
       case TypeKind::kUnion:
-        return LowerUnion(t, slot, offset);
-      case TypeKind::kSequence: {
-        if (!IsByteElem(t->element())) {
-          return false;  // element-by-element recursion
-        }
-        // The SeqRep in memory: its length under the bound, then its
-        // bytes; UnmarshalValue always copies into a new arena block.
-        e.kind = WireEffect::Kind::kLenPrefix;
-        e.from_memory = true;
+        LowerUnion(t, slot, offset, depth);
+        return;
+      case TypeKind::kSequence:
         e.bound = t->bound();
-        WireEffect bytes = e;
-        bytes.kind = WireEffect::Kind::kBytes;
-        bytes.bound = 0;
-        if (!marshal_) {
-          bytes.dest = WireEffect::Dest::kSeqRep;
+        if (!IsByteElem(t->element())) {
+          e.len_src = SpecLenSource::kSeqRep;
+          LowerLoop(e, t->element());
+          return;
         }
-        if (!Leaf(e)) {
-          return false;
-        }
-        effects_.push_back(bytes);  // the same leaf's second effect
-        return true;
-      }
+        LowerMemRun(e, WireEffect::Dest::kSeqRep);
+        return;
       case TypeKind::kString:
-        return false;  // not lowered inside a value
+        e.bound = t->bound();
+        if (marshal_) {
+          e.len_src = SpecLenSource::kStrLen;
+        }
+        LowerMemRun(e, WireEffect::Dest::kStrPtr);
+        return;
       default:
         e.kind = WireEffect::Kind::kScalar;
         e.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
         e.from_memory = true;
         e.dest = marshal_ ? WireEffect::Dest::kNone
                           : WireEffect::Dest::kSlotMem;
-        return Leaf(e);
+        effects_.push_back(e);
+        return;
     }
+  }
+
+  // A byte sequence or string in memory (`len` holds its place and length
+  // discipline): its length under the bound, then its bytes, which an
+  // unmarshal copies into a new arena block whose SeqRep or char* (`dest`)
+  // goes to memory.
+  void LowerMemRun(WireEffect len, WireEffect::Dest dest) {
+    len.kind = WireEffect::Kind::kLenPrefix;
+    len.from_memory = true;
+    effects_.push_back(len);
+    WireEffect bytes = len;
+    bytes.kind = WireEffect::Kind::kBytes;
+    bytes.bound = 0;
+    bytes.len_src = SpecLenSource::kSlotLength;
+    if (!marshal_) {
+      bytes.dest = dest;
+      bytes.nul_terminated = dest == WireEffect::Dest::kStrPtr;
+    }
+    effects_.push_back(bytes);
+  }
+
+  // A loop over `elem`s (`loop` holds its place, count source and bound):
+  // the loop, one element's effects at offset 0 of the current element one
+  // level deeper, and the back-edge; both ends carry the stride and the
+  // number of body effects.
+  void LowerLoop(WireEffect loop, const Type* elem) {
+    loop.kind = WireEffect::Kind::kLoop;
+    loop.stride = static_cast<uint32_t>(elem->NativeSize());
+    const size_t head = effects_.size();
+    effects_.push_back(loop);
+    LowerMem(elem, loop.slot, 0, static_cast<uint8_t>(loop.depth + 1),
+             /*special=*/false);
+    effects_[head].count = static_cast<uint32_t>(effects_.size() - head - 1);
+    WireEffect back;
+    back.kind = WireEffect::Kind::kLoopEnd;
+    back.slot = loop.slot;
+    back.depth = loop.depth;
+    back.stride = loop.stride;
+    back.count = effects_[head].count;
+    effects_.push_back(back);
   }
 
   // A union as SelectArm reads it: the u32 discriminant at `offset`, then
@@ -294,21 +303,18 @@ class PlanLowering {
   // Lowered as a chain of guarded blocks, one per labeled arm in
   // declaration order, each ending in a jump past the rest; then the
   // default arm's effects, or kNoArm.
-  bool LowerUnion(const Type* u, int slot, uint32_t offset) {
-    WireEffect disc;
-    disc.kind = WireEffect::Kind::kScalar;
-    disc.width = 4;
-    disc.slot = slot;
-    disc.offset = offset;
-    disc.from_memory = true;
-    disc.dest =
-        marshal_ ? WireEffect::Dest::kNone : WireEffect::Dest::kSlotMem;
-    if (!Leaf(disc)) {
-      return false;
-    }
+  void LowerUnion(const Type* u, int slot, uint32_t offset, uint8_t depth) {
     WireEffect control;
     control.slot = slot;
     control.offset = offset;
+    control.depth = depth;
+    WireEffect disc = control;
+    disc.kind = WireEffect::Kind::kScalar;
+    disc.width = 4;
+    disc.from_memory = true;
+    disc.dest =
+        marshal_ ? WireEffect::Dest::kNone : WireEffect::Dest::kSlotMem;
+    effects_.push_back(disc);
     const uint32_t payload =
         offset + static_cast<uint32_t>(UnionPayloadOffset(u));
     const Type* fallback = nullptr;
@@ -322,69 +328,56 @@ class PlanLowering {
       WireEffect test = control;
       test.kind = WireEffect::Kind::kArm;
       test.label = arm.label;
+      effects_.push_back(test);
+      LowerMem(arm.type, slot, payload, depth, /*special=*/false);
       WireEffect jump = control;
       jump.kind = WireEffect::Kind::kArmEnd;
-      if (!Leaf(test) || !LowerMemValue(arm.type, slot, payload, false) ||
-          !Leaf(jump)) {
-        return false;
-      }
+      effects_.push_back(jump);
       effects_[guard].count =
           static_cast<uint32_t>(effects_.size() - guard - 1);
       jumps.push_back(effects_.size() - 1);
     }
     if (fallback != nullptr) {
-      if (!LowerMemValue(fallback, slot, payload, false)) {
-        return false;
-      }
+      LowerMem(fallback, slot, payload, depth, /*special=*/false);
     } else {
       WireEffect none = control;
       none.kind = WireEffect::Kind::kNoArm;
-      if (!Leaf(none)) {
-        return false;
-      }
+      effects_.push_back(none);
     }
     for (size_t at : jumps) {
       effects_[at].count = static_cast<uint32_t>(effects_.size() - at - 1);
     }
-    return true;
-  }
-
-  // One leaf of an unrolled value, counted against the emission budget
-  // the way the compiler counts its ops.
-  bool Leaf(const WireEffect& e) {
-    if (leaves_ >= kMaxSpecOps) {
-      return false;
-    }
-    ++leaves_;
-    effects_.push_back(e);
-    return true;
   }
 
   const OpPresentation& pres_;
   bool marshal_;
   std::vector<WireEffect> effects_;
-  size_t leaves_ = 0;  // leaves of the value being lowered so far
 };
+
+// "slot2+12", with "@1" for an operand at loop depth 1.
+std::string Place(const WireEffect& e) {
+  std::string out = StrFormat("slot%d+%u", e.slot, e.offset);
+  if (e.depth != 0) {
+    out += StrFormat("@%u", e.depth);
+  }
+  return out;
+}
 
 }  // namespace
 
 std::string WireEffect::ToString() const {
   switch (kind) {
     case Kind::kScalar:
-      return StrFormat("scalar(w%u %s slot%d%s dest=%s)", width,
-                       from_memory ? "mem" : "reg", slot,
-                       from_memory
-                           ? StrFormat("+%u", offset).c_str()
-                           : "",
+      return StrFormat("scalar(w%u %s %s dest=%s)", width,
+                       from_memory ? "mem" : "reg", Place(*this).c_str(),
                        DestName(dest));
     case Kind::kLenPrefix:
-      return StrFormat("len(slot%d%s src=%s len_slot%d bound=%u)", slot,
-                       from_memory ? StrFormat("+%u mem", offset).c_str()
-                                   : "",
+      return StrFormat("len(%s%s src=%s len_slot%d bound=%u)",
+                       Place(*this).c_str(), from_memory ? " mem" : "",
                        LenSourceName(len_src), len_slot, bound);
     case Kind::kBytes:
       return StrFormat(
-          "bytes(slot%d+%u %s%s%s dest=%s%s)", slot, offset,
+          "bytes(%s %s%s%s dest=%s%s)", Place(*this).c_str(),
           fixed ? StrFormat("fixed=%u", count).c_str() : "var",
           special ? " special" : "", may_borrow ? " borrow" : "",
           DestName(dest), nul_terminated ? " nul" : "");
@@ -393,17 +386,23 @@ std::string WireEffect::ToString() const {
                        DestName(dest));
     case Kind::kEnsure:
       return StrFormat("ensure(slot%d %u bytes)", slot, count);
-    case Kind::kOpaque:
-      return StrFormat("opaque(slot%d %s src=%s len_slot%d dest=%s)", slot,
-                       type != nullptr ? type->ToString().c_str() : "?",
-                       LenSourceName(len_src), len_slot, DestName(dest));
     case Kind::kArm:
-      return StrFormat("arm(slot%d+%u label=%u skip=%u)", slot, offset,
+      return StrFormat("arm(%s label=%u skip=%u)", Place(*this).c_str(),
                        label, count);
     case Kind::kArmEnd:
-      return StrFormat("arm_end(slot%d+%u skip=%u)", slot, offset, count);
+      return StrFormat("arm_end(%s skip=%u)", Place(*this).c_str(), count);
     case Kind::kNoArm:
-      return StrFormat("no_arm(slot%d+%u)", slot, offset);
+      return StrFormat("no_arm(%s)", Place(*this).c_str());
+    case Kind::kLoop:
+      return StrFormat("loop(%s src=%s len_slot%d bound=%u stride=%u "
+                       "body=%u)",
+                       Place(*this).c_str(), LenSourceName(len_src),
+                       len_slot, bound, stride, count);
+    case Kind::kLoopEnd:
+      return StrFormat("loop_end(%s stride=%u body=%u)",
+                       Place(*this).c_str(), stride, count);
+    case Kind::kUnbound:
+      return StrFormat("unbound(slot%d)", slot);
   }
   return "?";
 }
@@ -427,6 +426,7 @@ WireEffect LenEffect(const SpecOp& op) {
   WireEffect len;
   len.kind = WireEffect::Kind::kLenPrefix;
   len.slot = op.slot;
+  len.depth = op.depth;
   len.len_src = op.len_src;
   len.len_slot = op.len_slot;
   len.bound = op.bound;
@@ -438,15 +438,17 @@ WireEffect BytesEffect(const SpecOp& op) {
   WireEffect bytes;
   bytes.kind = WireEffect::Kind::kBytes;
   bytes.slot = op.slot;
+  bytes.depth = op.depth;
   bytes.special = op.special;
   return bytes;
 }
 
-// Appends one op's effects, expanded from its kind alone. A branch op's
-// `count` still counts ops here; SpecStreamEffects converts it.
+// Appends one op's effects, expanded from its kind alone. A branch op's or
+// a loop op's `count` still counts ops here; SpecStreamEffects converts it.
 void ExpandOp(const SpecOp& op, std::vector<WireEffect>* effects) {
   WireEffect e;
   e.slot = op.slot;
+  e.depth = op.depth;
   switch (op.kind) {
     case SpecOpKind::kPutScalarSlot:
     case SpecOpKind::kGetScalarSlot:
@@ -503,16 +505,26 @@ void ExpandOp(const SpecOp& op, std::vector<WireEffect>* effects) {
       return;
     }
     case SpecOpKind::kPutSeqBytesMem:
-    case SpecOpKind::kGetSeqBytesMem: {
+    case SpecOpKind::kGetSeqBytesMem:
+    case SpecOpKind::kPutStringMem:
+    case SpecOpKind::kGetStringMem: {
+      const bool string = op.kind == SpecOpKind::kPutStringMem ||
+                          op.kind == SpecOpKind::kGetStringMem;
       WireEffect len = LenEffect(op);
       len.offset = op.offset;
       len.from_memory = true;
+      if (op.kind == SpecOpKind::kPutStringMem) {
+        len.len_src = SpecLenSource::kStrLen;
+      }
       effects->push_back(len);
       WireEffect bytes = BytesEffect(op);
       bytes.offset = op.offset;
       bytes.from_memory = true;
-      if (op.kind == SpecOpKind::kGetSeqBytesMem) {
-        bytes.dest = WireEffect::Dest::kSeqRep;
+      if (op.kind == SpecOpKind::kGetSeqBytesMem ||
+          op.kind == SpecOpKind::kGetStringMem) {
+        bytes.dest =
+            string ? WireEffect::Dest::kStrPtr : WireEffect::Dest::kSeqRep;
+        bytes.nul_terminated = string;
       }
       effects->push_back(bytes);
       return;
@@ -531,16 +543,6 @@ void ExpandOp(const SpecOp& op, std::vector<WireEffect>* effects) {
       e.count = op.count;
       effects->push_back(e);
       return;
-    case SpecOpKind::kPutValue:
-    case SpecOpKind::kGetValue:
-      e.kind = WireEffect::Kind::kOpaque;
-      e.type = op.type;
-      e.len_src = op.len_src;
-      e.len_slot = op.len_slot;
-      e.dest = op.kind == SpecOpKind::kGetValue ? WireEffect::Dest::kValue
-                                                : WireEffect::Dest::kNone;
-      effects->push_back(e);
-      return;
     case SpecOpKind::kArm:
     case SpecOpKind::kArmEnd:
     case SpecOpKind::kNoArm:
@@ -550,6 +552,22 @@ void ExpandOp(const SpecOp& op, std::vector<WireEffect>* effects) {
       e.offset = op.offset;
       e.label = op.kind == SpecOpKind::kArm ? op.label : 0;
       e.count = op.kind == SpecOpKind::kNoArm ? 0 : op.count;
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kLoop:
+      e.kind = WireEffect::Kind::kLoop;
+      e.offset = op.offset;
+      e.len_src = op.len_src;
+      e.len_slot = op.len_slot;
+      e.bound = op.bound;
+      e.stride = op.stride;
+      e.count = op.count;
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kLoopEnd:
+      e.kind = WireEffect::Kind::kLoopEnd;
+      e.stride = op.stride;
+      e.count = op.count;
       effects->push_back(e);
       return;
   }
@@ -566,16 +584,26 @@ std::vector<WireEffect> SpecStreamEffects(const SpecProgram& prog) {
     ExpandOp(ops[i], &effects);
   }
   first[ops.size()] = effects.size();
-  // A branch skips ops; its effect skips the effects of those ops. A skip
-  // past the stream's end matches no plan.
+  // A branch or a loop spans ops, and its effect the effects of those ops:
+  // the ops after it (kArm, kArmEnd, kLoop), or before it (kLoopEnd). A
+  // span past either end of the stream matches no plan.
   for (size_t i = 0; i < ops.size(); ++i) {
     WireEffect& e = effects[first[i]];
-    if (e.kind == WireEffect::Kind::kArm ||
-        e.kind == WireEffect::Kind::kArmEnd) {
-      const size_t past = i + 1 + ops[i].count;
-      e.count = past <= ops.size()
-                    ? static_cast<uint32_t>(first[past] - first[i + 1])
-                    : UINT32_MAX;
+    const size_t n = ops[i].count;
+    switch (e.kind) {
+      case WireEffect::Kind::kArm:
+      case WireEffect::Kind::kArmEnd:
+      case WireEffect::Kind::kLoop:
+        e.count = i + 1 + n <= ops.size()
+                      ? static_cast<uint32_t>(first[i + 1 + n] - first[i + 1])
+                      : UINT32_MAX;
+        break;
+      case WireEffect::Kind::kLoopEnd:
+        e.count = n <= i ? static_cast<uint32_t>(first[i] - first[i - n])
+                         : UINT32_MAX;
+        break;
+      default:
+        break;
     }
   }
   return effects;
@@ -599,8 +627,8 @@ std::string_view DivergenceCode(const WireEffect& plan,
     return "FLEX202";
   }
   if (plan.slot != spec.slot || plan.offset != spec.offset ||
-      plan.width != spec.width || plan.from_memory != spec.from_memory ||
-      plan.type != spec.type) {
+      plan.depth != spec.depth || plan.width != spec.width ||
+      plan.from_memory != spec.from_memory || plan.stride != spec.stride) {
     return "FLEX203";
   }
   if (plan.len_src != spec.len_src || plan.len_slot != spec.len_slot ||

@@ -17,12 +17,14 @@
 // policy, so equal effect sequences imply equal wire bytes and equal
 // ArgVec/arena behavior for every input. Any divergence is a hard coded
 // diagnostic (FLEX201–FLEX207) that blocks emission; `idlc --check`
-// reports it. A value that MarshalValue/UnmarshalValue move whole (a
-// value op) is one kOpaque effect on both sides, matched on its slot,
-// type, length source and direction. A union unrolled in native memory is
-// its discriminant scalar, then one guarded block per labeled arm (kArm,
-// the arm's effects, kArmEnd), then the default arm or kNoArm; the guards'
-// labels and skip counts are compared like any operand (FLEX207).
+// reports it. Every wire byte is in some effect: a union unrolled in
+// memory is its discriminant scalar, then one guarded block per labeled
+// arm (kArm, the arm's effects, kArmEnd), then the default arm or kNoArm,
+// whose labels and skip counts are compared like any operand (FLEX207);
+// a sequence or array of non-byte elements is a loop (kLoop, one
+// element's effects, kLoopEnd), compared on its count source, bound,
+// stride and body length, with the body's effects addressed through the
+// loop's depth.
 
 #ifndef FLEXRPC_SRC_ANALYSIS_SPEC_VERIFIER_H_
 #define FLEXRPC_SRC_ANALYSIS_SPEC_VERIFIER_H_
@@ -47,13 +49,17 @@ struct WireEffect {
                  //   length prefix), with its copy/destination policy
     kDisc,       // union discriminant; stream ends unless it == `label`
     kEnsure,     // unmarshal storage guarantee: slot gets `count` bytes
-    kOpaque,     // one whole `type` value through MarshalValue/
-                 //   UnmarshalValue; the prover does not look inside
     kArm,        // the next `count` effects run only when the union
-                 //   discriminant at slot memory + `offset` is `label`
+                 //   discriminant in memory at `offset` is `label`
     kArmEnd,     // the next `count` effects (the other arms) are skipped
-    kNoArm,      // the discriminant at slot memory + `offset` matches no
-                 //   arm: the stream ends with an error
+    kNoArm,      // the discriminant in memory at `offset` matches no arm:
+                 //   the stream ends with an error
+    kLoop,       // the next `count` effects run once per element, elements
+                 //   `stride` bytes apart, counted by `len_src` under
+                 //   `bound` (a sequence's count travels as a u32)
+    kLoopEnd,    // the loop at `depth` goes on to its next element
+    kUnbound,    // a plan item bound to no slot: no compiled op expands
+                 //   to it, so no stream matches the plan
   };
   // Unmarshal destination policy for kScalar/kBytes (kNone on marshal).
   enum class Dest : uint8_t {
@@ -62,29 +68,33 @@ struct WireEffect {
     kSlotMem,     // slot memory at `offset`
     kBuffer,      // sequence buffer: borrow/caller/arena policy
     kString,      // string buffer: caller/arena policy + NUL terminator
-    kValue,       // caller storage or a zeroed arena block (kOpaque)
-    kSeqRep,      // a new arena copy, its SeqRep stored at slot memory +
-                  //   `offset` (a byte sequence inside a struct or union)
+    kSeqRep,      // a new arena copy, its SeqRep stored in memory at
+                  //   `offset` (a byte sequence inside a value)
+    kStrPtr,      // a new arena copy + NUL, its char* stored in memory at
+                  //   `offset` (a string inside a value)
   };
 
-  Kind kind = Kind::kOpaque;
+  Kind kind = Kind::kUnbound;
   uint8_t width = 0;      // kScalar: wire width in bytes
   int slot = -1;          // operand slot
   uint32_t offset = 0;    // native byte offset for memory operands
-  bool from_memory = false;  // operand in slot memory at `offset`, not in
-                             //   the slot itself
-  SpecLenSource len_src = SpecLenSource::kSlotLength;  // kLenPrefix source
+  uint8_t depth = 0;      // loops around the effect: memory operands are
+                          //   in the innermost one's current element
+  bool from_memory = false;  // operand in memory at `offset`, not in the
+                             //   slot itself
+  SpecLenSource len_src = SpecLenSource::kSlotLength;  // kLenPrefix/kLoop
   int len_slot = -1;      // [length_is] slot for kLenSlot
-  uint32_t bound = 0;     // declared bound (0 = unbounded)
+  uint32_t bound = 0;     // declared bound (0 = unbounded); an array's
+                          //   element count
   uint32_t count = 0;     // kBytes fixed runs / kEnsure size / effects an
-                          //   arm guard or arm end skips
+                          //   arm guard, arm end or loop body spans
+  uint32_t stride = 0;    // kLoop/kLoopEnd: bytes between elements
   bool fixed = false;     // kBytes: count is compile-time constant
   bool special = false;   // byte run may route through SpecialOps
   Dest dest = Dest::kNone;
-  bool nul_terminated = false;  // kBytes into kString storage
+  bool nul_terminated = false;  // kBytes into string storage
   bool may_borrow = false;      // kBytes may alias the message buffer
   uint32_t label = 0;           // kDisc success label / kArm label
-  const Type* type = nullptr;   // kOpaque: the resolved value type
 
   bool operator==(const WireEffect&) const = default;
 

@@ -3,23 +3,24 @@
 // Compiles every (operation × side presentation) of an interface file, each
 // side's default presentation included, into SpecPlans
 // (src/marshal/spec.h) and emits one C++ translation unit of fused
-// straight-line marshal/unmarshal superinstruction functions plus a
+// marshal/unmarshal superinstruction functions plus a
 // RegisterSpecializations() entry point that installs them in the flexspec
 // registry. Its header carries the IDL and client PDL texts the unit was
 // compiled from, so the stub that binds from them needs no copy of its own.
 //
 // The emitter prints operands only. Each function is one call per op to
 // the op's step (src/marshal/spec_ops.h), the same code the reference
-// executors run, with the op written as a literal; the compiler folds the
-// step to the op's straight-line code.
+// executors run, with the op written as a literal; an arm branch is a
+// forward `goto` and a loop a `for` around its body's step calls. The
+// compiler folds each step to the op's own code.
 //
 // Proof obligation: emission is gated on the flexcheck stage-3 verifier
 // (src/analysis/spec_verifier.h). Every stream of every plan is proven
 // wire-equivalent to its marshal plan before any code is generated; a
-// single FLEX2xx divergence blocks the whole unit. A stream that holds a
-// value op or runs past the op budget is not emitted: it surfaces as a
-// FLEX205 warning and the engine runs it on the reference executor —
-// never a correctness risk, only a missed speedup.
+// single FLEX2xx divergence blocks the whole unit. A stream past the op
+// budget (kMaxSpecOps) is not emitted: it surfaces as a FLEX205 warning
+// and the engine runs it on the reference executor — never a correctness
+// risk, only a missed speedup.
 
 #ifndef FLEXRPC_SRC_CODEGEN_SPEC_GEN_H_
 #define FLEXRPC_SRC_CODEGEN_SPEC_GEN_H_

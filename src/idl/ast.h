@@ -24,6 +24,24 @@ namespace flexrpc {
 // every other recursive walk of such a type stays as shallow.
 inline constexpr int kMaxSequenceNesting = 64;
 
+// Largest native size, in bytes, of a type an operation reaches: sema
+// refuses a larger one. An arena block this large is its own size class
+// and, with its header, still fits an arena at Arena::kDefaultCapacity
+// (64 MiB); every offset and element stride inside such a value fits a
+// u32. The unmarshal of a sequence refuses a count whose storage (count ×
+// element size) is larger.
+inline constexpr uint32_t kMaxNativeSize = 32u << 20;
+
+// Most nodes a tree walk of one type an operation reaches may visit: sema
+// refuses more. The walk visits every struct, union, discriminant, field,
+// arm, sequence, array and leaf on each path, and an array's or a
+// sequence's element once, whatever its count. So a type whose subtypes
+// are shared (a DAG) counts each path. The bound holds every walk after
+// sema to a few thousand steps per type: the wire signature, the SpecKey
+// hash, the presentation merge and the compiled marshal stream, which
+// unrolls each struct and union.
+inline constexpr uint32_t kMaxTypeNodes = 4096;
+
 enum class ParamDir { kIn, kOut, kInOut };
 
 std::string_view ParamDirName(ParamDir dir);

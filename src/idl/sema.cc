@@ -144,17 +144,27 @@ class Analyzer {
     }
   }
 
-  // Returns the nesting depth of `type` (its sequence, array, struct and
-  // union levels; 0 for any other type), or -1 once it is refused, with
-  // the error at `pos`, the use site. A struct or union that
-  // (transitively) contains itself by value has no finite wire size, and
-  // a type nested deeper than kMaxSequenceNesting would take every
-  // recursive walk of it as deep: both are refused. Each type is walked
-  // once (`depth_` keeps the verdicts), and the walk itself never goes
-  // deeper than the bound.
-  int CheckValueType(const Type* type, SourcePos pos) {
+  // What sema knows of a type it has walked: its nesting depth (its
+  // sequence, array, struct and union levels; 0 for any other type), its
+  // native size in bytes and its expanded node count, the last two held at
+  // one past their limits; or that it was refused.
+  struct Facts {
+    bool refused = false;
+    int depth = 0;
+    uint64_t size = 0;
+    uint64_t nodes = 1;
+  };
+
+  // Returns the facts of `type`, refusing it, with the error at `pos`, the
+  // use site, when it (transitively) contains a struct or union by value
+  // within itself, which has no finite wire size, or when it is past a
+  // limit every later walk relies on (ast.h): nesting deeper than
+  // kMaxSequenceNesting, a native size over kMaxNativeSize, or more than
+  // kMaxTypeNodes nodes. Each type is walked once (`facts_` keeps the
+  // verdicts), and the walk itself never goes deeper than the depth bound.
+  Facts CheckValueType(const Type* type, SourcePos pos) {
     const Type* t = type->Resolve();
-    if (auto known = depth_.find(t); known != depth_.end()) {
+    if (auto known = facts_.find(t); known != facts_.end()) {
       return known->second;
     }
     std::vector<const Type*> inner;
@@ -169,45 +179,107 @@ class Analyzer {
         }
         break;
       case TypeKind::kUnion:
+        inner.push_back(t->discriminant());
         for (const UnionArm& arm : t->arms()) {
           inner.push_back(arm.type);
         }
         break;
       default:
-        return 0;
+        return Facts{.size = t->NativeSize()};
     }
     if (std::find(path_.begin(), path_.end(), t) != path_.end()) {
       Error(pos, StrFormat("type '%s' recursively contains itself by value",
                            t->ToString().c_str()));
-      return -1;
+      return Facts{.refused = true};
     }
     // The walk stops at the bound: a type one level past it is refused.
-    int depth = kMaxSequenceNesting + 1;
+    Facts facts{.depth = kMaxSequenceNesting + 1};
     if (path_.size() < static_cast<size_t>(kMaxSequenceNesting)) {
       path_.push_back(t);
-      depth = 1;
-      for (size_t i = 0; i < inner.size() && depth > 0; ++i) {
-        const int d = CheckValueType(inner[i], pos);
-        depth = d < 0 ? -1 : std::max(depth, d + 1);
+      std::vector<Facts> parts;
+      for (size_t i = 0; i < inner.size() && !facts.refused; ++i) {
+        parts.push_back(CheckValueType(inner[i], pos));
+        facts.refused = parts.back().refused;
       }
       path_.pop_back();
+      if (!facts.refused) {
+        facts = Combine(t, parts);
+      }
     }
-    if (depth > kMaxSequenceNesting) {
+    if (!facts.refused) {
+      facts.refused = !WithinLimits(t, facts, pos);
+    }
+    facts_[t] = facts;
+    return facts;
+  }
+
+  // Reports the first limit `facts` of `t` is past, at `pos`; false then.
+  // The depth error names the outermost type on the walk's path.
+  bool WithinLimits(const Type* t, const Facts& facts, SourcePos pos) {
+    if (facts.depth > kMaxSequenceNesting) {
       const Type* outer = path_.empty() ? t : path_.front();
       Error(pos, StrFormat("type '%s' nests deeper than %d levels",
                            outer->ToString().c_str(), kMaxSequenceNesting));
-      depth = -1;
+    } else if (facts.size > kMaxNativeSize) {
+      Error(pos, StrFormat("type '%s' is larger than %u bytes in memory",
+                           t->ToString().c_str(), kMaxNativeSize));
+    } else if (facts.nodes > kMaxTypeNodes) {
+      Error(pos, StrFormat("type '%s' expands to more than %u nodes",
+                           t->ToString().c_str(), kMaxTypeNodes));
+    } else {
+      return true;
     }
-    depth_[t] = depth;
-    return depth;
+    return false;
+  }
+
+  // The facts of aggregate `t` from those of its parts (struct fields; a
+  // union's discriminant, then its arms; an element), laid out as
+  // Type::NativeSize lays them out. Each sum stops one past its limit, so
+  // none wraps.
+  static Facts Combine(const Type* t, const std::vector<Facts>& parts) {
+    constexpr uint64_t kSizeCap = uint64_t{kMaxNativeSize} + 1;
+    auto align_up = [](uint64_t v, uint64_t align) {
+      return (v + align - 1) & ~(align - 1);
+    };
+    Facts facts{.depth = 1};
+    for (const Facts& part : parts) {
+      facts.depth = std::max(facts.depth, part.depth + 1);
+      facts.nodes = std::min(facts.nodes + part.nodes,
+                             uint64_t{kMaxTypeNodes} + 1);
+    }
+    switch (t->kind()) {
+      case TypeKind::kSequence:
+        facts.size = t->NativeSize();  // its SeqRep, whatever the element
+        break;
+      case TypeKind::kArray:
+        facts.size = std::min(parts[0].size * t->bound(), kSizeCap);
+        break;
+      case TypeKind::kStruct:
+        for (size_t i = 0; i < parts.size(); ++i) {
+          facts.size = std::min(
+              align_up(facts.size, t->fields()[i].type->NativeAlign()) +
+                  parts[i].size,
+              kSizeCap);
+        }
+        facts.size = align_up(facts.size, t->NativeAlign());
+        break;
+      default:  // a union: its u32 discriminant, then its largest arm
+        for (size_t i = 1; i < parts.size(); ++i) {
+          facts.size = std::max(facts.size, parts[i].size);
+        }
+        facts.size = align_up(align_up(4, t->NativeAlign()) + facts.size,
+                              t->NativeAlign());
+        break;
+    }
+    return facts;
   }
 
   InterfaceFile* file_;
   DiagnosticSink* diags_;
   // The types on the walk's current path, outermost first.
   std::vector<const Type*> path_;
-  // Each type CheckValueType has walked: its depth, or -1 if refused.
-  std::unordered_map<const Type*, int> depth_;
+  // Each type CheckValueType has walked, with its facts.
+  std::unordered_map<const Type*, Facts> facts_;
 };
 
 }  // namespace

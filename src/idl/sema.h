@@ -6,10 +6,12 @@
 // operation names are unique per interface, parameter names are unique per
 // operation, and recursive value types are rejected (object references may
 // be recursive; by-value structs may not), as is any type an operation
-// reaches that nests deeper than kMaxSequenceNesting (ast.h). Each type is
-// checked once, however many declarations share it. (Duplicate names
-// inside one struct, enum or union are refused as the parsers declare them,
-// by TypeTable.)
+// reaches that nests deeper than kMaxSequenceNesting, is larger than
+// kMaxNativeSize in memory or expands to more than kMaxTypeNodes nodes
+// (ast.h). Each type is checked once, however many declarations share it,
+// and a type no operation reaches is not walked. (Duplicate names inside
+// one struct, enum or union are refused as the parsers declare them, by
+// TypeTable.)
 
 #ifndef FLEXRPC_SRC_IDL_SEMA_H_
 #define FLEXRPC_SRC_IDL_SEMA_H_

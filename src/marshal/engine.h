@@ -19,9 +19,11 @@
 // Build lowers the pair to a plan (its wire items in order, with their
 // slots), then compiles each of the plan's four streams into a SpecProgram:
 // a sequence of SpecOps over a closed opcode set whose operands are all
-// constants. Each opcode has one definition, its step in spec_ops.h; the
-// reference executor (spec.h) runs a program one step per op, and
-// `idlc --specialize` emits the same steps unrolled as generated code.
+// integer constants, with a loop op for each sequence and array of
+// non-byte elements. Each opcode has one definition, its step in
+// spec_ops.h; the reference executor (spec.h) runs a program one step per
+// op, and `idlc --specialize` emits the same steps as generated code, one
+// `for` per loop.
 
 #ifndef FLEXRPC_SRC_MARSHAL_ENGINE_H_
 #define FLEXRPC_SRC_MARSHAL_ENGINE_H_
@@ -102,65 +104,79 @@ struct SpecialOps {
 // The closed opcode set every marshal stream compiles to. Every operand is
 // fixed at compile time; the only per-call inputs are the ArgVec, the wire,
 // and the runtime [special]/borrow flags the engine entry points take.
+//
+// "Memory" below is the op's base plus `offset`: args[slot].ptr() for an
+// op outside any loop (`depth` 0), otherwise the current element of the
+// loop it is nested in (the loop at `depth` - 1).
 enum class SpecOpKind : uint8_t {
   kPutScalarSlot,   // wire scalar from args[slot].scalar
-  kPutScalarMem,    // wire scalar loaded from args[slot].ptr() + offset
-                    //   (a union's u32 discriminant among them)
-  kPutBytesFixed,   // `count` raw bytes from args[slot].ptr() + offset
+  kPutScalarMem,    // wire scalar loaded from memory (a union's u32
+                    //   discriminant among them)
+  kPutBytesFixed,   // `count` raw bytes from memory
   kPutSeqBytes,     // u32 length prefix + that many bytes from args[slot]
   kPutString,       // u32 length prefix + string bytes from args[slot]
-  kPutSeqBytesMem,  // the byte sequence whose SeqRep is at args[slot].ptr()
-                    //   + offset: u32 length under `bound` + the bytes
+  kPutSeqBytesMem,  // the byte sequence whose SeqRep is in memory: u32
+                    //   length under `bound` + the bytes
+  kPutStringMem,    // the string whose char* is in memory (null: length
+                    //   0): u32 length under `bound` + the bytes
   kPutUnionDisc,    // u32 from args[slot].scalar; end-of-stream unless
                     //   it equals `label` (void alternate arms)
-  kPutValue,        // the `type` value at args[slot].ptr() through
-                    //   MarshalValue; a sequence travels unpacked, its
-                    //   length from `len_src`
   kGetScalarSlot,   // wire scalar into args[slot].scalar
-  kGetScalarMem,    // wire scalar stored at args[slot].ptr() + offset
-  kGetBytesFixed,   // `count` raw bytes to args[slot].ptr() + offset
+  kGetScalarMem,    // wire scalar stored in memory
+  kGetBytesFixed,   // `count` raw bytes to memory
   kGetSeqBytes,     // u32 length + bytes into the slot (borrow, caller
                     //   buffer or arena block)
   kGetString,       // u32 length + bytes + NUL into the slot
   kGetSeqBytesMem,  // u32 length under `bound` + bytes, copied into a new
-                    //   arena block whose SeqRep goes to args[slot].ptr()
-                    //   + offset
+                    //   arena block whose SeqRep goes to memory
+  kGetStringMem,    // u32 length under `bound` + bytes, copied with a NUL
+                    //   into a new arena block whose char* goes to memory
   kGetUnionDisc,    // u32 into args[slot].scalar; end-of-stream unless
                     //   it equals `label`
-  kGetValue,        // a `type` value through UnmarshalValue into caller
-                    //   storage or a zeroed arena block; a sequence sets
-                    //   args[slot].length before any element is read
   kEnsureStorage,   // if args[slot].ptr() == null, point it at a zeroed
                     //   arena block of `count` bytes
-  kArm,             // branch: unless the u32 union discriminant at
-                    //   args[slot].ptr() + offset equals `label`, skip the
-                    //   next `count` ops (the arm's ops and its kArmEnd)
+  kArm,             // branch: unless the u32 union discriminant in memory
+                    //   equals `label`, skip the next `count` ops (the
+                    //   arm's ops and its kArmEnd)
   kArmEnd,          // branch: skip the next `count` ops (the union's
                     //   remaining arms)
-  kNoArm,           // end-of-stream with an error: the discriminant at
-                    //   args[slot].ptr() + offset matches no arm
+  kNoArm,           // end-of-stream with an error: the discriminant in
+                    //   memory matches no arm
+  kLoop,            // a loop over elements `stride` bytes apart, counted
+                    //   by `len_src` (a sequence's count travels as a u32
+                    //   under `bound`): runs the next `count` ops, its
+                    //   body, once per element (none: skips them and the
+                    //   kLoopEnd)
+  kLoopEnd,         // back-edge of the loop at `depth`: moves it `stride`
+                    //   bytes on, back `count` ops while an element is left
 };
 
-// Where a marshal-side variable length comes from.
+// Where a length or a loop's count comes from. A marshal op reads it there;
+// an unmarshal op of a sequence reads it from the wire and stores it there.
 enum class SpecLenSource : uint8_t {
   kSlotLength,  // args[slot].length
   kLenSlot,     // args[len_slot].scalar ([length_is] presentation)
   kStrLen,      // strlen(args[slot].ptr())
+  kSeqRep,      // the SeqRep in memory (a sequence inside a value)
+  kConstant,    // `bound` (an array)
 };
 
 struct SpecOp {
   SpecOpKind kind = SpecOpKind::kPutScalarSlot;
   uint8_t width = 4;     // wire scalar width for *Scalar* ops (1/2/4/8)
   int slot = -1;         // ArgVec slot the op reads or writes
-  uint32_t offset = 0;   // native byte offset for *Mem / *BytesFixed / arms
+  uint32_t offset = 0;   // native byte offset for memory operands
   uint32_t count = 0;    // byte count for *BytesFixed / kEnsureStorage;
-                         //   ops skipped for kArm / kArmEnd
-  uint32_t bound = 0;    // declared length bound (0 = unbounded)
+                         //   ops skipped for kArm / kArmEnd; body ops for
+                         //   kLoop / kLoopEnd
+  uint32_t bound = 0;    // declared length bound (0 = unbounded); an
+                         //   array's element count
   SpecLenSource len_src = SpecLenSource::kSlotLength;
   int len_slot = -1;     // [length_is] slot for kLenSlot
   uint32_t label = 0;    // union label for *UnionDisc / kArm
   bool special = false;  // may route through SpecialOps at runtime
-  const Type* type = nullptr;  // resolved value type for *Value ops
+  uint8_t depth = 0;     // loops the op is nested in
+  uint32_t stride = 0;   // kLoop / kLoopEnd: bytes between elements
 
   bool operator==(const SpecOp&) const = default;
 };

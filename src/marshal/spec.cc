@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "src/marshal/layout.h"
-#include "src/marshal/value.h"
 #include "src/support/strings.h"
 
 namespace flexrpc {
@@ -167,10 +166,10 @@ std::string_view SpecOpKindName(SpecOpKind kind) {
       return "kPutString";
     case SpecOpKind::kPutSeqBytesMem:
       return "kPutSeqBytesMem";
+    case SpecOpKind::kPutStringMem:
+      return "kPutStringMem";
     case SpecOpKind::kPutUnionDisc:
       return "kPutUnionDisc";
-    case SpecOpKind::kPutValue:
-      return "kPutValue";
     case SpecOpKind::kGetScalarSlot:
       return "kGetScalarSlot";
     case SpecOpKind::kGetScalarMem:
@@ -183,10 +182,10 @@ std::string_view SpecOpKindName(SpecOpKind kind) {
       return "kGetString";
     case SpecOpKind::kGetSeqBytesMem:
       return "kGetSeqBytesMem";
+    case SpecOpKind::kGetStringMem:
+      return "kGetStringMem";
     case SpecOpKind::kGetUnionDisc:
       return "kGetUnionDisc";
-    case SpecOpKind::kGetValue:
-      return "kGetValue";
     case SpecOpKind::kEnsureStorage:
       return "kEnsureStorage";
     case SpecOpKind::kArm:
@@ -195,6 +194,10 @@ std::string_view SpecOpKindName(SpecOpKind kind) {
       return "kArmEnd";
     case SpecOpKind::kNoArm:
       return "kNoArm";
+    case SpecOpKind::kLoop:
+      return "kLoop";
+    case SpecOpKind::kLoopEnd:
+      return "kLoopEnd";
   }
   return "?";
 }
@@ -207,6 +210,10 @@ std::string_view SpecLenSourceName(SpecLenSource src) {
       return "kLenSlot";
     case SpecLenSource::kStrLen:
       return "kStrLen";
+    case SpecLenSource::kSeqRep:
+      return "kSeqRep";
+    case SpecLenSource::kConstant:
+      return "kConstant";
   }
   return "?";
 }
@@ -214,12 +221,10 @@ std::string_view SpecLenSourceName(SpecLenSource src) {
 namespace {
 
 // Compiles one stream of a plan into SpecOps, one wire item at a time.
-// Every construct has an op: a struct, array or union unrolls to leaves at
-// constant offsets (a union's arms as branches) when they fit in
-// kMaxSpecOps, and a value no leaf op expresses (a non-byte sequence, a
-// string inside a struct, a value past the budget) is one value op. The
-// first construct that keeps the stream out of generated code becomes its
-// rejection.
+// Every construct has ops: a scalar, a byte run, a string or a byte
+// sequence is one op; a struct or union unrolls to its members' ops at
+// constant offsets, a union's arms as branches; a sequence or array of
+// other elements is a loop whose body moves one element.
 class StreamCompiler {
  public:
   StreamCompiler(const OpPresentation& pres, bool marshal)
@@ -229,21 +234,10 @@ class StreamCompiler {
     for (const PlanItemView& item : items) {
       AddItem(item);
     }
-    if (ops_.size() > kMaxSpecOps) {
-      Reject("superinstruction budget exceeded");
-    }
     return SpecProgram{std::move(ops_)};
   }
 
-  std::string TakeRejection() { return std::move(rejection_); }
-
  private:
-  void Reject(std::string why) {
-    if (rejection_.empty()) {
-      rejection_ = std::move(why);
-    }
-  }
-
   void Emit(const SpecOp& op) { ops_.push_back(op); }
 
   // BuildMarshalPlan binds every field and the discriminant of a
@@ -299,41 +293,30 @@ class StreamCompiler {
         Emit(op);
         return;
       case TypeKind::kSequence:
+        op.bound = t->bound();
+        if (marshal_) {
+          SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
+        }
         if (!IsByteElem(t->element())) {
-          AddValue(pres, t, slot, "sequence of non-byte elements");
+          AddLoop(op, t->element());
           return;
         }
         op.kind =
             marshal_ ? SpecOpKind::kPutSeqBytes : SpecOpKind::kGetSeqBytes;
-        op.bound = t->bound();
         op.special = special;
-        if (marshal_) {
-          SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
-        }
         Emit(op);
         return;
       case TypeKind::kArray:
       case TypeKind::kStruct:
-      case TypeKind::kUnion: {
-        const size_t mark = ops_.size();
+      case TypeKind::kUnion:
         if (!marshal_) {
           op.kind = SpecOpKind::kEnsureStorage;
           op.count = static_cast<uint32_t>(t->NativeSize());
           Emit(op);
         }
-        // [special] reaches only a top-level byte array's run: members
-        // go through MarshalValue/UnmarshalValue semantics, which never
-        // consult it.
-        leaf_mark_ = ops_.size();
-        std::string why;
-        if (AddMemValue(t, slot, 0, t->kind() == TypeKind::kArray && special,
-                        &why)) {
-          return;
-        }
-        ops_.resize(mark);
-        AddValue(pres, t, slot, std::move(why));
+        // [special] reaches only a top-level byte array's run.
+        AddMem(t, slot, 0, 0, t->kind() == TypeKind::kArray && special);
         return;
-      }
       default:
         op.kind = marshal_ ? SpecOpKind::kPutScalarSlot
                            : SpecOpKind::kGetScalarSlot;
@@ -343,102 +326,101 @@ class StreamCompiler {
     }
   }
 
-  // One whole value through MarshalValue/UnmarshalValue. A top-level
-  // sequence takes its marshaled length like a byte sequence does.
-  void AddValue(const ParamPresentation* pres, const Type* t, int slot,
-                std::string why) {
-    SpecOp op;
-    op.kind = marshal_ ? SpecOpKind::kPutValue : SpecOpKind::kGetValue;
-    op.slot = slot;
-    op.type = t;
-    if (marshal_ && t->kind() == TypeKind::kSequence) {
-      SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
-    }
-    Emit(op);
-    Reject(std::move(why));
-  }
-
-  // A value living in native memory at slot.ptr()+offset, unrolled to one
-  // leaf op per scalar, byte run or byte sequence at a constant offset,
-  // with a union's arms as branches. Fails, with the reason in `*why`, on
-  // a member no leaf op moves (a string, a non-byte sequence) or on a leaf
-  // past kMaxSpecOps. `special` applies only to the outermost byte run of
-  // a top-level array.
-  bool AddMemValue(const Type* type, int slot, uint32_t offset, bool special,
-                   std::string* why) {
+  // A value in the memory of slot `slot` at `depth` loops (spec_ops.h's
+  // Mem), at `offset`. `special` applies only to the byte run of a
+  // top-level array.
+  void AddMem(const Type* type, int slot, uint32_t offset, uint8_t depth,
+              bool special) {
     const Type* t = type->Resolve();
     SpecOp op;
     op.slot = slot;
     op.offset = offset;
+    op.depth = depth;
+    op.bound = t->bound();
     switch (t->kind()) {
       case TypeKind::kVoid:
-        return true;
-      case TypeKind::kArray: {
-        const Type* elem = t->element();
-        if (IsByteElem(elem)) {
+        return;
+      case TypeKind::kArray:
+        if (IsByteElem(t->element())) {
           op.kind = marshal_ ? SpecOpKind::kPutBytesFixed
                              : SpecOpKind::kGetBytesFixed;
           op.count = t->bound();
+          op.bound = 0;
           op.special = special;
-          return AddLeaf(op, why);
+          Emit(op);
+          return;
         }
-        size_t stride = elem->NativeSize();
-        for (uint32_t i = 0; i < t->bound(); ++i) {
-          if (!AddMemValue(elem, slot,
-                           offset + i * static_cast<uint32_t>(stride),
-                           /*special=*/false, why)) {
-            return false;
-          }
-        }
-        return true;
-      }
+        op.len_src = SpecLenSource::kConstant;
+        AddLoop(op, t->element());
+        return;
       case TypeKind::kStruct:
         for (size_t i = 0; i < t->fields().size(); ++i) {
-          if (!AddMemValue(
-                  t->fields()[i].type, slot,
-                  offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
-                  /*special=*/false, why)) {
-            return false;
-          }
+          AddMem(t->fields()[i].type, slot,
+                 offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
+                 depth, /*special=*/false);
         }
-        return true;
+        return;
       case TypeKind::kUnion:
-        return AddUnion(t, slot, offset, why);
+        AddUnion(t, slot, offset, depth);
+        return;
       case TypeKind::kSequence:
         if (IsByteElem(t->element())) {
           op.kind = marshal_ ? SpecOpKind::kPutSeqBytesMem
                              : SpecOpKind::kGetSeqBytesMem;
-          op.bound = t->bound();
-          return AddLeaf(op, why);
+          Emit(op);
+          return;
         }
-        *why = "nested sequence of non-byte elements";
-        return false;
+        op.len_src = SpecLenSource::kSeqRep;
+        AddLoop(op, t->element());
+        return;
       case TypeKind::kString:
-        *why = "nested string member";
-        return false;
+        op.kind =
+            marshal_ ? SpecOpKind::kPutStringMem : SpecOpKind::kGetStringMem;
+        Emit(op);
+        return;
       default:
         op.kind = marshal_ ? SpecOpKind::kPutScalarMem
                            : SpecOpKind::kGetScalarMem;
         op.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
-        return AddLeaf(op, why);
+        op.bound = 0;
+        Emit(op);
+        return;
     }
   }
 
-  // The union at slot.ptr()+offset: its u32 discriminant, then for each
-  // labeled arm a kArm, the arm's leaves at the payload offset and a
-  // kArmEnd past the remaining arms, then the default arm's leaves or, with
-  // no default arm, kNoArm. A matching label wins over the default arm, as
-  // in MarshalValue/UnmarshalValue.
-  bool AddUnion(const Type* u, int slot, uint32_t offset, std::string* why) {
+  // A loop over `elem`s: `loop` with its count source, then the body (one
+  // element at the next depth, at offset 0 of the loop's current element),
+  // then the back-edge. Both ends carry the stride and the body's length.
+  void AddLoop(SpecOp loop, const Type* elem) {
+    loop.kind = SpecOpKind::kLoop;
+    loop.stride = static_cast<uint32_t>(elem->NativeSize());
+    const size_t at = ops_.size();
+    Emit(loop);
+    AddMem(elem, loop.slot, 0, static_cast<uint8_t>(loop.depth + 1),
+           /*special=*/false);
+    ops_[at].count = static_cast<uint32_t>(ops_.size() - at - 1);
+    SpecOp back;
+    back.kind = SpecOpKind::kLoopEnd;
+    back.slot = loop.slot;
+    back.count = ops_[at].count;
+    back.depth = loop.depth;
+    back.stride = loop.stride;
+    Emit(back);
+  }
+
+  // The union in memory at `offset`: its u32 discriminant, then for each
+  // labeled arm a kArm, the arm's ops at the payload offset and a kArmEnd
+  // past the remaining arms, then the default arm's ops or, with no
+  // default arm, kNoArm. A matching label wins over the default arm.
+  void AddUnion(const Type* u, int slot, uint32_t offset, uint8_t depth) {
     SpecOp op;
     op.slot = slot;
     op.offset = offset;
+    op.depth = depth;
     op.kind =
         marshal_ ? SpecOpKind::kPutScalarMem : SpecOpKind::kGetScalarMem;
     op.width = 4;
-    if (!AddLeaf(op, why)) {
-      return false;
-    }
+    Emit(op);
     const uint32_t payload =
         offset + static_cast<uint32_t>(UnionPayloadOffset(u));
     std::vector<size_t> arm_ends;
@@ -452,51 +434,47 @@ class StreamCompiler {
       branch.kind = SpecOpKind::kArm;
       branch.label = arm.label;
       const size_t at = ops_.size();
-      if (!AddLeaf(branch, why) ||
-          !AddMemValue(arm.type, slot, payload, /*special=*/false, why)) {
-        return false;
-      }
+      Emit(branch);
+      AddMem(arm.type, slot, payload, depth, /*special=*/false);
       SpecOp skip = op;
       skip.kind = SpecOpKind::kArmEnd;
-      if (!AddLeaf(skip, why)) {
-        return false;
-      }
+      Emit(skip);
       ops_[at].count = static_cast<uint32_t>(ops_.size() - at - 1);
       arm_ends.push_back(ops_.size() - 1);
     }
     if (fallback != nullptr) {
-      if (!AddMemValue(fallback->type, slot, payload, /*special=*/false,
-                       why)) {
-        return false;
-      }
+      AddMem(fallback->type, slot, payload, depth, /*special=*/false);
     } else {
       SpecOp none = op;
       none.kind = SpecOpKind::kNoArm;
-      if (!AddLeaf(none, why)) {
-        return false;
-      }
+      Emit(none);
     }
     for (size_t end : arm_ends) {
       ops_[end].count = static_cast<uint32_t>(ops_.size() - end - 1);
     }
-    return true;
-  }
-
-  bool AddLeaf(const SpecOp& op, std::string* why) {
-    if (ops_.size() - leaf_mark_ >= kMaxSpecOps) {
-      *why = "superinstruction budget exceeded";
-      return false;
-    }
-    Emit(op);
-    return true;
   }
 
   const OpPresentation& pres_;
   bool marshal_;
   std::vector<SpecOp> ops_;
-  size_t leaf_mark_ = 0;  // first leaf op of the value being unrolled
-  std::string rejection_;
 };
+
+// The index of the op that runs after ops[i]: past what a branch skips,
+// past an empty loop's body and back-edge, or back to the first op of a
+// loop's body while the loop has an element left.
+size_t NextOp(const std::vector<SpecOp>& ops, size_t i, const ArgVec& args,
+              SpecLoop* loops) {
+  const SpecOp& op = ops[i];
+  switch (op.kind) {
+    case SpecOpKind::kLoop:
+      return loops[op.depth].left != 0 ? i + 1 : i + op.count + 2;
+    case SpecOpKind::kLoopEnd:
+      NextElement(op, loops);
+      return loops[op.depth].left != 0 ? i - op.count : i + 1;
+    default:
+      return i + 1 + SkippedOps(op, args, loops);
+  }
+}
 
 }  // namespace
 
@@ -507,10 +485,13 @@ SpecProgram CompileSpecStream(const MarshalPlanView& plan,
                        stream == SpecStream::kMarshalReply;
   const bool reply = stream == SpecStream::kMarshalReply ||
                      stream == SpecStream::kUnmarshalReply;
-  StreamCompiler compiler(pres, marshal);
-  SpecProgram prog = compiler.Compile(reply ? plan.reply : plan.request);
+  SpecProgram prog = StreamCompiler(pres, marshal)
+                         .Compile(reply ? plan.reply : plan.request);
   if (rejection != nullptr) {
-    *rejection = compiler.TakeRejection();
+    *rejection = prog.ops.size() > kMaxSpecOps
+                     ? StrFormat("%zu ops, past the op budget of %zu",
+                                 prog.ops.size(), kMaxSpecOps)
+                     : "";
   }
   return prog;
 }
@@ -528,75 +509,17 @@ SpecPlan CompileSpecPlan(const OperationDecl& op,
   return plan;
 }
 
-// ---- Value ops -------------------------------------------------------------
-
-Status PutValueOp(const SpecOp& op, const ArgVec& args, WireWriter* w) {
-  void* value = args[static_cast<size_t>(op.slot)].ptr();
-  if (op.type->kind() != TypeKind::kSequence) {
-    return MarshalValue(w, op.type, value);
-  }
-  // A top-level sequence travels unpacked: its elements at the slot's
-  // pointer, its length from `len_src`.
-  const uint32_t len = spec_internal::MarshalLength(op, args);
-  SeqRep rep{len, len, value};
-  return MarshalValue(w, op.type, &rep);
-}
-
-Status GetValueOp(const SpecOp& op, WireReader* r, Arena* arena,
-                  ArgVec* args) {
-  ArgValue* slot = &(*args)[static_cast<size_t>(op.slot)];
-  const Type* t = op.type;
-  // A slot that already carries a pointer is caller storage ([alloc(user)]
-  // receive buffers arrive this way).
-  const bool caller_buffer = slot->ptr() != nullptr;
-  if (t->kind() != TypeKind::kSequence) {
-    if (!caller_buffer) {
-      slot->set_ptr(AllocateZeroedBlock(arena, t->NativeSize()));
-    }
-    return UnmarshalValue(r, t, slot->ptr(), arena);
-  }
-  FLEXRPC_ASSIGN_OR_RETURN(uint32_t len, r->GetU32());
-  if (t->bound() != 0 && len > t->bound()) {
-    return DataLossError(StrFormat(
-        "wire sequence length %u exceeds bound %u", len, t->bound()));
-  }
-  if (len > r->remaining()) {
-    // Every non-byte element takes at least one wire byte: a larger count
-    // is malformed, and must not size an allocation.
-    return DataLossError(
-        StrFormat("wire sequence length %u exceeds the %zu bytes left", len,
-                  r->remaining()));
-  }
-  const Type* elem = t->element();
-  const size_t stride = elem->NativeSize();
-  if (caller_buffer) {
-    if (slot->capacity < len) {
-      return ResourceExhaustedError("caller buffer too small for sequence");
-    }
-  } else {
-    slot->set_ptr(AllocateZeroedBlock(arena, len > 0 ? len * stride : 1));
-  }
-  // The length covers every element before any is read, so a release
-  // after a failed element frees the ones already read.
-  slot->length = len;
-  auto* base = static_cast<uint8_t*>(slot->ptr());
-  for (uint32_t i = 0; i < len; ++i) {
-    FLEXRPC_RETURN_IF_ERROR(
-        UnmarshalValue(r, elem, base + i * stride, arena));
-  }
-  return Status::Ok();
-}
-
 // ---- Reference executor ----------------------------------------------------
 
-// A branch op's step does nothing; the loop then moves past the ops it
-// skips.
+// Loops nest at most kMaxSequenceNesting deep (SpecLoop), so that many
+// base registers serve any stream.
 Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
                       WireWriter* w, const SpecialOps* special) {
   Status end;
+  SpecLoop loops[kMaxSequenceNesting];
   const std::vector<SpecOp>& ops = prog.ops;
-  for (size_t i = 0; i < ops.size(); i += 1 + SkippedOps(ops[i], args)) {
-    if (!MarshalStep(ops[i], args, w, special, &end)) {
+  for (size_t i = 0; i < ops.size(); i = NextOp(ops, i, args, loops)) {
+    if (!MarshalStep(ops[i], args, w, special, &end, loops)) {
       break;
     }
   }
@@ -607,10 +530,11 @@ Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,
                         ArgVec* args, const SpecialOps* special,
                         bool borrow_bytes) {
   Status end;
+  SpecLoop loops[kMaxSequenceNesting];
   const std::vector<SpecOp>& ops = prog.ops;
-  for (size_t i = 0; i < ops.size(); i += 1 + SkippedOps(ops[i], *args)) {
-    if (!UnmarshalStep(ops[i], r, arena, args, special, borrow_bytes,
-                       &end)) {
+  for (size_t i = 0; i < ops.size(); i = NextOp(ops, i, *args, loops)) {
+    if (!UnmarshalStep(ops[i], r, arena, args, special, borrow_bytes, &end,
+                       loops)) {
       break;
     }
   }

@@ -5,11 +5,13 @@
 // decision at bind time: type kind, presentation attributes, length
 // discipline. CompileSpecPlan turns the pair's four streams into
 // SpecPrograms, short programs over a closed opcode set (engine.h) whose
-// every operand (slot, offset, width, bound, length source, value type) is
-// a constant; MarshalProgram::Build runs the same compiler once per
-// program. The reference executor runs a program one step (spec_ops.h) per
-// op, and `idlc --specialize` emits the streams it can unroll as fused C++
-// functions that register themselves here. The engine looks its key up at
+// every operand (slot, offset, width, bound, length source, stride, loop
+// depth) is an integer constant; MarshalProgram::Build runs the same
+// compiler once per program. Every type sema accepts compiles: structs and
+// unions unroll, and each sequence or array of non-byte elements is a
+// loop. The reference executor runs a program one step (spec_ops.h) per
+// op, and `idlc --specialize` emits each stream within the op budget as a
+// fused C++ function that registers itself here. The engine looks its key up at
 // bind time and dispatches per call: a registered function runs when
 // specialization is on, the reference executor otherwise (gated
 // `marshal.spec.hit/miss` counters, one per stream either way).
@@ -59,8 +61,9 @@ struct SpecKey {
 
 SpecKey ComputeSpecKey(const OperationDecl& op, const OpPresentation& pres);
 
-// Wire width in bytes (1, 2, 4, 8) of a scalar kind, exactly as
-// MarshalValue/UnmarshalValue move it; 0 for non-scalar kinds.
+// Wire width in bytes (1, 2, 4, 8) of a scalar kind, as the *Scalar* ops
+// hand it to the format (XDR widens the narrow ones to four bytes); 0 for
+// non-scalar kinds.
 unsigned WireScalarWidth(TypeKind kind);
 
 std::string_view SpecStreamName(SpecStream stream);
@@ -70,15 +73,13 @@ std::string_view SpecStreamName(SpecStream stream);
 std::string_view SpecOpKindName(SpecOpKind kind);
 std::string_view SpecLenSourceName(SpecLenSource src);
 
-// Emission budget: `idlc --specialize` emits no stream longer than this,
-// and a struct or array unrolls to its fixed-size leaves only when they
-// fit in it (otherwise it is one value op).
+// Emission budget: `idlc --specialize` emits no stream longer than this.
 inline constexpr size_t kMaxSpecOps = 192;
 
 // Compiles `stream` of `plan`, the plan BuildMarshalPlan made under
-// `pres`. Total: every stream compiles. A stream that holds a value op or
-// runs past kMaxSpecOps is not emitted as generated code; `*rejection`
-// (when given) receives the first reason why, and stays empty otherwise.
+// `pres`. Total: every stream compiles. A stream past kMaxSpecOps is not
+// emitted as generated code; `*rejection` (when given) then says so, and
+// stays empty otherwise.
 SpecProgram CompileSpecStream(const MarshalPlanView& plan,
                               const OpPresentation& pres, SpecStream stream,
                               std::string* rejection);
@@ -107,7 +108,8 @@ struct SpecPlan {
 SpecPlan CompileSpecPlan(const OperationDecl& op, const OpPresentation& pres);
 
 // The reference executor: runs a SpecProgram one step (spec_ops.h) per op,
-// as the emitted C++ does with the ops unrolled.
+// as the emitted C++ does with the ops written out, taking each branch by
+// SkippedOps and each loop's back-edge by NextElement.
 Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
                       WireWriter* w, const SpecialOps* special);
 Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,

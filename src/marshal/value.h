@@ -1,39 +1,27 @@
-// Recursive marshaling of native-layout values to and from a wire format.
+// Walks over native-layout values: release, equality and deep copy.
 //
-// These routines implement the *default* (attribute-free) encoding used for
-// nested data. Top-level parameters go through the presentation-aware
-// MarshalProgram (src/marshal/engine.h), which applies [special] routines,
-// explicit lengths, and allocation policies itself, and hands a value it
-// moves whole (its value ops, spec_ops.h) to these.
+// The marshal engine (src/marshal/engine.h) moves values to and from the
+// wire through compiled op streams; these walk a value already in memory.
+// FreeValue releases what an unmarshal stream allocated inside a value,
+// ValueEquals compares two values (tests, same-domain copy checks), and
+// CopyValue deep-copies one (the same-domain engine).
 
 #ifndef FLEXRPC_SRC_MARSHAL_VALUE_H_
 #define FLEXRPC_SRC_MARSHAL_VALUE_H_
 
 #include "src/idl/types.h"
-#include "src/marshal/format.h"
 #include "src/support/arena.h"
 #include "src/support/status.h"
 
 namespace flexrpc {
 
-// Marshals the native-layout value at `src`.
-Status MarshalValue(WireWriter* w, const Type* type, const void* src);
-
-// Unmarshals into the native-layout storage at `dst` (NativeSize(type)
-// bytes, caller-provided). Variable-size payloads (string bytes, sequence
-// buffers) are allocated from `arena` with AllocateBlock.
-Status UnmarshalValue(WireReader* r, const Type* type, void* dst,
-                      Arena* arena);
-
-// Frees the nested blocks UnmarshalValue allocated inside `native` (but not
-// `native` itself, which the caller owns). Returns at once for a type that
-// holds no pointer (Type::HoldsPointers), whatever its size.
+// Frees the nested blocks an unmarshal stream allocated inside `native`
+// (but not `native` itself, which the caller owns). Returns at once for a
+// type that holds no pointer (Type::HoldsPointers), whatever its size.
+// An unmarshal stream starts every block it fills zeroed, so FreeValue on
+// a value whose unmarshal failed part-way frees what was read and finds
+// null pointers where nothing was.
 void FreeValue(Arena* arena, const Type* type, void* native);
-
-// AllocateBlock, zero-filled. Storage that UnmarshalValue fills starts out
-// this way, so FreeValue on a value whose unmarshal failed part-way frees
-// what was read and finds null pointers where nothing was.
-void* AllocateZeroedBlock(Arena* arena, size_t size);
 
 // Deep structural equality of two native-layout values (test support and
 // same-domain copy elision verification).

@@ -67,8 +67,8 @@ const std::vector<FlexCodeInfo>& FlexCodeCatalog() {
       {"FLEX204", DiagSeverity::kError,
        "specialized wire effect violates the length/bound discipline"},
       {"FLEX205", DiagSeverity::kWarning,
-       "stream not emitted: value op or past the op budget (reference "
-       "executor runs it)"},
+       "stream not emitted: past the op budget (reference executor runs "
+       "it)"},
       {"FLEX206", DiagSeverity::kError,
        "specialized wire effect has the wrong destination/alloc policy"},
       {"FLEX207", DiagSeverity::kError,

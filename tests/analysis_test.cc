@@ -23,6 +23,7 @@
 #include "src/idl/sunrpc_parser.h"
 #include "src/pdl/apply.h"
 #include "src/pdl/lint.h"
+#include "src/support/strings.h"
 
 namespace flexrpc {
 namespace {
@@ -786,11 +787,17 @@ TEST_F(SpecVerifierTest, Flex207UnionDiscriminantDiverges) {
 }
 
 TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
-  // sequence<long> moves element by element through MarshalValue: the
-  // stream compiles to a value op, which the reference executor runs and
-  // `idlc --specialize` does not emit; FLEX205 says why.
-  constexpr char kIdl[] = "interface V { void push(in sequence<long> v); };";
-  auto idl = MustParseCorba(kIdl);
+  // A struct of kMaxSpecOps + 8 longs unrolls to one op per field, past
+  // the op budget: the stream compiles, the reference executor runs it,
+  // and `idlc --specialize` does not emit it; FLEX205 says why.
+  std::string fields;
+  for (size_t i = 0; i < kMaxSpecOps + 8; ++i) {
+    fields += StrFormat(" long f%zu;", i);
+  }
+  const std::string idl_text =
+      "struct Wide {" + fields + " };\n"
+      "interface V { void push(in Wide v); };";
+  auto idl = MustParseCorba(idl_text);
   PresentationSet client = MustApply(*idl, Side::kClient);
   PresentationSet server = MustApply(*idl, Side::kServer);
   const OperationDecl& op = idl->interfaces[0].ops[0];
@@ -799,9 +806,9 @@ TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
   SpecPlan plan = CompileSpecPlan(op, *pres);
   const auto request = static_cast<size_t>(SpecStream::kMarshalRequest);
 
-  // Compiled: one value op, proven against the plan like any stream.
-  ASSERT_EQ(plan.streams[request].ops.size(), 1u);
-  EXPECT_EQ(plan.streams[request].ops[0].kind, SpecOpKind::kPutValue);
+  // Compiled: one op per field, proven against the plan like any stream.
+  ASSERT_EQ(plan.streams[request].ops.size(), kMaxSpecOps + 8);
+  EXPECT_EQ(plan.streams[request].ops[0].kind, SpecOpKind::kPutScalarMem);
   DiagnosticSink diags;
   EXPECT_EQ(VerifySpecPlan(op, *pres, plan, "t.idl", &diags), 0)
       << diags.ToString();
@@ -811,8 +818,8 @@ TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
   DiagnosticSink gen_diags;
   SpecGenStats stats;
   auto generated = GenerateSpecializations(*idl, client, server,
-                                           SpecGenOptions{}, "t.idl", kIdl,
-                                           "", &gen_diags, &stats);
+                                           SpecGenOptions{}, "t.idl",
+                                           idl_text, "", &gen_diags, &stats);
   ASSERT_TRUE(generated.ok()) << generated.status().ToString();
   EXPECT_EQ(generated->source.find("Spec0MarshalRequest"),
             std::string::npos);
@@ -823,7 +830,7 @@ TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
   EXPECT_GE(ReportUnspecializedStreams(plan, "t.idl", &diags), 1);
   EXPECT_GE(diags.CountCode("FLEX205"), 1) << diags.ToString();
   EXPECT_NE(diags.ToString().find(
-                "push marshal_request: sequence of non-byte elements"),
+                "push marshal_request: 200 ops, past the op budget of 192"),
             std::string::npos)
       << diags.ToString();
 }

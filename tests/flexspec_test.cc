@@ -1,9 +1,11 @@
 // flexspec tests: stream compilation (total over every seed signature
 // family), the reference executor against wire references and the
-// hand-coded NFS stubs, union arms and nested byte sequences against the
-// value path, engine dispatch + hit/miss counters, the registry, and the
-// --specialize emitter (including blocked emission on a corrupted stream,
-// and the sources it embeds).
+// hand-coded NFS stubs, union arms, nested byte sequences, loops and
+// strings at an offset against what the value walk they replaced gave
+// (captured as literals), on the reference executor and on generated
+// code, engine dispatch + hit/miss counters, the registry, and the
+// --specialize emitter (including blocked emission on a corrupted stream
+// or loop, and the sources it embeds).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "loop_shapes.flexspec.h"
 #include "src/analysis/spec_verifier.h"
 #include "src/apps/nfs.h"
 #include "src/codegen/spec_gen.h"
@@ -358,12 +361,14 @@ TEST(SpecExecutorTest, BoundedSequenceRejectsOverrunExactly) {
   EXPECT_EQ(wire.span().size(), 0u);
 }
 
-// --- value ops: what MarshalValue/UnmarshalValue move whole ------------------
+// --- loops: what the value walk moved whole ----------------------------------
 //
-// These run the engine's entry points with nothing registered for their
-// keys, so every stream is the reference executor over the bind-time
-// program, releases included. A direct union slot and a struct holding a
-// string run the same way in EngineTest and RpcRuntimeTest.
+// These run the engine's entry points, releases included. Each literal is
+// what the recursive value walk, which moved these shapes whole before
+// they compiled to loops, gave for the same input. `push` and `set` run on the reference executor
+// and, with specialization on, on the loop-shapes unit's generated code
+// (tests/data/loop_shapes.idl declares both); `cap` and `fetch` have no
+// generated code.
 
 constexpr char kLongSeqIdl[] = R"(
   interface V {
@@ -373,151 +378,172 @@ constexpr char kLongSeqIdl[] = R"(
   };
 )";
 
-TEST(SpecExecutorTest, ValueOpSequenceOfLongs) {
-  Compiled c = Compile(kLongSeqIdl, false, "V_fetch(long *[alloc(user)] v);",
-                       "");
-  const InterfaceDecl& itf = c.idl->interfaces[0];
-  MarshalProgram client =
-      MarshalProgram::Build(itf.ops[0], *c.client.Find("V")->FindOp("push"));
-  MarshalProgram server =
-      MarshalProgram::Build(itf.ops[0], *c.server.Find("V")->FindOp("push"));
-  ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 1u);
-  EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].kind,
-            SpecOpKind::kPutValue);
-
-  int32_t v[3] = {1, -2, 0x7FFFFFFF};
-  ArgVec args(client.slot_count());
-  args[0].set_ptr(v);
-  args[0].length = 3;
-  XdrWriter three;
-  ASSERT_TRUE(client.MarshalRequest(args, &three).ok());
-  ExpectWire(three, "00000003 00000001 fffffffe 7fffffff", "sequence<long>");
-
-  Arena arena("seq");
-  Status st;
-  {
-    ArgVec out(server.slot_count());
-    XdrReader r(three.span());
-    ASSERT_TRUE(server.UnmarshalRequest(&r, &arena, &out).ok());
-    ASSERT_EQ(out[0].length, 3u);
-    EXPECT_EQ(std::memcmp(out[0].ptr(), v, sizeof(v)), 0);
-    EXPECT_EQ(arena.live_blocks(), 1u);
-    server.ReleaseRequest(&arena, &out);
-    EXPECT_EQ(arena.live_blocks(), 0u);
-  }
-
-  // The declared bound, on both sides.
-  MarshalProgram cap_client =
-      MarshalProgram::Build(itf.ops[1], *c.client.Find("V")->FindOp("cap"));
-  MarshalProgram cap_server =
-      MarshalProgram::Build(itf.ops[1], *c.server.Find("V")->FindOp("cap"));
-  XdrWriter unused;
-  st = cap_client.MarshalRequest(args, &unused);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(st.message(), "sequence length 3 exceeds bound 2");
-  EXPECT_EQ(unused.span().size(), 0u);
-  {
-    ArgVec out(cap_server.slot_count());
-    XdrReader r(three.span());
-    st = cap_server.UnmarshalRequest(&r, &arena, &out);
-    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-    EXPECT_EQ(st.message(), "wire sequence length 3 exceeds bound 2");
-  }
-
-  // A count the bytes left cannot hold sizes no allocation.
-  {
-    XdrWriter big;
-    big.PutU32(1000);
-    big.PutU32(1);
-    big.PutU32(2);
-    ArgVec out(server.slot_count());
-    XdrReader r(big.span());
-    st = server.UnmarshalRequest(&r, &arena, &out);
-    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-    EXPECT_EQ(st.message(),
-              "wire sequence length 1000 exceeds the 8 bytes left");
-    EXPECT_EQ(out[0].ptr(), nullptr);
-    EXPECT_EQ(arena.live_blocks(), 0u);
-  }
-
-  // A truncated element: the length is set before any element is read,
-  // so the release frees the zeroed block.
-  {
-    XdrWriter cut;
-    cut.PutU32(3);
-    cut.PutU32(5);
-    cut.PutU32(6);
-    ArgVec out(server.slot_count());
-    XdrReader r(cut.span());
-    st = server.UnmarshalRequest(&r, &arena, &out);
-    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-    EXPECT_EQ(st.message(), "XDR stream truncated reading u32");
-    EXPECT_EQ(out[0].length, 3u);
-    EXPECT_EQ(arena.live_blocks(), 1u);
-    server.ReleaseRequest(&arena, &out);
-    EXPECT_EQ(arena.live_blocks(), 0u);
-  }
-
-  // [alloc(user)]: the caller's capacity, in elements, bounds the count.
-  MarshalProgram fetch =
-      MarshalProgram::Build(itf.ops[2], *c.client.Find("V")->FindOp("fetch"));
-  for (uint32_t capacity : {2u, 4u}) {
-    int32_t mine[4] = {};
-    ArgVec out(fetch.slot_count());
-    out[0].set_ptr(mine);
-    out[0].capacity = capacity;
-    XdrReader r(three.span());
-    st = fetch.UnmarshalReply(&r, &arena, &out);
-    if (capacity == 2) {
-      EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-      EXPECT_EQ(st.message(), "caller buffer too small for sequence");
-    } else {
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_EQ(out[0].length, 3u);
-      EXPECT_EQ(std::memcmp(mine, v, sizeof(v)), 0);
-      EXPECT_EQ(mine[3], 0);
-    }
-    EXPECT_EQ(arena.live_blocks(), 0u);
+// Runs `body` once on the reference executor and once with
+// specialization on (generated code wherever a unit registered the key).
+template <typename Fn>
+void OnBothExecutors(Fn body) {
+  flexspec_loops::RegisterSpecializations();
+  SpecSwitchGuard guard;
+  for (bool generated : {false, true}) {
+    SCOPED_TRACE(generated ? "generated" : "reference executor");
+    SetMarshalSpecializationEnabled(generated);
+    body();
   }
 }
 
-TEST(SpecExecutorTest, ValueOpArrayPastTheOpBudget) {
-  // 100 two-long structs are 200 leaves, past kMaxSpecOps: one value op.
-  Compiled c = Compile(R"(
-    struct P { long x; long y; };
-    typedef P Pts[100];
-    interface Poly { void set(in Pts pts); };
-  )",
-                       false, "", "");
-  const OperationDecl& op = c.idl->interfaces[0].ops[0];
-  MarshalProgram client =
-      MarshalProgram::Build(op, *c.client.Find("Poly")->FindOp("set"));
-  MarshalProgram server =
-      MarshalProgram::Build(op, *c.server.Find("Poly")->FindOp("set"));
-  ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 1u);
-  EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].kind,
-            SpecOpKind::kPutValue);
+TEST(SpecExecutorTest, LoopSequenceOfLongs) {
+  OnBothExecutors([] {
+    Compiled c = Compile(kLongSeqIdl, false, "V_fetch(long *[alloc(user)] v);",
+                         "");
+    const InterfaceDecl& itf = c.idl->interfaces[0];
+    MarshalProgram client =
+        MarshalProgram::Build(itf.ops[0], *c.client.Find("V")->FindOp("push"));
+    MarshalProgram server =
+        MarshalProgram::Build(itf.ops[0], *c.server.Find("V")->FindOp("push"));
+    // A loop over one scalar per element.
+    ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 3u);
+    EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].kind,
+              SpecOpKind::kLoop);
 
-  int32_t pts[200];
-  XdrWriter want;
-  for (int i = 0; i < 100; ++i) {
-    pts[2 * i] = i;
-    pts[2 * i + 1] = -i;
-    want.PutU32(static_cast<uint32_t>(i));
-    want.PutU32(static_cast<uint32_t>(-i));
-  }
-  ArgVec args(client.slot_count());
-  args[0].set_ptr(pts);
-  XdrWriter wire;
-  ASSERT_TRUE(client.MarshalRequest(args, &wire).ok());
-  ExpectSameBytes(wire, want, "Pts");
+    int32_t v[3] = {1, -2, 0x7FFFFFFF};
+    ArgVec args(client.slot_count());
+    args[0].set_ptr(v);
+    args[0].length = 3;
+    XdrWriter three;
+    ASSERT_TRUE(client.MarshalRequest(args, &three).ok());
+    ExpectWire(three, "00000003 00000001 fffffffe 7fffffff", "sequence<long>");
 
-  Arena arena("array");
-  ArgVec out(server.slot_count());
-  XdrReader r(wire.span());
-  ASSERT_TRUE(server.UnmarshalRequest(&r, &arena, &out).ok());
-  EXPECT_EQ(std::memcmp(out[0].ptr(), pts, sizeof(pts)), 0);
-  EXPECT_EQ(arena.live_blocks(), 1u);
+    Arena arena("seq");
+    Status st;
+    {
+      ArgVec out(server.slot_count());
+      XdrReader r(three.span());
+      ASSERT_TRUE(server.UnmarshalRequest(&r, &arena, &out).ok());
+      ASSERT_EQ(out[0].length, 3u);
+      EXPECT_EQ(std::memcmp(out[0].ptr(), v, sizeof(v)), 0);
+      EXPECT_EQ(arena.live_blocks(), 1u);
+      server.ReleaseRequest(&arena, &out);
+      EXPECT_EQ(arena.live_blocks(), 0u);
+    }
+
+    // The declared bound, on both sides.
+    MarshalProgram cap_client =
+        MarshalProgram::Build(itf.ops[1], *c.client.Find("V")->FindOp("cap"));
+    MarshalProgram cap_server =
+        MarshalProgram::Build(itf.ops[1], *c.server.Find("V")->FindOp("cap"));
+    XdrWriter unused;
+    st = cap_client.MarshalRequest(args, &unused);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(st.message(), "sequence length 3 exceeds bound 2");
+    EXPECT_EQ(unused.span().size(), 0u);
+    {
+      ArgVec out(cap_server.slot_count());
+      XdrReader r(three.span());
+      st = cap_server.UnmarshalRequest(&r, &arena, &out);
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+      EXPECT_EQ(st.message(), "wire sequence length 3 exceeds bound 2");
+    }
+
+    // A count the bytes left cannot hold sizes no allocation.
+    {
+      XdrWriter big;
+      big.PutU32(1000);
+      big.PutU32(1);
+      big.PutU32(2);
+      ArgVec out(server.slot_count());
+      XdrReader r(big.span());
+      st = server.UnmarshalRequest(&r, &arena, &out);
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+      EXPECT_EQ(st.message(),
+                "wire sequence length 1000 exceeds the 8 bytes left");
+      EXPECT_EQ(out[0].ptr(), nullptr);
+      EXPECT_EQ(arena.live_blocks(), 0u);
+    }
+
+    // A truncated element: the length is set before any element is read,
+    // so the release frees the zeroed block.
+    {
+      XdrWriter cut;
+      cut.PutU32(3);
+      cut.PutU32(5);
+      cut.PutU32(6);
+      ArgVec out(server.slot_count());
+      XdrReader r(cut.span());
+      st = server.UnmarshalRequest(&r, &arena, &out);
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+      EXPECT_EQ(st.message(), "XDR stream truncated reading u32");
+      EXPECT_EQ(out[0].length, 3u);
+      EXPECT_EQ(arena.live_blocks(), 1u);
+      server.ReleaseRequest(&arena, &out);
+      EXPECT_EQ(arena.live_blocks(), 0u);
+    }
+
+    // [alloc(user)]: the caller's capacity, in elements, bounds the count.
+    MarshalProgram fetch =
+        MarshalProgram::Build(itf.ops[2], *c.client.Find("V")->FindOp("fetch"));
+    for (uint32_t capacity : {2u, 4u}) {
+      int32_t mine[4] = {};
+      ArgVec out(fetch.slot_count());
+      out[0].set_ptr(mine);
+      out[0].capacity = capacity;
+      XdrReader r(three.span());
+      st = fetch.UnmarshalReply(&r, &arena, &out);
+      if (capacity == 2) {
+        EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+        EXPECT_EQ(st.message(), "caller buffer too small for sequence");
+      } else {
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        EXPECT_EQ(out[0].length, 3u);
+        EXPECT_EQ(std::memcmp(mine, v, sizeof(v)), 0);
+        EXPECT_EQ(mine[3], 0);
+      }
+      EXPECT_EQ(arena.live_blocks(), 0u);
+    }
+  });
+}
+
+TEST(SpecExecutorTest, LoopArrayOfStructs) {
+  OnBothExecutors([] {
+    // 100 two-long structs: a loop over the two fields of one, with a
+    // constant count, however many elements.
+    Compiled c = Compile(R"(
+      struct P { long x; long y; };
+      typedef P Pts[100];
+      interface Poly { void set(in Pts pts); };
+    )",
+                         false, "", "");
+    const OperationDecl& op = c.idl->interfaces[0].ops[0];
+    MarshalProgram client =
+        MarshalProgram::Build(op, *c.client.Find("Poly")->FindOp("set"));
+    MarshalProgram server =
+        MarshalProgram::Build(op, *c.server.Find("Poly")->FindOp("set"));
+    ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 4u);
+    EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].kind,
+              SpecOpKind::kLoop);
+    EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].len_src,
+              SpecLenSource::kConstant);
+
+    int32_t pts[200];
+    XdrWriter want;
+    for (int i = 0; i < 100; ++i) {
+      pts[2 * i] = i;
+      pts[2 * i + 1] = -i;
+      want.PutU32(static_cast<uint32_t>(i));
+      want.PutU32(static_cast<uint32_t>(-i));
+    }
+    ArgVec args(client.slot_count());
+    args[0].set_ptr(pts);
+    XdrWriter wire;
+    ASSERT_TRUE(client.MarshalRequest(args, &wire).ok());
+    ExpectSameBytes(wire, want, "Pts");
+
+    Arena arena("array");
+    ArgVec out(server.slot_count());
+    XdrReader r(wire.span());
+    ASSERT_TRUE(server.UnmarshalRequest(&r, &arena, &out).ok());
+    EXPECT_EQ(std::memcmp(out[0].ptr(), pts, sizeof(pts)), 0);
+    EXPECT_EQ(arena.live_blocks(), 1u);
+  });
 }
 
 // The full NFS pair (the texts the build's generated unit specializes):
@@ -689,22 +715,13 @@ TEST_F(NfsSpecPlanTest, SpecialRoutineReceivesTheBytes) {
 // --- union arms and nested byte sequences as ops ----------------------------
 //
 // A union and a byte sequence inside a struct compile to leaf ops. Each
-// literal wire image, status and message below is what the value path
-// (one value op through MarshalValue/UnmarshalValue, which moved these
-// values before they compiled to leaf ops) gives for the same input, and
-// each case runs on the reference executor and on that value op; the NFS
-// cases also run the build's generated function.
+// literal wire image, status and message below is what the recursive
+// value walk, which moved these values whole before they compiled to leaf
+// ops, gave for the same input. Each case runs on the
+// reference executor; the NFS cases also run the build's generated
+// function.
 
-// One value op over `slot`: how the stream moved `type` before.
-SpecProgram ValueOp(bool marshal, int slot, const Type* type) {
-  SpecOp op;
-  op.kind = marshal ? SpecOpKind::kPutValue : SpecOpKind::kGetValue;
-  op.slot = slot;
-  op.type = type->Resolve();
-  return SpecProgram{{op}};
-}
-
-enum class Path { kGenerated, kReference, kValueOp };
+enum class Path { kGenerated, kReference };
 
 const char* PathName(Path path) {
   switch (path) {
@@ -712,8 +729,6 @@ const char* PathName(Path path) {
       return "generated";
     case Path::kReference:
       return "reference executor";
-    case Path::kValueOp:
-      return "value op";
   }
   return "?";
 }
@@ -763,9 +778,6 @@ class NfsDefaultOpsTest : public ::testing::Test {
     ArgVec args(server_->slot_count());
     const int slot = server_->result_slot();
     args[static_cast<size_t>(slot)].set_ptr(value);
-    if (path == Path::kValueOp) {
-      return RunSpecMarshal(ValueOp(true, slot, readres_), args, w, nullptr);
-    }
     SpecSwitchGuard guard;
     SetMarshalSpecializationEnabled(path == Path::kGenerated);
     TraceSession session;
@@ -779,11 +791,6 @@ class NfsDefaultOpsTest : public ::testing::Test {
   // it.
   Status Decode(Path path, ByteSpan wire, Arena* arena, ArgVec* args) {
     XdrReader r(wire);
-    if (path == Path::kValueOp) {
-      return RunSpecUnmarshal(
-          ValueOp(false, client_->result_slot(), readres_), &r, arena, args,
-          nullptr, /*borrow_bytes=*/false);
-    }
     SpecSwitchGuard guard;
     SetMarshalSpecializationEnabled(path == Path::kGenerated);
     TraceSession session;
@@ -793,8 +800,7 @@ class NfsDefaultOpsTest : public ::testing::Test {
     return st;
   }
 
-  static constexpr Path kPaths[] = {Path::kValueOp, Path::kReference,
-                                    Path::kGenerated};
+  static constexpr Path kPaths[] = {Path::kReference, Path::kGenerated};
 
   // Constructing a client registers the build's NFS unit.
   NfsFileServer file_server_{/*file_size=*/4096, /*seed=*/1};
@@ -808,14 +814,6 @@ class NfsDefaultOpsTest : public ::testing::Test {
 };
 
 TEST_F(NfsDefaultOpsTest, StreamsCompileToLeafOpsWithArmBranches) {
-  for (const MarshalProgram* prog : {client_.get(), server_.get()}) {
-    for (size_t s = 0; s < kSpecStreamCount; ++s) {
-      for (const SpecOp& op : prog->Stream(static_cast<SpecStream>(s)).ops) {
-        EXPECT_NE(op.kind, SpecOpKind::kPutValue);
-        EXPECT_NE(op.kind, SpecOpKind::kGetValue);
-      }
-    }
-  }
   // ensure, discriminant, the NFS_OK arm (14 fattr words, the data
   // sequence, its end), and the void default arm has no op.
   const std::vector<SpecOp>& reply =
@@ -881,17 +879,16 @@ TEST_F(NfsDefaultOpsTest, ReplyCutAtEveryByteFailsAlikeAndLeaksNothing) {
   const std::vector<uint8_t> wire = Hex(kReadresOkWire);
   for (size_t cut = 0; cut < wire.size(); ++cut) {
     SCOPED_TRACE(StrFormat("cut at %zu", cut));
-    Status want;
+    // The value walk's status: short of the data's bytes, its last word
+    // (or a word before it) was cut.
+    const char* want = cut < 64 ? "XDR stream truncated reading u32"
+                                : "XDR stream truncated reading opaque bytes";
     for (Path path : kPaths) {
       Arena arena("nfs");
       ArgVec args(client_->slot_count());
       Status st = Decode(path, ByteSpan(wire.data(), cut), &arena, &args);
-      EXPECT_FALSE(st.ok()) << PathName(path);
-      if (path == Path::kValueOp) {
-        want = st;
-      }
-      EXPECT_EQ(st.code(), want.code()) << PathName(path);
-      EXPECT_EQ(st.message(), want.message()) << PathName(path);
+      EXPECT_EQ(st.code(), StatusCode::kDataLoss) << PathName(path);
+      EXPECT_EQ(st.message(), want) << PathName(path);
       client_->ReleaseReply(&arena, &args);
       EXPECT_EQ(arena.live_blocks(), 0u) << PathName(path);
     }
@@ -918,6 +915,8 @@ TEST(SpecUnionOpsTest, TwoArmsWithoutDefaultMatchTheValuePath) {
   EXPECT_TRUE(CompileSpecPlan(draw, server_pres).Emits(kUReq));
   const Type* shape = c.idl->types.FindNamed("shape")->Resolve();
   const size_t payload = UnionPayloadOffset(shape);
+  const SpecProgram& put = client.Stream(SpecStream::kMarshalRequest);
+  const SpecProgram& get = server.Stream(SpecStream::kUnmarshalRequest);
 
   struct Case {
     uint32_t kind, x, y;
@@ -925,35 +924,27 @@ TEST(SpecUnionOpsTest, TwoArmsWithoutDefaultMatchTheValuePath) {
   };
   for (const Case& k : {Case{1, 9, 0, "00000001 00000009"},
                         Case{2, 3, 4, "00000002 00000003 00000004"}}) {
+    SCOPED_TRACE(StrFormat("arm %u", k.kind));
     std::vector<uint8_t> native(shape->NativeSize());
     std::memcpy(native.data(), &k.kind, 4);
     std::memcpy(native.data() + payload, &k.x, 4);
     std::memcpy(native.data() + payload + 4, &k.y, 4);
     ArgVec args(client.slot_count());
     args[0].set_ptr(native.data());
-    for (Path path : {Path::kValueOp, Path::kReference}) {
-      SCOPED_TRACE(StrFormat("arm %u, %s", k.kind, PathName(path)));
-      const bool value_op = path == Path::kValueOp;
-      XdrWriter w;
-      Status st = RunSpecMarshal(
-          value_op ? ValueOp(true, 0, shape) : client.Stream(
-                                                   SpecStream::kMarshalRequest),
-          args, &w, nullptr);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      ExpectWire(w, k.wire, "shape");
+    XdrWriter w;
+    Status st = RunSpecMarshal(put, args, &w, nullptr);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ExpectWire(w, k.wire, "shape");
 
-      Arena arena("shape");
-      ArgVec out(server.slot_count());
-      XdrReader r(w.span());
-      st = RunSpecUnmarshal(
-          value_op ? ValueOp(false, 0, shape)
-                   : server.Stream(SpecStream::kUnmarshalRequest),
-          &r, &arena, &out, nullptr, /*borrow_bytes=*/false);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_TRUE(ValueEquals(shape, out[0].ptr(), native.data()));
-      server.ReleaseRequest(&arena, &out);
-      EXPECT_EQ(arena.live_blocks(), 0u);
-    }
+    Arena arena("shape");
+    ArgVec out(server.slot_count());
+    XdrReader r(w.span());
+    st = RunSpecUnmarshal(get, &r, &arena, &out, nullptr,
+                          /*borrow_bytes=*/false);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_TRUE(ValueEquals(shape, out[0].ptr(), native.data()));
+    server.ReleaseRequest(&arena, &out);
+    EXPECT_EQ(arena.live_blocks(), 0u);
   }
 
   // Discriminant 3 matches neither arm, and there is no default.
@@ -962,30 +953,21 @@ TEST(SpecUnionOpsTest, TwoArmsWithoutDefaultMatchTheValuePath) {
   std::memcpy(stray.data(), &three, 4);
   ArgVec args(client.slot_count());
   args[0].set_ptr(stray.data());
-  const std::vector<uint8_t> wire = Hex("00000003 00000009");
-  for (Path path : {Path::kValueOp, Path::kReference}) {
-    SCOPED_TRACE(PathName(path));
-    const bool value_op = path == Path::kValueOp;
-    XdrWriter w;
-    Status st = RunSpecMarshal(
-        value_op ? ValueOp(true, 0, shape)
-                 : client.Stream(SpecStream::kMarshalRequest),
-        args, &w, nullptr);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(st.message(), "union discriminant 3 matches no arm");
+  XdrWriter w;
+  Status st = RunSpecMarshal(put, args, &w, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "union discriminant 3 matches no arm");
 
-    Arena arena("shape");
-    ArgVec out(server.slot_count());
-    XdrReader r{ByteSpan(wire)};
-    st = RunSpecUnmarshal(value_op
-                              ? ValueOp(false, 0, shape)
-                              : server.Stream(SpecStream::kUnmarshalRequest),
-                          &r, &arena, &out, nullptr, /*borrow_bytes=*/false);
-    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-    EXPECT_EQ(st.message(), "wire union discriminant 3 matches no arm");
-    server.ReleaseRequest(&arena, &out);
-    EXPECT_EQ(arena.live_blocks(), 0u);
-  }
+  const std::vector<uint8_t> wire = Hex("00000003 00000009");
+  Arena arena("shape");
+  ArgVec out(server.slot_count());
+  XdrReader r{ByteSpan(wire)};
+  st = RunSpecUnmarshal(get, &r, &arena, &out, nullptr,
+                        /*borrow_bytes=*/false);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(st.message(), "wire union discriminant 3 matches no arm");
+  server.ReleaseRequest(&arena, &out);
+  EXPECT_EQ(arena.live_blocks(), 0u);
 }
 
 constexpr char kBlobIdl[] = R"(
@@ -1006,6 +988,9 @@ TEST(SpecNestedBytesTest, ByteSequenceInAStructMatchesTheValuePath) {
   const Type* blob = c.idl->types.FindNamed("blob");
   const size_t data_at = NativeFieldOffset(blob, 1);
   const size_t tail_at = NativeFieldOffset(blob, 2);
+  const SpecProgram& put_request = client.Stream(SpecStream::kMarshalRequest);
+  const SpecProgram& get_request =
+      server.Stream(SpecStream::kUnmarshalRequest);
 
   auto native = [&](uint32_t len) {
     static char bytes[32] = "abcdefghijklmnopqrstuvwxyz";
@@ -1018,58 +1003,481 @@ TEST(SpecNestedBytesTest, ByteSequenceInAStructMatchesTheValuePath) {
     std::memcpy(value.data() + tail_at, &tail, 4);
     return value;
   };
-  for (Path path : {Path::kValueOp, Path::kReference}) {
-    SCOPED_TRACE(PathName(path));
-    const bool value_op = path == Path::kValueOp;
-    const SpecProgram put_request =
-        value_op ? ValueOp(true, 0, blob)
-                 : client.Stream(SpecStream::kMarshalRequest);
-    const SpecProgram get_request =
-        value_op ? ValueOp(false, 0, blob)
-                 : server.Stream(SpecStream::kUnmarshalRequest);
+  std::vector<uint8_t> three = native(3);
+  ArgVec args(client.slot_count());
+  args[0].set_ptr(three.data());
+  XdrWriter w;
+  ASSERT_TRUE(RunSpecMarshal(put_request, args, &w, nullptr).ok());
+  ExpectWire(w, "00000007 00000003 61626300 00000009", "blob");
 
-    std::vector<uint8_t> three = native(3);
-    ArgVec args(client.slot_count());
-    args[0].set_ptr(three.data());
-    XdrWriter w;
-    ASSERT_TRUE(RunSpecMarshal(put_request, args, &w, nullptr).ok());
-    ExpectWire(w, "00000007 00000003 61626300 00000009", "blob");
+  // Unmarshal always copies the bytes into their own arena block.
+  Arena arena("blob");
+  {
+    ArgVec out(server.slot_count());
+    XdrReader r(w.span());
+    Status st = RunSpecUnmarshal(get_request, &r, &arena, &out, nullptr,
+                                 /*borrow_bytes=*/true);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_TRUE(ValueEquals(blob, out[0].ptr(), three.data()));
+    EXPECT_EQ(arena.live_blocks(), 2u);
+    server.ReleaseRequest(&arena, &out);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  }
 
-    // Unmarshal always copies the bytes into their own arena block.
-    Arena arena("blob");
-    {
-      ArgVec out(server.slot_count());
-      XdrReader r(w.span());
-      Status st = RunSpecUnmarshal(get_request, &r, &arena, &out, nullptr,
-                                   /*borrow_bytes=*/true);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_TRUE(ValueEquals(blob, out[0].ptr(), three.data()));
-      EXPECT_EQ(arena.live_blocks(), 2u);
-      server.ReleaseRequest(&arena, &out);
-      EXPECT_EQ(arena.live_blocks(), 0u);
+  // The declared bound, on both sides.
+  std::vector<uint8_t> long_one = native(17);
+  args[0].set_ptr(long_one.data());
+  XdrWriter unused;
+  Status st = RunSpecMarshal(put_request, args, &unused, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "sequence length 17 exceeds bound 16");
+  const std::vector<uint8_t> wire =
+      Hex("00000007 00000011 61626364 65666768 696a6b6c 6d6e6f70 "
+          "71000000 00000009");
+  ArgVec out(server.slot_count());
+  XdrReader r{ByteSpan(wire)};
+  st = RunSpecUnmarshal(get_request, &r, &arena, &out, nullptr,
+                        /*borrow_bytes=*/true);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(st.message(), "wire sequence length 17 exceeds bound 16");
+  server.ReleaseRequest(&arena, &out);
+  EXPECT_EQ(arena.live_blocks(), 0u);
+}
+
+// --- loops and strings at an offset -----------------------------------------
+//
+// tests/data/loop_shapes.idl, whose unit the build links into this binary
+// and whose header carries the IDL text (kIdlSource). Each LoopShapes
+// operation echoes one shape: the request carries it and the reply
+// returns it. Each case runs on the reference executor and on the unit's
+// generated code, against the wire bytes, statuses and live blocks the
+// recursive value walk, which moved every one of these shapes whole before
+// they compiled to loops, gave for the same input.
+
+// The native layouts of the IDL's Entry and Item.
+struct EntryN {
+  const char* name;
+  int32_t id;
+};
+struct ItemN {
+  uint32_t disc;
+  union {
+    int32_t n;
+    const char* s;
+  };
+};
+
+constexpr char kCutWord[] = "XDR stream truncated reading u32";
+constexpr char kCutBytes[] = "XDR stream truncated reading opaque bytes";
+
+// "wire sequence length `count` exceeds the `left` bytes left".
+std::string CountPastWire(uint32_t count, uint32_t left) {
+  return StrFormat("wire sequence length %u exceeds the %u bytes left",
+                   count, left);
+}
+
+// The status a cut reply fails with from cut `from` on, up to the next
+// entry's cut.
+struct CutStatus {
+  size_t from;
+  std::string message;
+};
+
+class LoopShapesTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    flexspec_loops::RegisterSpecializations();
+    c_ = Compile(flexspec_loops::kIdlSource, false, "", "");
+  }
+
+  const OperationDecl& Op(const char* itf, const char* name) const {
+    for (const OperationDecl& op : c_.idl->FindInterface(itf)->ops) {
+      if (op.name == name) {
+        return op;
+      }
     }
+    ADD_FAILURE() << "no operation " << name;
+    return c_.idl->interfaces[0].ops[0];
+  }
+  MarshalProgram Build(const PresentationSet& set, const char* itf,
+                       const char* name) const {
+    return MarshalProgram::Build(Op(itf, name),
+                                 *set.Find(itf)->FindOp(name));
+  }
 
-    // The declared bound, on both sides.
-    std::vector<uint8_t> long_one = native(17);
-    args[0].set_ptr(long_one.data());
-    XdrWriter unused;
-    Status st = RunSpecMarshal(put_request, args, &unused, nullptr);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(st.message(), "sequence length 17 exceeds bound 16");
-    {
-      const std::vector<uint8_t> wire =
-          Hex("00000007 00000011 61626364 65666768 696a6b6c 6d6e6f70 "
-              "71000000 00000009");
+  // Storage for the reply `client` decodes: the caller's when its result
+  // is [alloc(user)] (a fixed-size result under the default client
+  // presentation), otherwise none.
+  static void* ReplyStorage(const MarshalProgram& client,
+                            std::vector<uint8_t>* storage) {
+    if (client.presentation().result.alloc != AllocPolicy::kUser) {
+      return nullptr;
+    }
+    storage->assign(client.op().result->Resolve()->NativeSize(), 0);
+    return storage->data();
+  }
+
+  // Echoes `value` (`length` elements of a sequence) through LoopShapes
+  // operation `name` on each executor: the request and the reply are
+  // `wire`, the server's unmarshal leaves `live` blocks (the client's too,
+  // less the caller's storage), the decoded reply marshals to `wire`
+  // again, and each release frees every block.
+  void Echo(const char* name, void* value, uint32_t length,
+            const std::vector<uint8_t>& wire, size_t live) {
+    MarshalProgram client = Build(c_.client, "LoopShapes", name);
+    MarshalProgram server = Build(c_.server, "LoopShapes", name);
+    const auto result = static_cast<size_t>(server.result_slot());
+    SpecSwitchGuard guard;
+    for (bool generated : {false, true}) {
+      SCOPED_TRACE(generated ? "generated" : "reference executor");
+      SetMarshalSpecializationEnabled(generated);
+      TraceSession session;
+      ArgVec args(client.slot_count());
+      args[0].set_ptr(value);
+      args[0].length = length;
+      XdrWriter request;
+      ASSERT_TRUE(client.MarshalRequest(args, &request).ok());
+      ExpectWire(request, HexOf(wire), "request");
+
+      Arena server_arena("server");
+      ArgVec in(server.slot_count());
+      XdrReader r(request.span());
+      Status st = server.UnmarshalRequest(&r, &server_arena, &in);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(server_arena.live_blocks(), live);
       ArgVec out(server.slot_count());
-      XdrReader r{ByteSpan(wire)};
-      st = RunSpecUnmarshal(get_request, &r, &arena, &out, nullptr,
-                            /*borrow_bytes=*/true);
-      EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-      EXPECT_EQ(st.message(), "wire sequence length 17 exceeds bound 16");
-      server.ReleaseRequest(&arena, &out);
-      EXPECT_EQ(arena.live_blocks(), 0u);
+      out[result] = in[0];
+      XdrWriter reply;
+      ASSERT_TRUE(server.MarshalReply(&out, &reply, /*arena=*/nullptr).ok());
+      ExpectWire(reply, HexOf(wire), "reply");
+      server.ReleaseRequest(&server_arena, &in);
+      EXPECT_EQ(server_arena.live_blocks(), 0u);
+
+      Arena client_arena("client");
+      std::vector<uint8_t> storage;
+      ArgVec back(client.slot_count());
+      back[result].set_ptr(ReplyStorage(client, &storage));
+      XdrReader reply_reader(reply.span());
+      st = client.UnmarshalReply(&reply_reader, &client_arena, &back);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(client_arena.live_blocks(), storage.empty() ? live : 0u);
+      ArgVec again(client.slot_count());
+      again[0] = back[result];
+      XdrWriter echo;
+      ASSERT_TRUE(client.MarshalRequest(again, &echo).ok());
+      ExpectWire(echo, HexOf(wire), "decoded reply");
+      client.ReleaseReply(&client_arena, &back);
+      EXPECT_EQ(client_arena.live_blocks(), 0u);
+      EXPECT_EQ(session.Report().counter(TraceCounter::kMarshalSpecHits),
+                generated ? 5u : 0u);
     }
   }
+
+  // Cuts the reply `wire` of LoopShapes operation `name` at every byte:
+  // on each executor the client's reply stream fails with DATA_LOSS and
+  // the value walk's message (`want`), and its release leaves no block.
+  void CutReplies(const char* name, const std::vector<uint8_t>& wire,
+                  const std::vector<CutStatus>& want) {
+    MarshalProgram client = Build(c_.client, "LoopShapes", name);
+    const auto result = static_cast<size_t>(client.result_slot());
+    SpecSwitchGuard guard;
+    for (bool generated : {false, true}) {
+      SetMarshalSpecializationEnabled(generated);
+      size_t next = 0;
+      for (size_t cut = 0; cut < wire.size(); ++cut) {
+        SCOPED_TRACE(StrFormat("%s, cut at %zu",
+                               generated ? "generated" : "reference executor",
+                               cut));
+        while (next < want.size() && want[next].from <= cut) {
+          ++next;
+        }
+        Arena arena("client");
+        std::vector<uint8_t> storage;
+        ArgVec args(client.slot_count());
+        args[result].set_ptr(ReplyStorage(client, &storage));
+        XdrReader r{ByteSpan(wire.data(), cut)};
+        Status st = client.UnmarshalReply(&r, &arena, &args);
+        EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+        EXPECT_EQ(st.message(), want[next - 1].message);
+        client.ReleaseReply(&arena, &args);
+        EXPECT_EQ(arena.live_blocks(), 0u);
+      }
+    }
+  }
+
+  static std::string HexOf(const std::vector<uint8_t>& bytes) {
+    std::string hex;
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      hex += StrFormat(i > 0 && i % 4 == 0 ? " %02x" : "%02x", bytes[i]);
+    }
+    return hex;
+  }
+
+  Compiled c_;
+};
+
+TEST_F(LoopShapesTest, SequenceOfLongs) {
+  int32_t v[3] = {1, -2, 0x7FFFFFFF};
+  const std::vector<uint8_t> wire =
+      Hex("00000003 00000001 fffffffe 7fffffff");
+  Echo("longs", v, 3, wire, 1);
+  CutReplies("longs", wire,
+             {{0, kCutWord},
+              {4, CountPastWire(3, 0)},
+              {5, CountPastWire(3, 1)},
+              {6, CountPastWire(3, 2)},
+              {7, kCutWord}});
+}
+
+TEST_F(LoopShapesTest, SequenceOfStructsHoldingAString) {
+  EntryN entries[3] = {{"ab", 1}, {"", 2}, {"xyz", -1}};
+  const std::vector<uint8_t> wire =
+      Hex("00000003 00000002 61620000 00000001 00000000 00000002 "
+          "00000003 78797a00 ffffffff");
+  // The buffer and one block per name, the empty one's NUL included.
+  Echo("entries", entries, 3, wire, 4);
+  CutReplies("entries", wire,
+             {{0, kCutWord},
+              {4, CountPastWire(3, 0)},
+              {5, CountPastWire(3, 1)},
+              {6, CountPastWire(3, 2)},
+              {7, kCutWord},
+              {8, kCutBytes},
+              {12, kCutWord},
+              {28, kCutBytes},
+              {32, kCutWord}});
+
+  // A null name marshals as the empty string.
+  OnBothExecutors([&] {
+    MarshalProgram client = Build(c_.client, "LoopShapes", "entries");
+    EntryN two[2] = {{nullptr, 5}, {"q", 6}};
+    ArgVec args(client.slot_count());
+    args[0].set_ptr(two);
+    args[0].length = 2;
+    XdrWriter w;
+    ASSERT_TRUE(client.MarshalRequest(args, &w).ok());
+    ExpectWire(w, "00000002 00000000 00000005 00000001 71000000 00000006",
+               "null name");
+  });
+}
+
+TEST_F(LoopShapesTest, SequenceOfByteSequences) {
+  SeqRep blobs[3] = {{5, 5, const_cast<char*>("hello")},
+                     {0, 0, nullptr},
+                     {2, 2, const_cast<char*>("\x01\x02")}};
+  const std::vector<uint8_t> wire =
+      Hex("00000003 00000005 68656c6c 6f000000 00000000 00000002 01020000");
+  Echo("blobs", blobs, 3, wire, 4);
+  CutReplies("blobs", wire,
+             {{0, kCutWord},
+              {4, CountPastWire(3, 0)},
+              {5, CountPastWire(3, 1)},
+              {6, CountPastWire(3, 2)},
+              {7, kCutWord},
+              {8, kCutBytes},
+              {16, kCutWord},
+              {24, kCutBytes}});
+}
+
+TEST_F(LoopShapesTest, NestedLoops) {
+  int32_t row0[3] = {1, 2, 3};
+  int32_t row2[1] = {-1};
+  SeqRep matrix[3] = {{3, 3, row0}, {0, 0, nullptr}, {1, 1, row2}};
+  const std::vector<uint8_t> wire =
+      Hex("00000003 00000003 00000001 00000002 00000003 00000000 "
+          "00000001 ffffffff");
+  Echo("matrix", matrix, 3, wire, 4);
+  CutReplies("matrix", wire,
+             {{0, kCutWord},
+              {4, CountPastWire(3, 0)},
+              {5, CountPastWire(3, 1)},
+              {6, CountPastWire(3, 2)},
+              {7, kCutWord},
+              {8, CountPastWire(3, 0)},
+              {9, CountPastWire(3, 1)},
+              {10, CountPastWire(3, 2)},
+              {11, kCutWord},
+              {28, CountPastWire(1, 0)},
+              {29, kCutWord}});
+}
+
+TEST_F(LoopShapesTest, SequenceOfUnions) {
+  ItemN items[3] = {};
+  items[0].disc = 1;
+  items[0].n = 7;
+  items[1].disc = 2;
+  items[1].s = "hi";
+  items[2].disc = 1;
+  items[2].n = -1;
+  const std::vector<uint8_t> wire =
+      Hex("00000003 00000001 00000007 00000002 00000002 68690000 "
+          "00000001 ffffffff");
+  Echo("items", items, 3, wire, 2);
+  CutReplies("items", wire,
+             {{0, kCutWord},
+              {4, CountPastWire(3, 0)},
+              {5, CountPastWire(3, 1)},
+              {6, CountPastWire(3, 2)},
+              {7, kCutWord},
+              {20, kCutBytes},
+              {24, kCutWord}});
+
+  // Discriminant 3 matches neither arm, and there is no default: the
+  // branch inside the loop ends the stream.
+  OnBothExecutors([&] {
+    MarshalProgram client = Build(c_.client, "LoopShapes", "items");
+    MarshalProgram server = Build(c_.server, "LoopShapes", "items");
+    ItemN stray[2] = {};
+    stray[0].disc = 1;
+    stray[0].n = 7;
+    stray[1].disc = 3;
+    stray[1].n = 9;
+    ArgVec args(client.slot_count());
+    args[0].set_ptr(stray);
+    args[0].length = 2;
+    XdrWriter w;
+    Status st = client.MarshalRequest(args, &w);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(st.message(), "union discriminant 3 matches no arm");
+
+    const std::vector<uint8_t> wire_in =
+        Hex("00000002 00000001 00000007 00000003 00000009");
+    Arena arena("server");
+    ArgVec out(server.slot_count());
+    XdrReader r{ByteSpan(wire_in)};
+    st = server.UnmarshalRequest(&r, &arena, &out);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(st.message(), "wire union discriminant 3 matches no arm");
+    EXPECT_EQ(out[0].length, 2u);
+    server.ReleaseRequest(&arena, &out);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  });
+}
+
+TEST_F(LoopShapesTest, ArrayOfStructs) {
+  int32_t pts[200];
+  XdrWriter want;
+  for (int i = 0; i < 100; ++i) {
+    pts[2 * i] = i;
+    pts[2 * i + 1] = -i;
+    want.PutU32(static_cast<uint32_t>(i));
+    want.PutU32(static_cast<uint32_t>(-i));
+  }
+  const std::vector<uint8_t> wire(want.span().begin(), want.span().end());
+  // The server's block for the array; the client decodes into the
+  // caller's storage.
+  Echo("points", pts, 0, wire, 1);
+  CutReplies("points", wire, {{0, kCutWord}});
+}
+
+TEST_F(LoopShapesTest, StructHoldingAString) {
+  EntryN entry = {"name", 42};
+  const std::vector<uint8_t> wire = Hex("00000004 6e616d65 0000002a");
+  // The struct's block and the name's.
+  Echo("entry", &entry, 0, wire, 2);
+  CutReplies("entry", wire, {{0, kCutWord}, {4, kCutBytes}, {8, kCutWord}});
+}
+
+// A request whose count the wire bytes allow but whose storage (count ×
+// 1 KiB) an arena cannot hold is refused before anything is allocated.
+TEST_F(LoopShapesTest, CountPastTheStorageLimitIsRefused) {
+  OnBothExecutors([&] {
+    MarshalProgram server = Build(c_.server, "Bulk", "push");
+    std::vector<uint8_t> request(4 + 70000, 0);
+    const uint32_t count = 70000;
+    for (int i = 0; i < 4; ++i) {
+      request[static_cast<size_t>(i)] =
+          static_cast<uint8_t>(count >> (24 - 8 * i));
+    }
+    Arena arena("server");
+    ArgVec out(server.slot_count());
+    XdrReader r{ByteSpan(request)};
+    Status st = server.UnmarshalRequest(&r, &arena, &out);
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(st.message(),
+              "wire sequence length 70000 needs 71680000 bytes of storage, "
+              "past the 33554432-byte limit");
+    EXPECT_EQ(arena.live_blocks(), 0u);
+    server.ReleaseRequest(&arena, &out);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  });
+}
+
+// A count whose storage is exactly kMaxNativeSize allocates, and the
+// stream fails on the first element the wire does not hold; the release
+// frees the block.
+TEST_F(LoopShapesTest, CountAtTheStorageLimitAllocates) {
+  OnBothExecutors([&] {
+    MarshalProgram server = Build(c_.server, "Bulk", "push");
+    const uint32_t count = kMaxNativeSize / 1024;
+    std::vector<uint8_t> request(4 + count, 0);
+    for (int i = 0; i < 4; ++i) {
+      request[static_cast<size_t>(i)] =
+          static_cast<uint8_t>(count >> (24 - 8 * i));
+    }
+    Arena arena("server");
+    ArgVec out(server.slot_count());
+    XdrReader r{ByteSpan(request)};
+    Status st = server.UnmarshalRequest(&r, &arena, &out);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+    EXPECT_EQ(st.message(), kCutWord);
+    EXPECT_EQ(out[0].length, count);
+    EXPECT_EQ(arena.live_blocks(), 1u);
+    server.ReleaseRequest(&arena, &out);
+    EXPECT_EQ(arena.live_blocks(), 0u);
+  });
+}
+
+// The deepest sequence the parsers accept nests kMaxSequenceNesting loops,
+// each with its own base register.
+TEST(SpecLoopDepthTest, LoopsNestToTheDepthLimit) {
+  std::string type = "long";
+  for (int i = 0; i < kMaxSequenceNesting; ++i) {
+    type = "sequence<" + type + " >";
+  }
+  Compiled c = Compile("interface D { void f(in " + type + " x); };", false,
+                       "", "");
+  const OperationDecl& op = c.idl->interfaces[0].ops[0];
+  MarshalProgram client =
+      MarshalProgram::Build(op, *c.client.Find("D")->FindOp("f"));
+  MarshalProgram server =
+      MarshalProgram::Build(op, *c.server.Find("D")->FindOp("f"));
+  const std::vector<SpecOp>& ops =
+      server.Stream(SpecStream::kUnmarshalRequest).ops;
+  ASSERT_EQ(ops.size(), 2u * kMaxSequenceNesting + 1);
+  EXPECT_EQ(ops[kMaxSequenceNesting - 1].depth, kMaxSequenceNesting - 1);
+
+  // One element at every level: level k's SeqRep holds level k + 1's.
+  int32_t leaf = 7;
+  SeqRep reps[kMaxSequenceNesting];
+  for (int k = kMaxSequenceNesting - 1; k >= 1; --k) {
+    void* inner = k == kMaxSequenceNesting - 1
+                      ? static_cast<void*>(&leaf)
+                      : static_cast<void*>(&reps[k + 1]);
+    reps[k] = SeqRep{1, 1, inner};
+  }
+  ArgVec args(client.slot_count());
+  args[0].set_ptr(&reps[1]);
+  args[0].length = 1;
+  XdrWriter w;
+  ASSERT_TRUE(client.MarshalRequest(args, &w).ok());
+  XdrWriter want;
+  for (int k = 0; k < kMaxSequenceNesting; ++k) {
+    want.PutU32(1);
+  }
+  want.PutU32(7);
+  ExpectSameBytes(w, want, "nested to the limit");
+
+  Arena arena("server");
+  ArgVec out(server.slot_count());
+  XdrReader r(w.span());
+  ASSERT_TRUE(server.UnmarshalRequest(&r, &arena, &out).ok());
+  EXPECT_EQ(arena.live_blocks(), static_cast<size_t>(kMaxSequenceNesting));
+  XdrWriter again;
+  ASSERT_TRUE(client.MarshalRequest(out, &again).ok());
+  ExpectSameBytes(again, want, "decoded value");
+  server.ReleaseRequest(&arena, &out);
+  EXPECT_EQ(arena.live_blocks(), 0u);
 }
 
 // --- the prover sweep over every seed signature family ----------------------
@@ -1101,7 +1509,7 @@ const SweepFixture kSweepFixtures[] = {
       interface Dir { void add(in Entry e); Entry get(in long id); };
     )",
      false, "", ""},
-    {"array-past-op-budget", R"(
+    {"array-of-structs", R"(
       struct P { long x; long y; };
       typedef P Pts[100];
       interface Poly { void set(in Pts pts); Pts get(); };
@@ -1109,6 +1517,7 @@ const SweepFixture kSweepFixtures[] = {
      false, "", ""},
     {"union-two-arms", kShapeIdl, false, "", ""},
     {"struct-holding-bytes", kBlobIdl, false, "", ""},
+    {"loop-shapes", flexspec_loops::kIdlSource, false, "", ""},
 };
 
 // Calls `fn(op, pres)` for every operation of every sweep fixture under
@@ -1144,13 +1553,16 @@ TEST(SpecVerifierSweepTest, AllSeedPlansProveEquivalent) {
 }
 
 // Compilation is total: every stream of every fixture compiles to ops that
-// lower to the plan's own effects, and the engine runs that very program.
+// lower to the plan's own effects, the engine runs that very program, and
+// `idlc --specialize` emits it (no fixture runs past the op budget).
 TEST(SpecCompileTest, EverySweepFixtureStreamCompiles) {
   ForEachSweepPlan([](const OperationDecl& op, const OpPresentation& pres) {
     SpecPlan plan = CompileSpecPlan(op, pres);
     MarshalProgram prog = MarshalProgram::Build(op, pres);
     for (size_t s = 0; s < kSpecStreamCount; ++s) {
       const SpecStream stream = static_cast<SpecStream>(s);
+      EXPECT_TRUE(plan.Emits(s)) << op.name << " " << SpecStreamName(stream)
+                                 << ": " << plan.rejection[s];
       EXPECT_EQ(SpecStreamEffects(plan.streams[s]),
                 PlanStreamEffects(op, pres, stream))
           << op.name << " " << SpecStreamName(stream);
@@ -1451,6 +1863,82 @@ TEST(SpecGenTest, CorruptedArmBlocksEmissionWithFlex207) {
     EXPECT_FALSE(generated.ok());
     EXPECT_GE(diags.CountCode("FLEX207"), 1) << diags.ToString();
   }
+}
+
+TEST(SpecGenTest, CorruptedLoopBlocksEmission) {
+  // A loop that takes its count from the wrong place, steps the wrong
+  // stride or spans the wrong body would move the wrong bytes: the prover
+  // must refuse the unit, each under its own code.
+  Compiled c = Compile(flexspec_loops::kIdlSource, false, "", "");
+  struct Corruption {
+    const char* what;
+    void (*mutate)(SpecOp*);
+    const char* code;
+  };
+  const Corruption corruptions[] = {
+      {"count source",
+       [](SpecOp* op) { op->len_src = SpecLenSource::kConstant; },
+       "FLEX204"},
+      {"stride", [](SpecOp* op) { op->stride += 4; }, "FLEX203"},
+      {"body length", [](SpecOp* op) { op->count -= 1; }, "FLEX204"},
+  };
+  for (const Corruption& k : corruptions) {
+    SCOPED_TRACE(k.what);
+    SpecGenOptions options;
+    options.mutate_for_test = [&k](SpecPlan* plan) {
+      for (SpecProgram& stream : plan->streams) {
+        for (SpecOp& op : stream.ops) {
+          if (op.kind == SpecOpKind::kLoop) {
+            k.mutate(&op);
+            return;
+          }
+        }
+      }
+    };
+    DiagnosticSink diags;
+    auto generated = GenerateSpecializations(
+        *c.idl, c.client, c.server, options, "loop_shapes.idl",
+        flexspec_loops::kIdlSource, "", &diags, nullptr);
+    EXPECT_FALSE(generated.ok());
+    EXPECT_GE(diags.CountCode(k.code), 1) << diags.ToString();
+  }
+}
+
+TEST(SpecGenTest, EachLoopIsOneFor) {
+  // The loop shapes: every stream is emitted, each kLoop is its step call
+  // and then one `for` whose increment is the kLoopEnd's NextElement, and
+  // each op inside is one step call that addresses the loops.
+  Compiled c = Compile(flexspec_loops::kIdlSource, false, "", "");
+  DiagnosticSink diags;
+  SpecGenStats stats;
+  auto generated = GenerateSpecializations(
+      *c.idl, c.client, c.server, SpecGenOptions{}, "loop_shapes.idl",
+      flexspec_loops::kIdlSource, "", &diags, &stats);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  EXPECT_EQ(diags.CountCode("FLEX205"), 0) << diags.ToString();
+  EXPECT_EQ(stats.streams_emitted, 4 * stats.plans_emitted);
+  size_t loops = 0;
+  size_t fors = 0;
+  std::istringstream source(generated->source);
+  std::string previous;
+  for (std::string line; std::getline(source, line); previous = line) {
+    if (line.find("({.kind = kLoop,") != std::string::npos) {
+      ++loops;
+      EXPECT_TRUE(line.ends_with(", &end, loops)) return end;")) << line;
+    } else if (line.find("for (; loops[") != std::string::npos) {
+      ++fors;
+      EXPECT_NE(previous.find("({.kind = kLoop,"), std::string::npos)
+          << line;
+      EXPECT_NE(line.find("NextElement({.kind = kLoopEnd,"),
+                std::string::npos)
+          << line;
+    } else if (line.find(".depth = ") != std::string::npos &&
+               line.find("Step(") != std::string::npos) {
+      EXPECT_TRUE(line.ends_with(", loops)) return end;")) << line;
+    }
+  }
+  EXPECT_GT(loops, 0u);
+  EXPECT_EQ(fors, loops);
 }
 
 TEST(SpecGenTest, ArmBranchesAreForwardGotos) {

@@ -1,13 +1,18 @@
 // Unit tests for semantic analysis: inheritance flattening, duplicate
-// detection, recursive-type rejection, and the nesting bound.
+// detection, recursive-type rejection, and the bounds on a type's nesting,
+// native size and node count.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
 #include "src/idl/sunrpc_parser.h"
+#include "src/marshal/engine.h"
+#include "src/marshal/xdr.h"
+#include "src/pdl/apply.h"
 #include "src/support/strings.h"
 
 namespace flexrpc {
@@ -137,15 +142,104 @@ TEST(SemaTest, MutuallyRecursiveStructsRejected) {
 }
 
 // Each struct holds two of the one before it, so the type graph is a DAG
-// of 60 levels with 2^60 paths: sema must check each type once.
+// of 60 levels with 2^60 paths. Sema checks each type once, and refuses
+// the first one past kMaxTypeNodes at once, in both dialects, since every
+// tree walk after sema would visit all 2^61 - 1 nodes.
 TEST(SemaTest, SharedSubtypesAreCheckedOnce) {
-  std::string idl = "struct s0 { long a; long b; };\n";
+  std::string corba = "struct s0 { long a; long b; };\n";
+  std::string sun = "struct s0 { int a; int b; };\n";
   for (int i = 1; i < 60; ++i) {
-    idl += StrFormat("struct s%d { s%d a; s%d b; };\n", i, i - 1, i - 1);
+    corba += StrFormat("struct s%d { s%d a; s%d b; };\n", i, i - 1, i - 1);
+    sun += StrFormat("struct s%d { s%d a; s%d b; };\n", i, i - 1, i - 1);
   }
-  idl += "interface I { void f(in s59 x); };";
+  corba += "interface I { void f(in s59 x); };";
+  sun += "program P { version V { void F(s59) = 1; } = 1; } = 9;";
+  for (bool sunrpc : {false, true}) {
+    SCOPED_TRACE(sunrpc ? "sun" : "corba");
+    DiagnosticSink diags;
+    auto file = sunrpc ? ParseSunRpc(sun, "test.x", &diags)
+                       : ParseCorbaIdl(corba, "test.idl", &diags);
+    ASSERT_NE(file, nullptr) << diags.ToString();
+    EXPECT_FALSE(AnalyzeInterfaceFile(file.get(), &diags));
+    // s11 is the first level past the limit: 2^13 - 1 nodes.
+    EXPECT_NE(diags.ToString().find(
+                  "error: type 'struct s11' expands to more than 4096 nodes"),
+              std::string::npos)
+        << diags.ToString();
+    EXPECT_EQ(diags.error_count(), 1) << diags.ToString();
+  }
+
+  // Ten levels (2^12 - 1 nodes) stay within the limit.
+  std::string ten = "struct s0 { long a; long b; };\n";
+  for (int i = 1; i < 10; ++i) {
+    ten += StrFormat("struct s%d { s%d a; s%d b; };\n", i, i - 1, i - 1);
+  }
   DiagnosticSink diags;
-  EXPECT_NE(ParseAndAnalyze(idl, &diags), nullptr) << diags.ToString();
+  EXPECT_NE(ParseAndAnalyze(ten + "interface I { void f(in s9 x); };",
+                            &diags),
+            nullptr)
+      << diags.ToString();
+}
+
+// Four nested 65536-element arrays of long take 2^66 bytes, which wraps
+// Type::NativeSize() to 0. Were sema to accept the type, the server's
+// request stream would allocate a block for it and write a short
+// request's elements past that block, over the arena's next one; sema
+// refuses the first array past kMaxNativeSize instead.
+TEST(SemaTest, TypeLargerThanAnArenaIsRefused) {
+  constexpr char kIdl[] =
+      "typedef long a0[65536]; typedef a0 a1[65536]; "
+      "typedef a1 a2[65536]; typedef a2 a3[65536];\n"
+      "interface I { void f(in a3 x); };";
+  DiagnosticSink diags;
+  auto file = ParseCorbaIdl(kIdl, "test.idl", &diags);
+  ASSERT_NE(file, nullptr) << diags.ToString();
+  if (AnalyzeInterfaceFile(file.get(), &diags)) {
+    // What an accepted type would do: the request's block takes the place
+    // of a freed one, and its elements run over the block after it.
+    PresentationSet server;
+    ASSERT_TRUE(ApplyPdl(*file, Side::kServer, nullptr, &server, &diags));
+    MarshalProgram prog = MarshalProgram::Build(
+        file->interfaces[0].ops[0], *server.Find("I")->FindOp("f"));
+    Arena arena("server");
+    void* freed = arena.AllocateBlock(32);
+    void* next = arena.AllocateBlock(32);
+    arena.FreeBlock(freed);
+    const std::vector<uint8_t> request(256, 0x41);
+    XdrReader r{ByteSpan(request)};
+    ArgVec args(prog.slot_count());
+    EXPECT_FALSE(prog.UnmarshalRequest(&r, &arena, &args).ok());
+    arena.FreeBlock(next);
+    ADD_FAILURE() << "sema accepted a type of 2^66 bytes";
+    return;
+  }
+  EXPECT_NE(diags.ToString().find(
+                "test.idl:2:22: error: type 'a0[65536]' is larger than "
+                "33554432 bytes in memory"),
+            std::string::npos)
+      << diags.ToString();
+
+  // The limit itself passes: 2^23 longs, 32 MiB.
+  DiagnosticSink ok_diags;
+  EXPECT_NE(ParseAndAnalyze("typedef long big[8388608];\n"
+                            "interface I { void f(in big x); };",
+                            &ok_diags),
+            nullptr)
+      << ok_diags.ToString();
+}
+
+// Sema walks only what operations reach: a 100 000-level typedef chain of
+// sequences that no operation uses costs nothing and is accepted.
+TEST(SemaTest, UnreachedTypesAreNotWalked) {
+  std::string idl = "typedef sequence<long> c1;\n";
+  for (int i = 2; i <= 100000; ++i) {
+    idl += StrFormat("typedef sequence<c%d> c%d;\n", i - 1, i);
+  }
+  DiagnosticSink diags;
+  EXPECT_NE(ParseAndAnalyze(idl + "interface I { void f(in long x); };",
+                            &diags),
+            nullptr)
+      << diags.ToString();
 }
 
 // A typedef chain nests as deep as it is long, and no parser limit sees

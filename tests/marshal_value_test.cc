@@ -1,18 +1,26 @@
-// Tests for the wire formats and recursive value marshaling, including
-// round-trip property tests over random values and XDR golden vectors.
+// Tests for the wire formats, the native layout and the value walks that
+// stay (FreeValue, ValueEquals, CopyValue), and round-trip property tests
+// over random values of every shape through the marshal engine, with XDR
+// golden vectors.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "loop_shapes.flexspec.h"
 #include "src/idl/corba_parser.h"
 #include "src/idl/sema.h"
 #include "src/marshal/layout.h"
 #include "src/marshal/native.h"
+#include "src/marshal/spec.h"
 #include "src/marshal/value.h"
 #include "src/marshal/xdr.h"
+#include "src/pdl/apply.h"
 #include "src/support/rng.h"
+#include "src/support/trace.h"
 #include "tests/value_testutil.h"
 
 namespace flexrpc {
@@ -140,6 +148,120 @@ TEST(LayoutTest, ScalarLoadStoreRoundTrip) {
 
 // --- round-trip property tests over random values ---
 
+// `void f(in t x)` over one IDL snippet that defines `t`, as both sides
+// bind it under their default presentations.
+class OneValueOp {
+ public:
+  explicit OneValueOp(const std::string& snippet) {
+    DiagnosticSink diags;
+    idl_ = ParseCorbaIdl(snippet + "\ninterface I { void f(in t x); };",
+                         "t.idl", &diags);
+    if (idl_ == nullptr || !AnalyzeInterfaceFile(idl_.get(), &diags) ||
+        !ApplyPdl(*idl_, Side::kClient, nullptr, &client_pres_, &diags) ||
+        !ApplyPdl(*idl_, Side::kServer, nullptr, &server_pres_, &diags)) {
+      ADD_FAILURE() << diags.ToString();
+      return;
+    }
+    const OperationDecl& op = idl_->interfaces[0].ops[0];
+    client_ = std::make_unique<MarshalProgram>(
+        MarshalProgram::Build(op, *client_pres_.Find("I")->FindOp("f")));
+    server_ = std::make_unique<MarshalProgram>(
+        MarshalProgram::Build(op, *server_pres_.Find("I")->FindOp("f")));
+    t_ = idl_->types.FindNamed("t");
+    // Generated code runs where the loop-shapes unit registered the
+    // client's key; the reference executor runs everywhere.
+    flexspec_loops::RegisterSpecializations();
+    generated_ = FindSpecialization(ComputeSpecKey(
+                     op, *client_pres_.Find("I")->FindOp("f"))) != nullptr;
+  }
+
+  bool ok() const { return server_ != nullptr; }
+  const Type* t() const { return t_; }
+  const MarshalProgram& client() const { return *client_; }
+  const MarshalProgram& server() const { return *server_; }
+  // Whether specialization on runs generated code for this operation.
+  bool generated() const { return generated_; }
+
+  // The native value at `native` as a stub passes it: a scalar's bits, a
+  // string's pointer, a sequence unpacked, any other value by pointer.
+  void ToSlot(const void* native, ArgValue* slot) const {
+    const Type* t = t_->Resolve();
+    switch (t->kind()) {
+      case TypeKind::kString: {
+        const char* s;
+        std::memcpy(&s, native, sizeof(s));
+        slot->set_ptr(s);
+        return;
+      }
+      case TypeKind::kSequence: {
+        SeqRep rep;
+        std::memcpy(&rep, native, sizeof(rep));
+        slot->set_ptr(rep.buffer);
+        slot->length = rep.length;
+        return;
+      }
+      case TypeKind::kArray:
+      case TypeKind::kStruct:
+      case TypeKind::kUnion:
+        slot->set_ptr(native);
+        return;
+      default:
+        slot->scalar = LoadScalar(t, native);
+        return;
+    }
+  }
+
+  // Whether the value in `slot` equals the native value at `native`.
+  bool SlotEquals(const ArgValue& slot, const void* native) const {
+    const Type* t = t_->Resolve();
+    std::vector<uint8_t> value(t->NativeSize());
+    switch (t->kind()) {
+      case TypeKind::kString: {
+        const void* s = slot.ptr();
+        std::memcpy(value.data(), &s, sizeof(s));
+        break;
+      }
+      case TypeKind::kSequence: {
+        const SeqRep rep{slot.length, slot.length, slot.ptr()};
+        std::memcpy(value.data(), &rep, sizeof(rep));
+        break;
+      }
+      case TypeKind::kArray:
+      case TypeKind::kStruct:
+      case TypeKind::kUnion:
+        return ValueEquals(t, native, slot.ptr());
+      default:
+        StoreScalar(t, value.data(), slot.scalar);
+        break;
+    }
+    return ValueEquals(t, native, value.data());
+  }
+
+ private:
+  std::unique_ptr<InterfaceFile> idl_;
+  PresentationSet client_pres_;
+  PresentationSet server_pres_;
+  std::unique_ptr<MarshalProgram> client_;
+  std::unique_ptr<MarshalProgram> server_;
+  const Type* t_ = nullptr;
+  bool generated_ = false;
+};
+
+// Restores the global dispatch switch no matter how the test exits.
+struct SpecSwitchGuard {
+  bool saved = MarshalSpecializationEnabled();
+  ~SpecSwitchGuard() { SetMarshalSpecializationEnabled(saved); }
+};
+
+// The executors `op` runs on: false for the reference executor, true for
+// generated code where the loop-shapes unit serves it.
+std::vector<bool> Executors(const OneValueOp& op) {
+  if (op.generated()) {
+    return {false, true};
+  }
+  return {false};
+}
+
 class ValueRoundTrip : public ::testing::TestWithParam<const char*> {};
 
 // Each parameter is an IDL snippet defining type `t` used by interface I.
@@ -169,44 +291,45 @@ INSTANTIATE_TEST_SUITE_P(
         "union u switch (e) { case 0: payload p; default: long err; };\n"
         "typedef u t;"));
 
+// The client's request stream, then the server's, in XDR and in the native
+// format, on each executor: the server ends up with the value the client
+// sent, reads every byte, and its release frees all it allocated.
 TEST_P(ValueRoundTrip, XdrAndNativeAgreeWithOriginal) {
-  std::string src = std::string(GetParam()) +
-                    "\ninterface I { void f(in t x); };";
-  DiagnosticSink diags;
-  auto idl = ParseCorbaIdl(src, "t.idl", &diags);
-  ASSERT_NE(idl, nullptr) << diags.ToString();
-  ASSERT_TRUE(AnalyzeInterfaceFile(idl.get(), &diags)) << diags.ToString();
-  const Type* t = idl->types.FindNamed("t");
-  ASSERT_NE(t, nullptr);
-
+  OneValueOp op(GetParam());
+  ASSERT_TRUE(op.ok());
+  SpecSwitchGuard guard;
   Rng rng(20260707);
   Arena arena("values");
   for (int iter = 0; iter < 50; ++iter) {
-    void* original = RandomNativeValue(&rng, &arena, t);
-
-    // XDR round trip.
-    {
-      XdrWriter w;
-      ASSERT_TRUE(MarshalValue(&w, t, original).ok());
-      XdrReader r(w.span());
-      void* decoded = arena.AllocateBlock(t->NativeSize());
-      std::memset(decoded, 0, t->NativeSize());
-      Status st = UnmarshalValue(&r, t, decoded, &arena);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_EQ(r.remaining(), 0u);
-      EXPECT_TRUE(ValueEquals(t, original, decoded)) << "XDR iter " << iter;
-    }
-    // Native round trip.
-    {
-      NativeWriter w;
-      ASSERT_TRUE(MarshalValue(&w, t, original).ok());
-      NativeReader r(w.span());
-      void* decoded = arena.AllocateBlock(t->NativeSize());
-      std::memset(decoded, 0, t->NativeSize());
-      Status st = UnmarshalValue(&r, t, decoded, &arena);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_TRUE(ValueEquals(t, original, decoded))
-          << "native iter " << iter;
+    void* original = RandomNativeValue(&rng, &arena, op.t());
+    for (bool generated : Executors(op)) {
+      SetMarshalSpecializationEnabled(generated);
+      SCOPED_TRACE(generated ? "generated" : "reference executor");
+      for (bool xdr : {true, false}) {
+        SCOPED_TRACE(xdr ? "XDR" : "native");
+        XdrWriter xdr_writer;
+        NativeWriter native_writer;
+        WireWriter* w = xdr ? static_cast<WireWriter*>(&xdr_writer)
+                            : &native_writer;
+        ArgVec args(op.client().slot_count());
+        op.ToSlot(original, &args[0]);
+        TraceSession session;
+        ASSERT_TRUE(op.client().MarshalRequest(args, w).ok());
+        XdrReader xdr_reader(w->span());
+        NativeReader native_reader(w->span());
+        WireReader* r = xdr ? static_cast<WireReader*>(&xdr_reader)
+                            : &native_reader;
+        const size_t live = arena.live_blocks();
+        ArgVec out(op.server().slot_count());
+        Status st = op.server().UnmarshalRequest(r, &arena, &out);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        EXPECT_EQ(r->remaining(), 0u);
+        EXPECT_TRUE(op.SlotEquals(out[0], original)) << "iter " << iter;
+        op.server().ReleaseRequest(&arena, &out);
+        EXPECT_EQ(arena.live_blocks(), live);
+        EXPECT_EQ(session.Report().counter(TraceCounter::kMarshalSpecHits),
+                  generated ? 2u : 0u);
+      }
     }
   }
 }
@@ -230,50 +353,50 @@ TEST_P(ValueRoundTrip, CopyValueProducesEqualIndependentValue) {
   }
 }
 
+// Every strict prefix of a request fails cleanly on the server, on each
+// executor, and its release leaves no block live.
 TEST_P(ValueRoundTrip, TruncatedWireDataRejected) {
-  std::string src = std::string(GetParam()) +
-                    "\ninterface I { void f(in t x); };";
-  DiagnosticSink diags;
-  auto idl = ParseCorbaIdl(src, "t.idl", &diags);
-  ASSERT_NE(idl, nullptr) << diags.ToString();
-  const Type* t = idl->types.FindNamed("t");
-
+  OneValueOp op(GetParam());
+  ASSERT_TRUE(op.ok());
+  SpecSwitchGuard guard;
   Rng rng(7);
-  Arena arena("values");
-  void* original = RandomNativeValue(&rng, &arena, t);
+  Arena values("values");
+  void* original = RandomNativeValue(&rng, &values, op.t());
+  ArgVec args(op.client().slot_count());
+  op.ToSlot(original, &args[0]);
   XdrWriter w;
-  ASSERT_TRUE(MarshalValue(&w, t, original).ok());
+  ASSERT_TRUE(op.client().MarshalRequest(args, &w).ok());
   if (w.size() == 0) {
     return;  // nothing to truncate
   }
-  // Every strict prefix must fail cleanly (no crash, DATA_LOSS status).
-  for (size_t cut = 1; cut <= w.size(); cut += 4) {
-    XdrReader r(w.span().subspan(0, w.size() - cut));
-    void* decoded = arena.AllocateBlock(t->NativeSize());
-    std::memset(decoded, 0, t->NativeSize());
-    Status st = UnmarshalValue(&r, t, decoded, &arena);
-    EXPECT_FALSE(st.ok()) << "cut " << cut;
+  for (bool generated : Executors(op)) {
+    SetMarshalSpecializationEnabled(generated);
+    for (size_t cut = 1; cut <= w.size(); cut += 4) {
+      Arena arena("server");
+      XdrReader r(w.span().subspan(0, w.size() - cut));
+      ArgVec out(op.server().slot_count());
+      Status st = op.server().UnmarshalRequest(&r, &arena, &out);
+      EXPECT_FALSE(st.ok()) << "cut " << cut;
+      op.server().ReleaseRequest(&arena, &out);
+      EXPECT_EQ(arena.live_blocks(), 0u) << "cut " << cut;
+    }
   }
 }
 
 TEST(ValueTest, StringBoundEnforcedOnMarshal) {
-  DiagnosticSink diags;
-  auto idl = ParseCorbaIdl(
-      "typedef string<4> t; interface I { void f(in t x); };", "t.idl",
-      &diags);
-  const Type* t = idl->types.FindNamed("t");
-  const char* too_long = "abcdef";
+  OneValueOp op("typedef string<4> t;");
+  ASSERT_TRUE(op.ok());
+  ArgVec args(op.client().slot_count());
+  args[0].set_ptr("abcdef");
   XdrWriter w;
-  Status st = MarshalValue(&w, t, &too_long);
+  Status st = op.client().MarshalRequest(args, &w);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(), "string length 6 exceeds bound 4");
 }
 
 TEST(ValueTest, SequenceBoundEnforcedOnUnmarshal) {
-  DiagnosticSink diags;
-  auto idl = ParseCorbaIdl(
-      "typedef sequence<octet, 4> t; interface I { void f(in t x); };",
-      "t.idl", &diags);
-  const Type* t = idl->types.FindNamed("t");
+  OneValueOp op("typedef sequence<octet, 4> t;");
+  ASSERT_TRUE(op.ok());
   // Hand-craft a wire image claiming 100 elements.
   XdrWriter w;
   w.PutU32(100);
@@ -281,9 +404,10 @@ TEST(ValueTest, SequenceBoundEnforcedOnUnmarshal) {
   w.PutBytes(junk, 100);
   XdrReader r(w.span());
   Arena arena("a");
-  SeqRep rep;
-  Status st = UnmarshalValue(&r, t, &rep, &arena);
+  ArgVec out(op.server().slot_count());
+  Status st = op.server().UnmarshalRequest(&r, &arena, &out);
   EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(st.message(), "wire sequence length 100 exceeds bound 4");
 }
 
 TEST(ValueTest, SequenceCountBeyondWireRejected) {
@@ -293,34 +417,32 @@ TEST(ValueTest, SequenceCountBeyondWireRejected) {
   for (const char* shape : {"typedef sequence<long> t;",
                             "typedef sequence<string> t;",
                             "struct t { sequence<long> values; };"}) {
-    DiagnosticSink diags;
-    auto idl = ParseCorbaIdl(
-        std::string(shape) + "\ninterface I { void f(in t x); };", "t.idl",
-        &diags);
-    ASSERT_NE(idl, nullptr) << diags.ToString();
-    const Type* t = idl->types.FindNamed("t");
+    OneValueOp op(shape);
+    ASSERT_TRUE(op.ok()) << shape;
     XdrWriter w;
     w.PutU32(0xFFFFFFFF);
     w.PutU32(7);
     XdrReader r(w.span());
     Arena arena("a");
-    std::vector<uint8_t> dst(t->NativeSize());
-    EXPECT_EQ(UnmarshalValue(&r, t, dst.data(), &arena).code(),
-              StatusCode::kDataLoss)
+    ArgVec out(op.server().slot_count());
+    Status st = op.server().UnmarshalRequest(&r, &arena, &out);
+    EXPECT_EQ(st.code(), StatusCode::kDataLoss) << shape;
+    EXPECT_EQ(st.message(),
+              "wire sequence length 4294967295 exceeds the 4 bytes left")
         << shape;
+    // At most the struct's own block.
+    EXPECT_LE(arena.bytes_allocated(), 1024u) << shape;
+    op.server().ReleaseRequest(&arena, &out);
     EXPECT_EQ(arena.live_blocks(), 0u) << shape;
   }
 }
 
 TEST(ValueTest, TruncatedSequenceFreesTheElementsRead) {
-  // The third of three names is cut short: the sequence's buffer and the
-  // two names already read go back to the arena with the error.
-  DiagnosticSink diags;
-  auto idl = ParseCorbaIdl(
-      "typedef sequence<string> t;\ninterface I { void f(in t x); };",
-      "t.idl", &diags);
-  ASSERT_NE(idl, nullptr) << diags.ToString();
-  const Type* t = idl->types.FindNamed("t");
+  // The third of three names is cut short: the sequence's length is set
+  // before any name is read, so the release frees its buffer and the two
+  // names already read.
+  OneValueOp op("typedef sequence<string> t;");
+  ASSERT_TRUE(op.ok());
   XdrWriter w;
   w.PutU32(3);
   for (const char* name : {"one", "two"}) {
@@ -330,53 +452,52 @@ TEST(ValueTest, TruncatedSequenceFreesTheElementsRead) {
   w.PutU32(5);
   XdrReader r(w.span());
   Arena arena("a");
-  std::vector<uint8_t> dst(t->NativeSize());
-  EXPECT_EQ(UnmarshalValue(&r, t, dst.data(), &arena).code(),
+  ArgVec out(op.server().slot_count());
+  EXPECT_EQ(op.server().UnmarshalRequest(&r, &arena, &out).code(),
             StatusCode::kDataLoss);
+  EXPECT_EQ(out[0].length, 3u);
+  EXPECT_EQ(arena.live_blocks(), 3u);
+  op.server().ReleaseRequest(&arena, &out);
   EXPECT_EQ(arena.live_blocks(), 0u);
 }
 
 TEST(ValueTest, UnknownUnionDiscriminantRejected) {
-  DiagnosticSink diags;
-  auto idl = ParseCorbaIdl(R"(
-    enum e { A = 0, B = 1 };
-    union u switch (e) { case 0: long x; case 1: long y; };
-    interface I { void f(in u v); };
-  )", "t.idl", &diags);
-  ASSERT_NE(idl, nullptr) << diags.ToString();
-  const Type* u = idl->types.FindNamed("u");
+  OneValueOp op(
+      "enum e { A = 0, B = 1 };\n"
+      "union t switch (e) { case 0: long x; case 1: long y; };");
+  ASSERT_TRUE(op.ok());
   XdrWriter w;
   w.PutU32(42);  // matches no arm, no default
   XdrReader r(w.span());
   Arena arena("a");
-  void* dst = arena.AllocateBlock(u->NativeSize());
-  EXPECT_EQ(UnmarshalValue(&r, u, dst, &arena).code(),
-            StatusCode::kDataLoss);
+  ArgVec out(op.server().slot_count());
+  Status st = op.server().UnmarshalRequest(&r, &arena, &out);
+  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(st.message(), "wire union discriminant 42 matches no arm");
+  op.server().ReleaseRequest(&arena, &out);
+  EXPECT_EQ(arena.live_blocks(), 0u);
 }
 
 TEST(ValueTest, FreeValueReturnsAllBlocks) {
-  DiagnosticSink diags;
-  auto idl = ParseCorbaIdl(R"(
-    struct inner { string s; sequence<octet> d; };
-    typedef sequence<inner> t;
-    interface I { void f(in t x); };
-  )", "t.idl", &diags);
-  ASSERT_NE(idl, nullptr) << diags.ToString();
-  const Type* t = idl->types.FindNamed("t");
-
+  OneValueOp op(
+      "struct inner { string s; sequence<octet> d; };\n"
+      "typedef sequence<inner> t;");
+  ASSERT_TRUE(op.ok());
   Rng rng(5);
   Arena source("src");
-  void* original = RandomNativeValue(&rng, &source, t);
+  void* original = RandomNativeValue(&rng, &source, op.t());
+  ArgVec args(op.client().slot_count());
+  op.ToSlot(original, &args[0]);
   XdrWriter w;
-  ASSERT_TRUE(MarshalValue(&w, t, original).ok());
+  ASSERT_TRUE(op.client().MarshalRequest(args, &w).ok());
 
   Arena sink("dst");
-  void* decoded = sink.AllocateBlock(t->NativeSize());
-  std::memset(decoded, 0, t->NativeSize());
+  ArgVec out(op.server().slot_count());
   XdrReader r(w.span());
-  ASSERT_TRUE(UnmarshalValue(&r, t, decoded, &sink).ok());
-  FreeValue(&sink, t, decoded);
-  sink.FreeBlock(decoded);
+  ASSERT_TRUE(op.server().UnmarshalRequest(&r, &sink, &out).ok());
+  ASSERT_TRUE(op.SlotEquals(out[0], original));
+  SeqRep rep{out[0].length, out[0].length, out[0].ptr()};
+  FreeValue(&sink, op.t(), &rep);
   EXPECT_EQ(sink.live_blocks(), 0u);  // refcount conservation
 }
 
@@ -413,13 +534,8 @@ TEST(ValueTest, FreeValueSkipsValuesThatHoldNoPointer) {
 
 TEST(ValueTest, XdrMatchesHandEncodedStruct) {
   // Golden test pinning the full XDR encoding of a small struct.
-  DiagnosticSink diags;
-  auto idl = ParseCorbaIdl(R"(
-    struct s { unsigned long a; string name; };
-    interface I { void f(in s x); };
-  )", "t.idl", &diags);
-  ASSERT_NE(idl, nullptr) << diags.ToString();
-  const Type* s = idl->types.FindNamed("s");
+  OneValueOp op("struct t { unsigned long a; string name; };");
+  ASSERT_TRUE(op.ok());
 
   struct Native {
     uint32_t a;
@@ -428,8 +544,10 @@ TEST(ValueTest, XdrMatchesHandEncodedStruct) {
   } value = {0x11223344, 0, "hey"};
   static_assert(sizeof(Native) == 16);
 
+  ArgVec args(op.client().slot_count());
+  op.ToSlot(&value, &args[0]);
   XdrWriter w;
-  ASSERT_TRUE(MarshalValue(&w, s, &value).ok());
+  ASSERT_TRUE(op.client().MarshalRequest(args, &w).ok());
   const uint8_t expected[] = {
       0x11, 0x22, 0x33, 0x44,  // a
       0x00, 0x00, 0x00, 0x03,  // strlen("hey")

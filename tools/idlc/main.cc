@@ -20,12 +20,12 @@
 // interface.
 //
 // --specialize additionally emits <basename>.flexspec.h/.cc — fused
-// straight-line marshal superinstructions, each proven wire-equivalent to
-// its plan before emission (divergence blocks the run). It plans each
-// side's default presentation beside the one given, so the unit also
-// serves a stub bound to the default. Every stream the prover accepts is
-// emitted unless it holds a value op or runs past the op budget
-// (FLEX205); those run on the reference executor. The header also holds
+// marshal superinstructions (one `for` per loop), each proven
+// wire-equivalent to its plan before emission (divergence blocks the
+// run). It plans each side's default presentation beside the one given,
+// so the unit also serves a stub bound to the default. Every stream the
+// prover accepts is emitted unless it runs past the op budget (FLEX205);
+// such a stream runs on the reference executor. The header also holds
 // the --idl and --client-pdl texts byte for byte, as kIdlSource and
 // kClientPdlSource ("" without --client-pdl): a stub that binds from them
 // binds exactly the plans the unit registers.
