@@ -1,6 +1,9 @@
 #include "src/analysis/spec_verifier.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 #include "src/marshal/engine.h"
 #include "src/marshal/layout.h"
@@ -46,13 +49,31 @@ const char* LenSourceName(SpecLenSource src) {
   return "?";
 }
 
+// The wire bytes a fixed-width effect moves in `format`: a scalar, a fixed
+// byte run or a discriminant; 0 for any other effect.
+size_t FixedBytes(const WireEffect& e, WireFormat format) {
+  switch (e.kind) {
+    case WireEffect::Kind::kScalar:
+      return WireScalarBytes(format, e.width);
+    case WireEffect::Kind::kBytes:
+      return e.fixed ? WireRunBytes(format, e.count) : 0;
+    case WireEffect::Kind::kDisc:
+      return WireScalarBytes(format, 4);
+    default:
+      return 0;
+  }
+}
+
 // Symbolic lowering of the plan: one pass over the item stream, lowering
 // each wire item the way the engine's semantics define it, on its own
 // terms rather than through CompileSpecPlan.
 class PlanLowering {
  public:
-  PlanLowering(const OpPresentation& pres, bool marshal)
-      : pres_(pres), marshal_(marshal) {}
+  enum class Mode { kMarshal, kUnmarshal, kRelease };
+
+  PlanLowering(const OpPresentation& pres, Mode mode)
+      : pres_(pres), marshal_(mode == Mode::kMarshal),
+        release_(mode == Mode::kRelease) {}
 
   std::vector<WireEffect> Lower(const std::vector<PlanItemView>& items) {
     for (const PlanItemView& item : items) {
@@ -62,11 +83,40 @@ class PlanLowering {
   }
 
  private:
+  // Appends `e`. The wire is checked once per maximal run of fixed-width
+  // effects: the first opens the run with a kRun effect, each adds its
+  // bytes to it, and a discriminant (which can end the stream) closes it;
+  // any other effect but an unmarshal's storage guarantee closes it too.
+  void Push(const WireEffect& e) {
+    if (FixedBytes(e, WireFormat::kXdr) == 0) {
+      if (e.kind != WireEffect::Kind::kEnsure) {
+        run_ = kNoRun;
+      }
+      effects_.push_back(e);
+      return;
+    }
+    if (run_ == kNoRun) {
+      WireEffect run;
+      run.kind = WireEffect::Kind::kRun;
+      run.depth = e.depth;
+      run_ = effects_.size();
+      effects_.push_back(run);
+    }
+    for (size_t f = 0; f < kWireFormatCount; ++f) {
+      effects_[run_].run_bytes[f] +=
+          static_cast<uint32_t>(FixedBytes(e, static_cast<WireFormat>(f)));
+    }
+    effects_.push_back(e);
+    if (e.kind == WireEffect::Kind::kDisc) {
+      run_ = kNoRun;
+    }
+  }
+
   void Unbound(int slot) {
     WireEffect e;
     e.kind = WireEffect::Kind::kUnbound;
     e.slot = slot;
-    effects_.push_back(e);
+    Push(e);
   }
 
   void LowerItem(const PlanItemView& item) {
@@ -74,7 +124,7 @@ class PlanLowering {
       LowerTop(item.pres, item.type, item.slot);
       return;
     }
-    if (item.is_result &&
+    if (item.is_result && !release_ &&
         item.type->Resolve()->kind() == TypeKind::kUnion) {
       if (item.disc_slot < 0) {
         Unbound(-1);
@@ -86,7 +136,7 @@ class PlanLowering {
       e.label = item.success_label;
       e.dest = marshal_ ? WireEffect::Dest::kNone
                         : WireEffect::Dest::kSlotScalar;
-      effects_.push_back(e);
+      Push(e);
     }
     for (const PlanFieldView& field : item.fields) {
       if (field.type == nullptr) {
@@ -112,6 +162,10 @@ class PlanLowering {
   }
 
   void LowerTop(const ParamPresentation* pres, const Type* type, int slot) {
+    if (release_) {
+      LowerTopRelease(pres, type, slot);
+      return;
+    }
     const Type* t = type->Resolve();
     bool special = pres != nullptr && pres->special;
     switch (t->kind()) {
@@ -125,7 +179,7 @@ class PlanLowering {
         if (marshal_) {
           MarshalLength(pres, SpecLenSource::kStrLen, &len);
         }
-        effects_.push_back(len);
+        Push(len);
         WireEffect bytes;
         bytes.kind = WireEffect::Kind::kBytes;
         bytes.slot = slot;
@@ -134,7 +188,7 @@ class PlanLowering {
           bytes.dest = WireEffect::Dest::kString;
           bytes.nul_terminated = true;
         }
-        effects_.push_back(bytes);
+        Push(bytes);
         return;
       }
       case TypeKind::kSequence: {
@@ -151,7 +205,7 @@ class PlanLowering {
           return;
         }
         len.kind = WireEffect::Kind::kLenPrefix;
-        effects_.push_back(len);
+        Push(len);
         WireEffect bytes;
         bytes.kind = WireEffect::Kind::kBytes;
         bytes.slot = slot;
@@ -160,7 +214,7 @@ class PlanLowering {
           bytes.dest = WireEffect::Dest::kBuffer;
           bytes.may_borrow = true;
         }
-        effects_.push_back(bytes);
+        Push(bytes);
         return;
       }
       case TypeKind::kArray:
@@ -171,7 +225,7 @@ class PlanLowering {
           ensure.kind = WireEffect::Kind::kEnsure;
           ensure.slot = slot;
           ensure.count = static_cast<uint32_t>(t->NativeSize());
-          effects_.push_back(ensure);
+          Push(ensure);
         }
         // Only a top-level byte array's run takes [special].
         LowerMem(t, slot, 0, 0, t->kind() == TypeKind::kArray && special);
@@ -184,10 +238,103 @@ class PlanLowering {
         e.slot = slot;
         e.dest = marshal_ ? WireEffect::Dest::kNone
                           : WireEffect::Dest::kSlotScalar;
-        effects_.push_back(e);
+        Push(e);
         return;
       }
     }
+  }
+
+  // What a release frees of one operand, as the unmarshal allocated it
+  // (or, for a [dealloc(always)] operand after MarshalReply, as the work
+  // function donated it): every block nested in the value, then the
+  // operand's own storage, the nested frees guarded by whether that
+  // storage is freed. A string's and a sequence's storage is its buffer, a
+  // value's the block that holds it. A scalar owns nothing.
+  void LowerTopRelease(const ParamPresentation* pres, const Type* type,
+                       int slot) {
+    const Type* t = type->Resolve();
+    const bool donated =
+        pres != nullptr && pres->dealloc == DeallocPolicy::kAlways;
+    const bool sequence = t->kind() == TypeKind::kSequence;
+    if (t->kind() != TypeKind::kString && !sequence &&
+        t->kind() != TypeKind::kArray && t->kind() != TypeKind::kStruct &&
+        t->kind() != TypeKind::kUnion) {
+      return;
+    }
+    // A sequence in a slot travels unpacked: its elements are the slot's
+    // storage, counted by the slot's length.
+    const bool nested =
+        sequence ? !IsByteElem(t->element()) && t->element()->HoldsPointers()
+                 : t->kind() != TypeKind::kString && t->HoldsPointers();
+    WireEffect free;
+    free.kind = WireEffect::Kind::kFree;
+    free.slot = slot;
+    free.donated = donated;
+    if (!nested) {
+      Push(free);
+      return;
+    }
+    WireEffect guard = free;
+    guard.kind = WireEffect::Kind::kFreeGuard;
+    const size_t at = effects_.size();
+    Push(guard);
+    if (sequence) {
+      WireEffect loop;
+      loop.slot = slot;
+      loop.bound = t->bound();
+      loop.len_src = SpecLenSource::kSlotLength;
+      LowerLoop(loop, t->element());
+    } else {
+      LowerMem(t, slot, 0, 0, /*special=*/false);
+    }
+    Push(free);
+    effects_[at].count = static_cast<uint32_t>(effects_.size() - at - 1);
+  }
+
+  // A release of the value in memory at `offset`: a string's block, a
+  // sequence's elements and then its buffer (the pointer in its SeqRep),
+  // through every struct field, union arm and array element that holds a
+  // pointer.
+  void LowerMemRelease(const Type* t, int slot, uint32_t offset,
+                       uint8_t depth) {
+    if (!t->HoldsPointers()) {
+      return;
+    }
+    WireEffect e;
+    e.slot = slot;
+    e.offset = offset;
+    e.depth = depth;
+    switch (t->kind()) {
+      case TypeKind::kArray:
+        e.len_src = SpecLenSource::kConstant;
+        e.bound = t->bound();
+        LowerLoop(e, t->element());
+        return;
+      case TypeKind::kStruct:
+        for (size_t i = 0; i < t->fields().size(); ++i) {
+          LowerMem(t->fields()[i].type, slot,
+                   offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
+                   depth, /*special=*/false);
+        }
+        return;
+      case TypeKind::kUnion:
+        LowerUnion(t, slot, offset, depth);
+        return;
+      case TypeKind::kSequence:
+        if (!IsByteElem(t->element()) && t->element()->HoldsPointers()) {
+          WireEffect loop = e;
+          loop.len_src = SpecLenSource::kSeqRep;
+          loop.bound = t->bound();
+          LowerLoop(loop, t->element());
+        }
+        e.offset = offset + static_cast<uint32_t>(offsetof(SeqRep, buffer));
+        break;
+      default:  // a string: its char*
+        break;
+    }
+    e.kind = WireEffect::Kind::kFree;
+    e.from_memory = true;
+    Push(e);
   }
 
   // A value in memory at `offset`, inside `depth` loops (in the current
@@ -198,6 +345,10 @@ class PlanLowering {
   void LowerMem(const Type* type, int slot, uint32_t offset, uint8_t depth,
                 bool special) {
     const Type* t = type->Resolve();
+    if (release_) {
+      LowerMemRelease(t, slot, offset, depth);
+      return;
+    }
     WireEffect e;
     e.slot = slot;
     e.offset = offset;
@@ -214,7 +365,7 @@ class PlanLowering {
           if (!marshal_) {
             e.dest = WireEffect::Dest::kSlotMem;
           }
-          effects_.push_back(e);
+          Push(e);
           return;
         }
         e.len_src = SpecLenSource::kConstant;
@@ -253,7 +404,7 @@ class PlanLowering {
         e.from_memory = true;
         e.dest = marshal_ ? WireEffect::Dest::kNone
                           : WireEffect::Dest::kSlotMem;
-        effects_.push_back(e);
+        Push(e);
         return;
     }
   }
@@ -265,7 +416,7 @@ class PlanLowering {
   void LowerMemRun(WireEffect len, WireEffect::Dest dest) {
     len.kind = WireEffect::Kind::kLenPrefix;
     len.from_memory = true;
-    effects_.push_back(len);
+    Push(len);
     WireEffect bytes = len;
     bytes.kind = WireEffect::Kind::kBytes;
     bytes.bound = 0;
@@ -274,7 +425,7 @@ class PlanLowering {
       bytes.dest = dest;
       bytes.nul_terminated = dest == WireEffect::Dest::kStrPtr;
     }
-    effects_.push_back(bytes);
+    Push(bytes);
   }
 
   // A loop over `elem`s (`loop` holds its place, count source and bound):
@@ -285,7 +436,7 @@ class PlanLowering {
     loop.kind = WireEffect::Kind::kLoop;
     loop.stride = static_cast<uint32_t>(elem->NativeSize());
     const size_t head = effects_.size();
-    effects_.push_back(loop);
+    Push(loop);
     LowerMem(elem, loop.slot, 0, static_cast<uint8_t>(loop.depth + 1),
              /*special=*/false);
     effects_[head].count = static_cast<uint32_t>(effects_.size() - head - 1);
@@ -295,14 +446,16 @@ class PlanLowering {
     back.depth = loop.depth;
     back.stride = loop.stride;
     back.count = effects_[head].count;
-    effects_.push_back(back);
+    Push(back);
   }
 
   // A union as SelectArm reads it: the u32 discriminant at `offset`, then
   // the arm whose label it equals, else the default arm, else an error.
   // Lowered as a chain of guarded blocks, one per labeled arm in
   // declaration order, each ending in a jump past the rest; then the
-  // default arm's effects, or kNoArm.
+  // default arm's effects, or kNoArm. A release reads no discriminant off
+  // the wire and frees nothing when it matches no arm. The jumps land
+  // after the union, where the default arm's run ends.
   void LowerUnion(const Type* u, int slot, uint32_t offset, uint8_t depth) {
     WireEffect control;
     control.slot = slot;
@@ -314,7 +467,9 @@ class PlanLowering {
     disc.from_memory = true;
     disc.dest =
         marshal_ ? WireEffect::Dest::kNone : WireEffect::Dest::kSlotMem;
-    effects_.push_back(disc);
+    if (!release_) {
+      Push(disc);
+    }
     const uint32_t payload =
         offset + static_cast<uint32_t>(UnionPayloadOffset(u));
     const Type* fallback = nullptr;
@@ -328,30 +483,35 @@ class PlanLowering {
       WireEffect test = control;
       test.kind = WireEffect::Kind::kArm;
       test.label = arm.label;
-      effects_.push_back(test);
+      Push(test);
       LowerMem(arm.type, slot, payload, depth, /*special=*/false);
       WireEffect jump = control;
       jump.kind = WireEffect::Kind::kArmEnd;
-      effects_.push_back(jump);
+      Push(jump);
       effects_[guard].count =
           static_cast<uint32_t>(effects_.size() - guard - 1);
       jumps.push_back(effects_.size() - 1);
     }
     if (fallback != nullptr) {
       LowerMem(fallback, slot, payload, depth, /*special=*/false);
-    } else {
+    } else if (!release_) {
       WireEffect none = control;
       none.kind = WireEffect::Kind::kNoArm;
-      effects_.push_back(none);
+      Push(none);
     }
     for (size_t at : jumps) {
       effects_[at].count = static_cast<uint32_t>(effects_.size() - at - 1);
     }
+    run_ = kNoRun;
   }
+
+  static constexpr size_t kNoRun = SIZE_MAX;
 
   const OpPresentation& pres_;
   bool marshal_;
+  bool release_;
   std::vector<WireEffect> effects_;
+  size_t run_ = kNoRun;  // the open run's kRun effect
 };
 
 // "slot2+12", with "@1" for an operand at loop depth 1.
@@ -401,6 +561,17 @@ std::string WireEffect::ToString() const {
     case Kind::kLoopEnd:
       return StrFormat("loop_end(%s stride=%u body=%u)",
                        Place(*this).c_str(), stride, count);
+    case Kind::kRun:
+      return StrFormat("run(xdr=%u native=%u)",
+                       run_bytes[static_cast<size_t>(WireFormat::kXdr)],
+                       run_bytes[static_cast<size_t>(WireFormat::kNative)]);
+    case Kind::kFreeGuard:
+      return StrFormat("free_guard(slot%d%s skip=%u)", slot,
+                       donated ? " donated" : "", count);
+    case Kind::kFree:
+      return from_memory ? StrFormat("free(%s mem)", Place(*this).c_str())
+                         : StrFormat("free(slot%d%s)", slot,
+                                     donated ? " donated" : "");
     case Kind::kUnbound:
       return StrFormat("unbound(slot%d)", slot);
   }
@@ -410,13 +581,20 @@ std::string WireEffect::ToString() const {
 std::vector<WireEffect> PlanStreamEffects(const OperationDecl& op,
                                           const OpPresentation& pres,
                                           SpecStream stream) {
+  using Mode = PlanLowering::Mode;
   const MarshalPlanView view = BuildMarshalPlan(op, pres);
-  bool marshal = stream == SpecStream::kMarshalRequest ||
-                 stream == SpecStream::kMarshalReply;
-  bool is_reply = stream == SpecStream::kMarshalReply ||
-                  stream == SpecStream::kUnmarshalReply;
-  return PlanLowering(pres, marshal)
-      .Lower(is_reply ? view.reply : view.request);
+  const Mode mode = stream == SpecStream::kMarshalRequest ||
+                            stream == SpecStream::kMarshalReply
+                        ? Mode::kMarshal
+                    : stream == SpecStream::kUnmarshalRequest ||
+                            stream == SpecStream::kUnmarshalReply
+                        ? Mode::kUnmarshal
+                        : Mode::kRelease;
+  const bool is_reply = stream == SpecStream::kMarshalReply ||
+                        stream == SpecStream::kUnmarshalReply ||
+                        stream == SpecStream::kReleaseReply;
+  return PlanLowering(pres, mode).Lower(is_reply ? view.reply
+                                                 : view.request);
 }
 
 namespace {
@@ -570,6 +748,28 @@ void ExpandOp(const SpecOp& op, std::vector<WireEffect>* effects) {
       e.count = op.count;
       effects->push_back(e);
       return;
+    case SpecOpKind::kRun:
+      e.kind = WireEffect::Kind::kRun;
+      e.slot = -1;
+      for (size_t f = 0; f < kWireFormatCount; ++f) {
+        e.run_bytes[f] = op.run_bytes[f];
+      }
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kFreeGuard:
+    case SpecOpKind::kFreeSlot:
+      e.kind = op.kind == SpecOpKind::kFreeGuard ? WireEffect::Kind::kFreeGuard
+                                                 : WireEffect::Kind::kFree;
+      e.donated = op.donated;
+      e.count = op.kind == SpecOpKind::kFreeGuard ? op.count : 0;
+      effects->push_back(e);
+      return;
+    case SpecOpKind::kFreeMem:
+      e.kind = WireEffect::Kind::kFree;
+      e.offset = op.offset;
+      e.from_memory = true;
+      effects->push_back(e);
+      return;
   }
 }
 
@@ -585,7 +785,8 @@ std::vector<WireEffect> SpecStreamEffects(const SpecProgram& prog) {
   }
   first[ops.size()] = effects.size();
   // A branch or a loop spans ops, and its effect the effects of those ops:
-  // the ops after it (kArm, kArmEnd, kLoop), or before it (kLoopEnd). A
+  // the ops after it (kArm, kArmEnd, kLoop, kFreeGuard), or before it
+  // (kLoopEnd). A
   // span past either end of the stream matches no plan.
   for (size_t i = 0; i < ops.size(); ++i) {
     WireEffect& e = effects[first[i]];
@@ -594,6 +795,7 @@ std::vector<WireEffect> SpecStreamEffects(const SpecProgram& prog) {
       case WireEffect::Kind::kArm:
       case WireEffect::Kind::kArmEnd:
       case WireEffect::Kind::kLoop:
+      case WireEffect::Kind::kFreeGuard:
         e.count = i + 1 + n <= ops.size()
                       ? static_cast<uint32_t>(first[i + 1 + n] - first[i + 1])
                       : UINT32_MAX;
@@ -633,10 +835,86 @@ std::string_view DivergenceCode(const WireEffect& plan,
   }
   if (plan.len_src != spec.len_src || plan.len_slot != spec.len_slot ||
       plan.bound != spec.bound || plan.count != spec.count ||
-      plan.fixed != spec.fixed) {
+      plan.fixed != spec.fixed ||
+      !std::equal(std::begin(plan.run_bytes), std::end(plan.run_bytes),
+                  std::begin(spec.run_bytes))) {
     return "FLEX204";
   }
-  return "FLEX206";  // dest / special / borrow / NUL policy
+  return "FLEX206";  // dest / special / borrow / NUL / donated policy
+}
+
+// Checks, on the compiled stream alone, where it checks its space: each
+// fixed-width effect lies in the run the kRun before it opened, a run's
+// bytes in each format are its effects' sum, a discriminant (which can end
+// the stream) ends its run, and no branch or loop lands inside a run, past
+// the kRun that checks it. Returns what is wrong, or an empty string.
+std::string RunFault(const std::vector<WireEffect>& fx) {
+  // Where a branch or a loop goes other than to the next effect.
+  std::vector<bool> lands(fx.size() + 1, false);
+  for (size_t i = 0; i < fx.size(); ++i) {
+    const size_t n = fx[i].count;
+    size_t to = SIZE_MAX;
+    switch (fx[i].kind) {
+      case WireEffect::Kind::kArm:
+      case WireEffect::Kind::kArmEnd:
+      case WireEffect::Kind::kFreeGuard:
+        to = i + 1 + n;
+        break;
+      case WireEffect::Kind::kLoop:
+        to = i + 2 + n;  // an empty loop: past its back-edge
+        break;
+      case WireEffect::Kind::kLoopEnd:
+        to = n <= i ? i - n : SIZE_MAX;
+        break;
+      default:
+        break;
+    }
+    if (to < lands.size()) {
+      lands[to] = true;
+    }
+  }
+  size_t run = 0;                        // the open run's kRun
+  uint32_t left[kWireFormatCount] = {};  // its bytes not moved yet
+  auto open = [&left] {
+    return std::any_of(std::begin(left), std::end(left),
+                       [](uint32_t n) { return n != 0; });
+  };
+  for (size_t i = 0; i < fx.size(); ++i) {
+    const WireEffect& e = fx[i];
+    if (open() && lands[i]) {
+      return StrFormat("effect %zu, where a branch lands, lies inside the run "
+                       "at effect %zu",
+                       i, run);
+    }
+    const bool fixed = FixedBytes(e, WireFormat::kXdr) != 0;
+    if (open() && !fixed && e.kind != WireEffect::Kind::kEnsure) {
+      return StrFormat("the run at effect %zu is not used up at effect %zu",
+                       run, i);
+    }
+    if (e.kind == WireEffect::Kind::kRun) {
+      run = i;
+      std::copy(std::begin(e.run_bytes), std::end(e.run_bytes), left);
+      continue;
+    }
+    for (size_t f = 0; f < kWireFormatCount; ++f) {
+      const size_t bytes = FixedBytes(e, static_cast<WireFormat>(f));
+      if (bytes > left[f]) {
+        return StrFormat("effect %zu moves bytes no run checked", i);
+      }
+      left[f] -= static_cast<uint32_t>(bytes);
+    }
+    if (e.kind == WireEffect::Kind::kDisc && open()) {
+      return StrFormat("the run at effect %zu is not used up at the "
+                       "discriminant at effect %zu, which can end the stream",
+                       run, i);
+    }
+  }
+  if (open()) {
+    return StrFormat("the run at effect %zu is not used up at the stream's "
+                     "end",
+                     run);
+  }
+  return "";
 }
 
 }  // namespace
@@ -653,6 +931,12 @@ int VerifySpecPlan(const OperationDecl& op, const OpPresentation& pres,
     std::string where = StrFormat("%s %s", spec_plan.op_name.c_str(),
                                   std::string(SpecStreamName(stream))
                                       .c_str());
+    const std::string run_fault = RunFault(spec_fx);
+    if (!run_fault.empty()) {
+      diags->Report("FLEX204", file, SourcePos{},
+                    StrFormat("%s: %s", where.c_str(), run_fault.c_str()));
+      ++reported;
+    }
     if (plan_fx.size() != spec_fx.size()) {
       diags->Report("FLEX201", file, SourcePos{},
                     StrFormat("%s: plan performs %zu wire effects, "

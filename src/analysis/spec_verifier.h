@@ -24,7 +24,17 @@
 // a sequence or array of non-byte elements is a loop (kLoop, one
 // element's effects, kLoopEnd), compared on its count source, bound,
 // stride and body length, with the body's effects addressed through the
-// loop's depth.
+// loop's depth. Each maximal run of fixed-width effects follows one kRun
+// effect carrying the run's bytes in each wire format, which the plan
+// side sums from the run's own effects, so a compiled kRun that checks
+// more or fewer bytes than its ops move diverges (FLEX204). The compiled
+// stream's runs are also checked on the stream alone, so a fault both
+// lowerings share is still caught: a fixed-width effect outside its run, a
+// run its effects do not use up, or a branch or loop that lands inside a
+// run, past the kRun that checks it, is FLEX204. The release
+// streams lower to the frees of every block an unmarshal can allocate
+// inside each operand (kFree), behind an ownership guard (kFreeGuard),
+// over the same loops and arms.
 
 #ifndef FLEXRPC_SRC_ANALYSIS_SPEC_VERIFIER_H_
 #define FLEXRPC_SRC_ANALYSIS_SPEC_VERIFIER_H_
@@ -58,6 +68,12 @@ struct WireEffect {
                  //   `stride` bytes apart, counted by `len_src` under
                  //   `bound` (a sequence's count travels as a u32)
     kLoopEnd,    // the loop at `depth` goes on to its next element
+    kRun,        // the next fixed-width effects move `run_bytes` wire
+                 //   bytes in each format, checked at once
+    kFreeGuard,  // release: the next `count` effects run only when the
+                 //   slot's storage is freed
+    kFree,       // release: frees the slot's storage, or the block whose
+                 //   pointer is in memory at `offset`
     kUnbound,    // a plan item bound to no slot: no compiled op expands
                  //   to it, so no stream matches the plan
   };
@@ -95,6 +111,8 @@ struct WireEffect {
   bool nul_terminated = false;  // kBytes into string storage
   bool may_borrow = false;      // kBytes may alias the message buffer
   uint32_t label = 0;           // kDisc success label / kArm label
+  uint32_t run_bytes[kWireFormatCount] = {0, 0};  // kRun, per WireFormat
+  bool donated = false;  // kFreeGuard/kFree of a slot: [dealloc(always)]
 
   bool operator==(const WireEffect&) const = default;
 
@@ -113,10 +131,11 @@ std::vector<WireEffect> PlanStreamEffects(const OperationDecl& op,
 // A SpecProgram's effects, by mechanical opcode expansion.
 std::vector<WireEffect> SpecStreamEffects(const SpecProgram& prog);
 
-// Proves every stream of `spec_plan` against the plan. Divergences are
-// reported as FLEX201–FLEX207 errors attributed to `file`; returns the
-// number of diagnostics emitted (0 = proven equivalent; emission may
-// proceed).
+// Proves every stream of `spec_plan` (the releases too) against the plan,
+// and checks each stream's runs on their own. Divergences and misplaced
+// runs are reported as FLEX201–FLEX207 errors attributed to
+// `file`; returns the number of diagnostics emitted (0 = proven
+// equivalent; emission may proceed).
 int VerifySpecPlan(const OperationDecl& op, const OpPresentation& pres,
                    const SpecPlan& spec_plan, const std::string& file,
                    DiagnosticSink* diags);

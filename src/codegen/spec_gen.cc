@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -50,6 +51,17 @@ std::string SpecOpLiteral(const SpecOp& op) {
   if (op.stride != none.stride) {
     out += StrFormat(", .stride = %u", op.stride);
   }
+  if (!std::equal(std::begin(op.run_bytes), std::end(op.run_bytes),
+                  std::begin(none.run_bytes))) {
+    out += ", .run_bytes = {";
+    for (size_t f = 0; f < kWireFormatCount; ++f) {
+      out += StrFormat(f == 0 ? "%u" : ", %u", op.run_bytes[f]);
+    }
+    out += "}";
+  }
+  if (op.donated != none.donated) {
+    out += ", .donated = true";
+  }
   return out + "}";
 }
 
@@ -77,6 +89,10 @@ std::string StreamFnSuffix(SpecStream stream) {
       return "MarshalReply";
     case SpecStream::kUnmarshalReply:
       return "UnmarshalReply";
+    case SpecStream::kReleaseRequest:
+      return "ReleaseRequest";
+    case SpecStream::kReleaseReply:
+      return "ReleaseReply";
   }
   return "Unknown";
 }
@@ -173,6 +189,7 @@ class SpecGenerator {
     S("using flexrpc::ArgVec;");
     S("using flexrpc::Arena;");
     S("using flexrpc::MarshalStep;");
+    S("using flexrpc::ReleaseStep;");
     S("using flexrpc::SpecialOps;");
     S("using flexrpc::Status;");
     S("using flexrpc::UnmarshalStep;");
@@ -184,36 +201,55 @@ class SpecGenerator {
   }
 
   // One registered stream function: a step call per op, with the op as a
-  // literal. A branch op (a union's arm selection) is a forward `goto`
-  // past the ops SkippedOps says it skips, to a label emitted only where
-  // a branch lands. A loop is its kLoop's step call, then a `for` over its
-  // body whose increment is its kLoopEnd's NextElement; a stream with a
-  // loop keeps the loops' base registers in `loops`, and passes it to the
-  // ops that use it (those in a loop, and the loops). Ops outside loops
-  // print as they would in a stream without one. An empty stream leaves
-  // its parameters unnamed.
-  void EmitStreamFn(const std::string& fn_name, bool marshal,
+  // literal. A branch op (a union's arm selection, a release's ownership
+  // guard) is a forward `goto` past the ops SkippedOps says it skips, to a
+  // label emitted only where a branch lands. A loop is its kLoop's step
+  // call, then a `for` over its body whose increment is its kLoopEnd's
+  // NextElement; a stream with a loop keeps the loops' base registers in
+  // `loops`, and passes it to the ops that use it (those in a loop, and
+  // the loops). Ops outside loops print as they would in a stream without
+  // one.
+  //
+  // A wire stream's body is a template over the concrete codec, one
+  // out-of-line instantiation per format, and the registered function
+  // calls the one for the wire's format (OnCodec). Its steps share the
+  // run pointer each kRun sets. A release stream runs no codec. An empty
+  // stream leaves its parameters unnamed.
+  void EmitStreamFn(const std::string& fn_name, SpecStream stream,
                     const SpecProgram& prog) {
-    const char* step = marshal ? "MarshalStep" : "UnmarshalStep";
-    const char* step_args = marshal
-                                ? "args, w, special, &end"
-                                : "r, arena, args, special, borrow_bytes, &end";
+    const bool release = static_cast<size_t>(stream) >= kWireStreamCount;
+    const bool marshal = stream == SpecStream::kMarshalRequest ||
+                         stream == SpecStream::kMarshalReply;
+    const char* step = release   ? "ReleaseStep"
+                       : marshal ? "MarshalStep"
+                                 : "UnmarshalStep";
+    const char* step_args =
+        release   ? "arena, args, donated"
+        : marshal ? "args, w, special, &run, &end"
+                  : "r, arena, args, special, borrow_bytes, &run, &end";
     const char* branch_args = marshal ? "args" : "*args";
-    const char* params =
-        marshal ? "const ArgVec& args, WireWriter* w, const SpecialOps* special"
-                : "WireReader* r, Arena* arena, ArgVec* args, "
-                  "const SpecialOps* special, bool borrow_bytes";
     if (prog.ops.empty()) {
-      params = marshal ? "const ArgVec&, WireWriter*, const SpecialOps*"
-                       : "WireReader*, Arena*, ArgVec*, const SpecialOps*, "
-                         "bool";
+      if (release) {
+        S(StrFormat("void %s(Arena*, ArgVec*, bool) {}", fn_name.c_str()));
+      } else {
+        S(StrFormat("Status %s(%s) {", fn_name.c_str(),
+                    marshal ? "const ArgVec&, WireWriter*, const SpecialOps*"
+                            : "WireReader*, Arena*, ArgVec*, "
+                              "const SpecialOps*, bool"));
+        S("  Status end;");
+        S("  return end;");
+        S("}");
+      }
+      S("");
+      return;
     }
     const size_t n = prog.ops.size();
     auto target = [&](size_t i) {
       return std::min(n, i + 1 + prog.ops[i].count);
     };
     auto is_branch = [](const SpecOp& op) {
-      return op.kind == SpecOpKind::kArm || op.kind == SpecOpKind::kArmEnd;
+      return op.kind == SpecOpKind::kArm || op.kind == SpecOpKind::kArmEnd ||
+             op.kind == SpecOpKind::kFreeGuard;
     };
     std::vector<bool> landing(n + 1, false);
     size_t loop_levels = 0;
@@ -225,8 +261,20 @@ class SpecGenerator {
         loop_levels = std::max<size_t>(loop_levels, op.depth + 1u);
       }
     }
-    S(StrFormat("Status %s(%s) {", fn_name.c_str(), params));
-    S("  Status end;");
+    if (release) {
+      S(StrFormat("void %s(Arena* arena, ArgVec* args, bool donated) {",
+                  fn_name.c_str()));
+    } else {
+      S(marshal ? "template <typename W>" : "template <typename R>");
+      S(StrFormat("[[gnu::noinline]] Status %sOn(%s) {", fn_name.c_str(),
+                  marshal ? "const ArgVec& args, W* w, "
+                            "const SpecialOps* special"
+                          : "R* r, Arena* arena, ArgVec* args, "
+                            "const SpecialOps* special, bool borrow_bytes"));
+      S("  Status end;");
+      S(marshal ? "  uint8_t* run = nullptr;"
+                : "  const uint8_t* run = nullptr;");
+    }
     if (loop_levels > 0) {
       S(StrFormat("  flexrpc::SpecLoop loops[%zu];", loop_levels));
     }
@@ -242,9 +290,14 @@ class SpecGenerator {
       if (op.kind == SpecOpKind::kLoopEnd) {
         S(indent + "}");
       } else if (is_branch(op)) {
-        S(StrFormat("%sif (SkippedOps(%s, %s%s)) goto op%zu;",
+        S(StrFormat("%sif (SkippedOps(%s, %s%s%s)) goto op%zu;",
                     indent.c_str(), SpecOpLiteral(op).c_str(), branch_args,
-                    looped ? ", loops" : "", target(i)));
+                    looped ? ", loops" : release ? ", nullptr" : "",
+                    release ? ", donated" : "", target(i)));
+      } else if (release) {
+        S(StrFormat("%s%s(%s, %s%s);", indent.c_str(), step,
+                    SpecOpLiteral(op).c_str(), step_args,
+                    looped ? ", loops" : ""));
       } else {
         S(StrFormat("%sif (!%s(%s, %s%s)) return end;", indent.c_str(),
                     step, SpecOpLiteral(op).c_str(), step_args,
@@ -259,7 +312,27 @@ class SpecGenerator {
     if (landing[n]) {
       S(StrFormat("op%zu:", n));
     }
-    S("  return end;");
+    if (!release) {
+      S("  return end;");
+    } else if (landing[n]) {
+      S("  return;");
+    }
+    S("}");
+    S("");
+    if (release) {
+      return;
+    }
+    S(StrFormat("Status %s(%s) {", fn_name.c_str(),
+                marshal ? "const ArgVec& args, WireWriter* w, "
+                          "const SpecialOps* special"
+                        : "WireReader* r, Arena* arena, ArgVec* args, "
+                          "const SpecialOps* special, bool borrow_bytes"));
+    S(StrFormat("  return flexrpc::OnCodec(%s, [&](auto* codec) {",
+                marshal ? "w" : "r"));
+    S(StrFormat("    return %sOn(%s);", fn_name.c_str(),
+                marshal ? "args, codec, special"
+                        : "codec, arena, args, special, borrow_bytes"));
+    S("  });");
     S("}");
     S("");
   }
@@ -278,10 +351,7 @@ class SpecGenerator {
       SpecStream stream = static_cast<SpecStream>(s);
       std::string fn_name =
           StrFormat("Spec%zu%s", index, StreamFnSuffix(stream).c_str());
-      EmitStreamFn(fn_name,
-                   stream == SpecStream::kMarshalRequest ||
-                       stream == SpecStream::kMarshalReply,
-                   entry.plan.streams[s]);
+      EmitStreamFn(fn_name, stream, entry.plan.streams[s]);
     }
   }
 
@@ -297,7 +367,7 @@ class SpecGenerator {
       S("      flexrpc::SpecFns fns;");
       static constexpr const char* kFnsField[kSpecStreamCount] = {
           "marshal_request", "unmarshal_request", "marshal_reply",
-          "unmarshal_reply"};
+          "unmarshal_reply", "release_request",   "release_reply"};
       for (size_t s = 0; s < kSpecStreamCount; ++s) {
         if (!entry.plan.Emits(s)) {
           continue;

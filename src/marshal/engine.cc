@@ -4,7 +4,6 @@
 
 #include "src/marshal/layout.h"
 #include "src/marshal/spec.h"
-#include "src/marshal/value.h"
 #include "src/pdl/apply.h"
 #include "src/support/recorder.h"
 #include "src/support/trace.h"
@@ -13,68 +12,19 @@ namespace flexrpc {
 
 namespace {
 
-bool OwnsHeapStorage(const Type* type) {
-  switch (type->Resolve()->kind()) {
-    case TypeKind::kString:
-    case TypeKind::kSequence:
-    case TypeKind::kArray:
-    case TypeKind::kStruct:
-    case TypeKind::kUnion:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Frees the storage `slot` owns as a value of `type` (its block and every
-// block nested in it, each sequence element's included) and clears the
-// slot. A borrowed view of the request message is only cleared; scalar
-// slots own nothing and keep their value.
-void ReleaseSlot(Arena* arena, const Type* type, ArgValue* slot) {
-  if (!OwnsHeapStorage(type) || slot->ptr() == nullptr) {
-    return;
-  }
-  if (!slot->borrowed) {
-    const Type* t = type->Resolve();
-    void* p = slot->ptr();
-    if (t->kind() == TypeKind::kSequence) {
-      // A slot carries a sequence unpacked; FreeValue takes its SeqRep and
-      // frees each element's blocks, then the buffer.
-      SeqRep rep{slot->length, slot->length, p};
-      FreeValue(arena, t, &rep);
-    } else {
-      if (t->kind() != TypeKind::kString) {
-        FreeValue(arena, t, p);
-      }
-      arena->FreeBlock(p);
-    }
-  }
-  slot->set_ptr(nullptr);
-  slot->borrowed = false;
-}
-
-// Runs `fn(pres, type, slot)` on the item's direct slot, or on each
-// flattened field in order, whatever a union discriminant says.
-template <typename Fn>
-void ForEachOperand(const PlanItemView& item, Fn fn) {
-  if (!item.flattened) {
-    fn(item.pres, item.type, item.slot);
-    return;
-  }
-  for (const PlanFieldView& field : item.fields) {
-    fn(field.pres, field.type, field.slot);
-  }
-}
-
 // Wire position marks for a stream's byte credit: bytes written so far on
-// a writer, bytes left on a reader.
-size_t WireMark(const WireWriter* w) { return w->size(); }
-size_t WireMark(const WireReader* r) { return r->remaining(); }
-void CreditWireBytes(const WireWriter* w, size_t mark) {
-  TraceAdd(TraceCounter::kMarshalBytesOut, w->size() - mark);
+// a writer, bytes left on a reader, read through the concrete codec.
+size_t WireMark(WireWriter* w) {
+  return OnCodec(w, [](auto* codec) { return codec->size(); });
 }
-void CreditWireBytes(const WireReader* r, size_t mark) {
-  TraceAdd(TraceCounter::kMarshalBytesIn, mark - r->remaining());
+size_t WireMark(WireReader* r) {
+  return OnCodec(r, [](auto* codec) { return codec->remaining(); });
+}
+void CreditWireBytes(WireWriter* w, size_t mark) {
+  TraceAdd(TraceCounter::kMarshalBytesOut, WireMark(w) - mark);
+}
+void CreditWireBytes(WireReader* r, size_t mark) {
+  TraceAdd(TraceCounter::kMarshalBytesIn, mark - WireMark(r));
 }
 
 // Recorder spans of the client entry points (the `a` field of their
@@ -211,13 +161,21 @@ MarshalProgram MarshalProgram::Build(const OperationDecl& op,
   prog.pres_ = &pres;
   prog.plan_ = BuildMarshalPlan(op, pres);
   for (const PlanItemView& item : prog.plan_.reply) {
-    ForEachOperand(item, [&](const ParamPresentation* p, const Type* type,
-                             int s) {
-      if (item.dir == ParamDir::kInOut && p != nullptr &&
-          p->alloc == AllocPolicy::kStub && OwnsHeapStorage(type)) {
+    if (item.dir != ParamDir::kInOut) {
+      continue;
+    }
+    auto add = [&](const ParamPresentation* p, const Type* type, int s) {
+      if (p != nullptr && p->alloc == AllocPolicy::kStub &&
+          SlotHoldsBlock(type)) {
         prog.inout_stub_slots_.push_back(s);
       }
-    });
+    };
+    if (!item.flattened) {
+      add(item.pres, item.type, item.slot);
+    }
+    for (const PlanFieldView& field : item.fields) {  // flattened: its fields
+      add(field.pres, field.type, field.slot);
+    }
   }
   for (size_t s = 0; s < kSpecStreamCount; ++s) {
     prog.streams_[s] = CompileSpecStream(
@@ -254,14 +212,7 @@ Status MarshalProgram::MarshalReply(ArgVec* args, WireWriter* w,
   if (arena != nullptr) {
     // [dealloc(always)] move semantics: the donated storage is freed even
     // when the stream failed part-way, and its slot is cleared.
-    for (const PlanItemView& item : plan_.reply) {
-      ForEachOperand(item, [&](const ParamPresentation* pres,
-                               const Type* type, int s) {
-        if (pres != nullptr && pres->dealloc == DeallocPolicy::kAlways) {
-          ReleaseSlot(arena, type, &(*args)[static_cast<size_t>(s)]);
-        }
-      });
-    }
+    Release(SpecStream::kReleaseReply, arena, args, /*donated=*/true);
   }
   return st;
 }
@@ -271,6 +222,7 @@ Status MarshalProgram::UnmarshalReply(WireReader* r, Arena* arena,
                                       const SpecialOps* special) const {
   for (int s : inout_stub_slots_) {
     (*args)[static_cast<size_t>(s)].set_ptr(nullptr);
+    (*args)[static_cast<size_t>(s)].owned = false;
   }
   // Never borrow on the client: the reply buffer is released as soon as
   // the stub returns.
@@ -279,25 +231,25 @@ Status MarshalProgram::UnmarshalReply(WireReader* r, Arena* arena,
       arena, args, special, /*borrow_bytes=*/false);
 }
 
-void MarshalProgram::ReleaseRequest(Arena* arena, ArgVec* args) const {
-  for (const PlanItemView& item : plan_.request) {
-    ForEachOperand(item, [&](const ParamPresentation*, const Type* type,
-                             int s) {
-      ReleaseSlot(arena, type, &(*args)[static_cast<size_t>(s)]);
-    });
+void MarshalProgram::Release(SpecStream stream, Arena* arena, ArgVec* args,
+                             bool donated) const {
+  const SpecReleaseFn fused =
+      spec_fns_ == nullptr                    ? nullptr
+      : stream == SpecStream::kReleaseRequest ? spec_fns_->release_request
+                                              : spec_fns_->release_reply;
+  if (fused != nullptr && MarshalSpecializationEnabled()) {
+    fused(arena, args, donated);
+  } else {
+    RunSpecRelease(Stream(stream), arena, args, donated);
   }
 }
 
+void MarshalProgram::ReleaseRequest(Arena* arena, ArgVec* args) const {
+  Release(SpecStream::kReleaseRequest, arena, args, /*donated=*/false);
+}
+
 void MarshalProgram::ReleaseReply(Arena* arena, ArgVec* args) const {
-  for (const PlanItemView& item : plan_.reply) {
-    ForEachOperand(item, [&](const ParamPresentation* pres, const Type* type,
-                             int s) {
-      // Caller-provided storage is the caller's to manage.
-      if (pres == nullptr || pres->alloc != AllocPolicy::kUser) {
-        ReleaseSlot(arena, type, &(*args)[static_cast<size_t>(s)]);
-      }
-    });
-  }
+  Release(SpecStream::kReleaseReply, arena, args, /*donated=*/false);
 }
 
 }  // namespace flexrpc

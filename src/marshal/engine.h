@@ -17,18 +17,22 @@
 //     ([dealloc(always)] move semantics vs [dealloc(never)]).
 //
 // Build lowers the pair to a plan (its wire items in order, with their
-// slots), then compiles each of the plan's four streams into a SpecProgram:
+// slots), then compiles each of the plan's six streams into a SpecProgram:
 // a sequence of SpecOps over a closed opcode set whose operands are all
 // integer constants, with a loop op for each sequence and array of
-// non-byte elements. Each opcode has one definition, its step in
-// spec_ops.h; the reference executor (spec.h) runs a program one step per
-// op, and `idlc --specialize` emits the same steps as generated code, one
-// `for` per loop.
+// non-byte elements and one space check (kRun) per run of fixed-size
+// items. Four streams move a message; two free what the unmarshal streams
+// allocated. Each
+// opcode has one definition, its step in spec_ops.h; the reference
+// executor (spec.h) runs a program one step per op, and `idlc
+// --specialize` emits the same steps as generated code, one `for` per loop.
 
 #ifndef FLEXRPC_SRC_MARSHAL_ENGINE_H_
 #define FLEXRPC_SRC_MARSHAL_ENGINE_H_
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +55,9 @@ struct ArgValue {
   // owning a block (server-side in-place unmarshaling); such slots are
   // never freed by ReleaseRequest.
   bool borrowed = false;
+  // True when ptr() is a block the unmarshal allocated from the arena (not
+  // the caller's storage): ReleaseRequest and ReleaseReply free it.
+  bool owned = false;
 
   void* ptr() const { return reinterpret_cast<void*>(scalar); }
   void set_ptr(const void* p) {
@@ -61,35 +68,40 @@ struct ArgValue {
 // The argument vector a runtime stub operates on: one slot per presentation
 // parameter, plus a final slot for the operation result. Small vectors
 // (the overwhelmingly common case) live entirely on the stack, as the
-// storage of a compiled stub would.
+// storage of a compiled stub would; only the program's slots are
+// constructed (zeroed), not the whole inline capacity.
 class ArgVec {
  public:
-  explicit ArgVec(size_t slot_count) : size_(slot_count) {
+  explicit ArgVec(size_t slot_count) : size_(slot_count), data_(inline_) {
     if (slot_count > kInlineSlots) {
-      heap_ = new ArgValue[slot_count]();
+      data_ = new ArgValue[slot_count]();
+    } else {
+      std::uninitialized_value_construct_n(inline_, slot_count);
     }
   }
-  ~ArgVec() { delete[] heap_; }
+  ~ArgVec() {
+    if (data_ != inline_) {
+      delete[] data_;
+    }
+  }
 
   ArgVec(const ArgVec&) = delete;
   ArgVec& operator=(const ArgVec&) = delete;
 
-  ArgValue& operator[](size_t i) { return data()[i]; }
-  const ArgValue& operator[](size_t i) const { return data()[i]; }
+  ArgValue& operator[](size_t i) { return data_[i]; }
+  const ArgValue& operator[](size_t i) const { return data_[i]; }
   size_t size() const { return size_; }
-  void Reset() { std::fill(data(), data() + size_, ArgValue{}); }
+  void Reset() { std::fill(data_, data_ + size_, ArgValue{}); }
 
  private:
   static constexpr size_t kInlineSlots = 12;
 
-  ArgValue* data() { return heap_ != nullptr ? heap_ : inline_; }
-  const ArgValue* data() const {
-    return heap_ != nullptr ? heap_ : inline_;
-  }
-
   size_t size_;
-  ArgValue inline_[kInlineSlots] = {};
-  ArgValue* heap_ = nullptr;
+  ArgValue* data_;  // inline_, or a heap array past kInlineSlots
+  // The first size_ entries are live; the rest stay raw storage.
+  union {
+    ArgValue inline_[kInlineSlots];
+  };
 };
 
 // User-provided byte movers for [special] parameters (the paper's Linux
@@ -103,11 +115,16 @@ struct SpecialOps {
 
 // The closed opcode set every marshal stream compiles to. Every operand is
 // fixed at compile time; the only per-call inputs are the ArgVec, the wire,
-// and the runtime [special]/borrow flags the engine entry points take.
+// and the runtime [special]/borrow/donated flags the engine entry points
+// take.
 //
 // "Memory" below is the op's base plus `offset`: args[slot].ptr() for an
 // op outside any loop (`depth` 0), otherwise the current element of the
 // loop it is nested in (the loop at `depth` - 1).
+//
+// A fixed-width op (a scalar, a fixed byte run, a union discriminant)
+// moves its bytes at the stream's run pointer, which the kRun op in front
+// of its run set: every fixed-width op belongs to one.
 enum class SpecOpKind : uint8_t {
   kPutScalarSlot,   // wire scalar from args[slot].scalar
   kPutScalarMem,    // wire scalar loaded from memory (a union's u32
@@ -149,6 +166,19 @@ enum class SpecOpKind : uint8_t {
                     //   kLoopEnd)
   kLoopEnd,         // back-edge of the loop at `depth`: moves it `stride`
                     //   bytes on, back `count` ops while an element is left
+  kRun,             // space check for the maximal run of fixed-width ops
+                    //   after it (a kEnsureStorage may sit inside): appends
+                    //   or consumes the run's `run_bytes` in the wire's
+                    //   format at once; short input leaves the run to read
+                    //   one op at a time, to the same error
+  kFreeGuard,       // release branch: unless kFreeSlot frees args[slot]'s
+                    //   storage, skip the next `count` ops (the frees of the
+                    //   blocks nested in it and its kFreeSlot)
+  kFreeSlot,        // release: frees args[slot]'s storage when this
+                    //   release owns it and clears the slot; a borrowed
+                    //   view is only cleared
+  kFreeMem,         // release: frees the block whose pointer is in memory
+                    //   (a string's char*, a SeqRep's buffer)
 };
 
 // Where a length or a loop's count comes from. A marshal op reads it there;
@@ -177,6 +207,11 @@ struct SpecOp {
   bool special = false;  // may route through SpecialOps at runtime
   uint8_t depth = 0;     // loops the op is nested in
   uint32_t stride = 0;   // kLoop / kLoopEnd: bytes between elements
+  // kRun: the run's wire bytes in each format, indexed by WireFormat (XDR
+  // widens narrow scalars and pads byte runs; the native format does not).
+  uint32_t run_bytes[kWireFormatCount] = {0, 0};
+  bool donated = false;  // kFreeGuard / kFreeSlot: a [dealloc(always)]
+                         //   operand, which MarshalReply frees
 
   bool operator==(const SpecOp&) const = default;
 };
@@ -185,14 +220,21 @@ struct SpecProgram {
   std::vector<SpecOp> ops;
 };
 
-// The four per-call streams a plan compiles to.
+// The per-call streams a plan compiles to: the four that move a message,
+// and per side the release that frees what its unmarshal allocated (the
+// reply's also frees a server's [dealloc(always)] operands after
+// MarshalReply).
 enum class SpecStream : uint8_t {
   kMarshalRequest = 0,
   kUnmarshalRequest,
   kMarshalReply,
   kUnmarshalReply,
+  kReleaseRequest,
+  kReleaseReply,
 };
-inline constexpr size_t kSpecStreamCount = 4;
+inline constexpr size_t kSpecStreamCount = 6;
+// The streams that move wire bytes come first.
+inline constexpr size_t kWireStreamCount = 4;
 
 // A marshal plan: the request and reply wire-item streams in wire order,
 // with the slot each item reads or writes. MarshalProgram compiles its
@@ -240,7 +282,7 @@ struct SpecFns;
 class MarshalProgram {
  public:
   // Compiles the program for one operation under one side's presentation:
-  // its plan and the plan's four streams. `op` and `pres` must outlive the
+  // its plan and the plan's six streams. `op` and `pres` must outlive the
   // program.
   static MarshalProgram Build(const OperationDecl& op,
                               const OpPresentation& pres);
@@ -266,19 +308,21 @@ class MarshalProgram {
                           const SpecialOps* special = nullptr,
                           bool borrow_bytes = true) const;
   // Marshals the reply, then frees the storage of every [dealloc(always)]
-  // slot from `arena` (when given) and clears the slot, whether the stream
-  // succeeded or not. A donated inout slot is then empty, so the
-  // ReleaseRequest that follows does not free it a second time.
+  // slot from `arena` (when given), nested blocks included, and clears the
+  // slot, whether the stream succeeded or not; the reply's release stream
+  // does it. A donated inout slot is then empty, so the ReleaseRequest
+  // that follows does not free it a second time.
   Status MarshalReply(ArgVec* args, WireWriter* w, Arena* arena,
                       const SpecialOps* special = nullptr) const;
 
   // Frees the storage UnmarshalRequest allocated from `arena`, nested
-  // blocks included (server stub epilogue). Borrowed views of the request
-  // message are only cleared.
+  // blocks included (server stub epilogue), by the request's release
+  // stream. Borrowed views of the request message are only cleared.
   void ReleaseRequest(Arena* arena, ArgVec* args) const;
-  // Frees stub-allocated reply storage on the client (the "client frees the
-  // donated buffer" step of move semantics); [alloc(user)] slots are the
-  // caller's and stay untouched.
+  // Frees the reply storage UnmarshalReply allocated on the client (the
+  // "client frees the donated buffer" step of move semantics), nested
+  // blocks included, whatever the slot's alloc policy; storage the caller
+  // provided stays untouched, with the blocks nested in it.
   void ReleaseReply(Arena* arena, ArgVec* args) const;
 
   // Slot bookkeeping. Result occupies the final slot.
@@ -298,6 +342,11 @@ class MarshalProgram {
   }
 
  private:
+  // Runs release stream `stream`: generated code when registered and
+  // enabled, the reference executor otherwise. Counts no spec hit or miss.
+  void Release(SpecStream stream, Arena* arena, ArgVec* args,
+               bool donated) const;
+
   const OperationDecl* op_ = nullptr;
   const OpPresentation* pres_ = nullptr;
   MarshalPlanView plan_;

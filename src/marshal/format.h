@@ -9,10 +9,20 @@
 //
 // The contract between client and server fixes the *format and item order*;
 // presentations only change where the bytes come from / go to.
+//
+// Each writer and reader carries its format as a plain tag (format()), so
+// the marshal engine tests it once per stream and then runs code written
+// for the concrete, final codec class, with every word inlined. A tag
+// names exactly one class (kXdr: XdrWriter/XdrReader, kNative:
+// NativeWriter/NativeReader), which the engine casts to: the base
+// constructors are private to those four, so no other class can carry a
+// tag, and a new codec needs a new tag and its own instantiation (OnCodec,
+// spec_ops.h).
 
 #ifndef FLEXRPC_SRC_MARSHAL_FORMAT_H_
 #define FLEXRPC_SRC_MARSHAL_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,6 +30,21 @@
 #include "src/support/status.h"
 
 namespace flexrpc {
+
+enum class WireFormat : uint8_t { kXdr = 0, kNative = 1 };
+inline constexpr size_t kWireFormatCount = 2;
+
+// Wire bytes of one scalar `width` bytes wide in `format`: XDR widens the
+// 1- and 2-byte ones to a 4-byte word.
+constexpr size_t WireScalarBytes(WireFormat format, unsigned width) {
+  return format == WireFormat::kXdr && width < 4 ? 4 : width;
+}
+
+// Wire bytes of a fixed run of `n` raw bytes in `format`: XDR pads it to a
+// multiple of four.
+constexpr size_t WireRunBytes(WireFormat format, size_t n) {
+  return format == WireFormat::kXdr ? (n + 3) & ~size_t{3} : n;
+}
 
 class WireWriter {
  public:
@@ -45,6 +70,16 @@ class WireWriter {
   virtual size_t size() const = 0;
   virtual ByteSpan span() const = 0;
   virtual void Clear() = 0;
+
+  WireFormat format() const { return format_; }
+
+ private:
+  // OnCodec casts by the tag, so only the class a tag names may carry it.
+  friend class XdrWriter;
+  friend class NativeWriter;
+  explicit WireWriter(WireFormat format) : format_(format) {}
+
+  WireFormat format_;
 };
 
 class WireReader {
@@ -62,6 +97,16 @@ class WireReader {
   virtual Result<const uint8_t*> GetBytes(size_t n) = 0;
 
   virtual size_t remaining() const = 0;
+
+  WireFormat format() const { return format_; }
+
+ private:
+  // OnCodec casts by the tag, so only the class a tag names may carry it.
+  friend class XdrReader;
+  friend class NativeReader;
+  explicit WireReader(WireFormat format) : format_(format) {}
+
+  WireFormat format_;
 };
 
 }  // namespace flexrpc

@@ -36,6 +36,22 @@ inline bool IsByteElem(const Type* elem) {
   return k == TypeKind::kOctet || k == TypeKind::kChar;
 }
 
+// True for a type whose top-level slot holds a block rather than a scalar:
+// a string, a sequence, or an array's, struct's or union's storage. A
+// release frees such a block; an [alloc(stub)] inout one is replaced.
+inline bool SlotHoldsBlock(const Type* type) {
+  switch (type->Resolve()->kind()) {
+    case TypeKind::kString:
+    case TypeKind::kSequence:
+    case TypeKind::kArray:
+    case TypeKind::kStruct:
+    case TypeKind::kUnion:
+      return true;
+    default:
+      return false;
+  }
+}
+
 // Byte offset of field `field_index` within the native layout of
 // `struct_type` (which must resolve to a struct).
 size_t NativeFieldOffset(const Type* struct_type, size_t field_index);

@@ -1,6 +1,6 @@
 #include "src/marshal/spec.h"
 
-#include <atomic>
+#include <cstddef>
 #include <map>
 #include <mutex>
 
@@ -148,6 +148,10 @@ std::string_view SpecStreamName(SpecStream stream) {
       return "marshal_reply";
     case SpecStream::kUnmarshalReply:
       return "unmarshal_reply";
+    case SpecStream::kReleaseRequest:
+      return "release_request";
+    case SpecStream::kReleaseReply:
+      return "release_reply";
   }
   return "?";
 }
@@ -198,6 +202,14 @@ std::string_view SpecOpKindName(SpecOpKind kind) {
       return "kLoop";
     case SpecOpKind::kLoopEnd:
       return "kLoopEnd";
+    case SpecOpKind::kRun:
+      return "kRun";
+    case SpecOpKind::kFreeGuard:
+      return "kFreeGuard";
+    case SpecOpKind::kFreeSlot:
+      return "kFreeSlot";
+    case SpecOpKind::kFreeMem:
+      return "kFreeMem";
   }
   return "?";
 }
@@ -220,15 +232,38 @@ std::string_view SpecLenSourceName(SpecLenSource src) {
 
 namespace {
 
+// The wire bytes of fixed-width op `op` in `format` (0 for any other op):
+// what its step moves at the run pointer.
+size_t FixedWireBytes(const SpecOp& op, WireFormat format) {
+  switch (op.kind) {
+    case SpecOpKind::kPutScalarSlot:
+    case SpecOpKind::kPutScalarMem:
+    case SpecOpKind::kGetScalarSlot:
+    case SpecOpKind::kGetScalarMem:
+      return WireScalarBytes(format, op.width);
+    case SpecOpKind::kPutBytesFixed:
+    case SpecOpKind::kGetBytesFixed:
+      return WireRunBytes(format, op.count);
+    case SpecOpKind::kPutUnionDisc:
+    case SpecOpKind::kGetUnionDisc:
+      return WireScalarBytes(format, 4);
+    default:
+      return 0;
+  }
+}
+
 // Compiles one stream of a plan into SpecOps, one wire item at a time.
 // Every construct has ops: a scalar, a byte run, a string or a byte
 // sequence is one op; a struct or union unrolls to its members' ops at
 // constant offsets, a union's arms as branches; a sequence or array of
-// other elements is a loop whose body moves one element.
+// other elements is a loop whose body moves one element. A release
+// stream visits the same values and frees the blocks in them.
 class StreamCompiler {
  public:
-  StreamCompiler(const OpPresentation& pres, bool marshal)
-      : pres_(pres), marshal_(marshal) {}
+  enum class Mode { kMarshal, kUnmarshal, kRelease };
+
+  StreamCompiler(const OpPresentation& pres, Mode mode)
+      : pres_(pres), mode_(mode) {}
 
   SpecProgram Compile(const std::vector<PlanItemView>& items) {
     for (const PlanItemView& item : items) {
@@ -238,7 +273,38 @@ class StreamCompiler {
   }
 
  private:
-  void Emit(const SpecOp& op) { ops_.push_back(op); }
+  bool marshal() const { return mode_ == Mode::kMarshal; }
+  bool release() const { return mode_ == Mode::kRelease; }
+
+  // Appends `op`. A fixed-width op joins the open run, or opens one with a
+  // kRun in front of it, and adds its bytes to the run's; a discriminant
+  // op, which can end the stream, closes its run. Any other op but a
+  // kEnsureStorage closes the open run.
+  void Emit(const SpecOp& op) {
+    if (FixedWireBytes(op, WireFormat::kXdr) == 0) {
+      if (op.kind != SpecOpKind::kEnsureStorage) {
+        run_ = kNoRun;
+      }
+      ops_.push_back(op);
+      return;
+    }
+    if (run_ == kNoRun) {
+      SpecOp run;
+      run.kind = SpecOpKind::kRun;
+      run.depth = op.depth;
+      run_ = ops_.size();
+      ops_.push_back(run);
+    }
+    for (size_t f = 0; f < kWireFormatCount; ++f) {
+      ops_[run_].run_bytes[f] += static_cast<uint32_t>(
+          FixedWireBytes(op, static_cast<WireFormat>(f)));
+    }
+    ops_.push_back(op);
+    if (op.kind == SpecOpKind::kPutUnionDisc ||
+        op.kind == SpecOpKind::kGetUnionDisc) {
+      run_ = kNoRun;
+    }
+  }
 
   // BuildMarshalPlan binds every field and the discriminant of a
   // presentation ApplyPdl accepted (the plan verifier's FLEX106 audits it).
@@ -247,10 +313,11 @@ class StreamCompiler {
       AddTop(item.pres, item.type, item.slot);
       return;
     }
-    if (item.is_result && item.type->Resolve()->kind() == TypeKind::kUnion) {
+    if (item.is_result && item.type->Resolve()->kind() == TypeKind::kUnion &&
+        !release()) {
       SpecOp op;
-      op.kind = marshal_ ? SpecOpKind::kPutUnionDisc
-                         : SpecOpKind::kGetUnionDisc;
+      op.kind = marshal() ? SpecOpKind::kPutUnionDisc
+                          : SpecOpKind::kGetUnionDisc;
       op.slot = item.disc_slot;
       op.label = item.success_label;
       Emit(op);
@@ -276,6 +343,10 @@ class StreamCompiler {
 
   // One top-level wire value with its own presentation.
   void AddTop(const ParamPresentation* pres, const Type* type, int slot) {
+    if (release()) {
+      AddTopRelease(pres, type, slot);
+      return;
+    }
     const Type* t = type->Resolve();
     const bool special = pres != nullptr && pres->special;
     SpecOp op;
@@ -284,17 +355,17 @@ class StreamCompiler {
       case TypeKind::kVoid:
         return;
       case TypeKind::kString:
-        op.kind = marshal_ ? SpecOpKind::kPutString : SpecOpKind::kGetString;
+        op.kind = marshal() ? SpecOpKind::kPutString : SpecOpKind::kGetString;
         op.bound = t->bound();
         op.special = special;
-        if (marshal_) {
+        if (marshal()) {
           SetMarshalLength(pres, SpecLenSource::kStrLen, &op);
         }
         Emit(op);
         return;
       case TypeKind::kSequence:
         op.bound = t->bound();
-        if (marshal_) {
+        if (marshal()) {
           SetMarshalLength(pres, SpecLenSource::kSlotLength, &op);
         }
         if (!IsByteElem(t->element())) {
@@ -302,14 +373,14 @@ class StreamCompiler {
           return;
         }
         op.kind =
-            marshal_ ? SpecOpKind::kPutSeqBytes : SpecOpKind::kGetSeqBytes;
+            marshal() ? SpecOpKind::kPutSeqBytes : SpecOpKind::kGetSeqBytes;
         op.special = special;
         Emit(op);
         return;
       case TypeKind::kArray:
       case TypeKind::kStruct:
       case TypeKind::kUnion:
-        if (!marshal_) {
+        if (!marshal()) {
           op.kind = SpecOpKind::kEnsureStorage;
           op.count = static_cast<uint32_t>(t->NativeSize());
           Emit(op);
@@ -318,11 +389,49 @@ class StreamCompiler {
         AddMem(t, slot, 0, 0, t->kind() == TypeKind::kArray && special);
         return;
       default:
-        op.kind = marshal_ ? SpecOpKind::kPutScalarSlot
-                           : SpecOpKind::kGetScalarSlot;
+        op.kind = marshal() ? SpecOpKind::kPutScalarSlot
+                            : SpecOpKind::kGetScalarSlot;
         op.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
         Emit(op);
         return;
+    }
+  }
+
+  // The release of one top-level value: a slot holding a string, a
+  // sequence's elements or a value's storage frees it with kFreeSlot,
+  // after the blocks nested in it, which a kFreeGuard skips unless the
+  // slot's storage is freed. A scalar holds nothing.
+  void AddTopRelease(const ParamPresentation* pres, const Type* type,
+                     int slot) {
+    const Type* t = type->Resolve();
+    if (!SlotHoldsBlock(t)) {
+      return;
+    }
+    SpecOp op;
+    op.slot = slot;
+    op.donated = pres != nullptr && pres->dealloc == DeallocPolicy::kAlways;
+    const bool nested =
+        t->kind() == TypeKind::kSequence
+            ? !IsByteElem(t->element()) && t->element()->HoldsPointers()
+            : t->kind() != TypeKind::kString && t->HoldsPointers();
+    const size_t guard = ops_.size();
+    if (nested) {
+      op.kind = SpecOpKind::kFreeGuard;
+      Emit(op);
+      if (t->kind() == TypeKind::kSequence) {
+        SpecOp loop;
+        loop.slot = slot;
+        loop.bound = t->bound();
+        loop.len_src = SpecLenSource::kSlotLength;
+        AddLoop(loop, t->element());
+      } else {
+        AddMem(t, slot, 0, 0, /*special=*/false);
+      }
+    }
+    op.kind = SpecOpKind::kFreeSlot;
+    Emit(op);
+    if (nested) {
+      ops_[guard].count = static_cast<uint32_t>(ops_.size() - guard - 1);
     }
   }
 
@@ -331,6 +440,10 @@ class StreamCompiler {
   // top-level array.
   void AddMem(const Type* type, int slot, uint32_t offset, uint8_t depth,
               bool special) {
+    if (release()) {
+      AddMemRelease(type, slot, offset, depth);
+      return;
+    }
     const Type* t = type->Resolve();
     SpecOp op;
     op.slot = slot;
@@ -342,8 +455,8 @@ class StreamCompiler {
         return;
       case TypeKind::kArray:
         if (IsByteElem(t->element())) {
-          op.kind = marshal_ ? SpecOpKind::kPutBytesFixed
-                             : SpecOpKind::kGetBytesFixed;
+          op.kind = marshal() ? SpecOpKind::kPutBytesFixed
+                              : SpecOpKind::kGetBytesFixed;
           op.count = t->bound();
           op.bound = 0;
           op.special = special;
@@ -354,19 +467,15 @@ class StreamCompiler {
         AddLoop(op, t->element());
         return;
       case TypeKind::kStruct:
-        for (size_t i = 0; i < t->fields().size(); ++i) {
-          AddMem(t->fields()[i].type, slot,
-                 offset + static_cast<uint32_t>(NativeFieldOffset(t, i)),
-                 depth, /*special=*/false);
-        }
+        AddFields(t, slot, offset, depth);
         return;
       case TypeKind::kUnion:
         AddUnion(t, slot, offset, depth);
         return;
       case TypeKind::kSequence:
         if (IsByteElem(t->element())) {
-          op.kind = marshal_ ? SpecOpKind::kPutSeqBytesMem
-                             : SpecOpKind::kGetSeqBytesMem;
+          op.kind = marshal() ? SpecOpKind::kPutSeqBytesMem
+                              : SpecOpKind::kGetSeqBytesMem;
           Emit(op);
           return;
         }
@@ -375,16 +484,69 @@ class StreamCompiler {
         return;
       case TypeKind::kString:
         op.kind =
-            marshal_ ? SpecOpKind::kPutStringMem : SpecOpKind::kGetStringMem;
+            marshal() ? SpecOpKind::kPutStringMem : SpecOpKind::kGetStringMem;
         Emit(op);
         return;
       default:
-        op.kind = marshal_ ? SpecOpKind::kPutScalarMem
-                           : SpecOpKind::kGetScalarMem;
+        op.kind = marshal() ? SpecOpKind::kPutScalarMem
+                            : SpecOpKind::kGetScalarMem;
         op.width = static_cast<uint8_t>(WireScalarWidth(t->kind()));
         op.bound = 0;
         Emit(op);
         return;
+    }
+  }
+
+  // The release of a value in memory: a string's block, a sequence's
+  // elements and then its buffer, and the loops and arms that reach them.
+  // A value without a pointer frees nothing.
+  void AddMemRelease(const Type* type, int slot, uint32_t offset,
+                     uint8_t depth) {
+    const Type* t = type->Resolve();
+    if (!t->HoldsPointers()) {
+      return;
+    }
+    SpecOp op;
+    op.slot = slot;
+    op.offset = offset;
+    op.depth = depth;
+    op.bound = t->bound();
+    switch (t->kind()) {
+      case TypeKind::kArray:
+        op.len_src = SpecLenSource::kConstant;
+        AddLoop(op, t->element());
+        return;
+      case TypeKind::kStruct:
+        AddFields(t, slot, offset, depth);
+        return;
+      case TypeKind::kUnion:
+        AddUnion(t, slot, offset, depth);
+        return;
+      case TypeKind::kSequence:
+        if (!IsByteElem(t->element()) && t->element()->HoldsPointers()) {
+          op.len_src = SpecLenSource::kSeqRep;
+          AddLoop(op, t->element());
+        }
+        op = SpecOp{};
+        op.kind = SpecOpKind::kFreeMem;
+        op.slot = slot;
+        op.offset = offset + static_cast<uint32_t>(offsetof(SeqRep, buffer));
+        op.depth = depth;
+        Emit(op);
+        return;
+      default:  // a string
+        op.kind = SpecOpKind::kFreeMem;
+        op.bound = 0;
+        Emit(op);
+        return;
+    }
+  }
+
+  void AddFields(const Type* st, int slot, uint32_t offset, uint8_t depth) {
+    for (size_t i = 0; i < st->fields().size(); ++i) {
+      AddMem(st->fields()[i].type, slot,
+             offset + static_cast<uint32_t>(NativeFieldOffset(st, i)), depth,
+             /*special=*/false);
     }
   }
 
@@ -411,16 +573,21 @@ class StreamCompiler {
   // The union in memory at `offset`: its u32 discriminant, then for each
   // labeled arm a kArm, the arm's ops at the payload offset and a kArmEnd
   // past the remaining arms, then the default arm's ops or, with no
-  // default arm, kNoArm. A matching label wins over the default arm.
+  // default arm, kNoArm. A matching label wins over the default arm. A
+  // release reads the discriminant in memory and frees nothing when it
+  // matches no arm. Every kArmEnd lands after the union, so the default
+  // arm's run ends there and the ops after the union open their own.
   void AddUnion(const Type* u, int slot, uint32_t offset, uint8_t depth) {
     SpecOp op;
     op.slot = slot;
     op.offset = offset;
     op.depth = depth;
     op.kind =
-        marshal_ ? SpecOpKind::kPutScalarMem : SpecOpKind::kGetScalarMem;
+        marshal() ? SpecOpKind::kPutScalarMem : SpecOpKind::kGetScalarMem;
     op.width = 4;
-    Emit(op);
+    if (!release()) {
+      Emit(op);
+    }
     const uint32_t payload =
         offset + static_cast<uint32_t>(UnionPayloadOffset(u));
     std::vector<size_t> arm_ends;
@@ -444,7 +611,7 @@ class StreamCompiler {
     }
     if (fallback != nullptr) {
       AddMem(fallback->type, slot, payload, depth, /*special=*/false);
-    } else {
+    } else if (!release()) {
       SpecOp none = op;
       none.kind = SpecOpKind::kNoArm;
       Emit(none);
@@ -452,18 +619,22 @@ class StreamCompiler {
     for (size_t end : arm_ends) {
       ops_[end].count = static_cast<uint32_t>(ops_.size() - end - 1);
     }
+    run_ = kNoRun;
   }
 
+  static constexpr size_t kNoRun = SIZE_MAX;
+
   const OpPresentation& pres_;
-  bool marshal_;
+  Mode mode_;
   std::vector<SpecOp> ops_;
+  size_t run_ = kNoRun;  // the open run's kRun
 };
 
 // The index of the op that runs after ops[i]: past what a branch skips,
 // past an empty loop's body and back-edge, or back to the first op of a
 // loop's body while the loop has an element left.
 size_t NextOp(const std::vector<SpecOp>& ops, size_t i, const ArgVec& args,
-              SpecLoop* loops) {
+              SpecLoop* loops, bool donated = false) {
   const SpecOp& op = ops[i];
   switch (op.kind) {
     case SpecOpKind::kLoop:
@@ -472,7 +643,7 @@ size_t NextOp(const std::vector<SpecOp>& ops, size_t i, const ArgVec& args,
       NextElement(op, loops);
       return loops[op.depth].left != 0 ? i - op.count : i + 1;
     default:
-      return i + 1 + SkippedOps(op, args, loops);
+      return i + 1 + SkippedOps(op, args, loops, donated);
   }
 }
 
@@ -481,12 +652,19 @@ size_t NextOp(const std::vector<SpecOp>& ops, size_t i, const ArgVec& args,
 SpecProgram CompileSpecStream(const MarshalPlanView& plan,
                               const OpPresentation& pres, SpecStream stream,
                               std::string* rejection) {
-  const bool marshal = stream == SpecStream::kMarshalRequest ||
-                       stream == SpecStream::kMarshalReply;
+  using Mode = StreamCompiler::Mode;
+  const Mode mode = stream == SpecStream::kMarshalRequest ||
+                            stream == SpecStream::kMarshalReply
+                        ? Mode::kMarshal
+                    : stream == SpecStream::kUnmarshalRequest ||
+                            stream == SpecStream::kUnmarshalReply
+                        ? Mode::kUnmarshal
+                        : Mode::kRelease;
   const bool reply = stream == SpecStream::kMarshalReply ||
-                     stream == SpecStream::kUnmarshalReply;
-  SpecProgram prog = StreamCompiler(pres, marshal)
-                         .Compile(reply ? plan.reply : plan.request);
+                     stream == SpecStream::kUnmarshalReply ||
+                     stream == SpecStream::kReleaseReply;
+  SpecProgram prog =
+      StreamCompiler(pres, mode).Compile(reply ? plan.reply : plan.request);
   if (rejection != nullptr) {
     *rejection = prog.ops.size() > kMaxSpecOps
                      ? StrFormat("%zu ops, past the op budget of %zu",
@@ -511,34 +689,66 @@ SpecPlan CompileSpecPlan(const OperationDecl& op,
 
 // ---- Reference executor ----------------------------------------------------
 
+namespace {
+
 // Loops nest at most kMaxSequenceNesting deep (SpecLoop), so that many
 // base registers serve any stream.
-Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
-                      WireWriter* w, const SpecialOps* special) {
+template <typename W>
+Status RunMarshalOn(const std::vector<SpecOp>& ops, const ArgVec& args,
+                    W* w, const SpecialOps* special) {
   Status end;
+  uint8_t* run = nullptr;
   SpecLoop loops[kMaxSequenceNesting];
-  const std::vector<SpecOp>& ops = prog.ops;
   for (size_t i = 0; i < ops.size(); i = NextOp(ops, i, args, loops)) {
-    if (!MarshalStep(ops[i], args, w, special, &end, loops)) {
+    if (!MarshalStep(ops[i], args, w, special, &run, &end, loops)) {
       break;
     }
   }
   return end;
 }
 
-Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,
-                        ArgVec* args, const SpecialOps* special,
-                        bool borrow_bytes) {
+template <typename R>
+Status RunUnmarshalOn(const std::vector<SpecOp>& ops, R* r, Arena* arena,
+                      ArgVec* args, const SpecialOps* special,
+                      bool borrow_bytes) {
   Status end;
+  const uint8_t* run = nullptr;
   SpecLoop loops[kMaxSequenceNesting];
-  const std::vector<SpecOp>& ops = prog.ops;
   for (size_t i = 0; i < ops.size(); i = NextOp(ops, i, *args, loops)) {
-    if (!UnmarshalStep(ops[i], r, arena, args, special, borrow_bytes, &end,
-                       loops)) {
+    if (!UnmarshalStep(ops[i], r, arena, args, special, borrow_bytes, &run,
+                       &end, loops)) {
       break;
     }
   }
   return end;
+}
+
+}  // namespace
+
+Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
+                      WireWriter* w, const SpecialOps* special) {
+  return OnCodec(w, [&](auto* codec) {
+    return RunMarshalOn(prog.ops, args, codec, special);
+  });
+}
+
+Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,
+                        ArgVec* args, const SpecialOps* special,
+                        bool borrow_bytes) {
+  return OnCodec(r, [&](auto* codec) {
+    return RunUnmarshalOn(prog.ops, codec, arena, args, special,
+                          borrow_bytes);
+  });
+}
+
+void RunSpecRelease(const SpecProgram& prog, Arena* arena, ArgVec* args,
+                    bool donated) {
+  SpecLoop loops[kMaxSequenceNesting];
+  const std::vector<SpecOp>& ops = prog.ops;
+  for (size_t i = 0; i < ops.size();
+       i = NextOp(ops, i, *args, loops, donated)) {
+    ReleaseStep(ops[i], arena, args, donated, loops);
+  }
 }
 
 // ---- Registry and dispatch switch ------------------------------------------
@@ -554,8 +764,6 @@ Registry& GlobalRegistry() {
   static Registry* registry = new Registry;
   return *registry;
 }
-
-std::atomic<bool> g_spec_enabled{true};
 
 }  // namespace
 
@@ -579,11 +787,7 @@ void UnregisterSpecialization(const SpecKey& key) {
 }
 
 void SetMarshalSpecializationEnabled(bool enabled) {
-  g_spec_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool MarshalSpecializationEnabled() {
-  return g_spec_enabled.load(std::memory_order_relaxed);
+  spec_internal::g_spec_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 }  // namespace flexrpc

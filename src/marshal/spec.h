@@ -3,18 +3,21 @@
 //
 // Every (operation signature × presentation) pair fixes each marshal
 // decision at bind time: type kind, presentation attributes, length
-// discipline. CompileSpecPlan turns the pair's four streams into
+// discipline. CompileSpecPlan turns the pair's six streams (four that
+// move a message, two that release what an unmarshal allocated) into
 // SpecPrograms, short programs over a closed opcode set (engine.h) whose
 // every operand (slot, offset, width, bound, length source, stride, loop
-// depth) is an integer constant; MarshalProgram::Build runs the same
-// compiler once per program. Every type sema accepts compiles: structs and
-// unions unroll, and each sequence or array of non-byte elements is a
-// loop. The reference executor runs a program one step (spec_ops.h) per
-// op, and `idlc --specialize` emits each stream within the op budget as a
-// fused C++ function that registers itself here. The engine looks its key up at
-// bind time and dispatches per call: a registered function runs when
-// specialization is on, the reference executor otherwise (gated
-// `marshal.spec.hit/miss` counters, one per stream either way).
+// depth, a run's bytes per format) is an integer constant;
+// MarshalProgram::Build runs the same compiler once per program. Every
+// type sema accepts compiles: structs and unions unroll, each sequence or
+// array of non-byte elements is a loop, and each maximal run of fixed-width
+// ops gets one space check (kRun) in front of it. The reference executor
+// runs a program one step (spec_ops.h) per op, and `idlc --specialize`
+// emits each stream within the op budget as a fused C++ function that
+// registers itself here. The engine looks its key up at bind time and
+// dispatches per call: a registered function runs when specialization is
+// on, the reference executor otherwise (gated `marshal.spec.hit/miss`
+// counters, one per wire stream either way; a release counts none).
 //
 // Each opcode has one definition, its step in spec_ops.h. The reference
 // executor loops over those steps, and every emitted function calls them
@@ -29,6 +32,7 @@
 #ifndef FLEXRPC_SRC_MARSHAL_SPEC_H_
 #define FLEXRPC_SRC_MARSHAL_SPEC_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -80,11 +84,20 @@ inline constexpr size_t kMaxSpecOps = 192;
 // `pres`. Total: every stream compiles. A stream past kMaxSpecOps is not
 // emitted as generated code; `*rejection` (when given) then says so, and
 // stays empty otherwise.
+//
+// A wire stream puts a kRun in front of each maximal run of fixed-width
+// ops (scalars, fixed byte runs, union discriminants; a kEnsureStorage
+// inside does not end it), carrying the run's bytes in each format. A
+// variable-length op, a branch, a loop op or a discriminant op (which can
+// end the stream) ends the run. A release stream walks the unmarshal's
+// loops and arms over each operand's value, only where the value holds a
+// pointer: kFreeMem per nested block, then kFreeSlot for the operand's
+// own, behind a kFreeGuard when anything is nested.
 SpecProgram CompileSpecStream(const MarshalPlanView& plan,
                               const OpPresentation& pres, SpecStream stream,
                               std::string* rejection);
 
-// One (operation × presentation)'s four compiled streams, with the reason
+// One (operation × presentation)'s six compiled streams, with the reason
 // `idlc --specialize` leaves a stream out (FLEX205), empty for a stream it
 // emits. The SpecPlan is self-contained: `op` and `pres` need not outlive
 // it.
@@ -109,12 +122,16 @@ SpecPlan CompileSpecPlan(const OperationDecl& op, const OpPresentation& pres);
 
 // The reference executor: runs a SpecProgram one step (spec_ops.h) per op,
 // as the emitted C++ does with the ops written out, taking each branch by
-// SkippedOps and each loop's back-edge by NextElement.
+// SkippedOps and each loop's back-edge by NextElement. The wire streams
+// run the steps' instantiation for the codec behind `w` or `r`.
 Status RunSpecMarshal(const SpecProgram& prog, const ArgVec& args,
                       WireWriter* w, const SpecialOps* special);
 Status RunSpecUnmarshal(const SpecProgram& prog, WireReader* r, Arena* arena,
                         ArgVec* args, const SpecialOps* special,
                         bool borrow_bytes);
+// `donated`: MarshalReply's epilogue (spec_ops.h, ReleaseStep).
+void RunSpecRelease(const SpecProgram& prog, Arena* arena, ArgVec* args,
+                    bool donated);
 
 // ---- Registry of compiled-in specializations -------------------------------
 
@@ -123,6 +140,7 @@ using SpecMarshalFn = Status (*)(const ArgVec& args, WireWriter* w,
 using SpecUnmarshalFn = Status (*)(WireReader* r, Arena* arena, ArgVec* args,
                                    const SpecialOps* special,
                                    bool borrow_bytes);
+using SpecReleaseFn = void (*)(Arena* arena, ArgVec* args, bool donated);
 
 // Function table one generated unit registers for one SpecKey. A null slot
 // leaves that stream to the reference executor.
@@ -131,6 +149,8 @@ struct SpecFns {
   SpecUnmarshalFn unmarshal_request = nullptr;
   SpecMarshalFn marshal_reply = nullptr;
   SpecUnmarshalFn unmarshal_reply = nullptr;
+  SpecReleaseFn release_request = nullptr;
+  SpecReleaseFn release_reply = nullptr;
 };
 
 // First registration for a key wins (generated units may legitimately
@@ -143,7 +163,14 @@ void UnregisterSpecialization(const SpecKey& key);
 // Global dispatch switch, default on. Benches A/B generated code against
 // the reference executor with this (same program, same wire bytes).
 void SetMarshalSpecializationEnabled(bool enabled);
-bool MarshalSpecializationEnabled();
+
+namespace spec_internal {
+inline std::atomic<bool> g_spec_enabled{true};
+}  // namespace spec_internal
+
+inline bool MarshalSpecializationEnabled() {
+  return spec_internal::g_spec_enabled.load(std::memory_order_relaxed);
+}
 
 }  // namespace flexrpc
 

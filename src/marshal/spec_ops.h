@@ -1,16 +1,24 @@
 // flexspec opcodes: each op's one definition.
 //
 // A SpecOp (engine.h) is one instruction of a compiled marshal stream: its
-// kind plus constant operands. MarshalStep and UnmarshalStep define what
-// each kind does to the wire, the ArgVec and the loops' base registers;
-// SkippedOps defines the branch ops (a union's arm selection) and
-// NextElement a loop's back-edge, and nothing else does: the reference
-// executor (RunSpecMarshal/RunSpecUnmarshal, spec.h) loops over them, and
-// `idlc --specialize` emits one step call per op with the op written out as
-// a literal, each branch op as a forward `goto` and each loop as a `for`.
-// All of them are forced inline, so in generated code the kind switch and
-// every operand fold to constants, and the stream runs with no table walk
-// and no indirect jump.
+// kind plus constant operands. MarshalStep, UnmarshalStep and ReleaseStep
+// define what each kind does to the wire, the ArgVec, the arena and the
+// loops' base registers; SkippedOps defines the branch ops (a union's arm
+// selection, a release's ownership guard) and NextElement a loop's
+// back-edge, and nothing else does: the reference executor
+// (RunSpecMarshal/RunSpecUnmarshal/RunSpecRelease, spec.h) loops over them,
+// and `idlc --specialize` emits one step call per op with the op written
+// out as a literal, each branch op as a forward `goto` and each loop as a
+// `for`. All of them are forced inline, so in generated code the kind
+// switch and every operand fold to constants, and the stream runs with no
+// table walk and no indirect jump.
+//
+// The marshal and unmarshal steps are templates over the concrete codec
+// (XdrWriter/NativeWriter, XdrReader/NativeReader, all final): a stream
+// tests the wire's format once (OnCodec) and runs its instantiation, so
+// every word inlines. A kRun op checks the space of the fixed-width ops
+// after it once; they then store or load their words at the stream's run
+// pointer, with no per-word check and no Result.
 
 #ifndef FLEXRPC_SRC_MARSHAL_SPEC_OPS_H_
 #define FLEXRPC_SRC_MARSHAL_SPEC_OPS_H_
@@ -22,6 +30,8 @@
 #include "src/marshal/engine.h"
 #include "src/marshal/format.h"
 #include "src/marshal/layout.h"
+#include "src/marshal/native.h"
+#include "src/marshal/xdr.h"
 #include "src/support/arena.h"
 #include "src/support/status.h"
 #include "src/support/strings.h"
@@ -37,6 +47,25 @@ struct SpecLoop {
   uint32_t left = 0;
 };
 
+// Calls `fn` with the concrete codec behind `w` or `r`. The format tag
+// picks the class, and XdrWriter/NativeWriter and XdrReader/NativeReader
+// are the only ones, so a stream instantiated for each runs with every
+// word inlined.
+template <typename Fn>
+[[gnu::always_inline]] inline auto OnCodec(WireWriter* w, Fn&& fn) {
+  if (w->format() == WireFormat::kXdr) {
+    return fn(static_cast<XdrWriter*>(w));
+  }
+  return fn(static_cast<NativeWriter*>(w));
+}
+template <typename Fn>
+[[gnu::always_inline]] inline auto OnCodec(WireReader* r, Fn&& fn) {
+  if (r->format() == WireFormat::kXdr) {
+    return fn(static_cast<XdrReader*>(r));
+  }
+  return fn(static_cast<NativeReader*>(r));
+}
+
 namespace spec_internal {
 
 // Ends the stream with `status`.
@@ -45,27 +74,8 @@ namespace spec_internal {
   return false;
 }
 
-[[gnu::always_inline]] inline void PutScalar(WireWriter* w, uint8_t width,
-                                             uint64_t bits) {
-  switch (width) {
-    case 1:
-      w->PutU8(static_cast<uint8_t>(bits));
-      return;
-    case 2:
-      w->PutU16(static_cast<uint16_t>(bits));
-      return;
-    case 4:
-      w->PutU32(static_cast<uint32_t>(bits));
-      return;
-    default:
-      w->PutU64(bits);
-      return;
-  }
-}
-
-// Ends the stream with a failed read's error. Cold and out of line, so
-// that each op inlines only the read, one test and the store, and the
-// compiler keeps inlining the accessors of a long stream's last reads.
+// Ends the stream with a failed read's error. Cold and out of line, like
+// the short-read paths below that reach it.
 template <typename T>
 [[gnu::cold, gnu::noinline]] bool EndRead(const Result<T>& read,
                                           Status* end) {
@@ -84,7 +94,8 @@ template <typename T, typename V>
   return true;
 }
 
-[[gnu::always_inline]] inline bool GetScalar(WireReader* r, uint8_t width,
+template <typename R>
+[[gnu::always_inline]] inline bool GetScalar(R* r, uint8_t width,
                                              uint64_t* bits, Status* end) {
   switch (width) {
     case 1:
@@ -96,6 +107,98 @@ template <typename T, typename V>
     default:
       return Get(r->GetU64(), bits, end);
   }
+}
+
+// What a cold read gives back: the value, or false when it ended the
+// stream. Returned by value, so the hot path keeps the value in a
+// register.
+template <typename T>
+struct ColdRead {
+  T value;
+  bool ok;
+};
+
+// A read the space check found too short runs one op at a time, as a
+// stream without runs would: the first op short of bytes ends the stream
+// with the reader's own error, and the ops before it have their effect.
+template <typename R>
+[[gnu::cold, gnu::noinline]] ColdRead<uint64_t> ShortScalar(R* r,
+                                                           uint8_t width,
+                                                           Status* end) {
+  uint64_t bits = 0;
+  const bool ok = GetScalar(r, width, &bits, end);
+  return {bits, ok};
+}
+template <typename R>
+[[gnu::cold, gnu::noinline]] ColdRead<const uint8_t*> ShortBytes(
+    R* r, uint32_t n, Status* end) {
+  const uint8_t* bytes = nullptr;
+  const bool ok = Get(r->GetBytes(n), &bytes, end);
+  return {bytes, ok};
+}
+
+// A fixed-width op's scalar, read at the run pointer, which moves past it.
+template <typename R>
+[[gnu::always_inline]] inline bool GetFixedScalar(R* r, const uint8_t** run,
+                                                  uint8_t width,
+                                                  uint64_t* bits,
+                                                  Status* end) {
+  if (*run == nullptr) [[unlikely]] {
+    const ColdRead<uint64_t> read = ShortScalar(r, width, end);
+    *bits = read.value;
+    return read.ok;
+  }
+  *bits = R::LoadScalar(*run, width);
+  *run += WireScalarBytes(R::kFormat, width);
+  return true;
+}
+
+// A fixed byte run's bytes at the run pointer, which moves past them and
+// their padding.
+template <typename R>
+[[gnu::always_inline]] inline bool GetFixedBytes(R* r, const uint8_t** run,
+                                                 uint32_t n,
+                                                 const uint8_t** bytes,
+                                                 Status* end) {
+  if (*run == nullptr) [[unlikely]] {
+    const ColdRead<const uint8_t*> read = ShortBytes(r, n, end);
+    *bytes = read.value;
+    return read.ok;
+  }
+  *bytes = *run;
+  *run += WireRunBytes(R::kFormat, n);
+  return true;
+}
+
+// A u32 outside any run (a length, a loop's count) and a byte run of a
+// length read off the wire: each checks its own space, and short input
+// fails as GetU32 and GetBytes fail.
+template <typename R>
+[[gnu::always_inline]] inline bool GetWord(R* r, uint32_t* v, Status* end) {
+  const uint8_t* p = r->TakeFixed(4);
+  if (p == nullptr) [[unlikely]] {
+    const ColdRead<uint64_t> read = ShortScalar(r, 4, end);
+    *v = static_cast<uint32_t>(read.value);
+    return read.ok;
+  }
+  *v = static_cast<uint32_t>(R::LoadScalar(p, 4));
+  return true;
+}
+template <typename R>
+[[gnu::always_inline]] inline bool GetRunOf(R* r, uint32_t n,
+                                            const uint8_t** bytes,
+                                            Status* end) {
+  const uint8_t* run = r->TakeFixed(WireRunBytes(R::kFormat, n));
+  return GetFixedBytes(r, &run, n, bytes, end);
+}
+
+// Writes a scalar at the run pointer, which moves past it.
+template <typename W>
+[[gnu::always_inline]] inline void PutFixedScalar(uint8_t** run,
+                                                  uint8_t width,
+                                                  uint64_t bits) {
+  W::StoreScalar(*run, width, bits);
+  *run += WireScalarBytes(W::kFormat, width);
 }
 
 // The memory `op` addresses: its base, args[slot].ptr() outside loops and
@@ -122,11 +225,12 @@ template <typename T, typename V>
 
 // Reads a u32 length under `op.bound` (`what` names the value in the
 // error) and then that many bytes and their padding.
-[[gnu::always_inline]] inline bool GetRun(WireReader* r, const SpecOp& op,
-                                          const char* what, uint32_t* len,
-                                          const uint8_t** bytes,
-                                          Status* end) {
-  if (!Get(r->GetU32(), len, end)) {
+template <typename R>
+[[gnu::always_inline]] inline bool GetVarRun(R* r, const SpecOp& op,
+                                             const char* what, uint32_t* len,
+                                             const uint8_t** bytes,
+                                             Status* end) {
+  if (!GetWord(r, len, end)) {
     return false;
   }
   if (op.bound != 0 && *len > op.bound) {
@@ -134,7 +238,7 @@ template <typename T, typename V>
                         "wire %s length %u exceeds bound %u", what, *len,
                         op.bound)));
   }
-  return Get(r->GetBytes(*len), bytes, end);
+  return GetRunOf(r, *len, bytes, end);
 }
 
 // The length of a null-tolerant C string: a null pointer has length 0.
@@ -159,6 +263,25 @@ template <typename T, typename V>
   }
 }
 
+// The elements of the loop `op` opens over a value in memory or a slot:
+// an array's in place, a nested sequence's from its SeqRep, a top-level
+// sequence's at the slot's pointer with its count from `len_src`.
+[[gnu::always_inline]] inline SpecLoop LoopInMemory(const SpecOp& op,
+                                                    const ArgVec& args,
+                                                    const SpecLoop* loops) {
+  if (op.len_src == SpecLenSource::kConstant) {
+    return SpecLoop{Mem(op, args, loops), op.bound};
+  }
+  if (op.len_src == SpecLenSource::kSeqRep) {
+    SeqRep rep;
+    std::memcpy(&rep, Mem(op, args, loops), sizeof(rep));
+    return SpecLoop{static_cast<uint8_t*>(rep.buffer), rep.length};
+  }
+  return SpecLoop{
+      static_cast<uint8_t*>(args[static_cast<size_t>(op.slot)].ptr()),
+      MarshalLength(op, args)};
+}
+
 // Refuses a marshaled length past `op.bound` (0: unbounded); `what` names
 // the value in the message.
 [[gnu::always_inline]] inline bool PutBound(const SpecOp& op, uint32_t len,
@@ -171,11 +294,29 @@ template <typename T, typename V>
   return true;
 }
 
-// Zeroed, so a release after a failed read finds null pointers wherever
-// nothing was read.
-[[gnu::always_inline]] inline void* ZeroedBlock(Arena* arena, size_t size) {
-  void* block = arena->AllocateBlock(size);
-  std::memset(block, 0, size);
+// Ends the stream: the arena cannot hold a block the input asks for.
+[[gnu::cold, gnu::noinline]] inline bool EndArenaFull(const Arena* arena,
+                                                      size_t size,
+                                                      Status* end) {
+  return End(end, ResourceExhaustedError(StrFormat(
+                      "arena '%s' cannot hold a %zu-byte block",
+                      arena->name().c_str(), size)));
+}
+
+// Every block an unmarshal step allocates comes from here: null, with the
+// stream ended RESOURCE_EXHAUSTED, when the arena's capacity cannot hold
+// it. A `zeroed` block lets a release after a failed read find null
+// pointers wherever nothing was read.
+[[gnu::always_inline]] inline void* NewBlock(Arena* arena, size_t size,
+                                             bool zeroed, Status* end) {
+  void* block = arena->TryAllocateBlock(size);
+  if (block == nullptr) [[unlikely]] {
+    EndArenaFull(arena, size, end);
+    return nullptr;
+  }
+  if (zeroed) {
+    std::memset(block, 0, size);
+  }
   return block;
 }
 
@@ -188,10 +329,11 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
 // count from sizing storage: the bound, the wire bytes left (every element
 // takes at least one) and, when `allocates`, kMaxNativeSize for the
 // storage of that many elements.
-[[gnu::always_inline]] inline bool GetCount(WireReader* r, const SpecOp& op,
+template <typename R>
+[[gnu::always_inline]] inline bool GetCount(R* r, const SpecOp& op,
                                             bool allocates, uint32_t* count,
                                             Status* end) {
-  if (!Get(r->GetU32(), count, end)) {
+  if (!GetWord(r, count, end)) {
     return false;
   }
   if (op.bound != 0 && *count > op.bound) {
@@ -216,19 +358,39 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
   return true;
 }
 
+// Whether a release frees `slot`'s storage (kFreeGuard, kFreeSlot): after
+// an unmarshal (`donated` false) a block the unmarshal allocated; in
+// MarshalReply's epilogue (`donated` true) whatever a [dealloc(always)]
+// operand holds that is not a view of the request message.
+[[gnu::always_inline]] inline bool FreesSlot(const SpecOp& op,
+                                             const ArgValue& slot,
+                                             bool donated) {
+  if (donated) {
+    return op.donated && slot.ptr() != nullptr && !slot.borrowed;
+  }
+  return slot.owned;
+}
+
 }  // namespace spec_internal
 
 // The branch ops' one definition: how many of the ops after `op` the
 // stream skips. A union compiles to its discriminant op, then per arm a
 // kArm, the arm's ops and a kArmEnd past the remaining arms, then the
-// default arm's ops or kNoArm. Zero for every other kind.
+// default arm's ops or kNoArm. A release's kFreeGuard skips a value it
+// does not free. Zero for every other kind.
 [[gnu::always_inline]] inline uint32_t SkippedOps(
-    const SpecOp& op, const ArgVec& args, const SpecLoop* loops = nullptr) {
+    const SpecOp& op, const ArgVec& args, const SpecLoop* loops = nullptr,
+    bool donated = false) {
   switch (op.kind) {
     case SpecOpKind::kArm:
       return spec_internal::Disc(op, args, loops) == op.label ? 0 : op.count;
     case SpecOpKind::kArmEnd:
       return op.count;
+    case SpecOpKind::kFreeGuard:
+      return spec_internal::FreesSlot(
+                 op, args[static_cast<size_t>(op.slot)], donated)
+                 ? 0
+                 : op.count;
     default:
       return 0;
   }
@@ -249,39 +411,48 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
 // a back-edge's do nothing: SkippedOps and NextElement are their
 // definitions). Otherwise it has ended the stream, and `*end` holds the
 // stream's status: an error, or OK when a union discriminant selected one
-// of the void alternate arms. `loops` holds the stream's loops, one per
-// nesting level; a stream without loops may pass none.
+// of the void alternate arms. `run` is the stream's run pointer, which
+// each kRun sets; `loops` holds the stream's loops, one per nesting level;
+// a stream without loops may pass none.
+template <typename W>
 [[gnu::always_inline]] inline bool MarshalStep(const SpecOp& op,
-                                               const ArgVec& args,
-                                               WireWriter* w,
+                                               const ArgVec& args, W* w,
                                                const SpecialOps* special,
-                                               Status* end,
+                                               uint8_t** run, Status* end,
                                                SpecLoop* loops = nullptr) {
   using spec_internal::End;
+  if (op.kind == SpecOpKind::kRun) {
+    *run = w->AppendFixed(op.run_bytes[static_cast<size_t>(W::kFormat)]);
+    return true;
+  }
   const ArgValue& slot = args[static_cast<size_t>(op.slot)];
   const bool use_special =
       op.special && special != nullptr && special->copy_out != nullptr;
-  // A byte run moves through the [special] routine when one applies.
-  auto put_run = [&](const void* src, uint32_t n) {
-    if (use_special) {
-      special->copy_out(w->ReserveBytes(n), src, n);
-    } else {
-      w->PutBytes(src, n);
-    }
-  };
   switch (op.kind) {
     case SpecOpKind::kPutScalarSlot:
-      spec_internal::PutScalar(w, op.width, slot.scalar);
+      spec_internal::PutFixedScalar<W>(run, op.width, slot.scalar);
       return true;
     case SpecOpKind::kPutScalarMem: {
       uint64_t bits = 0;
       std::memcpy(&bits, spec_internal::Mem(op, args, loops), op.width);
-      spec_internal::PutScalar(w, op.width, bits);
+      spec_internal::PutFixedScalar<W>(run, op.width, bits);
       return true;
     }
-    case SpecOpKind::kPutBytesFixed:
-      put_run(spec_internal::Mem(op, args, loops), op.count);
+    case SpecOpKind::kPutBytesFixed: {
+      // The run's bytes, then zeros to the format's padding, as PutBytes
+      // writes them.
+      uint8_t* p = *run;
+      const void* src = spec_internal::Mem(op, args, loops);
+      if (use_special) {
+        special->copy_out(p, src, op.count);
+      } else {
+        std::memcpy(p, src, op.count);
+      }
+      const size_t padded = WireRunBytes(W::kFormat, op.count);
+      std::memset(p + op.count, 0, padded - op.count);
+      *run += padded;
       return true;
+    }
     case SpecOpKind::kPutSeqBytes:
     case SpecOpKind::kPutString:
     case SpecOpKind::kPutSeqBytesMem:
@@ -308,40 +479,31 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
         return false;
       }
       w->PutU32(len);
-      put_run(src, len);
+      // A byte run moves through the [special] routine when one applies.
+      if (use_special) {
+        special->copy_out(w->ReserveBytes(len), src, len);
+      } else {
+        w->PutBytes(src, len);
+      }
       return true;
     }
     case SpecOpKind::kPutUnionDisc: {
       const auto disc = static_cast<uint32_t>(slot.scalar);
-      w->PutU32(disc);
+      spec_internal::PutFixedScalar<W>(run, 4, disc);
       if (disc != op.label) {
         return End(end, Status::Ok());  // alternate arms are void
       }
       return true;
     }
     case SpecOpKind::kLoop: {
-      uint8_t* elems;
-      uint32_t n = op.bound;
-      if (op.len_src == SpecLenSource::kConstant) {
-        elems = spec_internal::Mem(op, args, loops);
-      } else if (op.len_src == SpecLenSource::kSeqRep) {
-        SeqRep rep;
-        std::memcpy(&rep, spec_internal::Mem(op, args, loops), sizeof(rep));
-        elems = static_cast<uint8_t*>(rep.buffer);
-        n = rep.length;
-      } else {
-        // A top-level sequence travels unpacked: its elements at the
-        // slot's pointer, its count from `len_src`.
-        elems = static_cast<uint8_t*>(slot.ptr());
-        n = spec_internal::MarshalLength(op, args);
-      }
+      const SpecLoop loop = spec_internal::LoopInMemory(op, args, loops);
       if (op.len_src != SpecLenSource::kConstant) {
-        if (!spec_internal::PutBound(op, n, "sequence", end)) {
+        if (!spec_internal::PutBound(op, loop.left, "sequence", end)) {
           return false;
         }
-        w->PutU32(n);
+        w->PutU32(loop.left);
       }
-      loops[op.depth] = SpecLoop{elems, n};
+      loops[op.depth] = loop;
       return true;
     }
     case SpecOpKind::kArm:
@@ -357,12 +519,17 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
   }
 }
 
+template <typename R>
 [[gnu::always_inline]] inline bool UnmarshalStep(
-    const SpecOp& op, WireReader* r, Arena* arena, ArgVec* args,
-    const SpecialOps* special, bool borrow_bytes, Status* end,
-    SpecLoop* loops = nullptr) {
+    const SpecOp& op, R* r, Arena* arena, ArgVec* args,
+    const SpecialOps* special, bool borrow_bytes, const uint8_t** run,
+    Status* end, SpecLoop* loops = nullptr) {
   using spec_internal::End;
-  using spec_internal::Get;
+  if (op.kind == SpecOpKind::kRun) {
+    // Null when the input is short: the run's ops then read one at a time.
+    *run = r->TakeFixed(op.run_bytes[static_cast<size_t>(R::kFormat)]);
+    return true;
+  }
   ArgValue* slot = &(*args)[static_cast<size_t>(op.slot)];
   const bool use_special =
       op.special && special != nullptr && special->copy_in != nullptr;
@@ -374,18 +541,24 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
       std::memcpy(dest, bytes, n);
     }
   };
+  // A new arena block, which the slot then owns.
+  auto own_block = [&](size_t size, bool zeroed) {
+    void* block = spec_internal::NewBlock(arena, size, zeroed, end);
+    if (block != nullptr) {
+      slot->set_ptr(block);
+      slot->owned = true;
+    }
+    return block;
+  };
   uint32_t len = 0;
   const uint8_t* bytes = nullptr;
   switch (op.kind) {
     case SpecOpKind::kEnsureStorage:
-      if (slot->ptr() == nullptr) {
-        slot->set_ptr(spec_internal::ZeroedBlock(arena, op.count));
-      }
-      return true;
+      return slot->ptr() != nullptr || own_block(op.count, true) != nullptr;
     case SpecOpKind::kGetScalarSlot:
     case SpecOpKind::kGetScalarMem: {
       uint64_t bits = 0;
-      if (!spec_internal::GetScalar(r, op.width, &bits, end)) {
+      if (!spec_internal::GetFixedScalar(r, run, op.width, &bits, end)) {
         return false;
       }
       if (op.kind == SpecOpKind::kGetScalarSlot) {
@@ -396,14 +569,14 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
       return true;
     }
     case SpecOpKind::kGetBytesFixed:
-      if (!Get(r->GetBytes(op.count), &bytes, end)) {
+      if (!spec_internal::GetFixedBytes(r, run, op.count, &bytes, end)) {
         return false;
       }
       copy_run(spec_internal::Mem(op, *args, loops), bytes, op.count);
       return true;
     case SpecOpKind::kGetSeqBytes: {
       void* dest = slot->ptr();
-      if (!spec_internal::GetRun(r, op, "sequence", &len, &bytes, end)) {
+      if (!spec_internal::GetVarRun(r, op, "sequence", &len, &bytes, end)) {
         return false;
       }
       if (borrow_bytes && dest == nullptr && !use_special) {
@@ -419,9 +592,8 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
                               "%u-byte sequence",
                               slot->capacity, len)));
         }
-      } else {
-        dest = arena->AllocateBlock(len > 0 ? len : 1);
-        slot->set_ptr(dest);
+      } else if ((dest = own_block(len > 0 ? len : 1, false)) == nullptr) {
+        return false;
       }
       copy_run(dest, bytes, len);
       slot->length = len;
@@ -429,7 +601,7 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
     }
     case SpecOpKind::kGetString: {
       auto* dest = static_cast<char*>(slot->ptr());
-      if (!spec_internal::GetRun(r, op, "string", &len, &bytes, end)) {
+      if (!spec_internal::GetVarRun(r, op, "string", &len, &bytes, end)) {
         return false;
       }
       if (dest != nullptr) {
@@ -439,9 +611,9 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
                               "%u-byte string",
                               slot->capacity, len)));
         }
-      } else {
-        dest = static_cast<char*>(arena->AllocateBlock(len + 1));
-        slot->set_ptr(dest);
+      } else if ((dest = static_cast<char*>(own_block(len + 1, false))) ==
+                 nullptr) {
+        return false;
       }
       copy_run(dest, bytes, len);
       dest[len] = '\0';
@@ -449,30 +621,39 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
       return true;
     }
     case SpecOpKind::kGetSeqBytesMem: {
-      if (!spec_internal::GetRun(r, op, "sequence", &len, &bytes, end)) {
+      if (!spec_internal::GetVarRun(r, op, "sequence", &len, &bytes, end)) {
         return false;
       }
       // Always a copy in a new arena block, never a borrow or a caller
       // buffer.
-      SeqRep rep{len, len, arena->AllocateBlock(len > 0 ? len : 1)};
+      SeqRep rep{len, len,
+                 spec_internal::NewBlock(arena, len > 0 ? len : 1, false,
+                                         end)};
+      if (rep.buffer == nullptr) {
+        return false;
+      }
       std::memcpy(rep.buffer, bytes, len);
       std::memcpy(spec_internal::Mem(op, *args, loops), &rep, sizeof(rep));
       return true;
     }
     case SpecOpKind::kGetStringMem: {
-      if (!spec_internal::GetRun(r, op, "string", &len, &bytes, end)) {
+      if (!spec_internal::GetVarRun(r, op, "string", &len, &bytes, end)) {
         return false;
       }
       // Always a copy in a new arena block, as kGetSeqBytesMem's bytes.
-      auto* s = static_cast<char*>(arena->AllocateBlock(len + 1));
+      auto* s = static_cast<char*>(
+          spec_internal::NewBlock(arena, len + 1, false, end));
+      if (s == nullptr) {
+        return false;
+      }
       std::memcpy(s, bytes, len);
       s[len] = '\0';
       std::memcpy(spec_internal::Mem(op, *args, loops), &s, sizeof(s));
       return true;
     }
     case SpecOpKind::kGetUnionDisc: {
-      uint32_t disc = 0;
-      if (!Get(r->GetU32(), &disc, end)) {
+      uint64_t disc = 0;
+      if (!spec_internal::GetFixedScalar(r, run, 4, &disc, end)) {
         return false;
       }
       slot->scalar = disc;
@@ -493,8 +674,8 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
       if (op.len_src == SpecLenSource::kConstant) {
         elems = spec_internal::Mem(op, *args, loops);
       } else {
-        const bool caller_buffer = op.len_src != SpecLenSource::kSeqRep &&
-                                   slot->ptr() != nullptr;
+        const bool nested = op.len_src == SpecLenSource::kSeqRep;
+        const bool caller_buffer = !nested && slot->ptr() != nullptr;
         if (!spec_internal::GetCount(r, op, !caller_buffer, &n, end)) {
           return false;
         }
@@ -502,16 +683,19 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
           return End(end, ResourceExhaustedError(
                               "caller buffer too small for sequence"));
         }
+        const size_t size = n > 0 ? size_t{n} * op.stride : 1;
         elems = static_cast<uint8_t*>(
             caller_buffer ? slot->ptr()
-                          : spec_internal::ZeroedBlock(
-                                arena, n > 0 ? size_t{n} * op.stride : 1));
-        if (op.len_src == SpecLenSource::kSeqRep) {
+            : nested      ? spec_internal::NewBlock(arena, size, true, end)
+                          : own_block(size, true));
+        if (elems == nullptr) {
+          return false;
+        }
+        if (nested) {
           const SeqRep rep{n, n, elems};
           std::memcpy(spec_internal::Mem(op, *args, loops), &rep,
                       sizeof(rep));
         } else {
-          slot->set_ptr(elems);
           slot->length = n;
         }
       }
@@ -528,6 +712,43 @@ static_assert((kMaxNativeSize & (kMaxNativeSize - 1)) == 0 &&
                           spec_internal::Disc(op, *args, loops))));
     default:
       return End(end, InternalError("marshal opcode in an unmarshal stream"));
+  }
+}
+
+// A release stream frees what its side's unmarshal allocated (`donated`
+// false), or, after MarshalReply, every [dealloc(always)] operand
+// (`donated` true): blocks nested in a value first, then the value's own.
+// It walks the unmarshal's loops and arms over the values in memory, and
+// never fails.
+[[gnu::always_inline]] inline void ReleaseStep(const SpecOp& op,
+                                               Arena* arena, ArgVec* args,
+                                               bool donated,
+                                               SpecLoop* loops = nullptr) {
+  switch (op.kind) {
+    case SpecOpKind::kFreeSlot: {
+      ArgValue& slot = (*args)[static_cast<size_t>(op.slot)];
+      if (spec_internal::FreesSlot(op, slot, donated)) {
+        arena->FreeBlock(slot.ptr());
+        slot.set_ptr(nullptr);
+        slot.owned = false;
+      } else if (slot.borrowed && (op.donated || !donated)) {
+        slot.set_ptr(nullptr);
+        slot.borrowed = false;
+      }
+      return;
+    }
+    case SpecOpKind::kFreeMem: {
+      void* block;
+      std::memcpy(&block, spec_internal::Mem(op, *args, loops),
+                  sizeof(block));
+      arena->FreeBlock(block);
+      return;
+    }
+    case SpecOpKind::kLoop:
+      loops[op.depth] = spec_internal::LoopInMemory(op, *args, loops);
+      return;
+    default:  // the branches and the back-edge
+      return;
   }
 }
 

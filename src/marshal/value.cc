@@ -23,65 +23,6 @@ const UnionArm* SelectArm(const Type* u, uint32_t disc) {
 
 }  // namespace
 
-void FreeValue(Arena* arena, const Type* type, void* native) {
-  const Type* t = type->Resolve();
-  if (!t->HoldsPointers()) {
-    return;  // owns no storage: nothing inside to visit
-  }
-  switch (t->kind()) {
-    case TypeKind::kString: {
-      char* s;
-      std::memcpy(&s, native, sizeof(s));
-      arena->FreeBlock(s);
-      return;
-    }
-    case TypeKind::kSequence: {
-      SeqRep rep;
-      std::memcpy(&rep, native, sizeof(rep));
-      const Type* elem = t->element();
-      if (elem->HoldsPointers()) {
-        size_t stride = elem->NativeSize();
-        auto* base = static_cast<uint8_t*>(rep.buffer);
-        for (uint32_t i = 0; i < rep.length; ++i) {
-          FreeValue(arena, elem, base + i * stride);
-        }
-      }
-      arena->FreeBlock(rep.buffer);
-      return;
-    }
-    case TypeKind::kArray: {
-      const Type* elem = t->element();
-      size_t stride = elem->NativeSize();
-      auto* base = static_cast<uint8_t*>(native);
-      for (uint32_t i = 0; i < t->bound(); ++i) {
-        FreeValue(arena, elem, base + i * stride);
-      }
-      return;
-    }
-    case TypeKind::kStruct: {
-      auto* base = static_cast<uint8_t*>(native);
-      for (size_t i = 0; i < t->fields().size(); ++i) {
-        FreeValue(arena, t->fields()[i].type,
-                  base + NativeFieldOffset(t, i));
-      }
-      return;
-    }
-    case TypeKind::kUnion: {
-      uint32_t disc;
-      std::memcpy(&disc, native, sizeof(disc));
-      const UnionArm* arm = SelectArm(t, disc);
-      if (arm == nullptr) {
-        return;
-      }
-      auto* base = static_cast<uint8_t*>(native);
-      FreeValue(arena, arm->type, base + UnionPayloadOffset(t));
-      return;
-    }
-    default:
-      return;
-  }
-}
-
 bool ValueEquals(const Type* type, const void* a, const void* b) {
   const Type* t = type->Resolve();
   switch (t->kind()) {

@@ -122,12 +122,12 @@ Result<std::unique_ptr<RpcConnection>> RpcConnection::Bind(
 
 const MarshalProgram* RpcConnection::ProgramFor(
     std::string_view op_name) const {
-  auto it = ops_.find(std::string(op_name));
+  auto it = ops_.find(op_name);
   return it == ops_.end() ? nullptr : &it->second.second;
 }
 
 Status RpcConnection::Call(std::string_view op_name, ArgVec* args) {
-  auto it = ops_.find(std::string(op_name));
+  auto it = ops_.find(op_name);
   if (it == ops_.end()) {
     return NotFoundError(StrFormat("no operation '%s' in this interface",
                                    std::string(op_name).c_str()));

@@ -89,7 +89,10 @@ class RpcConnection {
   FastPath* transport_ = nullptr;
   Task* client_ = nullptr;
   Port* port_ = nullptr;
-  std::map<std::string, std::pair<uint32_t, MarshalProgram>> ops_;
+  // Transparent comparator: Call looks a name up without building a
+  // std::string.
+  std::map<std::string, std::pair<uint32_t, MarshalProgram>, std::less<>>
+      ops_;
   SpecialOps special_;
   uint64_t calls_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "src/support/arena.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,13 +24,13 @@ Arena::Arena(std::string name, size_t capacity)
 
 Arena::~Arena() = default;
 
-Arena::Chunk& Arena::ChunkWithRoom(size_t size, size_t align) {
+Arena::Chunk* Arena::ChunkWithRoom(size_t size, size_t align) {
   if (!chunks_.empty()) {
     Chunk& last = chunks_.back();
     uintptr_t base = reinterpret_cast<uintptr_t>(last.data.get());
     size_t aligned = AlignUp(base + last.used, align) - base;
     if (aligned + size <= last.size) {
-      return last;
+      return &last;
     }
   }
   size_t chunk_size = kMinChunkSize;
@@ -37,57 +39,79 @@ Arena::Chunk& Arena::ChunkWithRoom(size_t size, size_t align) {
   }
   if (bytes_allocated_ + chunk_size > capacity_ &&
       bytes_allocated_ + size > capacity_) {
-    std::fprintf(stderr, "flexrpc: arena '%s' exhausted (%zu + %zu > %zu)\n",
-                 name_.c_str(), bytes_allocated_, size, capacity_);
-    std::abort();
+    return nullptr;
   }
   Chunk chunk;
   chunk.data = std::make_unique<uint8_t[]>(chunk_size);
   chunk.size = chunk_size;
   chunks_.push_back(std::move(chunk));
-  return chunks_.back();
+  return &chunks_.back();
 }
 
 void* Arena::Allocate(size_t size, size_t align) {
+  return Bump(size, align, /*abort_when_full=*/true);
+}
+
+void* Arena::Bump(size_t size, size_t align, bool abort_when_full) {
   if (size == 0) {
     size = 1;
   }
-  Chunk& chunk = ChunkWithRoom(size, align);
-  uintptr_t base = reinterpret_cast<uintptr_t>(chunk.data.get());
-  size_t offset = AlignUp(base + chunk.used, align) - base;
-  chunk.used = offset + size;
+  Chunk* chunk = ChunkWithRoom(size, align);
+  if (chunk == nullptr) {
+    if (!abort_when_full) {
+      return nullptr;
+    }
+    std::fprintf(stderr, "flexrpc: arena '%s' exhausted (%zu + %zu > %zu)\n",
+                 name_.c_str(), bytes_allocated_, size, capacity_);
+    std::abort();
+  }
+  uintptr_t base = reinterpret_cast<uintptr_t>(chunk->data.get());
+  size_t offset = AlignUp(base + chunk->used, align) - base;
+  chunk->used = offset + size;
   bytes_allocated_ += size;
   TraceAdd(TraceCounter::kArenaBumpAllocs);
   TraceAdd(TraceCounter::kArenaBumpBytes, size);
-  return chunk.data.get() + offset;
+  return chunk->data.get() + offset;
 }
 
 size_t Arena::SizeClassFor(size_t size) {
-  // Power-of-two classes from 32 bytes up.
-  size_t cls = 32;
-  while (cls < size) {
-    cls *= 2;
-  }
-  return cls;
+  return std::bit_ceil(std::max(size, size_t{1} << kMinClassShift));
+}
+
+size_t Arena::ClassIndex(size_t size_class) {
+  return static_cast<size_t>(std::countr_zero(size_class)) - kMinClassShift;
 }
 
 void* Arena::AllocateBlock(size_t size) {
+  return Block(size, /*abort_when_full=*/true);
+}
+
+void* Arena::TryAllocateBlock(size_t size) {
+  return Block(size, /*abort_when_full=*/false);
+}
+
+void* Arena::Block(size_t size, bool abort_when_full) {
   size_t cls = SizeClassFor(size);
+  void* ptr = nullptr;
+  std::vector<void*>& free_list = free_lists_[ClassIndex(cls)];
+  if (!free_list.empty()) {
+    ptr = free_list.back();
+    free_list.pop_back();
+  } else {
+    void* mem = Bump(sizeof(BlockHeader) + cls, alignof(std::max_align_t),
+                     abort_when_full);
+    if (mem == nullptr) {
+      return nullptr;
+    }
+    auto* header = static_cast<BlockHeader*>(mem);
+    header->size_class = static_cast<uint32_t>(cls);
+    header->magic = kBlockMagic;
+    ptr = header + 1;
+  }
   ++block_allocs_;
   TraceAdd(TraceCounter::kArenaBlockAllocs);
   TraceAdd(TraceCounter::kArenaBlockBytes, cls);
-  auto it = free_lists_.find(cls);
-  if (it != free_lists_.end() && !it->second.empty()) {
-    void* ptr = it->second.back();
-    it->second.pop_back();
-    return ptr;
-  }
-  void* mem =
-      Allocate(sizeof(BlockHeader) + cls, alignof(std::max_align_t));
-  auto* header = static_cast<BlockHeader*>(mem);
-  header->size_class = static_cast<uint32_t>(cls);
-  header->magic = kBlockMagic;
-  return header + 1;
+  return ptr;
 }
 
 void Arena::FreeBlock(void* ptr) {
@@ -103,7 +127,7 @@ void Arena::FreeBlock(void* ptr) {
   }
   ++block_frees_;
   TraceAdd(TraceCounter::kArenaBlockFrees);
-  free_lists_[header->size_class].push_back(ptr);
+  free_lists_[ClassIndex(header->size_class)].push_back(ptr);
 }
 
 bool Arena::Owns(const void* ptr, size_t size) const {
@@ -119,7 +143,9 @@ bool Arena::Owns(const void* ptr, size_t size) const {
 
 void Arena::Reset() {
   chunks_.clear();
-  free_lists_.clear();
+  for (std::vector<void*>& free_list : free_lists_) {
+    free_list.clear();
+  }
   bytes_allocated_ = 0;
   block_allocs_ = 0;
   block_frees_ = 0;

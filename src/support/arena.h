@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace flexrpc {
@@ -38,8 +37,12 @@ class Arena {
 
   // Allocates a block that can later be returned with FreeBlock. Blocks are
   // rounded up to a size class and recycled through a free list, emulating a
-  // kmem/malloc-style allocator inside the address space.
+  // kmem/malloc-style allocator inside the address space. Aborts, as
+  // Allocate does, when the capacity cannot hold the block.
   void* AllocateBlock(size_t size);
+  // AllocateBlock for sizes that come from untrusted input: null, with
+  // nothing allocated, when the capacity cannot hold the block.
+  void* TryAllocateBlock(size_t size);
   void FreeBlock(void* ptr);
 
   // Convenience: construct a T inside the arena (bump space, no destructor
@@ -82,9 +85,19 @@ class Arena {
   };
   static constexpr uint32_t kBlockMagic = 0xB10CB10Cu;
 
+  // Power-of-two size classes from 32 bytes up, one free list each.
+  static constexpr size_t kMinClassShift = 5;
+  static constexpr size_t kClassCount = 64 - kMinClassShift;
   static size_t SizeClassFor(size_t size);
+  static size_t ClassIndex(size_t size_class);
 
-  Chunk& ChunkWithRoom(size_t size, size_t align);
+  // A chunk with room for `size` bytes at `align`, or null when the
+  // capacity cannot hold them.
+  Chunk* ChunkWithRoom(size_t size, size_t align);
+  // Allocate and AllocateBlock; null instead of an abort unless
+  // `abort_when_full`.
+  void* Bump(size_t size, size_t align, bool abort_when_full);
+  void* Block(size_t size, bool abort_when_full);
 
   std::string name_;
   size_t capacity_;
@@ -92,8 +105,8 @@ class Arena {
   size_t block_allocs_ = 0;
   size_t block_frees_ = 0;
   std::vector<Chunk> chunks_;
-  // size class (bytes) -> stack of recycled blocks.
-  std::unordered_map<size_t, std::vector<void*>> free_lists_;
+  // Recycled blocks of each size class, indexed by ClassIndex.
+  std::vector<void*> free_lists_[kClassCount];
 };
 
 }  // namespace flexrpc

@@ -2,7 +2,8 @@
 // binary replaces the global operator new with a counting one — which is
 // why it is a binary of its own, leaving the main suite's allocator
 // untouched — and pins how many heap allocations a warm EventQueue, a warm
-// 1×4 ServerConnection and each step of one NFS read make. The counts are
+// 1×4 ServerConnection, a warm RpcConnection call and each step of one NFS
+// read make. The counts are
 // exact: everything here runs on the virtual clock with a fault-free wire,
 // so one build always makes the same allocations.
 
@@ -15,11 +16,14 @@
 #include <vector>
 
 #include "src/apps/nfs.h"
+#include "src/idl/corba_parser.h"
+#include "src/idl/sema.h"
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
 #include "src/net/link.h"
 #include "src/net/sunrpc.h"
 #include "src/rpc/dispatch.h"
+#include "src/rpc/runtime.h"
 #include "src/support/event_queue.h"
 #include "src/support/timing.h"
 
@@ -143,6 +147,56 @@ TEST(AllocGateTest, WarmServerConnectionCallsMakeOnlyTheirNamedAllocations) {
   // stretch.) The event queue, the connection's in-flight table and the
   // parked reply buffers add nothing.
   EXPECT_EQ(count, 24u * 7 + 4);
+}
+
+TEST(AllocGateTest, CallLooksItsOperationUpWithoutAllocating) {
+  // An operation name past std::string's inline capacity (15 bytes), which
+  // a lookup through a std::string key would copy to the heap per call.
+  constexpr std::string_view kOp = "add_to_running_total";
+  static_assert(kOp.size() == 20);
+  DiagnosticSink diags;
+  auto idl = ParseCorbaIdl(
+      "interface Sum { long add_to_running_total(in long by); };", "s.idl",
+      &diags);
+  ASSERT_NE(idl, nullptr) << diags.ToString();
+  ASSERT_TRUE(AnalyzeInterfaceFile(idl.get(), &diags)) << diags.ToString();
+  PresentationSet client_pres;
+  PresentationSet server_pres;
+  ASSERT_TRUE(ApplyPdl(*idl, Side::kClient, nullptr, &client_pres, &diags));
+  ASSERT_TRUE(ApplyPdl(*idl, Side::kServer, nullptr, &server_pres, &diags));
+  Kernel kernel;
+  FastPath fastpath(&kernel);
+  Task* client_task = kernel.CreateTask("client");
+  Task* server_task = kernel.CreateTask("server");
+  const InterfaceDecl& itf = idl->interfaces[0];
+  ServerObject server(itf, *server_pres.Find("Sum"), server_task);
+  int64_t total = 0;
+  server.SetWork(kOp, [&total](ArgVec* args, Arena*) {
+    total += static_cast<int32_t>((*args)[0].scalar);
+    (*args)[args->size() - 1].scalar = static_cast<uint64_t>(total);
+    return Status::Ok();
+  });
+  Port* port = ExportServer(&kernel, &fastpath, &server);
+  auto conn = RpcConnection::Bind(&kernel, &fastpath, client_task, port,
+                                  server, itf, *client_pres.Find("Sum"));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  const MarshalProgram* prog = (*conn)->ProgramFor(kOp);
+  ASSERT_NE(prog, nullptr);
+  ArgVec args(prog->slot_count());
+  args[0].scalar = 2;
+  ASSERT_TRUE((*conn)->Call(kOp, &args).ok());  // warm-up
+  uint64_t count;
+  {
+    AllocCounter allocs;
+    ASSERT_TRUE((*conn)->Call(kOp, &args).ok());
+    count = allocs.count();
+  }
+  EXPECT_EQ(args[prog->result_slot()].scalar, 4u);
+  // Three: the request's NativeWriter buffer, the server's reply writer
+  // and the fast path's staging vector the reply is copied into. The
+  // operation's name is looked up as it is (std::less<>), with no
+  // std::string built from it.
+  EXPECT_EQ(count, 3u);
 }
 
 // The perfbench nfs_read call, step by step.

@@ -787,9 +787,10 @@ TEST_F(SpecVerifierTest, Flex207UnionDiscriminantDiverges) {
 }
 
 TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
-  // A struct of kMaxSpecOps + 8 longs unrolls to one op per field, past
-  // the op budget: the stream compiles, the reference executor runs it,
-  // and `idlc --specialize` does not emit it; FLEX205 says why.
+  // A struct of kMaxSpecOps + 8 longs unrolls to one space check and one
+  // op per field, past the op budget: the stream compiles, the reference
+  // executor runs it, and `idlc --specialize` does not emit it; FLEX205
+  // says why.
   std::string fields;
   for (size_t i = 0; i < kMaxSpecOps + 8; ++i) {
     fields += StrFormat(" long f%zu;", i);
@@ -806,14 +807,17 @@ TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
   SpecPlan plan = CompileSpecPlan(op, *pres);
   const auto request = static_cast<size_t>(SpecStream::kMarshalRequest);
 
-  // Compiled: one op per field, proven against the plan like any stream.
-  ASSERT_EQ(plan.streams[request].ops.size(), kMaxSpecOps + 8);
-  EXPECT_EQ(plan.streams[request].ops[0].kind, SpecOpKind::kPutScalarMem);
+  // Compiled: the run's kRun, then one op per field, proven against the
+  // plan like any stream.
+  ASSERT_EQ(plan.streams[request].ops.size(), kMaxSpecOps + 9);
+  EXPECT_EQ(plan.streams[request].ops[0].kind, SpecOpKind::kRun);
+  EXPECT_EQ(plan.streams[request].ops[1].kind, SpecOpKind::kPutScalarMem);
   DiagnosticSink diags;
   EXPECT_EQ(VerifySpecPlan(op, *pres, plan, "t.idl", &diags), 0)
       << diags.ToString();
 
-  // Not emitted: the unit registers the empty reply streams only.
+  // Not emitted: the unit registers the empty reply streams and the two
+  // releases only.
   EXPECT_FALSE(plan.Emits(request));
   DiagnosticSink gen_diags;
   SpecGenStats stats;
@@ -824,13 +828,13 @@ TEST(SpecVerifierRejectionTest, Flex205ReportsUnspecializableStream) {
   EXPECT_EQ(generated->source.find("Spec0MarshalRequest"),
             std::string::npos);
   EXPECT_NE(generated->source.find("Spec0MarshalReply"), std::string::npos);
-  EXPECT_EQ(stats.streams_emitted, 2u);
+  EXPECT_EQ(stats.streams_emitted, 4u);
 
   // Reported, with the compiler's reason.
   EXPECT_GE(ReportUnspecializedStreams(plan, "t.idl", &diags), 1);
   EXPECT_GE(diags.CountCode("FLEX205"), 1) << diags.ToString();
   EXPECT_NE(diags.ToString().find(
-                "push marshal_request: 200 ops, past the op budget of 192"),
+                "push marshal_request: 201 ops, past the op budget of 192"),
             std::string::npos)
       << diags.ToString();
 }

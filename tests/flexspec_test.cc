@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -24,6 +26,7 @@
 #include "src/idl/sema.h"
 #include "src/idl/sunrpc_parser.h"
 #include "src/marshal/layout.h"
+#include "src/marshal/native.h"
 #include "src/marshal/spec.h"
 #include "src/marshal/value.h"
 #include "src/marshal/xdr.h"
@@ -400,10 +403,12 @@ TEST(SpecExecutorTest, LoopSequenceOfLongs) {
         MarshalProgram::Build(itf.ops[0], *c.client.Find("V")->FindOp("push"));
     MarshalProgram server =
         MarshalProgram::Build(itf.ops[0], *c.server.Find("V")->FindOp("push"));
-    // A loop over one scalar per element.
-    ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 3u);
+    // A loop over one scalar per element, its run checked per element.
+    ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 4u);
     EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].kind,
               SpecOpKind::kLoop);
+    EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[1].kind,
+              SpecOpKind::kRun);
 
     int32_t v[3] = {1, -2, 0x7FFFFFFF};
     ArgVec args(client.slot_count());
@@ -517,7 +522,7 @@ TEST(SpecExecutorTest, LoopArrayOfStructs) {
         MarshalProgram::Build(op, *c.client.Find("Poly")->FindOp("set"));
     MarshalProgram server =
         MarshalProgram::Build(op, *c.server.Find("Poly")->FindOp("set"));
-    ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 4u);
+    ASSERT_EQ(client.Stream(SpecStream::kMarshalRequest).ops.size(), 5u);
     EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].kind,
               SpecOpKind::kLoop);
     EXPECT_EQ(client.Stream(SpecStream::kMarshalRequest).ops[0].len_src,
@@ -814,21 +819,26 @@ class NfsDefaultOpsTest : public ::testing::Test {
 };
 
 TEST_F(NfsDefaultOpsTest, StreamsCompileToLeafOpsWithArmBranches) {
-  // ensure, discriminant, the NFS_OK arm (14 fattr words, the data
-  // sequence, its end), and the void default arm has no op.
+  // ensure, the discriminant's run, the NFS_OK arm (the run of 14 fattr
+  // words, the data sequence, its end), and the void default arm has no
+  // op.
   const std::vector<SpecOp>& reply =
       client_->Stream(SpecStream::kUnmarshalReply).ops;
-  ASSERT_EQ(reply.size(), 19u);
+  ASSERT_EQ(reply.size(), 21u);
   EXPECT_EQ(reply[0].kind, SpecOpKind::kEnsureStorage);
-  EXPECT_EQ(reply[1].kind, SpecOpKind::kGetScalarMem);
-  EXPECT_EQ(reply[2].kind, SpecOpKind::kArm);
-  EXPECT_EQ(reply[2].label, 0u);
-  EXPECT_EQ(reply[2].count, 16u);
-  EXPECT_EQ(reply[17].kind, SpecOpKind::kGetSeqBytesMem);
-  EXPECT_EQ(reply[17].offset, data_offset_);
-  EXPECT_EQ(reply[17].bound, 8192u);
-  EXPECT_EQ(reply[18].kind, SpecOpKind::kArmEnd);
-  EXPECT_EQ(reply[18].count, 0u);
+  EXPECT_EQ(reply[1].kind, SpecOpKind::kRun);
+  EXPECT_EQ(reply[1].run_bytes[0], 4u);
+  EXPECT_EQ(reply[2].kind, SpecOpKind::kGetScalarMem);
+  EXPECT_EQ(reply[3].kind, SpecOpKind::kArm);
+  EXPECT_EQ(reply[3].label, 0u);
+  EXPECT_EQ(reply[3].count, 17u);
+  EXPECT_EQ(reply[4].kind, SpecOpKind::kRun);
+  EXPECT_EQ(reply[4].run_bytes[0], 56u);
+  EXPECT_EQ(reply[19].kind, SpecOpKind::kGetSeqBytesMem);
+  EXPECT_EQ(reply[19].offset, data_offset_);
+  EXPECT_EQ(reply[19].bound, 8192u);
+  EXPECT_EQ(reply[20].kind, SpecOpKind::kArmEnd);
+  EXPECT_EQ(reply[20].count, 0u);
 }
 
 TEST_F(NfsDefaultOpsTest, NfsOkArmMatchesTheValuePath) {
@@ -1444,7 +1454,7 @@ TEST(SpecLoopDepthTest, LoopsNestToTheDepthLimit) {
       MarshalProgram::Build(op, *c.server.Find("D")->FindOp("f"));
   const std::vector<SpecOp>& ops =
       server.Stream(SpecStream::kUnmarshalRequest).ops;
-  ASSERT_EQ(ops.size(), 2u * kMaxSequenceNesting + 1);
+  ASSERT_EQ(ops.size(), 2u * kMaxSequenceNesting + 2);  // the leaf's kRun
   EXPECT_EQ(ops[kMaxSequenceNesting - 1].depth, kMaxSequenceNesting - 1);
 
   // One element at every level: level k's SeqRep holds level k + 1's.
@@ -1766,11 +1776,15 @@ TEST(SpecGenTest, EachFunctionIsOneStepCallPerOp) {
     EXPECT_EQ(source.find(text), std::string::npos) << text;
   }
 
-  // Every function body is `Status end;`, then one step call per op of
-  // its stream in order, then `return end;`: straight-line code.
+  // Every wire stream's body is `Status end;` and the run pointer, then
+  // one step call per op of its stream in order, then `return end;`:
+  // straight-line code, a template over the codec that the registered
+  // function instantiates for the wire's format. A release's body is one
+  // step call per op. An empty stream's body is `Status end;` and
+  // `return end;`, or nothing.
   static constexpr const char* kSuffix[kSpecStreamCount] = {
       "MarshalRequest", "UnmarshalRequest", "MarshalReply",
-      "UnmarshalReply"};
+      "UnmarshalReply", "ReleaseRequest",   "ReleaseReply"};
   std::set<SpecKey> seen;
   size_t index = 0;
   size_t calls = 0;
@@ -1783,34 +1797,62 @@ TEST(SpecGenTest, EachFunctionIsOneStepCallPerOp) {
       }
       for (size_t s = 0; s < kSpecStreamCount; ++s) {
         ASSERT_TRUE(plan.Emits(s)) << op.name << " " << s;
-        std::string head = StrFormat("Status Spec%zu%s(", index, kSuffix[s]);
+        const bool release = s >= kWireStreamCount;
+        const bool marshal = s % 2 == 0;
+        const std::vector<SpecOp>& ops = plan.streams[s].ops;
+        std::string head =
+            release ? StrFormat("void Spec%zu%s(", index, kSuffix[s])
+            : ops.empty()
+                ? StrFormat("Status Spec%zu%s(", index, kSuffix[s])
+                : StrFormat("Status Spec%zu%sOn(", index, kSuffix[s]);
         size_t begin = source.find(head);
         ASSERT_NE(begin, std::string::npos) << head;
+        if (release && ops.empty()) {
+          EXPECT_EQ(source.substr(begin, source.find('\n', begin) - begin),
+                    head + "Arena*, ArgVec*, bool) {}");
+          continue;
+        }
         begin = source.find('\n', begin) + 1;
         size_t end = source.find("\n}\n", begin);
         std::istringstream body(source.substr(begin, end - begin));
         std::string line;
-        ASSERT_TRUE(std::getline(body, line));
-        EXPECT_EQ(line, "  Status end;") << head;
-        for (const SpecOp& spec_op : plan.streams[s].ops) {
+        if (!release) {
+          ASSERT_TRUE(std::getline(body, line));
+          EXPECT_EQ(line, "  Status end;") << head;
+        }
+        if (!release && !ops.empty()) {
+          ASSERT_TRUE(std::getline(body, line));
+          EXPECT_EQ(line, marshal ? "  uint8_t* run = nullptr;"
+                                  : "  const uint8_t* run = nullptr;")
+              << head;
+        }
+        for (const SpecOp& spec_op : ops) {
           ASSERT_TRUE(std::getline(body, line)) << head;
-          std::string call =
-              StrFormat("  if (!%s({.kind = %s",
-                        s % 2 == 0 ? "MarshalStep" : "UnmarshalStep",
-                        std::string(SpecOpKindName(spec_op.kind)).c_str());
+          const char* step = release   ? "ReleaseStep"
+                             : marshal ? "MarshalStep"
+                                       : "UnmarshalStep";
+          std::string call = StrFormat(
+              release ? "  %s({.kind = %s" : "  if (!%s({.kind = %s", step,
+              std::string(SpecOpKindName(spec_op.kind)).c_str());
           EXPECT_EQ(line.rfind(call, 0), 0u) << head << ": " << line;
-          EXPECT_TRUE(line.ends_with(", &end)) return end;")) << line;
+          EXPECT_TRUE(line.ends_with(release ? ", arena, args, donated);"
+                                             : ", &run, &end)) return end;"))
+              << line;
           ++calls;
         }
-        ASSERT_TRUE(std::getline(body, line));
-        EXPECT_EQ(line, "  return end;") << head;
+        if (!release) {
+          ASSERT_TRUE(std::getline(body, line));
+          EXPECT_EQ(line, "  return end;") << head;
+        }
         EXPECT_FALSE(std::getline(body, line)) << head << ": " << line;
       }
       ++index;
     }
   }
   EXPECT_EQ(index, 4u);  // both operations under both presentations
-  EXPECT_EQ(calls, 8u);
+  // Per presentation: write_msg's string op each way and its release's
+  // kFreeSlot; message_count's result scalar each way, behind its kRun.
+  EXPECT_EQ(calls, 14u);
 }
 
 TEST(SpecGenTest, CorruptedStreamBlocksEmission) {
@@ -1865,6 +1907,78 @@ TEST(SpecGenTest, CorruptedArmBlocksEmissionWithFlex207) {
   }
 }
 
+TEST(SpecGenTest, CorruptedReleaseBlocksEmissionWithFlex201) {
+  // A release that drops a free leaks the block, and one that adds a free
+  // frees a block twice: the prover must refuse the unit either way.
+  Compiled c = Compile(NfsIdlText(), true, "", "");
+  for (bool drop : {true, false}) {
+    SCOPED_TRACE(drop ? "free dropped" : "free added");
+    SpecGenOptions options;
+    options.mutate_for_test = [drop](SpecPlan* plan) {
+      for (size_t s = kWireStreamCount; s < kSpecStreamCount; ++s) {
+        std::vector<SpecOp>& ops = plan->streams[s].ops;
+        for (size_t i = 0; i < ops.size(); ++i) {
+          if (ops[i].kind == SpecOpKind::kFreeMem) {
+            if (drop) {
+              ops.erase(ops.begin() + static_cast<ptrdiff_t>(i));
+            } else {
+              ops.insert(ops.begin() + static_cast<ptrdiff_t>(i), ops[i]);
+            }
+            return;
+          }
+        }
+      }
+      ADD_FAILURE() << "no release frees a nested block";
+    };
+    DiagnosticSink diags;
+    auto generated =
+        GenerateSpecializations(*c.idl, c.client, c.server, options, "nfs.x",
+                                NfsIdlText(), "", &diags, nullptr);
+    EXPECT_FALSE(generated.ok());
+    EXPECT_GE(diags.CountCode("FLEX201"), 1) << diags.ToString();
+    EXPECT_NE(diags.ToString().find("release_"), std::string::npos)
+        << diags.ToString();
+  }
+}
+
+TEST(SpecGenTest, BranchIntoARunBlocksEmissionWithFlex204) {
+  // A union's run left open past its default arm: the labeled arm's
+  // kArmEnd lands inside it, past the kRun that checks the scalar after
+  // the union, which would then move bytes no run claimed. Both lowerings
+  // would agree on such a stream if both grouped runs that way, so the
+  // prover checks where the compiled stream's runs lie on its own.
+  constexpr char kIdl[] = R"(
+    union U switch (long) { case 1: long a; default: long b; };
+    struct S { U u; long x; };
+    interface I { void f(in S s); };
+  )";
+  Compiled c = Compile(kIdl, false, "", "");
+  SpecGenOptions options;
+  options.mutate_for_test = [](SpecPlan* plan) {
+    // kRun, disc, kArm, kRun, a, kArmEnd, kRun, b, kRun, x: x's run joins
+    // b's, and the kArmEnd, which skips two ops, lands on x.
+    std::vector<SpecOp>& ops = plan->streams[kMReq].ops;
+    ASSERT_EQ(ops.size(), 10u);
+    ASSERT_EQ(ops[5].kind, SpecOpKind::kArmEnd);
+    ASSERT_EQ(ops[6].kind, SpecOpKind::kRun);
+    ASSERT_EQ(ops[8].kind, SpecOpKind::kRun);
+    for (size_t f = 0; f < kWireFormatCount; ++f) {
+      ops[6].run_bytes[f] += ops[8].run_bytes[f];
+    }
+    ops.erase(ops.begin() + 8);
+  };
+  DiagnosticSink diags;
+  auto generated = GenerateSpecializations(*c.idl, c.client, c.server,
+                                           options, "t.idl", kIdl, "", &diags,
+                                           nullptr);
+  EXPECT_FALSE(generated.ok());
+  EXPECT_GE(diags.CountCode("FLEX204"), 1) << diags.ToString();
+  EXPECT_NE(diags.ToString().find("marshal_request: effect 8, where a branch "
+                                  "lands, lies inside the run at effect 6"),
+            std::string::npos)
+      << diags.ToString();
+}
+
 TEST(SpecGenTest, CorruptedLoopBlocksEmission) {
   // A loop that takes its count from the wrong place, steps the wrong
   // stride or spans the wrong body would move the wrong bytes: the prover
@@ -1916,7 +2030,12 @@ TEST(SpecGenTest, EachLoopIsOneFor) {
       flexspec_loops::kIdlSource, "", &diags, &stats);
   ASSERT_TRUE(generated.ok()) << generated.status().ToString();
   EXPECT_EQ(diags.CountCode("FLEX205"), 0) << diags.ToString();
-  EXPECT_EQ(stats.streams_emitted, 4 * stats.plans_emitted);
+  EXPECT_EQ(stats.streams_emitted, kSpecStreamCount * stats.plans_emitted);
+  // A wire step ends its stream on failure; a release step never fails.
+  auto passes_loops = [](const std::string& line) {
+    return line.ends_with(", loops)) return end;") ||
+           line.ends_with(", donated, loops);");
+  };
   size_t loops = 0;
   size_t fors = 0;
   std::istringstream source(generated->source);
@@ -1924,7 +2043,7 @@ TEST(SpecGenTest, EachLoopIsOneFor) {
   for (std::string line; std::getline(source, line); previous = line) {
     if (line.find("({.kind = kLoop,") != std::string::npos) {
       ++loops;
-      EXPECT_TRUE(line.ends_with(", &end, loops)) return end;")) << line;
+      EXPECT_TRUE(passes_loops(line)) << line;
     } else if (line.find("for (; loops[") != std::string::npos) {
       ++fors;
       EXPECT_NE(previous.find("({.kind = kLoop,"), std::string::npos)
@@ -1934,7 +2053,7 @@ TEST(SpecGenTest, EachLoopIsOneFor) {
           << line;
     } else if (line.find(".depth = ") != std::string::npos &&
                line.find("Step(") != std::string::npos) {
-      EXPECT_TRUE(line.ends_with(", loops)) return end;")) << line;
+      EXPECT_TRUE(passes_loops(line)) << line;
     }
   }
   EXPECT_GT(loops, 0u);
@@ -1953,7 +2072,7 @@ TEST(SpecGenTest, ArmBranchesAreForwardGotos) {
   ASSERT_TRUE(generated.ok()) << generated.status().ToString();
   EXPECT_EQ(diags.CountCode("FLEX205"), 0) << diags.ToString();
   EXPECT_EQ(stats.plans_emitted, 2u);  // client and server default
-  EXPECT_EQ(stats.streams_emitted, 8u);
+  EXPECT_EQ(stats.streams_emitted, 12u);
   std::istringstream source(generated->source);
   std::set<std::string> pending;  // labels jumped to, not yet seen
   size_t branches = 0;
@@ -1971,7 +2090,8 @@ TEST(SpecGenTest, ArmBranchesAreForwardGotos) {
       pending.clear();
     }
   }
-  EXPECT_EQ(branches, 8u);  // kArm and kArmEnd in four reply streams
+  // kArm and kArmEnd in four reply streams and in both reply releases.
+  EXPECT_EQ(branches, 12u);
 }
 
 // --- NFS end to end: the build-time generated unit --------------------------
@@ -2073,6 +2193,589 @@ TEST(NfsSpecE2ETest, ConventionalReadRunsOnlyGeneratedCode) {
   EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecMisses), 0u);
   EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecHits),
             2 * stats->rpc_calls);
+}
+
+// --- Both codecs against the reference executor ----------------------------
+//
+// Each generated wire stream is a template over the concrete codec, and the
+// registered function runs the XdrReader/XdrWriter or the NativeReader/
+// NativeWriter instantiation by the wire's format tag. For every stream the
+// build's NFS and loop-shapes units register, on each codec, the generated
+// code and the reference executor must give the same status and message,
+// the same wire bytes and the same live blocks, on whole and on cut input.
+
+enum class Codec { kXdr, kNative };
+
+// Writes a sample value of `type`: each scalar the next count of
+// `*counter`, strings "ab", two elements per sequence (one under a bound
+// of 1). `arm` picks each union's alternative: a labeled arm by index, or
+// past the last one a label that matches none (the default arm, or the
+// no-arm error, after which nothing more is written).
+bool WriteSample(const Type* type, uint32_t arm, uint32_t* counter,
+                 WireWriter* w) {
+  const Type* t = type->Resolve();
+  switch (t->kind()) {
+    case TypeKind::kVoid:
+      return true;
+    case TypeKind::kString: {
+      const uint32_t len = t->bound() == 1 ? 1 : 2;
+      w->PutU32(len);
+      w->PutBytes("ab", len);
+      return true;
+    }
+    case TypeKind::kSequence:
+    case TypeKind::kArray: {
+      const bool array = t->kind() == TypeKind::kArray;
+      const uint32_t n = array ? t->bound() : t->bound() == 1 ? 1 : 2;
+      if (!array) {
+        w->PutU32(n);
+      }
+      if (IsByteElem(t->element())) {
+        std::vector<uint8_t> bytes(n);
+        for (uint8_t& b : bytes) {
+          b = static_cast<uint8_t>(++*counter);
+        }
+        w->PutBytes(bytes.data(), n);
+        return true;
+      }
+      for (uint32_t i = 0; i < n; ++i) {
+        if (!WriteSample(t->element(), arm, counter, w)) {
+          return false;
+        }
+      }
+      return true;
+    }
+    case TypeKind::kStruct:
+      for (const StructField& f : t->fields()) {
+        if (!WriteSample(f.type, arm, counter, w)) {
+          return false;
+        }
+      }
+      return true;
+    case TypeKind::kUnion: {
+      std::vector<const UnionArm*> labeled;
+      const UnionArm* fallback = nullptr;
+      uint32_t unused = 0;
+      for (const UnionArm& a : t->arms()) {
+        if (a.is_default) {
+          fallback = &a;
+        } else {
+          labeled.push_back(&a);
+          unused = std::max(unused, a.label + 1);
+        }
+      }
+      const UnionArm* chosen =
+          arm < labeled.size() ? labeled[arm] : fallback;
+      w->PutU32(arm < labeled.size() ? chosen->label : unused);
+      return chosen != nullptr && WriteSample(chosen->type, arm, counter, w);
+    }
+    default: {
+      const uint64_t v = ++*counter * 0x0101010101010101ull;
+      switch (WireScalarWidth(t->kind())) {
+        case 1:
+          w->PutU8(static_cast<uint8_t>(v & 0x7f));
+          return true;
+        case 2:
+          w->PutU16(static_cast<uint16_t>(v));
+          return true;
+        case 4:
+          w->PutU32(static_cast<uint32_t>(v));
+          return true;
+        default:
+          w->PutU64(v);
+          return true;
+      }
+    }
+  }
+}
+
+// One message of `op` in `codec`'s format, every item a sample.
+std::vector<uint8_t> SampleMessage(const OperationDecl& op,
+                                   const OpPresentation& pres, bool request,
+                                   uint32_t arm, Codec codec) {
+  const MarshalPlanView plan = BuildMarshalPlan(op, pres);
+  XdrWriter xdr;
+  NativeWriter native;
+  WireWriter* w = codec == Codec::kXdr ? static_cast<WireWriter*>(&xdr)
+                                       : static_cast<WireWriter*>(&native);
+  uint32_t counter = 0;
+  for (const PlanItemView& item : request ? plan.request : plan.reply) {
+    if (!WriteSample(item.type, arm, &counter, w)) {
+      break;
+    }
+  }
+  return std::vector<uint8_t>(w->span().begin(), w->span().end());
+}
+
+// What one path made of one message: the unmarshal's status, the blocks it
+// left, the message marshaled back from what it decoded, and the blocks
+// left after the side's release.
+struct CodecOutcome {
+  StatusCode code = StatusCode::kOk;
+  std::string message;
+  size_t unread = 0;  // the bytes the unmarshal left in the input
+  size_t live_after_unmarshal = 0;
+  std::vector<uint8_t> remarshaled;
+  std::string remarshal_status;
+  size_t live_after_release = 0;
+
+  bool operator==(const CodecOutcome&) const = default;
+};
+
+// Decodes `wire` with `prog`'s request or reply stream on `codec`, then
+// marshals the same message back from the decoded slots (a reply through
+// MarshalReply's [dealloc(always)] epilogue) and releases the side.
+CodecOutcome RunCodec(const MarshalProgram& prog, bool request, Codec codec,
+                      bool generated, ByteSpan wire) {
+  SpecSwitchGuard guard;
+  SetMarshalSpecializationEnabled(generated);
+  TraceSession session;
+  CodecOutcome out;
+  Arena arena("codec");
+  ArgVec args(prog.slot_count());
+  XdrReader xdr_in(wire);
+  NativeReader native_in(wire);
+  WireReader* r = codec == Codec::kXdr ? static_cast<WireReader*>(&xdr_in)
+                                       : static_cast<WireReader*>(&native_in);
+  Status st = request ? prog.UnmarshalRequest(r, &arena, &args)
+                      : prog.UnmarshalReply(r, &arena, &args);
+  out.code = st.code();
+  out.message = st.message();
+  out.unread = r->remaining();
+  out.live_after_unmarshal = arena.live_blocks();
+  size_t streams = 1;
+  if (st.ok()) {
+    XdrWriter xdr_out;
+    NativeWriter native_out;
+    WireWriter* w = codec == Codec::kXdr
+                        ? static_cast<WireWriter*>(&xdr_out)
+                        : static_cast<WireWriter*>(&native_out);
+    st = request ? prog.MarshalRequest(args, w)
+                 : prog.MarshalReply(&args, w, &arena);
+    out.remarshaled.assign(w->span().begin(), w->span().end());
+    out.remarshal_status = st.ToString();
+    ++streams;
+  }
+  if (request) {
+    prog.ReleaseRequest(&arena, &args);
+  } else {
+    prog.ReleaseReply(&arena, &args);
+  }
+  out.live_after_release = arena.live_blocks();
+  // Every wire stream ran generated code, or none did; a release counts
+  // neither a hit nor a miss.
+  const TraceSnapshot report = session.Report();
+  EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecHits),
+            generated ? streams : 0u);
+  EXPECT_EQ(report.counter(TraceCounter::kMarshalSpecMisses),
+            generated ? 0u : streams);
+  return out;
+}
+
+// Runs every message of every operation of `itf` under `pres_set` on both
+// codecs, whole and cut at every byte, on generated code and on the
+// reference executor, and expects the same outcome from both. A whole
+// message that decodes is read to its last byte and marshals back to
+// itself. Each cut lies in a heap block of its own size, so a read past
+// it is an overflow the ASan build reports.
+void ExpectCodecsMatchReference(const InterfaceDecl& itf,
+                                const PresentationSet& pres_set) {
+  for (const OperationDecl& op : itf.ops) {
+    const OpPresentation& pres = *pres_set.Find(itf.name)->FindOp(op.name);
+    const SpecFns* fns = FindSpecialization(ComputeSpecKey(op, pres));
+    ASSERT_NE(fns, nullptr) << op.name;
+    ASSERT_NE(fns->marshal_request, nullptr) << op.name;
+    ASSERT_NE(fns->unmarshal_request, nullptr) << op.name;
+    ASSERT_NE(fns->marshal_reply, nullptr) << op.name;
+    ASSERT_NE(fns->unmarshal_reply, nullptr) << op.name;
+    ASSERT_NE(fns->release_request, nullptr) << op.name;
+    ASSERT_NE(fns->release_reply, nullptr) << op.name;
+    const MarshalProgram prog = MarshalProgram::Build(op, pres);
+    for (bool request : {true, false}) {
+      for (uint32_t arm = 0; arm < 3; ++arm) {
+        for (Codec codec : {Codec::kXdr, Codec::kNative}) {
+          const std::vector<uint8_t> wire =
+              SampleMessage(op, pres, request, arm, codec);
+          for (size_t cut = 0; cut <= wire.size(); ++cut) {
+            SCOPED_TRACE(StrFormat(
+                "%s %s, arm %u, %s, cut at %zu of %zu", op.name.c_str(),
+                request ? "request" : "reply", arm,
+                codec == Codec::kXdr ? "XDR" : "native", cut, wire.size()));
+            const std::vector<uint8_t> in(
+                wire.begin(), wire.begin() + static_cast<ptrdiff_t>(cut));
+            const CodecOutcome reference = RunCodec(
+                prog, request, codec, /*generated=*/false, ByteSpan(in));
+            const CodecOutcome generated = RunCodec(
+                prog, request, codec, /*generated=*/true, ByteSpan(in));
+            if (cut == wire.size() && arm == 0) {
+              // Whole, with every union on its first arm: a valid message.
+              EXPECT_EQ(reference.code, StatusCode::kOk) << reference.message;
+              EXPECT_EQ(reference.remarshal_status, "OK");
+            }
+            if (cut == wire.size() && reference.code == StatusCode::kOk) {
+              EXPECT_EQ(reference.unread, 0u);
+              EXPECT_EQ(reference.remarshaled, wire);
+            }
+            EXPECT_EQ(generated.code, reference.code);
+            EXPECT_EQ(generated.message, reference.message);
+            EXPECT_EQ(generated.live_after_unmarshal,
+                      reference.live_after_unmarshal);
+            EXPECT_EQ(generated.remarshaled, reference.remarshaled);
+            EXPECT_EQ(generated.remarshal_status, reference.remarshal_status);
+            EXPECT_EQ(generated.live_after_release, 0u);
+            EXPECT_EQ(reference.live_after_release, 0u);
+            if (generated != reference) {
+              return;  // one report per message is enough
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SpecCodecTest, NfsUnitMatchesTheReferenceExecutorOnBothCodecs) {
+  NfsFileServer server(/*file_size=*/4096, /*seed=*/1);
+  NfsClient registers(&server, LinkModel(), RemoteServerModel());
+  Compiled figure1 = Compile(NfsIdlText(), true, NfsClientPdlText(), "");
+  Compiled defaults = Compile(NfsIdlText(), true, "", "");
+  for (const auto& [compiled, set] :
+       {std::pair{&figure1, &figure1.client},
+        std::pair{&defaults, &defaults.client},
+        std::pair{&defaults, &defaults.server}}) {
+    ExpectCodecsMatchReference(compiled->idl->interfaces[0], *set);
+  }
+}
+
+TEST(SpecCodecTest, LoopShapesUnitMatchesTheReferenceExecutorOnBothCodecs) {
+  flexspec_loops::RegisterSpecializations();
+  Compiled c = Compile(flexspec_loops::kIdlSource, false, "", "");
+  for (const InterfaceDecl& itf : c.idl->interfaces) {
+    SCOPED_TRACE(itf.name);
+    ExpectCodecsMatchReference(itf, c.client);
+    ExpectCodecsMatchReference(itf, c.server);
+  }
+}
+
+TEST(SpecCodecTest, RunSumsFollowEachCodec) {
+  // One run: XDR widens the octet and the short to a word each and pads
+  // the five bytes to eight (4 + 4 + 8 + 8); the native format moves
+  // them as they are (1 + 2 + 5 + 8).
+  Compiled c = Compile(R"(
+    struct mix { octet a; short b; octet c[5]; long long d; };
+    interface M { void put(in mix m); };
+  )",
+                       false, "", "");
+  const OperationDecl& op = c.idl->interfaces[0].ops[0];
+  MarshalProgram client =
+      MarshalProgram::Build(op, *c.client.Find("M")->FindOp("put"));
+  MarshalProgram server =
+      MarshalProgram::Build(op, *c.server.Find("M")->FindOp("put"));
+  for (const MarshalProgram* prog : {&client, &server}) {
+    for (SpecStream stream :
+         {SpecStream::kMarshalRequest, SpecStream::kUnmarshalRequest}) {
+      const std::vector<SpecOp>& ops = prog->Stream(stream).ops;
+      const size_t first = stream == SpecStream::kUnmarshalRequest ? 1 : 0;
+      ASSERT_EQ(ops.size(), first + 5);
+      EXPECT_EQ(ops[first].kind, SpecOpKind::kRun);
+      EXPECT_EQ(ops[first].run_bytes[static_cast<size_t>(WireFormat::kXdr)],
+                24u);
+      EXPECT_EQ(
+          ops[first].run_bytes[static_cast<size_t>(WireFormat::kNative)],
+          16u);
+    }
+  }
+
+  struct Mix {
+    uint8_t a;
+    int16_t b;
+    uint8_t c[5];
+    int64_t d;
+  };
+  ASSERT_EQ(c.idl->types.FindNamed("mix")->Resolve()->NativeSize(),
+            sizeof(Mix));
+  Mix m{0x81, -2, {1, 2, 3, 4, 5}, 0x0102030405060708};
+  ArgVec args(client.slot_count());
+  args[0].set_ptr(&m);
+  XdrWriter xdr;
+  ASSERT_TRUE(client.MarshalRequest(args, &xdr).ok());
+  ExpectWire(xdr,
+             "00000081 0000fffe 01020304 05000000 01020304 05060708",
+             "XDR");
+  NativeWriter native;
+  ASSERT_TRUE(client.MarshalRequest(args, &native).ok());
+  EXPECT_EQ(std::vector<uint8_t>(native.span().begin(), native.span().end()),
+            Hex("81 feff 0102030405 0807060504030201"));
+}
+
+// --- A value after a union whose default arm holds one ---------------------
+//
+// Every labeled arm's kArmEnd lands after the union, past the default arm's
+// ops, so what follows the union opens a run of its own: the scalar after
+// Dflt in DfltThen, and the parameter after a Dflt (loop_shapes.idl,
+// Arms.pick). On each arm, codec and executor the request and the reply
+// are the image the codec's own writer makes item by item, each decode
+// reads every byte and gets every value back, and input cut at every byte
+// fails with the status of the first item cut short and leaves no block.
+
+// The native layouts of loop_shapes.idl's Dflt and DfltThen.
+struct DfltN {
+  uint32_t disc;
+  union {
+    uint32_t a;
+    const char* s;
+    int32_t b;
+  };
+};
+struct DfltThenN {
+  DfltN v;
+  uint32_t x;
+};
+
+// A wire image built one item at a time with the codec's writer, with the
+// message a read cut short inside each item fails with.
+class WireImage {
+ public:
+  explicit WireImage(Codec codec) : codec_(codec) {}
+
+  void Word(uint32_t v) {
+    writer()->PutU32(v);
+    Mark(codec_ == Codec::kXdr ? kCutWord
+                               : "native stream truncated reading scalar");
+  }
+  void Str(const char* s) {
+    const auto len = static_cast<uint32_t>(std::strlen(s));
+    Word(len);
+    writer()->PutBytes(s, len);
+    Mark(codec_ == Codec::kXdr ? kCutBytes
+                               : "native stream truncated reading bytes");
+  }
+  void Dflt(const DfltN& u) {
+    Word(u.disc);
+    switch (u.disc) {
+      case 1:
+        Word(u.a);
+        return;
+      case 2:
+        Str(u.s);
+        return;
+      default:
+        Word(static_cast<uint32_t>(u.b));
+        return;
+    }
+  }
+
+  std::vector<uint8_t> bytes() {
+    return std::vector<uint8_t>(writer()->span().begin(),
+                                writer()->span().end());
+  }
+  // The message a read of the image cut at `cut` fails with.
+  std::string CutMessage(size_t cut) const {
+    for (const auto& [end, message] : items_) {
+      if (cut < end) {
+        return message;
+      }
+    }
+    return "";
+  }
+
+ private:
+  WireWriter* writer() {
+    return codec_ == Codec::kXdr ? static_cast<WireWriter*>(&xdr_) : &native_;
+  }
+  void Mark(const char* message) {
+    items_.emplace_back(writer()->size(), message);
+  }
+
+  Codec codec_;
+  XdrWriter xdr_;
+  NativeWriter native_;
+  std::vector<std::pair<size_t, std::string>> items_;
+};
+
+// A reader of `bytes` in `codec`'s format.
+class CodecReader {
+ public:
+  CodecReader(Codec codec, ByteSpan bytes)
+      : xdr_(bytes), native_(bytes), codec_(codec) {}
+
+  WireReader* get() {
+    return codec_ == Codec::kXdr ? static_cast<WireReader*>(&xdr_) : &native_;
+  }
+
+ private:
+  XdrReader xdr_;
+  NativeReader native_;
+  Codec codec_;
+};
+
+// Whether `got` holds the arm and the value `want` holds.
+bool SameDflt(const DfltN& got, const DfltN& want) {
+  if (got.disc != want.disc) {
+    return false;
+  }
+  switch (want.disc) {
+    case 1:
+      return got.a == want.a;
+    case 2:
+      return got.s != nullptr && std::strcmp(got.s, want.s) == 0;
+    default:
+      return got.b == want.b;
+  }
+}
+
+TEST(SpecDefaultArmTest, ValuesAfterTheUnionOnEveryArmCodecAndExecutor) {
+  flexspec_loops::RegisterSpecializations();
+  Compiled c = Compile(flexspec_loops::kIdlSource, false, "", "");
+  const OperationDecl& op = c.idl->FindInterface("Arms")->ops[0];
+  const OpPresentation& client_pres = *c.client.Find("Arms")->FindOp("pick");
+  const OpPresentation& server_pres = *c.server.Find("Arms")->FindOp("pick");
+  ASSERT_NE(FindSpecialization(ComputeSpecKey(op, client_pres)), nullptr);
+  ASSERT_NE(FindSpecialization(ComputeSpecKey(op, server_pres)), nullptr);
+  const Type* dflt = c.idl->types.FindNamed("Dflt")->Resolve();
+  ASSERT_EQ(UnionPayloadOffset(dflt), offsetof(DfltN, a));
+  ASSERT_EQ(c.idl->types.FindNamed("DfltThen")->Resolve()->NativeSize(),
+            sizeof(DfltThenN));
+  const MarshalProgram client = MarshalProgram::Build(op, client_pres);
+  const MarshalProgram server = MarshalProgram::Build(op, server_pres);
+  ASSERT_EQ(client.result_slot(), 3);
+  ASSERT_EQ(server.result_slot(), 3);
+  constexpr size_t kResult = 3;
+  // The client's storage for the reply, when the default presentation
+  // makes the result [alloc(user)].
+  const bool caller_storage = client.presentation().result.alloc ==
+                              AllocPolicy::kUser;
+
+  // Arm `disc`: 1 (a word), 2 (a string) or 9 (the default arm's word).
+  auto sample = [](uint32_t disc, uint32_t seed) {
+    DfltN u{};
+    u.disc = disc;
+    if (disc == 1) {
+      u.a = seed;
+    } else if (disc == 2) {
+      u.s = seed % 2 == 0 ? "ab" : "xyz";
+    } else {
+      u.b = -static_cast<int32_t>(seed);
+    }
+    return u;
+  };
+
+  SpecSwitchGuard guard;
+  for (uint32_t disc : {1u, 2u, 9u}) {
+    for (uint32_t other : {1u, 2u, 9u}) {
+      DfltThenN s{sample(disc, 10 + disc), 0xA1A2A3A4};
+      const DfltN u = sample(other, 21 + other);
+      const uint32_t y = 0xB1B2B3B4;
+      for (Codec codec : {Codec::kXdr, Codec::kNative}) {
+        WireImage request(codec);
+        request.Dflt(s.v);
+        request.Word(s.x);
+        request.Dflt(u);
+        request.Word(y);
+        WireImage reply(codec);
+        reply.Dflt(s.v);
+        reply.Word(s.x);
+        for (bool generated : {false, true}) {
+          SCOPED_TRACE(StrFormat(
+              "arms %u and %u, %s, %s", disc, other,
+              codec == Codec::kXdr ? "XDR" : "native",
+              generated ? "generated" : "reference executor"));
+          SetMarshalSpecializationEnabled(generated);
+          TraceSession session;
+          XdrWriter xdr_out;
+          NativeWriter native_out;
+          WireWriter* w = codec == Codec::kXdr
+                              ? static_cast<WireWriter*>(&xdr_out)
+                              : &native_out;
+          ArgVec args(client.slot_count());
+          args[0].set_ptr(&s);
+          args[1].set_ptr(&u);
+          args[2].scalar = y;
+          ASSERT_TRUE(client.MarshalRequest(args, w).ok());
+          EXPECT_EQ(std::vector<uint8_t>(w->span().begin(), w->span().end()),
+                    request.bytes());
+
+          const std::vector<uint8_t> request_bytes = request.bytes();
+          Arena server_arena("server");
+          ArgVec in(server.slot_count());
+          CodecReader request_in(codec, ByteSpan(request_bytes));
+          Status st =
+              server.UnmarshalRequest(request_in.get(), &server_arena, &in);
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          EXPECT_EQ(request_in.get()->remaining(), 0u);
+          const auto* got_s = static_cast<const DfltThenN*>(in[0].ptr());
+          EXPECT_TRUE(SameDflt(got_s->v, s.v));
+          EXPECT_EQ(got_s->x, s.x);
+          EXPECT_TRUE(SameDflt(*static_cast<const DfltN*>(in[1].ptr()), u));
+          EXPECT_EQ(in[2].scalar, y);
+
+          // The reply returns the request's struct.
+          ArgVec out(server.slot_count());
+          out[kResult] = in[0];
+          XdrWriter xdr_reply;
+          NativeWriter native_reply;
+          WireWriter* rw = codec == Codec::kXdr
+                               ? static_cast<WireWriter*>(&xdr_reply)
+                               : &native_reply;
+          ASSERT_TRUE(server.MarshalReply(&out, rw, /*arena=*/nullptr).ok());
+          EXPECT_EQ(
+              std::vector<uint8_t>(rw->span().begin(), rw->span().end()),
+              reply.bytes());
+          server.ReleaseRequest(&server_arena, &in);
+          EXPECT_EQ(server_arena.live_blocks(), 0u);
+
+          const std::vector<uint8_t> reply_bytes = reply.bytes();
+          Arena client_arena("client");
+          DfltThenN storage{};
+          ArgVec back(client.slot_count());
+          if (caller_storage) {
+            back[kResult].set_ptr(&storage);
+          }
+          CodecReader reply_in(codec, ByteSpan(reply_bytes));
+          st = client.UnmarshalReply(reply_in.get(), &client_arena, &back);
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          EXPECT_EQ(reply_in.get()->remaining(), 0u);
+          const auto* got_r = static_cast<const DfltThenN*>(back[kResult].ptr());
+          EXPECT_TRUE(SameDflt(got_r->v, s.v));
+          EXPECT_EQ(got_r->x, s.x);
+          client.ReleaseReply(&client_arena, &back);
+          EXPECT_EQ(client_arena.live_blocks(), 0u);
+          EXPECT_EQ(session.Report().counter(TraceCounter::kMarshalSpecHits),
+                    generated ? 4u : 0u);
+
+          // Cut at every byte, each cut in a heap block of its own size, so
+          // a read past it is an overflow the ASan build reports.
+          for (bool is_request : {true, false}) {
+            WireImage& image = is_request ? request : reply;
+            const std::vector<uint8_t> whole = image.bytes();
+            for (size_t cut = 0; cut < whole.size(); ++cut) {
+              SCOPED_TRACE(StrFormat("%s cut at %zu",
+                                     is_request ? "request" : "reply", cut));
+              const std::vector<uint8_t> part(
+                  whole.begin(), whole.begin() + static_cast<ptrdiff_t>(cut));
+              CodecReader r(codec, ByteSpan(part));
+              Arena arena("cut");
+              DfltThenN cut_storage{};
+              ArgVec slots((is_request ? server : client).slot_count());
+              if (!is_request && caller_storage) {
+                slots[kResult].set_ptr(&cut_storage);
+              }
+              st = is_request ? server.UnmarshalRequest(r.get(), &arena, &slots)
+                              : client.UnmarshalReply(r.get(), &arena, &slots);
+              EXPECT_EQ(st.code(), StatusCode::kDataLoss);
+              EXPECT_EQ(st.message(), image.CutMessage(cut));
+              if (is_request) {
+                server.ReleaseRequest(&arena, &slots);
+              } else {
+                client.ReleaseReply(&arena, &slots);
+              }
+              EXPECT_EQ(arena.live_blocks(), 0u);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

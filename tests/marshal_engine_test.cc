@@ -716,5 +716,93 @@ TEST(EngineTest, SequenceOfStringsFreedByEveryRelease) {
   EXPECT_EQ(client_arena.live_blocks(), 0u);
 }
 
+TEST(EngineTest, ReplyStorageTheStubAllocatedIsFreedUnderAllocUser) {
+  // The default client presentation receives a fixed-size result into
+  // caller storage ([alloc(user)]). A caller that leaves the slot null gets
+  // a block from the unmarshal, and ReleaseReply frees it; storage the
+  // caller provided stays untouched.
+  Compiled c = Compile(R"(
+    struct P { long x; long y; };
+    typedef P Pts[100];
+    interface G { Pts points(in Pts v); };
+  )",
+                       false, "", "");
+  const OperationDecl& op = c.idl->interfaces[0].ops[0];
+  const OpPresentation& client_pres = *c.client.Find("G")->FindOp("points");
+  ASSERT_EQ(client_pres.result.alloc, AllocPolicy::kUser);
+  MarshalProgram client =
+      MarshalProgram::Build(op, client_pres);
+  MarshalProgram server =
+      MarshalProgram::Build(op, *c.server.Find("G")->FindOp("points"));
+
+  int32_t sent[200];
+  for (int i = 0; i < 200; ++i) {
+    sent[i] = i - 100;
+  }
+  ArgVec server_args(server.slot_count());
+  server_args[server.result_slot()].set_ptr(sent);
+  XdrWriter reply;
+  ASSERT_TRUE(server.MarshalReply(&server_args, &reply, nullptr).ok());
+
+  Arena arena("client");
+  const size_t baseline = arena.live_blocks();
+  ArgVec args(client.slot_count());
+  XdrReader stub_reader(reply.span());
+  ASSERT_TRUE(client.UnmarshalReply(&stub_reader, &arena, &args).ok());
+  EXPECT_EQ(arena.live_blocks(), baseline + 1);
+  EXPECT_EQ(std::memcmp(args[client.result_slot()].ptr(), sent,
+                        sizeof(sent)),
+            0);
+  client.ReleaseReply(&arena, &args);
+  EXPECT_EQ(arena.live_blocks(), baseline);
+  EXPECT_EQ(args[client.result_slot()].ptr(), nullptr);
+
+  int32_t mine[200] = {};
+  args[client.result_slot()].set_ptr(mine);
+  XdrReader user_reader(reply.span());
+  ASSERT_TRUE(client.UnmarshalReply(&user_reader, &arena, &args).ok());
+  client.ReleaseReply(&arena, &args);
+  EXPECT_EQ(arena.live_blocks(), baseline);
+  EXPECT_EQ(args[client.result_slot()].ptr(), mine);
+  EXPECT_EQ(std::memcmp(mine, sent, sizeof(sent)), 0);
+}
+
+TEST(EngineTest, StorageThatOutgrowsTheArenaIsRefusedNotAborted) {
+  // Each sequence's count passes the kMaxNativeSize check on its own
+  // (32 000 elements of 1 028 bytes), but the two together outgrow the
+  // server arena's 64 MiB: the second block is refused with
+  // RESOURCE_EXHAUSTED, and the release frees the first.
+  Compiled c = Compile(R"(
+    union U switch (int d) { case 1: int v[256]; case 2: void; };
+    typedef U us<>;
+    struct two { us a; us b; };
+    program T { version V { void F(two) = 1; } = 1; } = 0x20000101;
+  )",
+                       true, "", "");
+  const InterfaceDecl& itf = c.idl->interfaces[0];
+  MarshalProgram server = MarshalProgram::Build(
+      itf.ops[0], *c.server.Find(itf.name)->FindOp(itf.ops[0].name));
+  constexpr uint32_t kCount = 32000;
+  XdrWriter request;
+  for (int seq = 0; seq < 2; ++seq) {
+    request.PutU32(kCount);
+    for (uint32_t i = 0; i < kCount; ++i) {
+      request.PutU32(2);  // the void arm
+    }
+  }
+  ASSERT_EQ(request.size(), 256008u);
+
+  Arena arena("server");
+  const size_t baseline = arena.live_blocks();
+  ArgVec args(server.slot_count());
+  XdrReader r(request.span());
+  Status st = server.UnmarshalRequest(&r, &arena, &args);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  EXPECT_NE(st.message().find("cannot hold"), std::string::npos)
+      << st.ToString();
+  server.ReleaseRequest(&arena, &args);
+  EXPECT_EQ(arena.live_blocks(), baseline);
+}
+
 }  // namespace
 }  // namespace flexrpc

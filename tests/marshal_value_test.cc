@@ -1,10 +1,11 @@
 // Tests for the wire formats, the native layout and the value walks that
-// stay (FreeValue, ValueEquals, CopyValue), and round-trip property tests
+// stay (ValueEquals, CopyValue), and round-trip property tests
 // over random values of every shape through the marshal engine, with XDR
 // golden vectors.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -264,6 +265,22 @@ std::vector<bool> Executors(const OneValueOp& op) {
 
 class ValueRoundTrip : public ::testing::TestWithParam<const char*> {};
 
+// A union whose default arm holds a value, followed by a scalar: each
+// labeled arm branches past the default arm to the scalar, which opens a
+// run of its own. loop_shapes.idl's RoundTrips.dflt_then has this shape,
+// so generated code runs it too.
+constexpr char kDefaultArmThenScalar[] =
+    "union u switch (long) { case 1: unsigned long a; case 2: string s;\n"
+    "  default: long b; };\n"
+    "struct tail { u v; unsigned long x; };\n"
+    "typedef tail t;";
+
+TEST(ValueTest, ValueAfterADefaultArmRunsOnGeneratedCode) {
+  OneValueOp op(kDefaultArmThenScalar);
+  ASSERT_TRUE(op.ok());
+  EXPECT_TRUE(op.generated());
+}
+
 // Each parameter is an IDL snippet defining type `t` used by interface I.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ValueRoundTrip,
@@ -289,7 +306,8 @@ INSTANTIATE_TEST_SUITE_P(
         "enum e { OK = 0, FAIL = 1 };\n"
         "struct payload { unsigned long n; sequence<octet> d; };\n"
         "union u switch (e) { case 0: payload p; default: long err; };\n"
-        "typedef u t;"));
+        "typedef u t;",
+        kDefaultArmThenScalar));
 
 // The client's request stream, then the server's, in XDR and in the native
 // format, on each executor: the server ends up with the value the client
@@ -478,7 +496,7 @@ TEST(ValueTest, UnknownUnionDiscriminantRejected) {
   EXPECT_EQ(arena.live_blocks(), 0u);
 }
 
-TEST(ValueTest, FreeValueReturnsAllBlocks) {
+TEST(ValueTest, ReleaseReturnsAllBlocks) {
   OneValueOp op(
       "struct inner { string s; sequence<octet> d; };\n"
       "typedef sequence<inner> t;");
@@ -496,12 +514,13 @@ TEST(ValueTest, FreeValueReturnsAllBlocks) {
   XdrReader r(w.span());
   ASSERT_TRUE(op.server().UnmarshalRequest(&r, &sink, &out).ok());
   ASSERT_TRUE(op.SlotEquals(out[0], original));
-  SeqRep rep{out[0].length, out[0].length, out[0].ptr()};
-  FreeValue(&sink, op.t(), &rep);
+  EXPECT_GT(sink.live_blocks(), 1u);
+  op.server().ReleaseRequest(&sink, &out);
   EXPECT_EQ(sink.live_blocks(), 0u);  // refcount conservation
+  EXPECT_EQ(out[0].ptr(), nullptr);
 }
 
-TEST(ValueTest, FreeValueSkipsValuesThatHoldNoPointer) {
+TEST(ValueTest, ReleaseSkipsValuesThatHoldNoPointer) {
   DiagnosticSink diags;
   auto idl = ParseCorbaIdl(R"(
     struct flat { long a; octet b[8]; double c; long d[3]; };
@@ -510,25 +529,64 @@ TEST(ValueTest, FreeValueSkipsValuesThatHoldNoPointer) {
     interface I { void f(in flat x, in holder y, in either z); };
   )", "t.idl", &diags);
   ASSERT_NE(idl, nullptr) << diags.ToString();
+  ASSERT_TRUE(AnalyzeInterfaceFile(idl.get(), &diags)) << diags.ToString();
   const Type* flat = idl->types.FindNamed("flat");
   const Type* holder = idl->types.FindNamed("holder");
   EXPECT_FALSE(flat->HoldsPointers());
   EXPECT_TRUE(holder->HoldsPointers());
   EXPECT_TRUE(idl->types.FindNamed("either")->HoldsPointers());
+  PresentationSet pres;
+  ASSERT_TRUE(ApplyPdl(*idl, Side::kServer, nullptr, &pres, &diags));
+  MarshalProgram server = MarshalProgram::Build(
+      idl->interfaces[0].ops[0], *pres.Find("I")->FindOp("f"));
 
-  // A struct of scalars frees nothing, whatever its bytes look like.
+  // The request's release frees each operand's block, and walks into a
+  // value only where it holds a pointer: nothing of the flat struct, the
+  // holder's data buffer, and the same buffer in the union's holder arm
+  // (its flat arm branches past nothing).
+  const std::vector<SpecOp>& ops =
+      server.Stream(SpecStream::kReleaseRequest).ops;
+  auto count = [&ops](SpecOpKind kind, int slot) {
+    return std::count_if(ops.begin(), ops.end(), [&](const SpecOp& op) {
+      return op.kind == kind && op.slot == slot;
+    });
+  };
+  EXPECT_EQ(count(SpecOpKind::kFreeSlot, 0), 1);
+  EXPECT_EQ(count(SpecOpKind::kFreeGuard, 0), 0);
+  EXPECT_EQ(count(SpecOpKind::kFreeMem, 0), 0);
+  EXPECT_EQ(count(SpecOpKind::kFreeMem, 1), 1);
+  EXPECT_EQ(count(SpecOpKind::kArm, 2), 2);
+  EXPECT_EQ(count(SpecOpKind::kFreeMem, 2), 1);
+
+  // Run on a request whose flat struct is all 0xA5 bytes and whose union
+  // takes the flat arm: three operand blocks and the holder's buffer.
+  XdrWriter w;
+  w.PutU32(0xA5A5A5A5);
+  const uint8_t bits[8] = {0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5, 0xA5};
+  w.PutBytes(bits, sizeof(bits));
+  w.PutU64(0xA5A5A5A5A5A5A5A5);
+  for (int i = 0; i < 3; ++i) {
+    w.PutU32(0xA5A5A5A5);
+  }
+  w.PutU32(7);
+  w.PutU32(4);
+  w.PutBytes("data", 4);
+  w.PutU32(1);  // either: the flat arm
+  w.PutU32(0xA5A5A5A5);
+  w.PutBytes(bits, sizeof(bits));
+  w.PutU64(0xA5A5A5A5A5A5A5A5);
+  for (int i = 0; i < 3; ++i) {
+    w.PutU32(0xA5A5A5A5);
+  }
   Arena arena("a");
-  std::vector<uint8_t> bits(flat->NativeSize(), 0xA5);
-  FreeValue(&arena, flat, bits.data());
-  EXPECT_EQ(arena.block_frees(), 0u);
-
-  // A struct holding a sequence still frees its buffer.
-  std::vector<uint8_t> value(holder->NativeSize());
-  SeqRep rep{4, 4, arena.AllocateBlock(4)};
-  std::memcpy(value.data() + NativeFieldOffset(holder, 1), &rep,
-              sizeof(rep));
-  FreeValue(&arena, holder, value.data());
-  EXPECT_EQ(arena.block_frees(), 1u);
+  ArgVec args(server.slot_count());
+  XdrReader r(w.span());
+  ASSERT_TRUE(server.UnmarshalRequest(&r, &arena, &args, nullptr,
+                                      /*borrow_bytes=*/false)
+                  .ok());
+  EXPECT_EQ(arena.live_blocks(), 4u);
+  server.ReleaseRequest(&arena, &args);
+  EXPECT_EQ(arena.block_frees(), 4u);
   EXPECT_EQ(arena.live_blocks(), 0u);
 }
 
